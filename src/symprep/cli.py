@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     WeylCapExceeded,
 )
-from .reduction import DEFAULT_HILBERT_DEGREE, analyze
+from .reduction import DEFAULT_HILBERT_DEGREE, analyze, reduce_to_gamma
 from .reps import invariant_dims, validate_symplectic_spec
 from .rootdata import DEFAULT_WEYL_CAP, build_root_datum
 from .verify import verify_suite
@@ -353,16 +353,14 @@ def cmd_gamma(args, out=None, err=None):
     err = err if err is not None else sys.stderr
     try:
         spec, options, echo = parse_spec(args.spec)
-        analysis = analyze(spec, weyl_cap=options["weyl_cap"],
-                           hilbert_degree=options["hilbert_degree"])
-        gamma = analysis.gamma
+        _, td, gamma, _ = reduce_to_gamma(spec, weyl_cap=options["weyl_cap"])
     except SymprepError as exc:
         print(f"error: {exc}", file=err)
         return _exit_code_for(exc)
     out.write(json.dumps({
         "schema_version": SCHEMA_VERSION,
         "input": echo,
-        "a_star_basis": _jsonify(analysis.a_star_basis),
+        "a_star_basis": _jsonify(td.a_star_basis),
         "gamma_order": gamma.gamma_order,
         "reflection_count": len(gamma.reflection_indices),
         "normalizer_order": len(gamma.normalizer_elements),

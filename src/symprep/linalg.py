@@ -61,7 +61,24 @@ def transpose(a):
 
 
 def mat_vec(a, v):
-    return tuple(vdot(row, v) for row in a)
+    if a and len(a[0]) != len(v):
+        raise ValueError(f"length mismatch {len(a[0])} vs {len(v)}")
+    return tuple(
+        canon(sum(Fraction(x) * Fraction(y) for x, y in zip(row, v) if x and y))
+        for row in a
+    )
+
+
+def lincomb(coeffs, vecs, n):
+    """Exact sum of c_i * v_i over vectors of length n."""
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vecs):
+        c = Fraction(c)
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] += c * x
+    return cvec(out)
 
 
 def mat_mul(a, b):

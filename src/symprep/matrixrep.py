@@ -28,8 +28,11 @@ from .linalg import (
     cvec,
     identity,
     kron,
+    lincomb,
     mat_scale,
+    mat_vec,
     nullspace,
+    rref,
     transpose,
     vdot,
 )
@@ -200,6 +203,11 @@ def _first_nonzero_ratio(a, b):
     return c
 
 
+def simple_coords(rank, i):
+    """Simple-root coordinates of the i-th simple root."""
+    return tuple(1 if j == i else 0 for j in range(rank))
+
+
 def _root_recipes(letter, rank):
     """Bracket recipes (gamma -> (simple index, lower root, scalar)) for all
     non-simple positive roots, calibrated in the defining module."""
@@ -218,9 +226,8 @@ def _root_recipes(letter, rank):
         hmat[r.coords] = tuple(tuple(canon(v) for v in row) for row in hvec)
     recipes = {}
     for i in range(rank):
-        e = tuple(1 if j == i else 0 for j in range(rank))
-        x[e] = ref.e[i]
-        y[e] = ref.f[i]
+        x[simple_coords(rank, i)] = ref.e[i]
+        y[simple_coords(rank, i)] = ref.f[i]
     for r in sorted(pos, key=lambda r: r.height):
         if r.height == 1:
             continue
@@ -233,8 +240,8 @@ def _root_recipes(letter, rank):
                 continue
             if by_coords[lower].coords not in x:
                 continue
-            a = comm(x[tuple(1 if j == i else 0 for j in range(rank))], x[lower])
-            b = comm(y[tuple(1 if j == i else 0 for j in range(rank))], y[lower])
+            a = comm(x[simple_coords(rank, i)], x[lower])
+            b = comm(y[simple_coords(rank, i)], y[lower])
             bracket = comm(a, b)
             c = _first_nonzero_ratio(bracket, hmat[r.coords])
             if c is None or c == 0:
@@ -259,6 +266,34 @@ def root_recipes(letter, rank):
     if key not in _RECIPE_CACHE:
         _RECIPE_CACHE[key] = _root_recipes(letter, rank)
     return _RECIPE_CACHE[key]
+
+
+def expand_root_vectors(simple_e, simple_f, recipes, place=tuple):
+    """Root vectors of every positive root of one simple factor, replayed from
+    its simple ones by the calibrated bracket recipes.
+
+    Returns (e, f) dicts keyed by place(local simple-root coordinates)."""
+    rank = len(simple_e)
+    x = {simple_coords(rank, i): m for i, m in enumerate(simple_e)}
+    y = {simple_coords(rank, i): m for i, m in enumerate(simple_f)}
+    for coords in sorted(recipes, key=sum):
+        i, lower, c = recipes[coords]
+        simple = simple_coords(rank, i)
+        x[coords] = mat_scale(Fraction(1, 1) / c, comm(x[simple], x[lower]))
+        y[coords] = comm(y[simple], y[lower])
+    return (
+        {place(c): m for c, m in x.items()},
+        {place(c): m for c, m in y.items()},
+    )
+
+
+def global_root_coords(datum, fi, local):
+    """Simple-root coordinates in the datum of a root of factor fi given in
+    the factor's local coordinates."""
+    g = [0] * datum.rank
+    for loc, gi in enumerate(datum.standard_order[fi]):
+        g[gi] = local[loc]
+    return tuple(g)
 
 
 @dataclass(frozen=True)
@@ -288,6 +323,48 @@ class MatrixRep:
             self,
             "lie_index",
             {lab: i for i, lab in enumerate(self.lie_labels)},
+        )
+        object.__setattr__(
+            self,
+            "_root_lookup",
+            {r.vec: r.coords for r in positive_roots(self.datum)},
+        )
+
+    def root_coords(self, vec):
+        """Simple-root coordinates in the model's datum of a positive root
+        given by its ambient vector (roots of Levi subdata are roots of the
+        model's datum)."""
+        coords = self._root_lookup.get(cvec(vec))
+        if coords is None:
+            raise InternalConsistencyError(
+                f"{vec} is not a positive root of the model"
+            )
+        return coords
+
+    def weight_of(self, vec):
+        """The weight of a nonzero weight-homogeneous vector."""
+        w = None
+        for a, x in enumerate(vec):
+            if x:
+                if w is None:
+                    w = self.weight_labels[a]
+                elif w != self.weight_labels[a]:
+                    raise InternalConsistencyError(
+                        "column is not weight homogeneous"
+                    )
+        if w is None:
+            raise InternalConsistencyError("zero column")
+        return w
+
+    def omega_row(self, u):
+        """The functional omega(u, .) as a row vector.  Exact."""
+        n = self.dim
+        return cvec(
+            tuple(
+                sum(Fraction(u[a]) * Fraction(self.j_exact[a][b]) for a in range(n)
+                    if u[a] and self.j_exact[a][b])
+                for b in range(n)
+            )
         )
 
     def lie_matrix(self, label):
@@ -362,10 +439,19 @@ def _summand_matrices(datum, weight):
     return total, gens, tuple(labels)
 
 
-def _dual_summand(dim, gens, labels):
-    dgens = {k: mat_scale(-1, transpose(m)) for k, m in gens.items()}
-    dlabels = tuple(cvec(tuple(-x for x in w)) for w in labels)
-    return dim, dgens, dlabels
+def _dual_pair(gens, labels, kind, weight):
+    """The block U + U* of a summand with its canonical pairing form."""
+    n = len(labels)
+    merged = {
+        k: blockdiag([m, mat_scale(-1, transpose(m))]) for k, m in gens.items()
+    }
+    mlabels = labels + tuple(cvec(tuple(-x for x in w)) for w in labels)
+    j = [[0] * (2 * n) for _ in range(2 * n)]
+    for a in range(n):
+        j[a][n + a] = 1
+        j[n + a][a] = -1
+    j = tuple(tuple(r) for r in j)
+    return merged, mlabels, j, f"irr{weight}+dual", kind, weight
 
 
 def _invariant_symplectic_form(dim, gens):
@@ -422,70 +508,33 @@ def build_rep(spec, dim_cap=DEFAULT_DIM_CAP):
     parts = []   # (gens, labels, jblock, desc, kind, weight)
     for item in spec.pairing_plan:
         dim_u, gens, labels = _summand_matrices(datum, item.weight)
-        if item.kind == "symplectic":
-            # Even multiplicities are presented as U + U* so that rational
-            # isotropic highest weight vectors exist; a lone copy carries its
-            # own invariant form.
-            if item.count >= 2:
-                ddim, dgens, dlabels = _dual_summand(dim_u, gens, labels)
-                merged = {k: blockdiag([gens[k], dgens[k]]) for k in gens}
-                mlabels = labels + dlabels
-                j = [[0] * (2 * dim_u) for _ in range(2 * dim_u)]
-                for a in range(dim_u):
-                    j[a][dim_u + a] = 1
-                    j[dim_u + a][a] = -1
-                pair_unit = (
-                    merged,
-                    mlabels,
-                    tuple(tuple(r) for r in j),
-                    f"irr{item.weight}+dual",
-                    "symplectic_pair",
-                    item.weight,
-                )
-                parts.extend([pair_unit] * (item.count // 2))
-            if item.count % 2:
-                j = _invariant_symplectic_form(dim_u, gens)
-                parts.append(
-                    (gens, labels, j, f"irr{item.weight}", "symplectic", item.weight)
-                )
-        else:
-            ddim, dgens, dlabels = _dual_summand(dim_u, gens, labels)
-            merged = {
-                k: blockdiag([gens[k], dgens[k]]) for k in gens
-            }
-            mlabels = labels + dlabels
-            j = [[0] * (2 * dim_u) for _ in range(2 * dim_u)]
-            for a in range(dim_u):
-                j[a][dim_u + a] = 1
-                j[dim_u + a][a] = -1
-            j = tuple(tuple(r) for r in j)
-            unit = (
-                merged,
-                mlabels,
-                j,
-                f"irr{item.weight}+dual",
-                item.kind,
-                item.weight,
+        if item.kind != "symplectic":
+            pair = _dual_pair(gens, labels, item.kind, item.weight)
+            parts.extend([pair] * item.count)
+            continue
+        # Even multiplicities are presented as U + U* so that rational
+        # isotropic highest weight vectors exist; a lone copy carries its own
+        # invariant form.
+        if item.count >= 2:
+            pair = _dual_pair(gens, labels, "symplectic_pair", item.weight)
+            parts.extend([pair] * (item.count // 2))
+        if item.count % 2:
+            j = _invariant_symplectic_form(dim_u, gens)
+            parts.append(
+                (gens, labels, j, f"irr{item.weight}", "symplectic", item.weight)
             )
-            parts.extend([unit] * item.count)
     total = sum(len(p[1]) for p in parts)
+    central = datum.ambient_dim - sum(n for _, n in datum.factors)
     gen_keys = (
         [("h", i) for i in range(datum.rank)]
-        + [("z", l) for l in range(datum.ambient_dim - sum(n for _, n in datum.factors))]
+        + [("z", l) for l in range(central)]
         + [("e", i) for i in range(datum.rank)]
         + [("f", i) for i in range(datum.rank)]
     )
-    assembled = {}
-    for key in gen_keys:
-        kind = key[0]
-        lookup = key if kind in ("z",) else key
-        mats = []
-        for gens, labels, _, _, _, _ in parts:
-            if kind == "z":
-                mats.append(gens[("z", key[1])])
-            else:
-                mats.append(gens[(kind, key[1])])
-        assembled[key] = blockdiag(mats) if mats else ()
+    assembled = {
+        key: blockdiag([p[0][key] for p in parts]) if parts else ()
+        for key in gen_keys
+    }
     jfull = blockdiag([p[2] for p in parts])
     labels_full = tuple(l for p in parts for l in p[1])
     blocks = []
@@ -495,46 +544,27 @@ def build_rep(spec, dim_cap=DEFAULT_DIM_CAP):
         off += len(labels)
 
     # extend to all roots by the calibrated bracket recipes
-    simple_e = {}
-    simple_f = {}
-    for i in range(datum.rank):
-        coords = tuple(1 if j == i else 0 for j in range(datum.rank))
-        simple_e[coords] = assembled[("e", i)]
-        simple_f[coords] = assembled[("f", i)]
-    pos = positive_roots(datum)
-    xroot = dict(simple_e)
-    yroot = dict(simple_f)
+    xroot, yroot = {}, {}
     for fi, (letter, frank) in enumerate(datum.factors):
         idxs = datum.standard_order[fi]
-        recipes = root_recipes(letter, frank)
-        for local_coords in sorted(recipes, key=lambda c: sum(c)):
-            i_loc, lower_loc, cscale = recipes[local_coords]
-
-            def to_global(local):
-                g = [0] * datum.rank
-                for loc, gi in enumerate(idxs):
-                    g[gi] = local[loc]
-                return tuple(g)
-
-            gcoords = to_global(local_coords)
-            gsimple = to_global(
-                tuple(1 if j == i_loc else 0 for j in range(frank))
-            )
-            glower = to_global(lower_loc)
-            a = comm(xroot[gsimple], xroot[glower])
-            xroot[gcoords] = mat_scale(Fraction(1, 1) / cscale, a)
-            yroot[gcoords] = comm(yroot[gsimple], yroot[glower])
+        x, y = expand_root_vectors(
+            [assembled[("e", gi)] for gi in idxs],
+            [assembled[("f", gi)] for gi in idxs],
+            root_recipes(letter, frank),
+            lambda local, fi=fi: global_root_coords(datum, fi, local),
+        )
+        xroot.update(x)
+        yroot.update(y)
 
     lie_labels = []
     lie_mats = []
     for i in range(datum.rank):
         lie_labels.append(("h", i))
         lie_mats.append(assembled[("h", i)])
-    central = datum.ambient_dim - sum(n for _, n in datum.factors)
     for l in range(central):
         lie_labels.append(("z", l))
         lie_mats.append(assembled[("z", l)])
-    for r in pos:
+    for r in positive_roots(datum):
         lie_labels.append(("e", r.coords))
         lie_mats.append(xroot[r.coords])
         lie_labels.append(("f", r.coords))
@@ -616,40 +646,56 @@ def _check_rep(rep):
         )
 
 
-def highest_weight_vectors(rep, weight=None):
-    """Exact highest-weight structure: {weight: basis of the hw space}."""
-    datum = rep.datum
-    n = rep.dim
-    rows = []
-    for i in range(datum.rank):
-        rows.extend(rep.lie_matrix_exact(("e", tuple(
-            1 if j == i else 0 for j in range(datum.rank)
-        ))))
-    if rows:
-        space = nullspace(rows, n)
-    else:
-        space = [tuple(identity(n)[i]) for i in range(n)]
-    by_weight = {}
-    for vec in space:
-        # group by weight: a null vector of the raising operators decomposes
-        # into weight-homogeneous null vectors; split it
-        parts = {}
-        for a, x in enumerate(vec):
-            if x:
-                parts.setdefault(rep.weight_labels[a], [0] * n)[a] = x
-        for w, v in parts.items():
-            by_weight.setdefault(w, []).append(cvec(v))
-    out = {}
-    for w, vecs in by_weight.items():
-        basis = []
-        from .linalg import rref
+def weight_kernel(rep, weight, side="e", columns=None, simple_roots=None):
+    """Raw nullspace basis of the vectors of the given weight inside the span
+    of the columns that every `side` matrix ("e" raising, "f" lowering) of the
+    given simple roots kills.
 
-        red, piv = rref(vecs)
-        for i in range(len(piv)):
-            basis.append(red[i])
-        out[w] = tuple(basis)
+    Columns must be weight homogeneous; by default they are the standard basis
+    of the whole model, and the roots are the model's own simple roots."""
+    weight = cvec(weight)
+    if columns is None:
+        columns = identity(rep.dim)
+    group = [c for c in columns if rep.weight_of(c) == weight]
+    if simple_roots is None:
+        simple_roots = rep.datum.simple_roots
+    rows = []
+    for root in simple_roots:
+        mat = rep.lie_matrix_exact((side, rep.root_coords(root)))
+        imgs = [mat_vec(mat, col) for col in group]
+        for a in range(rep.dim):
+            row = [img[a] for img in imgs]
+            if any(row):
+                rows.append(cvec(row))
+    return [
+        lincomb(coeffs, group, rep.dim) for coeffs in nullspace(rows, len(group))
+    ]
+
+
+def hyperbolic_partner(rep, v0, candidates):
+    """The combination of the candidates pairing to one with v0 under omega,
+    weighted by each candidate's pairing; None when all of them pair to zero."""
+    pairings = [Fraction(rep.omega_exact(c, v0)) for c in candidates]
+    norm = sum(p ** 2 for p in pairings)
+    if norm == 0:
+        return None
+    v0m = lincomb([p / norm for p in pairings], candidates, rep.dim)
+    if rep.omega_exact(v0m, v0) != 1:
+        raise InternalConsistencyError("hyperbolic pair normalization failed")
+    return v0m
+
+
+def highest_weight_vectors(rep, weight=None):
+    """Exact highest-weight structure: {weight: rref basis of the hw space},
+    or that basis alone for one weight."""
     if weight is not None:
-        return out.get(cvec(weight), ())
+        red, piv = rref(weight_kernel(rep, weight))
+        return tuple(red[: len(piv)])
+    out = {}
+    for w in sorted(set(rep.weight_labels)):
+        basis = highest_weight_vectors(rep, w)
+        if basis:
+            out[w] = basis
     return out
 
 

@@ -8,7 +8,6 @@ rank decisions use singular-value thresholds at unit input scale.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,14 +21,17 @@ from .errors import (
     SingularSystem,
     SOutsideDomain,
 )
-from .linalg import (
-    canon,
-    cvec,
-    nullspace,
-    rref,
-    vdot,
+from .linalg import cvec, mat_vec, nullspace, rref, vdot
+from .matrixrep import (
+    _reference_block,
+    _single_factor_datum,
+    expand_root_vectors,
+    global_root_coords,
+    highest_weight_vectors,
+    hyperbolic_partner,
+    root_recipes,
+    weight_kernel,
 )
-from .matrixrep import _reference_block, highest_weight_vectors, root_recipes
 from .rootdata import positive_roots
 
 RANK_TOL = 1e-8
@@ -83,36 +85,14 @@ class _FactorFrame:
         self.idxs = datum.standard_order[fi]
         block = _reference_block(letter, frank)
         self.dim = block.dim
-        from .matrixrep import _single_factor_datum
-        from .linalg import comm, mat_scale
-
-        local = _single_factor_datum(letter, frank)
-        pos_local = positive_roots(local)
-        x = {}
-        y = {}
-        for i in range(frank):
-            e = tuple(1 if j == i else 0 for j in range(frank))
-            x[e] = block.e[i]
-            y[e] = block.f[i]
-        recipes = root_recipes(letter, frank)
-        for coords in sorted(recipes, key=sum):
-            i_loc, lower, c = recipes[coords]
-            simp = tuple(1 if j == i_loc else 0 for j in range(frank))
-            x[coords] = mat_scale(Fraction(1, 1) / c, comm(x[simp], x[lower]))
-            y[coords] = comm(y[simp], y[lower])
-
-        def to_global(local_coords):
-            g = [0] * datum.rank
-            for loc, gi in enumerate(self.idxs):
-                g[gi] = local_coords[loc]
-            return tuple(g)
-
+        x, y = expand_root_vectors(block.e, block.f, root_recipes(letter, frank))
         self.labels = [("h", gi) for gi in self.idxs]
         mats = [block.h[loc] for loc in range(frank)]
-        for r in pos_local:
-            self.labels.append(("e", to_global(r.coords)))
+        for r in positive_roots(_single_factor_datum(letter, frank)):
+            coords = global_root_coords(datum, fi, r.coords)
+            self.labels.append(("e", coords))
             mats.append(x[r.coords])
-            self.labels.append(("f", to_global(r.coords)))
+            self.labels.append(("f", coords))
             mats.append(y[r.coords])
         self.mats = [np.array(m, dtype=float) for m in mats]
         gram = np.array(
@@ -294,49 +274,16 @@ def exact_hw_vector(rep, chi, index=0):
     return basis[index]
 
 
-def lowest_weight_vectors(rep, weight):
-    datum = rep.datum
-    n = rep.dim
-    rows = []
-    for i in range(datum.rank):
-        coords = tuple(1 if j == i else 0 for j in range(datum.rank))
-        rows.extend(rep.lie_matrix_exact(("f", coords)))
-    space = nullspace(rows, n) if rows else [
-        cvec([1 if k == i else 0 for k in range(n)]) for i in range(n)
-    ]
-    out = []
-    weight = cvec(weight)
-    for vec in space:
-        parts = {}
-        for a, x in enumerate(vec):
-            if x:
-                parts.setdefault(rep.weight_labels[a], [0] * n)[a] = x
-        if weight in parts:
-            out.append(cvec(parts[weight]))
-    red, piv = rref(out) if out else ([], [])
-    return [red[i] for i in range(len(piv))]
-
-
 def dual_lowest_vector(rep, chi, v0):
     """Lowest weight vector of weight -chi with omega(v0m, v0) = 1, chosen
     minimal-norm inside the lowest-weight space."""
-    chi = cvec(chi)
-    cands = lowest_weight_vectors(rep, tuple(-x for x in chi))
-    if not cands:
-        raise InternalConsistencyError(f"no lowest weight vector of weight {-1}")
-    pair = [rep.omega_exact(c, v0) for c in cands]
-    norm = sum(Fraction(p) ** 2 for p in pair)
-    if norm == 0:
+    neg = cvec(tuple(-x for x in chi))
+    red, piv = rref(weight_kernel(rep, neg, "f"))
+    if not piv:
+        raise InternalConsistencyError(f"no lowest weight vector of weight {neg}")
+    v0m = hyperbolic_partner(rep, v0, red[: len(piv)])
+    if v0m is None:
         raise InternalConsistencyError("lowest-weight space pairs to zero with v0")
-    coeff = [canon(Fraction(p) / norm) for p in pair]
-    n = rep.dim
-    out = [Fraction(0)] * n
-    for c, cand in zip(coeff, cands):
-        for a in range(n):
-            out[a] += Fraction(c) * Fraction(cand[a])
-    v0m = cvec(out)
-    if rep.omega_exact(v0m, v0) != 1:
-        raise InternalConsistencyError("lowest vector normalization failed")
     return v0m
 
 
@@ -354,52 +301,19 @@ def local_subspace(rep, chi, v0=None, v0m=None, datum=None):
     v0 = v0 if v0 is not None else exact_hw_vector(rep, chi)
     v0m = v0m if v0m is not None else dual_lowest_vector(rep, chi, v0)
     du = delta_u_roots(datum, chi)
-    n = rep.dim
+    rows = slice_functionals(rep, du, v0, v0m)
+    return v0, v0m, du, nullspace(rows, rep.dim)
+
+
+def slice_functionals(rep, roots, v0, v0m):
+    """The rows omega(f_r v0, .) and omega(e_r v0m, .) per root r; the slice
+    S of the local-structure step is their joint kernel.  Exact."""
     rows = []
-    for r in du:
-        fm = rep.lie_matrix_exact(("f", _coords_for(rep, r)))
-        em = rep.lie_matrix_exact(("e", _coords_for(rep, r)))
-        fv = _exact_matvec(fm, v0)
-        ev = _exact_matvec(em, v0m)
-        rows.append(_omega_row(rep, fv))
-        rows.append(_omega_row(rep, ev))
-    basis = nullspace(rows, n) if rows else [
-        cvec([1 if k == i else 0 for k in range(n)]) for i in range(n)
-    ]
-    return v0, v0m, du, [cvec(b) for b in basis]
-
-
-def _coords_for(rep, root):
-    """Original-datum simple-root coordinates of a root given by its ambient
-    vector (roots of Levi subdata are roots of the parent)."""
-    if not hasattr(rep, "_root_by_vec"):
-        object.__setattr__(
-            rep,
-            "_root_by_vec",
-            {r.vec: r.coords for r in positive_roots(rep.datum)},
-        )
-    return rep._root_by_vec[root.vec]
-
-
-def _exact_matvec(mat, v):
-    n = len(v)
-    return cvec(
-        tuple(
-            sum(Fraction(mat[a][b]) * Fraction(v[b]) for b in range(n) if mat[a][b])
-            for a in range(n)
-        )
-    )
-
-
-def _omega_row(rep, u):
-    n = rep.dim
-    return cvec(
-        tuple(
-            sum(Fraction(u[a]) * Fraction(rep.j_exact[a][b]) for a in range(n)
-                if u[a] and rep.j_exact[a][b])
-            for b in range(n)
-        )
-    )
+    for r in roots:
+        coords = rep.root_coords(r.vec)
+        rows.append(rep.omega_row(mat_vec(rep.lie_matrix_exact(("f", coords)), v0)))
+        rows.append(rep.omega_row(mat_vec(rep.lie_matrix_exact(("e", coords)), v0m)))
+    return rows
 
 
 @dataclass
@@ -426,11 +340,11 @@ def phi_solve_q_embed(rep, chi, v0, s, datum=None, tol=DOMAIN_TOL):
     du = delta_u_roots(datum, chi)
     k = len(du)
     fmats = [
-        np.asarray(rep.lie_matrix(("f", _coords_for(rep, r))), dtype=float)
+        np.asarray(rep.lie_matrix(("f", rep.root_coords(r.vec))), dtype=float)
         for r in du
     ]
     emats = [
-        np.asarray(rep.lie_matrix(("e", _coords_for(rep, r))), dtype=float)
+        np.asarray(rep.lie_matrix(("e", rep.root_coords(r.vec))), dtype=float)
         for r in du
     ]
     fv0 = [m @ v0f for m in fmats]

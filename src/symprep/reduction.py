@@ -399,6 +399,22 @@ class AnalysisReport:
     terminal: object
 
 
+def reduce_to_gamma(spec, weyl_cap=DEFAULT_WEYL_CAP):
+    """The reduction with Gamma and the centralizer Levi of its a*, the Levi
+    cross-checked against the terminal group.  The Weyl cap is checked first.
+
+    Returns (trace, TerminalData, Gamma, Levi)."""
+    order = spec.datum.weyl_order()
+    if order > weyl_cap:
+        raise WeylCapExceeded(order, weyl_cap)
+    trace, td = run_reduction(spec)
+    gamma = compute_gamma(spec.datum, td.a_star_basis, weyl_cap)
+    levi = centralizer_levi(
+        spec.datum, td.a_star_basis, weyl_cap, expect=td.terminal_group
+    )
+    return trace, td, gamma, levi
+
+
 def analyze(
     spec,
     weyl_cap=DEFAULT_WEYL_CAP,
@@ -406,16 +422,9 @@ def analyze(
     degree_budget=DEFAULT_SYM_DEGREE_BUDGET,
 ):
     """Full structural analysis of a validated symplectic module."""
-    order = spec.datum.weyl_order()
-    if order > weyl_cap:
-        raise WeylCapExceeded(order, weyl_cap)
-    trace, td = run_reduction(spec)
+    trace, td, gamma, levi = reduce_to_gamma(spec, weyl_cap)
     rk, c = rank_complexity(td)
     mf = c == 0
-    gamma = compute_gamma(spec.datum, td.a_star_basis, weyl_cap)
-    levi = centralizer_levi(
-        spec.datum, td.a_star_basis, weyl_cap, expect=td.terminal_group
-    )
     lw = determine_little_weyl(
         spec, td, gamma, mf, hilbert_degree, degree_budget
     )

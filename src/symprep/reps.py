@@ -20,7 +20,7 @@ from .errors import (
     NotSelfDual,
     OddOrthogonalMultiplicity,
 )
-from .linalg import canon, cvec, vdot
+from .linalg import canon, cvec, vdot, vsub
 from .rootdata import (
     DEFAULT_WEYL_CAP,
     dominant_representative,
@@ -335,7 +335,7 @@ def invariant_dims(
     rho = rho_strict(datum)
     targets = []
     for w in enumerate_weyl(datum, weyl_cap):
-        targets.append((cvec(vdot_sub(w.apply(rho), rho)), w.sign))
+        targets.append((cvec(vsub(w.apply(rho), rho)), w.sign))
     out = []
     for d in range(max_degree + 1):
         hd = sym[d]
@@ -346,7 +346,3 @@ def invariant_dims(
     if out[0] != 1:
         raise InternalConsistencyError("degree-0 invariants must be 1-dim")
     return out
-
-
-def vdot_sub(a, b):
-    return tuple(canon(x - y) for x, y in zip(a, b))

@@ -25,22 +25,23 @@ from .linalg import (
     canon,
     cvec,
     echelon_basis,
+    identity,
     in_span,
     is_zero_vec,
     lin_solve,
+    lincomb,
     nullspace,
     rref,
     same_span,
     vdot,
 )
+from .matrixrep import hyperbolic_partner, weight_kernel
 from .numeric import (
-    _exact_matvec,
-    _omega_row,
     chevalley_target,
     dual_lowest_vector,
     inv_moment_eval,
+    slice_functionals,
 )
-from .reduction import run_reduction
 from .rootdata import positive_roots
 
 
@@ -156,14 +157,18 @@ class TorusSection:
 
     def apply(self, a):
         """Exact section value at a; requires a in the reachable span."""
-        coords = _apply_plan([p.chi for p in self.pairs], self.killed, self.plan, a)
-        out = [Fraction(0)] * self.dim
-        for i, pair in enumerate(self.pairs):
-            x, y = coords[i]
-            for k in range(self.dim):
-                out[k] += Fraction(x) * Fraction(pair.x_vec[k])
-                out[k] += Fraction(y) * Fraction(pair.y_vec[k])
-        return cvec(out)
+        return _pairs_point(self.pairs, self.killed, self.plan, a, self.dim)
+
+
+def _pairs_point(pairs, killed, plan, a, n):
+    """The point sum x_i x_vec_i + y_i y_vec_i with the pair coordinates that
+    the plan assigns to the target a."""
+    coords = _apply_plan([p.chi for p in pairs], killed, plan, a)
+    coeffs, vecs = [], []
+    for i, pair in enumerate(pairs):
+        coeffs += coords[i]
+        vecs += [pair.x_vec, pair.y_vec]
+    return lincomb(coeffs, vecs, n)
 
 
 def _character_pairs_from_columns(rep, columns):
@@ -174,8 +179,7 @@ def _character_pairs_from_columns(rep, columns):
     Gram-Schmidt."""
     by_weight = {}
     for col in columns:
-        w = _column_weight(rep, col)
-        by_weight.setdefault(w, []).append(col)
+        by_weight.setdefault(rep.weight_of(col), []).append(col)
     pairs = []
     seen = set()
     for w in sorted(by_weight, reverse=True):
@@ -195,26 +199,10 @@ def _character_pairs_from_columns(rep, columns):
         if pinv is None:
             raise InternalConsistencyError("degenerate character pairing block")
         for q in range(k):
-            y = [Fraction(0)] * rep.dim
-            for b in range(k):
-                for t in range(rep.dim):
-                    y[t] += Fraction(pinv[b][q]) * Fraction(cm[b][t])
-            pairs.append(CharPair(cvec(cp[q]), cvec(y), w))
+            y = lincomb([pinv[b][q] for b in range(k)], cm, rep.dim)
+            pairs.append(CharPair(cvec(cp[q]), y, w))
         seen.update({w, neg})
     return pairs
-
-
-def _column_weight(rep, col):
-    w = None
-    for a, x in enumerate(col):
-        if x:
-            if w is None:
-                w = rep.weight_labels[a]
-            elif w != rep.weight_labels[a]:
-                raise InternalConsistencyError("column is not weight homogeneous")
-    if w is None:
-        raise InternalConsistencyError("zero column")
-    return w
 
 
 def _zero_weight_pairs(rep, cols):
@@ -235,14 +223,7 @@ def _zero_weight_pairs(rep, cols):
         for w in others:
             cu = rep.omega_exact(w, u)
             cv = rep.omega_exact(w, v)
-            projected.append(
-                cvec(
-                    tuple(
-                        Fraction(wx) + cu * Fraction(vx) - cv * Fraction(ux)
-                        for wx, vx, ux in zip(w, v, u)
-                    )
-                )
-            )
+            projected.append(lincomb([1, cu, -cv], [w, v, u], rep.dim))
         pairs.append(CharPair(u, v, cvec((0,) * rep.datum.ambient_dim)))
         cols = projected
     return pairs
@@ -268,11 +249,7 @@ def torus_section(rep, component_hint=None):
             f"torus section requires a torus module; datum is "
             f"{rep.datum.type_string()}"
         )
-    cols = [
-        cvec(tuple(1 if k == a else 0 for k in range(rep.dim)))
-        for a in range(rep.dim)
-    ]
-    pairs = _character_pairs_from_columns(rep, cols)
+    pairs = _character_pairs_from_columns(rep, list(identity(rep.dim)))
     hints = _normalize_hints(component_hint, len(pairs))
     plan = _plan_pairs([p.chi for p in pairs], (), hints)
     basis = echelon_basis([p.chi for p in pairs if not is_zero_vec(p.chi)])
@@ -319,7 +296,7 @@ def char_reduction_phi(rep, v0_char, t, y, v, v0m=None):
     if y == 0:
         raise DomainError("y must be nonzero")
     v0 = cvec(v0_char)
-    chi = _column_weight_tolerant(rep, v0)
+    chi = rep.weight_of(v0)
     if v0m is None:
         v0m = dual_lowest_vector(rep, chi, v0)
     v = cvec(v)
@@ -334,15 +311,7 @@ def char_reduction_phi(rep, v0_char, t, y, v, v0m=None):
         # omega(v0m, v0) = 1 makes the pair contribute -x*y to the chi-part;
         # the character component of the image is t*y
         x = canon((Fraction(fv) - Fraction(t) * Fraction(y)) / Fraction(y))
-    out = [
-        Fraction(vv) + Fraction(x) * Fraction(a) + Fraction(y) * Fraction(b)
-        for vv, a, b in zip(v, v0, v0m)
-    ]
-    return cvec(out), cvec(v0m)
-
-
-def _column_weight_tolerant(rep, col):
-    return _column_weight(rep, col)
+    return lincomb([1, x, y], [v, v0, v0m], rep.dim), cvec(v0m)
 
 
 @dataclass
@@ -366,28 +335,14 @@ class SectionMap:
         """Exact section value with t-moment equal to a; raises DomainError
         when a is outside the span of a*."""
         a = cvec(a)
-        coords = _apply_plan(
-            [p.chi for p in self.terminal_pairs], self.killed,
-            self.terminal_plan, a,
-        )
-        p = [Fraction(0)] * self.rep.dim
-        for i, pair in enumerate(self.terminal_pairs):
-            x, y = coords[i]
-            for k in range(self.rep.dim):
-                p[k] += Fraction(x) * Fraction(pair.x_vec[k])
-                p[k] += Fraction(y) * Fraction(pair.y_vec[k])
-        p = cvec(p)
+        n = self.rep.dim
+        p = _pairs_point(self.terminal_pairs, self.killed, self.terminal_plan, a, n)
         for layer in reversed(self.layers):
             t = vdot(a, layer.xi_c)
             fv = canon(Fraction(self.rep.omega_exact(
                 _diag_action_exact(self.rep.weight_labels, layer.xi_c, p), p)) / 2)
             x = canon(Fraction(fv) - Fraction(t))  # y = 1
-            p = cvec(
-                tuple(
-                    Fraction(pv) + Fraction(x) * Fraction(a0) + Fraction(b0)
-                    for pv, a0, b0 in zip(p, layer.v0, layer.v0m)
-                )
-            )
+            p = lincomb([1, x, 1], [p, layer.v0, layer.v0m], n)
         m = torus_moment_exact(self.rep, p)
         if m != a:
             raise InternalConsistencyError(
@@ -396,35 +351,37 @@ class SectionMap:
         return p
 
 
-def build_section(rep, component_hint=None):
+def build_section(rep, reduction, component_hint=None):
     """Section of the invariant moment map along the reduction chain of the
-    model's module.  Exact; validated against the combinatorial a*."""
-    trace, td = run_reduction(rep.spec)
-    datum = rep.datum
-    n = rep.dim
-    cols = [cvec(tuple(1 if k == a else 0 for k in range(n))) for a in range(n)]
+    model's module.  Exact; validated against the combinatorial a*.
+
+    reduction is the (trace, TerminalData) pair of run_reduction(rep.spec),
+    for example (analysis.trace, analysis.terminal) of an analysis."""
+    trace, td = reduction
+    cols = list(identity(rep.dim))
     killed = []
     layers = []
     current = rep.spec
     for step in trace:
         chi = step.chosen_chi
-        v0 = _hw_vector_in_columns(rep, cols, current, chi)
-        v0m = _lowest_dual_in_columns(rep, cols, current, chi, v0)
+        roots = current.datum.simple_roots
+        hw = weight_kernel(rep, chi, "e", cols, roots)
+        if not hw:
+            raise StageNotRealizable(f"no highest weight vector of weight {chi}")
+        v0 = hw[0]
+        neg = cvec(tuple(-x for x in chi))
+        v0m = hyperbolic_partner(rep, v0, weight_kernel(rep, neg, "f", cols, roots))
+        if v0m is None:
+            raise StageNotRealizable("lowest-weight space pairs to zero with v0")
         xi_c = central_element_for(step.levi, chi, killed)
-        rows = []
-        for r in step.delta_u:
-            coords = _root_coords(rep, r)
-            fv = _exact_matvec(rep.lie_matrix_exact(("f", coords)), v0)
-            ev = _exact_matvec(rep.lie_matrix_exact(("e", coords)), v0m)
-            rows.append(_omega_row(rep, fv))
-            rows.append(_omega_row(rep, ev))
+        rows = slice_functionals(rep, step.delta_u, v0, v0m)
         s_cols = _cut_columns(rep, cols, rows)
         for v in (v0, v0m):
             if any(vdot(row, v) != 0 for row in rows):
                 raise StageNotRealizable(
                     "chosen highest weight vector escapes its own slice"
                 )
-        sbar_rows = [_omega_row(rep, v0), _omega_row(rep, v0m)]
+        sbar_rows = [rep.omega_row(v0), rep.omega_row(v0m)]
         cols = _cut_columns(rep, s_cols, sbar_rows)
         layers.append(SectionLayer(v0=v0, v0m=v0m, chi=chi, xi_c=xi_c))
         killed.append(chi)
@@ -433,7 +390,7 @@ def build_section(rep, component_hint=None):
     term_datum = td.terminal_group
     char_cols = []
     for col in cols:
-        w = _column_weight(rep, col)
+        w = rep.weight_of(col)
         if all(vdot(w, c) == 0 for c in term_datum.simple_coroots):
             char_cols.append(col)
     pairs = _character_pairs_from_columns(rep, char_cols)
@@ -455,16 +412,6 @@ def build_section(rep, component_hint=None):
     )
 
 
-def _root_coords(rep, root):
-    if not hasattr(rep, "_root_by_vec"):
-        object.__setattr__(
-            rep,
-            "_root_by_vec",
-            {r.vec: r.coords for r in positive_roots(rep.datum)},
-        )
-    return rep._root_by_vec[root.vec]
-
-
 def _cut_columns(rep, cols, rows):
     """Intersect the span of weight-homogeneous columns with the joint kernel
     of the functionals, weight space by weight space."""
@@ -472,7 +419,7 @@ def _cut_columns(rep, cols, rows):
         return list(cols)
     by_weight = {}
     for col in cols:
-        by_weight.setdefault(_column_weight(rep, col), []).append(col)
+        by_weight.setdefault(rep.weight_of(col), []).append(col)
     out = []
     for w in sorted(by_weight):
         group = by_weight[w]
@@ -481,91 +428,8 @@ def _cut_columns(rep, cols, rows):
             out.extend(group)
             continue
         for coeffs in nullspace(cmat, len(group)):
-            vec = [Fraction(0)] * rep.dim
-            for c, col in zip(coeffs, group):
-                for k in range(rep.dim):
-                    vec[k] += Fraction(c) * Fraction(col[k])
-            out.append(cvec(vec))
+            out.append(lincomb(coeffs, group, rep.dim))
     return out
-
-
-def _hw_vector_in_columns(rep, cols, spec, chi):
-    """First exact highest weight vector of the given weight inside the span
-    of the columns, with respect to the current datum."""
-    datum = spec.datum
-    chi = cvec(chi)
-    group = [c for c in cols if _column_weight(rep, c) == chi]
-    if not group:
-        raise StageNotRealizable(f"no columns of weight {chi} at this stage")
-    cmat = []
-    for sr in datum.simple_roots:
-        coords = _root_coords(rep, _find_root(rep, sr))
-        mat = rep.lie_matrix_exact(("e", coords))
-        imgs = [_exact_matvec(mat, col) for col in group]
-        for a in range(rep.dim):
-            row = [Fraction(img[a]) for img in imgs]
-            if any(row):
-                cmat.append(cvec(row))
-    space = nullspace(cmat, len(group)) if cmat else [
-        cvec(tuple(1 if i == j else 0 for j in range(len(group))))
-        for i in range(len(group))
-    ]
-    if not space:
-        raise StageNotRealizable(f"no highest weight vector of weight {chi}")
-    coeffs = space[0]
-    vec = [Fraction(0)] * rep.dim
-    for c, col in zip(coeffs, group):
-        for k in range(rep.dim):
-            vec[k] += Fraction(c) * Fraction(col[k])
-    return cvec(vec)
-
-
-def _lowest_dual_in_columns(rep, cols, spec, chi, v0):
-    datum = spec.datum
-    neg = cvec(tuple(-x for x in chi))
-    group = [c for c in cols if _column_weight(rep, c) == neg]
-    if not group:
-        raise StageNotRealizable(f"no columns of weight {neg} at this stage")
-    cmat = []
-    for sr in datum.simple_roots:
-        coords = _root_coords(rep, _find_root(rep, sr))
-        mat = rep.lie_matrix_exact(("f", coords))
-        imgs = [_exact_matvec(mat, col) for col in group]
-        for a in range(rep.dim):
-            row = [Fraction(img[a]) for img in imgs]
-            if any(row):
-                cmat.append(cvec(row))
-    space = nullspace(cmat, len(group)) if cmat else [
-        cvec(tuple(1 if i == j else 0 for j in range(len(group))))
-        for i in range(len(group))
-    ]
-    cands = []
-    for coeffs in space:
-        vec = [Fraction(0)] * rep.dim
-        for c, col in zip(coeffs, group):
-            for k in range(rep.dim):
-                vec[k] += Fraction(c) * Fraction(col[k])
-        cands.append(cvec(vec))
-    pairings = [rep.omega_exact(c, v0) for c in cands]
-    norm = sum(Fraction(p) ** 2 for p in pairings)
-    if norm == 0:
-        raise StageNotRealizable("lowest-weight space pairs to zero with v0")
-    out = [Fraction(0)] * rep.dim
-    for p, cand in zip(pairings, cands):
-        w = Fraction(p) / norm
-        for k in range(rep.dim):
-            out[k] += w * Fraction(cand[k])
-    v0m = cvec(out)
-    if rep.omega_exact(v0m, v0) != 1:
-        raise InternalConsistencyError("hyperbolic pair normalization failed")
-    return v0m
-
-
-def _find_root(rep, vec):
-    for r in positive_roots(rep.datum):
-        if r.vec == cvec(vec):
-            return r
-    raise InternalConsistencyError(f"{vec} is not a positive root of the model")
 
 
 @dataclass
@@ -576,11 +440,10 @@ class SectionReport:
     a_star_basis: tuple
 
 
-def verify_section(rep, section=None, samples=20, seed=0):
-    """Sample rational points of a*, evaluate the section exactly, and compare
-    the invariant image against the embedded target in floating point."""
-    if section is None:
-        section = build_section(rep)
+def verify_section(rep, section, samples=20, seed=0):
+    """Sample rational points of a*, evaluate the given section of the model
+    (see build_section) exactly, and compare the invariant image against the
+    embedded target in floating point."""
     rng = np.random.default_rng(seed)
     basis = section.a_star_basis
     resid = 0.0
@@ -590,22 +453,13 @@ def verify_section(rep, section=None, samples=20, seed=0):
                 Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
                 for _ in basis
             ]
-            a = cvec(
-                tuple(
-                    sum(c * Fraction(b[k]) for c, b in zip(coeffs, basis))
-                    for k in range(rep.datum.ambient_dim)
-                )
-            )
+            a = lincomb(coeffs, basis, rep.datum.ambient_dim)
         else:
             a = cvec((0,) * rep.datum.ambient_dim)
         p = section.apply(a)
-        pf = np.array([float(x) for x in p])
-        resid = max(
-            resid,
-            float(np.max(np.abs(inv_moment_eval(rep, pf) - chevalley_target(rep, a))))
-            if len(inv_moment_eval(rep, pf))
-            else 0.0,
-        )
+        iv = inv_moment_eval(rep, np.array([float(x) for x in p]))
+        if len(iv):
+            resid = max(resid, float(np.max(np.abs(iv - chevalley_target(rep, a)))))
     zero = cvec((0,) * rep.datum.ambient_dim)
     p0 = section.apply(zero)
     pf0 = np.array([float(x) for x in p0])

@@ -150,7 +150,7 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
         _check(checks, "commute_invariant_image", res_char, 1e-9)
 
     # sections: exact construction, float residual of the invariant image
-    section = build_section(rep)
+    section = build_section(rep, (analysis.trace, analysis.terminal))
     sr = verify_section(rep, section, samples=samples, seed=seed)
     _check(checks, "section_residual", sr.residual_max, 1e-8)
     _flag(checks, "section_zero_fiber", sr.zero_fiber_ok)

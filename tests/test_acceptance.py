@@ -31,7 +31,12 @@ from symprep.reps import (
     validate_symplectic_spec,
 )
 from symprep.rootdata import build_root_datum, enumerate_weyl, rho_vee
-from symprep.sections import torus_moment_exact, torus_section, verify_section
+from symprep.sections import (
+    build_section,
+    torus_moment_exact,
+    torus_section,
+    verify_section,
+)
 from symprep.verify import verify_suite
 
 from corpus import A1, A2, A3, C2, C3, T1, T2, catalog, nonterminal_catalog
@@ -268,7 +273,8 @@ def test_criterion_8_sections():
     # recursive sections across the catalog
     for name, (spec, _) in catalog().items():
         rep = build_rep(spec)
-        report = verify_section(rep, samples=20, seed=4)
+        section = build_section(rep, run_reduction(spec))
+        report = verify_section(rep, section, samples=20, seed=4)
         assert report.residual_max <= 1e-8, name
         assert report.zero_fiber_ok, name
     _report("criterion 8 (sections)", True)

@@ -12,6 +12,9 @@ from symprep.cli import (
     parse_spec,
 )
 from symprep.errors import SpecFormatError, ValidationError
+from symprep.reduction import analyze
+
+from corpus import catalog
 
 
 def _write(tmp_path, name, doc):
@@ -170,6 +173,50 @@ def test_gamma_command(tmp_path, capsys):
     assert report["reflection_count"] == 1
     assert report["normalizer_order"] == 2
     assert report["centralizer_order"] == 1
+
+
+def test_gamma_skips_the_little_weyl_matching(tmp_path, capsys):
+    # dim 18 is past the symmetric-power budget of the Hilbert matching,
+    # which gamma does not need
+    chars = [[1 if j == i else 0 for j in range(9)] for i in range(9)]
+    torus = {
+        "group": {"simple": [], "central_torus_rank": 9},
+        "rep": [{"hw": c, "mult": 1} for c in chars]
+        + [{"hw": [-x for x in c], "mult": 1} for c in chars],
+    }
+    assert main(["gamma", _write(tmp_path, "torus9.json", torus)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["gamma_order"] == 1
+    assert report["a_star_basis"] == chars
+
+
+def test_gamma_command_agrees_with_full_analysis(tmp_path, capsys):
+    for name, (spec, _) in catalog().items():
+        datum = spec.datum
+        doc = {
+            "group": {
+                "simple": [list(f) for f in datum.factors],
+                "central_torus_rank": datum.ambient_dim
+                - sum(n for _, n in datum.factors),
+            },
+            "rep": [{"hw": list(w), "mult": m} for w, m in spec.summands],
+        }
+        path = _write(tmp_path, f"{name}.json", doc)
+        assert main(["gamma", path]) == EXIT_OK, name
+        _, _, echo = parse_spec(path)
+        analysis = analyze(spec)
+        gamma = analysis.gamma
+        want = json.dumps({
+            "schema_version": 1,
+            "input": echo,
+            "a_star_basis": [list(b) for b in analysis.a_star_basis],
+            "gamma_order": gamma.gamma_order,
+            "reflection_count": len(gamma.reflection_indices),
+            "normalizer_order": len(gamma.normalizer_elements),
+            "centralizer_order": len(gamma.centralizer_elements),
+            "matrices": [[list(r) for r in m] for m in gamma.gamma_matrices],
+        }, sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == want, name
 
 
 def test_batch_command(tmp_path, capsys):

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from symprep.errors import BudgetExceeded, NotSupported
-from symprep.linalg import comm
-from symprep.matrixrep import build_rep, find_hw_vectors
+from symprep.linalg import comm, cvec, mat_vec
+from symprep.matrixrep import build_rep, find_hw_vectors, simple_coords, weight_kernel
 from symprep.reps import total_weight_multiset, validate_symplectic_spec
 from symprep.rootdata import build_root_datum, positive_roots
 
@@ -78,6 +78,27 @@ def test_hw_vectors_examples():
     rep = build_rep(validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)]))
     table = dict(find_hw_vectors(rep))
     assert set(table) == {(1, 0), (0, 1)}
+
+
+def test_weight_kernel_both_sides_across_catalog():
+    """At every weight w of the model, the e-kernel has the multiplicity of w
+    among the summands and the f-kernel that of -w; each vector has weight w
+    and is killed by every simple e (resp. f)."""
+    for name, (spec, _) in catalog().items():
+        rep = build_rep(spec)
+        rank = rep.datum.rank
+        mult = {}
+        for w, m in spec.summands:
+            mult[cvec(w)] = mult.get(cvec(w), 0) + m
+        for w in set(rep.weight_labels):
+            for side, top in (("e", w), ("f", cvec(tuple(-x for x in w)))):
+                vecs = weight_kernel(rep, w, side)
+                assert len(vecs) == mult.get(top, 0), (name, w, side)
+                for v in vecs:
+                    assert rep.weight_of(v) == w, (name, w, side)
+                    for i in range(rank):
+                        m = rep.lie_matrix_exact((side, simple_coords(rank, i)))
+                        assert not any(mat_vec(m, v)), (name, w, side, i)
 
 
 def test_even_symplectic_multiplicity_presented_as_pair():

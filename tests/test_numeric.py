@@ -3,6 +3,7 @@ import pytest
 
 from symprep.errors import (
     DimensionMismatch,
+    InternalConsistencyError,
     NoReductionAvailable,
     SOutsideDomain,
 )
@@ -10,6 +11,7 @@ from symprep.matrixrep import build_rep
 from symprep.numeric import (
     coisotropy_test,
     coordinate_fn,
+    dual_lowest_vector,
     exact_hw_vector,
     inv_moment_component_fn,
     inv_moment_eval,
@@ -138,6 +140,14 @@ def test_verify_commute_examples():
                 continue
             assert out.residual_levi <= 1e-10
             assert out.residual_charpoly <= 1e-10
+
+
+def test_dual_lowest_vector_names_the_missing_weight():
+    rep = build_rep(catalog()["sl2_cubic"][0])
+    v0 = exact_hw_vector(rep, (3,))
+    with pytest.raises(InternalConsistencyError) as exc:
+        dual_lowest_vector(rep, (5,), v0)
+    assert "(-5,)" in str(exc.value)
 
 
 def test_verify_commute_rejects_terminal():

@@ -7,6 +7,7 @@ from symprep.errors import DomainError
 from symprep.linalg import cvec, same_span
 from symprep.matrixrep import build_rep
 from symprep.numeric import inv_moment_eval
+from symprep.reduction import run_reduction
 from symprep.reps import validate_symplectic_spec
 from symprep.sections import (
     build_section,
@@ -133,7 +134,7 @@ def test_char_reduction_phi_at_t_equals_f():
 def test_build_section_across_catalog():
     for name, (spec, _) in catalog().items():
         rep = build_rep(spec)
-        sec = build_section(rep)
+        sec = build_section(rep, run_reduction(rep.spec))
         report = verify_section(rep, sec, samples=8, seed=5)
         assert report.residual_max <= 1e-8, name
         assert report.zero_fiber_ok, name
@@ -144,14 +145,14 @@ def test_build_section_a_star_matches_reduction():
 
     for name, (spec, _) in catalog().items():
         rep = build_rep(spec)
-        sec = build_section(rep)
+        sec = build_section(rep, run_reduction(rep.spec))
         _, td = run_reduction(spec)
         assert same_span(list(sec.a_star_basis), list(td.a_star_basis)), name
 
 
 def test_section_zero_fiber_witness():
     rep = _rep(A1, [((1,), 2)])
-    sec = build_section(rep)
+    sec = build_section(rep, run_reduction(rep.spec))
     p0 = sec.apply((0,))
     assert torus_moment_exact(rep, p0) == (0,)
     iv = inv_moment_eval(rep, np.array([float(x) for x in p0]))
