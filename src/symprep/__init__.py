@@ -48,6 +48,7 @@ from .numeric import (
     coisotropy_test,
     inv_moment_eval,
     jacobian_rank_and_orbit,
+    local_frame,
     moment_eval,
     phi_solve_q_embed,
     poisson_bracket,

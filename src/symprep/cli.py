@@ -17,6 +17,9 @@ matrix-model catalog.
 """
 
 import argparse
+import dataclasses
+import functools
+import io
 import json
 import os
 import sys
@@ -25,7 +28,6 @@ from fractions import Fraction
 from . import __version__
 from .errors import (
     BudgetExceeded,
-    NotACharacter,
     NotSupported,
     SpecFormatError,
     SymprepError,
@@ -45,7 +47,31 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_NOT_SUPPORTED = 4
 
-_OPTION_KEYS = {"weyl_cap", "hilbert_degree", "seed", "samples"}
+# smallest accepted value per option; None leaves it unbounded
+_OPTION_MINIMUM = {"weyl_cap": None, "hilbert_degree": 0, "seed": 0, "samples": 1}
+
+
+def _is_int(x):
+    """A JSON integer; bool is an int subclass, so true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _option_problem(field, key, value):
+    """Why value is not acceptable for option key, or None; field names the
+    value in the message."""
+    if not _is_int(value):
+        return f"{field} must be an integer"
+    low = _OPTION_MINIMUM[key]
+    if low is not None and value < low:
+        return f"{field} must be at least {low}"
+    return None
+
+
+def _checked_option(field, key, value):
+    problem = _option_problem(field, key, value)
+    if problem:
+        raise SpecFormatError(problem)
+    return value
 
 
 def _env_default(name, fallback):
@@ -70,8 +96,11 @@ def default_options():
 def parse_spec(source):
     """Parse a spec document (path or raw JSON text) into (spec, options)."""
     if isinstance(source, str) and "\n" not in source and os.path.exists(source):
-        with open(source) as fh:
-            text = fh.read()
+        try:
+            with open(source) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecFormatError(f"cannot read {source}: {exc}")
     else:
         text = source
     try:
@@ -95,7 +124,7 @@ def parse_spec(source):
     central = group.get("central_torus_rank", 0)
     if not isinstance(simple, list):
         problems.append("group.simple must be a list of [letter, rank] pairs")
-    if not isinstance(central, int) or central < 0:
+    if not _is_int(central) or central < 0:
         problems.append("group.central_torus_rank must be a nonnegative integer")
     factors = []
     if isinstance(simple, list):
@@ -104,7 +133,7 @@ def parse_spec(source):
                 not isinstance(item, (list, tuple))
                 or len(item) != 2
                 or not isinstance(item[0], str)
-                or not isinstance(item[1], int)
+                or not _is_int(item[1])
             ):
                 problems.append(f"group.simple[{i}] must be [letter, rank]")
                 continue
@@ -123,10 +152,10 @@ def parse_spec(source):
                 problems.append(f"unknown key {key!r} in rep[{i}]")
         hw = item.get("hw")
         mult = item.get("mult", 1)
-        if not isinstance(hw, list) or not all(isinstance(x, int) for x in hw):
+        if not isinstance(hw, list) or not all(_is_int(x) for x in hw):
             problems.append(f"rep[{i}].hw must be a list of integers")
             continue
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_int(mult) or mult < 1:
             problems.append(f"rep[{i}].mult must be a positive integer")
             continue
         entries.append((tuple(hw), mult))
@@ -136,12 +165,14 @@ def parse_spec(source):
         problems.append("'options' must be an object")
     else:
         for key, val in raw_opts.items():
-            if key not in _OPTION_KEYS:
+            if key not in _OPTION_MINIMUM:
                 problems.append(f"unknown key {key!r} in options")
-            elif not isinstance(val, int):
-                problems.append(f"options.{key} must be an integer")
             else:
                 options[key] = val
+    for key, val in options.items():
+        problem = _option_problem(f"options.{key}", key, val)
+        if problem:
+            problems.append(problem)
     if problems:
         raise SpecFormatError(problems)
     try:
@@ -262,64 +293,60 @@ def _exit_code_for(exc):
         return EXIT_BUDGET
     if isinstance(exc, NotSupported):
         return EXIT_NOT_SUPPORTED
-    if isinstance(exc, (SpecFormatError, ValidationError, NotACharacter)):
-        return EXIT_VALIDATION
     return EXIT_VALIDATION
 
 
-def cmd_analyze(args, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    try:
-        spec, options, echo = parse_spec(args.spec)
-        analysis = analyze(
-            spec,
-            weyl_cap=options["weyl_cap"],
-            hilbert_degree=options["hilbert_degree"],
-        )
-    except SymprepError as exc:
-        print(f"error: {exc}", file=err)
-        return _exit_code_for(exc)
+def _command(run):
+    """The CLI contract around run(args, out, err) -> exit code: out and err
+    default to the current sys.stdout and sys.stderr, and a SymprepError
+    becomes an `error:` line on err and its exit code."""
+
+    @functools.wraps(run)
+    def command(args, out=None, err=None):
+        out = out if out is not None else sys.stdout
+        err = err if err is not None else sys.stderr
+        try:
+            return run(args, out, err)
+        except SymprepError as exc:
+            print(f"error: {exc}", file=err)
+            return _exit_code_for(exc)
+
+    return command
+
+
+@_command
+def cmd_analyze(args, out, err):
+    spec, options, echo = parse_spec(args.spec)
+    analysis = analyze(
+        spec,
+        weyl_cap=options["weyl_cap"],
+        hilbert_degree=options["hilbert_degree"],
+    )
     report = build_report(echo, options, analysis, trace=args.trace)
     out.write(report_to_text(report) if args.text else report_to_json(report))
     return EXIT_OK
 
 
-def cmd_verify(args, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    try:
-        spec, options, echo = parse_spec(args.spec)
-        if args.seed is not None:
-            options["seed"] = args.seed
-        if args.samples is not None:
-            options["samples"] = args.samples
-        analysis = analyze(
-            spec,
-            weyl_cap=options["weyl_cap"],
-            hilbert_degree=options["hilbert_degree"],
-        )
-        result = verify_suite(
-            spec, seed=options["seed"], samples=options["samples"],
-            analysis=analysis,
-        )
-    except SymprepError as exc:
-        print(f"error: {exc}", file=err)
-        return _exit_code_for(exc)
+@_command
+def cmd_verify(args, out, err):
+    spec, options, echo = parse_spec(args.spec)
+    for key in ("seed", "samples"):
+        if getattr(args, key) is not None:
+            options[key] = _checked_option(f"--{key}", key, getattr(args, key))
+    analysis = analyze(
+        spec,
+        weyl_cap=options["weyl_cap"],
+        hilbert_degree=options["hilbert_degree"],
+    )
+    result = verify_suite(
+        spec, seed=options["seed"], samples=options["samples"],
+        analysis=analysis,
+    )
     numeric = {
         "passed": result.passed,
         "seed": result.seed,
         "samples": result.samples,
-        "checks": [
-            {
-                "name": c.name,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
-            for c in result.checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in result.checks],
     }
     report = build_report(echo, options, analysis, trace=args.trace, numeric=numeric)
     out.write(report_to_text(report) if args.text else report_to_json(report))
@@ -330,34 +357,25 @@ def cmd_verify(args, out=None, err=None):
     return EXIT_OK
 
 
-def cmd_hilbert(args, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    try:
-        spec, options, echo = parse_spec(args.spec)
-        dims = invariant_dims(spec, args.degree)
-    except SymprepError as exc:
-        print(f"error: {exc}", file=err)
-        return _exit_code_for(exc)
-    out.write(json.dumps({
+@_command
+def cmd_hilbert(args, out, err):
+    spec, options, echo = parse_spec(args.spec)
+    degree = _checked_option("--degree", "hilbert_degree", args.degree)
+    dims = invariant_dims(spec, degree, weyl_cap=options["weyl_cap"])
+    out.write(report_to_json({
         "schema_version": SCHEMA_VERSION,
         "input": echo,
-        "degree": args.degree,
+        "degree": degree,
         "invariant_dims": dims,
-    }, sort_keys=True, indent=2) + "\n")
+    }))
     return EXIT_OK
 
 
-def cmd_gamma(args, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    try:
-        spec, options, echo = parse_spec(args.spec)
-        _, td, gamma, _ = reduce_to_gamma(spec, weyl_cap=options["weyl_cap"])
-    except SymprepError as exc:
-        print(f"error: {exc}", file=err)
-        return _exit_code_for(exc)
-    out.write(json.dumps({
+@_command
+def cmd_gamma(args, out, err):
+    spec, options, echo = parse_spec(args.spec)
+    _, td, gamma, _ = reduce_to_gamma(spec, weyl_cap=options["weyl_cap"])
+    out.write(report_to_json({
         "schema_version": SCHEMA_VERSION,
         "input": echo,
         "a_star_basis": _jsonify(td.a_star_basis),
@@ -366,28 +384,27 @@ def cmd_gamma(args, out=None, err=None):
         "normalizer_order": len(gamma.normalizer_elements),
         "centralizer_order": len(gamma.centralizer_elements),
         "matrices": _jsonify(gamma.gamma_matrices),
-    }, sort_keys=True, indent=2) + "\n")
+    }))
     return EXIT_OK
 
 
-def cmd_batch(args, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+@_command
+def cmd_batch(args, out, err):
+    try:
+        names = os.listdir(args.directory)
+    except OSError as exc:
+        raise SpecFormatError(f"cannot read directory {args.directory}: {exc.strerror}")
     paths = sorted(
         os.path.join(args.directory, p)
-        for p in os.listdir(args.directory)
+        for p in names
         if p.endswith(".json")
     )
     if not paths:
-        print(f"error: no .json spec files in {args.directory}", file=err)
-        return EXIT_VALIDATION
+        raise SpecFormatError(f"no .json spec files in {args.directory}")
     worst = EXIT_OK
     for path in paths:
         ns = argparse.Namespace(spec=path, text=False, trace=False)
-        import io
-
-        buf = io.StringIO()
-        code = cmd_analyze(ns, out=buf, err=err)
+        code = cmd_analyze(ns, out=io.StringIO(), err=err)
         status = "ok" if code == EXIT_OK else f"exit {code}"
         out.write(f"{path}: {status}\n")
         worst = max(worst, code)

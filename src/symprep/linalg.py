@@ -18,20 +18,8 @@ def cvec(xs):
     return tuple(canon(x) for x in xs)
 
 
-def cmat(rows):
-    return tuple(cvec(r) for r in rows)
-
-
-def vadd(a, b):
-    return tuple(canon(x + y) for x, y in zip(a, b))
-
-
 def vsub(a, b):
     return tuple(canon(x - y) for x, y in zip(a, b))
-
-
-def vneg(a):
-    return tuple(canon(-x) for x in a)
 
 
 def vscale(c, a):
@@ -46,10 +34,6 @@ def vdot(a, b):
 
 def is_zero_vec(a):
     return all(x == 0 for x in a)
-
-
-def zeros(m, n):
-    return tuple((0,) * n for _ in range(m))
 
 
 def identity(n):
@@ -84,10 +68,6 @@ def lincomb(coeffs, vecs, n):
 def mat_mul(a, b):
     bt = transpose(b)
     return tuple(tuple(vdot(row, col) for col in bt) for row in a)
-
-
-def mat_add(a, b):
-    return tuple(vadd(x, y) for x, y in zip(a, b))
 
 
 def mat_sub(a, b):
@@ -197,19 +177,6 @@ def in_span(basis_rows, v):
         return () if is_zero_vec(v) else None
     cols = transpose(basis_rows)
     return lin_solve(cols, v)
-
-
-def solve_columns(b_cols, target_cols):
-    """Solve B X = T column-wise where B is given column-wise.  None if any
-    target column is outside the column span."""
-    rows = transpose(b_cols)
-    out = []
-    for t in transpose(target_cols):
-        c = in_span(rows, t)
-        if c is None:
-            return None
-        out.append(c)
-    return transpose(out)
 
 
 def primitive_int_vector(v):

@@ -497,11 +497,11 @@ def _invariant_symplectic_form(dim, gens):
     return tuple(tuple(r) for r in j)
 
 
-def build_rep(spec, dim_cap=DEFAULT_DIM_CAP):
+def build_rep(spec):
     """Assemble the matrix model of a validated spec, block by block."""
     datum = spec.datum
-    if spec.dim > dim_cap:
-        raise BudgetExceeded(f"total dimension {spec.dim} exceeds cap {dim_cap}")
+    if spec.dim > DEFAULT_DIM_CAP:
+        raise BudgetExceeded(f"total dimension {spec.dim} exceeds cap {DEFAULT_DIM_CAP}")
     for letter, frank in datum.factors:
         if letter not in ("A", "C"):
             raise NotSupported(f"type {letter}{frank} factors have no matrix models")
@@ -524,10 +524,9 @@ def build_rep(spec, dim_cap=DEFAULT_DIM_CAP):
                 (gens, labels, j, f"irr{item.weight}", "symplectic", item.weight)
             )
     total = sum(len(p[1]) for p in parts)
-    central = datum.ambient_dim - sum(n for _, n in datum.factors)
     gen_keys = (
         [("h", i) for i in range(datum.rank)]
-        + [("z", l) for l in range(central)]
+        + [("z", l) for l in range(datum.central_rank)]
         + [("e", i) for i in range(datum.rank)]
         + [("f", i) for i in range(datum.rank)]
     )
@@ -561,7 +560,7 @@ def build_rep(spec, dim_cap=DEFAULT_DIM_CAP):
     for i in range(datum.rank):
         lie_labels.append(("h", i))
         lie_mats.append(assembled[("h", i)])
-    for l in range(central):
+    for l in range(datum.central_rank):
         lie_labels.append(("z", l))
         lie_mats.append(assembled[("z", l)])
     for r in positive_roots(datum):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import terminal_decomposition
+from .classify import WeightStatus, weight_status
 from .errors import (
     DimensionMismatch,
     InternalConsistencyError,
@@ -32,6 +32,7 @@ from .matrixrep import (
     root_recipes,
     weight_kernel,
 )
+from .reduction import delta_u_roots
 from .rootdata import positive_roots
 
 RANK_TOL = 1e-8
@@ -84,7 +85,6 @@ class _FactorFrame:
         self.letter, self.frank = letter, frank
         self.idxs = datum.standard_order[fi]
         block = _reference_block(letter, frank)
-        self.dim = block.dim
         x, y = expand_root_vectors(block.e, block.f, root_recipes(letter, frank))
         self.labels = [("h", gi) for gi in self.idxs]
         mats = [block.h[loc] for loc in range(frank)]
@@ -104,11 +104,6 @@ class _FactorFrame:
              for a in self.mats[:frank]]
         )
         self.gram_t_inv = np.linalg.inv(ht)
-
-    def n_invariant_coords(self):
-        if self.letter == "A":
-            return self.dim - 1  # c_2..c_n of a traceless matrix
-        return self.frank        # even coefficients c_2, c_4, .., c_2n
 
     def invariant_coords_of(self, mat):
         coeffs = charpoly_coeffs(mat)
@@ -147,24 +142,11 @@ def factor_matrix_forms(rep, coords):
 class MomentValue:
     coords: np.ndarray
     factor_matrices: list
-    central_values: np.ndarray
 
 
 def moment_eval(rep, v):
     coords = moment_coords(rep, v)
-    central = np.array(
-        [coords[rep.lie_index[("z", l)]]
-         for l in range(_central_rank(rep.datum))]
-    )
-    return MomentValue(coords, factor_matrix_forms(rep, coords), central)
-
-
-def _central_rank(datum):
-    return datum.ambient_dim - sum(n for _, n in datum.factors)
-
-
-def invariant_coord_count(rep):
-    return sum(f.n_invariant_coords() for f in _frames(rep)) + _central_rank(rep.datum)
+    return MomentValue(coords, factor_matrix_forms(rep, coords))
 
 
 def inv_moment_eval(rep, v):
@@ -177,7 +159,7 @@ def inv_moment_eval(rep, v):
     values = []
     for frame, mat in zip(_frames(rep), factor_matrix_forms(rep, coords)):
         values.extend(frame.invariant_coords_of(mat))
-    for l in range(_central_rank(rep.datum)):
+    for l in range(rep.datum.central_rank):
         values.append(coords[rep.lie_index[("z", l)]])
     return np.array(values)
 
@@ -195,19 +177,20 @@ def chevalley_target(rep, a):
         mat = sum(ui * m for ui, m in zip(u, frame.mats[: frame.frank]))
         values.extend(frame.invariant_coords_of(mat))
     base = sum(n for _, n in rep.datum.factors)
-    for l in range(_central_rank(rep.datum)):
+    for l in range(rep.datum.central_rank):
         values.append(float(a[base + l]))
     return np.array(values)
 
 
-def _numeric_rank(mat, tol=RANK_TOL):
+def _rank_cut(sv):
+    """The number of singular values above RANK_TOL at unit input scale."""
+    return int(np.sum(sv > RANK_TOL * max(1.0, sv[0] if sv.size else 1.0)))
+
+
+def _numeric_rank(mat):
     if mat.size == 0:
         return 0
-    sv = np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)
-    if sv.size == 0:
-        return 0
-    scale = max(1.0, sv[0])
-    return int(np.sum(sv > tol * scale))
+    return _rank_cut(np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False))
 
 
 def orbit_directions(rep, v):
@@ -244,18 +227,18 @@ def jacobian_rank_and_orbit(rep, samples=8, seed=0):
     return rk, orbit, rest // 2
 
 
-def coisotropy_test(rep, samples=8, seed=0, tol=RANK_TOL):
+def coisotropy_test(rep, samples=8, seed=0):
     """True when the symplectic perp of the generic orbit tangent lies inside
     the tangent itself, for every sample."""
     rng = np.random.default_rng(seed)
     for v in seeded_samples(rng, rep.dim, samples):
         tangent = orbit_directions(rep, v)
         u, sv, vt = np.linalg.svd(tangent)
-        cut = np.sum(sv > tol * max(1.0, sv[0] if sv.size else 1.0))
+        cut = _rank_cut(sv)
         tan_basis = vt[:cut].T  # columns span g.v
         rows = tangent @ rep.j  # omega(xi v, .) functionals
         u2, sv2, vt2 = np.linalg.svd(rows)
-        cut2 = np.sum(sv2 > tol * max(1.0, sv2[0] if sv2.size else 1.0))
+        cut2 = _rank_cut(sv2)
         perp = vt2[cut2:].T     # columns span (g.v)^perp
         if perp.size == 0:
             continue
@@ -267,11 +250,11 @@ def coisotropy_test(rep, samples=8, seed=0, tol=RANK_TOL):
 
 # -- local structure: the solve for q ----------------------------------------
 
-def exact_hw_vector(rep, chi, index=0):
+def exact_hw_vector(rep, chi):
     basis = highest_weight_vectors(rep, cvec(chi))
     if not basis:
         raise InternalConsistencyError(f"no highest weight vector of weight {chi}")
-    return basis[index]
+    return basis[0]
 
 
 def dual_lowest_vector(rep, chi, v0):
@@ -287,22 +270,52 @@ def dual_lowest_vector(rep, chi, v0):
     return v0m
 
 
-def delta_u_roots(datum, chi):
-    chi = cvec(chi)
-    du = [r for r in positive_roots(datum) if vdot(chi, r.coroot_vec) > 0]
-    du.sort(key=lambda r: (r.height, r.coords))
-    return du
+@dataclass(frozen=True, eq=False)
+class LocalFrame:
+    """One local-structure step on a model, derived once: the hyperbolic pair
+    (v0, v0^-), Delta_u, the exact basis of the slice
+    S = (p_u^- v0)^perp cap (p_u v0^-)^perp, and the float data that the
+    q-embedding and the commuting square evaluate at each sample."""
+
+    rep: object
+    chi: tuple
+    v0: tuple
+    v0m: tuple
+    delta_u: tuple
+    s_basis: tuple
+    v0f: np.ndarray
+    emats: tuple        # float e_r per r in Delta_u
+    fv0: tuple          # float f_r v0 per r in Delta_u
+    levi_index: tuple   # positions in rep.lie of the Levi's h, z, e and f
 
 
-def local_subspace(rep, chi, v0=None, v0m=None, datum=None):
-    """Exact basis (weight-labeled) of S = (p_u^- v0)^perp cap (p_u v0^-)^perp."""
-    datum = datum or rep.datum
+def local_frame(rep, chi):
+    """The LocalFrame of the step at chi; NoReductionAvailable unless chi is
+    a non-terminal highest weight of the model's module."""
     chi = cvec(chi)
-    v0 = v0 if v0 is not None else exact_hw_vector(rep, chi)
-    v0m = v0m if v0m is not None else dual_lowest_vector(rep, chi, v0)
-    du = delta_u_roots(datum, chi)
-    rows = slice_functionals(rep, du, v0, v0m)
-    return v0, v0m, du, nullspace(rows, rep.dim)
+    if weight_status(rep.spec, chi) is not WeightStatus.NON_TERMINAL:
+        raise NoReductionAvailable(f"{chi} is a terminal weight; nothing to reduce")
+    v0 = exact_hw_vector(rep, chi)
+    v0m = dual_lowest_vector(rep, chi, v0)
+    du = delta_u_roots(rep.datum, chi)
+    v0f = np.array([float(x) for x in v0])
+    levi = [("h", i) for i in range(rep.datum.rank)]
+    levi += [("z", l) for l in range(rep.datum.central_rank)]
+    for r in positive_roots(rep.datum):
+        if vdot(chi, r.coroot_vec) == 0:
+            levi += [("e", r.coords), ("f", r.coords)]
+    return LocalFrame(
+        rep=rep,
+        chi=chi,
+        v0=v0,
+        v0m=v0m,
+        delta_u=du,
+        s_basis=tuple(nullspace(slice_functionals(rep, du, v0, v0m), rep.dim)),
+        v0f=v0f,
+        emats=tuple(rep.lie_matrix(("e", r.coords)) for r in du),
+        fv0=tuple(rep.lie_matrix(("f", r.coords)) @ v0f for r in du),
+        levi_index=tuple(rep.lie_index[lab] for lab in levi),
+    )
 
 
 def slice_functionals(rep, roots, v0, v0m):
@@ -325,29 +338,17 @@ class QEmbedding:
     residual_perp: float
 
 
-def phi_solve_q_embed(rep, chi, v0, s, datum=None, tol=DOMAIN_TOL):
+def phi_solve_q_embed(frame, s):
     """Solve the square linear system for xi_- in p_u^- and return
     q(s) = s + xi_-(s) v0 together with its membership residuals.
 
     The system matrix is asserted to be triangular in root-height order with
     nonvanishing diagonal."""
-    datum = datum or rep.datum
-    chi = cvec(chi)
-    v0f = np.array([float(x) for x in v0])
+    rep, du, emats, fv0 = frame.rep, frame.delta_u, frame.emats, frame.fv0
     s = np.asarray(s, dtype=float)
-    if abs(rep.omega(s, v0f)) < tol:
+    if abs(rep.omega(s, frame.v0f)) < DOMAIN_TOL:
         raise SOutsideDomain("omega(s, v0) is below the domain tolerance")
-    du = delta_u_roots(datum, chi)
     k = len(du)
-    fmats = [
-        np.asarray(rep.lie_matrix(("f", rep.root_coords(r.vec))), dtype=float)
-        for r in du
-    ]
-    emats = [
-        np.asarray(rep.lie_matrix(("e", rep.root_coords(r.vec))), dtype=float)
-        for r in du
-    ]
-    fv0 = [m @ v0f for m in fmats]
     a = np.zeros((k, k))
     rhs = np.zeros(k)
     for ai in range(k):
@@ -364,7 +365,7 @@ def phi_solve_q_embed(rep, chi, v0, s, datum=None, tol=DOMAIN_TOL):
                     f"system matrix not triangular at ({ai},{bi})"
                 )
     for ai in range(k):
-        if abs(a[ai, ai]) < tol:
+        if abs(a[ai, ai]) < DOMAIN_TOL:
             raise SingularSystem(f"triangular diagonal vanishes at {du[ai].coords}")
     coeff = np.linalg.solve(a, rhs)
     q = s + sum(c * fv for c, fv in zip(coeff, fv0))
@@ -382,36 +383,24 @@ class CommuteReport:
     embedding: QEmbedding
 
 
-def verify_commute(rep, chi, v0, s, datum=None):
+def verify_commute(frame, s):
     """Check the two commutation statements for the embedding q: restriction
     of the moment value to the Levi equals the moment value inside S, and the
     characteristic polynomials agree with those of the Levi projection."""
-    datum = datum or rep.datum
-    verdict = terminal_decomposition(rep.spec)
-    if verdict.terminal:
-        raise NoReductionAvailable("module is terminal; nothing to reduce")
-    emb = phi_solve_q_embed(rep, chi, v0, s, datum=datum)
-    chi = cvec(chi)
-    levi_labels = [("h", i) for i in range(rep.datum.rank)]
-    levi_labels += [("z", l) for l in range(_central_rank(rep.datum))]
-    for r in positive_roots(rep.datum):
-        if vdot(chi, r.coroot_vec) == 0:
-            levi_labels.append(("e", r.coords))
-            levi_labels.append(("f", r.coords))
+    emb = phi_solve_q_embed(frame, s)
+    rep = frame.rep
     s = np.asarray(s, dtype=float)
     res_levi = 0.0
-    for lab in levi_labels:
-        m = rep.lie_matrix(lab)
+    for i in frame.levi_index:
+        m = rep.lie[i]
         res_levi = max(
             res_levi,
             abs(0.5 * rep.omega(m @ emb.q, emb.q) - 0.5 * rep.omega(m @ s, s)),
         )
     coords = moment_coords(rep, emb.q)
-    proj = coords.copy()
-    keep = set(levi_labels)
-    for i, lab in enumerate(rep.lie_labels):
-        if lab[0] in ("e", "f") and lab not in keep:
-            proj[i] = 0.0
+    proj = np.zeros_like(coords)
+    levi = list(frame.levi_index)
+    proj[levi] = coords[levi]
     full = factor_matrix_forms(rep, coords)
     red = factor_matrix_forms(rep, proj)
     res_char = 0.0
@@ -426,23 +415,13 @@ def verify_commute(rep, chi, v0, s, datum=None):
 
 @dataclass
 class PolyFn:
-    """Function on the module with an optional exact gradient; black boxes
-    fall back to central finite differences."""
+    """Function on the module with its exact gradient."""
 
     value: callable
-    grad: callable = None
-    fd_step: float = 1e-5
+    grad: callable
 
     def gradient(self, v):
-        if self.grad is not None:
-            return np.asarray(self.grad(v), dtype=float)
-        v = np.asarray(v, dtype=float)
-        g = np.zeros_like(v)
-        for j in range(v.size):
-            e = np.zeros_like(v)
-            e[j] = self.fd_step
-            g[j] = (self.value(v + e) - self.value(v - e)) / (2 * self.fd_step)
-        return g
+        return np.asarray(self.grad(v), dtype=float)
 
 
 def coordinate_fn(i):
@@ -466,28 +445,21 @@ def moment_component_fn(rep, label):
 
 
 def inv_moment_component_fn(rep, idx):
-    """One invariant-moment coordinate; the gradient is a complex-step
-    derivative of the analytic coefficient formula."""
+    """One invariant-moment coordinate; its gradient is the idx-th row of
+    jacobian_inv_moment."""
 
     def val(v):
         return float(np.real(inv_moment_eval(rep, np.asarray(v, dtype=float))[idx]))
 
-    def grad(v):
-        v = np.asarray(v, dtype=float)
-        h = 1e-100
-        g = np.zeros_like(v)
-        for j in range(v.size):
-            vc = v.astype(complex)
-            vc[j] += 1j * h
-            g[j] = np.imag(inv_moment_eval(rep, vc)[idx]) / h
-        return g
+    return PolyFn(value=val, grad=lambda v: jacobian_inv_moment(rep, v)[idx])
 
-    return PolyFn(value=val, grad=grad)
+
+def gradient_bracket(rep, gf, gg):
+    """{f, g} from the gradients of f and g: -grad(f) . J^{-1} grad(g)."""
+    return float(-gf @ np.linalg.solve(rep.j, gg))
 
 
 def poisson_bracket(rep, f, g, v):
     """{f, g}(v) = omega(H_f, H_g)(v) with Hamiltonian fields from the model's
-    form; equals -grad(f) . J^{-1} grad(g)."""
-    gf = f.gradient(v) if isinstance(f, PolyFn) else PolyFn(f).gradient(v)
-    gg = g.gradient(v) if isinstance(g, PolyFn) else PolyFn(g).gradient(v)
-    return float(-gf @ np.linalg.solve(rep.j, gg))
+    form."""
+    return gradient_bracket(rep, f.gradient(v), g.gradient(v))

@@ -82,15 +82,19 @@ def choose_nonterminal_weight(spec):
     return max(cands, key=lambda w: weight_key(spec.datum, w))
 
 
+def delta_u_roots(datum, chi):
+    """The positive roots with <chi, alpha^vee> > 0, in positive_roots order
+    (height, then coordinates)."""
+    return tuple(r for r in positive_roots(datum) if vdot(chi, r.coroot_vec) > 0)
+
+
 def reduce_step(spec, chi):
     """One local-structure step (V, G) -> (S, M) for the chosen weight."""
     datum = spec.datum
     chi = cvec(chi)
     if weight_status(spec, chi) is not WeightStatus.NON_TERMINAL:
         raise SymprepError(f"{chi} is not a non-terminal weight of the module")
-    delta_u = tuple(
-        r for r in positive_roots(datum) if vdot(chi, r.coroot_vec) > 0
-    )
+    delta_u = delta_u_roots(datum, chi)
     levi_idx = [
         i for i in range(datum.rank) if vdot(chi, datum.simple_coroots[i]) == 0
     ]
@@ -305,11 +309,10 @@ class LittleWeylResult:
 
 def determine_little_weyl(
     spec,
-    td,
     gamma,
     mf,
     hilbert_degree=DEFAULT_HILBERT_DEGREE,
-    degree_budget=DEFAULT_SYM_DEGREE_BUDGET,
+    weyl_cap=DEFAULT_WEYL_CAP,
 ):
     """Identify W_V among reflection subgroups of Gamma by matching the
     invariant Hilbert series against Molien series in squared degrees.
@@ -322,11 +325,11 @@ def determine_little_weyl(
             status="unknown",
             candidates=tuple(sorted(len(s) for s in subs)),
         )
-    degree = min(hilbert_degree, degree_budget)
+    degree = min(hilbert_degree, DEFAULT_SYM_DEGREE_BUDGET)
     if degree % 2:
         degree -= 1
     while True:
-        hilb = invariant_dims(spec, degree, degree_budget=degree_budget)
+        hilb = invariant_dims(spec, degree, weyl_cap=weyl_cap)
         matches = []
         for sub in subs:
             mol = molien_series(sorted(sub), degree // 2)
@@ -351,7 +354,7 @@ def determine_little_weyl(
             raise InternalConsistencyError(
                 "no reflection subgroup of Gamma matches the Hilbert series"
             )
-        if degree + 2 > degree_budget:
+        if degree + 2 > DEFAULT_SYM_DEGREE_BUDGET:
             return LittleWeylResult(
                 status="ambiguous",
                 candidates=tuple(sorted(len(m) for m in matches)),
@@ -419,14 +422,13 @@ def analyze(
     spec,
     weyl_cap=DEFAULT_WEYL_CAP,
     hilbert_degree=DEFAULT_HILBERT_DEGREE,
-    degree_budget=DEFAULT_SYM_DEGREE_BUDGET,
 ):
     """Full structural analysis of a validated symplectic module."""
     trace, td, gamma, levi = reduce_to_gamma(spec, weyl_cap)
     rk, c = rank_complexity(td)
     mf = c == 0
     lw = determine_little_weyl(
-        spec, td, gamma, mf, hilbert_degree, degree_budget
+        spec, gamma, mf, hilbert_degree, weyl_cap
     )
     if lw.status == "exact" and len(gamma.gamma_matrices) % lw.order != 0:
         raise InternalConsistencyError("|W_V| does not divide |Gamma|")

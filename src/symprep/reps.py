@@ -191,7 +191,7 @@ class SympRepSpec:
         return total_weight_multiset(self.datum, self.summands)
 
 
-def validate_symplectic_spec(datum, raw_summands, dim_cap=DEFAULT_DIM_CAP):
+def validate_symplectic_spec(datum, raw_summands):
     """Check that an invariant symplectic form exists and fix a pairing plan.
 
     Complex-type weights must occur with the same multiplicity as their duals,
@@ -232,15 +232,15 @@ def validate_symplectic_spec(datum, raw_summands, dim_cap=DEFAULT_DIM_CAP):
     return SympRepSpec(datum=datum, summands=summands, pairing_plan=tuple(plan))
 
 
-def total_weight_multiset(datum, summands, dim_cap=DEFAULT_DIM_CAP):
+def total_weight_multiset(datum, summands):
     total = {}
     for w, m in summands:
-        for v, c in freudenthal_multiplicities(datum, w, dim_cap).items():
+        for v, c in freudenthal_multiplicities(datum, w).items():
             total[v] = total.get(v, 0) + m * c
     return total
 
 
-def decompose_weights(datum, multiset, dim_cap=DEFAULT_DIM_CAP):
+def decompose_weights(datum, multiset):
     """Irreducible content of a genuine character, by repeated extraction of
     the maximal weight (height first, lexicographic tie-break)."""
     rem = {cvec(w): m for w, m in multiset.items() if m}
@@ -253,7 +253,7 @@ def decompose_weights(datum, multiset, dim_cap=DEFAULT_DIM_CAP):
                 f"maximal weight {top} has multiplicity {m} and is "
                 f"{'not ' if not datum.is_dominant(top) else ''}dominant"
             )
-        for v, c in freudenthal_multiplicities(datum, top, dim_cap).items():
+        for v, c in freudenthal_multiplicities(datum, top).items():
             new = rem.get(v, 0) - m * c
             if new < 0:
                 raise NotACharacter(f"multiplicity of {v} drops below zero")
@@ -318,7 +318,6 @@ def invariant_dims(
     spec,
     max_degree,
     dim_budget=DEFAULT_SYM_DIM_BUDGET,
-    degree_budget=DEFAULT_SYM_DEGREE_BUDGET,
     weyl_cap=DEFAULT_WEYL_CAP,
 ):
     """dim (S^d V)^G for d = 0..max_degree, via the Weyl alternation
@@ -327,15 +326,15 @@ def invariant_dims(
     dim_v = spec.dim
     if dim_v > dim_budget:
         raise BudgetExceeded(f"dim V = {dim_v} exceeds budget {dim_budget}")
-    if max_degree > degree_budget:
+    if max_degree > DEFAULT_SYM_DEGREE_BUDGET:
         raise BudgetExceeded(
-            f"degree {max_degree} exceeds budget {degree_budget}"
+            f"degree {max_degree} exceeds budget {DEFAULT_SYM_DEGREE_BUDGET}"
         )
-    sym = symmetric_power_multisets(spec.weight_multiset(), max_degree)
     rho = rho_strict(datum)
     targets = []
     for w in enumerate_weyl(datum, weyl_cap):
         targets.append((cvec(vsub(w.apply(rho), rho)), w.sign))
+    sym = symmetric_power_multisets(spec.weight_multiset(), max_degree)
     out = []
     for d in range(max_degree + 1):
         hd = sym[d]

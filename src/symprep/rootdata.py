@@ -166,7 +166,7 @@ class RootDatum:
 
     def type_string(self):
         parts = [f"{l}{n}" for l, n in self.factors]
-        torus = self.ambient_dim - sum(n for _, n in self.factors)
+        torus = self.central_rank
         if torus or not parts:
             parts.append(f"T{torus}")
         return "x".join(parts)
@@ -413,11 +413,9 @@ def enumerate_weyl(datum, cap=DEFAULT_WEYL_CAP):
     return _enumerate_weyl_cached(datum, cap)
 
 
-def longest_element(datum, cap=DEFAULT_WEYL_CAP):
-    if datum.rank == 0:
-        return WeylElement(identity(datum.ambient_dim), ())
-    elems = enumerate_weyl(datum, cap)
-    return elems[-1]
+def longest_element(datum):
+    """The last element of enumerate_weyl, which sorts by length."""
+    return enumerate_weyl(datum)[-1]
 
 
 def w0_image(datum, w):
@@ -462,7 +460,7 @@ def _match_component(sub_m):
     raise InvalidCartanType("submatrix is not a Cartan matrix of finite type")
 
 
-def datum_from_root_list(parent, roots, coroots, central_rank=None):
+def datum_from_root_list(parent, roots, coroots):
     """Build a (sub)datum on the parent's ambient lattice from explicit
     simple roots and coroot functionals."""
     k = len(roots)
@@ -494,11 +492,9 @@ def datum_from_root_list(parent, roots, coroots, central_rank=None):
     for fi, comp in enumerate(comps):
         for i in comp:
             owner[i] = fi
-    if central_rank is None:
-        central_rank = parent.ambient_dim - k
     return RootDatum(
         factors=tuple(factors),
-        central_rank=central_rank,
+        central_rank=parent.ambient_dim - k,
         ambient_dim=parent.ambient_dim,
         simple_roots=tuple(cvec(r) for r in roots),
         simple_coroots=tuple(cvec(c) for c in coroots),

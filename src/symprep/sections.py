@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DomainError,
     InternalConsistencyError,
+    NotSupported,
     StageNotRealizable,
 )
 from .classify import WeightStatus, weight_status
@@ -42,6 +43,7 @@ from .numeric import (
     inv_moment_eval,
     slice_functionals,
 )
+from .reduction import run_reduction
 from .rootdata import positive_roots
 
 
@@ -75,10 +77,12 @@ class CharPair:
     chi: tuple
 
 
-def _plan_pairs(chis, killed, hints):
+def _plan_pairs(chis, killed, chart):
     """Order the pairs the way the inductive construction walks them:
-    critical characters first (each with a chart choice), then a greedy basis
-    of the rest, then dependent pairs."""
+    critical characters first (each in the chart "x" or "y"), then a greedy
+    basis of the rest, then dependent pairs."""
+    if chart not in ("x", "y"):
+        raise DomainError(f"chart hint must be 'x' or 'y', got {chart!r}")
     remaining = list(range(len(chis)))
     killed_rows = [cvec(k) for k in killed]
     plan = []
@@ -93,9 +97,6 @@ def _plan_pairs(chis, killed, hints):
                 break
         if crit is None:
             break
-        chart = hints.get(crit, "x") if hints else "x"
-        if chart not in ("x", "y"):
-            raise DomainError(f"chart hint must be 'x' or 'y', got {chart!r}")
         plan.append((crit, f"critical-{chart}"))
         remaining.remove(crit)
     span_rows = list(killed_rows)
@@ -145,30 +146,6 @@ def _apply_plan(chis, killed, plan, a):
         if mode == "dependent":
             coords[i] = (0, 0)
     return coords
-
-
-@dataclass
-class TorusSection:
-    pairs: tuple
-    killed: tuple
-    plan: tuple
-    a_star_basis: tuple
-    dim: int
-
-    def apply(self, a):
-        """Exact section value at a; requires a in the reachable span."""
-        return _pairs_point(self.pairs, self.killed, self.plan, a, self.dim)
-
-
-def _pairs_point(pairs, killed, plan, a, n):
-    """The point sum x_i x_vec_i + y_i y_vec_i with the pair coordinates that
-    the plan assigns to the target a."""
-    coords = _apply_plan([p.chi for p in pairs], killed, plan, a)
-    coeffs, vecs = [], []
-    for i, pair in enumerate(pairs):
-        coeffs += coords[i]
-        vecs += [pair.x_vec, pair.y_vec]
-    return lincomb(coeffs, vecs, n)
 
 
 def _character_pairs_from_columns(rep, columns):
@@ -239,35 +216,15 @@ def _invert_exact(m):
     return [row[n:] for row in red]
 
 
-def torus_section(rep, component_hint=None):
+def torus_section(rep, component_hint="x"):
     """Exact section of the torus moment map with m(sigma(a)) = a on the span
     of the characters; component_hint selects the chart at critical weights."""
     if rep.datum.rank != 0:
-        from .errors import NotSupported
-
         raise NotSupported(
             f"torus section requires a torus module; datum is "
             f"{rep.datum.type_string()}"
         )
-    pairs = _character_pairs_from_columns(rep, list(identity(rep.dim)))
-    hints = _normalize_hints(component_hint, len(pairs))
-    plan = _plan_pairs([p.chi for p in pairs], (), hints)
-    basis = echelon_basis([p.chi for p in pairs if not is_zero_vec(p.chi)])
-    return TorusSection(
-        pairs=tuple(pairs),
-        killed=(),
-        plan=tuple(plan),
-        a_star_basis=tuple(basis),
-        dim=rep.dim,
-    )
-
-
-def _normalize_hints(component_hint, npairs):
-    if component_hint is None:
-        return {}
-    if isinstance(component_hint, str):
-        return {i: component_hint for i in range(npairs)}
-    return dict(component_hint)
+    return build_section(rep, run_reduction(rep.spec), component_hint)
 
 
 def central_element_for(datum, chi, killed=()):
@@ -285,7 +242,7 @@ def central_element_for(datum, chi, killed=()):
     return sol
 
 
-def char_reduction_phi(rep, v0_char, t, y, v, v0m=None):
+def char_reduction_phi(rep, v0_char, t, y, v):
     """Affine change of chart along a one-dimensional submodule: returns
     Phi(v, t, y) with the character component of the moment value equal to
     t*y and the complementary component equal to that of v.
@@ -297,8 +254,7 @@ def char_reduction_phi(rep, v0_char, t, y, v, v0m=None):
         raise DomainError("y must be nonzero")
     v0 = cvec(v0_char)
     chi = rep.weight_of(v0)
-    if v0m is None:
-        v0m = dual_lowest_vector(rep, chi, v0)
+    v0m = dual_lowest_vector(rep, chi, v0)
     v = cvec(v)
     if rep.omega_exact(v, v0) != 0 or rep.omega_exact(v, v0m) != 0:
         raise DomainError("v must lie in the omega-complement of the pair")
@@ -336,7 +292,13 @@ class SectionMap:
         when a is outside the span of a*."""
         a = cvec(a)
         n = self.rep.dim
-        p = _pairs_point(self.terminal_pairs, self.killed, self.terminal_plan, a, n)
+        pairs = self.terminal_pairs
+        coords = _apply_plan([q.chi for q in pairs], self.killed, self.terminal_plan, a)
+        coeffs, vecs = [], []
+        for i, pair in enumerate(pairs):
+            coeffs += coords[i]
+            vecs += [pair.x_vec, pair.y_vec]
+        p = lincomb(coeffs, vecs, n)
         for layer in reversed(self.layers):
             t = vdot(a, layer.xi_c)
             fv = canon(Fraction(self.rep.omega_exact(
@@ -351,7 +313,7 @@ class SectionMap:
         return p
 
 
-def build_section(rep, reduction, component_hint=None):
+def build_section(rep, reduction, component_hint="x"):
     """Section of the invariant moment map along the reduction chain of the
     model's module.  Exact; validated against the combinatorial a*.
 
@@ -394,8 +356,7 @@ def build_section(rep, reduction, component_hint=None):
         if all(vdot(w, c) == 0 for c in term_datum.simple_coroots):
             char_cols.append(col)
     pairs = _character_pairs_from_columns(rep, char_cols)
-    hints = _normalize_hints(component_hint, len(pairs))
-    plan = _plan_pairs([p.chi for p in pairs], killed, hints)
+    plan = _plan_pairs([p.chi for p in pairs], killed, component_hint)
     span_rows = [p.chi for p in pairs if not is_zero_vec(p.chi)] + killed
     basis = echelon_basis(span_rows)
     if not same_span(list(basis), list(td.a_star_basis)):

@@ -9,19 +9,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import terminal_decomposition
 from .errors import SymprepError
 from .matrixrep import build_rep, find_hw_vectors
 from .numeric import (
+    _frames,
     coisotropy_test,
-    inv_moment_component_fn,
+    gradient_bracket,
     inv_moment_eval,
-    invariant_coord_count,
+    jacobian_inv_moment,
     jacobian_rank_and_orbit,
-    local_subspace,
+    local_frame,
     moment_coords,
     moment_eval,
-    poisson_bracket,
     seeded_samples,
     verify_commute,
 )
@@ -73,8 +72,6 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
 
     # moment map defining identity, round-tripped through the matrix form
     res = 0.0
-    from .numeric import _frames
-
     for v in seeded_samples(rng, rep.dim, max(3, samples // 4)):
         mv = moment_eval(rep, v)
         for i, m in enumerate(rep.lie):
@@ -121,21 +118,19 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
         f"coisotropic={coiso}, mf={analysis.mf}",
     )
 
-    # local structure solve and the commuting square, on every non-terminal
-    # weight of the module
-    verdict = terminal_decomposition(spec)
-    if not verdict.terminal:
-        chi = verdict.witness
+    # local structure solve and the commuting square, at the weight the
+    # analysis reduced first
+    if analysis.trace:
         res_sigma = res_perp = res_levi = res_char = 0.0
-        v0, v0m, du, sbasis = local_subspace(rep, chi)
-        bmat = np.array([[float(x) for x in b] for b in sbasis]).T
+        frame = local_frame(rep, analysis.trace[0].chosen_chi)
+        bmat = np.array([[float(x) for x in b] for b in frame.s_basis]).T
         done = 0
         attempts = 0
         while done < samples and attempts < 20 * samples:
             attempts += 1
             s = bmat @ rng.standard_normal(bmat.shape[1])
             try:
-                rc = verify_commute(rep, chi, v0, s)
+                rc = verify_commute(frame, s)
             except SymprepError:
                 continue
             res_sigma = max(res_sigma, rc.embedding.residual_sigma)
@@ -162,14 +157,14 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
     except SymprepError as exc:
         _flag(checks, "separating_psg", False, str(exc))
 
-    # pulled-back invariants Poisson-commute
+    # pulled-back invariants Poisson-commute; row i of the Jacobian is the
+    # gradient of invariant coordinate i
     res = 0.0
-    ninv = invariant_coord_count(rep)
-    fns = [inv_moment_component_fn(rep, i) for i in range(ninv)]
     for v in seeded_samples(rng, rep.dim, max(3, samples // 5)):
-        for i in range(ninv):
-            for j in range(i, ninv):
-                res = max(res, abs(poisson_bracket(rep, fns[i], fns[j], v)))
+        grads = np.ascontiguousarray(jacobian_inv_moment(rep, v))
+        for i in range(len(grads)):
+            for j in range(i, len(grads)):
+                res = max(res, abs(gradient_bracket(rep, grads[i], grads[j])))
     _check(checks, "moment_pullback_commutes", res, 1e-8)
 
     passed = all(c.passed for c in checks)

@@ -19,7 +19,7 @@ from symprep.numeric import (
     coisotropy_test,
     inv_moment_eval,
     jacobian_rank_and_orbit,
-    local_subspace,
+    local_frame,
     moment_eval,
     seeded_samples,
     verify_commute,
@@ -212,8 +212,8 @@ def test_criterion_7_local_structure_verification():
         from symprep.classify import terminal_decomposition
 
         chi = terminal_decomposition(spec).witness
-        v0, v0m, du, sbasis = local_subspace(rep, chi)
-        bmat = np.array([[float(x) for x in b] for b in sbasis]).T
+        frame = local_frame(rep, chi)
+        bmat = np.array([[float(x) for x in b] for b in frame.s_basis]).T
         rng = np.random.default_rng(42)
         done = 0
         attempts = 0
@@ -222,7 +222,7 @@ def test_criterion_7_local_structure_verification():
             attempts += 1
             s = bmat @ rng.standard_normal(bmat.shape[1])
             try:
-                out = verify_commute(rep, chi, v0, s)
+                out = verify_commute(frame, s)
             except Exception:
                 continue
             worst = max(
@@ -256,7 +256,7 @@ def test_criterion_8_sections():
     rng = np.random.default_rng(9)
     for rep in torus_cases:
         sec = torus_section(rep)
-        assert any(mode.startswith("critical") for _, mode in sec.plan)
+        assert any(mode.startswith("critical") for _, mode in sec.terminal_plan)
         for _ in range(20):
             coeffs = [
                 Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5)))

@@ -236,3 +236,49 @@ def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SYMPREP_WEYL_CAP", "4")
     path = _write(tmp_path, "sp4.json", SP4)
     assert main(["analyze", path]) == EXIT_BUDGET  # |W(C2)| = 8 > 4
+    assert main(["gamma", path]) == EXIT_BUDGET
+    assert main(["hilbert", path, "--degree", "4"]) == EXIT_BUDGET
+
+
+def test_unreadable_inputs_exit_2(tmp_path, capsys):
+    assert main(["batch", str(tmp_path / "absent")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "absent" in err
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+    (tmp_path / "folder.json").mkdir()
+    for name in ("binary.json", "folder.json"):
+        assert main(["analyze", str(tmp_path / name)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path / name}")
+    assert main(["batch", str(tmp_path)]) == EXIT_VALIDATION
+    assert "folder.json: exit 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, options, field", [
+    (["analyze"], {"hilbert_degree": -4}, "options.hilbert_degree"),
+    (["hilbert", "--degree", "-3"], {}, "--degree"),
+    (["verify", "--samples", "0"], {}, "--samples"),
+    (["verify"], {"samples": 0}, "options.samples"),
+    (["verify", "--seed", "-1"], {}, "--seed"),
+])
+def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, options, field):
+    path = _write(tmp_path, "cubic.json", dict(CUBIC, options=options))
+    assert main([argv[0], path] + argv[1:]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("where, field", [
+    (("rep", 0, "mult"), r"rep\[0\]\.mult"),
+    (("rep", 0, "hw", 0), r"rep\[0\]\.hw"),
+    (("group", "simple", 0, 1), r"group\.simple\[0\]"),
+    (("group", "central_torus_rank"), r"group\.central_torus_rank"),
+    (("options", "seed"), r"options\.seed"),
+])
+def test_parse_rejects_booleans_as_integers(where, field):
+    doc = dict(json.loads(json.dumps(CUBIC)), options={"seed": 0})
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = True
+    with pytest.raises(SpecFormatError, match=field):
+        parse_spec(json.dumps(doc))

@@ -16,7 +16,7 @@ from symprep.numeric import (
     inv_moment_component_fn,
     inv_moment_eval,
     jacobian_rank_and_orbit,
-    local_subspace,
+    local_frame,
     moment_component_fn,
     moment_coords,
     moment_eval,
@@ -92,21 +92,23 @@ def test_phi_solve_examples():
     # 1x1 systems
     for summands, chi in [([((1,), 2)], (1,)), ([((3,), 1)], (3,))]:
         rep = _rep(A1, summands)
-        v0, v0m, du, basis = local_subspace(rep, chi)
+        frame = local_frame(rep, chi)
+        du, basis = frame.delta_u, frame.s_basis
         assert len(du) == 1
         bmat = np.array([[float(x) for x in b] for b in basis]).T
         s = bmat @ rng.standard_normal(bmat.shape[1])
-        emb = phi_solve_q_embed(rep, chi, v0, s)
+        emb = phi_solve_q_embed(frame, s)
         assert emb.system_matrix.shape == (1, 1)
         assert emb.residual_sigma <= 1e-12
         assert emb.residual_perp <= 1e-12
     # 2x2 triangular system
     rep = _rep(A2, [((1, 0), 1), ((0, 1), 1)])
-    v0, v0m, du, basis = local_subspace(rep, (1, 0))
+    frame = local_frame(rep, (1, 0))
+    du, basis = frame.delta_u, frame.s_basis
     assert len(du) == 2
     bmat = np.array([[float(x) for x in b] for b in basis]).T
     s = bmat @ rng.standard_normal(bmat.shape[1])
-    emb = phi_solve_q_embed(rep, (1, 0), v0, s)
+    emb = phi_solve_q_embed(frame, s)
     heights = [r.height for r in du]
     assert heights == sorted(heights)
     assert emb.residual_sigma <= 1e-12
@@ -114,13 +116,14 @@ def test_phi_solve_examples():
 
 def test_phi_solve_domain_guard():
     rep = _rep(A1, [((1,), 2)])
-    v0, v0m, du, basis = local_subspace(rep, (1,))
+    frame = local_frame(rep, (1,))
+    v0, basis = frame.v0, frame.s_basis
     # v0m has omega(s, v0) = -1... pick the S-direction pairing to zero
     dead = next(
         b for b in basis if rep.omega_exact(b, v0) == 0
     )
     with pytest.raises(SOutsideDomain):
-        phi_solve_q_embed(rep, (1,), v0, np.array([float(x) for x in dead]))
+        phi_solve_q_embed(frame, np.array([float(x) for x in dead]))
 
 
 def test_verify_commute_examples():
@@ -130,12 +133,13 @@ def test_verify_commute_examples():
         (A2, [((1, 0), 1), ((0, 1), 1)], (1, 0)),
     ]:
         rep = _rep(datum, summands)
-        v0, _, _, basis = local_subspace(rep, chi)
+        frame = local_frame(rep, chi)
+        basis = frame.s_basis
         bmat = np.array([[float(x) for x in b] for b in basis]).T
         for _ in range(5):
             s = bmat @ rng.standard_normal(bmat.shape[1])
             try:
-                out = verify_commute(rep, chi, v0, s)
+                out = verify_commute(frame, s)
             except SOutsideDomain:
                 continue
             assert out.residual_levi <= 1e-10
@@ -152,9 +156,8 @@ def test_dual_lowest_vector_names_the_missing_weight():
 
 def test_verify_commute_rejects_terminal():
     rep = _rep(C2, [((1, 0), 1)])
-    v0 = exact_hw_vector(rep, (1, 0))
     with pytest.raises(NoReductionAvailable):
-        verify_commute(rep, (1, 0), v0, np.zeros(rep.dim))
+        verify_commute(local_frame(rep, (1, 0)), np.zeros(rep.dim))
 
 
 def test_poisson_darboux_and_antisymmetry():
@@ -222,3 +225,39 @@ def test_inv_moment_conjugation_invariance():
         before = inv_moment_eval(rep, v)
         after = inv_moment_eval(rep, g @ v)
         assert np.max(np.abs(before - after)) <= 1e-9
+
+
+def test_verify_suite_derives_the_local_frame_once(monkeypatch):
+    import symprep.numeric
+    import symprep.reduction
+    import symprep.verify
+    from symprep.classify import terminal_decomposition
+    from symprep.reduction import analyze
+    from symprep.verify import verify_suite
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (symprep.numeric, symprep.reduction, symprep.verify):
+        if hasattr(module, "terminal_decomposition"):
+            monkeypatch.setattr(
+                module, "terminal_decomposition",
+                counting("terminal", terminal_decomposition),
+            )
+    monkeypatch.setattr(
+        symprep.verify, "local_frame", counting("frame", symprep.numeric.local_frame)
+    )
+    spec, _ = catalog()["sl2_cubic"]
+    analysis = analyze(spec)
+    counts = []
+    for samples in (5, 20):
+        calls.clear()
+        assert verify_suite(spec, samples=samples, analysis=analysis).passed
+        counts.append((calls.count("terminal"), calls.count("frame")))
+    assert counts[0] == counts[1]
+    assert counts[0][1] == 1

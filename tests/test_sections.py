@@ -51,7 +51,7 @@ def test_torus_section_critical_recursion_charts():
             av = cvec(a)
             p = sec.apply(av)
             assert torus_moment_exact(rep, p) == av
-    modes = {mode for _, mode in torus_section(rep).plan}
+    modes = {mode for _, mode in torus_section(rep).terminal_plan}
     assert modes == {"critical-x"}
 
 
