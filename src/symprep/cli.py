@@ -13,7 +13,7 @@ Highest weights are given in fundamental-weight coordinates per declared
 factor followed by the central charges.  Unknown keys are rejected with
 field-addressed messages.  Exit codes: 0 success, 1 failed numeric check,
 2 parse/validation failure, 3 budget exceeded, 4 not supported by the
-matrix-model catalog.
+matrix-model catalog, 5 internal consistency failure (a defect).
 """
 
 import argparse
@@ -28,6 +28,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import (
     BudgetExceeded,
+    InternalConsistencyError,
     NotSupported,
     SpecFormatError,
     SymprepError,
@@ -35,7 +36,7 @@ from .errors import (
     WeylCapExceeded,
 )
 from .reduction import DEFAULT_HILBERT_DEGREE, analyze, reduce_to_gamma
-from .reps import invariant_dims, validate_symplectic_spec
+from .reps import DEFAULT_SYM_DEGREE_BUDGET, invariant_dims, validate_symplectic_spec
 from .rootdata import DEFAULT_WEYL_CAP, build_root_datum
 from .verify import verify_suite
 
@@ -46,6 +47,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_NOT_SUPPORTED = 4
+EXIT_DEFECT = 5
 
 # smallest accepted value per option; None leaves it unbounded
 _OPTION_MINIMUM = {"weyl_cap": None, "hilbert_degree": 0, "seed": 0, "samples": 1}
@@ -175,6 +177,11 @@ def parse_spec(source):
             problems.append(problem)
     if problems:
         raise SpecFormatError(problems)
+    if options["hilbert_degree"] > DEFAULT_SYM_DEGREE_BUDGET:
+        raise BudgetExceeded(
+            f"options.hilbert_degree = {options['hilbert_degree']} exceeds the "
+            f"symmetric-power degree cap {DEFAULT_SYM_DEGREE_BUDGET}"
+        )
     try:
         datum = build_root_datum(factors, central)
     except SymprepError as exc:
@@ -293,6 +300,8 @@ def _exit_code_for(exc):
         return EXIT_BUDGET
     if isinstance(exc, NotSupported):
         return EXIT_NOT_SUPPORTED
+    if isinstance(exc, InternalConsistencyError):
+        return EXIT_DEFECT
     return EXIT_VALIDATION
 
 

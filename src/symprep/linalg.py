@@ -3,13 +3,20 @@
 Vectors are tuples, matrices are tuples of row tuples.  Entries are ints or
 Fractions; every routine keeps arithmetic exact.  Sizes here are tiny (a few
 dozen at most), so the quadratic/cubic loops below are deliberate.
+
+Most data are integers, so `canon`, `vdot`, `mat_vec` and `mat_mul` compute
+in plain ints: a sum of products has type int exactly when every product
+did, and only a sum that came out a Fraction goes through `canon`.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def canon(x):
+    if type(x) is int:
+        return x
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
 
@@ -29,7 +36,8 @@ def vscale(c, a):
 def vdot(a, b):
     if len(a) != len(b):
         raise ValueError(f"length mismatch {len(a)} vs {len(b)}")
-    return canon(sum(Fraction(x) * Fraction(y) for x, y in zip(a, b)))
+    s = sum(map(mul, a, b))
+    return s if type(s) is int else canon(s)
 
 
 def is_zero_vec(a):
@@ -47,10 +55,11 @@ def transpose(a):
 def mat_vec(a, v):
     if a and len(a[0]) != len(v):
         raise ValueError(f"length mismatch {len(a[0])} vs {len(v)}")
-    return tuple(
-        canon(sum(Fraction(x) * Fraction(y) for x, y in zip(row, v) if x and y))
-        for row in a
-    )
+    out = []
+    for row in a:
+        s = sum(map(mul, row, v))
+        out.append(s if type(s) is int else canon(s))
+    return tuple(out)
 
 
 def lincomb(coeffs, vecs, n):
@@ -67,7 +76,16 @@ def lincomb(coeffs, vecs, n):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
+    if a and bt and len(a[0]) != len(b):
+        raise ValueError(f"length mismatch {len(a[0])} vs {len(b)}")
+    out = []
+    for row in a:
+        entries = []
+        for col in bt:
+            s = sum(map(mul, row, col))
+            entries.append(s if type(s) is int else canon(s))
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def mat_sub(a, b):
@@ -201,6 +219,22 @@ def echelon_basis(rows):
     """Canonical basis of the row span: rref rows, scaled primitive-integer."""
     red, pivots = rref(rows)
     return [primitive_int_vector(red[i]) for i in range(len(pivots))]
+
+
+def echelon_coords(basis, images):
+    """Coordinates of each image over an echelon basis, or None if one lies
+    outside its span.  Echelon rows have their pivots in distinct columns
+    where the other rows vanish, so c_i = img[p_i] / b_i[p_i]; rebuilding
+    the image from c decides membership."""
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    out = []
+    for img in images:
+        c = [canon(Fraction(img[p], b[p])) for b, p in zip(basis, pivots)]
+        for a, x in enumerate(img):
+            if sum(ci * b[a] for ci, b in zip(c, basis)) != x:
+                return None
+        out.append(tuple(c))
+    return out
 
 
 def same_span(rows_a, rows_b):

@@ -318,14 +318,16 @@ def determine_little_weyl(
     invariant Hilbert series against Molien series in squared degrees.
 
     Only valid when the module is multiplicity free; otherwise the result is
-    Unknown with the candidate subgroups listed."""
+    Unknown with the candidate subgroups listed.  An odd hilbert_degree is
+    rounded down; one above the symmetric-power degree budget makes
+    invariant_dims raise BudgetExceeded."""
     subs = reflection_subgroups(gamma)
     if not mf:
         return LittleWeylResult(
             status="unknown",
             candidates=tuple(sorted(len(s) for s in subs)),
         )
-    degree = min(hilbert_degree, DEFAULT_SYM_DEGREE_BUDGET)
+    degree = hilbert_degree
     if degree % 2:
         degree -= 1
     while True:

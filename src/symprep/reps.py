@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
+from operator import add
 
 from .errors import (
     BudgetExceeded,
@@ -273,41 +275,27 @@ def _freeze(multiset):
 
 @lru_cache(maxsize=None)
 def _sym_powers_cached(frozen, max_degree):
-    """Multisets of S^d V for d = 0..max_degree via Newton's identity
-    h_d = (1/d) sum_k p_k h_(d-k)."""
-    if frozen:
-        n = len(frozen[0][0])
-    else:
-        n = 0
-    zero = (0,) * n
-    weights = list(frozen)
-    h = [{zero: Fraction(1)}]
-    powers = [None]
-    for k in range(1, max_degree + 1):
-        powers.append({tuple(canon(k * x) for x in w): m for w, m in weights})
-    for d in range(1, max_degree + 1):
-        acc = {}
-        for k in range(1, d + 1):
-            for w, m in powers[k].items():
-                for v, c in h[d - k].items():
-                    key = tuple(canon(a + b) for a, b in zip(w, v))
-                    acc[key] = acc.get(key, Fraction(0)) + m * c
-        hd = {}
-        for wv, val in acc.items():
-            q = val / d
-            if q:
-                hd[wv] = q
-        h.append(hd)
-    out = []
-    for hd in h:
-        clean = {}
-        for wv, val in hd.items():
-            f = Fraction(val)
-            if f.denominator != 1:
-                raise InternalConsistencyError("non-integral symmetric power")
-            clean[wv] = int(f)
-        out.append(clean)
-    return tuple(tuple(sorted(hd.items())) for hd in out)
+    """Multisets of S^d V for d = 0..max_degree as the coefficients of
+    prod_mu (1 - t x^mu)^(-m_mu), one factor at a time: multiplying by
+    1/(1 - t x^mu) is h_d += x^mu h_(d-1) for d rising.  The mass of h_d is
+    checked against C(dim V + d - 1, d)."""
+    n = len(frozen[0][0]) if frozen else 0
+    h = [{(0,) * n: 1}] + [{} for _ in range(max_degree)]
+    for mu, m in frozen:
+        for _ in range(m):
+            for d in range(1, max_degree + 1):
+                hd = h[d]
+                for v, c in h[d - 1].items():
+                    key = tuple(map(add, v, mu))
+                    hd[key] = hd.get(key, 0) + c
+    dim_v = sum(m for _, m in frozen)
+    for d, hd in enumerate(h):
+        mass = comb(dim_v + d - 1, d) if dim_v else int(d == 0)
+        if sum(hd.values()) != mass:
+            raise InternalConsistencyError(
+                f"S^{d} V has mass {sum(hd.values())}, expected {mass}"
+            )
+    return tuple(tuple(sorted(hd.items())) for hd in h)
 
 
 def symmetric_power_multisets(multiset, max_degree):
@@ -328,7 +316,7 @@ def invariant_dims(
         raise BudgetExceeded(f"dim V = {dim_v} exceeds budget {dim_budget}")
     if max_degree > DEFAULT_SYM_DEGREE_BUDGET:
         raise BudgetExceeded(
-            f"degree {max_degree} exceeds budget {DEFAULT_SYM_DEGREE_BUDGET}"
+            f"degree {max_degree} exceeds cap {DEFAULT_SYM_DEGREE_BUDGET}"
         )
     rho = rho_strict(datum)
     targets = []

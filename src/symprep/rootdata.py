@@ -25,8 +25,8 @@ from .linalg import (
     canon,
     cvec,
     echelon_basis,
+    echelon_coords,
     identity,
-    in_span,
     lin_solve,
     mat_mul,
     mat_vec,
@@ -557,15 +557,8 @@ def subspace_normalizer(datum, a_star_basis, cap=DEFAULT_WEYL_CAP):
     gamma = {}
     for w in elems:
         images = [w.apply(b) for b in basis]
-        coeffs = []
-        inside = True
-        for img in images:
-            c = in_span(basis, img)
-            if c is None:
-                inside = False
-                break
-            coeffs.append(c)
-        if not inside:
+        coeffs = echelon_coords(basis, images)
+        if coeffs is None:
             continue
         normalizer.append(w)
         if all(img == b for img, b in zip(images, basis)):

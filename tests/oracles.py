@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's Freudenthal recursion, symmetric-power
-convolution, and word-based Weyl enumeration: multiplicities come from the
+recursion, and word-based Weyl enumeration: multiplicities come from the
 Kostant partition function, invariant dimensions from explicit monomial
-enumeration, and group elements from matrix closure with determinant signs.
+enumeration, symmetric powers from Newton's identity over Fractions, and
+group elements from matrix closure with determinant signs.
 """
 
 from fractions import Fraction
@@ -195,3 +196,21 @@ def subspace_normalizer_oracle(datum, basis):
         if k > 0 and rank([vsub(row, identity(k)[i]) for i, row in enumerate(g)]) == 1
     )
     return n_count, c_count, len(gamma), refl
+
+
+def newton_symmetric_powers(multiset, max_degree):
+    """Weight multisets of S^d V for d = 0..max_degree by Newton's identity
+    h_d = (1/d) sum_k p_k h_(d-k), where p_k has the weights scaled by k;
+    the division by d is a Fraction, so any non-integral result shows."""
+    weights = [(cvec(w), m) for w, m in multiset.items() if m]
+    zero = (0,) * (len(weights[0][0]) if weights else 0)
+    h = [{zero: 1}]
+    for d in range(1, max_degree + 1):
+        acc = {}
+        for k in range(1, d + 1):
+            for w, m in weights:
+                for v, c in h[d - k].items():
+                    key = cvec(k * a + b for a, b in zip(w, v))
+                    acc[key] = acc.get(key, 0) + m * c
+        h.append({v: Fraction(c, d) for v, c in acc.items() if c})
+    return h

@@ -3,15 +3,17 @@ import json
 
 import pytest
 
+from symprep import reps
 from symprep.cli import (
     EXIT_BUDGET,
+    EXIT_DEFECT,
     EXIT_NOT_SUPPORTED,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
     parse_spec,
 )
-from symprep.errors import SpecFormatError, ValidationError
+from symprep.errors import InternalConsistencyError, SpecFormatError, ValidationError
 from symprep.reduction import analyze
 
 from corpus import catalog
@@ -282,3 +284,40 @@ def test_parse_rejects_booleans_as_integers(where, field):
     target[where[-1]] = True
     with pytest.raises(SpecFormatError, match=field):
         parse_spec(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv, options, env, field", [
+    (["analyze"], {"hilbert_degree": 100}, None, "options.hilbert_degree = 100"),
+    (["verify"], {"hilbert_degree": 11}, None, "options.hilbert_degree = 11"),
+    (["analyze"], {}, "12", "options.hilbert_degree = 12"),
+    (["hilbert", "--degree", "11"], {}, None, "degree 11 exceeds cap"),
+])
+def test_hilbert_degree_above_the_cap_exits_3(
+    tmp_path, capsys, monkeypatch, argv, options, env, field
+):
+    if env is not None:
+        monkeypatch.setenv("SYMPREP_HILBERT_DEGREE", env)
+    path = _write(tmp_path, "cubic.json", dict(CUBIC, options=options))
+    assert main([argv[0], path] + argv[1:]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and "cap 10" in err
+
+
+def test_hilbert_degree_at_the_cap_is_used_as_asked(tmp_path, capsys):
+    path = _write(tmp_path, "cubic.json", dict(CUBIC, options={"hilbert_degree": 10}))
+    assert main(["analyze", path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["options"]["hilbert_degree"] == 10
+    assert main(["hilbert", path, "--degree", "10"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["invariant_dims"]) == 11
+
+
+def test_internal_consistency_error_exits_5(tmp_path, capsys, monkeypatch):
+    def broken(frozen, max_degree):
+        raise InternalConsistencyError("symmetric powers disagree")
+
+    monkeypatch.setattr(reps, "_sym_powers_cached", broken)
+    path = _write(tmp_path, "cubic.json", CUBIC)
+    for argv in (["analyze", path], ["hilbert", path, "--degree", "4"]):
+        assert main(argv) == EXIT_DEFECT == 5
+        assert capsys.readouterr().err == "error: symmetric powers disagree\n"

@@ -1,8 +1,12 @@
 
+from math import comb
+
 import pytest
 
+from symprep import reps
 from symprep.errors import (
     BudgetExceeded,
+    InternalConsistencyError,
     NotACharacter,
     NotSelfDual,
     OddOrthogonalMultiplicity,
@@ -18,10 +22,14 @@ from symprep.reps import (
     validate_symplectic_spec,
     weyl_dim,
 )
-from symprep.rootdata import enumerate_weyl
+from symprep.rootdata import build_root_datum, enumerate_weyl
 
-from corpus import A1, A2, C2, T1
-from oracles import invariant_dims_oracle, kostant_weight_multiset
+from corpus import A1, A2, C2, C3, T1, catalog
+from oracles import (
+    invariant_dims_oracle,
+    kostant_weight_multiset,
+    newton_symmetric_powers,
+)
 
 
 def test_sl2_strings():
@@ -180,3 +188,33 @@ def test_invariant_dims_budget():
     spec = validate_symplectic_spec(A1, [((1,), 10)])
     with pytest.raises(BudgetExceeded):
         invariant_dims(spec, 4, dim_budget=16)
+
+
+def _sympow_oracle_specs():
+    a4 = build_root_datum([("A", 4)])
+    a5 = build_root_datum([("A", 5)])
+    specs = {name: sp for name, (sp, _) in catalog().items()}
+    specs["A4_std_dual"] = validate_symplectic_spec(
+        a4, [((1, 0, 0, 0), 1), ((0, 0, 0, 1), 1)]
+    )
+    specs["A5_std_dual"] = validate_symplectic_spec(
+        a5, [((1, 0, 0, 0, 0), 1), ((0, 0, 0, 0, 1), 1)]
+    )
+    specs["C3_wedge3"] = validate_symplectic_spec(C3, [((0, 0, 1), 1)])
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(_sympow_oracle_specs()))
+def test_symmetric_powers_match_newton_oracle(name):
+    multiset = _sympow_oracle_specs()[name].weight_multiset()
+    sym = symmetric_power_multisets(multiset, 8)
+    assert sym == newton_symmetric_powers(multiset, 8)
+    assert all(type(c) is int for hd in sym for c in hd.values())
+    assert all(type(x) is int for hd in sym for w in hd for x in w)
+
+
+def test_symmetric_power_mass_is_cross_checked(monkeypatch):
+    reps._sym_powers_cached.cache_clear()
+    monkeypatch.setattr(reps, "comb", lambda n, k: comb(n, k) + (k == 3))
+    with pytest.raises(InternalConsistencyError, match=r"S\^3 V has mass 4, expected 5"):
+        symmetric_power_multisets({(1,): 1, (-1,): 1}, 3)

@@ -1,7 +1,11 @@
 
+from fractions import Fraction
+
 import pytest
 
 from symprep.errors import InvalidCartanType, WeylCapExceeded
+from symprep.linalg import echelon_basis, echelon_coords, in_span
+from symprep.reduction import run_reduction
 from symprep.rootdata import (
     build_root_datum,
     dominant_representative,
@@ -15,6 +19,7 @@ from symprep.rootdata import (
     w0_image,
 )
 
+from corpus import catalog
 from oracles import subspace_normalizer_oracle, weyl_matrices_bruteforce
 
 CLASSICAL_POSITIVE_COUNTS = {
@@ -210,3 +215,58 @@ def test_dual_weight_examples():
     assert dual_weight(a2, (1, 0)) == (0, 1)
     c2 = build_root_datum([("C", 2)])
     assert dual_weight(c2, (1, 0)) == (1, 0)
+
+
+@pytest.mark.parametrize("factors, central", [
+    ([("A", 1)], 1), ([("A", 3)], 0), ([("C", 3)], 0), ([("B", 3)], 0),
+    ([("D", 4)], 0), ([("G", 2)], 0), ([("F", 4)], 0), ([("C", 2), ("A", 1)], 0),
+])
+def test_weyl_matrices_hold_only_ints(factors, central):
+    d = build_root_datum(factors, central)
+    for w in enumerate_weyl(d):
+        assert all(type(x) is int for row in w.matrix for x in row)
+
+
+def _normalizer_by_in_span(datum, basis):
+    """(N, C, Gamma matrices, representatives) with one in_span solve per
+    Weyl element and basis vector."""
+    basis = echelon_basis(list(basis))
+    k = len(basis)
+    normalizer, centralizer, gamma = [], [], {}
+    for w in enumerate_weyl(datum):
+        images = [w.apply(b) for b in basis]
+        coeffs = [in_span(basis, img) for img in images]
+        if any(c is None for c in coeffs):
+            continue
+        normalizer.append(w)
+        if images == basis:
+            centralizer.append(w)
+        gamma.setdefault(tuple(tuple(c[i] for c in coeffs) for i in range(k)), w)
+    mats = sorted(gamma)
+    return normalizer, centralizer, mats, [gamma[m] for m in mats]
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_subspace_normalizer_matches_in_span_reference(name):
+    datum = catalog()[name][0].datum
+    n = datum.ambient_dim
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    subspaces = [run_reduction(catalog()[name][0])[1].a_star_basis, unit,
+                 [tuple(1 for _ in range(n))]] + [[e] for e in unit]
+    for basis in subspaces:
+        sg = subspace_normalizer(datum, basis)
+        normalizer, centralizer, mats, reps = _normalizer_by_in_span(datum, basis)
+        assert sg.normalizer_elements == tuple(normalizer)
+        assert sg.centralizer_elements == tuple(centralizer)
+        assert repr(sg.gamma_matrices) == repr(tuple(mats))
+        assert sg.gamma_representatives == tuple(reps)
+
+
+def test_echelon_coords_solves_rational_coordinates():
+    basis = echelon_basis([(2, 0, 1), (0, 2, 1)])
+    assert basis == [(2, 0, 1), (0, 2, 1)]
+    images = [(1, 1, 1), (2, -2, 0), (4, 0, 2)]
+    coords = echelon_coords(basis, images)
+    assert coords[0] == (Fraction(1, 2), Fraction(1, 2))
+    assert repr(coords) == repr([in_span(basis, img) for img in images])
+    assert echelon_coords(basis, [(1, 1, 1), (1, 0, 0)]) is None
