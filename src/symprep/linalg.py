@@ -44,8 +44,15 @@ def is_zero_vec(a):
     return all(x == 0 for x in a)
 
 
+def diagonal(entries):
+    n = len(entries)
+    return tuple(
+        tuple(x if i == j else 0 for j in range(n)) for i, x in enumerate(entries)
+    )
+
+
 def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return diagonal((1,) * n)
 
 
 def transpose(a):

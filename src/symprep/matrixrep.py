@@ -11,6 +11,7 @@ scalars are calibrated once per factor in a faithful defining module, so the
 same abstract Lie algebra element acts consistently in every block.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,12 +24,13 @@ from .errors import (
 )
 from .linalg import (
     blockdiag,
-    canon,
     comm,
     cvec,
+    diagonal,
     identity,
     kron,
     lincomb,
+    mat_mul,
     mat_scale,
     mat_vec,
     nullspace,
@@ -57,11 +59,14 @@ class FactorBlock:
     f: tuple
     h: tuple
     weights: tuple  # local fundamental-weight coordinates per basis vector
+    form: tuple = None  # invariant bilinear form of a self-dual block
 
 
 def _trivial_block(rank):
     z = ((0,),)
-    return FactorBlock(1, (z,) * rank, (z,) * rank, (z,) * rank, (((0,) * rank),))
+    return FactorBlock(
+        1, (z,) * rank, (z,) * rank, (z,) * rank, (((0,) * rank),), ((1,),)
+    )
 
 
 def _sl2_block(m):
@@ -76,7 +81,10 @@ def _sl2_block(m):
             e[j][j + 1] = (j + 1) * (m - j)
     mk = lambda a: tuple(tuple(r) for r in a)
     weights = tuple(((m - 2 * j,)) for j in range(n))
-    return FactorBlock(n, (mk(e),), (mk(f),), (mk(h),), weights)
+    form = tuple(
+        tuple((-1) ** a if b == m - a else 0 for b in range(n)) for a in range(n)
+    )
+    return FactorBlock(n, (mk(e),), (mk(f),), (mk(h),), weights, form)
 
 
 def _sln_standard_block(n):
@@ -93,6 +101,14 @@ def _sln_standard_block(n):
         for j in range(n)
     )
     return FactorBlock(n, e, f, tuple(h), weights)
+
+
+def _hyperbolic_form(n):
+    """The form [[0, I], [-I, 0]] of size 2n."""
+    return tuple(
+        tuple(1 if b == a + n else (-1 if a == b + n else 0) for b in range(2 * n))
+        for a in range(2 * n)
+    )
 
 
 def _spn_standard_block(n):
@@ -132,7 +148,9 @@ def _spn_standard_block(n):
     weights = tuple(eps(j) for j in range(n)) + tuple(
         tuple(-x for x in eps(j)) for j in range(n)
     )
-    return FactorBlock(dim, tuple(e), tuple(f), tuple(h), weights)
+    return FactorBlock(
+        dim, tuple(e), tuple(f), tuple(h), weights, _hyperbolic_form(n)
+    )
 
 
 def _dual_block(b):
@@ -195,7 +213,7 @@ def _first_nonzero_ratio(a, b):
                 if xa != 0:
                     return None
                 continue
-            r = Fraction(xa, xb) if not isinstance(xa, Fraction) else Fraction(xa) / xb
+            r = Fraction(xa) / xb
             if c is None:
                 c = r
             elif c != r:
@@ -217,13 +235,11 @@ def _root_recipes(letter, rank):
     by_coords = {r.coords: r for r in pos}
     x = {}
     y = {}
-    hmat = {}
-    for r in pos:
-        hvec = [
-            [sum(r.coroot_coords[j] * ref.h[j][a][b] for j in range(rank))
-             for b in range(ref.dim)] for a in range(ref.dim)
-        ]
-        hmat[r.coords] = tuple(tuple(canon(v) for v in row) for row in hvec)
+    # the coroot acts on a weight vector by the weight's pairing with it
+    hmat = {
+        r.coords: diagonal(tuple(vdot(w, r.coroot_coords) for w in ref.weights))
+        for r in pos
+    }
     recipes = {}
     for i in range(rank):
         x[simple_coords(rank, i)] = ref.e[i]
@@ -358,14 +374,7 @@ class MatrixRep:
 
     def omega_row(self, u):
         """The functional omega(u, .) as a row vector.  Exact."""
-        n = self.dim
-        return cvec(
-            tuple(
-                sum(Fraction(u[a]) * Fraction(self.j_exact[a][b]) for a in range(n)
-                    if u[a] and self.j_exact[a][b])
-                for b in range(n)
-            )
-        )
+        return mat_vec(transpose(self.j_exact), u)
 
     def lie_matrix(self, label):
         return self.lie[self.lie_index[label]]
@@ -381,19 +390,13 @@ class MatrixRep:
         return float(np.asarray(u) @ self.j @ np.asarray(v))
 
     def omega_exact(self, u, v):
-        return canon(
-            sum(
-                Fraction(u[a]) * self.j_exact[a][b] * Fraction(v[b])
-                for a in range(self.dim)
-                for b in range(self.dim)
-                if self.j_exact[a][b]
-            )
-        )
+        return vdot(u, mat_vec(self.j_exact, v))
 
 
 def _summand_matrices(datum, weight):
     """Per-global-generator exact matrices of the irreducible with the given
-    highest weight, via external tensor over the factors."""
+    highest weight, via external tensor over the factors, with its weight
+    labels and the factor blocks in tensor order."""
     blocks = []
     for fi, (letter, frank) in enumerate(datum.factors):
         idxs = datum.standard_order[fi]
@@ -425,8 +428,6 @@ def _summand_matrices(datum, weight):
         gens[("z", l)] = mat_scale(charge, identity(total))
     # weight labels: local weights reassembled into ambient coordinates
     labels = []
-    import itertools
-
     for combo in itertools.product(*(range(d) for d in dims)):
         amb = [0] * datum.ambient_dim
         for (fi, idxs, block), pos in zip(blocks, combo):
@@ -436,7 +437,7 @@ def _summand_matrices(datum, weight):
         for l in range(datum.ambient_dim - base):
             amb[base + l] = weight[base + l]
         labels.append(cvec(amb))
-    return total, gens, tuple(labels)
+    return gens, tuple(labels), tuple(b for _, _, b in blocks)
 
 
 def _dual_pair(gens, labels, kind, weight):
@@ -446,55 +447,21 @@ def _dual_pair(gens, labels, kind, weight):
         k: blockdiag([m, mat_scale(-1, transpose(m))]) for k, m in gens.items()
     }
     mlabels = labels + tuple(cvec(tuple(-x for x in w)) for w in labels)
-    j = [[0] * (2 * n) for _ in range(2 * n)]
-    for a in range(n):
-        j[a][n + a] = 1
-        j[n + a][a] = -1
-    j = tuple(tuple(r) for r in j)
-    return merged, mlabels, j, f"irr{weight}+dual", kind, weight
+    return merged, mlabels, _hyperbolic_form(n), f"irr{weight}+dual", kind, weight
 
 
-def _invariant_symplectic_form(dim, gens):
-    """Solve X^T J + J X = 0 over skew J; the solution line is normalized so
-    its first nonzero entry is one."""
-    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-    idx = {p: i for i, p in enumerate(pairs)}
-    rows = []
-    for g in gens.values():
-        # equation matrix for X^T J + J X = 0 entrywise
-        gt = transpose(g)
-        for a in range(dim):
-            for b in range(a, dim):
-                row = [Fraction(0)] * len(pairs)
-
-                def add(p, q, coef):
-                    if p == q or coef == 0:
-                        return
-                    if p < q:
-                        row[idx[(p, q)]] += coef
-                    else:
-                        row[idx[(q, p)]] -= coef
-
-                for k in range(dim):
-                    add(k, b, gt[a][k])   # (X^T J)_{ab}
-                    add(a, k, g[k][b])    # (J X)_{ab}
-                if any(row):
-                    rows.append(cvec(row))
-    space = nullspace(rows, len(pairs)) if rows else [
-        cvec([1 if i == 0 else 0 for i in range(len(pairs))])
-    ]
-    if len(space) != 1:
-        raise InternalConsistencyError(
-            f"invariant form space has dimension {len(space)}, expected 1"
-        )
-    sol = space[0]
-    lead = next(x for x in sol if x != 0)
-    sol = [canon(Fraction(x) / Fraction(lead)) for x in sol]
-    j = [[0] * dim for _ in range(dim)]
-    for (a, b), i in idx.items():
-        j[a][b] = sol[i]
-        j[b][a] = canon(-sol[i])
-    return tuple(tuple(r) for r in j)
+def _invariant_symplectic_form(blocks):
+    """The invariant form of a lone symplectic summand: the Kronecker product,
+    in tensor order, of its factor blocks' closed-form forms.  Row 0 of each
+    factor form is a single +1, so the first nonzero entry of J is one."""
+    j = ((1,),)
+    for b in blocks:
+        if b.form is None:
+            raise InternalConsistencyError(
+                "symplectic summand has a factor block without an invariant form"
+            )
+        j = kron(j, b.form)
+    return j
 
 
 def build_rep(spec):
@@ -507,7 +474,7 @@ def build_rep(spec):
             raise NotSupported(f"type {letter}{frank} factors have no matrix models")
     parts = []   # (gens, labels, jblock, desc, kind, weight)
     for item in spec.pairing_plan:
-        dim_u, gens, labels = _summand_matrices(datum, item.weight)
+        gens, labels, factor_blocks = _summand_matrices(datum, item.weight)
         if item.kind != "symplectic":
             pair = _dual_pair(gens, labels, item.kind, item.weight)
             parts.extend([pair] * item.count)
@@ -519,7 +486,7 @@ def build_rep(spec):
             pair = _dual_pair(gens, labels, "symplectic_pair", item.weight)
             parts.extend([pair] * (item.count // 2))
         if item.count % 2:
-            j = _invariant_symplectic_form(dim_u, gens)
+            j = _invariant_symplectic_form(factor_blocks)
             parts.append(
                 (gens, labels, j, f"irr{item.weight}", "symplectic", item.weight)
             )
@@ -587,50 +554,30 @@ def build_rep(spec):
 def _check_rep(rep):
     """Exact structural invariants of a freshly built model."""
     datum = rep.datum
-    n = rep.dim
-    # J skew and invertible
-    for a in range(n):
-        for b in range(n):
-            if rep.j_exact[a][b] != -rep.j_exact[b][a]:
-                raise InternalConsistencyError("J is not skew")
-    if len(nullspace(rep.j_exact, n)) != 0:
+    j = rep.j_exact
+    if transpose(j) != mat_scale(-1, j):
+        raise InternalConsistencyError("J is not skew")
+    if len(nullspace(j, rep.dim)) != 0:
         raise InternalConsistencyError("J is degenerate")
-    pos = {r.coords: r for r in positive_roots(datum)}
     for lab, mat in zip(rep.lie_labels, rep.lie_exact):
-        # infinitesimal invariance X^T J + J X = 0, exactly
-        xt = transpose(mat)
-        for a in range(n):
-            for b in range(n):
-                s = canon(
-                    sum(Fraction(xt[a][k]) * rep.j_exact[k][b] for k in range(n))
-                    + sum(Fraction(rep.j_exact[a][k]) * mat[k][b] for k in range(n))
-                )
-                if s != 0:
-                    raise InternalConsistencyError(
-                        f"form not invariant under {lab}"
-                    )
-        if lab[0] == "h":
-            diag = rep.coweight_action(datum.simple_coroots[lab[1]])
-            for a in range(n):
-                for b in range(n):
-                    want = diag[a] if a == b else 0
-                    if mat[a][b] != want:
-                        raise InternalConsistencyError(
-                            f"Cartan matrix {lab} disagrees with weight labels"
-                        )
-    # [e_alpha, f_alpha] = alpha^vee on each weight space, exactly
-    for coords, r in pos.items():
-        e = rep.lie_matrix_exact(("e", coords))
-        f = rep.lie_matrix_exact(("f", coords))
-        br = comm(e, f)
-        diag = rep.coweight_action(r.coroot_vec)
-        for a in range(n):
-            for b in range(n):
-                want = diag[a] if a == b else 0
-                if br[a][b] != want:
-                    raise InternalConsistencyError(
-                        f"[e,f] != coroot action for root {coords}"
-                    )
+        # infinitesimal invariance X^T J = -J X
+        if mat_mul(transpose(mat), j) != mat_scale(-1, mat_mul(j, mat)):
+            raise InternalConsistencyError(f"form not invariant under {lab}")
+        if lab[0] == "h" and mat != diagonal(
+            rep.coweight_action(datum.simple_coroots[lab[1]])
+        ):
+            raise InternalConsistencyError(
+                f"Cartan matrix {lab} disagrees with weight labels"
+            )
+    # [e_alpha, f_alpha] = alpha^vee on each weight space
+    for r in positive_roots(datum):
+        br = comm(
+            rep.lie_matrix_exact(("e", r.coords)), rep.lie_matrix_exact(("f", r.coords))
+        )
+        if br != diagonal(rep.coweight_action(r.coroot_vec)):
+            raise InternalConsistencyError(
+                f"[e,f] != coroot action for root {r.coords}"
+            )
     # weight multiset equals the combinatorial one
     want = {}
     for w, m in rep.spec.summands:

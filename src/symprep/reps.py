@@ -55,7 +55,10 @@ def weyl_dim(datum, lam):
         coheight = sum(r.coroot_coords)  # <rho, beta^vee>
         top = vdot(lam, r.coroot_vec) + coheight
         num *= Fraction(top, coheight)
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise InternalConsistencyError(
+            f"Weyl dimension of {lam} is {num}, not an integer"
+        )
     return int(num)
 
 
@@ -158,7 +161,8 @@ def duality_class(datum, lam):
         return DualityClass.COMPLEX
     two_rho_vee = tuple(canon(2 * x) for x in rho_vee(datum))
     ind = vdot(lam, two_rho_vee)
-    assert Fraction(ind).denominator == 1
+    if Fraction(ind).denominator != 1:
+        raise InternalConsistencyError(f"<{lam}, 2 rho^vee> = {ind} is not an integer")
     return DualityClass.SYMPLECTIC if int(ind) % 2 else DualityClass.ORTHOGONAL
 
 

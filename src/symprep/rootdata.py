@@ -38,7 +38,7 @@ from .linalg import (
 
 DEFAULT_WEYL_CAP = 10 ** 6
 
-_VALID_LETTERS = "ABCDEFG"
+_VALID_LETTERS = frozenset("ABCDEFG")
 
 
 def cartan_matrix(letter, n):

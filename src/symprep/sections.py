@@ -31,6 +31,7 @@ from .linalg import (
     is_zero_vec,
     lin_solve,
     lincomb,
+    mat_vec,
     nullspace,
     rref,
     same_span,
@@ -47,8 +48,13 @@ from .reduction import run_reduction
 from .rootdata import positive_roots
 
 
-def _diag_action_exact(labels, functional, p):
-    return cvec(tuple(vdot(w, functional) * Fraction(x) for w, x in zip(labels, p)))
+def _weight_moment(rep, p):
+    """1/2 sum_a p_a (Jp)_a w_a over the weight labels w_a, as an ambient
+    vector: its pairing with a coweight functional xi is the moment
+    1/2 omega(xi p, p) of the torus element xi.  Exact."""
+    jp = mat_vec(rep.j_exact, p)
+    coeffs = [Fraction(x) * y / 2 for x, y in zip(p, jp)]
+    return lincomb(coeffs, rep.weight_labels, rep.datum.ambient_dim)
 
 
 def torus_moment_exact(rep, p):
@@ -56,16 +62,10 @@ def torus_moment_exact(rep, p):
 
     Requires the model's datum to be freshly built, so that the j-th ambient
     coordinate is the pairing against the j-th simple coroot."""
-    datum = rep.datum
-    for i, c in enumerate(datum.simple_coroots):
+    for i, c in enumerate(rep.datum.simple_coroots):
         if any(x != (1 if k == i else 0) for k, x in enumerate(c)):
             raise InternalConsistencyError("torus moment needs a fresh datum")
-    vec = [0] * datum.ambient_dim
-    for j in range(datum.ambient_dim):
-        e = tuple(1 if k == j else 0 for k in range(datum.ambient_dim))
-        hp = _diag_action_exact(rep.weight_labels, e, p)
-        vec[j] = canon(Fraction(rep.omega_exact(hp, p)) / 2)
-    return cvec(vec)
+    return _weight_moment(rep, p)
 
 
 @dataclass(frozen=True)
@@ -262,8 +262,7 @@ def char_reduction_phi(rep, v0_char, t, y, v):
         x = t
     else:
         xi_c = central_element_for(rep.datum, chi)
-        fv = canon(Fraction(rep.omega_exact(
-            _diag_action_exact(rep.weight_labels, xi_c, v), v)) / 2)
+        fv = vdot(_weight_moment(rep, v), xi_c)
         # omega(v0m, v0) = 1 makes the pair contribute -x*y to the chi-part;
         # the character component of the image is t*y
         x = canon((Fraction(fv) - Fraction(t) * Fraction(y)) / Fraction(y))
@@ -301,8 +300,7 @@ class SectionMap:
         p = lincomb(coeffs, vecs, n)
         for layer in reversed(self.layers):
             t = vdot(a, layer.xi_c)
-            fv = canon(Fraction(self.rep.omega_exact(
-                _diag_action_exact(self.rep.weight_labels, layer.xi_c, p), p)) / 2)
+            fv = vdot(_weight_moment(self.rep, p), layer.xi_c)
             x = canon(Fraction(fv) - Fraction(t))  # y = 1
             p = lincomb([1, x, 1], [p, layer.v0, layer.v0m], n)
         m = torus_moment_exact(self.rep, p)

@@ -3,14 +3,24 @@
 These deliberately avoid the library's Freudenthal recursion, symmetric-power
 recursion, and word-based Weyl enumeration: multiplicities come from the
 Kostant partition function, invariant dimensions from explicit monomial
-enumeration, symmetric powers from Newton's identity over Fractions, and
-group elements from matrix closure with determinant signs.
+enumeration, symmetric powers from Newton's identity over Fractions,
+group elements from matrix closure with determinant signs, and invariant
+symplectic forms from a nullspace solve.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from symprep.linalg import cvec, in_span, mat_mul, mat_vec, vdot
+from symprep.linalg import (
+    canon,
+    cvec,
+    in_span,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    transpose,
+    vdot,
+)
 from symprep.rootdata import positive_roots, rho_strict
 
 
@@ -214,3 +224,44 @@ def newton_symmetric_powers(multiset, max_degree):
                     acc[key] = acc.get(key, 0) + m * c
         h.append({v: Fraction(c, d) for v, c in acc.items() if c})
     return h
+
+
+def invariant_symplectic_form_oracle(dim, gens):
+    """Solve X^T J + J X = 0 over skew J for every generator X; the solution
+    line must be unique and is normalized so its first nonzero entry is one."""
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    idx = {p: i for i, p in enumerate(pairs)}
+    rows = []
+    for g in gens.values():
+        # equation matrix for X^T J + J X = 0 entrywise
+        gt = transpose(g)
+        for a in range(dim):
+            for b in range(a, dim):
+                row = [Fraction(0)] * len(pairs)
+
+                def add(p, q, coef):
+                    if p == q or coef == 0:
+                        return
+                    if p < q:
+                        row[idx[(p, q)]] += coef
+                    else:
+                        row[idx[(q, p)]] -= coef
+
+                for k in range(dim):
+                    add(k, b, gt[a][k])   # (X^T J)_{ab}
+                    add(a, k, g[k][b])    # (J X)_{ab}
+                if any(row):
+                    rows.append(cvec(row))
+    space = nullspace(rows, len(pairs)) if rows else [
+        cvec([1 if i == 0 else 0 for i in range(len(pairs))])
+    ]
+    if len(space) != 1:
+        raise AssertionError(f"invariant form space has dimension {len(space)}")
+    sol = space[0]
+    lead = next(x for x in sol if x != 0)
+    sol = [canon(Fraction(x) / Fraction(lead)) for x in sol]
+    j = [[0] * dim for _ in range(dim)]
+    for (a, b), i in idx.items():
+        j[a][b] = sol[i]
+        j[b][a] = canon(-sol[i])
+    return tuple(tuple(r) for r in j)

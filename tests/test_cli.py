@@ -1,7 +1,9 @@
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symprep import reps
 from symprep.cli import (
@@ -321,3 +323,62 @@ def test_internal_consistency_error_exits_5(tmp_path, capsys, monkeypatch):
     for argv in (["analyze", path], ["hilbert", path, "--degree", "4"]):
         assert main(argv) == EXIT_DEFECT == 5
         assert capsys.readouterr().err == "error: symmetric powers disagree\n"
+
+
+@pytest.mark.parametrize("letter, rank", [("", 2), ("AB", 2), ("EF", 7), ("BC", 2)])
+def test_cartan_letter_must_be_one_letter_exits_2(tmp_path, capsys, letter, rank):
+    path = _write(tmp_path, "bad.json", {
+        "group": {"simple": [[letter, rank]], "central_torus_rank": 0},
+        "rep": [{"hw": [1] + [0] * (rank - 1), "mult": 2}],
+    })
+    for argv in (["analyze", path], ["gamma", path], ["hilbert", path, "--degree", "4"]):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: group: invalid Cartan letter {letter!r}\n"
+
+
+# The draws lean toward valid specs (half the letters name a type, repeated
+# values in sampled_from, entries biased to nonnegative) so that many of them
+# reach the analysis; the others must be refused with exit 2.
+FUZZ_LETTERS = st.one_of(
+    st.sampled_from("ABCDEFG"),
+    st.sampled_from(["a", "c", "g", "", "AB", "BC", "EF", "H"]),
+)
+FUZZ_ENTRIES = st.one_of(st.integers(0, 2), st.integers(-2, 2))
+
+
+@st.composite
+def spec_documents(draw):
+    """Small spec documents, valid or not: at most two factors of rank <= 3,
+    hw entries in -2..2 (mostly of the ambient length), mult in 0..3."""
+    ranks = st.sampled_from([1, 2, 3, 0])
+    simple = draw(st.lists(st.tuples(FUZZ_LETTERS, ranks), max_size=2))
+    central = draw(st.integers(0, 1))
+    ambient = sum(r for _, r in simple) + central
+    rep = []
+    for _ in range(draw(st.integers(1, 2))):
+        length = draw(st.sampled_from([ambient, ambient, ambient + 1]))
+        hw = draw(st.lists(FUZZ_ENTRIES, min_size=length, max_size=length))
+        rep.append({"hw": hw, "mult": draw(st.sampled_from([2, 1, 2, 3, 0]))})
+    return {
+        "group": {"simple": [list(f) for f in simple], "central_torus_rank": central},
+        "rep": rep,
+    }
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec_documents())
+def test_any_small_spec_exits_with_a_documented_code(doc):
+    text = json.dumps(doc)  # a spec argument may be the JSON text itself
+    for argv in (["analyze", text], ["gamma", text], ["hilbert", text, "--degree", "4"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET, EXIT_NOT_SUPPORTED), (
+            argv[0], code, err.getvalue()
+        )

@@ -1,14 +1,25 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from symprep.errors import BudgetExceeded, NotSupported
-from symprep.linalg import comm, cvec, mat_vec
-from symprep.matrixrep import build_rep, find_hw_vectors, simple_coords, weight_kernel
+from symprep.errors import BudgetExceeded, InternalConsistencyError, NotSupported
+from symprep.linalg import comm, cvec, mat_scale, mat_vec
+from symprep.matrixrep import (
+    _check_rep,
+    _invariant_symplectic_form,
+    _summand_matrices,
+    build_rep,
+    find_hw_vectors,
+    simple_coords,
+    weight_kernel,
+)
 from symprep.reps import total_weight_multiset, validate_symplectic_spec
 from symprep.rootdata import build_root_datum, positive_roots
 
 from corpus import A1, A2, C2, catalog
+from oracles import invariant_symplectic_form_oracle
 
 
 def test_sp2_standard_model():
@@ -132,3 +143,83 @@ def test_external_tensor_product_weights():
     labels = sorted(rep.weight_labels)
     assert labels.count((1, 1)) == 2
     assert labels.count((1, -1)) == 2
+
+
+def _lone_symplectic_summands(spec):
+    return [
+        item.weight
+        for item in spec.pairing_plan
+        if item.kind == "symplectic" and item.count % 2
+    ]
+
+
+def test_closed_form_invariant_form_matches_the_nullspace_solve():
+    cases = [
+        (sp.datum, w)
+        for sp, _ in catalog().values()
+        for w in _lone_symplectic_summands(sp)
+    ]
+    assert len(cases) == 6
+    cases += [
+        (A1, (5,)),
+        (A1, (7,)),
+        (build_root_datum([("A", 1), ("C", 2)]), (2, 1, 0)),
+        (build_root_datum([("A", 1)] * 3), (1, 1, 1)),
+    ]
+    c3_a1_t1 = build_root_datum([("C", 3), ("A", 1)], central_rank=1)
+    lone = _lone_symplectic_summands(
+        validate_symplectic_spec(c3_a1_t1, [((1, 0, 0, 0, 0), 3)])
+    )
+    assert lone == [(1, 0, 0, 0, 0)]
+    cases += [(c3_a1_t1, w) for w in lone]
+    for datum, weight in cases:
+        gens, labels, blocks = _summand_matrices(datum, weight)
+        closed = _invariant_symplectic_form(blocks)
+        solved = invariant_symplectic_form_oracle(len(labels), gens)
+        assert closed == solved, (datum.type_string(), weight)
+        assert repr(closed) == repr(solved), (datum.type_string(), weight)
+
+
+def _set(mat, a, b, value):
+    rows = [list(r) for r in mat]
+    rows[a][b] = value
+    return tuple(tuple(r) for r in rows)
+
+
+def _replace_lie(rep, label, mat):
+    i = rep.lie_index[label]
+    return replace(rep, lie_exact=rep.lie_exact[:i] + (mat,) + rep.lie_exact[i + 1:])
+
+
+def test_check_rep_catches_each_broken_invariant():
+    """Each mutation breaks one structural invariant of a model and must be
+    reported by _check_rep with its own message."""
+    rep = build_rep(validate_symplectic_spec(C2, [((1, 0), 1)]))
+    _check_rep(rep)
+    n = rep.dim
+    j = rep.j_exact
+    e1 = ("e", simple_coords(2, 0))
+    labels = list(rep.weight_labels)
+    a = 0
+    b = next(k for k, w in enumerate(labels) if w[0] != labels[a][0])
+    labels[a], labels[b] = labels[b], labels[a]
+    cases = [
+        (replace(rep, j_exact=_set(j, 0, 1, j[0][1] + 1)), "J is not skew"),
+        (replace(rep, j_exact=((0,) * n,) * n), "J is degenerate"),
+        (
+            _replace_lie(rep, e1, _set(rep.lie_matrix_exact(e1), 0, 0, 1)),
+            f"form not invariant under {e1}",
+        ),
+        (
+            replace(rep, weight_labels=tuple(labels)),
+            "Cartan matrix ('h', 0) disagrees with weight labels",
+        ),
+        (
+            _replace_lie(rep, e1, mat_scale(2, rep.lie_matrix_exact(e1))),
+            f"[e,f] != coroot action for root {e1[1]}",
+        ),
+    ]
+    for broken, message in cases:
+        with pytest.raises(InternalConsistencyError) as info:
+            _check_rep(broken)
+        assert str(info.value) == message

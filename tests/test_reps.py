@@ -1,4 +1,5 @@
 
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -218,3 +219,14 @@ def test_symmetric_power_mass_is_cross_checked(monkeypatch):
     monkeypatch.setattr(reps, "comb", lambda n, k: comb(n, k) + (k == 3))
     with pytest.raises(InternalConsistencyError, match=r"S\^3 V has mass 4, expected 5"):
         symmetric_power_multisets({(1,): 1, (-1,): 1}, 3)
+
+
+def test_integrality_cross_checks_raise_a_defect():
+    """A weight off the lattice reaches the integrality cross-checks of the
+    Weyl dimension and the Frobenius-Schur index, which must raise
+    InternalConsistencyError (an assert would vanish under python -O)."""
+    half = (Fraction(1, 2),)
+    with pytest.raises(InternalConsistencyError, match="not an integer"):
+        weyl_dim(A1, half)
+    with pytest.raises(InternalConsistencyError, match="not an integer"):
+        duality_class(A1, half)

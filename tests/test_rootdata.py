@@ -8,6 +8,7 @@ from symprep.linalg import echelon_basis, echelon_coords, in_span
 from symprep.reduction import run_reduction
 from symprep.rootdata import (
     build_root_datum,
+    cartan_matrix,
     dominant_representative,
     dual_weight,
     enumerate_weyl,
@@ -102,6 +103,20 @@ def test_invalid_types_rejected():
         build_root_datum([("E", 5)])
     with pytest.raises(InvalidCartanType):
         build_root_datum([("A", 0)])
+
+
+@pytest.mark.parametrize("letter, rank", [
+    ("", 2), ("AB", 2), ("BC", 2), ("EF", 7), ("bc", 2), ("H", 2),
+])
+def test_cartan_letter_must_be_exactly_one_letter(letter, rank):
+    with pytest.raises(InvalidCartanType, match="invalid Cartan"):
+        build_root_datum([(letter, rank)])
+    with pytest.raises(InvalidCartanType, match="invalid Cartan"):
+        cartan_matrix(letter, rank)
+
+
+def test_lowercase_letters_name_the_same_type():
+    assert build_root_datum([("c", 2)]).factors == (("C", 2),)
 
 
 def test_low_rank_normalizations():
