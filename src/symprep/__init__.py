@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .rootdata import (
     RootDatum,
     build_root_datum,
-    enumerate_weyl,
     levi_subdatum,
     positive_roots,
     subspace_normalizer,

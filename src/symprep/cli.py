@@ -13,7 +13,7 @@ Highest weights are given in fundamental-weight coordinates per declared
 factor followed by the central charges.  Unknown keys are rejected with
 field-addressed messages.  Exit codes: 0 success, 1 failed numeric check,
 2 parse/validation failure, 3 budget exceeded, 4 not supported by the
-matrix-model catalog, 5 internal consistency failure (a defect).
+matrix-model catalog, 5 a defect (inconsistency or unexpected exception).
 """
 
 import argparse
@@ -308,7 +308,8 @@ def _exit_code_for(exc):
 def _command(run):
     """The CLI contract around run(args, out, err) -> exit code: out and err
     default to the current sys.stdout and sys.stderr, and a SymprepError
-    becomes an `error:` line on err and its exit code."""
+    becomes an `error:` line on err and its exit code; any other exception
+    is a defect: one `error: internal` line and EXIT_DEFECT."""
 
     @functools.wraps(run)
     def command(args, out=None, err=None):
@@ -319,6 +320,9 @@ def _command(run):
         except SymprepError as exc:
             print(f"error: {exc}", file=err)
             return _exit_code_for(exc)
+        except Exception as exc:
+            print(f"error: internal {type(exc).__name__}: {exc}", file=err)
+            return EXIT_DEFECT
 
     return command
 
@@ -390,8 +394,8 @@ def cmd_gamma(args, out, err):
         "a_star_basis": _jsonify(td.a_star_basis),
         "gamma_order": gamma.gamma_order,
         "reflection_count": len(gamma.reflection_indices),
-        "normalizer_order": len(gamma.normalizer_elements),
-        "centralizer_order": len(gamma.centralizer_elements),
+        "normalizer_order": gamma.normalizer_order,
+        "centralizer_order": gamma.centralizer_order,
         "matrices": _jsonify(gamma.gamma_matrices),
     }))
     return EXIT_OK

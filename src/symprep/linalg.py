@@ -244,6 +244,28 @@ def echelon_coords(basis, images):
     return out
 
 
+def is_reflection(g):
+    """g - I has rank one."""
+    return rank([vsub(row, e) for row, e in zip(g, identity(len(g)))]) == 1
+
+
+def group_closure(gens, dim):
+    """The matrix group generated by gens, identity included."""
+    ident = identity(dim)
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = mat_mul(m, g)
+                if p not in elems:
+                    elems.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return frozenset(elems)
+
+
 def same_span(rows_a, rows_b):
     return echelon_basis(rows_a) == echelon_basis(rows_b)
 

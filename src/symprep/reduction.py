@@ -10,6 +10,7 @@ shape.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .classify import WeightStatus, terminal_decomposition, weight_status
 from .errors import (
@@ -17,16 +18,14 @@ from .errors import (
     NoNonTerminalWeight,
     NotACharacter,
     SymprepError,
-    WeylCapExceeded,
 )
 from .linalg import (
     canon,
     cvec,
     echelon_basis,
-    identity,
-    mat_mul,
+    group_closure,
+    is_reflection,
     poly_det,
-    rank,
     series_inv,
     vdot,
     vsub,
@@ -40,11 +39,12 @@ from .reps import (
 )
 from .rootdata import (
     DEFAULT_WEYL_CAP,
-    enumerate_weyl,
+    centralizer_datum,
+    check_weyl_cap,
+    generic_orbit,
     levi_subdatum,
     positive_roots,
     subspace_normalizer,
-    subsystem_datum,
 )
 
 DEFAULT_HILBERT_DEGREE = 8
@@ -181,21 +181,17 @@ def rank_complexity(td):
 def centralizer_levi(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP,
                      expect=None):
     """Levi whose roots pair to zero with every vector of a*; optionally
-    asserted W_G-conjugate to an expected subdatum."""
-    pos = [
-        r for r in positive_roots(datum)
-        if all(vdot(b, r.coroot_vec) == 0 for b in a_star_basis)
-    ]
-    levi = subsystem_datum(datum, pos)
+    asserted W_G-conjugate to an expected subdatum: some point of the orbit
+    of a generic point of a* vanishes on exactly expect's positive roots."""
+    levi = centralizer_datum(datum, a_star_basis)
     if expect is not None:
-        mine = {r.vec for r in positive_roots(levi)}
+        check_weyl_cap(datum, weyl_cap)
         theirs = {r.vec for r in positive_roots(expect)}
-        ok = False
-        for w in enumerate_weyl(datum, weyl_cap):
-            if {cvec(w.apply(v)) for v in theirs} == mine:
-                ok = True
-                break
-        if not ok:
+        pos = positive_roots(datum)
+        if not any(
+            {r.vec for r in pos if vdot(y, r.coroot_vec) == 0} == theirs
+            for y, _ in generic_orbit(datum, a_star_basis, levi)
+        ):
             raise InternalConsistencyError(
                 "centralizer Levi is not conjugate to the terminal group"
             )
@@ -208,34 +204,15 @@ def compute_gamma(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP):
 
 # -- little Weyl group via Hilbert/Molien matching ---------------------------
 
-def _group_closure(mats, dim):
-    ident = identity(dim)
-    elems = {ident}
-    frontier = [ident]
-    gens = list(mats)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = mat_mul(m, g)
-                if p not in elems:
-                    elems.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return frozenset(elems)
-
-
 def reflection_subgroups(gamma):
     """All subgroups generated by subsets of the reflections of Gamma."""
     k = len(gamma.a_star_basis)
     refl = [gamma.gamma_matrices[i] for i in gamma.reflection_indices]
-    subs = {_group_closure([], k)}
+    subs = {group_closure([], k)}
     # closure of each subset; the lattice is tiny so plain powerset is fine
-    from itertools import combinations
-
     for size in range(1, len(refl) + 1):
         for combo in combinations(refl, size):
-            subs.add(_group_closure(combo, k))
+            subs.add(group_closure(combo, k))
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
@@ -272,10 +249,7 @@ def reflection_degrees(mats):
     k = len(mats[0]) if mats and mats[0] else 0
     if k == 0:
         return ()
-    nrefl = sum(
-        1 for g in mats
-        if rank([vsub(row, identity(k)[i]) for i, row in enumerate(g)]) == 1
-    )
+    nrefl = sum(1 for g in mats if is_reflection(g))
     bound = nrefl + k
     series = molien_series(mats, bound)
     poly = series_inv(series, bound)
@@ -409,9 +383,7 @@ def reduce_to_gamma(spec, weyl_cap=DEFAULT_WEYL_CAP):
     cross-checked against the terminal group.  The Weyl cap is checked first.
 
     Returns (trace, TerminalData, Gamma, Levi)."""
-    order = spec.datum.weyl_order()
-    if order > weyl_cap:
-        raise WeylCapExceeded(order, weyl_cap)
+    check_weyl_cap(spec.datum, weyl_cap)
     trace, td = run_reduction(spec)
     gamma = compute_gamma(spec.datum, td.a_star_basis, weyl_cap)
     levi = centralizer_levi(

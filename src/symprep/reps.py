@@ -2,8 +2,8 @@
 
 Weight multiplicities come from Freudenthal's recursion, duality types from
 the parity of <lambda, 2 rho^vee>, and invariant dimensions from symmetric
-power multisets combined with the Weyl alternation over wrho - rho.  All
-arithmetic is exact.
+power multisets combined with the Weyl alternation over wrho - rho, read off
+the W-orbit of rho.  All arithmetic is exact.
 """
 
 import enum
@@ -25,9 +25,10 @@ from .errors import (
 from .linalg import canon, cvec, vdot, vsub
 from .rootdata import (
     DEFAULT_WEYL_CAP,
+    _length_data,
+    check_weyl_cap,
     dominant_representative,
     dual_weight,
-    enumerate_weyl,
     height,
     positive_roots,
     rho_strict,
@@ -90,8 +91,6 @@ def _freudenthal_cached(datum, lam, dim_cap):
         if datum.is_dominant(mu):
             dominants[mu] = n
     mult = {}
-    from .rootdata import _length_data
-
     lengths = _length_data(datum)
     for mu, n in sorted(dominants.items(), key=lambda kv: sum(kv[1])):
         if sum(n) == 0:
@@ -131,7 +130,7 @@ def _freudenthal_cached(datum, lam, dim_cap):
         mult[mu] = int(m)
     full = {}
     for mu, m in mult.items():
-        for v in weyl_orbit(datum, mu):
+        for v, _ in weyl_orbit(datum, mu):
             full[v] = m
     total = sum(full.values())
     if total != dim:
@@ -250,10 +249,14 @@ def decompose_weights(datum, multiset):
     """Irreducible content of a genuine character, by repeated extraction of
     the maximal weight (height first, lexicographic tie-break)."""
     rem = {cvec(w): m for w, m in multiset.items() if m}
+    # extraction only lowers multiplicities (a weight outside rem would go
+    # negative and raise), so the first weight left in this order is the max
+    order = sorted(rem, key=lambda w: weight_key(datum, w), reverse=True)
     out = []
-    while rem:
-        top = max(rem, key=lambda w: weight_key(datum, w))
-        m = rem[top]
+    for top in order:
+        m = rem.get(top)
+        if not m:
+            continue
         if m < 0 or not datum.is_dominant(top):
             raise NotACharacter(
                 f"maximal weight {top} has multiplicity {m} and is "
@@ -313,7 +316,8 @@ def invariant_dims(
     weyl_cap=DEFAULT_WEYL_CAP,
 ):
     """dim (S^d V)^G for d = 0..max_degree, via the Weyl alternation
-    sum_w (-1)^l(w) m_{S^d V}(w rho - rho) on symmetric-power multisets."""
+    sum_w (-1)^l(w) m_{S^d V}(w rho - rho) on symmetric-power multisets; rho
+    is regular, so its orbit has one point w rho per w, reached in l(w) steps."""
     datum = spec.datum
     dim_v = spec.dim
     if dim_v > dim_budget:
@@ -322,10 +326,14 @@ def invariant_dims(
         raise BudgetExceeded(
             f"degree {max_degree} exceeds cap {DEFAULT_SYM_DEGREE_BUDGET}"
         )
+    check_weyl_cap(datum, weyl_cap)
     rho = rho_strict(datum)
-    targets = []
-    for w in enumerate_weyl(datum, weyl_cap):
-        targets.append((cvec(vsub(w.apply(rho), rho)), w.sign))
+    orbit = weyl_orbit(datum, rho)
+    if len(orbit) != datum.weyl_order():
+        raise InternalConsistencyError(
+            f"orbit of rho has {len(orbit)} points, expected |W| = {datum.weyl_order()}"
+        )
+    targets = [(vsub(y, rho), -1 if len(word) % 2 else 1) for y, word in orbit]
     sym = symmetric_power_multisets(spec.weight_multiset(), max_degree)
     out = []
     for d in range(max_degree + 1):

@@ -1,4 +1,4 @@
-"""Exact root data: Cartan matrices, root systems, Weyl groups, Levi subdata.
+"""Exact root data: Cartan matrices, root systems, Weyl orbits, Levi subdata.
 
 Ambient convention: the character lattice of the maximal torus is coordinatized
 by the fundamental-weight basis of the declared simple factors followed by one
@@ -12,7 +12,7 @@ functionals so that pairings remain plain dot products.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import count, permutations
 from math import factorial
 
 from .errors import (
@@ -26,11 +26,12 @@ from .linalg import (
     cvec,
     echelon_basis,
     echelon_coords,
-    identity,
+    group_closure,
+    is_reflection,
     lin_solve,
-    mat_mul,
+    lincomb,
     mat_vec,
-    rank,
+    transpose,
     vdot,
     vscale,
     vsub,
@@ -155,14 +156,8 @@ class RootDatum:
         return all(self.pairing(w, i) >= 0 for i in range(self.rank))
 
     def reflect(self, i, w):
-        return cvec(vsub(w, vscale(self.pairing(w, i), self.simple_roots[i])))
-
-    def reflection_matrix(self, i):
-        al, co = self.simple_roots[i], self.simple_coroots[i]
-        return tuple(
-            tuple(canon((1 if a == b else 0) - al[a] * co[b]) for b in range(self.ambient_dim))
-            for a in range(self.ambient_dim)
-        )
+        p = self.pairing(w, i)
+        return cvec(x - p * a for x, a in zip(w, self.simple_roots[i]))
 
     def type_string(self):
         parts = [f"{l}{n}" for l, n in self.factors]
@@ -279,22 +274,11 @@ def positive_roots(datum):
                     seen[b2] = (c2, d)
                     nxt.append(b2)
         frontier = nxt
-    out = []
-    for b, (c, d) in seen.items():
-        if all(x >= 0 for x in b):
-            vec = cvec(
-                tuple(
-                    sum(b[i] * datum.simple_roots[i][a] for i in range(k))
-                    for a in range(datum.ambient_dim)
-                )
-            )
-            cv = cvec(
-                tuple(
-                    sum(c[i] * datum.simple_coroots[i][a] for i in range(k))
-                    for a in range(datum.ambient_dim)
-                )
-            )
-            out.append(Root(b, vec, c, cv, d))
+    roots_t, coroots_t = transpose(datum.simple_roots), transpose(datum.simple_coroots)
+    out = [
+        Root(b, mat_vec(roots_t, b), c, mat_vec(coroots_t, c), d)
+        for b, (c, d) in seen.items() if all(x >= 0 for x in b)
+    ]
     out.sort(key=lambda r: (r.height, r.coords))
     return tuple(out)
 
@@ -341,81 +325,46 @@ def dominant_representative(datum, w):
 
 def dual_weight(datum, w):
     """Highest weight of the dual module, -w0 w, for dominant w."""
-    return dominant_representative(datum, vneg_vec(w))[0]
-
-
-def vneg_vec(w):
-    return tuple(canon(-x) for x in w)
-
-
-def weyl_orbit(datum, w):
-    seen = {cvec(w)}
-    frontier = [cvec(w)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(datum.rank):
-                u = datum.reflect(i, v)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: tuple
-    word: tuple
-
-    @property
-    def length(self):
-        return len(self.word)
-
-    def apply(self, w):
-        return mat_vec(self.matrix, w)
-
-    @property
-    def sign(self):
-        return -1 if self.length % 2 else 1
+    return dominant_representative(datum, vscale(-1, w))[0]
 
 
 @lru_cache(maxsize=None)
-def _enumerate_weyl_cached(datum, cap):
+def _weyl_orbit_cached(datum, x):
+    orbit = {x: ()}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            word = orbit[v]
+            for i in range(datum.rank):
+                u = datum.reflect(i, v)
+                if u not in orbit:
+                    orbit[u] = word + (i,)
+                    nxt.append(u)
+        frontier = nxt
+    return tuple(orbit.items())
+
+
+def weyl_orbit(datum, x):
+    """The W-orbit of x as (point, word) pairs in breadth-first order, x
+    first with the empty word; `apply_word(datum, word, x)` is the point, and
+    no shorter word reaches it."""
+    return _weyl_orbit_cached(datum, cvec(x))
+
+
+def apply_word(datum, word, w):
+    """Apply the simple reflections of word to w, first letter first."""
+    cur = cvec(w)
+    for j in word:
+        cur = datum.reflect(j, cur)
+    return cur
+
+
+def check_weyl_cap(datum, cap):
+    """Raise WeylCapExceeded when |W| exceeds cap, before any walk over W."""
     order = datum.weyl_order()
     if order > cap:
         raise WeylCapExceeded(order, cap)
-    gens = [datum.reflection_matrix(i) for i in range(datum.rank)]
-    ident = identity(datum.ambient_dim)
-    elems = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            w = elems[m]
-            for j, s in enumerate(gens):
-                m2 = mat_mul(m, s)
-                if m2 not in elems:
-                    elems[m2] = w + (j,)
-                    nxt.append(m2)
-        frontier = nxt
-    if len(elems) != order:
-        raise InternalConsistencyError(
-            f"Weyl enumeration produced {len(elems)} elements, expected {order}"
-        )
-    out = [WeylElement(m, w) for m, w in elems.items()]
-    out.sort(key=lambda e: (e.length, e.word))
-    return tuple(out)
-
-
-def enumerate_weyl(datum, cap=DEFAULT_WEYL_CAP):
-    """All Weyl group elements with reduced words, identity first."""
-    return _enumerate_weyl_cached(datum, cap)
-
-
-def longest_element(datum):
-    """The last element of enumerate_weyl, which sorts by length."""
-    return enumerate_weyl(datum)[-1]
 
 
 def w0_image(datum, w):
@@ -425,11 +374,8 @@ def w0_image(datum, w):
     a reduced word for w0; it is applied here in the same order it was
     recorded.
     """
-    word0 = dominant_representative(datum, vneg_vec(rho_strict(datum)))[1]
-    cur = cvec(w)
-    for j in word0:
-        cur = datum.reflect(j, cur)
-    return cur
+    word0 = dominant_representative(datum, vscale(-1, rho_strict(datum)))[1]
+    return apply_word(datum, word0, w)
 
 
 # -- Levi subdata and Dynkin classification ---------------------------------
@@ -534,13 +480,47 @@ def subsystem_datum(datum, root_subset):
 
 # -- normalizer / centralizer of a subspace of t* ---------------------------
 
+def centralizer_datum(datum, basis):
+    """The Levi whose roots pair to zero with every vector of span(basis)."""
+    return subsystem_datum(datum, [
+        r for r in positive_roots(datum)
+        if all(vdot(b, r.coroot_vec) == 0 for b in basis)
+    ])
+
+
+def _generic_point(datum, basis):
+    """The first point sum_i t^i basis_i, t = 1, 2, ..., on no root
+    hyperplane that misses part of span(basis); each such hyperplane holds
+    fewer than len(basis) of these points."""
+    rows = [tuple(vdot(b, r.coroot_vec) for b in basis) for r in positive_roots(datum)]
+    rows = [row for row in rows if any(row)]
+    for t in count(1):
+        c = [t ** i for i in range(len(basis))]
+        if all(vdot(c, row) for row in rows):
+            return lincomb(c, basis, datum.ambient_dim)
+
+
+def generic_orbit(datum, basis, levi):
+    """The W-orbit, with words, of a generic point of span(basis), where levi
+    is `centralizer_datum(datum, basis)`.  The point's stabilizer is W(levi),
+    being generated by the reflections fixing it (Steinberg, Trans. AMS 112,
+    1964), so the orbit has |W|/|W(levi)| points; that count is checked,
+    which also certifies that the point is generic."""
+    orbit = weyl_orbit(datum, _generic_point(datum, basis))
+    if len(orbit) * levi.weyl_order() != datum.weyl_order():
+        raise InternalConsistencyError(
+            f"generic orbit has {len(orbit)} points, expected "
+            f"|W|/|W(L)| = {datum.weyl_order()}/{levi.weyl_order()}"
+        )
+    return orbit
+
+
 @dataclass(frozen=True)
 class SubspaceGroupData:
     a_star_basis: tuple
-    normalizer_elements: tuple
-    centralizer_elements: tuple
+    normalizer_order: int
+    centralizer_order: int
     gamma_matrices: tuple          # faithful action on a*-coordinates
-    gamma_representatives: tuple   # one WeylElement per gamma matrix
     reflection_indices: tuple      # indices into gamma_matrices
 
     @property
@@ -548,37 +528,50 @@ class SubspaceGroupData:
         return len(self.gamma_matrices)
 
 
-def subspace_normalizer(datum, a_star_basis, cap=DEFAULT_WEYL_CAP):
-    """N(a*), C(a*) and the faithful quotient acting on a*."""
-    basis = echelon_basis(list(a_star_basis))
+def _gamma_matrices(datum, basis, orbit):
+    """The action on a*-coordinates of each orbit word mapping a* into
+    itself, sorted.  An orbit point outside a* has no such word."""
     k = len(basis)
-    elems = enumerate_weyl(datum, cap)
-    normalizer, centralizer = [], []
-    gamma = {}
-    for w in elems:
-        images = [w.apply(b) for b in basis]
-        coeffs = echelon_coords(basis, images)
-        if coeffs is None:
+    gamma = set()
+    for y, word in orbit:
+        if echelon_coords(basis, [y]) is None:
             continue
-        normalizer.append(w)
-        if all(img == b for img, b in zip(images, basis)):
-            centralizer.append(w)
-        # action on a*-coordinates: columns are images of basis vectors
-        mat = tuple(tuple(coeffs[j][i] for j in range(k)) for i in range(k))
-        if mat not in gamma:
-            gamma[mat] = w
-    mats = sorted(gamma.keys())
-    if len(normalizer) != len(mats) * len(centralizer):
-        raise InternalConsistencyError("|N| != |Gamma| * |C|")
-    refl = tuple(
-        i for i, g in enumerate(mats)
-        if k > 0 and rank([vsub(row, identity(k)[r]) for r, row in enumerate(g)]) == 1
-    )
+        coeffs = echelon_coords(basis, [apply_word(datum, word, b) for b in basis])
+        if coeffs is not None:
+            # columns are the coordinates of the images of the basis vectors
+            gamma.add(tuple(tuple(coeffs[j][i] for j in range(k)) for i in range(k)))
+    return sorted(gamma)
+
+
+def _is_group(mats, k):
+    """Whether mats is closed under products: the group generated by each
+    matrix that the ones before it do not generate must be mats.  Each such
+    generator at least doubles the group, so there are at most log2 |mats|."""
+    gens, group = [], group_closure([], k)
+    for g in mats:
+        if g not in group:
+            gens.append(g)
+            group = group_closure(gens, k)
+    return group == frozenset(mats)
+
+
+def subspace_normalizer(datum, a_star_basis, cap=DEFAULT_WEYL_CAP):
+    """Gamma = N(a*)/C(a*) acting on a*, with |N| and |C| = |W(L)|.
+
+    With x generic in a*, n -> n x maps N onto the orbit points in a* whose
+    words normalize a*, with fibres the cosets of C (Howlett, J. LMS 21,
+    1980); so each such point gives one element of Gamma.  The matrices must
+    be closed under products."""
+    check_weyl_cap(datum, cap)
+    basis = echelon_basis(list(a_star_basis))
+    levi = centralizer_datum(datum, basis)
+    mats = _gamma_matrices(datum, basis, generic_orbit(datum, basis, levi))
+    if not _is_group(mats, len(basis)):
+        raise InternalConsistencyError("Gamma matrices are not closed under products")
     return SubspaceGroupData(
         a_star_basis=tuple(basis),
-        normalizer_elements=tuple(normalizer),
-        centralizer_elements=tuple(centralizer),
+        normalizer_order=len(mats) * levi.weyl_order(),
+        centralizer_order=levi.weyl_order(),
         gamma_matrices=tuple(mats),
-        gamma_representatives=tuple(gamma[m] for m in mats),
-        reflection_indices=refl,
+        reflection_indices=tuple(i for i, g in enumerate(mats) if is_reflection(g)),
     )

@@ -44,9 +44,19 @@ def det_exact(mat):
     return det
 
 
+def reflection_matrix(datum, i):
+    """The matrix of the i-th simple reflection on the ambient lattice."""
+    al, co = datum.simple_roots[i], datum.simple_coroots[i]
+    n = datum.ambient_dim
+    return tuple(
+        tuple(canon((1 if a == b else 0) - al[a] * co[b]) for b in range(n))
+        for a in range(n)
+    )
+
+
 def weyl_matrices_bruteforce(datum):
     """All Weyl group matrices by closure under multiplication (no words)."""
-    gens = [datum.reflection_matrix(i) for i in range(datum.rank)]
+    gens = [reflection_matrix(datum, i) for i in range(datum.rank)]
     ident = tuple(
         tuple(1 if i == j else 0 for j in range(datum.ambient_dim))
         for i in range(datum.ambient_dim)

@@ -1,11 +1,13 @@
 import contextlib
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symprep import reps
+from symprep import cli, reps
 from symprep.cli import (
     EXIT_BUDGET,
     EXIT_DEFECT,
@@ -216,8 +218,8 @@ def test_gamma_command_agrees_with_full_analysis(tmp_path, capsys):
             "a_star_basis": [list(b) for b in analysis.a_star_basis],
             "gamma_order": gamma.gamma_order,
             "reflection_count": len(gamma.reflection_indices),
-            "normalizer_order": len(gamma.normalizer_elements),
-            "centralizer_order": len(gamma.centralizer_elements),
+            "normalizer_order": gamma.normalizer_order,
+            "centralizer_order": gamma.centralizer_order,
             "matrices": [[list(r) for r in m] for m in gamma.gamma_matrices],
         }, sort_keys=True, indent=2) + "\n"
         assert capsys.readouterr().out == want, name
@@ -323,6 +325,47 @@ def test_internal_consistency_error_exits_5(tmp_path, capsys, monkeypatch):
     for argv in (["analyze", path], ["hilbert", path, "--degree", "4"]):
         assert main(argv) == EXIT_DEFECT == 5
         assert capsys.readouterr().err == "error: symmetric powers disagree\n"
+
+
+def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
+    """An exception that is not a SymprepError is a defect: one `error:
+    internal` line and exit 5, and `batch` goes on to the next file."""
+    real = cli.analyze
+
+    def flaky(spec, **kwargs):
+        if spec.datum.rank == 1:
+            raise ZeroDivisionError("division by zero")
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", flaky)
+    cubic = _write(tmp_path, "a.json", CUBIC)
+    sp4 = _write(tmp_path, "b.json", SP4)
+    message = "error: internal ZeroDivisionError: division by zero\n"
+    assert main(["analyze", cubic]) == EXIT_DEFECT
+    assert capsys.readouterr().err == message
+    assert main(["batch", str(tmp_path)]) == EXIT_DEFECT
+    captured = capsys.readouterr()
+    assert captured.out == f"{cubic}: exit 5\n{sp4}: ok\n"
+    assert captured.err == message
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def test_analyze_reports_match_the_benchmark_reference(tmp_path):
+    """Every `analyze` entry of the benchmark's reference file: the key is
+    the spec file's text, the value its exit code and the sha256 of stdout."""
+    reference = json.loads(REFERENCE.read_text())["analyze"]
+    assert reference
+    path = tmp_path / "spec.json"
+    got = {}
+    for text in reference:
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", str(path)])
+        got[text] = {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    assert got == reference
 
 
 @pytest.mark.parametrize("letter, rank", [("", 2), ("AB", 2), ("EF", 7), ("BC", 2)])

@@ -1,7 +1,7 @@
 import pytest
 
-from symprep.errors import NoNonTerminalWeight, WeylCapExceeded
-from symprep.linalg import same_span
+from symprep.errors import InternalConsistencyError, NoNonTerminalWeight, WeylCapExceeded
+from symprep.linalg import mat_vec, same_span
 from symprep.reduction import (
     analyze,
     centralizer_levi,
@@ -14,9 +14,10 @@ from symprep.reduction import (
     run_reduction,
 )
 from symprep.reps import validate_symplectic_spec
-from symprep.rootdata import build_root_datum, enumerate_weyl
+from symprep.rootdata import build_root_datum, levi_subdatum, positive_roots
 
 from corpus import A1, A2, C2, T1, catalog
+from oracles import weyl_matrices_bruteforce
 
 
 def test_choose_nonterminal_weight():
@@ -207,7 +208,17 @@ def test_permanence_under_first_choice():
         trace, td = run_reduction(spec, first_choice=w)
         assert rank_complexity(td) == rank_complexity(base_td)
         conj = any(
-            same_span([we.apply(b) for b in td.a_star_basis], list(base_td.a_star_basis))
-            for we in enumerate_weyl(spec.datum)
+            same_span([mat_vec(we, b) for b in td.a_star_basis], list(base_td.a_star_basis))
+            for we in weyl_matrices_bruteforce(spec.datum)
         ) if td.a_star_basis else not base_td.a_star_basis
         assert conj
+
+
+def test_centralizer_levi_rejects_a_levi_of_the_other_root_length():
+    """In C2, a* = span(omega_2) is centralized by the short-root A1, which
+    is not W-conjugate to the long-root A1."""
+    short, long_ = levi_subdatum(C2, [0]), levi_subdatum(C2, [1])
+    levi = centralizer_levi(C2, [(0, 1)], expect=short)
+    assert {r.vec for r in positive_roots(levi)} == {r.vec for r in positive_roots(short)}
+    with pytest.raises(InternalConsistencyError, match="not conjugate"):
+        centralizer_levi(C2, [(0, 1)], expect=long_)

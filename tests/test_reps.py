@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from symprep import reps
+from symprep import reduction, reps
+from symprep.reduction import analyze
 from symprep.errors import (
     BudgetExceeded,
     InternalConsistencyError,
@@ -23,13 +24,15 @@ from symprep.reps import (
     validate_symplectic_spec,
     weyl_dim,
 )
-from symprep.rootdata import build_root_datum, enumerate_weyl
+from symprep.linalg import mat_vec
+from symprep.rootdata import build_root_datum
 
 from corpus import A1, A2, C2, C3, T1, catalog
 from oracles import (
     invariant_dims_oracle,
     kostant_weight_multiset,
     newton_symmetric_powers,
+    weyl_matrices_bruteforce,
 )
 
 
@@ -72,9 +75,9 @@ def test_freudenthal_matches_kostant_oracle(datum, lam):
 
 def test_freudenthal_weyl_invariance():
     mult = freudenthal_multiplicities(C2, (1, 1))
-    for w in enumerate_weyl(C2):
+    for w in weyl_matrices_bruteforce(C2):
         for v, m in mult.items():
-            assert mult[tuple(w.apply(v))] == m
+            assert mult[mat_vec(w, v)] == m
 
 
 def test_dimension_cap():
@@ -230,3 +233,28 @@ def test_integrality_cross_checks_raise_a_defect():
         weyl_dim(A1, half)
     with pytest.raises(InternalConsistencyError, match="not an integer"):
         duality_class(A1, half)
+
+
+def test_decompose_weights_evaluates_weight_key_once_per_weight(monkeypatch):
+    """The S-modules of C3xT1 with hw (0,1,2,0)x2 + (0,2,2,0)x2 have
+    hundreds of weights; extracting maximal weights in one sorted pass keys
+    each weight once, where a max per extraction keyed them 95672 times."""
+    key, decompose = reps.weight_key, reduction.decompose_weights
+    calls, seen = [0], []
+
+    def counting_key(datum, w):
+        calls[0] += 1
+        return key(datum, w)
+
+    def counting_decompose(datum, multiset):
+        calls[0] = 0
+        out = decompose(datum, multiset)
+        seen.append((calls[0], len(multiset)))
+        return out
+
+    monkeypatch.setattr(reps, "weight_key", counting_key)
+    monkeypatch.setattr(reduction, "decompose_weights", counting_decompose)
+    c3t1 = build_root_datum([("C", 3)], central_rank=1)
+    analyze(validate_symplectic_spec(c3t1, [((0, 1, 2, 0), 2), ((0, 2, 2, 0), 2)]))
+    assert seen and max(size for _, size in seen) > 100
+    assert all(n <= size for n, size in seen)

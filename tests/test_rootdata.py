@@ -3,25 +3,39 @@ from fractions import Fraction
 
 import pytest
 
-from symprep.errors import InvalidCartanType, WeylCapExceeded
-from symprep.linalg import echelon_basis, echelon_coords, in_span
+from symprep import rootdata
+from symprep.errors import InternalConsistencyError, InvalidCartanType, WeylCapExceeded
+from symprep.linalg import (
+    echelon_basis,
+    echelon_coords,
+    identity,
+    in_span,
+    mat_mul,
+    mat_vec,
+)
 from symprep.reduction import run_reduction
+from symprep.reps import validate_symplectic_spec
 from symprep.rootdata import (
+    apply_word,
     build_root_datum,
     cartan_matrix,
     dominant_representative,
     dual_weight,
-    enumerate_weyl,
     height,
     levi_subdatum,
-    longest_element,
     positive_roots,
+    rho_strict,
     subspace_normalizer,
     w0_image,
+    weyl_orbit,
 )
 
 from corpus import catalog
-from oracles import subspace_normalizer_oracle, weyl_matrices_bruteforce
+from oracles import (
+    reflection_matrix,
+    subspace_normalizer_oracle,
+    weyl_matrices_bruteforce,
+)
 
 CLASSICAL_POSITIVE_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6,
@@ -43,15 +57,15 @@ def test_sl2_basic():
 def test_c2_roots_and_weyl():
     d = build_root_datum([("C", 2)])
     assert len(positive_roots(d)) == 4
-    w = enumerate_weyl(d)
+    w = weyl_orbit(d, rho_strict(d))
     assert len(w) == 8
-    assert w[0].word == ()
-    assert len(longest_element(d).word) == 4
+    assert w[0] == (rho_strict(d), ())
+    assert max(len(word) for _, word in w) == 4
     a1 = build_root_datum([("A", 1)])
-    assert len(enumerate_weyl(a1)) == 2
+    assert len(weyl_orbit(a1, rho_strict(a1))) == 2
     a2 = build_root_datum([("A", 2)])
-    assert len(enumerate_weyl(a2)) == 6
-    assert len(longest_element(a2).word) == 3
+    assert len(weyl_orbit(a2, rho_strict(a2))) == 6
+    assert max(len(word) for _, word in weyl_orbit(a2, rho_strict(a2))) == 3
 
 
 def test_product_with_center():
@@ -72,28 +86,32 @@ def test_positive_root_counts(letter, rank):
 @pytest.mark.parametrize("factors,order", [
     ([("A", 2)], 6), ([("C", 2)], 8), ([("A", 1), ("A", 1)], 4),
     ([("C", 3)], 48), ([("A", 3)], 24), ([("G", 2)], 12),
+    ([("B", 3)], 48), ([("D", 4)], 192), ([("F", 4)], 1152),
 ])
 def test_weyl_enumeration_matches_closure(factors, order):
+    """The orbit of a regular point enumerates W: the matrices its words
+    build are exactly the closure, and each carries rho to its point.  The
+    longest word is a reduced word for w0, one letter per positive root."""
     d = build_root_datum(factors)
-    elems = enumerate_weyl(d)
-    assert len(elems) == order
-    assert len({e.matrix for e in elems}) == order
-    assert {e.matrix for e in elems} == set(weyl_matrices_bruteforce(d))
-    # words are reduced: rebuilding from the word gives the matrix back
-    for e in elems[:20]:
-        m = tuple(tuple(1 if i == j else 0 for j in range(d.ambient_dim))
-                  for i in range(d.ambient_dim))
-        from symprep.linalg import mat_mul
-
-        for j in e.word:
-            m = mat_mul(m, d.reflection_matrix(j))
-        assert m == e.matrix
+    rho = rho_strict(d)
+    orbit = weyl_orbit(d, rho)
+    assert len(orbit) == order == d.weyl_order()
+    assert max(len(word) for _, word in orbit) == len(positive_roots(d))
+    mats = set()
+    for point, word in orbit:
+        m = identity(d.ambient_dim)
+        for j in word:
+            m = mat_mul(reflection_matrix(d, j), m)
+        assert mat_vec(m, rho) == point == apply_word(d, word, rho)
+        mats.add(m)
+    assert len(mats) == order
+    assert mats == set(weyl_matrices_bruteforce(d))
 
 
 def test_weyl_cap_error_names_cap():
     d = build_root_datum([("E", 8)])
     with pytest.raises(WeylCapExceeded, match="group too large"):
-        enumerate_weyl(d, cap=10 ** 6)
+        subspace_normalizer(d, [], cap=10 ** 6)
 
 
 def test_invalid_types_rejected():
@@ -145,23 +163,23 @@ def test_w0_properties():
     for factors in [[("A", 2)], [("C", 2)], [("A", 1), ("A", 1)], [("A", 3)]]:
         d = build_root_datum(factors)
         pos = {r.vec for r in positive_roots(d)}
-        w0 = longest_element(d)
-        images = {tuple(w0.apply(v)) for v in pos}
-        assert images == {tuple(-x for x in v) for v in pos}
-        from symprep.linalg import mat_mul, identity
-
-        assert mat_mul(w0.matrix, w0.matrix) == identity(d.ambient_dim)
+        neg = {tuple(-x for x in v) for v in pos}
+        (w0,) = [
+            w for w in weyl_matrices_bruteforce(d)
+            if {mat_vec(w, v) for v in pos} == neg
+        ]
+        assert mat_mul(w0, w0) == identity(d.ambient_dim)
         # w0_image agrees with the full element
         for r in list(pos)[:4]:
-            assert w0_image(d, r) == tuple(w0.apply(r))
+            assert w0_image(d, r) == mat_vec(w0, r)
 
 
 def test_dominant_representative_orbit_invariance():
     d = build_root_datum([("C", 2)])
     lam = (1, 2)
     target = dominant_representative(d, lam)[0]
-    for w in enumerate_weyl(d):
-        assert dominant_representative(d, w.apply(lam))[0] == target
+    for w in weyl_matrices_bruteforce(d):
+        assert dominant_representative(d, mat_vec(w, lam))[0] == target
 
 
 def test_heights_are_positive_on_positive_roots():
@@ -213,13 +231,11 @@ def test_coset_identity_and_oracle_agreement():
     ]
     for datum, basis in cases:
         sg = subspace_normalizer(datum, basis)
-        assert len(sg.normalizer_elements) == sg.gamma_order * len(
-            sg.centralizer_elements
-        )
+        assert sg.normalizer_order == sg.gamma_order * sg.centralizer_order
         oracle = subspace_normalizer_oracle(datum, basis)
         assert oracle == (
-            len(sg.normalizer_elements),
-            len(sg.centralizer_elements),
+            sg.normalizer_order,
+            sg.centralizer_order,
             sg.gamma_order,
             len(sg.reflection_indices),
         )
@@ -238,27 +254,25 @@ def test_dual_weight_examples():
 ])
 def test_weyl_matrices_hold_only_ints(factors, central):
     d = build_root_datum(factors, central)
-    for w in enumerate_weyl(d):
-        assert all(type(x) is int for row in w.matrix for x in row)
+    for point, _ in weyl_orbit(d, rho_strict(d)):
+        assert all(type(x) is int for x in point)
 
 
 def _normalizer_by_in_span(datum, basis):
-    """(N, C, Gamma matrices, representatives) with one in_span solve per
-    Weyl element and basis vector."""
+    """(|N|, |C|, Gamma matrices) with one in_span solve per Weyl matrix
+    and basis vector."""
     basis = echelon_basis(list(basis))
     k = len(basis)
-    normalizer, centralizer, gamma = [], [], {}
-    for w in enumerate_weyl(datum):
-        images = [w.apply(b) for b in basis]
+    n_count, c_count, gamma = 0, 0, set()
+    for w in weyl_matrices_bruteforce(datum):
+        images = [mat_vec(w, b) for b in basis]
         coeffs = [in_span(basis, img) for img in images]
         if any(c is None for c in coeffs):
             continue
-        normalizer.append(w)
-        if images == basis:
-            centralizer.append(w)
-        gamma.setdefault(tuple(tuple(c[i] for c in coeffs) for i in range(k)), w)
-    mats = sorted(gamma)
-    return normalizer, centralizer, mats, [gamma[m] for m in mats]
+        n_count += 1
+        c_count += images == basis
+        gamma.add(tuple(tuple(c[i] for c in coeffs) for i in range(k)))
+    return n_count, c_count, sorted(gamma)
 
 
 @pytest.mark.parametrize("name", sorted(catalog()))
@@ -270,11 +284,10 @@ def test_subspace_normalizer_matches_in_span_reference(name):
                  [tuple(1 for _ in range(n))]] + [[e] for e in unit]
     for basis in subspaces:
         sg = subspace_normalizer(datum, basis)
-        normalizer, centralizer, mats, reps = _normalizer_by_in_span(datum, basis)
-        assert sg.normalizer_elements == tuple(normalizer)
-        assert sg.centralizer_elements == tuple(centralizer)
+        n_count, c_count, mats = _normalizer_by_in_span(datum, basis)
+        assert sg.normalizer_order == n_count
+        assert sg.centralizer_order == c_count
         assert repr(sg.gamma_matrices) == repr(tuple(mats))
-        assert sg.gamma_representatives == tuple(reps)
 
 
 def test_echelon_coords_solves_rational_coordinates():
@@ -285,3 +298,58 @@ def test_echelon_coords_solves_rational_coordinates():
     assert coords[0] == (Fraction(1, 2), Fraction(1, 2))
     assert repr(coords) == repr([in_span(basis, img) for img in images])
     assert echelon_coords(basis, [(1, 1, 1), (1, 0, 0)]) is None
+
+
+# Groups and modules of the analyze ladder beyond the catalog.
+LADDER = {
+    "C4_std": ([("C", 4)], [((1, 0, 0, 0), 1)]),
+    "D4_vec_x2": ([("D", 4)], [((1, 0, 0, 0), 2)]),
+    "B4_vec_x2": ([("B", 4)], [((1, 0, 0, 0), 2)]),
+    "F4_26_x2": ([("F", 4)], [((0, 0, 0, 1), 2)]),
+    "G2_adj_x2": ([("G", 2)], [((0, 1), 2)]),
+    "A3_mixed_rk3": (
+        [("A", 3)],
+        [((2, 0, 0), 1), ((0, 0, 2), 1), ((1, 0, 0), 1), ((0, 0, 1), 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_subspace_normalizer_matches_oracle_on_the_ladder(name):
+    factors, summands = LADDER[name]
+    datum = build_root_datum(factors)
+    a_star = run_reduction(validate_symplectic_spec(datum, summands))[1].a_star_basis
+    n = datum.ambient_dim
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for basis in [a_star, unit] + [[e] for e in unit]:
+        sg = subspace_normalizer(datum, basis)
+        assert subspace_normalizer_oracle(datum, basis) == (
+            sg.normalizer_order,
+            sg.centralizer_order,
+            sg.gamma_order,
+            len(sg.reflection_indices),
+        )
+
+
+A2_PLANE = [(1, 0), (0, 1)]
+
+
+def test_non_generic_start_point_trips_the_orbit_size_check(monkeypatch):
+    a2 = build_root_datum([("A", 2)])
+    assert subspace_normalizer(a2, A2_PLANE).gamma_order == 6
+    # (1, 0) lies on the alpha_2 hyperplane: its orbit has 3 points, not 6
+    monkeypatch.setattr(rootdata, "_generic_point", lambda datum, basis: basis[0])
+    with pytest.raises(InternalConsistencyError, match="generic orbit has 3 points"):
+        subspace_normalizer(a2, A2_PLANE)
+
+
+@pytest.mark.parametrize("dropped", range(6))
+def test_gamma_missing_an_element_trips_the_closure_check(monkeypatch, dropped):
+    a2 = build_root_datum([("A", 2)])
+    full = rootdata._gamma_matrices
+    monkeypatch.setattr(
+        rootdata, "_gamma_matrices",
+        lambda *args: [g for i, g in enumerate(full(*args)) if i != dropped],
+    )
+    with pytest.raises(InternalConsistencyError, match="not closed under products"):
+        subspace_normalizer(a2, A2_PLANE)
