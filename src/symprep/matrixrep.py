@@ -38,7 +38,6 @@ from .linalg import (
     transpose,
     vdot,
 )
-from .reps import freudenthal_multiplicities
 from .rootdata import positive_roots
 
 DEFAULT_DIM_CAP = 64
@@ -284,32 +283,29 @@ def root_recipes(letter, rank):
     return _RECIPE_CACHE[key]
 
 
-def expand_root_vectors(simple_e, simple_f, recipes, place=tuple):
-    """Root vectors of every positive root of one simple factor, replayed from
-    its simple ones by the calibrated bracket recipes.
-
-    Returns (e, f) dicts keyed by place(local simple-root coordinates)."""
-    rank = len(simple_e)
-    x = {simple_coords(rank, i): m for i, m in enumerate(simple_e)}
-    y = {simple_coords(rank, i): m for i, m in enumerate(simple_f)}
+def factor_lie(datum, fi, block):
+    """(label, matrix) pairs of factor fi acting on one of its blocks: ("h", i)
+    per simple root, then ("e", coords) and ("f", coords) per positive root of
+    the factor in positive_roots order, with coordinates in the datum's simple
+    roots.  Root vectors beyond the simple ones are replayed from the block's
+    simple ones by the calibrated bracket recipes."""
+    letter, frank = datum.factors[fi]
+    idxs = datum.standard_order[fi]
+    x = {simple_coords(frank, i): m for i, m in enumerate(block.e)}
+    y = {simple_coords(frank, i): m for i, m in enumerate(block.f)}
+    recipes = root_recipes(letter, frank)
     for coords in sorted(recipes, key=sum):
         i, lower, c = recipes[coords]
-        simple = simple_coords(rank, i)
+        simple = simple_coords(frank, i)
         x[coords] = mat_scale(Fraction(1, 1) / c, comm(x[simple], x[lower]))
         y[coords] = comm(y[simple], y[lower])
-    return (
-        {place(c): m for c, m in x.items()},
-        {place(c): m for c, m in y.items()},
-    )
-
-
-def global_root_coords(datum, fi, local):
-    """Simple-root coordinates in the datum of a root of factor fi given in
-    the factor's local coordinates."""
-    g = [0] * datum.rank
-    for loc, gi in enumerate(datum.standard_order[fi]):
-        g[gi] = local[loc]
-    return tuple(g)
+    out = [(("h", gi), block.h[loc]) for loc, gi in enumerate(idxs)]
+    for r in positive_roots(_single_factor_datum(letter, frank)):
+        g = [0] * datum.rank
+        for loc, gi in enumerate(idxs):
+            g[gi] = r.coords[loc]
+        out += [(("e", tuple(g)), x[r.coords]), (("f", tuple(g)), y[r.coords])]
+    return out
 
 
 @dataclass(frozen=True)
@@ -394,7 +390,7 @@ class MatrixRep:
 
 
 def _summand_matrices(datum, weight):
-    """Per-global-generator exact matrices of the irreducible with the given
+    """Exact matrices, keyed by Lie label, of the irreducible with the given
     highest weight, via external tensor over the factors, with its weight
     labels and the factor blocks in tensor order."""
     blocks = []
@@ -416,11 +412,9 @@ def _summand_matrices(datum, weight):
         return out
 
     gens = {}
-    for fi, idxs, block in blocks:
-        for loc, gi in enumerate(idxs):
-            gens[("e", gi)] = promote(fi, block.e[loc])
-            gens[("f", gi)] = promote(fi, block.f[loc])
-            gens[("h", gi)] = promote(fi, block.h[loc])
+    for fi, _, block in blocks:
+        for label, mat in factor_lie(datum, fi, block):
+            gens[label] = promote(fi, mat)
     # central charges: identity times the central coordinate of the weight
     base = sum(n for _, n in datum.factors)
     for l in range(datum.ambient_dim - base):
@@ -491,16 +485,15 @@ def build_rep(spec):
                 (gens, labels, j, f"irr{item.weight}", "symplectic", item.weight)
             )
     total = sum(len(p[1]) for p in parts)
-    gen_keys = (
+    lie_labels = (
         [("h", i) for i in range(datum.rank)]
         + [("z", l) for l in range(datum.central_rank)]
-        + [("e", i) for i in range(datum.rank)]
-        + [("f", i) for i in range(datum.rank)]
+        + [(side, r.coords) for r in positive_roots(datum) for side in "ef"]
     )
-    assembled = {
-        key: blockdiag([p[0][key] for p in parts]) if parts else ()
-        for key in gen_keys
-    }
+    lie_mats = [
+        blockdiag([p[0][lab] for p in parts]) if parts else ()
+        for lab in lie_labels
+    ]
     jfull = blockdiag([p[2] for p in parts])
     labels_full = tuple(l for p in parts for l in p[1])
     blocks = []
@@ -508,33 +501,6 @@ def build_rep(spec):
     for gens, labels, _, desc, kind, weight in parts:
         blocks.append((kind, weight, off, len(labels)))
         off += len(labels)
-
-    # extend to all roots by the calibrated bracket recipes
-    xroot, yroot = {}, {}
-    for fi, (letter, frank) in enumerate(datum.factors):
-        idxs = datum.standard_order[fi]
-        x, y = expand_root_vectors(
-            [assembled[("e", gi)] for gi in idxs],
-            [assembled[("f", gi)] for gi in idxs],
-            root_recipes(letter, frank),
-            lambda local, fi=fi: global_root_coords(datum, fi, local),
-        )
-        xroot.update(x)
-        yroot.update(y)
-
-    lie_labels = []
-    lie_mats = []
-    for i in range(datum.rank):
-        lie_labels.append(("h", i))
-        lie_mats.append(assembled[("h", i)])
-    for l in range(datum.central_rank):
-        lie_labels.append(("z", l))
-        lie_mats.append(assembled[("z", l)])
-    for r in positive_roots(datum):
-        lie_labels.append(("e", r.coords))
-        lie_mats.append(xroot[r.coords])
-        lie_labels.append(("f", r.coords))
-        lie_mats.append(yroot[r.coords])
 
     rep = MatrixRep(
         spec=spec,
@@ -579,14 +545,10 @@ def _check_rep(rep):
                 f"[e,f] != coroot action for root {r.coords}"
             )
     # weight multiset equals the combinatorial one
-    want = {}
-    for w, m in rep.spec.summands:
-        for v, c in freudenthal_multiplicities(datum, w).items():
-            want[v] = want.get(v, 0) + m * c
     got = {}
     for w in rep.weight_labels:
         got[w] = got.get(w, 0) + 1
-    if want != got:
+    if rep.spec.weight_multiset() != got:
         raise InternalConsistencyError(
             "matrix-model weight multiset disagrees with the combinatorial one"
         )
@@ -631,24 +593,27 @@ def hyperbolic_partner(rep, v0, candidates):
     return v0m
 
 
-def highest_weight_vectors(rep, weight=None):
-    """Exact highest-weight structure: {weight: rref basis of the hw space},
-    or that basis alone for one weight."""
-    if weight is not None:
-        red, piv = rref(weight_kernel(rep, weight))
-        return tuple(red[: len(piv)])
-    out = {}
-    for w in sorted(set(rep.weight_labels)):
-        basis = highest_weight_vectors(rep, w)
-        if basis:
-            out[w] = basis
-    return out
+def hyperbolic_pair(rep, chi, columns=None, simple_roots=None):
+    """(v0, v0m) of a reduction step at chi: v0 is the first vector of the
+    highest-weight kernel of weight chi, v0m its hyperbolic partner in the
+    lowest-weight kernel of weight -chi, both taken as in weight_kernel.
+    Either is None when missing (v0m also when v0 is)."""
+    hw = weight_kernel(rep, chi, "e", columns, simple_roots)
+    if not hw:
+        return None, None
+    neg = tuple(-x for x in chi)
+    lw = weight_kernel(rep, neg, "f", columns, simple_roots)
+    return hw[0], hyperbolic_partner(rep, hw[0], lw)
 
 
 def find_hw_vectors(rep):
-    """(weight, basis) pairs sorted by weight, with multiplicities matching
-    the spec summands."""
-    table = highest_weight_vectors(rep)
+    """(weight, rref basis of the highest-weight space) pairs sorted by
+    weight, with multiplicities matching the spec summands."""
+    table = {}
+    for w in sorted(set(rep.weight_labels)):
+        red, piv = rref(weight_kernel(rep, w))
+        if piv:
+            table[w] = tuple(red[: len(piv)])
     want = {cvec(w): m for w, m in rep.spec.summands}
     got = {w: len(b) for w, b in table.items()}
     if want != got:

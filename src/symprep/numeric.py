@@ -21,17 +21,8 @@ from .errors import (
     SingularSystem,
     SOutsideDomain,
 )
-from .linalg import cvec, mat_vec, nullspace, rref, vdot
-from .matrixrep import (
-    _reference_block,
-    _single_factor_datum,
-    expand_root_vectors,
-    global_root_coords,
-    highest_weight_vectors,
-    hyperbolic_partner,
-    root_recipes,
-    weight_kernel,
-)
+from .linalg import cvec, mat_vec, nullspace, vdot
+from .matrixrep import _reference_block, factor_lie, hyperbolic_pair
 from .reduction import delta_u_roots
 from .rootdata import positive_roots
 
@@ -84,17 +75,9 @@ class _FactorFrame:
         letter, frank = datum.factors[fi]
         self.letter, self.frank = letter, frank
         self.idxs = datum.standard_order[fi]
-        block = _reference_block(letter, frank)
-        x, y = expand_root_vectors(block.e, block.f, root_recipes(letter, frank))
-        self.labels = [("h", gi) for gi in self.idxs]
-        mats = [block.h[loc] for loc in range(frank)]
-        for r in positive_roots(_single_factor_datum(letter, frank)):
-            coords = global_root_coords(datum, fi, r.coords)
-            self.labels.append(("e", coords))
-            mats.append(x[r.coords])
-            self.labels.append(("f", coords))
-            mats.append(y[r.coords])
-        self.mats = [np.array(m, dtype=float) for m in mats]
+        lie = factor_lie(datum, fi, _reference_block(letter, frank))
+        self.labels = [label for label, _ in lie]
+        self.mats = [np.array(m, dtype=float) for _, m in lie]
         gram = np.array(
             [[float(np.trace(a @ b)) for b in self.mats] for a in self.mats]
         )
@@ -250,26 +233,6 @@ def coisotropy_test(rep, samples=8, seed=0):
 
 # -- local structure: the solve for q ----------------------------------------
 
-def exact_hw_vector(rep, chi):
-    basis = highest_weight_vectors(rep, cvec(chi))
-    if not basis:
-        raise InternalConsistencyError(f"no highest weight vector of weight {chi}")
-    return basis[0]
-
-
-def dual_lowest_vector(rep, chi, v0):
-    """Lowest weight vector of weight -chi with omega(v0m, v0) = 1, chosen
-    minimal-norm inside the lowest-weight space."""
-    neg = cvec(tuple(-x for x in chi))
-    red, piv = rref(weight_kernel(rep, neg, "f"))
-    if not piv:
-        raise InternalConsistencyError(f"no lowest weight vector of weight {neg}")
-    v0m = hyperbolic_partner(rep, v0, red[: len(piv)])
-    if v0m is None:
-        raise InternalConsistencyError("lowest-weight space pairs to zero with v0")
-    return v0m
-
-
 @dataclass(frozen=True, eq=False)
 class LocalFrame:
     """One local-structure step on a model, derived once: the hyperbolic pair
@@ -295,8 +258,14 @@ def local_frame(rep, chi):
     chi = cvec(chi)
     if weight_status(rep.spec, chi) is not WeightStatus.NON_TERMINAL:
         raise NoReductionAvailable(f"{chi} is a terminal weight; nothing to reduce")
-    v0 = exact_hw_vector(rep, chi)
-    v0m = dual_lowest_vector(rep, chi, v0)
+    v0, v0m = hyperbolic_pair(rep, chi)
+    if v0 is None:
+        raise InternalConsistencyError(f"no highest weight vector of weight {chi}")
+    if v0m is None:
+        neg = tuple(-x for x in chi)
+        raise InternalConsistencyError(
+            f"no lowest weight vector of weight {neg} pairs with v0"
+        )
     du = delta_u_roots(rep.datum, chi)
     v0f = np.array([float(x) for x in v0])
     levi = [("h", i) for i in range(rep.datum.rank)]

@@ -10,7 +10,6 @@ shape.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .classify import WeightStatus, terminal_decomposition, weight_status
 from .errors import (
@@ -35,7 +34,6 @@ from .reps import (
     decompose_weights,
     invariant_dims,
     validate_symplectic_spec,
-    weight_key,
 )
 from .rootdata import (
     DEFAULT_WEYL_CAP,
@@ -72,14 +70,12 @@ class TerminalData:
 
 
 def choose_nonterminal_weight(spec):
-    """Deterministic choice: maximal rho^vee-height, lexicographic tie-break."""
-    cands = [
-        w for w, _ in spec.summands
-        if weight_status(spec, w) is WeightStatus.NON_TERMINAL
-    ]
-    if not cands:
+    """Deterministic choice: the witness of terminal_decomposition, maximal
+    rho^vee-height with a lexicographic tie-break."""
+    verdict = terminal_decomposition(spec)
+    if verdict.terminal:
         raise NoNonTerminalWeight("module is terminal")
-    return max(cands, key=lambda w: weight_key(spec.datum, w))
+    return verdict.witness
 
 
 def delta_u_roots(datum, chi):
@@ -149,11 +145,11 @@ def run_reduction(spec, first_choice=None):
             if weight_status(current, chi) is not WeightStatus.NON_TERMINAL:
                 raise SymprepError(f"{chi} is not an admissible first choice")
         else:
-            chi = choose_nonterminal_weight(current)
+            chi = verdict.witness
         step, current = reduce_step(current, chi)
         trace.append(step)
     pairs = verdict.character_pairs
-    basis = echelon_basis(list(pairs)) if pairs else []
+    basis = echelon_basis(sorted(set(pairs))) if pairs else []
     a_rank = len(basis)
     c = len(pairs) - a_rank
     if c < 0:
@@ -205,14 +201,21 @@ def compute_gamma(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP):
 # -- little Weyl group via Hilbert/Molien matching ---------------------------
 
 def reflection_subgroups(gamma):
-    """All subgroups generated by subsets of the reflections of Gamma."""
+    """All subgroups generated by subsets of the reflections of Gamma.
+
+    Grown from the trivial group: each new subgroup is the closure of one
+    already found, with its generators plus one reflection outside it."""
     k = len(gamma.a_star_basis)
     refl = [gamma.gamma_matrices[i] for i in gamma.reflection_indices]
-    subs = {group_closure([], k)}
-    # closure of each subset; the lattice is tiny so plain powerset is fine
-    for size in range(1, len(refl) + 1):
-        for combo in combinations(refl, size):
-            subs.add(group_closure(combo, k))
+    subs = {group_closure([], k): ()}
+    queue = list(subs.items())
+    for sub, gens in queue:  # the queue grows as subgroups are found
+        for r in refl:
+            if r not in sub:
+                bigger = group_closure(gens + (r,), k)
+                if bigger not in subs:
+                    subs[bigger] = gens + (r,)
+                    queue.append((bigger, gens + (r,)))
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 

@@ -37,13 +37,8 @@ from .linalg import (
     same_span,
     vdot,
 )
-from .matrixrep import hyperbolic_partner, weight_kernel
-from .numeric import (
-    chevalley_target,
-    dual_lowest_vector,
-    inv_moment_eval,
-    slice_functionals,
-)
+from .matrixrep import hyperbolic_pair, hyperbolic_partner, weight_kernel
+from .numeric import chevalley_target, inv_moment_eval, slice_functionals
 from .reduction import run_reduction
 from .rootdata import positive_roots
 
@@ -254,7 +249,12 @@ def char_reduction_phi(rep, v0_char, t, y, v):
         raise DomainError("y must be nonzero")
     v0 = cvec(v0_char)
     chi = rep.weight_of(v0)
-    v0m = dual_lowest_vector(rep, chi, v0)
+    neg = tuple(-x for x in chi)
+    v0m = hyperbolic_partner(rep, v0, weight_kernel(rep, neg, "f"))
+    if v0m is None:
+        raise InternalConsistencyError(
+            f"no lowest weight vector of weight {neg} pairs with v0"
+        )
     v = cvec(v)
     if rep.omega_exact(v, v0) != 0 or rep.omega_exact(v, v0m) != 0:
         raise DomainError("v must lie in the omega-complement of the pair")
@@ -324,13 +324,9 @@ def build_section(rep, reduction, component_hint="x"):
     current = rep.spec
     for step in trace:
         chi = step.chosen_chi
-        roots = current.datum.simple_roots
-        hw = weight_kernel(rep, chi, "e", cols, roots)
-        if not hw:
+        v0, v0m = hyperbolic_pair(rep, chi, cols, current.datum.simple_roots)
+        if v0 is None:
             raise StageNotRealizable(f"no highest weight vector of weight {chi}")
-        v0 = hw[0]
-        neg = cvec(tuple(-x for x in chi))
-        v0m = hyperbolic_partner(rep, v0, weight_kernel(rep, neg, "f", cols, roots))
         if v0m is None:
             raise StageNotRealizable("lowest-weight space pairs to zero with v0")
         xi_c = central_element_for(step.levi, chi, killed)

@@ -55,3 +55,35 @@ def nonterminal_catalog():
         for name, (sp, exp) in catalog().items()
         if not terminal_decomposition(sp).terminal
     }
+
+
+# Groups and modules of the analyze ladder beyond the catalog:
+# name -> (factors, summands).
+ANALYZE_LADDER = {
+    "C4_std": ([("C", 4)], [((1, 0, 0, 0), 1)]),
+    "D4_vec_x2": ([("D", 4)], [((1, 0, 0, 0), 2)]),
+    "B4_vec_x2": ([("B", 4)], [((1, 0, 0, 0), 2)]),
+    "F4_26_x2": ([("F", 4)], [((0, 0, 0, 1), 2)]),
+    "G2_adj_x2": ([("G", 2)], [((0, 1), 2)]),
+    "A3_mixed_rk3": (
+        [("A", 3)],
+        [((2, 0, 0), 1), ((0, 0, 2), 1), ((1, 0, 0), 1), ((0, 0, 1), 1)],
+    ),
+}
+
+
+def verify_ladder():
+    """name -> spec of the matrix-model ladder that `verify` is timed on."""
+    gl3 = build_root_datum([("A", 2)], central_rank=1)
+    c4 = build_root_datum([("C", 4)])
+    return {
+        "A2_sd_x2": spec(A2, [((1, 0), 2), ((0, 1), 2)]),
+        "A2_sd_x4": spec(A2, [((1, 0), 4), ((0, 1), 4)]),
+        "A2_sd_x6": spec(A2, [((1, 0), 6), ((0, 1), 6)]),
+        "C2_std_x4": spec(C2, [((1, 0), 4)]),
+        "A3_sd_x2": spec(A3, [((1, 0, 0), 2), ((0, 0, 1), 2)]),
+        "C4_std_x2": spec(c4, [((1, 0, 0, 0), 2)]),
+        "C3_std_x2": spec(C3, [((1, 0, 0), 2)]),
+        "A1_S7": spec(A1, [((7,), 1)]),
+        "GL3_sd_x2": spec(gl3, [((1, 0, 1), 2), ((0, 1, -1), 2)]),
+    }

@@ -9,18 +9,23 @@ symplectic forms from a nullspace solve.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from symprep.linalg import (
     canon,
+    comm,
     cvec,
+    group_closure,
     in_span,
     mat_mul,
+    mat_scale,
     mat_vec,
     nullspace,
+    rref,
     transpose,
     vdot,
 )
+from symprep.matrixrep import hyperbolic_partner, root_recipes, weight_kernel
 from symprep.rootdata import positive_roots, rho_strict
 
 
@@ -275,3 +280,64 @@ def invariant_symplectic_form_oracle(dim, gens):
         j[a][b] = sol[i]
         j[b][a] = canon(-sol[i])
     return tuple(tuple(r) for r in j)
+
+
+def assembled_lie_oracle(rep):
+    """(labels, matrices) of a model's Lie action with every non-simple root
+    vector replayed by the bracket recipes on the assembled model's simple
+    root vectors, instead of on each factor block."""
+    datum = rep.datum
+    x, y = {}, {}
+    for fi, (letter, frank) in enumerate(datum.factors):
+        idxs = datum.standard_order[fi]
+
+        def glob(local):
+            g = [0] * datum.rank
+            for loc, gi in enumerate(idxs):
+                g[gi] = local[loc]
+            return tuple(g)
+
+        def simple(i):
+            return tuple(1 if j == i else 0 for j in range(frank))
+
+        lx = {simple(i): rep.lie_matrix_exact(("e", glob(simple(i)))) for i in range(frank)}
+        ly = {simple(i): rep.lie_matrix_exact(("f", glob(simple(i)))) for i in range(frank)}
+        recipes = root_recipes(letter, frank)
+        for coords in sorted(recipes, key=sum):
+            i, lower, c = recipes[coords]
+            lx[coords] = mat_scale(Fraction(1, 1) / c, comm(lx[simple(i)], lx[lower]))
+            ly[coords] = comm(ly[simple(i)], ly[lower])
+        x.update({glob(c): m for c, m in lx.items()})
+        y.update({glob(c): m for c, m in ly.items()})
+    labels = [("h", i) for i in range(datum.rank)]
+    labels += [("z", l) for l in range(datum.central_rank)]
+    mats = [rep.lie_matrix_exact(lab) for lab in labels]
+    for r in positive_roots(datum):
+        labels += [("e", r.coords), ("f", r.coords)]
+        mats += [x[r.coords], y[r.coords]]
+    return tuple(labels), tuple(mats)
+
+
+def rref_hyperbolic_pair_oracle(rep, chi):
+    """(v0, v0m) from the rref bases of the whole model's highest-weight
+    space of weight chi and lowest-weight space of weight -chi; None where
+    a vector is missing."""
+    red, piv = rref(weight_kernel(rep, chi))
+    if not piv:
+        return None, None
+    v0 = red[0]
+    neg = tuple(-x for x in chi)
+    red, piv = rref(weight_kernel(rep, neg, "f"))
+    return v0, hyperbolic_partner(rep, v0, red[: len(piv)])
+
+
+def reflection_subgroups_oracle(gamma):
+    """The closure of every subset of Gamma's reflections, sorted by order
+    and then by matrices."""
+    k = len(gamma.a_star_basis)
+    refl = [gamma.gamma_matrices[i] for i in gamma.reflection_indices]
+    subs = {group_closure([], k)}
+    for size in range(1, len(refl) + 1):
+        for combo in combinations(refl, size):
+            subs.add(group_closure(combo, k))
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))

@@ -368,6 +368,32 @@ def test_analyze_reports_match_the_benchmark_reference(tmp_path):
     assert got == reference
 
 
+def test_verify_reports_match_the_benchmark_reference(tmp_path):
+    """Every `verify` entry of the benchmark's reference file, run with
+    --seed 0: the exit code, the sha256 of the report without its numeric
+    part and with the seed echo nulled, the check names and `passed`."""
+    reference = json.loads(REFERENCE.read_text())["verify"]
+    assert reference
+    path = tmp_path / "spec.json"
+    got = {}
+    for text in reference:
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", str(path), "--seed", "0"])
+        report = json.loads(out.getvalue())
+        numeric = report.pop("numeric_verification")
+        report["options"]["seed"] = None
+        analysis = json.dumps(report, sort_keys=True, indent=2)
+        got[text] = {
+            "exit": code,
+            "analysis_sha256": hashlib.sha256(analysis.encode()).hexdigest(),
+            "checks": [c["name"] for c in numeric["checks"]],
+            "passed": numeric["passed"],
+        }
+    assert got == reference
+
+
 @pytest.mark.parametrize("letter, rank", [("", 2), ("AB", 2), ("EF", 7), ("BC", 2)])
 def test_cartan_letter_must_be_one_letter_exits_2(tmp_path, capsys, letter, rank):
     path = _write(tmp_path, "bad.json", {

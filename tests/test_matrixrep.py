@@ -12,14 +12,19 @@ from symprep.matrixrep import (
     _summand_matrices,
     build_rep,
     find_hw_vectors,
+    hyperbolic_pair,
     simple_coords,
     weight_kernel,
 )
 from symprep.reps import total_weight_multiset, validate_symplectic_spec
 from symprep.rootdata import build_root_datum, positive_roots
 
-from corpus import A1, A2, C2, catalog
-from oracles import invariant_symplectic_form_oracle
+from corpus import A1, A2, C2, catalog, verify_ladder
+from oracles import (
+    assembled_lie_oracle,
+    invariant_symplectic_form_oracle,
+    rref_hyperbolic_pair_oracle,
+)
 
 
 def test_sp2_standard_model():
@@ -223,3 +228,31 @@ def test_check_rep_catches_each_broken_invariant():
         with pytest.raises(InternalConsistencyError) as info:
             _check_rep(broken)
         assert str(info.value) == message
+
+
+def _oracle_models():
+    specs = {name: sp for name, (sp, _) in catalog().items()}
+    specs.update(verify_ladder())
+    specs["A1xC2_210"] = validate_symplectic_spec(
+        build_root_datum([("A", 1), ("C", 2)]), [((2, 1, 0), 1)]
+    )
+    specs["C3xA1xT1"] = validate_symplectic_spec(
+        build_root_datum([("C", 3), ("A", 1)], central_rank=1),
+        [((1, 0, 0, 0, 0), 3)],
+    )
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_models()))
+def test_per_block_lie_action_and_hyperbolic_pair_match_the_oracles(name):
+    """Root vectors replayed on each factor block equal those replayed on the
+    assembled model, and the raw-kernel hyperbolic pair equals the rref one
+    at every highest weight, by repr."""
+    rep = build_rep(_oracle_models()[name])
+    labels, mats = assembled_lie_oracle(rep)
+    assert rep.lie_labels == labels
+    assert repr(rep.lie_exact) == repr(mats)
+    for chi, _ in rep.spec.summands:
+        got = hyperbolic_pair(rep, chi)
+        assert None not in got, chi
+        assert repr(got) == repr(rref_hyperbolic_pair_oracle(rep, chi)), chi

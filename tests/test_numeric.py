@@ -7,12 +7,11 @@ from symprep.errors import (
     NoReductionAvailable,
     SOutsideDomain,
 )
+from symprep import matrixrep
 from symprep.matrixrep import build_rep
 from symprep.numeric import (
     coisotropy_test,
     coordinate_fn,
-    dual_lowest_vector,
-    exact_hw_vector,
     inv_moment_component_fn,
     inv_moment_eval,
     jacobian_rank_and_orbit,
@@ -146,12 +145,17 @@ def test_verify_commute_examples():
             assert out.residual_charpoly <= 1e-10
 
 
-def test_dual_lowest_vector_names_the_missing_weight():
+def test_local_frame_names_the_missing_lowest_weight(monkeypatch):
     rep = build_rep(catalog()["sl2_cubic"][0])
-    v0 = exact_hw_vector(rep, (3,))
+    kernel = matrixrep.weight_kernel
+
+    def no_lowest(rep, weight, side="e", *args):
+        return [] if side == "f" else kernel(rep, weight, side, *args)
+
+    monkeypatch.setattr(matrixrep, "weight_kernel", no_lowest)
     with pytest.raises(InternalConsistencyError) as exc:
-        dual_lowest_vector(rep, (5,), v0)
-    assert "(-5,)" in str(exc.value)
+        local_frame(rep, (3,))
+    assert "(-3,)" in str(exc.value)
 
 
 def test_verify_commute_rejects_terminal():

@@ -1,5 +1,6 @@
 import pytest
 
+from symprep import reduction
 from symprep.errors import InternalConsistencyError, NoNonTerminalWeight, WeylCapExceeded
 from symprep.linalg import mat_vec, same_span
 from symprep.reduction import (
@@ -10,14 +11,20 @@ from symprep.reduction import (
     molien_series,
     rank_complexity,
     reduce_step,
+    reduce_to_gamma,
     reflection_degrees,
+    reflection_subgroups,
     run_reduction,
 )
 from symprep.reps import validate_symplectic_spec
 from symprep.rootdata import build_root_datum, levi_subdatum, positive_roots
 
-from corpus import A1, A2, C2, T1, catalog
-from oracles import weyl_matrices_bruteforce
+from corpus import A1, A2, C2, T1, ANALYZE_LADDER, catalog
+from oracles import reflection_subgroups_oracle, weyl_matrices_bruteforce
+
+# C3xT1 with hw (0,1,2,0)x2 + (0,2,2,0)x2: not multiplicity free, with a
+# Gamma of order 48 holding 9 reflections.
+C3T1 = ([("C", 3)], 1, [((0, 1, 2, 0), 2), ((0, 2, 2, 0), 2)])
 
 
 def test_choose_nonterminal_weight():
@@ -222,3 +229,50 @@ def test_centralizer_levi_rejects_a_levi_of_the_other_root_length():
     assert {r.vec for r in positive_roots(levi)} == {r.vec for r in positive_roots(short)}
     with pytest.raises(InternalConsistencyError, match="not conjugate"):
         centralizer_levi(C2, [(0, 1)], expect=long_)
+
+
+@pytest.mark.parametrize(
+    "name", ["C3xT1", "F4_26_x2", "A3_mixed_rk3", "G2_adj_x2"]
+)
+def test_reflection_subgroups_grow_to_the_powerset_closures(name, monkeypatch):
+    """Growing subgroups one reflection at a time finds exactly the closures
+    of all subsets, in the same order, with at most one closure per
+    (subgroup, reflection)."""
+    if name == "C3xT1":
+        factors, central, summands = C3T1
+    else:
+        (factors, summands), central = ANALYZE_LADDER[name], 0
+    datum = build_root_datum(factors, central_rank=central)
+    gamma = reduce_to_gamma(validate_symplectic_spec(datum, summands))[2]
+    closure, calls = reduction.group_closure, [0]
+
+    def counting_closure(gens, dim):
+        calls[0] += 1
+        return closure(gens, dim)
+
+    monkeypatch.setattr(reduction, "group_closure", counting_closure)
+    subs = reflection_subgroups(gamma)
+    assert subs == reflection_subgroups_oracle(gamma)
+    nrefl = len(gamma.reflection_indices)
+    assert calls[0] <= len(subs) * nrefl
+    if name == "C3xT1":
+        assert (len(gamma.gamma_matrices), nrefl, len(subs)) == (48, 9, 38)
+
+
+def test_run_reduction_row_reduces_distinct_character_pairs(monkeypatch):
+    """C3xT1's terminal module has 3042 character pairs, 179 of them
+    distinct; only the distinct ones are row-reduced, and c still counts
+    every pair."""
+    factors, central, summands = C3T1
+    datum = build_root_datum(factors, central_rank=central)
+    echelon, rows = reduction.echelon_basis, []
+
+    def recording_echelon(vectors):
+        rows.append(len(vectors))
+        return echelon(vectors)
+
+    monkeypatch.setattr(reduction, "echelon_basis", recording_echelon)
+    td = run_reduction(validate_symplectic_spec(datum, summands))[1]
+    assert rows and max(rows) <= 179
+    assert (len(td.character_pairs), td.a_rank) == (3042, 3)
+    assert td.c == 3042 - 3

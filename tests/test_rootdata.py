@@ -30,7 +30,7 @@ from symprep.rootdata import (
     weyl_orbit,
 )
 
-from corpus import catalog
+from corpus import ANALYZE_LADDER, catalog
 from oracles import (
     reflection_matrix,
     subspace_normalizer_oracle,
@@ -300,23 +300,9 @@ def test_echelon_coords_solves_rational_coordinates():
     assert echelon_coords(basis, [(1, 1, 1), (1, 0, 0)]) is None
 
 
-# Groups and modules of the analyze ladder beyond the catalog.
-LADDER = {
-    "C4_std": ([("C", 4)], [((1, 0, 0, 0), 1)]),
-    "D4_vec_x2": ([("D", 4)], [((1, 0, 0, 0), 2)]),
-    "B4_vec_x2": ([("B", 4)], [((1, 0, 0, 0), 2)]),
-    "F4_26_x2": ([("F", 4)], [((0, 0, 0, 1), 2)]),
-    "G2_adj_x2": ([("G", 2)], [((0, 1), 2)]),
-    "A3_mixed_rk3": (
-        [("A", 3)],
-        [((2, 0, 0), 1), ((0, 0, 2), 1), ((1, 0, 0), 1), ((0, 0, 1), 1)],
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(LADDER))
+@pytest.mark.parametrize("name", sorted(ANALYZE_LADDER))
 def test_subspace_normalizer_matches_oracle_on_the_ladder(name):
-    factors, summands = LADDER[name]
+    factors, summands = ANALYZE_LADDER[name]
     datum = build_root_datum(factors)
     a_star = run_reduction(validate_symplectic_spec(datum, summands))[1].a_star_basis
     n = datum.ambient_dim
