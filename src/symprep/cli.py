@@ -38,7 +38,7 @@ from .errors import (
 from .reduction import DEFAULT_HILBERT_DEGREE, analyze, reduce_to_gamma
 from .reps import DEFAULT_SYM_DEGREE_BUDGET, invariant_dims, validate_symplectic_spec
 from .rootdata import DEFAULT_WEYL_CAP, build_root_datum
-from .verify import verify_suite
+from .verify import check_samples, verify_suite
 
 SCHEMA_VERSION = 1
 
@@ -346,6 +346,10 @@ def cmd_verify(args, out, err):
     for key in ("seed", "samples"):
         if getattr(args, key) is not None:
             options[key] = _checked_option(f"--{key}", key, getattr(args, key))
+    check_samples(
+        options["samples"],
+        "--samples" if args.samples is not None else "options.samples",
+    )
     analysis = analyze(
         spec,
         weyl_cap=options["weyl_cap"],

@@ -95,6 +95,22 @@ def mat_mul(a, b):
     return tuple(out)
 
 
+def sparse_rows(a):
+    """Each row of a as the tuple of its nonzero entries (column, value)."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
+
+
+def sparse_mul(a_rows, b_rows):
+    """The nonzero entries {(i, k): value} of A B, for A and B given by their
+    sparse_rows: only products of nonzero entries are formed."""
+    out = {}
+    for i, row in enumerate(a_rows):
+        for j, x in row:
+            for k, y in b_rows[j]:
+                out[i, k] = out.get((i, k), 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
 def mat_sub(a, b):
     return tuple(vsub(x, y) for x, y in zip(a, b))
 
@@ -202,6 +218,34 @@ def in_span(basis_rows, v):
         return () if is_zero_vec(v) else None
     cols = transpose(basis_rows)
     return lin_solve(cols, v)
+
+
+def span_solver(basis_rows):
+    """in_span(basis_rows, .) with the basis row-reduced once: returns a
+    function of v giving the same coefficients, or None off the span.
+
+    rref([M | I]) = [R | T] for M with the basis rows as columns; for v in
+    the span, [R | T v] is rref([M | v]), so the pivot rows of T v are the
+    coefficients lin_solve finds, and v is in the span exactly when the
+    other rows of T v vanish."""
+    if not basis_rows:
+        return lambda v: () if is_zero_vec(v) else None
+    k = len(basis_rows)
+    cols = transpose(basis_rows)
+    red, pivots = rref([row + e for row, e in zip(cols, identity(len(cols)))])
+    pivots = [p for p in pivots if p < k]
+    t = tuple(tuple(row[k:]) for row in red)
+
+    def solve(v):
+        y = mat_vec(t, v)
+        if not is_zero_vec(y[len(pivots):]):
+            return None
+        x = [0] * k
+        for i, p in enumerate(pivots):
+            x[p] = y[i]
+        return tuple(x)
+
+    return solve
 
 
 def primitive_int_vector(v):

@@ -30,11 +30,12 @@ from .linalg import (
     identity,
     kron,
     lincomb,
-    mat_mul,
     mat_scale,
     mat_vec,
     nullspace,
     rref,
+    sparse_mul,
+    sparse_rows,
     transpose,
     vdot,
 )
@@ -326,6 +327,7 @@ class MatrixRep:
         object.__setattr__(
             self, "j", np.array(self.j_exact, dtype=float)
         )
+        object.__setattr__(self, "j_rows", sparse_rows(self.j_exact))
         object.__setattr__(
             self,
             "lie",
@@ -525,9 +527,14 @@ def _check_rep(rep):
         raise InternalConsistencyError("J is not skew")
     if len(nullspace(j, rep.dim)) != 0:
         raise InternalConsistencyError("J is degenerate")
+    # products run over nonzero entries only: the model is block diagonal
+    # and its Lie basis matrices are mostly zero
+    rows = {}
     for lab, mat in zip(rep.lie_labels, rep.lie_exact):
+        rows[lab] = sparse_rows(mat)
         # infinitesimal invariance X^T J = -J X
-        if mat_mul(transpose(mat), j) != mat_scale(-1, mat_mul(j, mat)):
+        xtj = sparse_mul(sparse_rows(transpose(mat)), rep.j_rows)
+        if xtj != {key: -x for key, x in sparse_mul(rep.j_rows, rows[lab]).items()}:
             raise InternalConsistencyError(f"form not invariant under {lab}")
         if lab[0] == "h" and mat != diagonal(
             rep.coweight_action(datum.simple_coroots[lab[1]])
@@ -537,10 +544,14 @@ def _check_rep(rep):
             )
     # [e_alpha, f_alpha] = alpha^vee on each weight space
     for r in positive_roots(datum):
-        br = comm(
-            rep.lie_matrix_exact(("e", r.coords)), rep.lie_matrix_exact(("f", r.coords))
-        )
-        if br != diagonal(rep.coweight_action(r.coroot_vec)):
+        e, f = rows["e", r.coords], rows["f", r.coords]
+        br = sparse_mul(e, f)
+        for key, x in sparse_mul(f, e).items():
+            br[key] = br.get(key, 0) - x
+        action = rep.coweight_action(r.coroot_vec)
+        if {key: x for key, x in br.items() if x} != {
+            (i, i): x for i, x in enumerate(action) if x
+        }:
             raise InternalConsistencyError(
                 f"[e,f] != coroot action for root {r.coords}"
             )

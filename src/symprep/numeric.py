@@ -44,55 +44,72 @@ def seeded_samples(rng, dim, count):
     return out
 
 
+def _check_length(rep, v):
+    if v.shape[-1] != rep.dim:
+        raise DimensionMismatch(f"vector length {v.shape[-1]} != dim {rep.dim}")
+
+
+def _lie_stack(rep):
+    """rep.lie stacked once into an (L, n, n) array."""
+    if not hasattr(rep, "_lie_stack_cache"):
+        object.__setattr__(rep, "_lie_stack_cache", np.stack(rep.lie))
+    return rep._lie_stack_cache
+
+
 def moment_coords(rep, v):
-    """m(v) as the vector of values on the Chevalley basis of g."""
+    """m(v) as the vector of values on the Chevalley basis of g.  v is one
+    vector of shape (n,) or a stack (k, n), real or complex; each leading row
+    is one point and gets its own row of values."""
     v = np.asarray(v)
-    if v.shape[0] != rep.dim:
-        raise DimensionMismatch(f"vector length {v.shape[0]} != dim {rep.dim}")
-    jv = rep.j @ v
-    return np.array([0.5 * (m @ v) @ jv for m in rep.lie])
+    _check_length(rep, v)
+    lie = _lie_stack(rep)
+    mv = (v @ lie.reshape(-1, rep.dim).T).reshape(v.shape[:-1] + lie.shape[:2])
+    jv = v @ rep.j.T
+    return 0.5 * (mv @ jv[..., None])[..., 0]
 
 
 def charpoly_coeffs(a):
-    """[c_1..c_n] of det(tI - A), by the Faddeev-LeVerrier recursion (analytic
-    in the entries, unlike eigenvalue-based routines)."""
-    n = a.shape[0]
-    mk = np.eye(n, dtype=a.dtype)
+    """[c_1..c_n] of det(tI - A) along the last axis, for one matrix or a
+    stack of them, by the Faddeev-LeVerrier recursion (analytic in the
+    entries, unlike eigenvalue-based routines)."""
+    n = a.shape[-1]
+    diag = np.arange(n)
     out = []
     for k in range(1, n + 1):
-        am = a @ mk
-        ck = -np.trace(am) / k
+        am = a if k == 1 else a @ mk  # M_1 = I
+        ck = -np.trace(am, axis1=-2, axis2=-1) / k
         out.append(ck)
-        mk = am + ck * np.eye(n, dtype=a.dtype)
-    return out
+        mk = am.copy()  # M_{k+1} = A M_k + c_k I
+        mk[..., diag, diag] += ck[..., None]
+    return np.stack(out, axis=-1)
 
 
 class _FactorFrame:
     """Reference defining module of one simple factor with an exact trace-form
-    Gram matrix over its Chevalley basis elements."""
+    Gram matrix over its Chevalley basis elements, and the positions of those
+    elements in rep.lie."""
 
-    def __init__(self, datum, fi):
+    def __init__(self, rep, fi):
+        datum = rep.datum
         letter, frank = datum.factors[fi]
         self.letter, self.frank = letter, frank
         self.idxs = datum.standard_order[fi]
         lie = factor_lie(datum, fi, _reference_block(letter, frank))
-        self.labels = [label for label, _ in lie]
-        self.mats = [np.array(m, dtype=float) for _, m in lie]
-        gram = np.array(
-            [[float(np.trace(a @ b)) for b in self.mats] for a in self.mats]
-        )
+        self.pos = np.array([rep.lie_index[label] for label, _ in lie])
+        self.mats = np.array([m for _, m in lie], dtype=float)
+        gram = np.einsum("fab,gba->fg", self.mats, self.mats)
         self.gram_inv = np.linalg.inv(gram)
-        ht = np.array(
-            [[float(np.trace(a @ b)) for b in self.mats[:frank]]
-             for a in self.mats[:frank]]
-        )
-        self.gram_t_inv = np.linalg.inv(ht)
+        self.gram_t_inv = np.linalg.inv(gram[:frank, :frank])
+
+    def matrix_of(self, u, count=None):
+        """sum_f u[..., f] mats[f] over the first count basis elements."""
+        return np.tensordot(u, self.mats[:count], axes=1)
 
     def invariant_coords_of(self, mat):
         coeffs = charpoly_coeffs(mat)
         if self.letter == "A":
-            return coeffs[1:]
-        return coeffs[1::2]
+            return coeffs[..., 1:]
+        return coeffs[..., 1::2]
 
 
 def _frames(rep):
@@ -100,25 +117,19 @@ def _frames(rep):
         object.__setattr__(
             rep,
             "_frames_cache",
-            [_FactorFrame(rep.datum, fi) for fi in range(len(rep.datum.factors))],
+            [_FactorFrame(rep, fi) for fi in range(len(rep.datum.factors))],
         )
     return rep._frames_cache
 
 
 def factor_matrix_forms(rep, coords):
-    """Per-factor matrices of a moment value, via the trace-form Gram solve."""
-    out = []
-    for frame in _frames(rep):
-        rhs = np.array(
-            [coords[rep.lie_index[lab]] for lab in frame.labels],
-            dtype=coords.dtype if hasattr(coords, "dtype") else float,
-        )
-        u = frame.gram_inv @ rhs
-        mat = sum(
-            ui * m.astype(rhs.dtype) for ui, m in zip(u, frame.mats)
-        )
-        out.append(mat)
-    return out
+    """Per-factor matrices of a moment value, via the trace-form Gram solve;
+    a stack (k, L) of values gives a (k, d, d) stack per factor."""
+    coords = np.asarray(coords)
+    return [
+        frame.matrix_of(coords[..., frame.pos] @ frame.gram_inv.T)
+        for frame in _frames(rep)
+    ]
 
 
 @dataclass
@@ -134,35 +145,36 @@ def moment_eval(rep, v):
 
 def inv_moment_eval(rep, v):
     """Invariant moment map: per-factor characteristic coefficients of the
-    moment value followed by the central linear coordinates."""
+    moment value followed by the central linear coordinates, along the last
+    axis of one vector or of a stack of them."""
     for letter, frank in rep.datum.factors:
         if letter not in ("A", "C"):
             raise NotSupported(f"no invariant coordinates for type {letter}{frank}")
     coords = moment_coords(rep, v)
-    values = []
-    for frame, mat in zip(_frames(rep), factor_matrix_forms(rep, coords)):
-        values.extend(frame.invariant_coords_of(mat))
-    for l in range(rep.datum.central_rank):
-        values.append(coords[rep.lie_index[("z", l)]])
-    return np.array(values)
+    values = [
+        frame.invariant_coords_of(mat)
+        for frame, mat in zip(_frames(rep), factor_matrix_forms(rep, coords))
+    ]
+    central = [rep.lie_index[("z", l)] for l in range(rep.datum.central_rank)]
+    values.append(coords[..., central])
+    return np.concatenate(values, axis=-1)
 
 
-def chevalley_target(rep, a):
-    """Invariant coordinates of a point a in t*, for comparison against
-    inv_moment_eval along a section."""
-    a = cvec(a)
+def chevalley_target(rep, points):
+    """Invariant coordinates of each point of a sequence of exact points of
+    t*, as a (k, m) stack, for comparison against inv_moment_eval along a
+    section."""
+    coroots = rep.datum.simple_coroots
+    pair = np.array(
+        [[float(vdot(p, c)) for c in coroots] + [float(x) for x in p[len(coroots):]]
+         for p in points]
+    )
     values = []
     for frame in _frames(rep):
-        rhs = np.array(
-            [float(vdot(a, rep.datum.simple_coroots[gi])) for gi in frame.idxs]
-        )
-        u = frame.gram_t_inv @ rhs
-        mat = sum(ui * m for ui, m in zip(u, frame.mats[: frame.frank]))
-        values.extend(frame.invariant_coords_of(mat))
-    base = sum(n for _, n in rep.datum.factors)
-    for l in range(rep.datum.central_rank):
-        values.append(float(a[base + l]))
-    return np.array(values)
+        u = pair[:, list(frame.idxs)] @ frame.gram_t_inv.T
+        values.append(frame.invariant_coords_of(frame.matrix_of(u, frame.frank)))
+    values.append(pair[:, len(coroots):])
+    return np.concatenate(values, axis=-1)
 
 
 def _rank_cut(sv):
@@ -177,19 +189,19 @@ def _numeric_rank(mat):
 
 
 def orbit_directions(rep, v):
-    return np.array([m @ v for m in rep.lie])
+    """The tangent vectors xi v of the orbit through v, one row per element
+    of rep.lie."""
+    return _lie_stack(rep) @ v
 
 
 def jacobian_inv_moment(rep, v):
-    """Exact-to-machine-precision Jacobian via complex-step differentiation."""
+    """Exact-to-machine-precision Jacobian via complex-step differentiation:
+    the perturbations v + i h e_j of every coordinate j are one stack, so the
+    invariant moment map is evaluated once."""
     v = np.asarray(v, dtype=float)
+    _check_length(rep, v)
     h = 1e-100
-    cols = []
-    for j in range(rep.dim):
-        vc = v.astype(complex)
-        vc[j] += 1j * h
-        cols.append(np.imag(inv_moment_eval(rep, vc)) / h)
-    return np.array(cols).T
+    return np.imag(inv_moment_eval(rep, v + 1j * h * np.eye(rep.dim))).T / h
 
 
 def jacobian_rank_and_orbit(rep, samples=8, seed=0):
@@ -357,26 +369,17 @@ def verify_commute(frame, s):
     of the moment value to the Levi equals the moment value inside S, and the
     characteristic polynomials agree with those of the Levi projection."""
     emb = phi_solve_q_embed(frame, s)
-    rep = frame.rep
-    s = np.asarray(s, dtype=float)
-    res_levi = 0.0
-    for i in frame.levi_index:
-        m = rep.lie[i]
-        res_levi = max(
-            res_levi,
-            abs(0.5 * rep.omega(m @ emb.q, emb.q) - 0.5 * rep.omega(m @ s, s)),
-        )
-    coords = moment_coords(rep, emb.q)
-    proj = np.zeros_like(coords)
     levi = list(frame.levi_index)
-    proj[levi] = coords[levi]
-    full = factor_matrix_forms(rep, coords)
-    red = factor_matrix_forms(rep, proj)
+    coords = moment_coords(frame.rep, np.stack([emb.q, np.asarray(s, dtype=float)]))
+    res_levi = float(np.max(np.abs(coords[0, levi] - coords[1, levi]), initial=0.0))
+    # the moment value at q and its projection to the Levi
+    proj = np.zeros_like(coords)
+    proj[0] = coords[0]
+    proj[1, levi] = coords[0, levi]
     res_char = 0.0
-    for mf, mr in zip(full, red):
-        cf = np.array(charpoly_coeffs(mf))
-        cr = np.array(charpoly_coeffs(mr))
-        res_char = max(res_char, float(np.max(np.abs(cf - cr))) if cf.size else 0.0)
+    for mats in factor_matrix_forms(frame.rep, proj):
+        cf, cr = charpoly_coeffs(mats)
+        res_char = max(res_char, float(np.max(np.abs(cf - cr), initial=0.0)))
     return CommuteReport(res_levi, res_char, emb)
 
 
@@ -424,11 +427,13 @@ def inv_moment_component_fn(rep, idx):
 
 
 def gradient_bracket(rep, gf, gg):
-    """{f, g} from the gradients of f and g: -grad(f) . J^{-1} grad(g)."""
-    return float(-gf @ np.linalg.solve(rep.j, gg))
+    """{f, g} from the gradients of f and g: -grad(f) . J^{-1} grad(g).  For
+    stacks of gradients (one per row) it is the matrix of the brackets of
+    every row of gf with every row of gg."""
+    return -np.asarray(gf) @ np.linalg.solve(rep.j, np.transpose(gg))
 
 
 def poisson_bracket(rep, f, g, v):
     """{f, g}(v) = omega(H_f, H_g)(v) with Hamiltonian fields from the model's
     form."""
-    return gradient_bracket(rep, f.gradient(v), g.gradient(v))
+    return float(gradient_bracket(rep, f.gradient(v), g.gradient(v)))

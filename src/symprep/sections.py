@@ -12,6 +12,7 @@ checked in floating point on top.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -31,10 +32,10 @@ from .linalg import (
     is_zero_vec,
     lin_solve,
     lincomb,
-    mat_vec,
     nullspace,
     rref,
     same_span,
+    span_solver,
     vdot,
 )
 from .matrixrep import hyperbolic_pair, hyperbolic_partner, weight_kernel
@@ -46,10 +47,19 @@ from .rootdata import positive_roots
 def _weight_moment(rep, p):
     """1/2 sum_a p_a (Jp)_a w_a over the weight labels w_a, as an ambient
     vector: its pairing with a coweight functional xi is the moment
-    1/2 omega(xi p, p) of the torus element xi.  Exact."""
-    jp = mat_vec(rep.j_exact, p)
-    coeffs = [Fraction(x) * y / 2 for x, y in zip(p, jp)]
-    return lincomb(coeffs, rep.weight_labels, rep.datum.ambient_dim)
+    1/2 omega(xi p, p) of the torus element xi.  Exact, in ints: p is scaled
+    to q = den p by the lcm den of its denominators, only the nonzero
+    entries of J are multiplied, and each coordinate is one Fraction of the
+    integer sum of q_a (Jq)_a w_a over 2 den^2."""
+    den = lcm(*(x.denominator for x in p if type(x) is not int))
+    q = [int(x * den) for x in p]
+    acc = [0] * rep.datum.ambient_dim
+    for qa, row, w in zip(q, rep.j_rows, rep.weight_labels):
+        if qa:
+            c = qa * sum(x * q[b] for b, x in row)
+            for i, wi in enumerate(w):
+                acc[i] += c * wi
+    return tuple(canon(Fraction(x, 2 * den * den)) for x in acc)
 
 
 def torus_moment_exact(rep, p):
@@ -104,37 +114,42 @@ def _plan_pairs(chis, killed, chart):
     return plan
 
 
-def _solve_coefficient(target, lead, rest):
-    """Unique coefficient of lead in target modulo span(rest); None when the
-    target is outside span(lead) + span(rest)."""
-    cols = [lead] + list(rest)
-    sol = in_span(cols, target)
-    if sol is None:
-        return None
-    return sol[0]
-
-
-def _apply_plan(chis, killed, plan, a):
-    """Coordinates (x_i, y_i) with sum x_i y_i chi_i = a modulo span(killed)."""
+def _plan_solvers(chis, killed, plan):
+    """The column sets that _apply_plan solves against, each row-reduced
+    once: per critical pair in plan order its character followed by the
+    characters not yet peeled and the killed ones, then the basis characters
+    with the killed ones."""
     killed_rows = [cvec(k) for k in killed]
-    a_rem = cvec(a)
-    coords = {}
+    solvers = []
     peeled = []
     for i, mode in plan:
         if not mode.startswith("critical"):
             continue
         rest = [chis[j] for j, _ in plan if j != i and j not in peeled]
-        t = _solve_coefficient(a_rem, chis[i], rest + killed_rows)
-        if t is None:
+        solvers.append(span_solver([chis[i]] + rest + killed_rows))
+        peeled.append(i)
+    basis = [chis[i] for i, mode in plan if mode == "basis"]
+    solvers.append(span_solver(basis + killed_rows))
+    return tuple(solvers)
+
+
+def _apply_plan(chis, plan, solvers, a):
+    """Coordinates (x_i, y_i) with sum x_i y_i chi_i = a modulo span(killed),
+    with the solvers of _plan_solvers."""
+    a_rem = cvec(a)
+    coords = {}
+    critical = [(i, mode) for i, mode in plan if mode.startswith("critical")]
+    for (i, mode), solve in zip(critical, solvers):
+        sol = solve(a_rem)
+        if sol is None:
             raise DomainError("target outside the span of the section characters")
+        t = sol[0]
         coords[i] = (t, 1) if mode == "critical-y" else (1, t)
         a_rem = cvec(tuple(x - t * c for x, c in zip(a_rem, chis[i])))
-        peeled.append(i)
-    basis_idx = [i for i, mode in plan if mode == "basis"]
-    cols = [chis[i] for i in basis_idx] + killed_rows
-    sol = in_span(cols, a_rem) if cols else (() if is_zero_vec(a_rem) else None)
+    sol = solvers[-1](a_rem)
     if sol is None:
         raise DomainError("target outside the span of the section characters")
+    basis_idx = [i for i, mode in plan if mode == "basis"]
     for k, i in enumerate(basis_idx):
         coords[i] = (1, sol[k])
     for i, mode in plan:
@@ -283,6 +298,7 @@ class SectionMap:
     layers: tuple          # outermost first
     terminal_pairs: tuple
     terminal_plan: tuple
+    terminal_solvers: tuple  # _plan_solvers of the terminal plan
     killed: tuple          # chi per layer, outermost first
     a_star_basis: tuple
 
@@ -292,7 +308,9 @@ class SectionMap:
         a = cvec(a)
         n = self.rep.dim
         pairs = self.terminal_pairs
-        coords = _apply_plan([q.chi for q in pairs], self.killed, self.terminal_plan, a)
+        coords = _apply_plan(
+            [q.chi for q in pairs], self.terminal_plan, self.terminal_solvers, a
+        )
         coeffs, vecs = [], []
         for i, pair in enumerate(pairs):
             coeffs += coords[i]
@@ -350,7 +368,8 @@ def build_section(rep, reduction, component_hint="x"):
         if all(vdot(w, c) == 0 for c in term_datum.simple_coroots):
             char_cols.append(col)
     pairs = _character_pairs_from_columns(rep, char_cols)
-    plan = _plan_pairs([p.chi for p in pairs], killed, component_hint)
+    chis = [p.chi for p in pairs]
+    plan = _plan_pairs(chis, killed, component_hint)
     span_rows = [p.chi for p in pairs if not is_zero_vec(p.chi)] + killed
     basis = echelon_basis(span_rows)
     if not same_span(list(basis), list(td.a_star_basis)):
@@ -362,6 +381,7 @@ def build_section(rep, reduction, component_hint="x"):
         layers=tuple(layers),
         terminal_pairs=tuple(pairs),
         terminal_plan=tuple(plan),
+        terminal_solvers=_plan_solvers(chis, killed, plan),
         killed=tuple(killed),
         a_star_basis=tuple(basis),
     )
@@ -401,25 +421,22 @@ def verify_section(rep, section, samples=20, seed=0):
     embedded target in floating point."""
     rng = np.random.default_rng(seed)
     basis = section.a_star_basis
-    resid = 0.0
+    zero = cvec((0,) * rep.datum.ambient_dim)
+    targets = []
     for _ in range(samples):
         if basis:
             coeffs = [
                 Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
                 for _ in basis
             ]
-            a = lincomb(coeffs, basis, rep.datum.ambient_dim)
+            targets.append(lincomb(coeffs, basis, rep.datum.ambient_dim))
         else:
-            a = cvec((0,) * rep.datum.ambient_dim)
-        p = section.apply(a)
-        iv = inv_moment_eval(rep, np.array([float(x) for x in p]))
-        if len(iv):
-            resid = max(resid, float(np.max(np.abs(iv - chevalley_target(rep, a)))))
-    zero = cvec((0,) * rep.datum.ambient_dim)
-    p0 = section.apply(zero)
-    pf0 = np.array([float(x) for x in p0])
-    iv = inv_moment_eval(rep, pf0)
-    zero_ok = bool(np.all(np.abs(iv) <= 1e-8)) if iv.size else True
+            targets.append(zero)
+    # every sample point and then the zero point, as one stack
+    points = np.array([section.apply(a) for a in targets + [zero]], dtype=float)
+    iv = inv_moment_eval(rep, points)
+    resid = float(np.max(np.abs(iv[:-1] - chevalley_target(rep, targets)), initial=0.0))
+    zero_ok = bool(np.all(np.abs(iv[-1]) <= 1e-8))
     return SectionReport(
         residual_max=resid,
         zero_fiber_ok=zero_ok,

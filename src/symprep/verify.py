@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SymprepError
+from .errors import BudgetExceeded, SymprepError
 from .matrixrep import build_rep, find_hw_vectors
 from .numeric import (
     _frames,
+    _lie_stack,
     coisotropy_test,
     gradient_bracket,
     inv_moment_eval,
@@ -49,6 +50,21 @@ class VerifyReport:
         return [c for c in self.checks if not c.passed]
 
 
+# The float checks evaluate their sample points as one stack, so memory grows
+# with the sample count: a section check holds (samples + 1) x L x n floats
+# for a model of dimension n with L Lie basis elements.
+SAMPLES_CAP = 1000
+
+
+def check_samples(samples, field="samples"):
+    """BudgetExceeded when the sample count is over SAMPLES_CAP; field names
+    the value in the message."""
+    if samples > SAMPLES_CAP:
+        raise BudgetExceeded(
+            f"{field} = {samples} exceeds the sample cap {SAMPLES_CAP}"
+        )
+
+
 def _check(checks, name, residual, tol, detail=""):
     checks.append(CheckResult(name, float(residual), tol, float(residual) <= tol, detail))
 
@@ -59,27 +75,24 @@ def _flag(checks, name, ok, detail=""):
 
 def verify_suite(spec, seed=0, samples=20, analysis=None):
     """Run the full numeric battery for a catalog module."""
+    check_samples(samples)
     rep = build_rep(spec)
     analysis = analysis or analyze(spec)
     rng = np.random.default_rng(seed)
     checks = []
 
     # infinitesimal invariance of the form, in floating point
-    res = 0.0
-    for m in rep.lie:
-        res = max(res, float(np.max(np.abs(m.T @ rep.j + rep.j @ m))) if m.size else 0.0)
+    lie = _lie_stack(rep)
+    res = np.max(np.abs(np.swapaxes(lie, 1, 2) @ rep.j + rep.j @ lie), initial=0.0)
     _check(checks, "form_invariance", res, 1e-10)
 
     # moment map defining identity, round-tripped through the matrix form
-    res = 0.0
-    for v in seeded_samples(rng, rep.dim, max(3, samples // 4)):
-        mv = moment_eval(rep, v)
-        for i, m in enumerate(rep.lie):
-            res = max(res, abs(mv.coords[i] - 0.5 * rep.omega(m @ v, v)))
-        for frame, mat in zip(_frames(rep), mv.factor_matrices):
-            for lab, ref in zip(frame.labels, frame.mats):
-                back = float(np.trace(mat @ ref))
-                res = max(res, abs(back - mv.coords[rep.lie_index[lab]]))
+    vs = np.array(seeded_samples(rng, rep.dim, max(3, samples // 4)))
+    mv = moment_eval(rep, vs)
+    res = np.max(np.abs(mv.coords - _half_omega(rep, lie, vs)))
+    for frame, mats in zip(_frames(rep), mv.factor_matrices):
+        back = np.einsum("kab,fba->kf", mats, frame.mats)  # trace(mat @ ref)
+        res = max(res, np.max(np.abs(back - mv.coords[:, frame.pos])))
     _check(checks, "moment_identity", res, 1e-12)
 
     # equivariance along nilpotent one-parameter flows
@@ -161,14 +174,20 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
     # gradient of invariant coordinate i
     res = 0.0
     for v in seeded_samples(rng, rep.dim, max(3, samples // 5)):
-        grads = np.ascontiguousarray(jacobian_inv_moment(rep, v))
-        for i in range(len(grads)):
-            for j in range(i, len(grads)):
-                res = max(res, abs(gradient_bracket(rep, grads[i], grads[j])))
+        grads = jacobian_inv_moment(rep, v)
+        brackets = np.triu(gradient_bracket(rep, grads, grads))
+        res = max(res, np.max(np.abs(brackets), initial=0.0))
     _check(checks, "moment_pullback_commutes", res, 1e-8)
 
     passed = all(c.passed for c in checks)
     return VerifyReport(passed, checks, seed, samples, analysis)
+
+
+def _half_omega(rep, mats, vs):
+    """1/2 omega(X v, v) for each matrix X of the (L, n, n) stack and each
+    row v of vs, as a (k, L) array, with omega(u, w) = (u J) w."""
+    dirs = np.moveaxis(mats @ vs.T, -1, 0)
+    return 0.5 * ((dirs @ rep.j) @ vs[:, :, None])[..., 0]
 
 
 def _equivariance_residual(rep, rng):
@@ -189,13 +208,10 @@ def _equivariance_residual(rep, rng):
             if k > rep.dim + 2:
                 break
         ginv = np.linalg.inv(g)
-        for v in seeded_samples(rng, rep.dim, 2):
-            before = moment_coords(rep, v)
-            after = moment_coords(rep, g @ v)
-            for i, m in enumerate(rep.lie):
-                lhs = after[i]
-                rhs = 0.5 * rep.omega((ginv @ m @ g) @ v, v)
-                res = max(res, abs(lhs - rhs))
+        vs = np.array(seeded_samples(rng, rep.dim, 2))
+        after = moment_coords(rep, vs @ g.T)
+        moved = _half_omega(rep, ginv @ _lie_stack(rep) @ g, vs)
+        res = max(res, float(np.max(np.abs(after - moved))))
     return res
 
 
@@ -215,17 +231,11 @@ def _sp_closed_form_residual(rep, rng):
     expected_dim = 2 if letter == "A" else 2 * n
     if rep.dim != expected_dim:
         return None
-    closed_res = rank_res = eig_res = inv_res = 0.0
-    for v in seeded_samples(rng, rep.dim, 20):
-        mv = moment_eval(rep, v)
-        closed = -0.5 * np.outer(v, v) @ rep.j
-        closed_res = max(
-            closed_res, float(np.max(np.abs(mv.factor_matrices[0] - closed)))
-        )
-        sv = np.linalg.svd(mv.factor_matrices[0], compute_uv=False)
-        if sv.size > 1:
-            rank_res = max(rank_res, float(sv[1]))
-        eig = np.linalg.eigvals(mv.factor_matrices[0])
-        eig_res = max(eig_res, float(np.max(np.abs(eig))))
-        inv_res = max(inv_res, float(np.max(np.abs(inv_moment_eval(rep, v)))))
+    vs = np.array(seeded_samples(rng, rep.dim, 20))
+    mats = moment_eval(rep, vs).factor_matrices[0]
+    closed = -0.5 * (vs[:, :, None] * vs[:, None, :]) @ rep.j
+    closed_res = np.max(np.abs(mats - closed))
+    rank_res = np.max(np.linalg.svd(mats, compute_uv=False)[:, 1:], initial=0.0)
+    eig_res = np.max(np.abs(np.linalg.eigvals(mats)))
+    inv_res = np.max(np.abs(inv_moment_eval(rep, vs)))
     return closed_res, rank_res, eig_res, inv_res

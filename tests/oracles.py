@@ -5,18 +5,26 @@ recursion, and word-based Weyl enumeration: multiplicities come from the
 Kostant partition function, invariant dimensions from explicit monomial
 enumeration, symmetric powers from Newton's identity over Fractions,
 group elements from matrix closure with determinant signs, and invariant
-symplectic forms from a nullspace solve.
+symplectic forms from a nullspace solve.  The float moment maps are evaluated
+one vector and one Lie basis matrix at a time, the weight moment over
+Fractions, and the section's terminal coordinates by a fresh span solve per
+target.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
+import numpy as np
+
+from symprep.errors import DomainError
 from symprep.linalg import (
     canon,
     comm,
     cvec,
     group_closure,
     in_span,
+    is_zero_vec,
+    lincomb,
     mat_mul,
     mat_scale,
     mat_vec,
@@ -25,7 +33,13 @@ from symprep.linalg import (
     transpose,
     vdot,
 )
-from symprep.matrixrep import hyperbolic_partner, root_recipes, weight_kernel
+from symprep.matrixrep import (
+    _reference_block,
+    factor_lie,
+    hyperbolic_partner,
+    root_recipes,
+    weight_kernel,
+)
 from symprep.rootdata import positive_roots, rho_strict
 
 
@@ -341,3 +355,89 @@ def reflection_subgroups_oracle(gamma):
         for combo in combinations(refl, size):
             subs.add(group_closure(combo, k))
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def moment_coords_oracle(rep, v):
+    """m(v) of one vector, one Lie basis matrix at a time."""
+    jv = rep.j @ v
+    return np.array([0.5 * (m @ v) @ jv for m in rep.lie])
+
+
+def _charpoly_oracle(a):
+    n = a.shape[0]
+    mk = np.eye(n, dtype=a.dtype)
+    out = []
+    for k in range(1, n + 1):
+        am = a @ mk
+        ck = -np.trace(am) / k
+        out.append(ck)
+        mk = am + ck * np.eye(n, dtype=a.dtype)
+    return out
+
+
+def inv_moment_eval_oracle(rep, v):
+    """The invariant moment map of one vector: each factor's matrix summed
+    one reference matrix at a time, its charpoly by Faddeev-LeVerrier."""
+    coords = moment_coords_oracle(rep, v)
+    values = []
+    for fi, (letter, frank) in enumerate(rep.datum.factors):
+        lie = factor_lie(rep.datum, fi, _reference_block(letter, frank))
+        mats = [np.array(m, dtype=float) for _, m in lie]
+        gram = np.array([[float(np.trace(a @ b)) for b in mats] for a in mats])
+        rhs = np.array([coords[rep.lie_index[lab]] for lab, _ in lie])
+        u = np.linalg.inv(gram) @ rhs
+        mat = sum(ui * m.astype(rhs.dtype) for ui, m in zip(u, mats))
+        coeffs = _charpoly_oracle(mat)
+        values.extend(coeffs[1:] if letter == "A" else coeffs[1::2])
+    for l in range(rep.datum.central_rank):
+        values.append(coords[rep.lie_index[("z", l)]])
+    return np.array(values)
+
+
+def jacobian_oracle(rep, v):
+    """The complex-step Jacobian with one evaluation per coordinate."""
+    h = 1e-100
+    cols = []
+    for j in range(rep.dim):
+        vc = v.astype(complex)
+        vc[j] += 1j * h
+        cols.append(np.imag(inv_moment_eval_oracle(rep, vc)) / h)
+    return np.array(cols).T
+
+
+def weight_moment_oracle(rep, p):
+    """1/2 sum_a p_a (Jp)_a w_a over Fractions, with a dense J p."""
+    jp = mat_vec(rep.j_exact, p)
+    coeffs = [Fraction(x) * y / 2 for x, y in zip(p, jp)]
+    return lincomb(coeffs, rep.weight_labels, rep.datum.ambient_dim)
+
+
+def apply_plan_oracle(chis, killed, plan, a):
+    """A section's terminal coordinates (x_i, y_i) for the target a, with
+    every coefficient found by a fresh in_span solve."""
+    killed_rows = [cvec(k) for k in killed]
+    a_rem = cvec(a)
+    coords = {}
+    peeled = []
+    for i, mode in plan:
+        if not mode.startswith("critical"):
+            continue
+        rest = [chis[j] for j, _ in plan if j != i and j not in peeled]
+        sol = in_span([chis[i]] + rest + killed_rows, a_rem)
+        if sol is None:
+            raise DomainError("target outside the span of the section characters")
+        t = sol[0]
+        coords[i] = (t, 1) if mode == "critical-y" else (1, t)
+        a_rem = cvec(tuple(x - t * c for x, c in zip(a_rem, chis[i])))
+        peeled.append(i)
+    basis_idx = [i for i, mode in plan if mode == "basis"]
+    cols = [chis[i] for i in basis_idx] + killed_rows
+    sol = in_span(cols, a_rem) if cols else (() if is_zero_vec(a_rem) else None)
+    if sol is None:
+        raise DomainError("target outside the span of the section characters")
+    for k, i in enumerate(basis_idx):
+        coords[i] = (1, sol[k])
+    for i, mode in plan:
+        if mode == "dependent":
+            coords[i] = (0, 0)
+    return coords

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symprep import cli, reps
+from symprep import cli, reps, verify
 from symprep.cli import (
     EXIT_BUDGET,
     EXIT_DEFECT,
@@ -17,7 +17,12 @@ from symprep.cli import (
     main,
     parse_spec,
 )
-from symprep.errors import InternalConsistencyError, SpecFormatError, ValidationError
+from symprep.errors import (
+    BudgetExceeded,
+    InternalConsistencyError,
+    SpecFormatError,
+    ValidationError,
+)
 from symprep.reduction import analyze
 
 from corpus import catalog
@@ -314,6 +319,39 @@ def test_hilbert_degree_at_the_cap_is_used_as_asked(tmp_path, capsys):
     assert report["options"]["hilbert_degree"] == 10
     assert main(["hilbert", path, "--degree", "10"]) == EXIT_OK
     assert len(json.loads(capsys.readouterr().out)["invariant_dims"]) == 11
+
+
+@pytest.mark.parametrize("argv, options, env, field", [
+    (["verify", "--samples", "1001"], {}, None, "--samples = 1001"),
+    (["verify", "--samples", "1000000000"], {"samples": 5}, None, "--samples = 1000000000"),
+    (["verify"], {"samples": 1001}, None, "options.samples = 1001"),
+    (["verify"], {}, "5000", "options.samples = 5000"),
+])
+def test_samples_above_the_cap_exit_3_before_the_model_is_built(
+    tmp_path, capsys, monkeypatch, argv, options, env, field
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sample cap must trip first")
+
+    monkeypatch.setattr(cli, "analyze", unreachable)
+    monkeypatch.setattr(verify, "build_rep", unreachable)
+    if env is not None:
+        monkeypatch.setenv("SYMPREP_SAMPLES", env)
+    path = _write(tmp_path, "cubic.json", dict(CUBIC, options=options))
+    assert main([argv[0], path] + argv[1:]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and "cap 1000" in err
+    with pytest.raises(BudgetExceeded, match="samples = 1001 exceeds the sample cap 1000"):
+        verify.verify_suite(parse_spec(path)[0], samples=1001)
+
+
+def test_samples_at_the_cap_are_used_as_asked(tmp_path, capsys):
+    torus = {"group": {"simple": [], "central_torus_rank": 1},
+             "rep": [{"hw": [1], "mult": 1}, {"hw": [-1], "mult": 1}]}
+    path = _write(tmp_path, "torus.json", dict(torus, options={"samples": 1000}))
+    assert main(["verify", path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["numeric_verification"]["samples"] == 1000
 
 
 def test_internal_consistency_error_exits_5(tmp_path, capsys, monkeypatch):

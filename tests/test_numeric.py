@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,18 @@ from symprep.errors import (
     DimensionMismatch,
     InternalConsistencyError,
     NoReductionAvailable,
+    NotSupported,
     SOutsideDomain,
 )
-from symprep import matrixrep
+from symprep import matrixrep, numeric
 from symprep.matrixrep import build_rep
 from symprep.numeric import (
+    _numeric_rank,
     coisotropy_test,
     coordinate_fn,
     inv_moment_component_fn,
     inv_moment_eval,
+    jacobian_inv_moment,
     jacobian_rank_and_orbit,
     local_frame,
     moment_component_fn,
@@ -21,11 +26,14 @@ from symprep.numeric import (
     moment_eval,
     phi_solve_q_embed,
     poisson_bracket,
+    seeded_samples,
     verify_commute,
 )
 from symprep.reps import validate_symplectic_spec
+from symprep.rootdata import build_root_datum
 
-from corpus import A1, A2, C2, T1, catalog
+from corpus import A1, A2, C2, T1, catalog, verify_ladder
+from oracles import inv_moment_eval_oracle, jacobian_oracle, moment_coords_oracle
 
 
 def _rep(datum, summands):
@@ -54,8 +62,70 @@ def test_moment_of_zero_vanishes():
 
 def test_moment_dimension_mismatch():
     rep = _rep(A1, [((1,), 1)])
+    for v in (np.zeros(5), np.zeros((3, 5)), np.zeros((2, 1))):
+        with pytest.raises(DimensionMismatch):
+            moment_coords(rep, v)
+        with pytest.raises(DimensionMismatch):
+            inv_moment_eval(rep, v)
     with pytest.raises(DimensionMismatch):
-        moment_coords(rep, np.zeros(5))
+        jacobian_inv_moment(rep, np.zeros(5))
+
+
+def test_inv_moment_rejects_types_other_than_a_and_c():
+    rep = _rep(C2, [((1, 0), 1)])
+    other = replace(rep, datum=build_root_datum([("B", 2)]))
+    for v in (np.zeros(rep.dim), np.zeros((3, rep.dim))):
+        assert moment_coords(other, v).shape[-1] == len(rep.lie)
+        with pytest.raises(NotSupported):
+            inv_moment_eval(other, v)
+
+
+def _kernel_models():
+    models = {name: sp for name, (sp, _) in catalog().items()}
+    models.update(verify_ladder())
+    return models
+
+
+def _close(got, want):
+    """Agreement within 1e-12 relative to the size of the oracle's values."""
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    return got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_models()))
+def test_stacked_kernel_matches_the_per_vector_oracle(name):
+    rep = build_rep(_kernel_models()[name])
+    vs = np.array(seeded_samples(np.random.default_rng(17), rep.dim, 5))
+    coords = moment_coords(rep, vs)
+    invs = inv_moment_eval(rep, vs)
+    complex_vs = vs + 1j * np.roll(vs, 1, axis=1)
+    complex_invs = inv_moment_eval(rep, complex_vs)
+    for k, v in enumerate(vs):
+        assert _close(coords[k], moment_coords_oracle(rep, v))
+        assert _close(moment_coords(rep, v), moment_coords_oracle(rep, v))
+        assert _close(invs[k], inv_moment_eval_oracle(rep, v))
+        assert _close(complex_invs[k], inv_moment_eval_oracle(rep, complex_vs[k]))
+        jac, want = jacobian_inv_moment(rep, v), jacobian_oracle(rep, v)
+        assert _close(jac, want)
+        assert _numeric_rank(jac) == _numeric_rank(want)
+
+
+def test_one_kernel_call_per_jacobian(monkeypatch):
+    calls = []
+    kernel = numeric.moment_coords
+
+    def counting(rep, v):
+        calls.append(np.shape(v))
+        return kernel(rep, v)
+
+    monkeypatch.setattr(numeric, "moment_coords", counting)
+    rep = build_rep(verify_ladder()["C3_std_x2"])
+    v = np.array(seeded_samples(np.random.default_rng(1), rep.dim, 1)[0])
+    jacobian_inv_moment(rep, v)
+    assert calls == [(rep.dim, rep.dim)]
+    calls.clear()
+    jacobian_rank_and_orbit(rep, 6, 0)
+    assert calls == [(rep.dim, rep.dim)] * 6
 
 
 def test_inv_moment_examples():

@@ -3,13 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symprep import linalg
 from symprep.errors import DomainError
-from symprep.linalg import cvec, same_span
+from symprep.linalg import cvec, lincomb, same_span
 from symprep.matrixrep import build_rep
 from symprep.numeric import inv_moment_eval
 from symprep.reduction import run_reduction
 from symprep.reps import validate_symplectic_spec
 from symprep.sections import (
+    _apply_plan,
+    _weight_moment,
     build_section,
     central_element_for,
     char_reduction_phi,
@@ -19,7 +22,8 @@ from symprep.sections import (
     verify_section,
 )
 
-from corpus import A1, A2, C2, T1, T2, catalog
+from corpus import A1, A2, C2, T1, T2, catalog, verify_ladder
+from oracles import apply_plan_oracle, weight_moment_oracle
 
 
 def _rep(datum, summands):
@@ -193,3 +197,70 @@ def test_rho_psg_separates_equal_height_weights():
     from symprep.linalg import vdot
 
     assert vdot((1, 0), rho) != vdot((0, 1), rho)
+
+
+def _rationals(rng, count, num, den):
+    return [Fraction(int(rng.integers(-num, num + 1)), int(rng.integers(1, den + 1)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(verify_ladder()))
+def test_weight_moment_equals_the_fraction_formula(name):
+    """The integer weight moment equals the Fraction formula exactly, in
+    value and type, on seeded rational vectors: zero, integral, small
+    denominators and large coprime ones."""
+    rep = build_rep(verify_ladder()[name])
+    rng = np.random.default_rng(23)
+    vectors = [cvec((0,) * rep.dim)]
+    for num, den in [(5, 1), (6, 4), (10 ** 18, 10 ** 15), (7, 10 ** 12)]:
+        vectors += [cvec(_rationals(rng, rep.dim, num, den)) for _ in range(3)]
+    sparse = [0] * rep.dim
+    sparse[0], sparse[-1] = Fraction(2 ** 61 - 1, 3 ** 30), Fraction(-5, 7)
+    vectors.append(cvec(sparse))
+    for p in vectors:
+        assert repr(_weight_moment(rep, p)) == repr(weight_moment_oracle(rep, p))
+
+
+def _section_models():
+    models = {name: sp for name, (sp, _) in catalog().items()}
+    models.update(verify_ladder())
+    return models
+
+
+@pytest.mark.parametrize("name", sorted(_section_models()) + ["torus_rank2-y"])
+def test_section_apply_solves_no_span_per_target(name, monkeypatch):
+    """The terminal coordinates of a section come from column sets factored
+    once in build_section: they equal a fresh in_span solve per target, off
+    the span of a* too, with no row reduction left at apply time."""
+    hint = "y" if name.endswith("-y") else "x"
+    rep = build_rep(_section_models()[name.removesuffix("-y")])
+    sec = build_section(rep, run_reduction(rep.spec), hint)
+    chis = [q.chi for q in sec.terminal_pairs]
+    rng = np.random.default_rng(29)
+    n = rep.datum.ambient_dim
+    targets = [cvec((0,) * n)]
+    for _ in range(6):
+        coeffs = _rationals(rng, len(sec.a_star_basis), 6, 3)
+        targets.append(lincomb(coeffs, sec.a_star_basis, n))
+        targets.append(cvec(_rationals(rng, n, 6, 3)))
+    want = []
+    for a in targets:
+        try:
+            want.append(apply_plan_oracle(chis, sec.killed, sec.terminal_plan, a))
+        except DomainError:
+            want.append(DomainError)
+
+    def no_rref(*args):
+        raise AssertionError("row reduction at apply time")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    for a, expected in zip(targets, want):
+        if expected is DomainError:
+            with pytest.raises(DomainError):
+                _apply_plan(chis, sec.terminal_plan, sec.terminal_solvers, a)
+            with pytest.raises(DomainError):
+                sec.apply(a)
+            continue
+        got = _apply_plan(chis, sec.terminal_plan, sec.terminal_solvers, a)
+        assert repr(got) == repr(expected)
+        assert torus_moment_exact(rep, sec.apply(a)) == a
