@@ -4,9 +4,10 @@ Vectors are tuples, matrices are tuples of row tuples.  Entries are ints or
 Fractions; every routine keeps arithmetic exact.  Sizes here are tiny (a few
 dozen at most), so the quadratic/cubic loops below are deliberate.
 
-Most data are integers, so `canon`, `vdot`, `mat_vec` and `mat_mul` compute
-in plain ints: a sum of products has type int exactly when every product
-did, and only a sum that came out a Fraction goes through `canon`.
+Most data are integers, so `canon`, `vdot`, `mat_vec`, `mat_mul` and
+`lincomb` compute in plain ints: a sum of products has type int exactly when
+every product did, and only a sum that came out a Fraction goes through
+`canon`.
 """
 
 from fractions import Fraction
@@ -70,10 +71,12 @@ def mat_vec(a, v):
 
 
 def lincomb(coeffs, vecs, n):
-    """Exact sum of c_i * v_i over vectors of length n."""
-    out = [Fraction(0)] * n
+    """Exact sum of c_i * v_i over vectors of length n; in plain ints when
+    every coefficient and entry is an int."""
+    out = [0] * n
     for c, v in zip(coeffs, vecs):
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         if c:
             for k, x in enumerate(v):
                 if x:

@@ -31,6 +31,7 @@ from .linalg import (
 )
 from .reps import (
     DEFAULT_SYM_DEGREE_BUDGET,
+    DEFAULT_SYM_DIM_BUDGET,
     decompose_weights,
     invariant_dims,
     validate_symplectic_spec,
@@ -295,15 +296,17 @@ def determine_little_weyl(
     invariant Hilbert series against Molien series in squared degrees.
 
     Only valid when the module is multiplicity free; otherwise the result is
-    Unknown with the candidate subgroups listed.  An odd hilbert_degree is
-    rounded down; one above the symmetric-power degree budget makes
-    invariant_dims raise BudgetExceeded."""
+    Unknown with the candidate subgroups listed.  A module above the
+    symmetric-power dimension budget gets status "budget", also with the
+    candidates listed, before any symmetric power is formed.  An odd
+    hilbert_degree is rounded down; one above the symmetric-power degree
+    budget makes invariant_dims raise BudgetExceeded."""
     subs = reflection_subgroups(gamma)
+    candidates = tuple(sorted(len(s) for s in subs))
     if not mf:
-        return LittleWeylResult(
-            status="unknown",
-            candidates=tuple(sorted(len(s) for s in subs)),
-        )
+        return LittleWeylResult(status="unknown", candidates=candidates)
+    if spec.dim > DEFAULT_SYM_DIM_BUDGET:
+        return LittleWeylResult(status="budget", candidates=candidates)
     degree = hilbert_degree
     if degree % 2:
         degree -= 1

@@ -3,7 +3,10 @@
 Weight multiplicities come from Freudenthal's recursion, duality types from
 the parity of <lambda, 2 rho^vee>, and invariant dimensions from symmetric
 power multisets combined with the Weyl alternation over wrho - rho, read off
-the W-orbit of rho.  All arithmetic is exact.
+the W-orbit of rho (Humphreys, Introduction to Lie Algebras and
+Representation Theory, section 24).  The symmetric-power recursion keys each
+weight by one Python int in a balanced radix (`_int_key`), so multiplying by
+x^mu adds an int; ints need no overflow guard.  All arithmetic is exact.
 """
 
 import enum
@@ -12,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
-from operator import add
 
 from .errors import (
     BudgetExceeded,
@@ -280,21 +282,50 @@ def _freeze(multiset):
     return tuple(sorted((cvec(w), m) for w, m in multiset.items() if m))
 
 
+def _int_key(v, radix):
+    """sum_a v_a radix^a: one int per weight, additive in v, and injective on
+    the box |v_a| <= (radix - 1) / 2 (a balanced radix)."""
+    key = 0
+    for x in reversed(v):
+        if type(x) is not int:
+            raise InternalConsistencyError(
+                f"weight {v} has a non-integer coordinate"
+            )
+        key = key * radix + x
+    return key
+
+
+def _int_unkey(key, radix, n):
+    """The weight of length n whose _int_key is key."""
+    bound = radix // 2
+    out = []
+    for _ in range(n):
+        x = (key + bound) % radix - bound
+        out.append(x)
+        key = (key - x) // radix
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _sym_powers_cached(frozen, max_degree):
-    """Multisets of S^d V for d = 0..max_degree as the coefficients of
-    prod_mu (1 - t x^mu)^(-m_mu), one factor at a time: multiplying by
+    """(radix, bound, h): h[d] maps the _int_key of each weight of S^d V to
+    its multiplicity, d = 0..max_degree.  Every such weight lies in the box
+    |v_a| <= bound = max_degree * max |mu_a|, where the key is injective, and
+    multiplying by x^mu adds the key of mu.  h is built as the coefficients
+    of prod_mu (1 - t x^mu)^(-m_mu), one factor at a time: multiplying by
     1/(1 - t x^mu) is h_d += x^mu h_(d-1) for d rising.  The mass of h_d is
     checked against C(dim V + d - 1, d)."""
-    n = len(frozen[0][0]) if frozen else 0
-    h = [{(0,) * n: 1}] + [{} for _ in range(max_degree)]
+    bound = max_degree * max((abs(x) for mu, _ in frozen for x in mu), default=0)
+    radix = 2 * bound + 1
+    h = [{0: 1}] + [{} for _ in range(max_degree)]
     for mu, m in frozen:
+        step = _int_key(mu, radix)
         for _ in range(m):
             for d in range(1, max_degree + 1):
                 hd = h[d]
-                for v, c in h[d - 1].items():
-                    key = tuple(map(add, v, mu))
-                    hd[key] = hd.get(key, 0) + c
+                for k, c in h[d - 1].items():
+                    k += step
+                    hd[k] = hd.get(k, 0) + c
     dim_v = sum(m for _, m in frozen)
     for d, hd in enumerate(h):
         mass = comb(dim_v + d - 1, d) if dim_v else int(d == 0)
@@ -302,11 +333,15 @@ def _sym_powers_cached(frozen, max_degree):
             raise InternalConsistencyError(
                 f"S^{d} V has mass {sum(hd.values())}, expected {mass}"
             )
-    return tuple(tuple(sorted(hd.items())) for hd in h)
+    return radix, bound, tuple(h)
 
 
 def symmetric_power_multisets(multiset, max_degree):
-    return [dict(t) for t in _sym_powers_cached(_freeze(multiset), max_degree)]
+    """Weight multisets of S^d V for d = 0..max_degree, keyed by weight."""
+    frozen = _freeze(multiset)
+    n = len(frozen[0][0]) if frozen else 0
+    radix, _, h = _sym_powers_cached(frozen, max_degree)
+    return [{_int_unkey(k, radix, n): c for k, c in hd.items()} for hd in h]
 
 
 def invariant_dims(
@@ -317,7 +352,9 @@ def invariant_dims(
 ):
     """dim (S^d V)^G for d = 0..max_degree, via the Weyl alternation
     sum_w (-1)^l(w) m_{S^d V}(w rho - rho) on symmetric-power multisets; rho
-    is regular, so its orbit has one point w rho per w, reached in l(w) steps."""
+    is regular, so its orbit has one point w rho per w, reached in l(w) steps.
+    A target outside the box of the S^d weights has multiplicity 0 and is
+    skipped: keying it could alias a weight inside the box."""
     datum = spec.datum
     dim_v = spec.dim
     if dim_v > dim_budget:
@@ -333,15 +370,21 @@ def invariant_dims(
         raise InternalConsistencyError(
             f"orbit of rho has {len(orbit)} points, expected |W| = {datum.weyl_order()}"
         )
-    targets = [(vsub(y, rho), -1 if len(word) % 2 else 1) for y, word in orbit]
-    sym = symmetric_power_multisets(spec.weight_multiset(), max_degree)
+    radix, bound, sym = _sym_powers_cached(
+        _freeze(spec.weight_multiset()), max_degree
+    )
+    plus, minus = [], []
+    for y, word in orbit:
+        t = vsub(y, rho)
+        key = _int_key(t, radix)
+        if all(-bound <= x <= bound for x in t):
+            (minus if len(word) % 2 else plus).append(key)
     out = []
-    for d in range(max_degree + 1):
-        hd = sym[d]
-        val = sum(sign * hd.get(t, 0) for t, sign in targets)
+    for hd in sym:
+        val = sum(hd.get(k, 0) for k in plus) - sum(hd.get(k, 0) for k in minus)
         if val < 0:
             raise InternalConsistencyError("negative invariant dimension")
-        out.append(int(val))
+        out.append(val)
     if out[0] != 1:
         raise InternalConsistencyError("degree-0 invariants must be 1-dim")
     return out

@@ -3,8 +3,8 @@
 These deliberately avoid the library's Freudenthal recursion, symmetric-power
 recursion, and word-based Weyl enumeration: multiplicities come from the
 Kostant partition function, invariant dimensions from explicit monomial
-enumeration, symmetric powers from Newton's identity over Fractions,
-group elements from matrix closure with determinant signs, and invariant
+enumeration, symmetric powers from Newton's identity over Fractions or
+the division-free recursion over tuple-keyed weights, group elements from matrix closure with determinant signs, and invariant
 symplectic forms from a nullspace solve.  The float moment maps are evaluated
 one vector and one Lie basis matrix at a time, the weight moment over
 Fractions, and the section's terminal coordinates by a fresh span solve per
@@ -253,6 +253,36 @@ def newton_symmetric_powers(multiset, max_degree):
                     acc[key] = acc.get(key, 0) + m * c
         h.append({v: Fraction(c, d) for v, c in acc.items() if c})
     return h
+
+
+def tuple_symmetric_powers(multiset, max_degree):
+    """Weight multisets of S^d V for d = 0..max_degree by the division-free
+    recursion over tuple-keyed weights: multiplying by 1/(1 - t x^mu) is
+    h_d += x^mu h_(d-1) for d rising, one factor per weight copy."""
+    weights = sorted((cvec(w), m) for w, m in multiset.items() if m)
+    zero = (0,) * (len(weights[0][0]) if weights else 0)
+    h = [{zero: 1}] + [{} for _ in range(max_degree)]
+    for mu, m in weights:
+        for _ in range(m):
+            for d in range(1, max_degree + 1):
+                for v, c in h[d - 1].items():
+                    key = tuple(a + b for a, b in zip(v, mu))
+                    h[d][key] = h[d].get(key, 0) + c
+    return h
+
+
+def tuple_invariant_dims(spec, max_degree):
+    """dim (S^d V)^G for d = 0..max_degree: the Weyl alternation over the
+    targets w rho - rho, w from matrix closure with determinant signs, read
+    off tuple-keyed symmetric powers (no box, so no key can alias)."""
+    datum = spec.datum
+    rho = rho_strict(datum)
+    targets = [
+        (cvec(a - b for a, b in zip(mat_vec(w, rho), rho)), 1 if det_exact(w) > 0 else -1)
+        for w in weyl_matrices_bruteforce(datum)
+    ]
+    sym = tuple_symmetric_powers(spec.weight_multiset(), max_degree)
+    return [sum(s * hd.get(t, 0) for t, s in targets) for hd in sym]
 
 
 def invariant_symplectic_form_oracle(dim, gens):

@@ -186,19 +186,36 @@ def test_gamma_command(tmp_path, capsys):
     assert report["centralizer_order"] == 1
 
 
+# the rank-9 torus on +-e_i: dim 18 is past the symmetric-power budget
+TORUS9_CHARS = [[1 if j == i else 0 for j in range(9)] for i in range(9)]
+TORUS9 = {
+    "group": {"simple": [], "central_torus_rank": 9},
+    "rep": [{"hw": c, "mult": 1} for c in TORUS9_CHARS]
+    + [{"hw": [-x for x in c], "mult": 1} for c in TORUS9_CHARS],
+}
+
+
 def test_gamma_skips_the_little_weyl_matching(tmp_path, capsys):
-    # dim 18 is past the symmetric-power budget of the Hilbert matching,
-    # which gamma does not need
-    chars = [[1 if j == i else 0 for j in range(9)] for i in range(9)]
-    torus = {
-        "group": {"simple": [], "central_torus_rank": 9},
-        "rep": [{"hw": c, "mult": 1} for c in chars]
-        + [{"hw": [-x for x in c], "mult": 1} for c in chars],
-    }
-    assert main(["gamma", _write(tmp_path, "torus9.json", torus)]) == EXIT_OK
+    # gamma does not need the Hilbert matching
+    assert main(["gamma", _write(tmp_path, "torus9.json", TORUS9)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["gamma_order"] == 1
-    assert report["a_star_basis"] == chars
+    assert report["a_star_basis"] == TORUS9_CHARS
+
+
+def test_little_weyl_past_the_dim_budget_reports_budget(tmp_path, capsys):
+    """analyze and verify keep rk_s, c_s, Gamma and the isotropy and report
+    W_V as status "budget"; hilbert, which is the symmetric powers, exits 3."""
+    path = _write(tmp_path, "torus9.json", TORUS9)
+    for command in ("analyze", "verify"):
+        assert main([command, path]) == EXIT_OK, command
+        report = json.loads(capsys.readouterr().out)
+        assert (report["rk_s"], report["c_s"], report["mf"]) == (9, 0, True)
+        assert report["little_weyl"] == {
+            "status": "budget", "order": None, "degrees": None, "candidates": [1],
+        }
+    assert main(["hilbert", path, "--degree", "2"]) == EXIT_BUDGET
+    assert "dim V = 18 exceeds budget 16" in capsys.readouterr().err
 
 
 def test_gamma_command_agrees_with_full_analysis(tmp_path, capsys):

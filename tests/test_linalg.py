@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from symprep.linalg import canon, mat_mul, mat_vec, vdot
+from symprep.linalg import canon, lincomb, mat_mul, mat_vec, vdot
 
 INTS = st.integers(-10 ** 20, 10 ** 20)
 ENTRIES = {
@@ -75,6 +75,16 @@ def test_mat_mul_matches_fraction_reference(kind, data):
     b = _matrix(data, ENTRIES[kind], n, p)
     want = tuple(tuple(ref_dot(row, col) for col in zip(*b)) for row in a)
     assert_same(mat_mul(a, b), want)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@given(data=st.data())
+def test_lincomb_matches_fraction_reference(kind, data):
+    m, n = data.draw(SIZES), data.draw(SIZES)
+    (coeffs,) = _matrix(data, ENTRIES[kind], 1, m)
+    vecs = _matrix(data, ENTRIES[kind], m, n)
+    want = tuple(ref_dot(coeffs, col) for col in zip(*vecs))
+    assert_same(lincomb(coeffs, vecs, n), want)
 
 
 def test_length_mismatch_still_raises():

@@ -335,3 +335,16 @@ def test_verify_suite_derives_the_local_frame_once(monkeypatch):
         counts.append((calls.count("terminal"), calls.count("frame")))
     assert counts[0] == counts[1]
     assert counts[0][1] == 1
+
+
+def test_sp_standard_nilpotent_residual_is_rounding_level():
+    """sp_standard_nilpotent tests M^2 = 0 relative to |M|^2.  The largest
+    |eigenvalue| of the same square-zero M sits at ~sqrt(rounding), 2.6e-9 to
+    8.3e-9 on seeds 0-19, too close to the check's 1e-8 tolerance."""
+    from symprep.verify import _sp_closed_form_residual
+
+    for name in ("sp2_standard", "sp4_standard", "sp6_standard"):
+        rep = build_rep(catalog()[name][0])
+        for seed in range(20):
+            res = _sp_closed_form_residual(rep, np.random.default_rng(seed))
+            assert res[2] <= 1e-12, (name, seed, res[2])

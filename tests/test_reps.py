@@ -1,5 +1,6 @@
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -27,11 +28,12 @@ from symprep.reps import (
 from symprep.linalg import mat_vec
 from symprep.rootdata import build_root_datum
 
-from corpus import A1, A2, C2, C3, T1, catalog
+from corpus import A1, A2, C2, C3, T1, T2, catalog
 from oracles import (
     invariant_dims_oracle,
     kostant_weight_multiset,
     newton_symmetric_powers,
+    tuple_invariant_dims,
     weyl_matrices_bruteforce,
 )
 
@@ -166,26 +168,51 @@ def test_invariant_dims_examples_against_oracle():
         assert invariant_dims_oracle(datum, weights, deg) == expected
 
 
+def _zero_sum_monomials(spec, degree):
+    """Per degree d <= degree, the number of degree-d monomials in the weight
+    vectors of V whose weights sum to zero: dim (S^d V)^T for a torus."""
+    weights = []
+    for w, m in spec.weight_multiset().items():
+        weights.extend([w] * m)
+    counts = []
+    for d in range(degree + 1):
+        counts.append(sum(
+            1
+            for combo in combinations_with_replacement(weights, d)
+            if not any(map(sum, zip(*combo)))
+        ))
+    return counts
+
+
 def test_invariant_dims_torus_is_lattice_point_count():
     spec = validate_symplectic_spec(
         T1, [((1,), 1), ((-1,), 1), ((2,), 1), ((-2,), 1)]
     )
     dims = invariant_dims(spec, 6)
-    weights = []
-    for w, m in spec.weight_multiset().items():
-        weights.extend([w] * m)
-    # direct count of exponent vectors with zero weighted sum per degree
-    from itertools import combinations_with_replacement
-
-    direct = []
-    for d in range(7):
-        count = 0
-        for combo in combinations_with_replacement(range(len(weights)), d):
-            if sum(weights[i][0] for i in combo) == 0:
-                count += 1
-        direct.append(count)
-    assert dims == direct
+    assert dims == _zero_sum_monomials(spec, 6)
     assert dims[0] == 1
+
+
+def test_invariant_dims_torus_with_large_weights():
+    """a + b + c = 0 for a = (1000, -1000), b = (-1000, 1), c = (0, 999): the
+    S^6 weights fill the box |v_a| <= 6000, so the key radix is 12001."""
+    spec = validate_symplectic_spec(
+        T2,
+        [((1000, -1000), 1), ((-1000, 1000), 1), ((-1000, 1), 1),
+         ((1000, -1), 1), ((0, 999), 1), ((0, -999), 1)],
+    )
+    dims = invariant_dims(spec, 6)
+    assert dims == _zero_sum_monomials(spec, 6)
+    assert dims[3] == 2
+
+
+def test_invariant_dims_skip_targets_outside_the_box():
+    """gl2_std_dual at degree 1: the S^1 weights fill the box |v_a| <= 1, so
+    the key radix is 3.  The target s rho - rho = (-2, 0) lies outside the
+    box; keyed anyway, it would alias the weight (1, -1) (-2 = 1 - 3) and the
+    alternation would give dimension -1."""
+    spec = catalog()["gl2_std_dual"][0]
+    assert invariant_dims(spec, 1) == [1, 0]
 
 
 def test_invariant_dims_budget():
@@ -208,6 +235,32 @@ def _sympow_oracle_specs():
     return specs
 
 
+def _invariant_dims_oracle_specs():
+    specs = _sympow_oracle_specs()
+    specs["C4_std"] = validate_symplectic_spec(
+        build_root_datum([("C", 4)]), [((1, 0, 0, 0), 1)]
+    )
+    specs["D4_vec_x2"] = validate_symplectic_spec(
+        build_root_datum([("D", 4)]), [((1, 0, 0, 0), 2)]
+    )
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(_invariant_dims_oracle_specs()))
+def test_invariant_dims_match_oracles_at_every_degree(name):
+    """Each max_degree D sets its own key box |v_a| <= D max|mu_a|; every D
+    from 1 to 10 must agree with the tuple-keyed recursion.  Monomial
+    enumeration visits C(dim V + d, d) monomials up to degree d, so it runs
+    to degree 10 up to dim 8, 8 up to dim 12 and 6 beyond."""
+    spec = _invariant_dims_oracle_specs()[name]
+    expected = tuple_invariant_dims(spec, 10)
+    for d in range(1, 11):
+        assert invariant_dims(spec, d) == expected[: d + 1]
+    d = 10 if spec.dim <= 8 else 8 if spec.dim <= 12 else 6
+    weights = [w for w, m in spec.weight_multiset().items() for _ in range(m)]
+    assert invariant_dims_oracle(spec.datum, weights, d) == expected[: d + 1]
+
+
 @pytest.mark.parametrize("name", sorted(_sympow_oracle_specs()))
 def test_symmetric_powers_match_newton_oracle(name):
     multiset = _sympow_oracle_specs()[name].weight_multiset()
@@ -226,13 +279,16 @@ def test_symmetric_power_mass_is_cross_checked(monkeypatch):
 
 def test_integrality_cross_checks_raise_a_defect():
     """A weight off the lattice reaches the integrality cross-checks of the
-    Weyl dimension and the Frobenius-Schur index, which must raise
+    Weyl dimension, the Frobenius-Schur index and the int keys of symmetric
+    powers (where it would miss every key silently), which must raise
     InternalConsistencyError (an assert would vanish under python -O)."""
     half = (Fraction(1, 2),)
     with pytest.raises(InternalConsistencyError, match="not an integer"):
         weyl_dim(A1, half)
     with pytest.raises(InternalConsistencyError, match="not an integer"):
         duality_class(A1, half)
+    with pytest.raises(InternalConsistencyError, match="non-integer coordinate"):
+        symmetric_power_multisets({half: 1, (-half[0],): 1}, 2)
 
 
 def test_decompose_weights_evaluates_weight_key_once_per_weight(monkeypatch):
