@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, SymprepError
-from .linalg import cvec, in_span, vdot, vsub
+from .linalg import cvec, span_solver, vdot, vsub
 from .reps import weight_key
 from .rootdata import positive_roots
 
@@ -40,11 +40,6 @@ def is_singular_weight(datum, chi):
     chi = cvec(chi)
     if not datum.is_dominant(chi):
         raise SymprepError(f"{chi} is not dominant")
-    if datum.rank == 0:
-        return False, None
-    # trivial on the central torus <=> chi lies in the span of the roots
-    if in_span([r for r in datum.simple_roots], chi) is None:
-        return False, None
     pairings = [vdot(chi, c) for c in datum.simple_coroots]
     for fi, (letter, rank) in enumerate(datum.factors):
         node = _symplectic_node(letter, rank)
@@ -54,6 +49,9 @@ def is_singular_weight(datum, chi):
         if all(
             p == (1 if i == target_index else 0) for i, p in enumerate(pairings)
         ):
+            # trivial on the central torus <=> chi lies in the span of the roots
+            if span_solver(datum.simple_roots)(chi) is None:
+                return False, None
             return True, fi
     return False, None
 

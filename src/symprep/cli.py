@@ -37,7 +37,7 @@ from .errors import (
 )
 from .reduction import DEFAULT_HILBERT_DEGREE, analyze, reduce_to_gamma
 from .reps import DEFAULT_SYM_DEGREE_BUDGET, invariant_dims, validate_symplectic_spec
-from .rootdata import DEFAULT_WEYL_CAP, build_root_datum
+from .rootdata import DEFAULT_WEYL_CAP, build_root_datum, check_declared_weyl_cap
 from .verify import check_samples, verify_suite
 
 SCHEMA_VERSION = 1
@@ -182,16 +182,20 @@ def parse_spec(source):
             f"options.hilbert_degree = {options['hilbert_degree']} exceeds the "
             f"symmetric-power degree cap {DEFAULT_SYM_DEGREE_BUDGET}"
         )
+    ambient = sum(n for _, n in factors) + central
+    for i, (hw, _) in enumerate(entries):
+        if len(hw) != ambient:
+            raise SpecFormatError(
+                f"rep[{i}].hw has length {len(hw)}, ambient dimension is {ambient}"
+            )
+    # with every declared rank at least 1, each is at most the hw length, so
+    # the order formulas are cheap; a rank below 1 is left to build_root_datum
+    if all(n >= 1 for _, n in factors):
+        check_declared_weyl_cap(factors, options["weyl_cap"])
     try:
         datum = build_root_datum(factors, central)
     except SymprepError as exc:
         raise SpecFormatError(f"group: {exc}")
-    for i, (hw, _) in enumerate(entries):
-        if len(hw) != datum.ambient_dim:
-            raise SpecFormatError(
-                f"rep[{i}].hw has length {len(hw)}, ambient dimension is "
-                f"{datum.ambient_dim}"
-            )
     try:
         spec = validate_symplectic_spec(datum, entries)
     except ValidationError as exc:

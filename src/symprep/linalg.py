@@ -200,37 +200,16 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def lin_solve(rows, b):
-    """One exact solution of A x = b (free variables zero), or None."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [tuple(r) + (bv,) for r, bv in zip(rows, b)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, pcol in enumerate(pivots):
-        x[pcol] = Fraction(red[i][-1])
-    return cvec(x)
-
-
-def in_span(basis_rows, v):
-    """Coefficients c with sum c_i basis_i = v, or None."""
-    if not basis_rows:
-        return () if is_zero_vec(v) else None
-    cols = transpose(basis_rows)
-    return lin_solve(cols, v)
-
-
 def span_solver(basis_rows):
-    """in_span(basis_rows, .) with the basis row-reduced once: returns a
-    function of v giving the same coefficients, or None off the span.
+    """The one exact coordinate solver: returns a function of v giving
+    coefficients c with sum c_i basis_i = v (zero on the non-pivot basis
+    rows), or None when v lies off the span.  A x = b is b over the columns
+    of A: span_solver(transpose(A))(b).
 
     rref([M | I]) = [R | T] for M with the basis rows as columns; for v in
     the span, [R | T v] is rref([M | v]), so the pivot rows of T v are the
-    coefficients lin_solve finds, and v is in the span exactly when the
-    other rows of T v vanish."""
+    coefficients, and v is in the span exactly when the other rows of T v
+    vanish.  The basis is row-reduced once, for any number of v."""
     if not basis_rows:
         return lambda v: () if is_zero_vec(v) else None
     k = len(basis_rows)
@@ -273,22 +252,6 @@ def echelon_basis(rows):
     """Canonical basis of the row span: rref rows, scaled primitive-integer."""
     red, pivots = rref(rows)
     return [primitive_int_vector(red[i]) for i in range(len(pivots))]
-
-
-def echelon_coords(basis, images):
-    """Coordinates of each image over an echelon basis, or None if one lies
-    outside its span.  Echelon rows have their pivots in distinct columns
-    where the other rows vanish, so c_i = img[p_i] / b_i[p_i]; rebuilding
-    the image from c decides membership."""
-    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
-    out = []
-    for img in images:
-        c = [canon(Fraction(img[p], b[p])) for b, p in zip(basis, pivots)]
-        for a, x in enumerate(img):
-            if sum(ci * b[a] for ci, b in zip(c, basis)) != x:
-                return None
-        out.append(tuple(c))
-    return out
 
 
 def is_reflection(g):

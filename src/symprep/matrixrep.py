@@ -565,30 +565,47 @@ def _check_rep(rep):
         )
 
 
+def cut_columns(rep, cols, rows):
+    """Intersect the span of weight-homogeneous columns with the joint kernel
+    of the functionals rows, weight space by weight space: a raw nullspace
+    basis per weight, in sorted weight order."""
+    if not rows:
+        return list(cols)
+    by_weight = {}
+    for col in cols:
+        by_weight.setdefault(rep.weight_of(col), []).append(col)
+    out = []
+    for w in sorted(by_weight):
+        group = by_weight[w]
+        cmat = [[vdot(row, col) for col in group] for row in rows]
+        if all(all(x == 0 for x in r) for r in cmat):
+            out.extend(group)
+            continue
+        for coeffs in nullspace(cmat, len(group)):
+            out.append(lincomb(coeffs, group, rep.dim))
+    return out
+
+
 def weight_kernel(rep, weight, side="e", columns=None, simple_roots=None):
-    """Raw nullspace basis of the vectors of the given weight inside the span
-    of the columns that every `side` matrix ("e" raising, "f" lowering) of the
-    given simple roots kills.
+    """The vectors of the given weight inside the span of the columns that
+    every `side` matrix ("e" raising, "f" lowering) of the given simple roots
+    kills: cut_columns on the weight's columns, with the nonzero rows of
+    those matrices as the functionals.
 
     Columns must be weight homogeneous; by default they are the standard basis
     of the whole model, and the roots are the model's own simple roots."""
     weight = cvec(weight)
     if columns is None:
         columns = identity(rep.dim)
-    group = [c for c in columns if rep.weight_of(c) == weight]
     if simple_roots is None:
         simple_roots = rep.datum.simple_roots
-    rows = []
-    for root in simple_roots:
-        mat = rep.lie_matrix_exact((side, rep.root_coords(root)))
-        imgs = [mat_vec(mat, col) for col in group]
-        for a in range(rep.dim):
-            row = [img[a] for img in imgs]
-            if any(row):
-                rows.append(cvec(row))
-    return [
-        lincomb(coeffs, group, rep.dim) for coeffs in nullspace(rows, len(group))
+    rows = [
+        row
+        for root in simple_roots
+        for row in rep.lie_matrix_exact((side, rep.root_coords(root)))
+        if any(row)
     ]
+    return cut_columns(rep, [c for c in columns if rep.weight_of(c) == weight], rows)
 
 
 def hyperbolic_partner(rep, v0, candidates):

@@ -25,12 +25,11 @@ from .linalg import (
     canon,
     cvec,
     echelon_basis,
-    echelon_coords,
     group_closure,
     is_reflection,
-    lin_solve,
     lincomb,
     mat_vec,
+    span_solver,
     transpose,
     vdot,
     vscale,
@@ -42,19 +41,21 @@ DEFAULT_WEYL_CAP = 10 ** 6
 _VALID_LETTERS = frozenset("ABCDEFG")
 
 
-def cartan_matrix(letter, n):
-    """Cartan matrix M[i][j] = <alpha_i, alpha_j^vee> in Bourbaki numbering."""
-    if letter not in _VALID_LETTERS or n < 1:
-        raise InvalidCartanType(f"invalid Cartan type {letter}{n}")
-    if letter in "EFG":
-        allowed = {"E": (6, 7, 8), "F": (4,), "G": (2,)}[letter]
-        if n not in allowed:
-            raise InvalidCartanType(f"invalid Cartan type {letter}{n}")
-    if letter in "BCD" and n < 2:
-        raise InvalidCartanType(f"invalid Cartan type {letter}{n}")
-    if letter == "D" and n < 3:
+def _check_cartan_type(letter, n):
+    exceptional = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
+    if (
+        letter not in _VALID_LETTERS
+        or n < 1
+        or n not in exceptional.get(letter, (n,))
+        or (letter in "BCD" and n < 2)
+        or (letter == "D" and n < 3)
+    ):
         raise InvalidCartanType(f"invalid Cartan type {letter}{n}")
 
+
+def cartan_matrix(letter, n):
+    """Cartan matrix M[i][j] = <alpha_i, alpha_j^vee> in Bourbaki numbering."""
+    _check_cartan_type(letter, n)
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def edge(i, j, mij=-1, mji=-1):
@@ -108,7 +109,7 @@ def normalize_factor(letter, n):
             return [("A", 1), ("A", 1)]
         if n == 3:
             return [("A", 3)]
-    cartan_matrix(letter, n)  # validates
+    _check_cartan_type(letter, n)
     return [(letter, n)]
 
 
@@ -303,7 +304,7 @@ def rho_strict(datum):
     """Some vector pairing to 1 with every simple coroot."""
     if datum.rank == 0:
         return (0,) * datum.ambient_dim
-    sol = lin_solve(datum.simple_coroots, (1,) * datum.rank)
+    sol = span_solver(transpose(datum.simple_coroots))((1,) * datum.rank)
     if sol is None:
         raise InternalConsistencyError("simple coroots are dependent")
     return sol
@@ -363,6 +364,24 @@ def apply_word(datum, word, w):
 def check_weyl_cap(datum, cap):
     """Raise WeylCapExceeded when |W| exceeds cap, before any walk over W."""
     order = datum.weyl_order()
+    if order > cap:
+        raise WeylCapExceeded(order, cap)
+
+
+def check_declared_weyl_cap(factors, cap):
+    """check_weyl_cap on declared (letter, rank) factors, before any root
+    datum or Cartan matrix is built: |W| by the order formulas.  A pair that
+    names no Cartan type counts 1, and is left to build_root_datum to
+    reject.  The formulas cost a factorial of each rank, so the caller
+    bounds the ranks first."""
+    order = 1
+    for letter, n in factors:
+        try:
+            norm = normalize_factor(letter, n)
+        except InvalidCartanType:
+            continue
+        for f in norm:
+            order *= _weyl_order_of_factor(*f)
     if order > cap:
         raise WeylCapExceeded(order, cap)
 
@@ -532,12 +551,13 @@ def _gamma_matrices(datum, basis, orbit):
     """The action on a*-coordinates of each orbit word mapping a* into
     itself, sorted.  An orbit point outside a* has no such word."""
     k = len(basis)
+    solve = span_solver(basis)
     gamma = set()
     for y, word in orbit:
-        if echelon_coords(basis, [y]) is None:
+        if solve(y) is None:
             continue
-        coeffs = echelon_coords(basis, [apply_word(datum, word, b) for b in basis])
-        if coeffs is not None:
+        coeffs = [solve(apply_word(datum, word, b)) for b in basis]
+        if None not in coeffs:
             # columns are the coordinates of the images of the basis vectors
             gamma.add(tuple(tuple(coeffs[j][i] for j in range(k)) for i in range(k)))
     return sorted(gamma)

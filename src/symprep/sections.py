@@ -28,17 +28,14 @@ from .linalg import (
     cvec,
     echelon_basis,
     identity,
-    in_span,
     is_zero_vec,
-    lin_solve,
     lincomb,
-    nullspace,
-    rref,
     same_span,
     span_solver,
+    transpose,
     vdot,
 )
-from .matrixrep import hyperbolic_pair, hyperbolic_partner, weight_kernel
+from .matrixrep import cut_columns, hyperbolic_pair, hyperbolic_partner, weight_kernel
 from .numeric import chevalley_target, inv_moment_eval, slice_functionals
 from .reduction import run_reduction
 from .rootdata import positive_roots
@@ -97,7 +94,7 @@ def _plan_pairs(chis, killed, chart):
             if is_zero_vec(chis[i]):
                 continue
             others = [chis[j] for j in remaining if j != i] + killed_rows
-            if in_span(others, chis[i]) is None:
+            if span_solver(others)(chis[i]) is None:
                 crit = i
                 break
         if crit is None:
@@ -106,7 +103,7 @@ def _plan_pairs(chis, killed, chart):
         remaining.remove(crit)
     span_rows = list(killed_rows)
     for i in remaining:
-        if not is_zero_vec(chis[i]) and in_span(span_rows, chis[i]) is None:
+        if not is_zero_vec(chis[i]) and span_solver(span_rows)(chis[i]) is None:
             span_rows.append(chis[i])
             plan.append((i, "basis"))
         else:
@@ -114,44 +111,26 @@ def _plan_pairs(chis, killed, chart):
     return plan
 
 
-def _plan_solvers(chis, killed, plan):
-    """The column sets that _apply_plan solves against, each row-reduced
-    once: per critical pair in plan order its character followed by the
-    characters not yet peeled and the killed ones, then the basis characters
-    with the killed ones."""
-    killed_rows = [cvec(k) for k in killed]
-    solvers = []
-    peeled = []
-    for i, mode in plan:
-        if not mode.startswith("critical"):
-            continue
-        rest = [chis[j] for j, _ in plan if j != i and j not in peeled]
-        solvers.append(span_solver([chis[i]] + rest + killed_rows))
-        peeled.append(i)
-    basis = [chis[i] for i, mode in plan if mode == "basis"]
-    solvers.append(span_solver(basis + killed_rows))
-    return tuple(solvers)
+def _plan_solver(chis, killed, plan):
+    """The one solver _apply_plan reads every coordinate from: the critical
+    characters, then the basis characters (both in plan order, which puts
+    the critical ones first), then the killed ones.  A critical character
+    lies off the span of all the other rows, so its coefficient is the same
+    in every solution, and the pivots among the rows after it are those of
+    the basis and killed rows alone."""
+    rows = [chis[i] for i, mode in plan if mode != "dependent"]
+    return span_solver(rows + [cvec(k) for k in killed])
 
 
-def _apply_plan(chis, plan, solvers, a):
+def _apply_plan(plan, solve, a):
     """Coordinates (x_i, y_i) with sum x_i y_i chi_i = a modulo span(killed),
-    with the solvers of _plan_solvers."""
-    a_rem = cvec(a)
-    coords = {}
-    critical = [(i, mode) for i, mode in plan if mode.startswith("critical")]
-    for (i, mode), solve in zip(critical, solvers):
-        sol = solve(a_rem)
-        if sol is None:
-            raise DomainError("target outside the span of the section characters")
-        t = sol[0]
-        coords[i] = (t, 1) if mode == "critical-y" else (1, t)
-        a_rem = cvec(tuple(x - t * c for x, c in zip(a_rem, chis[i])))
-    sol = solvers[-1](a_rem)
+    from one solve with the solver of _plan_solver."""
+    sol = solve(cvec(a))
     if sol is None:
         raise DomainError("target outside the span of the section characters")
-    basis_idx = [i for i, mode in plan if mode == "basis"]
-    for k, i in enumerate(basis_idx):
-        coords[i] = (1, sol[k])
+    coords = {}
+    for (i, mode), t in zip([p for p in plan if p[1] != "dependent"], sol):
+        coords[i] = (t, 1) if mode == "critical-y" else (1, t)
     for i, mode in plan:
         if mode == "dependent":
             coords[i] = (0, 0)
@@ -182,12 +161,13 @@ def _character_pairs_from_columns(rep, columns):
         cp, cm = by_weight[w], by_weight[neg]
         k = len(cp)
         pmat = [[rep.omega_exact(cp[a], cm[b]) for b in range(k)] for a in range(k)]
-        pinv = _invert_exact(pmat)
-        if pinv is None:
-            raise InternalConsistencyError("degenerate character pairing block")
-        for q in range(k):
-            y = lincomb([pinv[b][q] for b in range(k)], cm, rep.dim)
-            pairs.append(CharPair(cvec(cp[q]), y, w))
+        solve = span_solver(transpose(pmat))
+        for q, e in enumerate(identity(k)):
+            # column q of the inverse of the pairing block
+            coeffs = solve(e)
+            if coeffs is None:
+                raise InternalConsistencyError("degenerate character pairing block")
+            pairs.append(CharPair(cvec(cp[q]), lincomb(coeffs, cm, rep.dim), w))
         seen.update({w, neg})
     return pairs
 
@@ -216,16 +196,6 @@ def _zero_weight_pairs(rep, cols):
     return pairs
 
 
-def _invert_exact(m):
-    n = len(m)
-    aug = [list(map(Fraction, m[i])) + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    red, piv = rref(aug)
-    if piv != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
 def torus_section(rep, component_hint="x"):
     """Exact section of the torus moment map with m(sigma(a)) = a on the span
     of the characters; component_hint selects the chart at critical weights."""
@@ -243,8 +213,7 @@ def central_element_for(datum, chi, killed=()):
     rows = [cvec(r) for r in datum.simple_roots]
     rows += [cvec(k) for k in killed]
     rows.append(cvec(chi))
-    rhs = [0] * (len(rows) - 1) + [1]
-    sol = lin_solve(rows, rhs)
+    sol = span_solver(transpose(rows))((0,) * (len(rows) - 1) + (1,))
     if sol is None:
         raise InternalConsistencyError(
             f"no central functional separates {chi} from the peeled characters"
@@ -298,7 +267,7 @@ class SectionMap:
     layers: tuple          # outermost first
     terminal_pairs: tuple
     terminal_plan: tuple
-    terminal_solvers: tuple  # _plan_solvers of the terminal plan
+    terminal_solver: object  # _plan_solver of the terminal plan
     killed: tuple          # chi per layer, outermost first
     a_star_basis: tuple
 
@@ -308,9 +277,7 @@ class SectionMap:
         a = cvec(a)
         n = self.rep.dim
         pairs = self.terminal_pairs
-        coords = _apply_plan(
-            [q.chi for q in pairs], self.terminal_plan, self.terminal_solvers, a
-        )
+        coords = _apply_plan(self.terminal_plan, self.terminal_solver, a)
         coeffs, vecs = [], []
         for i, pair in enumerate(pairs):
             coeffs += coords[i]
@@ -349,14 +316,14 @@ def build_section(rep, reduction, component_hint="x"):
             raise StageNotRealizable("lowest-weight space pairs to zero with v0")
         xi_c = central_element_for(step.levi, chi, killed)
         rows = slice_functionals(rep, step.delta_u, v0, v0m)
-        s_cols = _cut_columns(rep, cols, rows)
+        s_cols = cut_columns(rep, cols, rows)
         for v in (v0, v0m):
             if any(vdot(row, v) != 0 for row in rows):
                 raise StageNotRealizable(
                     "chosen highest weight vector escapes its own slice"
                 )
         sbar_rows = [rep.omega_row(v0), rep.omega_row(v0m)]
-        cols = _cut_columns(rep, s_cols, sbar_rows)
+        cols = cut_columns(rep, s_cols, sbar_rows)
         layers.append(SectionLayer(v0=v0, v0m=v0m, chi=chi, xi_c=xi_c))
         killed.append(chi)
         current = step.s_spec
@@ -381,30 +348,10 @@ def build_section(rep, reduction, component_hint="x"):
         layers=tuple(layers),
         terminal_pairs=tuple(pairs),
         terminal_plan=tuple(plan),
-        terminal_solvers=_plan_solvers(chis, killed, plan),
+        terminal_solver=_plan_solver(chis, killed, plan),
         killed=tuple(killed),
         a_star_basis=tuple(basis),
     )
-
-
-def _cut_columns(rep, cols, rows):
-    """Intersect the span of weight-homogeneous columns with the joint kernel
-    of the functionals, weight space by weight space."""
-    if not rows:
-        return list(cols)
-    by_weight = {}
-    for col in cols:
-        by_weight.setdefault(rep.weight_of(col), []).append(col)
-    out = []
-    for w in sorted(by_weight):
-        group = by_weight[w]
-        cmat = [[vdot(row, col) for col in group] for row in rows]
-        if all(all(x == 0 for x in r) for r in cmat):
-            out.extend(group)
-            continue
-        for coeffs in nullspace(cmat, len(group)):
-            out.append(lincomb(coeffs, group, rep.dim))
-    return out
 
 
 @dataclass
@@ -456,8 +403,7 @@ def rho_psg(datum, spec):
     separating terminal from non-terminal highest weights and separating all
     weights of the module pairwise.  Deterministic perturbation search."""
     if datum.rank:
-        base = lin_solve([cvec(r) for r in datum.simple_roots],
-                         [1] * datum.rank)
+        base = span_solver(transpose(datum.simple_roots))((1,) * datum.rank)
         if base is None:
             raise InternalConsistencyError("independent simple roots expected")
     else:

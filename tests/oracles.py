@@ -8,7 +8,8 @@ the division-free recursion over tuple-keyed weights, group elements from matrix
 symplectic forms from a nullspace solve.  The float moment maps are evaluated
 one vector and one Lie basis matrix at a time, the weight moment over
 Fractions, and the section's terminal coordinates by a fresh span solve per
-target.
+target and peeled character.  Every span solve here is `span_coords_oracle`,
+an rref of [M | v] per vector, independent of the library's `span_solver`.
 """
 
 from fractions import Fraction
@@ -22,7 +23,6 @@ from symprep.linalg import (
     comm,
     cvec,
     group_closure,
-    in_span,
     is_zero_vec,
     lincomb,
     mat_mul,
@@ -41,6 +41,22 @@ from symprep.matrixrep import (
     weight_kernel,
 )
 from symprep.rootdata import positive_roots, rho_strict
+
+
+def span_coords_oracle(basis_rows, v):
+    """Coefficients c with sum c_i basis_i = v, or None off the span: the
+    rref of [M | v] with the basis rows as the columns of M, free variables
+    zero."""
+    if not basis_rows:
+        return () if is_zero_vec(v) else None
+    k = len(basis_rows)
+    red, pivots = rref([col + (x,) for col, x in zip(transpose(basis_rows), v)])
+    if k in pivots:
+        return None
+    x = [0] * k
+    for i, p in enumerate(pivots):
+        x[p] = red[i][-1]
+    return cvec(x)
 
 
 def det_exact(mat):
@@ -95,8 +111,7 @@ def weyl_matrices_bruteforce(datum):
 
 
 def _root_coords_of(datum, vec):
-    sol = in_span([r for r in datum.simple_roots], vec)
-    return sol
+    return span_coords_oracle(datum.simple_roots, vec)
 
 
 def kostant_partition_counter(datum):
@@ -221,7 +236,7 @@ def subspace_normalizer_oracle(datum, basis):
     gamma = set()
     for w in ws:
         images = [mat_vec(w, b) for b in basis]
-        coeffs = [in_span(basis, img) for img in images]
+        coeffs = [span_coords_oracle(basis, img) for img in images]
         if any(c is None for c in coeffs):
             continue
         n_count += 1
@@ -444,7 +459,7 @@ def weight_moment_oracle(rep, p):
 
 def apply_plan_oracle(chis, killed, plan, a):
     """A section's terminal coordinates (x_i, y_i) for the target a, with
-    every coefficient found by a fresh in_span solve."""
+    every coefficient found by a fresh span_coords_oracle solve."""
     killed_rows = [cvec(k) for k in killed]
     a_rem = cvec(a)
     coords = {}
@@ -453,7 +468,7 @@ def apply_plan_oracle(chis, killed, plan, a):
         if not mode.startswith("critical"):
             continue
         rest = [chis[j] for j, _ in plan if j != i and j not in peeled]
-        sol = in_span([chis[i]] + rest + killed_rows, a_rem)
+        sol = span_coords_oracle([chis[i]] + rest + killed_rows, a_rem)
         if sol is None:
             raise DomainError("target outside the span of the section characters")
         t = sol[0]
@@ -462,7 +477,7 @@ def apply_plan_oracle(chis, killed, plan, a):
         peeled.append(i)
     basis_idx = [i for i, mode in plan if mode == "basis"]
     cols = [chis[i] for i in basis_idx] + killed_rows
-    sol = in_span(cols, a_rem) if cols else (() if is_zero_vec(a_rem) else None)
+    sol = span_coords_oracle(cols, a_rem)
     if sol is None:
         raise DomainError("target outside the span of the section characters")
     for k, i in enumerate(basis_idx):

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from symprep import cli, reps, verify
 from symprep.cli import (
@@ -86,6 +86,38 @@ def test_parse_rejects_wrong_hw_length():
     }
     with pytest.raises(SpecFormatError, match="length"):
         parse_spec(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["gamma"], ["hilbert", "--degree", "4"]])
+def test_hw_length_is_checked_before_the_root_datum_is_built(capsys, argv):
+    """A central torus of rank 10**12 is refused by the hw length alone: no
+    root datum (and no list of that length) is built."""
+    doc = {
+        "group": {"simple": [["A", 1]], "central_torus_rank": 10 ** 12},
+        "rep": [{"hw": [1], "mult": 2}],
+    }
+    assert main([argv[0], json.dumps(doc)] + argv[1:]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: rep[0].hw has length 1, ambient dimension is 1000000000001\n"
+    )
+
+
+def test_weyl_cap_is_checked_before_the_spec_is_validated(capsys, monkeypatch):
+    """|W(A9)| = 10! is over the default cap: the order formulas refuse it
+    before validate_symplectic_spec (whose positive roots are the cost)."""
+
+    def expensive(datum, entries):
+        raise AssertionError("validated an over-cap spec")
+
+    monkeypatch.setattr(cli, "validate_symplectic_spec", expensive)
+    doc = {
+        "group": {"simple": [["A", 9]], "central_torus_rank": 0},
+        "rep": [{"hw": [1] + [0] * 8, "mult": 1}, {"hw": [0] * 8 + [1], "mult": 1}],
+    }
+    assert main(["analyze", json.dumps(doc)]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "error: group too large: |W| = 3628800 exceeds the enumeration cap 1000000\n"
+    )
 
 
 def test_analyze_exit_codes(tmp_path, capsys):
@@ -503,6 +535,99 @@ def test_any_small_spec_exits_with_a_documented_code(doc):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET, EXIT_NOT_SUPPORTED), (
+            argv[0], code, err.getvalue()
+        )
+
+
+# Any JSON value: small, huge and negative ints, floats (NaN and the
+# infinities too, which Python's json reads), strings, booleans, nested lists
+# and objects.  A huge int is at least 10**12 in size: no list of that length
+# can be allocated, so a build that tries one fails at once instead of
+# filling memory.
+HUGE = st.one_of(st.integers(10 ** 12, 10 ** 30), st.integers(-10 ** 30, -10 ** 12))
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 3), HUGE, st.floats(),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _typical_or_any(typical, largest=None):
+    """Mostly the typical value, so that many documents reach the analysis;
+    otherwise any JSON value, with ints above `largest` left out."""
+    any_value = JSON_VALUES
+    if largest is not None:
+        any_value = any_value.filter(lambda v: not (type(v) is int and v > largest))
+    return st.sampled_from([True] * 5 + [False]).flatmap(
+        lambda keep: typical if keep else any_value
+    )
+
+
+@st.composite
+def spec_shaped_documents(draw):
+    """The keys of a spec document, each with a typical value or any JSON
+    value.  A multiplicity stays below 9 when it is an int: the terminal
+    stage lists a character pair once per multiplicity.  So does a rank, so
+    that a parser which builds the root datum (a rank-by-rank Cartan
+    matrix) before it checks the hw lengths fails here without filling
+    memory."""
+    ranks = _typical_or_any(st.integers(1, 3), largest=8)
+    letters = _typical_or_any(st.sampled_from("ABCDG"))
+    factor = _typical_or_any(st.tuples(letters, ranks).map(list))
+    simple = draw(_typical_or_any(st.lists(factor, max_size=2)))
+    central = draw(_typical_or_any(st.integers(0, 2)))
+    # hw lengths near the declared ambient dimension, when it is small
+    ambient = -1
+    if type(central) is int and isinstance(simple, list) and all(
+        isinstance(f, list) and len(f) == 2 and type(f[1]) is int for f in simple
+    ):
+        ambient = sum(f[1] for f in simple) + central
+    lengths = [ambient, ambient, ambient + 1, 1] if 0 <= ambient <= 8 else [1]
+    length = draw(st.sampled_from(lengths))
+    hw = st.lists(_typical_or_any(st.integers(0, 2)), min_size=length, max_size=length)
+    mult = _typical_or_any(st.sampled_from([2, 1]), largest=8)
+    entry = _typical_or_any(st.fixed_dictionaries({"hw": _typical_or_any(hw),
+                                                   "mult": mult}))
+    options = st.fixed_dictionaries({}, optional={
+        key: _typical_or_any(st.integers(0, 10))
+        for key in ("weyl_cap", "hilbert_degree", "seed", "samples")
+    })
+    doc = {
+        "group": draw(_typical_or_any(st.fixed_dictionaries(
+            {"simple": st.just(simple), "central_torus_rank": st.just(central)}
+        ))),
+        "rep": draw(_typical_or_any(st.lists(entry, min_size=1, max_size=2))),
+    }
+    if draw(st.booleans()):
+        doc["options"] = draw(_typical_or_any(options))
+    return doc
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(JSON_VALUES, spec_shaped_documents()))
+@example({"group": {"simple": [["A", 1]], "central_torus_rank": 10 ** 12},
+          "rep": [{"hw": [1], "mult": 2}]})
+def test_any_json_document_exits_with_a_documented_code(doc):
+    text = json.dumps(doc)
+    for argv in (["analyze", text], ["gamma", text], ["hilbert", text, "--degree", "4"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse reads a text like "-1" as a flag
+                code = exc.code
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET, EXIT_NOT_SUPPORTED), (
             argv[0], code, err.getvalue()
         )

@@ -1,13 +1,16 @@
 """The int fast paths of the exact primitives against a pure-Fraction
 reference: same value and same type (int exactly when the result is
-integral) on int-only and on mixed int/Fraction inputs."""
+integral) on int-only and on mixed int/Fraction inputs.  The one exact
+coordinate solver, `span_solver`, against an rref of [M | v] per vector."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from symprep.linalg import canon, lincomb, mat_mul, mat_vec, vdot
+from symprep.linalg import canon, cvec, lincomb, mat_mul, mat_vec, span_solver, vdot
+
+from oracles import span_coords_oracle
 
 INTS = st.integers(-10 ** 20, 10 ** 20)
 ENTRIES = {
@@ -94,3 +97,43 @@ def test_length_mismatch_still_raises():
         mat_vec(((1, 2),), (1,))
     with pytest.raises(ValueError):
         mat_mul(((1, 2),), ((1,),))
+
+
+SMALL = st.integers(-3, 3)
+SMALL_ENTRIES = st.one_of(
+    SMALL, SMALL.map(Fraction), st.fractions(-3, 3, max_denominator=4)
+)
+
+
+@st.composite
+def span_problems(draw, entry):
+    """(basis rows, a vector in their span, an arbitrary vector): up to four
+    rows of one length 1..5, each either drawn or a combination of the rows
+    before it, so that bases may be empty, dependent or rank deficient."""
+    n = draw(SIZES)
+    vector = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    basis = []
+    for _ in range(draw(st.integers(0, 4))):
+        if basis and draw(st.booleans()):
+            coeffs = draw(st.lists(entry, min_size=len(basis), max_size=len(basis)))
+            basis.append(lincomb(coeffs, basis, n))
+        else:
+            basis.append(draw(vector))
+    coeffs = draw(st.lists(entry, min_size=len(basis), max_size=len(basis)))
+    return basis, lincomb(coeffs, basis, n), draw(vector)
+
+
+@given(problem=st.one_of(span_problems(SMALL), span_problems(SMALL_ENTRIES)))
+@example(problem=([(2, 0, 1), (0, 2, 1)], (1, 1, 1), (1, 0, 0)))
+@example(problem=([(1, 2), (2, 4)], (3, 6), (0, 1)))
+@example(problem=([], (0, 0), (1, 0)))
+def test_span_solver_matches_rref_reference(problem):
+    """Same coefficients as the reference by repr, on the span (where they
+    rebuild the vector) and off it (where both give None)."""
+    basis, inside, anywhere = problem
+    solve = span_solver(basis)
+    got = solve(inside)
+    assert got is not None
+    assert repr(got) == repr(span_coords_oracle(basis, inside))
+    assert lincomb(got, basis, len(inside)) == cvec(inside)
+    assert repr(solve(anywhere)) == repr(span_coords_oracle(basis, anywhere))

@@ -1,15 +1,11 @@
 
-from fractions import Fraction
-
 import pytest
 
 from symprep import rootdata
 from symprep.errors import InternalConsistencyError, InvalidCartanType, WeylCapExceeded
 from symprep.linalg import (
     echelon_basis,
-    echelon_coords,
     identity,
-    in_span,
     mat_mul,
     mat_vec,
 )
@@ -19,6 +15,7 @@ from symprep.rootdata import (
     apply_word,
     build_root_datum,
     cartan_matrix,
+    check_weyl_cap,
     dominant_representative,
     dual_weight,
     height,
@@ -33,6 +30,7 @@ from symprep.rootdata import (
 from corpus import ANALYZE_LADDER, catalog
 from oracles import (
     reflection_matrix,
+    span_coords_oracle,
     subspace_normalizer_oracle,
     weyl_matrices_bruteforce,
 )
@@ -112,6 +110,28 @@ def test_weyl_cap_error_names_cap():
     d = build_root_datum([("E", 8)])
     with pytest.raises(WeylCapExceeded, match="group too large"):
         subspace_normalizer(d, [], cap=10 ** 6)
+
+
+@pytest.mark.parametrize("factors", [
+    [("A", 9)], [("E", 8), ("A", 1)], [("b", 2), ("D", 3), ("G", 2)], [("C", 1), ("D", 2)],
+])
+def test_declared_weyl_cap_raises_what_the_built_datum_does(factors):
+    """The order formulas on the declared pairs give the built datum's |W|
+    and the same message; a pair that names no Cartan type counts 1."""
+    order = build_root_datum(factors).weyl_order()
+    for cap in (order - 1, order):
+        try:
+            check_weyl_cap(build_root_datum(factors), cap)
+            want = None
+        except WeylCapExceeded as exc:
+            want = str(exc)
+        for extra in ([], [("H", 10 ** 12), ("E", 5)]):
+            try:
+                rootdata.check_declared_weyl_cap(factors + extra, cap)
+                got = None
+            except WeylCapExceeded as exc:
+                got = str(exc)
+            assert got == want
 
 
 def test_invalid_types_rejected():
@@ -259,14 +279,14 @@ def test_weyl_matrices_hold_only_ints(factors, central):
 
 
 def _normalizer_by_in_span(datum, basis):
-    """(|N|, |C|, Gamma matrices) with one in_span solve per Weyl matrix
-    and basis vector."""
+    """(|N|, |C|, Gamma matrices) with one span_coords_oracle solve per Weyl
+    matrix and basis vector."""
     basis = echelon_basis(list(basis))
     k = len(basis)
     n_count, c_count, gamma = 0, 0, set()
     for w in weyl_matrices_bruteforce(datum):
         images = [mat_vec(w, b) for b in basis]
-        coeffs = [in_span(basis, img) for img in images]
+        coeffs = [span_coords_oracle(basis, img) for img in images]
         if any(c is None for c in coeffs):
             continue
         n_count += 1
@@ -288,16 +308,6 @@ def test_subspace_normalizer_matches_in_span_reference(name):
         assert sg.normalizer_order == n_count
         assert sg.centralizer_order == c_count
         assert repr(sg.gamma_matrices) == repr(tuple(mats))
-
-
-def test_echelon_coords_solves_rational_coordinates():
-    basis = echelon_basis([(2, 0, 1), (0, 2, 1)])
-    assert basis == [(2, 0, 1), (0, 2, 1)]
-    images = [(1, 1, 1), (2, -2, 0), (4, 0, 2)]
-    coords = echelon_coords(basis, images)
-    assert coords[0] == (Fraction(1, 2), Fraction(1, 2))
-    assert repr(coords) == repr([in_span(basis, img) for img in images])
-    assert echelon_coords(basis, [(1, 1, 1), (1, 0, 0)]) is None
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_LADDER))

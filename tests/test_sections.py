@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from symprep import linalg
 from symprep.errors import DomainError
@@ -12,6 +13,8 @@ from symprep.reduction import run_reduction
 from symprep.reps import validate_symplectic_spec
 from symprep.sections import (
     _apply_plan,
+    _plan_pairs,
+    _plan_solver,
     _weight_moment,
     build_section,
     central_element_for,
@@ -229,9 +232,10 @@ def _section_models():
 
 @pytest.mark.parametrize("name", sorted(_section_models()) + ["torus_rank2-y"])
 def test_section_apply_solves_no_span_per_target(name, monkeypatch):
-    """The terminal coordinates of a section come from column sets factored
-    once in build_section: they equal a fresh in_span solve per target, off
-    the span of a* too, with no row reduction left at apply time."""
+    """The terminal coordinates of a section come from one solver factored
+    once in build_section: they equal a fresh span_coords_oracle solve per
+    target and peeled character, off the span of a* too, with no row
+    reduction left at apply time."""
     hint = "y" if name.endswith("-y") else "x"
     rep = build_rep(_section_models()[name.removesuffix("-y")])
     sec = build_section(rep, run_reduction(rep.spec), hint)
@@ -257,10 +261,43 @@ def test_section_apply_solves_no_span_per_target(name, monkeypatch):
     for a, expected in zip(targets, want):
         if expected is DomainError:
             with pytest.raises(DomainError):
-                _apply_plan(chis, sec.terminal_plan, sec.terminal_solvers, a)
+                _apply_plan(sec.terminal_plan, sec.terminal_solver, a)
             with pytest.raises(DomainError):
                 sec.apply(a)
             continue
-        got = _apply_plan(chis, sec.terminal_plan, sec.terminal_solvers, a)
+        got = _apply_plan(sec.terminal_plan, sec.terminal_solver, a)
         assert repr(got) == repr(expected)
         assert torus_moment_exact(rep, sec.apply(a)) == a
+
+
+@st.composite
+def character_plans(draw):
+    """Characters and killed rows of one length, possibly zero or dependent,
+    a chart, and two targets: one in their span and one drawn freely."""
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    chis = draw(st.lists(vector, min_size=1, max_size=5))
+    killed = draw(st.lists(vector, max_size=2))
+    rows = chis + killed
+    coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                           min_size=len(rows), max_size=len(rows)))
+    return chis, killed, draw(st.sampled_from("xy")), [lincomb(coeffs, rows, n),
+                                                       draw(vector)]
+
+
+@given(character_plans())
+def test_one_terminal_solve_equals_the_peeled_solves(problem):
+    """Critical, basis and dependent characters mixed (the models above
+    never mix critical and basis ones): the one solve gives the coordinates
+    of a fresh solve per peeled character, and the same DomainError."""
+    chis, killed, chart, targets = problem
+    plan = _plan_pairs(chis, killed, chart)
+    solve = _plan_solver(chis, killed, plan)
+    for a in targets:
+        try:
+            want = apply_plan_oracle(chis, killed, plan, a)
+        except DomainError:
+            with pytest.raises(DomainError):
+                _apply_plan(plan, solve, a)
+            continue
+        assert repr(_apply_plan(plan, solve, a)) == repr(want)
