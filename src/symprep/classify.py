@@ -85,7 +85,7 @@ def weight_status(spec, chi):
 class TerminalVerdict:
     terminal: bool
     witness: tuple          # a non-terminal weight, or None
-    character_pairs: tuple  # one representative weight per (chi, -chi) pair
+    character_pairs: tuple  # (representative of a (chi, -chi) pair, multiplicity)
     sp_factor_sizes: tuple  # m_i per symplectic factor
 
 
@@ -107,13 +107,13 @@ def terminal_decomposition(spec):
         if neg == w:  # the zero character; validated multiplicity is even
             if chars[w] % 2:
                 raise InternalConsistencyError("odd zero-character multiplicity")
-            pairs.extend([w] * (chars[w] // 2))
+            pairs.append((w, chars[w] // 2))
             seen.add(w)
             continue
         if chars.get(neg, 0) != chars[w]:
             raise InternalConsistencyError("unpaired character summand")
         rep = max(w, neg, key=lambda v: weight_key(datum, v))
-        pairs.extend([rep] * chars[w])
+        pairs.append((rep, chars[w]))
         seen.update({w, neg})
     sizes = []
     for w, m in spec.summands:
@@ -121,9 +121,10 @@ def terminal_decomposition(spec):
             _, fi = is_singular_weight(datum, w)
             sizes.append(singular_sp_halfdim(datum, fi))
     dim = spec.dim
-    if 2 * sum(sizes) + 2 * len(pairs) != dim:
+    blocks = 2 * sum(sizes) + 2 * sum(m for _, m in pairs)
+    if blocks != dim:
         raise InternalConsistencyError(
-            f"terminal blocks account for {2*sum(sizes) + 2*len(pairs)} of {dim} dims"
+            f"terminal blocks account for {blocks} of {dim} dims"
         )
     return TerminalVerdict(True, None, tuple(pairs), tuple(sorted(sizes)))
 

@@ -150,9 +150,9 @@ def run_reduction(spec, first_choice=None):
         step, current = reduce_step(current, chi)
         trace.append(step)
     pairs = verdict.character_pairs
-    basis = echelon_basis(sorted(set(pairs))) if pairs else []
+    basis = echelon_basis(sorted(w for w, _ in pairs)) if pairs else []
     a_rank = len(basis)
-    c = len(pairs) - a_rank
+    c = sum(m for _, m in pairs) - a_rank
     if c < 0:
         raise InternalConsistencyError("negative complexity")
     td = TerminalData(
@@ -170,7 +170,7 @@ def run_reduction(spec, first_choice=None):
 def rank_complexity(td):
     rk = td.a_rank
     c = td.c
-    if rk + 2 * c != 2 * len(td.character_pairs) - td.a_rank:
+    if rk + 2 * c != 2 * sum(m for _, m in td.character_pairs) - td.a_rank:
         raise InternalConsistencyError("rank/complexity bookkeeping mismatch")
     return rk, c
 

@@ -1,20 +1,22 @@
 """Highest-weight modules as exact weight multisets.
 
-Weight multiplicities come from Freudenthal's recursion, duality types from
-the parity of <lambda, 2 rho^vee>, and invariant dimensions from symmetric
-power multisets combined with the Weyl alternation over wrho - rho, read off
-the W-orbit of rho (Humphreys, Introduction to Lie Algebras and
-Representation Theory, section 24).  The symmetric-power recursion keys each
-weight by one Python int in a balanced radix (`_int_key`), so multiplying by
-x^mu adds an int; ints need no overflow guard.  All arithmetic is exact.
+Weight multiplicities come from Freudenthal's recursion over the dominant
+weights, which a walk down from the highest weight by positive roots finds,
+duality types from the parity of <lambda, 2 rho^vee>, and invariant
+dimensions from symmetric power multisets combined with the Weyl alternation
+over wrho - rho, read off the W-orbit of rho (Humphreys, Introduction to Lie
+Algebras and Representation Theory, section 24).  The symmetric-power
+recursion keys each weight by one Python int in a balanced radix
+(`_int_key`), so multiplying by x^mu adds an int; ints need no overflow
+guard.  All arithmetic is exact.
 """
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb
+from operator import add
 
 from .errors import (
     BudgetExceeded,
@@ -45,7 +47,7 @@ DEFAULT_SYM_DEGREE_BUDGET = 10
 
 def weight_key(datum, w):
     """Sort key: rho^vee-height first, then lexicographic on coordinates."""
-    return (height(datum, w), tuple(Fraction(x) for x in w))
+    return (height(datum, w), tuple(w))
 
 
 def weyl_dim(datum, lam):
@@ -77,49 +79,36 @@ def _freudenthal_cached(datum, lam, dim_cap):
         return ((lam, 1),)
     pos = positive_roots(datum)
     rho = rho_strict(datum)
-    rvee = rho_vee(datum)
-    hmax = int(vdot(lam, rvee))  # sum of root offsets is an integer <= this
-    # all dominant mu = lam - sum n_i alpha_i with sum n_i <= height bound
-    dominants = {}  # weight vec -> (offset tuple, multiplicity or None)
-    for n in product(range(hmax + 1), repeat=k):
-        if sum(n) > hmax:
-            continue
-        mu = list(lam)
-        for i, ni in enumerate(n):
-            if ni:
-                for a in range(datum.ambient_dim):
-                    mu[a] -= ni * datum.simple_roots[i][a]
-        mu = cvec(mu)
-        if datum.is_dominant(mu):
-            dominants[mu] = n
-    mult = {}
+    # The dominant weights of V(lam) are the dominant mu <= lam, and each
+    # such mu < lam has a positive root beta with mu + beta dominant and
+    # <= lam (Stembridge 1998), so subtracting positive roots from the
+    # dominant weights found, starting at lam, reaches exactly them; n is
+    # mu's offset lam - mu over the simple roots.
+    dominants = {lam: (0,) * k}
+    walk = [lam]
+    for mu in walk:  # the walk grows as dominant weights are found
+        for r in pos:
+            nu = vsub(mu, r.vec)
+            if nu not in dominants and datum.is_dominant(nu):
+                dominants[nu] = tuple(map(add, dominants[mu], r.coords))
+                walk.append(nu)
+    mult = {lam: 1}
     lengths = _length_data(datum)
-    for mu, n in sorted(dominants.items(), key=lambda kv: sum(kv[1])):
-        if sum(n) == 0:
-            mult[mu] = 1
-            continue
+    # lam alone has offset height 0, so it sorts first
+    for mu, n in sorted(dominants.items(), key=lambda kv: sum(kv[1]))[1:]:
+        # every mu + j beta with j >= 1 is higher than mu, so its dominant
+        # representative is already counted; strings are unbroken, so the
+        # first one that is not a weight ends the string
         num = Fraction(0)
         for r in pos:
-            kk = 1
+            nu = mu
             while True:
-                off = tuple(n[i] - kk * r.coords[i] for i in range(k))
-                if any(x < 0 for x in off):
+                nu = cvec(map(add, nu, r.vec))
+                m_nu = mult.get(dominant_representative(datum, nu)[0], 0)
+                if not m_nu:
                     break
-                nu = list(lam)
-                for i, ni in enumerate(off):
-                    if ni:
-                        for a in range(datum.ambient_dim):
-                            nu[a] -= ni * datum.simple_roots[i][a]
-                nu = cvec(nu)
-                dom_nu = dominant_representative(datum, nu)[0]
-                m_nu = mult.get(dom_nu, 0)
-                if m_nu:
-                    num += m_nu * r.half_length * vdot(nu, r.coroot_vec)
-                kk += 1
-        y = cvec(
-            tuple(2 * lam[a] - sum(n[i] * datum.simple_roots[i][a] for i in range(k))
-                  + 2 * rho[a] for a in range(datum.ambient_dim))
-        )  # lam + mu + 2 rho
+                num += m_nu * r.half_length * vdot(nu, r.coroot_vec)
+        y = cvec(a + b + 2 * c for a, b, c in zip(lam, mu, rho))  # lam+mu+2rho
         den = sum(Fraction(n[i]) * lengths[i] * vdot(y, datum.simple_coroots[i])
                   for i in range(k))
         if den == 0:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, SymprepError
+from .errors import BudgetExceeded, SpecFormatError, SymprepError
 from .matrixrep import build_rep, find_hw_vectors
 from .numeric import (
     _frames,
@@ -57,8 +57,11 @@ SAMPLES_CAP = 1000
 
 
 def check_samples(samples, field="samples"):
-    """BudgetExceeded when the sample count is over SAMPLES_CAP; field names
-    the value in the message."""
+    """SpecFormatError when the sample count is below 1, as no check may pass
+    on zero samples, and BudgetExceeded when it is over SAMPLES_CAP; field
+    names the value in the message."""
+    if samples < 1:
+        raise SpecFormatError(f"{field} must be at least 1")
     if samples > SAMPLES_CAP:
         raise BudgetExceeded(
             f"{field} = {samples} exceeds the sample cap {SAMPLES_CAP}"

@@ -13,7 +13,7 @@ an rref of [M | v] per vector, independent of the library's `span_solver`.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -145,39 +145,40 @@ def kostant_partition_counter(datum):
 
 def kostant_weight_multiset(datum, lam):
     """Weight multiset of the irreducible with highest weight lam, by the
-    alternating sum of Kostant partition counts over the Weyl group."""
+    alternating sum of Kostant partition counts over the Weyl group:
+    m(mu) = sum_w sign(w) P(w(lam + rho) - (mu + rho)).
+
+    Over the simple roots, w(lam + rho) - (mu + rho) is shift_w + n with
+    shift_w the coordinates of w(lam + rho) - (lam + rho) and n those of
+    lam - mu, so w adds sign(w) P(m) at the offset n = m - shift_w for every
+    m >= 0; the offsets of all weights have sum(n) <= 2 <lam, rho^vee>."""
     lam = cvec(lam)
+    if datum.rank == 0:
+        return {lam: 1}
     rho = rho_strict(datum)
     pcount = kostant_partition_counter(datum)
-    ws = weyl_matrices_bruteforce(datum)
-    signs = [1 if det_exact(w) > 0 else -1 for w in ws]
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    hbound = int(2 * vdot(lam, _rho_vee_func(datum))) if datum.rank else 0
+    hbound = int(2 * vdot(lam, _rho_vee_func(datum)))
+    totals = {}
+    for w in weyl_matrices_bruteforce(datum):
+        sign = 1 if det_exact(w) > 0 else -1
+        image = tuple(a - b for a, b in zip(mat_vec(w, lam_rho), lam_rho))
+        shift = _root_coords_of(datum, image)
+        assert shift is not None and all(
+            Fraction(x).denominator == 1 for x in shift
+        ), (w, shift)
+        shift = tuple(int(x) for x in shift)
+        for m in _offsets(datum.rank, hbound + sum(shift)):
+            n = tuple(a - b for a, b in zip(m, shift))
+            totals[n] = totals.get(n, 0) + sign * pcount(m)
     out = {}
-    k = datum.rank
-    for n in _offsets(k, hbound):
-        mu = list(lam)
-        for i, ni in enumerate(n):
-            if ni:
+    for n, total in totals.items():
+        if total:
+            mu = list(lam)
+            for i, ni in enumerate(n):
                 for a in range(datum.ambient_dim):
                     mu[a] -= ni * datum.simple_roots[i][a]
-        mu = cvec(mu)
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        total = 0
-        for w, sign in zip(ws, signs):
-            target = tuple(
-                a - b for a, b in zip(mat_vec(w, lam_rho), mu_rho)
-            )
-            coords = _root_coords_of(datum, target)
-            if coords is None:
-                continue
-            if any(Fraction(x).denominator != 1 or x < 0 for x in coords):
-                continue
-            total += sign * pcount(tuple(int(x) for x in coords))
-        if total:
-            out[mu] = total
-    if datum.rank == 0:
-        out = {lam: 1}
+            out[cvec(mu)] = total
     return out
 
 
@@ -188,12 +189,14 @@ def _rho_vee_func(datum):
 
 
 def _offsets(k, bound):
+    """Every n in N^k with sum(n) <= bound, in lexicographic order."""
     if k == 0:
-        yield ()
+        if bound >= 0:
+            yield ()
         return
-    for n in product(range(bound + 1), repeat=k):
-        if sum(n) <= bound:
-            yield n
+    for first in range(bound + 1):
+        for rest in _offsets(k - 1, bound - first):
+            yield (first,) + rest
 
 
 def invariant_dims_oracle(datum, weights, max_degree, weyl_cap=10 ** 5):

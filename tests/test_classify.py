@@ -58,7 +58,8 @@ def test_terminal_block_count_matches_dimension():
     for name, (spec, _) in catalog().items():
         v = terminal_decomposition(spec)
         if v.terminal:
-            assert 2 * sum(v.sp_factor_sizes) + 2 * len(v.character_pairs) == spec.dim
+            pairs = sum(m for _, m in v.character_pairs)
+            assert 2 * sum(v.sp_factor_sizes) + 2 * pairs == spec.dim
 
 
 def test_terminal_decomposition_order_independent():

@@ -227,6 +227,18 @@ TORUS9 = {
 }
 
 
+@pytest.mark.parametrize("mult", [3, 10 ** 30])
+def test_character_pairs_are_counted_by_multiplicity(tmp_path, capsys, mult):
+    """SL2 on mult copies of C^2 reduces to mult - 1 pairs of one torus
+    character: rk_s 1 and c_s = mult - 2, with no list of mult entries."""
+    path = _write(tmp_path, "sl2.json", dict(SL2_TWO, rep=[{"hw": [1], "mult": mult}]))
+    assert main(["analyze", path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["rk_s"], report["c_s"], report["mf"]) == (1, mult - 2, False)
+    assert main(["gamma", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["gamma_order"] == 2
+
+
 def test_gamma_skips_the_little_weyl_matching(tmp_path, capsys):
     # gamma does not need the Hilbert matching
     assert main(["gamma", _write(tmp_path, "torus9.json", TORUS9)]) == EXIT_OK
@@ -392,6 +404,14 @@ def test_samples_above_the_cap_exit_3_before_the_model_is_built(
     assert err.startswith("error:") and field in err and "cap 1000" in err
     with pytest.raises(BudgetExceeded, match="samples = 1001 exceeds the sample cap 1000"):
         verify.verify_suite(parse_spec(path)[0], samples=1001)
+
+
+def test_zero_samples_are_refused_by_the_library():
+    """No check may pass on zero samples: verify_suite refuses the count
+    with the message the CLI gives, which exits 2."""
+    spec = catalog()["sl3_std_dual"][0]
+    with pytest.raises(SpecFormatError, match="^samples must be at least 1$"):
+        verify.verify_suite(spec, samples=0)
 
 
 def test_samples_at_the_cap_are_used_as_asked(tmp_path, capsys):
@@ -573,11 +593,9 @@ def _typical_or_any(typical, largest=None):
 @st.composite
 def spec_shaped_documents(draw):
     """The keys of a spec document, each with a typical value or any JSON
-    value.  A multiplicity stays below 9 when it is an int: the terminal
-    stage lists a character pair once per multiplicity.  So does a rank, so
-    that a parser which builds the root datum (a rank-by-rank Cartan
-    matrix) before it checks the hw lengths fails here without filling
-    memory."""
+    value.  A rank stays below 9 when it is an int, so that a parser which
+    builds the root datum (a rank-by-rank Cartan matrix) before it checks
+    the hw lengths fails here without filling memory."""
     ranks = _typical_or_any(st.integers(1, 3), largest=8)
     letters = _typical_or_any(st.sampled_from("ABCDG"))
     factor = _typical_or_any(st.tuples(letters, ranks).map(list))
@@ -592,7 +610,7 @@ def spec_shaped_documents(draw):
     lengths = [ambient, ambient, ambient + 1, 1] if 0 <= ambient <= 8 else [1]
     length = draw(st.sampled_from(lengths))
     hw = st.lists(_typical_or_any(st.integers(0, 2)), min_size=length, max_size=length)
-    mult = _typical_or_any(st.sampled_from([2, 1]), largest=8)
+    mult = _typical_or_any(st.sampled_from([2, 1]))
     entry = _typical_or_any(st.fixed_dictionaries({"hw": _typical_or_any(hw),
                                                    "mult": mult}))
     options = st.fixed_dictionaries({}, optional={

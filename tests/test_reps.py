@@ -1,4 +1,5 @@
 
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -26,9 +27,9 @@ from symprep.reps import (
     weyl_dim,
 )
 from symprep.linalg import mat_vec
-from symprep.rootdata import build_root_datum
+from symprep.rootdata import build_root_datum, levi_subdatum, positive_roots
 
-from corpus import A1, A2, C2, C3, T1, T2, catalog
+from corpus import A1, A2, A3, C2, C3, T1, T2, catalog
 from oracles import (
     invariant_dims_oracle,
     kostant_weight_multiset,
@@ -62,17 +63,55 @@ def test_c2_small_irreps():
     assert m10[(0, 0)] == 2
 
 
+B3 = build_root_datum([("B", 3)])
+D4 = build_root_datum([("D", 4)])
+G2 = build_root_datum([("G", 2)])
+F4 = build_root_datum([("F", 4)])
+A2xT1 = build_root_datum([("A", 2)], central_rank=1)
+# decompose_weights calls Freudenthal on Levis like this C2 inside C3 x T1
+C3xT1_LEVI = levi_subdatum(build_root_datum([("C", 3)], central_rank=1), [1, 2])
+
+
 @pytest.mark.parametrize("datum,lam", [
     (A1, (4,)),
     (A2, (1, 1)),
     (A2, (2, 1)),
     (C2, (1, 1)),
     (C2, (0, 2)),
+    (A3, (1, 0, 1)),
+    (A3, (0, 2, 0)),
+    (B3, (0, 0, 2)),
+    (B3, (1, 0, 1)),
+    (C3, (0, 1, 0)),
+    (C3, (1, 1, 0)),
+    (D4, (0, 1, 0, 0)),
+    (D4, (1, 0, 0, 1)),
+    (G2, (0, 1)),
+    (G2, (1, 1)),
+    (F4, (0, 0, 0, 1)),
+    (C3xT1_LEVI, (2, 1, 1, 0)),
+    (A2xT1, (1, 1, 2)),
 ])
 def test_freudenthal_matches_kostant_oracle(datum, lam):
     assert freudenthal_multiplicities(datum, lam) == kostant_weight_multiset(
         datum, lam
     )
+
+
+def test_freudenthal_known_answers_on_e7_and_e8():
+    """E7's 56 is minuscule: 56 weights, each once.  The E8 adjoint has its
+    240 roots once each and the zero weight 8 times.  The walk visits one
+    and two dominant weights, so both take well under the bound."""
+    t0 = time.monotonic()
+    e7 = freudenthal_multiplicities(build_root_datum([("E", 7)]), (0,) * 6 + (1,))
+    assert len(e7) == 56 and set(e7.values()) == {1}
+    E8 = build_root_datum([("E", 8)])
+    e8 = freudenthal_multiplicities(E8, (0,) * 7 + (1,))
+    assert e8.pop((0,) * 8) == 8 and set(e8.values()) == {1}
+    roots = {r.vec for r in positive_roots(E8)}
+    assert set(e8) == roots | {tuple(-x for x in v) for v in roots}
+    assert len(e8) == 240
+    assert time.monotonic() - t0 < 5
 
 
 def test_freudenthal_weyl_invariance():
