@@ -38,7 +38,6 @@ from .reduction import (
     centralizer_levi,
     determine_little_weyl,
     isotropy_shape,
-    rank_complexity,
     reduce_step,
     run_reduction,
 )

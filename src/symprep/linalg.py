@@ -254,9 +254,9 @@ def echelon_basis(rows):
     return [primitive_int_vector(red[i]) for i in range(len(pivots))]
 
 
-def is_reflection(g):
-    """g - I has rank one."""
-    return rank([vsub(row, e) for row, e in zip(g, identity(len(g)))]) == 1
+def fixed_codim(g):
+    """rank(g - I): the codimension of the space g fixes; 1 for a reflection."""
+    return rank(mat_sub(g, identity(len(g))))
 
 
 def group_closure(gens, dim):
@@ -278,62 +278,3 @@ def group_closure(gens, dim):
 
 def same_span(rows_a, rows_b):
     return echelon_basis(rows_a) == echelon_basis(rows_b)
-
-
-# -- truncated power series / small polynomial helpers (rational) -----------
-
-def poly_mul(p, q, trunc=None):
-    n = len(p) + len(q) - 1 if p and q else 0
-    if trunc is not None:
-        n = min(n, trunc + 1)
-    out = [Fraction(0)] * n
-    for i, a in enumerate(p):
-        if a == 0 or i >= n:
-            continue
-        for j, b in enumerate(q):
-            if i + j >= n:
-                break
-            out[i + j] += Fraction(a) * Fraction(b)
-    return [canon(x) for x in out]
-
-
-def series_inv(p, trunc):
-    """Coefficients of 1/p(t) up to degree trunc; requires p[0] != 0."""
-    if not p or p[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    inv = [Fraction(1) / Fraction(p[0])]
-    for n in range(1, trunc + 1):
-        s = Fraction(0)
-        for k in range(1, min(n, len(p) - 1) + 1):
-            s += Fraction(p[k]) * inv[n - k]
-        inv.append(-s / Fraction(p[0]))
-    return [canon(x) for x in inv]
-
-
-def poly_det(mat_of_polys, trunc=None):
-    """Determinant of a small matrix whose entries are polynomials in t."""
-    n = len(mat_of_polys)
-    if n == 0:
-        return [1]
-
-    def det(rows, cols):
-        if len(cols) == 1:
-            return mat_of_polys[rows[0]][cols[0]]
-        r = rows[0]
-        acc = [Fraction(0)]
-        for k, c in enumerate(cols):
-            entry = mat_of_polys[r][c]
-            if all(x == 0 for x in entry):
-                continue
-            sub = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = poly_mul(entry, sub, trunc)
-            if k % 2:
-                term = [-x for x in term]
-            m = max(len(acc), len(term))
-            acc = [
-                (acc[i] if i < len(acc) else 0) + (term[i] if i < len(term) else 0)
-                for i in range(m)
-            ]
-        return [canon(x) for x in acc]
-
-    return det(tuple(range(n)), tuple(range(n)))

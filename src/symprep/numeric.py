@@ -50,9 +50,11 @@ def _check_length(rep, v):
 
 
 def _lie_stack(rep):
-    """rep.lie stacked once into an (L, n, n) array."""
+    """rep.lie stacked once into an (L, n, n) array; L is 0 for the trivial
+    group."""
     if not hasattr(rep, "_lie_stack_cache"):
-        object.__setattr__(rep, "_lie_stack_cache", np.stack(rep.lie))
+        stack = np.reshape(rep.lie, (len(rep.lie), rep.dim, rep.dim))
+        object.__setattr__(rep, "_lie_stack_cache", stack)
     return rep._lie_stack_cache
 
 

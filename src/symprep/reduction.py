@@ -9,7 +9,6 @@ shape.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classify import WeightStatus, terminal_decomposition, weight_status
 from .errors import (
@@ -19,13 +18,10 @@ from .errors import (
     SymprepError,
 )
 from .linalg import (
-    canon,
     cvec,
     echelon_basis,
+    fixed_codim,
     group_closure,
-    is_reflection,
-    poly_det,
-    series_inv,
     vdot,
     vsub,
 )
@@ -167,14 +163,6 @@ def run_reduction(spec, first_choice=None):
     return trace, td
 
 
-def rank_complexity(td):
-    rk = td.a_rank
-    c = td.c
-    if rk + 2 * c != 2 * sum(m for _, m in td.character_pairs) - td.a_rank:
-        raise InternalConsistencyError("rank/complexity bookkeeping mismatch")
-    return rk, c
-
-
 def centralizer_levi(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP,
                      expect=None):
     """Levi whose roots pair to zero with every vector of a*; optionally
@@ -220,59 +208,57 @@ def reflection_subgroups(gamma):
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
-def molien_series(mats, max_degree):
-    """Molien series of a matrix group, exact, as coefficients 0..max_degree."""
-    mats = list(mats)
-    k = len(mats[0]) if mats and mats[0] else 0
-    if k == 0:
-        return [1] + [0] * max_degree
-    total = [Fraction(0)] * (max_degree + 1)
-    for g in mats:
-        entry = [
-            [
-                [1 if i == j else 0, canon(-g[i][j])]
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
-        det = poly_det(entry, trunc=max_degree)
-        inv = series_inv(det, max_degree)
-        for d in range(max_degree + 1):
-            total[d] += Fraction(inv[d]) if d < len(inv) else 0
-    out = []
-    for d in range(max_degree + 1):
-        v = total[d] / len(mats)
-        if v.denominator != 1 or v < 0:
-            raise InternalConsistencyError("Molien series is not integral")
-        out.append(int(v))
+def _degrees_from_codims(codims, k):
+    """The degrees d_1 <= ... <= d_k of a reflection group on a k-dim space,
+    from the codimension rank(g - 1) of each element's fixed space.
+
+    sum_g t^rank(g - 1) = prod_i (1 + (d_i - 1) t) (Shephard-Todd, Canad. J.
+    Math. 6, 1954, Thm 5.3): the count polynomial is divided exactly by
+    (1 + m t) for m = 1, 2, ..., each exact division gives a degree m + 1,
+    and the degrees left over are 1."""
+    poly = [0] * (max(codims, default=0) + 1)
+    for c in codims:
+        poly[c] += 1
+    degrees = []
+    m = 1
+    # every factor's m divides the leading coefficient
+    while len(poly) > 1 and m <= poly[-1]:
+        quot = [poly[0]]
+        for p in poly[1:-1]:
+            quot.append(p - m * quot[-1])
+        if poly[-1] == m * quot[-1]:
+            poly = quot
+            degrees.append(m + 1)
+        else:
+            m += 1
+    if poly != [1]:
+        raise InternalConsistencyError(
+            "fixed-space count does not split into factors (1 + m t)"
+        )
+    return (1,) * (k - len(degrees)) + tuple(degrees)
+
+
+def _degree_series(degrees, max_degree):
+    """prod_i 1/(1 - t^(d_i)) as coefficients 0..max_degree: the number of
+    ways to make each degree from the d_i (coin change)."""
+    out = [1] + [0] * max_degree
+    for d in degrees:
+        for n in range(d, max_degree + 1):
+            out[n] += out[n - d]
     return out
 
 
 def reflection_degrees(mats):
     """Fundamental invariant degrees of a finite reflection group."""
-    k = len(mats[0]) if mats and mats[0] else 0
-    if k == 0:
-        return ()
-    nrefl = sum(1 for g in mats if is_reflection(g))
-    bound = nrefl + k
-    series = molien_series(mats, bound)
-    poly = series_inv(series, bound)
-    # peel factors (1 - t^d); the product has k of them
-    degrees = []
-    work = [Fraction(x) for x in poly]
-    for _ in range(k):
-        d = next((i for i in range(1, len(work)) if work[i] != 0), None)
-        if d is None or work[d] > 0:
-            raise InternalConsistencyError("Molien series is not of reflection type")
-        # divide by (1 - t^d); repeated degrees peel one factor at a time
-        quot = [Fraction(0)] * (len(work) - d)
-        for i in range(len(quot)):
-            quot[i] = work[i] + (quot[i - d] if i >= d else 0)
-        work = quot
-        degrees.append(d)
-    if any(x != (1 if i == 0 else 0) for i, x in enumerate(work)):
-        raise InternalConsistencyError("reflection degree extraction left a remainder")
-    return tuple(sorted(degrees))
+    k = len(mats[0]) if mats else 0
+    return _degrees_from_codims([fixed_codim(g) for g in mats], k)
+
+
+def molien_series(mats, max_degree):
+    """Molien series of a finite reflection group, exact, as coefficients
+    0..max_degree: its invariants are a polynomial ring (Chevalley, Amer. J.
+    Math. 77, 1955), so the series is prod_i 1/(1 - t^(d_i))."""
+    return _degree_series(reflection_degrees(mats), max_degree)
 
 
 @dataclass(frozen=True)
@@ -307,28 +293,27 @@ def determine_little_weyl(
         return LittleWeylResult(status="unknown", candidates=candidates)
     if spec.dim > DEFAULT_SYM_DIM_BUDGET:
         return LittleWeylResult(status="budget", candidates=candidates)
+    codim = dict(zip(gamma.gamma_matrices, gamma.fixed_codims))
+    k = len(gamma.a_star_basis)
+    degrees = {
+        sub: _degrees_from_codims([codim[g] for g in sub], k) for sub in subs
+    }
     degree = hilbert_degree
     if degree % 2:
         degree -= 1
     while True:
         hilb = invariant_dims(spec, degree, weyl_cap=weyl_cap)
-        matches = []
-        for sub in subs:
-            mol = molien_series(sorted(sub), degree // 2)
-            ok = True
-            for d in range(degree + 1):
-                want = mol[d // 2] if d % 2 == 0 else 0
-                if want != hilb[d]:
-                    ok = False
-                    break
-            if ok:
-                matches.append(sub)
+        # the Molien series in squared degrees: prod_i 1/(1 - t^(2 d_i))
+        matches = [
+            sub for sub in subs
+            if _degree_series([2 * d for d in degrees[sub]], degree) == hilb
+        ]
         if len(matches) == 1:
             mats = sorted(matches[0])
             return LittleWeylResult(
                 status="exact",
                 order=len(mats),
-                degrees=reflection_degrees(mats),
+                degrees=degrees[matches[0]],
                 matrices=tuple(mats),
                 matched_degree=degree,
             )
@@ -405,8 +390,7 @@ def analyze(
 ):
     """Full structural analysis of a validated symplectic module."""
     trace, td, gamma, levi = reduce_to_gamma(spec, weyl_cap)
-    rk, c = rank_complexity(td)
-    mf = c == 0
+    mf = td.c == 0
     lw = determine_little_weyl(
         spec, gamma, mf, hilbert_degree, weyl_cap
     )
@@ -415,8 +399,8 @@ def analyze(
     iso = isotropy_shape(spec.datum, td, levi)
     return AnalysisReport(
         spec=spec,
-        rk_s=rk,
-        c_s=c,
+        rk_s=td.a_rank,
+        c_s=td.c,
         mf=mf,
         a_star_basis=td.a_star_basis,
         a_rank=td.a_rank,

@@ -25,8 +25,8 @@ from .linalg import (
     canon,
     cvec,
     echelon_basis,
+    fixed_codim,
     group_closure,
-    is_reflection,
     lincomb,
     mat_vec,
     span_solver,
@@ -540,11 +540,16 @@ class SubspaceGroupData:
     normalizer_order: int
     centralizer_order: int
     gamma_matrices: tuple          # faithful action on a*-coordinates
-    reflection_indices: tuple      # indices into gamma_matrices
+    fixed_codims: tuple            # rank(g - 1) for each of gamma_matrices
 
     @property
     def gamma_order(self):
         return len(self.gamma_matrices)
+
+    @property
+    def reflection_indices(self):
+        """Indices into gamma_matrices of the reflections: codimension 1."""
+        return tuple(i for i, c in enumerate(self.fixed_codims) if c == 1)
 
 
 def _gamma_matrices(datum, basis, orbit):
@@ -593,5 +598,5 @@ def subspace_normalizer(datum, a_star_basis, cap=DEFAULT_WEYL_CAP):
         normalizer_order=len(mats) * levi.weyl_order(),
         centralizer_order=levi.weyl_order(),
         gamma_matrices=tuple(mats),
-        reflection_indices=tuple(i for i, g in enumerate(mats) if is_reflection(g)),
+        fixed_codims=tuple(fixed_codim(g) for g in mats),
     )

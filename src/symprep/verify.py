@@ -92,7 +92,7 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
     # moment map defining identity, round-tripped through the matrix form
     vs = np.array(seeded_samples(rng, rep.dim, max(3, samples // 4)))
     mv = moment_eval(rep, vs)
-    res = np.max(np.abs(mv.coords - _half_omega(rep, lie, vs)))
+    res = np.max(np.abs(mv.coords - _half_omega(rep, lie, vs)), initial=0.0)
     for frame, mats in zip(_frames(rep), mv.factor_matrices):
         back = np.einsum("kab,fba->kf", mats, frame.mats)  # trace(mat @ ref)
         res = max(res, np.max(np.abs(back - mv.coords[:, frame.pos])))

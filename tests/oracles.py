@@ -4,12 +4,14 @@ These deliberately avoid the library's Freudenthal recursion, symmetric-power
 recursion, and word-based Weyl enumeration: multiplicities come from the
 Kostant partition function, invariant dimensions from explicit monomial
 enumeration, symmetric powers from Newton's identity over Fractions or
-the division-free recursion over tuple-keyed weights, group elements from matrix closure with determinant signs, and invariant
-symplectic forms from a nullspace solve.  The float moment maps are evaluated
-one vector and one Lie basis matrix at a time, the weight moment over
-Fractions, and the section's terminal coordinates by a fresh span solve per
-target and peeled character.  Every span solve here is `span_coords_oracle`,
-an rref of [M | v] per vector, independent of the library's `span_solver`.
+the division-free recursion over tuple-keyed weights, Molien series from
+power traces instead of fixed-space counts, group elements from matrix
+closure with determinant signs, and invariant symplectic forms from a
+nullspace solve.  The float moment maps are evaluated one vector and one Lie
+basis matrix at a time, the weight moment over Fractions, and the section's
+terminal coordinates by a fresh span solve per target and peeled character.
+Every span solve here is `span_coords_oracle`, an rref of [M | v] per vector,
+independent of the library's `span_solver`.
 """
 
 from fractions import Fraction
@@ -403,6 +405,26 @@ def reflection_subgroups_oracle(gamma):
         for combo in combinations(refl, size):
             subs.add(group_closure(combo, k))
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def molien_series_oracle(mats, max_degree):
+    """Molien series of any finite matrix group, exact, as coefficients
+    0..max_degree: the trace h_n(g) of g on S^n comes from the power traces
+    by Newton's identity h_n(g) = (1/n) sum_{k<=n} tr(g^k) h_{n-k}(g), and
+    the series is the group average of the h_n."""
+    total = [Fraction(0)] * (max_degree + 1)
+    for g in mats:
+        traces, power = [], g
+        for _ in range(max_degree):
+            traces.append(Fraction(sum(power[i][i] for i in range(len(g)))))
+            power = mat_mul(power, g)
+        h = [Fraction(1)]
+        for n in range(1, max_degree + 1):
+            h.append(sum(traces[k - 1] * h[n - k] for k in range(1, n + 1)) / n)
+        total = [a + b for a, b in zip(total, h)]
+    series = [t / len(mats) for t in total]
+    assert all(x.denominator == 1 for x in series), series
+    return [int(x) for x in series]
 
 
 def moment_coords_oracle(rep, v):

@@ -24,7 +24,7 @@ from symprep.numeric import (
     seeded_samples,
     verify_commute,
 )
-from symprep.reduction import analyze, rank_complexity, run_reduction
+from symprep.reduction import analyze, run_reduction
 from symprep.reps import (
     freudenthal_multiplicities,
     invariant_dims,
@@ -112,7 +112,8 @@ def test_criterion_2_symplectic_standard_closed_form():
             worst["inv"] = max(
                 worst["inv"], float(np.max(np.abs(inv_moment_eval(rep, v))))
             )
-        assert rank_complexity(run_reduction(spec)[1]) == (0, 0)
+        td = run_reduction(spec)[1]
+        assert (td.a_rank, td.c) == (0, 0)
     ok = (
         worst["closed"] <= 1e-12
         and worst["sv"] <= 1e-8
@@ -198,7 +199,7 @@ def test_criterion_6_combinatorial_numeric_agreement():
         assert (est_rk, est_c) == (rk, c), name
         assert coiso == mf, name
         trace, td = run_reduction(spec)
-        assert rank_complexity(td) == (rk, c), name
+        assert (td.a_rank, td.c) == (rk, c), name
         names.append(name)
     elapsed = time.monotonic() - t0
     _report(
@@ -290,11 +291,11 @@ def test_criterion_9_permanence():
     the reduction weight gives identical invariants."""
     for name, (spec, _) in catalog().items():
         trace, td = run_reduction(spec)
-        base = rank_complexity(td)
+        base = (td.a_rank, td.c)
         elems = weyl_matrices_bruteforce(spec.datum)
         for step in trace:
             strace, std_ = run_reduction(step.s_spec)
-            assert rank_complexity(std_) == base, name
+            assert (std_.a_rank, std_.c) == base, name
             if std_.a_star_basis or td.a_star_basis:
                 conj = any(
                     same_span(
@@ -308,7 +309,7 @@ def test_criterion_9_permanence():
             if weight_status(spec, w) is not WeightStatus.NON_TERMINAL:
                 continue
             alt_trace, alt_td = run_reduction(spec, first_choice=w)
-            assert rank_complexity(alt_td) == base, (name, w)
+            assert (alt_td.a_rank, alt_td.c) == base, (name, w)
     _report("criterion 9 (permanence)", True)
 
 

@@ -184,6 +184,20 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", g2]) == EXIT_NOT_SUPPORTED
 
 
+def test_verify_on_the_trivial_group_passes(capsys):
+    """The trivial group on C^2: no Lie basis matrices to stack, and every
+    numeric check still runs and passes, with c_s 1 both ways."""
+    doc = {"group": {"simple": [], "central_torus_rank": 0},
+           "rep": [{"hw": [], "mult": 2}]}
+    assert main(["verify", json.dumps(doc)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["rk_s"], report["c_s"]) == (0, 1)
+    numeric = report["numeric_verification"]
+    assert numeric["passed"] and len(numeric["checks"]) == 10
+    match = next(c for c in numeric["checks"] if c["name"] == "rank_complexity_match")
+    assert match["detail"] == "numeric (rk, c) = (0, 1), combinatorial (0, 1)"
+
+
 def test_verify_reproducible_residuals(tmp_path):
     import argparse
 
@@ -551,7 +565,8 @@ def spec_documents(draw):
 @given(spec_documents())
 def test_any_small_spec_exits_with_a_documented_code(doc):
     text = json.dumps(doc)  # a spec argument may be the JSON text itself
-    for argv in (["analyze", text], ["gamma", text], ["hilbert", text, "--degree", "4"]):
+    for argv in (["analyze", text], ["gamma", text], ["hilbert", text, "--degree", "4"],
+                 ["verify", text]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

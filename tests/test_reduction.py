@@ -9,7 +9,6 @@ from symprep.reduction import (
     choose_nonterminal_weight,
     compute_gamma,
     molien_series,
-    rank_complexity,
     reduce_step,
     reduce_to_gamma,
     reflection_degrees,
@@ -20,7 +19,11 @@ from symprep.reps import validate_symplectic_spec
 from symprep.rootdata import build_root_datum, levi_subdatum, positive_roots
 
 from corpus import A1, A2, C2, T1, ANALYZE_LADDER, catalog
-from oracles import reflection_subgroups_oracle, weyl_matrices_bruteforce
+from oracles import (
+    molien_series_oracle,
+    reflection_subgroups_oracle,
+    weyl_matrices_bruteforce,
+)
 
 # C3xT1 with hw (0,1,2,0)x2 + (0,2,2,0)x2: not multiplicity free, with a
 # Gamma of order 48 holding 9 reflections.
@@ -76,27 +79,27 @@ def test_run_reduction_examples():
     trace, td = run_reduction(validate_symplectic_spec(A1, [((1,), 2)]))
     assert len(trace) == 1
     assert td.character_pairs == (((1,), 1),)
-    assert rank_complexity(td) == (1, 0)
+    assert (td.a_rank, td.c) == (1, 0)
 
     trace, td = run_reduction(validate_symplectic_spec(A1, [((2,), 2)]))
-    assert rank_complexity(td) == (1, 1)
+    assert (td.a_rank, td.c) == (1, 1)
 
 
 def test_rank_complexity_examples():
     _, td = run_reduction(validate_symplectic_spec(C2, [((1, 0), 1)]))
-    assert rank_complexity(td) == (0, 0)
+    assert (td.a_rank, td.c) == (0, 0)
     _, td = run_reduction(
         validate_symplectic_spec(T1, [((1,), 2), ((-1,), 2)])
     )
-    assert rank_complexity(td) == (1, 1)
+    assert (td.a_rank, td.c) == (1, 1)
     _, td = run_reduction(validate_symplectic_spec(A1, [((3,), 1)]))
-    assert rank_complexity(td) == (1, 0)
+    assert (td.a_rank, td.c) == (1, 0)
 
 
 def test_catalog_rank_complexity():
     for name, (spec, (rk, c, mf)) in catalog().items():
         trace, td = run_reduction(spec)
-        assert rank_complexity(td) == (rk, c), name
+        assert (td.a_rank, td.c) == (rk, c), name
         assert (c == 0) == mf, name
 
 
@@ -136,6 +139,60 @@ def test_molien_series_of_sign_group():
     assert reflection_degrees([ident, flip]) == (2,)
     assert molien_series([ident], 4) == [1, 1, 1, 1, 1]
     assert reflection_degrees([ident]) == (1,)
+
+
+# The degrees of the irreducible Weyl groups (Humphreys, Reflection Groups
+# and Coxeter Groups, 1990, Table 3.1).
+WEYL_DEGREES = {
+    ("A", 1): (2,), ("A", 2): (2, 3), ("A", 3): (2, 3, 4), ("A", 4): (2, 3, 4, 5),
+    ("B", 2): (2, 4), ("B", 3): (2, 4, 6), ("B", 4): (2, 4, 6, 8),
+    ("C", 3): (2, 4, 6), ("D", 4): (2, 4, 4, 6), ("G", 2): (2, 6),
+    ("F", 4): (2, 6, 8, 12),
+}
+
+
+@pytest.mark.parametrize("factor", list(WEYL_DEGREES), ids=lambda f: "%s%d" % f)
+def test_weyl_group_degrees_match_the_table(factor):
+    mats = weyl_matrices_bruteforce(build_root_datum([factor]))
+    assert reflection_degrees(mats) == WEYL_DEGREES[factor]
+    assert molien_series(mats, 10) == molien_series_oracle(mats, 10)
+
+
+def test_a_rotation_group_has_no_reflection_degrees():
+    """The rotations of W(A2) fix only 0: their count 1 + 2 t^2 has no
+    factor 1 + m t."""
+    r = ((0, -1), (1, -1))
+    mats = [((1, 0), (0, 1)), r, ((-1, 1), (-1, 0))]
+    with pytest.raises(InternalConsistencyError, match="does not split"):
+        reflection_degrees(mats)
+
+
+def _gammas_of_catalog_and_ladder():
+    for name, (spec, _) in catalog().items():
+        yield name, reduce_to_gamma(spec)[2]
+    ladder = {name: (factors, 0, summands)
+              for name, (factors, summands) in ANALYZE_LADDER.items()}
+    for name, (factors, central, summands) in dict(ladder, C3xT1=C3T1).items():
+        datum = build_root_datum(factors, central_rank=central)
+        yield name, reduce_to_gamma(validate_symplectic_spec(datum, summands))[2]
+
+
+def test_reflection_subgroup_series_match_the_power_trace_oracle():
+    """The series determine_little_weyl matches, read off the fixed-space
+    codimensions Gamma carries, equal the Molien series by power traces, on
+    all 100 reflection subgroups of the catalog's, the ladder's and C3xT1's
+    Gammas."""
+    seen = 0
+    for name, gamma in _gammas_of_catalog_and_ladder():
+        k = len(gamma.a_star_basis)
+        codim = dict(zip(gamma.gamma_matrices, gamma.fixed_codims))
+        for sub in reflection_subgroups(gamma):
+            degrees = reduction._degrees_from_codims([codim[g] for g in sub], k)
+            want = molien_series_oracle(sorted(sub), 10)
+            assert reduction._degree_series(degrees, 10) == want, (name, len(sub))
+            assert molien_series(sorted(sub), 10) == want, (name, len(sub))
+            seen += 1
+    assert seen == 100
 
 
 def test_little_weyl_examples():
@@ -213,7 +270,7 @@ def test_permanence_under_first_choice():
         if weight_status(spec, w) is not WeightStatus.NON_TERMINAL:
             continue
         trace, td = run_reduction(spec, first_choice=w)
-        assert rank_complexity(td) == rank_complexity(base_td)
+        assert (td.a_rank, td.c) == (base_td.a_rank, base_td.c)
         conj = any(
             same_span([mat_vec(we, b) for b in td.a_star_basis], list(base_td.a_star_basis))
             for we in weyl_matrices_bruteforce(spec.datum)
