@@ -8,6 +8,13 @@ Most data are integers, so `canon`, `vdot`, `mat_vec`, `mat_mul` and
 `lincomb` compute in plain ints: a sum of products has type int exactly when
 every product did, and only a sum that came out a Fraction goes through
 `canon`.
+
+Row reduction is fraction-free (Bareiss, Math. Comp. 22, 1968): `_echelon`
+clears each row of denominators and eliminates on primitive int rows, so its
+loop makes no Fraction.  `rank` reads its pivots; `rref`, `nullspace` and
+`span_solver` divide by a pivot only at the end, and an entry becomes a
+Fraction only when it is not integral; `echelon_basis` reads the primitive
+rows themselves.
 """
 
 from fractions import Fraction
@@ -18,8 +25,9 @@ from operator import mul
 def canon(x):
     if type(x) is int:
         return x
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def cvec(xs):
@@ -31,7 +39,8 @@ def vsub(a, b):
 
 
 def vscale(c, a):
-    return tuple(canon(c * x) for x in a)
+    c = canon(c)
+    return tuple(canon(c * x) if x else 0 for x in a)
 
 
 def vdot(a, b):
@@ -150,34 +159,76 @@ def blockdiag(blocks):
     return tuple(tuple(r) for r in out)
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _int_rows(rows):
+    """Each row as a primitive int list: cleared of denominators by the lcm
+    of its entries' denominators, then divided by the gcd of its entries."""
+    out = []
+    for row in rows:
+        if all(type(x) is int for x in row):
+            row = list(row)
+        else:
+            den = 1
+            for x in row:
+                d = x.denominator
+                den = den * d // gcd(den, d)
+            row = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*row)
+        out.append([x // g for x in row] if g > 1 else row)
+    return out
+
+
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan elimination.  Returns (m, pivots): int rows
+    m whose first len(pivots) rows, each divided by its entry in its pivot
+    column, are the reduced row echelon form of rows; the other rows are
+    zero.  Column c is cleared from row i with pivot p and entry a by
+    row_i <- (p/g) row_i - (a/g) pivot_row, g = gcd(p, a), and the new row is
+    divided by the gcd of its entries, so every row stays primitive."""
+    m = _int_rows(rows)
     pivots = []
+    if not m:
+        return m, pivots
+    nrows = len(m)
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            a = m[i][c]
+            if a and i != r:
+                g = gcd(p, a)
+                pg, ag = p // g, a // g
+                row = [pg * x - ag * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == nrows:
             break
-    return [cvec(row) for row in m], pivots
+    return m, pivots
+
+
+def _over(x, d):
+    """x / d for ints, as an int when d divides x."""
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
+    m, pivots = _echelon(rows)
+    out = []
+    for i, row in enumerate(m):
+        p = row[pivots[i]] if i < len(pivots) else 1
+        out.append(tuple(row) if p == 1 else tuple(_over(x, p) for x in row))
+    return out, pivots
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows, ncols=None):
@@ -187,16 +238,18 @@ def nullspace(rows, ncols=None):
             raise ValueError("ncols required for an empty constraint list")
         ncols = len(rows[0])
     if not rows:
-        return [tuple(identity(ncols)[i]) for i in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+        return list(identity(ncols))
+    m, pivots = _echelon(rows)
+    pivset = set(pivots)
     basis = []
-    for fcol in free:
-        x = [Fraction(0)] * ncols
-        x[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            x[pcol] = -Fraction(red[i][fcol]) if i < len(red) else Fraction(0)
-        basis.append(cvec(x))
+    for fcol in range(ncols):
+        if fcol in pivset:
+            continue
+        x = [0] * ncols
+        x[fcol] = 1
+        for row, pcol in zip(m, pivots):
+            x[pcol] = _over(-row[fcol], row[pcol])
+        basis.append(tuple(x))
     return basis
 
 
@@ -206,52 +259,41 @@ def span_solver(basis_rows):
     rows), or None when v lies off the span.  A x = b is b over the columns
     of A: span_solver(transpose(A))(b).
 
-    rref([M | I]) = [R | T] for M with the basis rows as columns; for v in
-    the span, [R | T v] is rref([M | v]), so the pivot rows of T v are the
-    coefficients, and v is in the span exactly when the other rows of T v
-    vanish.  The basis is row-reduced once, for any number of v."""
+    Elimination on [M | I], with M the basis rows as columns, gives int rows
+    [R | T] whose pivot rows divided by their pivots d_i are rref([M | I]);
+    for v in the span, [R | T v] so divided is rref([M | v]), so the
+    coefficients are (T v)_i / d_i on the pivot rows, and v is in the span
+    exactly when the other rows of T v vanish.  The basis is row-reduced
+    once, for any number of v."""
     if not basis_rows:
         return lambda v: () if is_zero_vec(v) else None
     k = len(basis_rows)
     cols = transpose(basis_rows)
-    red, pivots = rref([row + e for row, e in zip(cols, identity(len(cols)))])
+    m, pivots = _echelon([row + e for row, e in zip(cols, identity(len(cols)))])
     pivots = [p for p in pivots if p < k]
-    t = tuple(tuple(row[k:]) for row in red)
+    dens = [row[p] for row, p in zip(m, pivots)]
+    t = tuple(tuple(row[k:]) for row in m)
 
     def solve(v):
         y = mat_vec(t, v)
         if not is_zero_vec(y[len(pivots):]):
             return None
         x = [0] * k
-        for i, p in enumerate(pivots):
-            x[p] = y[i]
+        for p, yi, d in zip(pivots, y, dens):
+            x[p] = _over(yi, d) if type(yi) is int else canon(yi / d)
         return tuple(x)
 
     return solve
 
 
-def primitive_int_vector(v):
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    fr = [Fraction(x) for x in v]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def echelon_basis(rows):
-    """Canonical basis of the row span: rref rows, scaled primitive-integer."""
-    red, pivots = rref(rows)
-    return [primitive_int_vector(red[i]) for i in range(len(pivots))]
+    """Canonical basis of the row span: rref rows, scaled primitive-integer
+    with positive leading (pivot) entry."""
+    m, pivots = _echelon(rows)
+    return [
+        tuple(row) if row[p] > 0 else tuple(-x for x in row)
+        for row, p in zip(m, pivots)
+    ]
 
 
 def fixed_codim(g):

@@ -33,6 +33,7 @@ from .linalg import (
     mat_scale,
     mat_vec,
     nullspace,
+    rank,
     rref,
     sparse_mul,
     sparse_rows,
@@ -525,7 +526,7 @@ def _check_rep(rep):
     j = rep.j_exact
     if transpose(j) != mat_scale(-1, j):
         raise InternalConsistencyError("J is not skew")
-    if len(nullspace(j, rep.dim)) != 0:
+    if rank(j) != rep.dim:
         raise InternalConsistencyError("J is degenerate")
     # products run over nonzero entries only: the model is block diagonal
     # and its Lie basis matrices are mostly zero

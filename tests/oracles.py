@@ -10,8 +10,10 @@ closure with determinant signs, and invariant symplectic forms from a
 nullspace solve.  The float moment maps are evaluated one vector and one Lie
 basis matrix at a time, the weight moment over Fractions, and the section's
 terminal coordinates by a fresh span solve per target and peeled character.
-Every span solve here is `span_coords_oracle`, an rref of [M | v] per vector,
-independent of the library's `span_solver`.
+Row reduction here is `rref_oracle`, Gauss-Jordan over Fractions, and
+`nullspace_oracle` on top of it, independent of the library's fraction-free
+elimination; every span solve is `span_coords_oracle`, an rref_oracle of
+[M | v] per vector, independent of the library's `span_solver`.
 """
 
 from fractions import Fraction
@@ -30,8 +32,6 @@ from symprep.linalg import (
     mat_mul,
     mat_scale,
     mat_vec,
-    nullspace,
-    rref,
     transpose,
     vdot,
 )
@@ -45,6 +45,49 @@ from symprep.matrixrep import (
 from symprep.rootdata import positive_roots, rho_strict
 
 
+def rref_oracle(rows):
+    """Reduced row echelon form by Gauss-Jordan over Fractions, every entry a
+    Fraction from the start.  Returns (rows, pivot column indices)."""
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [cvec(row) for row in m], pivots
+
+
+def nullspace_oracle(rows, ncols):
+    """Basis of {x : A x = 0}, one vector per free column of rref_oracle(A):
+    1 at the free column, minus that column of the reduced rows at the
+    pivots."""
+    if not rows:
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
+    red, pivots = rref_oracle(rows)
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[fcol] = Fraction(1)
+        for i, pcol in enumerate(pivots):
+            x[pcol] = -Fraction(red[i][fcol])
+        basis.append(cvec(x))
+    return basis
+
+
 def span_coords_oracle(basis_rows, v):
     """Coefficients c with sum c_i basis_i = v, or None off the span: the
     rref of [M | v] with the basis rows as the columns of M, free variables
@@ -52,7 +95,9 @@ def span_coords_oracle(basis_rows, v):
     if not basis_rows:
         return () if is_zero_vec(v) else None
     k = len(basis_rows)
-    red, pivots = rref([col + (x,) for col, x in zip(transpose(basis_rows), v)])
+    red, pivots = rref_oracle(
+        [col + (x,) for col, x in zip(transpose(basis_rows), v)]
+    )
     if k in pivots:
         return None
     x = [0] * k
@@ -231,7 +276,7 @@ def invariant_dims_oracle(datum, weights, max_degree, weyl_cap=10 ** 5):
 
 def subspace_normalizer_oracle(datum, basis):
     """(|N|, |C|, gamma order, reflection count) by scanning all of W."""
-    from symprep.linalg import echelon_basis, identity, rank, vsub
+    from symprep.linalg import echelon_basis, identity, vsub
 
     basis = echelon_basis(list(basis))
     k = len(basis)
@@ -252,7 +297,8 @@ def subspace_normalizer_oracle(datum, basis):
     refl = sum(
         1
         for g in gamma
-        if k > 0 and rank([vsub(row, identity(k)[i]) for i, row in enumerate(g)]) == 1
+        if k > 0
+        and len(rref_oracle([vsub(r, e) for r, e in zip(g, identity(k))])[1]) == 1
     )
     return n_count, c_count, len(gamma), refl
 
@@ -331,7 +377,7 @@ def invariant_symplectic_form_oracle(dim, gens):
                     add(a, k, g[k][b])    # (J X)_{ab}
                 if any(row):
                     rows.append(cvec(row))
-    space = nullspace(rows, len(pairs)) if rows else [
+    space = nullspace_oracle(rows, len(pairs)) if rows else [
         cvec([1 if i == 0 else 0 for i in range(len(pairs))])
     ]
     if len(space) != 1:
@@ -386,12 +432,12 @@ def rref_hyperbolic_pair_oracle(rep, chi):
     """(v0, v0m) from the rref bases of the whole model's highest-weight
     space of weight chi and lowest-weight space of weight -chi; None where
     a vector is missing."""
-    red, piv = rref(weight_kernel(rep, chi))
+    red, piv = rref_oracle(weight_kernel(rep, chi))
     if not piv:
         return None, None
     v0 = red[0]
     neg = tuple(-x for x in chi)
-    red, piv = rref(weight_kernel(rep, neg, "f"))
+    red, piv = rref_oracle(weight_kernel(rep, neg, "f"))
     return v0, hyperbolic_partner(rep, v0, red[: len(piv)])
 
 

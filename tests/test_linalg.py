@@ -1,16 +1,35 @@
 """The int fast paths of the exact primitives against a pure-Fraction
 reference: same value and same type (int exactly when the result is
-integral) on int-only and on mixed int/Fraction inputs.  The one exact
-coordinate solver, `span_solver`, against an rref of [M | v] per vector."""
+integral) on int-only and on mixed int/Fraction inputs.  The fraction-free
+elimination behind `rref`, `rank`, `nullspace` and `echelon_basis` against
+Gauss-Jordan over Fractions, and the one exact coordinate solver,
+`span_solver`, against an rref of [M | v] per vector."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from symprep.linalg import canon, cvec, lincomb, mat_mul, mat_vec, span_solver, vdot
+from symprep import linalg
+from symprep.linalg import (
+    canon,
+    cvec,
+    echelon_basis,
+    identity,
+    lincomb,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+    nullspace,
+    rank,
+    rref,
+    span_solver,
+    vdot,
+    vscale,
+)
 
-from oracles import span_coords_oracle
+from oracles import nullspace_oracle, rref_oracle, span_coords_oracle
 
 INTS = st.integers(-10 ** 20, 10 ** 20)
 ENTRIES = {
@@ -90,6 +109,17 @@ def test_lincomb_matches_fraction_reference(kind, data):
     assert_same(lincomb(coeffs, vecs, n), want)
 
 
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@given(data=st.data())
+def test_vscale_and_mat_scale_match_fraction_reference(kind, data):
+    m, n = data.draw(SIZES), data.draw(SIZES)
+    c = data.draw(st.one_of(ENTRIES[kind], st.sampled_from([0, 1, -1, Fraction(1, 1)])))
+    a = _matrix(data, ENTRIES[kind], m, n)
+    want = tuple(tuple(ref_canon(Fraction(c) * Fraction(x)) for x in row) for row in a)
+    assert_same(vscale(c, a[0]), want[0])
+    assert_same(mat_scale(c, a), want)
+
+
 def test_length_mismatch_still_raises():
     with pytest.raises(ValueError):
         vdot((1, 2), (1,))
@@ -137,3 +167,89 @@ def test_span_solver_matches_rref_reference(problem):
     assert repr(got) == repr(span_coords_oracle(basis, inside))
     assert lincomb(got, basis, len(inside)) == cvec(inside)
     assert repr(solve(anywhere)) == repr(span_coords_oracle(basis, anywhere))
+
+
+def ref_echelon_basis(rows):
+    """The pivot rows of rref_oracle, each scaled to coprime ints with a
+    positive leading entry."""
+    red, pivots = rref_oracle(rows)
+    out = []
+    for row in red[: len(pivots)]:
+        fr = [Fraction(x) for x in row]
+        den = 1
+        for x in fr:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in fr]
+        g = 0
+        for x in ints:
+            g = gcd(g, abs(x))
+        out.append(tuple(x // g for x in ints))
+    return out
+
+
+@st.composite
+def elimination_inputs(draw, entry):
+    """(rows, ncols): up to five rows of one length 1..6, each drawn, zero, a
+    combination of the rows before it or a drawn row negated, so that there
+    may be no rows, negative pivots, and zero or dependent rows; half the
+    time widened to [M | I], the shape span_solver reduces."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["drawn", "zero", "dependent", "negated"]))
+        if kind == "zero":
+            rows.append((0,) * n)
+        elif kind == "dependent" and rows:
+            coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+            rows.append(lincomb(coeffs, rows, n))
+        else:
+            row = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+            rows.append(tuple(-x for x in row) if kind == "negated" else row)
+    if draw(st.booleans()):
+        rows = [row + e for row, e in zip(rows, identity(len(rows)))]
+        n += len(rows)
+    return rows, n
+
+
+@given(problem=st.one_of(*(elimination_inputs(e) for e in ENTRIES.values())))
+@example(problem=([], 3))
+@example(problem=([(0, 0), (0, 0)], 2))
+@example(problem=([(-2, 4), (3, -6)], 2))
+@example(problem=([(-3, 1, 0), (0, -5, 2), (-3, -4, 2)], 3))
+@example(problem=([(10 ** 20, -7, 1), (-(10 ** 20), 3, 0), (1, 1, 1)], 3))
+@example(problem=([(2, 0, 1, 1, 0), (0, 2, 1, 0, 1)], 5))
+@example(problem=([(Fraction(1, 3), Fraction(-2, 5)), (Fraction(2, 3), 1)], 2))
+def test_elimination_matches_fraction_gauss_jordan(problem):
+    """rref, rank, nullspace and echelon_basis equal the Fraction
+    Gauss-Jordan reference by repr: same values and same types."""
+    rows, n = problem
+    want = rref_oracle(rows)
+    assert repr(rref(rows)) == repr(want)
+    assert rank(rows) == len(want[1])
+    assert repr(nullspace(rows, n)) == repr(nullspace_oracle(rows, n))
+    assert repr(echelon_basis(rows)) == repr(ref_echelon_basis(rows))
+
+
+@given(problem=elimination_inputs(INTS))
+def test_int_elimination_makes_only_the_nonintegral_output_fractions(problem):
+    """On int rows the elimination constructs no Fraction: rref makes one
+    per nonintegral output entry and nullspace one per nonintegral basis
+    entry, and rank none."""
+    rows, n = problem
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    want_red = rref_oracle(rows)[0]
+    want_null = nullspace_oracle(rows, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "Fraction", counting_fraction)
+        rank(rows)
+        assert made == []
+        rref(rows)
+        assert len(made) == sum(type(x) is Fraction for row in want_red for x in row)
+        made.clear()
+        nullspace(rows, n)
+        assert len(made) == sum(type(x) is Fraction for v in want_null for x in v)

@@ -258,6 +258,7 @@ def test_section_apply_solves_no_span_per_target(name, monkeypatch):
         raise AssertionError("row reduction at apply time")
 
     monkeypatch.setattr(linalg, "rref", no_rref)
+    monkeypatch.setattr(linalg, "_echelon", no_rref)
     for a, expected in zip(targets, want):
         if expected is DomainError:
             with pytest.raises(DomainError):
