@@ -7,7 +7,7 @@ over a*, and Poisson brackets.  Random sampling is seeded and reproducible;
 rank decisions use singular-value thresholds at unit input scale.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -29,19 +29,54 @@ from .rootdata import positive_roots
 RANK_TOL = 1e-8
 IDENTITY_TOL = 1e-10
 DOMAIN_TOL = 1e-6
+# Entries of the largest array one stacked call may build: a stack of k
+# points costs k * row entries, where row is that array's size per point
+# (for example len(rep.lie) * dim for moment_coords and
+# dim * len(rep.lie) * dim for a complex-step Jacobian), so a stack is split
+# into chunks of STACK_BUDGET // row points and memory stays flat in the
+# sample count.
+STACK_BUDGET = 2 ** 15
 
 
 def seeded_samples(rng, dim, count):
-    """Integer-lattice-offset Gaussian sample vectors, unit-normalized."""
-    out = []
-    for _ in range(count):
+    """Integer-lattice-offset Gaussian sample vectors, unit-normalized, as a
+    (count, dim) stack drawn one vector at a time."""
+    out = np.empty((count, dim))
+    for i in range(count):
         v = rng.integers(-2, 3, size=dim) + rng.standard_normal(dim)
         n = np.linalg.norm(v)
         if n < 1e-9:
             v = np.ones(dim)
             n = np.linalg.norm(v)
-        out.append(v / n)
+        out[i] = v / n
     return out
+
+
+def _chunks(count, row):
+    """Consecutive slices of range(count), each of at most STACK_BUDGET // row
+    points but never fewer than one; a single empty slice when count is 0."""
+    step = max(1, STACK_BUDGET // max(1, row))
+    return [slice(lo, lo + step) for lo in range(0, max(count, 1), step)]
+
+
+def _join(parts):
+    """Stacked results of consecutive chunks joined along their first axis;
+    dataclasses field by field."""
+    first = parts[0]
+    if is_dataclass(first):
+        return type(first)(
+            *(_join([getattr(p, f.name) for p in parts]) for f in fields(first))
+        )
+    return np.concatenate(parts)
+
+
+def _unstack(stacked):
+    """The first row of a stacked result; dataclasses field by field."""
+    if is_dataclass(stacked):
+        return type(stacked)(
+            *(_unstack(getattr(stacked, f.name)) for f in fields(stacked))
+        )
+    return stacked[0]
 
 
 def _check_length(rep, v):
@@ -58,16 +93,22 @@ def _lie_stack(rep):
     return rep._lie_stack_cache
 
 
+def orbit_directions(rep, v):
+    """The tangent vectors xi v of the orbit through v, one row per element
+    of rep.lie: (L, n) for one vector, (k, L, n) for a stack (k, n)."""
+    v = np.asarray(v)
+    lie = _lie_stack(rep)
+    return (v @ lie.reshape(-1, rep.dim).T).reshape(v.shape[:-1] + lie.shape[:2])
+
+
 def moment_coords(rep, v):
     """m(v) as the vector of values on the Chevalley basis of g.  v is one
     vector of shape (n,) or a stack (k, n), real or complex; each leading row
     is one point and gets its own row of values."""
     v = np.asarray(v)
     _check_length(rep, v)
-    lie = _lie_stack(rep)
-    mv = (v @ lie.reshape(-1, rep.dim).T).reshape(v.shape[:-1] + lie.shape[:2])
     jv = v @ rep.j.T
-    return 0.5 * (mv @ jv[..., None])[..., 0]
+    return 0.5 * (orbit_directions(rep, v) @ jv[..., None])[..., 0]
 
 
 def charpoly_coeffs(a):
@@ -180,42 +221,54 @@ def chevalley_target(rep, points):
 
 
 def _rank_cut(sv):
-    """The number of singular values above RANK_TOL at unit input scale."""
-    return int(np.sum(sv > RANK_TOL * max(1.0, sv[0] if sv.size else 1.0)))
+    """The number of singular values above RANK_TOL at unit input scale,
+    along the last axis of descending singular values."""
+    return np.sum(sv > RANK_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
 
 
-def _numeric_rank(mat):
-    if mat.size == 0:
-        return 0
-    return _rank_cut(np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False))
+def _numeric_rank(mats):
+    """The numeric rank of one matrix, or of each matrix of a stack."""
+    return _rank_cut(np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False))
 
 
-def orbit_directions(rep, v):
-    """The tangent vectors xi v of the orbit through v, one row per element
-    of rep.lie."""
-    return _lie_stack(rep) @ v
+def _jacobian_row(rep):
+    """Entries per point of the kernel stack of a complex-step Jacobian."""
+    return rep.dim * len(rep.lie) * rep.dim
 
 
 def jacobian_inv_moment(rep, v):
     """Exact-to-machine-precision Jacobian via complex-step differentiation:
     the perturbations v + i h e_j of every coordinate j are one stack, so the
-    invariant moment map is evaluated once."""
+    invariant moment map is evaluated once per vector.  A stack (k, n) of
+    vectors gives a (k, m, n) stack of Jacobians, one kernel call per chunk
+    of vectors."""
     v = np.asarray(v, dtype=float)
     _check_length(rep, v)
+    if v.ndim == 1:
+        return jacobian_inv_moment(rep, v[None])[0]
     h = 1e-100
-    return np.imag(inv_moment_eval(rep, v + 1j * h * np.eye(rep.dim))).T / h
+    n = rep.dim
+    parts = []
+    for part in _chunks(len(v), _jacobian_row(rep)):
+        chunk = v[part]
+        steps = (chunk[:, None, :] + 1j * h * np.eye(n)).reshape(-1, n)
+        values = np.imag(inv_moment_eval(rep, steps)) / h
+        parts.append(np.swapaxes(values.reshape(len(chunk), n, values.shape[-1]), 1, 2))
+    return np.concatenate(parts)
 
 
 def jacobian_rank_and_orbit(rep, samples=8, seed=0):
-    """(est_rk, est_orbit_dim, est_c) maximized over seeded samples."""
+    """(est_rk, est_orbit_dim, est_c) maximized over seeded samples, each
+    chunk of samples ranked by one batched SVD of its Jacobians and one of
+    its orbit directions."""
     if samples < 5:
         raise ValueError("need at least five samples")
-    rng = np.random.default_rng(seed)
+    vs = seeded_samples(np.random.default_rng(seed), rep.dim, samples)
     rk = 0
     orbit = 0
-    for v in seeded_samples(rng, rep.dim, samples):
-        rk = max(rk, _numeric_rank(jacobian_inv_moment(rep, v)))
-        orbit = max(orbit, _numeric_rank(orbit_directions(rep, v)))
+    for part in _chunks(samples, _jacobian_row(rep)):
+        rk = max(rk, int(np.max(_numeric_rank(jacobian_inv_moment(rep, vs[part])))))
+        orbit = max(orbit, int(np.max(_numeric_rank(orbit_directions(rep, vs[part])))))
     rest = rep.dim - orbit - rk
     if rest < 0 or rest % 2:
         raise NumericalDegeneracy(
@@ -226,21 +279,21 @@ def jacobian_rank_and_orbit(rep, samples=8, seed=0):
 
 def coisotropy_test(rep, samples=8, seed=0):
     """True when the symplectic perp of the generic orbit tangent lies inside
-    the tangent itself, for every sample."""
-    rng = np.random.default_rng(seed)
-    for v in seeded_samples(rng, rep.dim, samples):
-        tangent = orbit_directions(rep, v)
-        u, sv, vt = np.linalg.svd(tangent)
-        cut = _rank_cut(sv)
-        tan_basis = vt[:cut].T  # columns span g.v
-        rows = tangent @ rep.j  # omega(xi v, .) functionals
-        u2, sv2, vt2 = np.linalg.svd(rows)
-        cut2 = _rank_cut(sv2)
-        perp = vt2[cut2:].T     # columns span (g.v)^perp
-        if perp.size == 0:
-            continue
-        resid = perp - tan_basis @ (tan_basis.T @ perp)
-        if np.linalg.norm(resid, ord=2) > 1e-8:
+    the tangent itself, for every sample.  Each chunk of samples takes one
+    batched SVD of the tangents and one of the functionals omega(xi v, .);
+    the spanning singular vectors are kept by a mask on their index."""
+    vs = seeded_samples(np.random.default_rng(seed), rep.dim, samples)
+    index = np.arange(rep.dim)
+    for part in _chunks(samples, max(len(rep.lie), rep.dim) ** 2):
+        tangent = orbit_directions(rep, vs[part])
+        _, sv, vt = np.linalg.svd(tangent)
+        # columns span g.v
+        tan_basis = np.swapaxes(vt, 1, 2) * (index < _rank_cut(sv)[:, None])[:, None, :]
+        _, sv2, vt2 = np.linalg.svd(tangent @ rep.j)  # omega(xi v, .) functionals
+        # columns span (g.v)^perp
+        perp = np.swapaxes(vt2, 1, 2) * (index >= _rank_cut(sv2)[:, None])[:, None, :]
+        resid = perp - tan_basis @ (np.swapaxes(tan_basis, 1, 2) @ perp)
+        if np.any(np.linalg.norm(resid, ord=2, axis=(1, 2)) > 1e-8):
             return False
     return True
 
@@ -261,8 +314,9 @@ class LocalFrame:
     delta_u: tuple
     s_basis: tuple
     v0f: np.ndarray
-    emats: tuple        # float e_r per r in Delta_u
-    fv0: tuple          # float f_r v0 per r in Delta_u
+    emats: np.ndarray   # (d, n, n): float e_r per r in Delta_u
+    fv0: np.ndarray     # (d, n): float f_r v0 per r in Delta_u
+    efv0: np.ndarray    # (d, d, n): e_a f_b v0 per pair a, b of Delta_u
     levi_index: tuple   # positions in rep.lie of the Levi's h, z, e and f
 
 
@@ -287,6 +341,9 @@ def local_frame(rep, chi):
     for r in positive_roots(rep.datum):
         if vdot(chi, r.coroot_vec) == 0:
             levi += [("e", r.coords), ("f", r.coords)]
+    n = rep.dim
+    emats = np.array([rep.lie_matrix(("e", r.coords)) for r in du]).reshape(-1, n, n)
+    fv0 = np.array([rep.lie_matrix(("f", r.coords)) @ v0f for r in du]).reshape(-1, n)
     return LocalFrame(
         rep=rep,
         chi=chi,
@@ -295,8 +352,9 @@ def local_frame(rep, chi):
         delta_u=du,
         s_basis=tuple(nullspace(slice_functionals(rep, du, v0, v0m), rep.dim)),
         v0f=v0f,
-        emats=tuple(rep.lie_matrix(("e", r.coords)) for r in du),
-        fv0=tuple(rep.lie_matrix(("f", r.coords)) @ v0f for r in du),
+        emats=emats,
+        fv0=fv0,
+        efv0=fv0 @ np.swapaxes(emats, 1, 2),
         levi_index=tuple(rep.lie_index[lab] for lab in levi),
     )
 
@@ -314,49 +372,84 @@ def slice_functionals(rep, roots, v0, v0m):
 
 @dataclass
 class QEmbedding:
+    """q(s) = s + xi_-(s) v0 with its system matrix and membership residuals.
+    For a stack of s every field is stacked over the rows inside the domain,
+    and kept marks those rows among the input."""
+
     q: np.ndarray
     xi_minus: np.ndarray
     system_matrix: np.ndarray
     residual_sigma: float
     residual_perp: float
+    kept: np.ndarray
+
+
+def _by_rows(step, frame, s):
+    """step(frame, rows) -> (stacked result, domain errors of the dropped
+    rows) applied to s: a stack (k, n) chunk by chunk, the results joined; one
+    vector (n,) as a stack of one, its result unstacked or its domain error
+    raised."""
+    s = np.asarray(s, dtype=float)
+    _check_length(frame.rep, s)
+    if s.ndim == 1:
+        out, errors = step(frame, s[None])
+        if errors:
+            raise errors[0]
+        return _unstack(out)
+    row = 2 * len(frame.rep.lie) * frame.rep.dim
+    return _join([step(frame, s[part])[0] for part in _chunks(len(s), row)])
+
+
+def _omega_e(frame, x):
+    """omega(e_r x, x) per r in Delta_u for each row of the stack x."""
+    ex = x @ np.swapaxes(frame.emats, 1, 2)  # (d, k, n): e_r x
+    return np.einsum("rkn,kn->kr", ex @ frame.rep.j, x)
+
+
+def _q_embed(frame, s):
+    """The q-embedding of the rows of s inside the domain, and a domain
+    error per row outside it; InternalConsistencyError when the system
+    matrix of a row inside |omega(s, v0)| >= DOMAIN_TOL is not triangular."""
+    rep, du = frame.rep, frame.delta_u
+    inside = np.abs((s @ rep.j) @ frame.v0f) >= DOMAIN_TOL
+    # a[i, a, b] = omega(e_a f_b v0, s_i)
+    a = np.moveaxis((frame.efv0 @ rep.j) @ s.T, -1, 0)
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(1, 2), initial=0.0))
+    heights = np.array([r.height for r in du])
+    lower = (heights[None, :] < heights[:, None]) | (
+        (heights[None, :] == heights[:, None]) & ~np.eye(len(du), dtype=bool)
+    )
+    off = (np.abs(a) > 1e-9 * scale[:, None, None]) & lower & inside[:, None, None]
+    if off.any():
+        _, ai, bi = np.argwhere(off)[0]
+        raise InternalConsistencyError(f"system matrix not triangular at ({ai},{bi})")
+    vanishing = np.abs(np.diagonal(a, axis1=1, axis2=2)) < DOMAIN_TOL
+    kept = inside & ~vanishing.any(axis=1)
+    errors = [
+        SingularSystem(
+            f"triangular diagonal vanishes at {du[np.argmax(vanishing[i])].coords}"
+        )
+        if inside[i]
+        else SOutsideDomain("omega(s, v0) is below the domain tolerance")
+        for i in np.flatnonzero(~kept)
+    ]
+    rhs = -0.5 * _omega_e(frame, s[kept])
+    coeff = np.linalg.solve(a[kept], rhs[..., None])[..., 0]
+    q = s[kept] + coeff @ frame.fv0
+    res_sigma = np.max(np.abs(_omega_e(frame, q)), axis=1, initial=0.0)
+    res_perp = np.max(np.abs(q @ (frame.fv0 @ rep.j).T), axis=1, initial=0.0)
+    return QEmbedding(q, coeff, a[kept], res_sigma, res_perp, kept), errors
 
 
 def phi_solve_q_embed(frame, s):
     """Solve the square linear system for xi_- in p_u^- and return
-    q(s) = s + xi_-(s) v0 together with its membership residuals.
+    q(s) = s + xi_-(s) v0 together with its membership residuals, for one
+    vector s or a stack of them (see QEmbedding).
 
     The system matrix is asserted to be triangular in root-height order with
-    nonvanishing diagonal."""
-    rep, du, emats, fv0 = frame.rep, frame.delta_u, frame.emats, frame.fv0
-    s = np.asarray(s, dtype=float)
-    if abs(rep.omega(s, frame.v0f)) < DOMAIN_TOL:
-        raise SOutsideDomain("omega(s, v0) is below the domain tolerance")
-    k = len(du)
-    a = np.zeros((k, k))
-    rhs = np.zeros(k)
-    for ai in range(k):
-        for bi in range(k):
-            a[ai, bi] = rep.omega(emats[ai] @ fv0[bi], s)
-        rhs[ai] = -0.5 * rep.omega(emats[ai] @ s, s)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for ai in range(k):
-        for bi in range(k):
-            hi, hj = du[ai].height, du[bi].height
-            lower = hj < hi or (hj == hi and ai != bi)
-            if lower and abs(a[ai, bi]) > 1e-9 * scale:
-                raise InternalConsistencyError(
-                    f"system matrix not triangular at ({ai},{bi})"
-                )
-    for ai in range(k):
-        if abs(a[ai, ai]) < DOMAIN_TOL:
-            raise SingularSystem(f"triangular diagonal vanishes at {du[ai].coords}")
-    coeff = np.linalg.solve(a, rhs)
-    q = s + sum(c * fv for c, fv in zip(coeff, fv0))
-    res_sigma = max(
-        (abs(rep.omega(em @ q, q)) for em in emats), default=0.0
-    )
-    res_perp = max((abs(rep.omega(fv, q)) for fv in fv0), default=0.0)
-    return QEmbedding(q, coeff, a, res_sigma, res_perp)
+    nonvanishing diagonal: one vector outside the domain raises
+    SOutsideDomain or SingularSystem, and a stack drops such rows."""
+    return _by_rows(_q_embed, frame, s)
 
 
 @dataclass
@@ -366,23 +459,33 @@ class CommuteReport:
     embedding: QEmbedding
 
 
+def _commute(frame, s):
+    emb, errors = _q_embed(frame, s)
+    levi = list(frame.levi_index)
+    k = len(emb.q)
+    coords = moment_coords(frame.rep, np.concatenate([emb.q, s[emb.kept]]))
+    at_q = coords[:k]
+    res_levi = np.max(np.abs(at_q[:, levi] - coords[k:, levi]), axis=1, initial=0.0)
+    # the moment value at q and its projection to the Levi
+    proj = np.zeros_like(coords)
+    proj[:k] = at_q
+    proj[k:, levi] = at_q[:, levi]
+    res_char = np.zeros(k)
+    for mats in factor_matrix_forms(frame.rep, proj):
+        coeffs = charpoly_coeffs(mats)
+        res_char = np.maximum(
+            res_char, np.max(np.abs(coeffs[:k] - coeffs[k:]), axis=1, initial=0.0)
+        )
+    return CommuteReport(res_levi, res_char, emb), errors
+
+
 def verify_commute(frame, s):
     """Check the two commutation statements for the embedding q: restriction
     of the moment value to the Levi equals the moment value inside S, and the
-    characteristic polynomials agree with those of the Levi projection."""
-    emb = phi_solve_q_embed(frame, s)
-    levi = list(frame.levi_index)
-    coords = moment_coords(frame.rep, np.stack([emb.q, np.asarray(s, dtype=float)]))
-    res_levi = float(np.max(np.abs(coords[0, levi] - coords[1, levi]), initial=0.0))
-    # the moment value at q and its projection to the Levi
-    proj = np.zeros_like(coords)
-    proj[0] = coords[0]
-    proj[1, levi] = coords[0, levi]
-    res_char = 0.0
-    for mats in factor_matrix_forms(frame.rep, proj):
-        cf, cr = charpoly_coeffs(mats)
-        res_char = max(res_char, float(np.max(np.abs(cf - cr), initial=0.0)))
-    return CommuteReport(res_levi, res_char, emb)
+    characteristic polynomials agree with those of the Levi projection.  One
+    vector s or a stack, with the domain rules of phi_solve_q_embed; each
+    chunk of a stack is one moment_coords call on its q and s rows."""
+    return _by_rows(_commute, frame, s)
 
 
 # -- Poisson brackets ---------------------------------------------------------
@@ -431,8 +534,11 @@ def inv_moment_component_fn(rep, idx):
 def gradient_bracket(rep, gf, gg):
     """{f, g} from the gradients of f and g: -grad(f) . J^{-1} grad(g).  For
     stacks of gradients (one per row) it is the matrix of the brackets of
-    every row of gf with every row of gg."""
-    return -np.asarray(gf) @ np.linalg.solve(rep.j, np.transpose(gg))
+    every row of gf with every row of gg, and a leading sample axis gives one
+    such matrix per sample."""
+    gg = np.asarray(gg)
+    cols = np.swapaxes(gg, -1, -2) if gg.ndim > 1 else gg
+    return -np.asarray(gf) @ np.linalg.solve(rep.j, cols)
 
 
 def poisson_bracket(rep, f, g, v):

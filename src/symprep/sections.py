@@ -36,7 +36,7 @@ from .linalg import (
     vdot,
 )
 from .matrixrep import cut_columns, hyperbolic_pair, hyperbolic_partner, weight_kernel
-from .numeric import chevalley_target, inv_moment_eval, slice_functionals
+from .numeric import _chunks, chevalley_target, inv_moment_eval, slice_functionals
 from .reduction import run_reduction
 from .rootdata import positive_roots
 
@@ -379,9 +379,12 @@ def verify_section(rep, section, samples=20, seed=0):
             targets.append(lincomb(coeffs, basis, rep.datum.ambient_dim))
         else:
             targets.append(zero)
-    # every sample point and then the zero point, as one stack
+    # every sample point and then the zero point, as one stack in chunks
     points = np.array([section.apply(a) for a in targets + [zero]], dtype=float)
-    iv = inv_moment_eval(rep, points)
+    iv = np.concatenate([
+        inv_moment_eval(rep, points[part])
+        for part in _chunks(len(points), len(rep.lie) * rep.dim)
+    ])
     resid = float(np.max(np.abs(iv[:-1] - chevalley_target(rep, targets)), initial=0.0))
     zero_ok = bool(np.all(np.abs(iv[-1]) <= 1e-8))
     return SectionReport(

@@ -12,7 +12,10 @@ import numpy as np
 from .errors import BudgetExceeded, SpecFormatError, SymprepError
 from .matrixrep import build_rep, find_hw_vectors
 from .numeric import (
+    _chunks,
     _frames,
+    _jacobian_row,
+    _join,
     _lie_stack,
     coisotropy_test,
     gradient_bracket,
@@ -50,9 +53,9 @@ class VerifyReport:
         return [c for c in self.checks if not c.passed]
 
 
-# The float checks evaluate their sample points as one stack, so memory grows
-# with the sample count: a section check holds (samples + 1) x L x n floats
-# for a model of dimension n with L Lie basis elements.
+# The float checks evaluate their sample points as stacks split into chunks
+# of at most numeric.STACK_BUDGET entries, so memory is bounded per chunk;
+# the cap bounds the time, which grows linearly with the sample count.
 SAMPLES_CAP = 1000
 
 
@@ -90,12 +93,15 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
     _check(checks, "form_invariance", res, 1e-10)
 
     # moment map defining identity, round-tripped through the matrix form
-    vs = np.array(seeded_samples(rng, rep.dim, max(3, samples // 4)))
-    mv = moment_eval(rep, vs)
-    res = np.max(np.abs(mv.coords - _half_omega(rep, lie, vs)), initial=0.0)
-    for frame, mats in zip(_frames(rep), mv.factor_matrices):
-        back = np.einsum("kab,fba->kf", mats, frame.mats)  # trace(mat @ ref)
-        res = max(res, np.max(np.abs(back - mv.coords[:, frame.pos])))
+    vs = seeded_samples(rng, rep.dim, max(3, samples // 4))
+    res = 0.0
+    for part in _chunks(len(vs), len(rep.lie) * rep.dim):
+        mv = moment_eval(rep, vs[part])
+        half = _half_omega(rep, lie, vs[part])
+        res = max(res, np.max(np.abs(mv.coords - half), initial=0.0))
+        for frame, mats in zip(_frames(rep), mv.factor_matrices):
+            back = np.einsum("kab,fba->kf", mats, frame.mats)  # trace(mat @ ref)
+            res = max(res, np.max(np.abs(back - mv.coords[:, frame.pos])))
     _check(checks, "moment_identity", res, 1e-12)
 
     # equivariance along nilpotent one-parameter flows
@@ -137,28 +143,16 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
     # local structure solve and the commuting square, at the weight the
     # analysis reduced first
     if analysis.trace:
-        res_sigma = res_perp = res_levi = res_char = 0.0
         frame = local_frame(rep, analysis.trace[0].chosen_chi)
-        bmat = np.array([[float(x) for x in b] for b in frame.s_basis]).T
-        done = 0
-        attempts = 0
-        while done < samples and attempts < 20 * samples:
-            attempts += 1
-            s = bmat @ rng.standard_normal(bmat.shape[1])
-            try:
-                rc = verify_commute(frame, s)
-            except SymprepError:
-                continue
-            res_sigma = max(res_sigma, rc.embedding.residual_sigma)
-            res_perp = max(res_perp, rc.embedding.residual_perp)
-            res_levi = max(res_levi, rc.residual_levi)
-            res_char = max(res_char, rc.residual_charpoly)
-            done += 1
+        rc, done = _commute_samples(frame, rng, samples)
         _flag(checks, "q_embed_samples", done == samples, f"{done}/{samples} samples")
-        _check(checks, "q_embed_sigma", res_sigma, 1e-9)
-        _check(checks, "q_embed_perp", res_perp, 1e-9)
-        _check(checks, "commute_levi_restriction", res_levi, 1e-9)
-        _check(checks, "commute_invariant_image", res_char, 1e-9)
+        for name, values in (
+            ("q_embed_sigma", rc.embedding.residual_sigma),
+            ("q_embed_perp", rc.embedding.residual_perp),
+            ("commute_levi_restriction", rc.residual_levi),
+            ("commute_invariant_image", rc.residual_charpoly),
+        ):
+            _check(checks, name, np.max(values, initial=0.0), 1e-9)
 
     # sections: exact construction, float residual of the invariant image
     section = build_section(rep, (analysis.trace, analysis.terminal))
@@ -175,15 +169,33 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
 
     # pulled-back invariants Poisson-commute; row i of the Jacobian is the
     # gradient of invariant coordinate i
+    vs = seeded_samples(rng, rep.dim, max(3, samples // 5))
     res = 0.0
-    for v in seeded_samples(rng, rep.dim, max(3, samples // 5)):
-        grads = jacobian_inv_moment(rep, v)
+    for part in _chunks(len(vs), _jacobian_row(rep)):
+        grads = jacobian_inv_moment(rep, vs[part])
         brackets = np.triu(gradient_bracket(rep, grads, grads))
         res = max(res, np.max(np.abs(brackets), initial=0.0))
     _check(checks, "moment_pullback_commutes", res, 1e-8)
 
     passed = all(c.passed for c in checks)
     return VerifyReport(passed, checks, seed, samples, analysis)
+
+
+def _commute_samples(frame, rng, samples):
+    """verify_commute at up to `samples` points s of the slice, drawn from rng
+    in rounds of one stack each, in at most 20 * samples draws; rows outside
+    the domain are dropped.  Returns the joined CommuteReport, whose kept
+    mask runs over every draw, and the number of accepted samples."""
+    bmat = np.array([[float(x) for x in b] for b in frame.s_basis]).T
+    reports = []
+    done = attempts = 0
+    while done < samples and attempts < 20 * samples:
+        want = min(samples - done, 20 * samples - attempts)
+        attempts += want
+        rc = verify_commute(frame, rng.standard_normal((want, bmat.shape[1])) @ bmat.T)
+        reports.append(rc)
+        done += int(np.count_nonzero(rc.embedding.kept))
+    return _join(reports), done
 
 
 def _half_omega(rep, mats, vs):
@@ -211,7 +223,7 @@ def _equivariance_residual(rep, rng):
             if k > rep.dim + 2:
                 break
         ginv = np.linalg.inv(g)
-        vs = np.array(seeded_samples(rng, rep.dim, 2))
+        vs = seeded_samples(rng, rep.dim, 2)
         after = moment_coords(rep, vs @ g.T)
         moved = _half_omega(rep, ginv @ _lie_stack(rep) @ g, vs)
         res = max(res, float(np.max(np.abs(after - moved))))
@@ -234,7 +246,7 @@ def _sp_closed_form_residual(rep, rng):
     expected_dim = 2 if letter == "A" else 2 * n
     if rep.dim != expected_dim:
         return None
-    vs = np.array(seeded_samples(rng, rep.dim, 20))
+    vs = seeded_samples(rng, rep.dim, 20)
     mats = moment_eval(rep, vs).factor_matrices[0]
     closed = -0.5 * (vs[:, :, None] * vs[:, None, :]) @ rep.j
     closed_res = np.max(np.abs(mats - closed))

@@ -8,7 +8,9 @@ the division-free recursion over tuple-keyed weights, Molien series from
 power traces instead of fixed-space counts, group elements from matrix
 closure with determinant signs, and invariant symplectic forms from a
 nullspace solve.  The float moment maps are evaluated one vector and one Lie
-basis matrix at a time, the weight moment over Fractions, and the section's
+basis matrix at a time; the Jacobian ranks, the coisotropy test, the
+q-embedding and the commuting square one sample at a time with per-entry
+loops; the weight moment over Fractions, and the section's
 terminal coordinates by a fresh span solve per target and peeled character.
 Row reduction here is `rref_oracle`, Gauss-Jordan over Fractions, and
 `nullspace_oracle` on top of it, independent of the library's fraction-free
@@ -21,7 +23,12 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from symprep.errors import DomainError
+from symprep.errors import (
+    DomainError,
+    InternalConsistencyError,
+    SingularSystem,
+    SOutsideDomain,
+)
 from symprep.linalg import (
     canon,
     comm,
@@ -42,6 +49,7 @@ from symprep.matrixrep import (
     root_recipes,
     weight_kernel,
 )
+from symprep.numeric import DOMAIN_TOL, RANK_TOL, factor_matrix_forms, seeded_samples
 from symprep.rootdata import positive_roots, rho_strict
 
 
@@ -557,3 +565,113 @@ def apply_plan_oracle(chis, killed, plan, a):
         if mode == "dependent":
             coords[i] = (0, 0)
     return coords
+
+
+def _rank_cut_oracle(sv):
+    return int(np.sum(sv > RANK_TOL * max(1.0, sv[0] if sv.size else 1.0)))
+
+
+def _numeric_rank_oracle(mat):
+    if mat.size == 0:
+        return 0
+    return _rank_cut_oracle(np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False))
+
+
+def jacobian_rank_and_orbit_oracle(rep, samples, seed):
+    """(est_rk, est_orbit_dim, est_c) with one Jacobian and two SVDs per
+    sample, the Jacobian by jacobian_oracle."""
+    rng = np.random.default_rng(seed)
+    rk = orbit = 0
+    for v in seeded_samples(rng, rep.dim, samples):
+        rk = max(rk, _numeric_rank_oracle(jacobian_oracle(rep, v)))
+        orbit = max(orbit, _numeric_rank_oracle(np.array([m @ v for m in rep.lie])))
+    rest = rep.dim - orbit - rk
+    return rk, orbit, rest // 2
+
+
+def coisotropy_test_oracle(rep, samples, seed):
+    """The coisotropy test with two SVDs per sample, the spanning singular
+    vectors sliced off by their count."""
+    rng = np.random.default_rng(seed)
+    for v in seeded_samples(rng, rep.dim, samples):
+        tangent = np.array([m @ v for m in rep.lie]).reshape(-1, rep.dim)
+        _, sv, vt = np.linalg.svd(tangent)
+        tan_basis = vt[:_rank_cut_oracle(sv)].T
+        _, sv2, vt2 = np.linalg.svd(tangent @ rep.j)
+        perp = vt2[_rank_cut_oracle(sv2):].T
+        if perp.size == 0:
+            continue
+        resid = perp - tan_basis @ (tan_basis.T @ perp)
+        if np.linalg.norm(resid, ord=2) > 1e-8:
+            return False
+    return True
+
+
+def phi_solve_q_embed_oracle(frame, s):
+    """The q-embedding of one vector: the system matrix one omega at a time,
+    its triangularity and diagonal checked entry by entry, one solve."""
+    rep, du, emats, fv0 = frame.rep, frame.delta_u, frame.emats, frame.fv0
+    if abs(rep.omega(s, frame.v0f)) < DOMAIN_TOL:
+        raise SOutsideDomain("omega(s, v0) is below the domain tolerance")
+    k = len(du)
+    a = np.zeros((k, k))
+    rhs = np.zeros(k)
+    for ai in range(k):
+        for bi in range(k):
+            a[ai, bi] = rep.omega(emats[ai] @ fv0[bi], s)
+        rhs[ai] = -0.5 * rep.omega(emats[ai] @ s, s)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    for ai in range(k):
+        for bi in range(k):
+            hi, hj = du[ai].height, du[bi].height
+            lower = hj < hi or (hj == hi and ai != bi)
+            if lower and abs(a[ai, bi]) > 1e-9 * scale:
+                raise InternalConsistencyError(
+                    f"system matrix not triangular at ({ai},{bi})"
+                )
+    for ai in range(k):
+        if abs(a[ai, ai]) < DOMAIN_TOL:
+            raise SingularSystem(f"triangular diagonal vanishes at {du[ai].coords}")
+    coeff = np.linalg.solve(a, rhs)
+    q = s + sum(c * fv for c, fv in zip(coeff, fv0))
+    res_sigma = max((abs(rep.omega(em @ q, q)) for em in emats), default=0.0)
+    res_perp = max((abs(rep.omega(fv, q)) for fv in fv0), default=0.0)
+    return q, coeff, a, res_sigma, res_perp
+
+
+def verify_commute_oracle(frame, s):
+    """(q-embedding, Levi residual, charpoly residual) of one vector, the
+    moment values by moment_coords_oracle and each charpoly by
+    Faddeev-LeVerrier one matrix at a time."""
+    emb = phi_solve_q_embed_oracle(frame, s)
+    levi = list(frame.levi_index)
+    at_q = moment_coords_oracle(frame.rep, emb[0])
+    at_s = moment_coords_oracle(frame.rep, s)
+    res_levi = float(np.max(np.abs(at_q[levi] - at_s[levi]), initial=0.0))
+    proj = np.zeros_like(at_q)
+    proj[levi] = at_q[levi]
+    res_char = 0.0
+    forms = zip(factor_matrix_forms(frame.rep, at_q), factor_matrix_forms(frame.rep, proj))
+    for mq, mp in forms:
+        diff = np.subtract(_charpoly_oracle(mq), _charpoly_oracle(mp))
+        res_char = max(res_char, float(np.max(np.abs(diff), initial=0.0)))
+    return emb, res_levi, res_char
+
+
+def commute_samples_oracle(frame, rng, samples):
+    """The sequential sampling loop over the slice: one draw and one
+    verify_commute_oracle per attempt, at most 20 * samples attempts.
+    Returns (accepted draw indices, their q-embeddings)."""
+    bmat = np.array([[float(x) for x in b] for b in frame.s_basis]).T
+    accepted, qs = [], []
+    attempts = 0
+    while len(accepted) < samples and attempts < 20 * samples:
+        attempts += 1
+        s = bmat @ rng.standard_normal(bmat.shape[1])
+        try:
+            emb, _, _ = verify_commute_oracle(frame, s)
+        except (SOutsideDomain, SingularSystem):
+            continue
+        accepted.append(attempts - 1)
+        qs.append(emb[0])
+    return accepted, qs

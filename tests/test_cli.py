@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -34,6 +35,10 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+SL3_STD_DUAL = {
+    "group": {"simple": [["A", 2]], "central_torus_rank": 0},
+    "rep": [{"hw": [1, 0], "mult": 1}, {"hw": [0, 1], "mult": 1}],
+}
 SL2_TWO = {
     "group": {"simple": [["A", 1]], "central_torus_rank": 0},
     "rep": [{"hw": [1], "mult": 2}],
@@ -446,6 +451,28 @@ def test_internal_consistency_error_exits_5(tmp_path, capsys, monkeypatch):
     for argv in (["analyze", path], ["hilbert", path, "--degree", "4"]):
         assert main(argv) == EXIT_DEFECT == 5
         assert capsys.readouterr().err == "error: symmetric powers disagree\n"
+
+
+def test_internal_consistency_error_in_the_q_embedding_exits_5(
+    tmp_path, capsys, monkeypatch
+):
+    """A system matrix that is not triangular is a defect, not a rejected
+    sample: verify exits 5 with the check's message, not 1 with a failed
+    q_embed_samples check."""
+    real = verify.local_frame
+
+    def crossed(rep, chi):
+        # e_a f_b v0 read with the f index reversed puts the diagonal
+        # entries of the system matrix off the diagonal
+        frame = real(rep, chi)
+        return dataclasses.replace(frame, efv0=frame.efv0[:, ::-1])
+
+    monkeypatch.setattr(verify, "local_frame", crossed)
+    path = _write(tmp_path, "sl3.json", SL3_STD_DUAL)
+    assert main(["verify", path]) == EXIT_DEFECT == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: system matrix not triangular at (1,0)\n"
 
 
 def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):

@@ -8,9 +8,11 @@ from symprep.errors import (
     InternalConsistencyError,
     NoReductionAvailable,
     NotSupported,
+    SingularSystem,
     SOutsideDomain,
 )
-from symprep import matrixrep, numeric
+from symprep import matrixrep, numeric, verify
+from symprep.classify import terminal_decomposition
 from symprep.matrixrep import build_rep
 from symprep.numeric import (
     _numeric_rank,
@@ -33,7 +35,16 @@ from symprep.reps import validate_symplectic_spec
 from symprep.rootdata import build_root_datum
 
 from corpus import A1, A2, C2, T1, catalog, verify_ladder
-from oracles import inv_moment_eval_oracle, jacobian_oracle, moment_coords_oracle
+from oracles import (
+    coisotropy_test_oracle,
+    commute_samples_oracle,
+    inv_moment_eval_oracle,
+    jacobian_oracle,
+    jacobian_rank_and_orbit_oracle,
+    moment_coords_oracle,
+    phi_solve_q_embed_oracle,
+    verify_commute_oracle,
+)
 
 
 def _rep(datum, summands):
@@ -120,12 +131,146 @@ def test_one_kernel_call_per_jacobian(monkeypatch):
 
     monkeypatch.setattr(numeric, "moment_coords", counting)
     rep = build_rep(verify_ladder()["C3_std_x2"])
-    v = np.array(seeded_samples(np.random.default_rng(1), rep.dim, 1)[0])
-    jacobian_inv_moment(rep, v)
-    assert calls == [(rep.dim, rep.dim)]
-    calls.clear()
-    jacobian_rank_and_orbit(rep, 6, 0)
-    assert calls == [(rep.dim, rep.dim)] * 6
+    n = rep.dim
+    vs = seeded_samples(np.random.default_rng(1), n, 30)
+    jacobian_inv_moment(rep, vs[0])
+    assert calls == [(n, n)]
+    for count in (6, 30):
+        chunks = numeric._chunks(count, n * len(rep.lie) * n)
+        calls.clear()
+        assert jacobian_inv_moment(rep, vs[:count]).shape == (count, 3, n)  # c2, c4, c6
+        assert calls == [(len(range(count)[part]) * n, n) for part in chunks]
+        calls.clear()
+        jacobian_rank_and_orbit(rep, count, 0)
+        assert calls == [(len(range(count)[part]) * n, n) for part in chunks]
+    assert len(chunks) > 1
+
+
+def _frame_models():
+    """name -> (rep, chi) for every model of _kernel_models with a reduction
+    step."""
+    out = {}
+    for name, sp in _kernel_models().items():
+        decomposition = terminal_decomposition(sp)
+        if not decomposition.terminal:
+            out[name] = (build_rep(sp), decomposition.witness)
+    return out
+
+
+def _slice_points(frame, rng, count):
+    """count random points of the slice, a zero row, and a point whose
+    pairing with v0 is cancelled to rounding level."""
+    bmat = np.array([[float(x) for x in b] for b in frame.s_basis]).T
+    pts = rng.standard_normal((count, bmat.shape[1])) @ bmat.T
+    rep, v0 = frame.rep, frame.v0f
+    w = max(bmat.T, key=lambda b: abs(rep.omega(b, v0)))
+    cancelled = pts[0] - rep.omega(pts[0], v0) / rep.omega(w, v0) * w
+    return np.concatenate([pts[:2], np.zeros((1, rep.dim)), pts[2:], cancelled[None]])
+
+
+@pytest.mark.parametrize("name", sorted(_frame_models()))
+def test_stacked_q_embedding_matches_the_per_sample_oracle(name):
+    rep, chi = _frame_models()[name]
+    frame = local_frame(rep, chi)
+    pts = _slice_points(frame, np.random.default_rng(23), 6)
+    emb = phi_solve_q_embed(frame, pts)
+    rc = verify_commute(frame, pts)
+    assert np.array_equal(rc.embedding.kept, emb.kept)
+    assert not emb.kept[2] and not emb.kept[-1] and emb.kept.sum() == 6
+    row = 0
+    for i, s in enumerate(pts):
+        try:
+            want = verify_commute_oracle(frame, s)
+        except (SOutsideDomain, SingularSystem) as exc:
+            assert not emb.kept[i]
+            for call in (phi_solve_q_embed, verify_commute):
+                with pytest.raises(type(exc)):
+                    call(frame, s)
+            continue
+        assert emb.kept[i]
+        one = verify_commute(frame, s)
+        fields = ("q", "xi_minus", "system_matrix", "residual_sigma", "residual_perp")
+        stacked = [getattr(e, f)[row] for f in fields for e in (emb, rc.embedding)]
+        single = [getattr(one.embedding, f) for f in fields for _ in range(2)]
+        stacked += [rc.residual_levi[row], rc.residual_charpoly[row]]
+        single += [one.residual_levi, one.residual_charpoly]
+        oracle = [w for w in want[0] for _ in range(2)] + list(want[1:])
+        for got, got_one, w in zip(stacked, single, oracle, strict=True):
+            assert _close(np.asarray(got), np.asarray(w))
+            assert _close(np.asarray(got_one), np.asarray(w))
+        row += 1
+    assert row == len(emb.q) == len(rc.residual_levi)
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_models()))
+def test_stacked_ranks_and_coisotropy_match_the_per_sample_oracle(name):
+    rep = build_rep(_kernel_models()[name])
+    for seed in (0, 3):
+        want = jacobian_rank_and_orbit_oracle(rep, 5, seed)
+        assert jacobian_rank_and_orbit(rep, 5, seed) == want
+        assert coisotropy_test(rep, 5, seed) == coisotropy_test_oracle(rep, 5, seed)
+
+
+def _sampled(frame, samples, seed):
+    """(accepted draws, q rows, done, next draw) of verify's stacked
+    sampling loop and of the sequential oracle loop on the same stream."""
+    rng = np.random.default_rng(seed)
+    rc, done = verify._commute_samples(frame, rng, samples)
+    stacked = (list(np.flatnonzero(rc.embedding.kept)), rc.embedding.q, done,
+               rng.standard_normal())
+    rng = np.random.default_rng(seed)
+    accepted, qs = commute_samples_oracle(frame, rng, samples)
+    sequential = (accepted, np.reshape(qs, (-1, frame.rep.dim)), len(accepted),
+                  rng.standard_normal())
+    return stacked, sequential
+
+
+def test_stacked_sampling_keeps_the_sequential_samples():
+    models = _frame_models()
+    frames = [local_frame(rep, chi) for rep, chi in models.values()]
+    # a frame where rejections occur: the basis directions that pair with v0
+    # shrunk, so |omega(s, v0)| often falls below the domain tolerance
+    base = local_frame(*models["A2_sd_x2"])
+    shrunk = tuple(
+        b if base.rep.omega_exact(b, base.v0) == 0 else tuple(x / 10 ** 6 for x in b)
+        for b in base.s_basis
+    )
+    frames.append(replace(base, s_basis=shrunk))
+    # and one where every draw is rejected, up to the 20 * samples cap
+    two = local_frame(*models["sl2_two_standards"])
+    dead = tuple(b for b in two.s_basis if two.rep.omega_exact(b, two.v0) == 0)
+    frames.append(replace(two, s_basis=dead))
+    rejected = []
+    for frame in frames:
+        for samples, seed in ((1, 4), (7, 5)):
+            (acc, qs, done, nxt), sequential = _sampled(frame, samples, seed)
+            assert (acc, done, nxt) == (sequential[0], sequential[2], sequential[3])
+            assert _close(qs, sequential[1])
+            rejected.append(acc[-1] + 1 - done if acc else 20 * samples)
+    assert min(rejected[-4:-2]) > 0 and rejected[-2:] == [20, 140]
+
+
+def test_no_stacked_call_exceeds_the_element_budget(monkeypatch):
+    sizes = []
+    kernel, svd = numeric.moment_coords, np.linalg.svd
+
+    def recording_kernel(rep, v):
+        rows = np.prod(np.shape(v)[:-1])
+        sizes.append(("moment_coords", rows * len(rep.lie) * rep.dim))
+        return kernel(rep, v)
+
+    def recording_svd(a, *args, **kwargs):
+        sizes.append(("svd", np.size(a)))
+        return svd(a, *args, **kwargs)
+
+    for module in (numeric, verify):
+        monkeypatch.setattr(module, "moment_coords", recording_kernel)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for name in ("A2_sd_x6", "C4_std_x2"):
+        sizes.clear()
+        assert verify.verify_suite(verify_ladder()[name], samples=1000).passed
+        assert max(size for _, size in sizes) <= numeric.STACK_BUDGET, name
+        assert {kind for kind, _ in sizes} == {"moment_coords", "svd"}
 
 
 def test_inv_moment_examples():
@@ -193,6 +338,24 @@ def test_phi_solve_domain_guard():
     )
     with pytest.raises(SOutsideDomain):
         phi_solve_q_embed(frame, np.array([float(x) for x in dead]))
+
+
+def test_phi_solve_singular_guard():
+    """A vanishing diagonal entry raises SingularSystem for one vector and
+    drops the row from a stack.  e_r f_r v0 is a multiple of v0, so on a
+    real frame the diagonal vanishes only with omega(s, v0); the frame here
+    has e_a f_a v0 zeroed for the first root a."""
+    rep, chi = _frame_models()["sl3_std_dual"]
+    frame = local_frame(rep, chi)
+    efv0 = frame.efv0.copy()
+    efv0[0, 0] = 0.0
+    broken = replace(frame, efv0=efv0)
+    pts = _slice_points(frame, np.random.default_rng(2), 3)
+    assert phi_solve_q_embed(frame, pts).kept.sum() == 3
+    assert not verify_commute(broken, pts).embedding.kept.any()
+    with pytest.raises(SingularSystem) as exc:
+        phi_solve_q_embed(broken, pts[0])
+    assert str(exc.value).endswith(str(frame.delta_u[0].coords))
 
 
 def test_verify_commute_examples():
