@@ -43,13 +43,12 @@ from .reduction import (
 )
 from .matrixrep import MatrixRep, build_rep, find_hw_vectors
 from .numeric import (
-    coisotropy_test,
+    gradient_bracket,
     inv_moment_eval,
-    jacobian_rank_and_orbit,
     local_frame,
     moment_eval,
+    orbit_estimates,
     phi_solve_q_embed,
-    poisson_bracket,
     verify_commute,
 )
 from .sections import build_section, char_reduction_phi, rho_psg, torus_section

@@ -322,17 +322,19 @@ class MatrixRep:
     lie_labels: tuple    # ('h', i) | ('z', l) | ('e', coords) | ('f', coords)
     lie_exact: tuple
     blocks: tuple        # (kind, weight, start, size) per plan block copy
-    provenance: str
 
     def __post_init__(self):
         object.__setattr__(
             self, "j", np.array(self.j_exact, dtype=float)
         )
         object.__setattr__(self, "j_rows", sparse_rows(self.j_exact))
+        # (L, n, n); L is 0 for the trivial group
         object.__setattr__(
             self,
             "lie",
-            tuple(np.array(m, dtype=float) for m in self.lie_exact),
+            np.array(self.lie_exact, dtype=float).reshape(
+                len(self.lie_exact), self.dim, self.dim
+            ),
         )
         object.__setattr__(
             self,
@@ -444,7 +446,7 @@ def _dual_pair(gens, labels, kind, weight):
         k: blockdiag([m, mat_scale(-1, transpose(m))]) for k, m in gens.items()
     }
     mlabels = labels + tuple(cvec(tuple(-x for x in w)) for w in labels)
-    return merged, mlabels, _hyperbolic_form(n), f"irr{weight}+dual", kind, weight
+    return merged, mlabels, _hyperbolic_form(n), kind, weight
 
 
 def _invariant_symplectic_form(blocks):
@@ -469,7 +471,7 @@ def build_rep(spec):
     for letter, frank in datum.factors:
         if letter not in ("A", "C"):
             raise NotSupported(f"type {letter}{frank} factors have no matrix models")
-    parts = []   # (gens, labels, jblock, desc, kind, weight)
+    parts = []   # (gens, labels, jblock, kind, weight)
     for item in spec.pairing_plan:
         gens, labels, factor_blocks = _summand_matrices(datum, item.weight)
         if item.kind != "symplectic":
@@ -484,9 +486,7 @@ def build_rep(spec):
             parts.extend([pair] * (item.count // 2))
         if item.count % 2:
             j = _invariant_symplectic_form(factor_blocks)
-            parts.append(
-                (gens, labels, j, f"irr{item.weight}", "symplectic", item.weight)
-            )
+            parts.append((gens, labels, j, "symplectic", item.weight))
     total = sum(len(p[1]) for p in parts)
     lie_labels = (
         [("h", i) for i in range(datum.rank)]
@@ -501,7 +501,7 @@ def build_rep(spec):
     labels_full = tuple(l for p in parts for l in p[1])
     blocks = []
     off = 0
-    for gens, labels, _, desc, kind, weight in parts:
+    for gens, labels, _, kind, weight in parts:
         blocks.append((kind, weight, off, len(labels)))
         off += len(labels)
 
@@ -514,7 +514,6 @@ def build_rep(spec):
         lie_labels=tuple(lie_labels),
         lie_exact=tuple(lie_mats),
         blocks=tuple(blocks),
-        provenance=" + ".join(p[3] for p in parts),
     )
     _check_rep(rep)
     return rep

@@ -84,20 +84,11 @@ def _check_length(rep, v):
         raise DimensionMismatch(f"vector length {v.shape[-1]} != dim {rep.dim}")
 
 
-def _lie_stack(rep):
-    """rep.lie stacked once into an (L, n, n) array; L is 0 for the trivial
-    group."""
-    if not hasattr(rep, "_lie_stack_cache"):
-        stack = np.reshape(rep.lie, (len(rep.lie), rep.dim, rep.dim))
-        object.__setattr__(rep, "_lie_stack_cache", stack)
-    return rep._lie_stack_cache
-
-
 def orbit_directions(rep, v):
     """The tangent vectors xi v of the orbit through v, one row per element
     of rep.lie: (L, n) for one vector, (k, L, n) for a stack (k, n)."""
     v = np.asarray(v)
-    lie = _lie_stack(rep)
+    lie = rep.lie
     return (v @ lie.reshape(-1, rep.dim).T).reshape(v.shape[:-1] + lie.shape[:2])
 
 
@@ -257,45 +248,40 @@ def jacobian_inv_moment(rep, v):
     return np.concatenate(parts)
 
 
-def jacobian_rank_and_orbit(rep, samples=8, seed=0):
-    """(est_rk, est_orbit_dim, est_c) maximized over seeded samples, each
-    chunk of samples ranked by one batched SVD of its Jacobians and one of
-    its orbit directions."""
+def orbit_estimates(rep, samples=8, seed=0):
+    """(est_rk, est_orbit_dim, est_c, coisotropic) over one draw of seeded
+    samples: the ranks are maximized over the samples, and coisotropic is
+    True when at every sample the symplectic perp of the orbit tangent lies
+    inside the tangent itself.  Each chunk of samples takes one batched SVD
+    of its Jacobians, one of its orbit directions, whose singular values give
+    the orbit dimension and whose right singular vectors span the tangent,
+    and one of the functionals omega(xi v, .); the spanning singular vectors
+    are kept by a mask on their index."""
     if samples < 5:
         raise ValueError("need at least five samples")
     vs = seeded_samples(np.random.default_rng(seed), rep.dim, samples)
-    rk = 0
-    orbit = 0
+    index = np.arange(rep.dim)
+    rk = orbit = 0
+    coisotropic = True
     for part in _chunks(samples, _jacobian_row(rep)):
         rk = max(rk, int(np.max(_numeric_rank(jacobian_inv_moment(rep, vs[part])))))
-        orbit = max(orbit, int(np.max(_numeric_rank(orbit_directions(rep, vs[part])))))
+        tangent = orbit_directions(rep, vs[part])
+        _, sv, vt = np.linalg.svd(tangent)
+        dims = _rank_cut(sv)
+        orbit = max(orbit, int(np.max(dims)))
+        # columns span g.v
+        tan_basis = np.swapaxes(vt, 1, 2) * (index < dims[:, None])[:, None, :]
+        _, sv2, vt2 = np.linalg.svd(tangent @ rep.j)  # omega(xi v, .) functionals
+        # columns span (g.v)^perp
+        perp = np.swapaxes(vt2, 1, 2) * (index >= _rank_cut(sv2)[:, None])[:, None, :]
+        resid = perp - tan_basis @ (np.swapaxes(tan_basis, 1, 2) @ perp)
+        coisotropic &= not np.any(np.linalg.norm(resid, ord=2, axis=(1, 2)) > 1e-8)
     rest = rep.dim - orbit - rk
     if rest < 0 or rest % 2:
         raise NumericalDegeneracy(
             f"dim V - orbit - rank = {rest} is not an even nonneg integer"
         )
-    return rk, orbit, rest // 2
-
-
-def coisotropy_test(rep, samples=8, seed=0):
-    """True when the symplectic perp of the generic orbit tangent lies inside
-    the tangent itself, for every sample.  Each chunk of samples takes one
-    batched SVD of the tangents and one of the functionals omega(xi v, .);
-    the spanning singular vectors are kept by a mask on their index."""
-    vs = seeded_samples(np.random.default_rng(seed), rep.dim, samples)
-    index = np.arange(rep.dim)
-    for part in _chunks(samples, max(len(rep.lie), rep.dim) ** 2):
-        tangent = orbit_directions(rep, vs[part])
-        _, sv, vt = np.linalg.svd(tangent)
-        # columns span g.v
-        tan_basis = np.swapaxes(vt, 1, 2) * (index < _rank_cut(sv)[:, None])[:, None, :]
-        _, sv2, vt2 = np.linalg.svd(tangent @ rep.j)  # omega(xi v, .) functionals
-        # columns span (g.v)^perp
-        perp = np.swapaxes(vt2, 1, 2) * (index >= _rank_cut(sv2)[:, None])[:, None, :]
-        resid = perp - tan_basis @ (np.swapaxes(tan_basis, 1, 2) @ perp)
-        if np.any(np.linalg.norm(resid, ord=2, axis=(1, 2)) > 1e-8):
-            return False
-    return True
+    return rk, orbit, rest // 2, coisotropic
 
 
 # -- local structure: the solve for q ----------------------------------------
@@ -490,47 +476,6 @@ def verify_commute(frame, s):
 
 # -- Poisson brackets ---------------------------------------------------------
 
-@dataclass
-class PolyFn:
-    """Function on the module with its exact gradient."""
-
-    value: callable
-    grad: callable
-
-    def gradient(self, v):
-        return np.asarray(self.grad(v), dtype=float)
-
-
-def coordinate_fn(i):
-    return PolyFn(value=lambda v: float(v[i]),
-                  grad=lambda v: np.eye(len(v))[i])
-
-
-def moment_component_fn(rep, label):
-    """The moment coordinate v -> 1/2 omega(xi v, v) with its exact gradient
-    -J xi v."""
-    xi = rep.lie_matrix(label)
-
-    def val(v):
-        v = np.asarray(v, dtype=float)
-        return 0.5 * (xi @ v) @ (rep.j @ v)
-
-    def grad(v):
-        return -(rep.j @ (xi @ np.asarray(v, dtype=float)))
-
-    return PolyFn(value=val, grad=grad)
-
-
-def inv_moment_component_fn(rep, idx):
-    """One invariant-moment coordinate; its gradient is the idx-th row of
-    jacobian_inv_moment."""
-
-    def val(v):
-        return float(np.real(inv_moment_eval(rep, np.asarray(v, dtype=float))[idx]))
-
-    return PolyFn(value=val, grad=lambda v: jacobian_inv_moment(rep, v)[idx])
-
-
 def gradient_bracket(rep, gf, gg):
     """{f, g} from the gradients of f and g: -grad(f) . J^{-1} grad(g).  For
     stacks of gradients (one per row) it is the matrix of the brackets of
@@ -539,9 +484,3 @@ def gradient_bracket(rep, gf, gg):
     gg = np.asarray(gg)
     cols = np.swapaxes(gg, -1, -2) if gg.ndim > 1 else gg
     return -np.asarray(gf) @ np.linalg.solve(rep.j, cols)
-
-
-def poisson_bracket(rep, f, g, v):
-    """{f, g}(v) = omega(H_f, H_g)(v) with Hamiltonian fields from the model's
-    form."""
-    return float(gradient_bracket(rep, f.gradient(v), g.gradient(v)))

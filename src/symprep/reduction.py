@@ -338,7 +338,7 @@ class IsotropyShape:
     reductive_constraint: str
 
 
-def isotropy_shape(datum, td, levi):
+def isotropy_shape(td, levi):
     """Dimension and block shape of the generic isotropy group."""
     dim_l = levi.dim_group()
     dim_h = dim_l - td.a_rank - 2 * sum(td.sp_factor_sizes)
@@ -396,7 +396,7 @@ def analyze(
     )
     if lw.status == "exact" and len(gamma.gamma_matrices) % lw.order != 0:
         raise InternalConsistencyError("|W_V| does not divide |Gamma|")
-    iso = isotropy_shape(spec.datum, td, levi)
+    iso = isotropy_shape(td, levi)
     return AnalysisReport(
         spec=spec,
         rk_s=td.a_rank,

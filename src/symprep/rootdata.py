@@ -386,17 +386,6 @@ def check_declared_weyl_cap(factors, cap):
         raise WeylCapExceeded(order, cap)
 
 
-def w0_image(datum, w):
-    """Image of w under the longest element (no full enumeration needed).
-
-    The word moving a strictly antidominant vector to the dominant chamber is
-    a reduced word for w0; it is applied here in the same order it was
-    recorded.
-    """
-    word0 = dominant_representative(datum, vscale(-1, rho_strict(datum)))[1]
-    return apply_word(datum, word0, w)
-
-
 # -- Levi subdata and Dynkin classification ---------------------------------
 
 def _match_component(sub_m):

@@ -16,15 +16,13 @@ from .numeric import (
     _frames,
     _jacobian_row,
     _join,
-    _lie_stack,
-    coisotropy_test,
     gradient_bracket,
     inv_moment_eval,
     jacobian_inv_moment,
-    jacobian_rank_and_orbit,
     local_frame,
     moment_coords,
     moment_eval,
+    orbit_estimates,
     seeded_samples,
     verify_commute,
 )
@@ -88,7 +86,7 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
     checks = []
 
     # infinitesimal invariance of the form, in floating point
-    lie = _lie_stack(rep)
+    lie = rep.lie
     res = np.max(np.abs(np.swapaxes(lie, 1, 2) @ rep.j + rep.j @ lie), initial=0.0)
     _check(checks, "form_invariance", res, 1e-10)
 
@@ -123,8 +121,9 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
         _check(checks, "sp_standard_nilpotent", res[2], 1e-8)
         _check(checks, "sp_standard_invariant_zero", res[3], 1e-10)
 
-    # invariant moment map image vs the combinatorial rank/complexity
-    est_rk, est_orbit, est_c = jacobian_rank_and_orbit(rep, max(5, samples // 2), seed)
+    # invariant moment map image vs the combinatorial rank/complexity, and
+    # coisotropy of the generic orbits vs multiplicity freeness
+    est_rk, _, est_c, coiso = orbit_estimates(rep, max(5, samples // 2), seed)
     _flag(
         checks,
         "rank_complexity_match",
@@ -132,7 +131,6 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
         f"numeric (rk, c) = ({est_rk}, {est_c}), "
         f"combinatorial ({analysis.rk_s}, {analysis.c_s})",
     )
-    coiso = coisotropy_test(rep, max(5, samples // 2), seed)
     _flag(
         checks,
         "coisotropy_matches_mf",
@@ -225,7 +223,7 @@ def _equivariance_residual(rep, rng):
         ginv = np.linalg.inv(g)
         vs = seeded_samples(rng, rep.dim, 2)
         after = moment_coords(rep, vs @ g.T)
-        moved = _half_omega(rep, ginv @ _lie_stack(rep) @ g, vs)
+        moved = _half_omega(rep, ginv @ rep.lie @ g, vs)
         res = max(res, float(np.max(np.abs(after - moved))))
     return res
 

@@ -17,11 +17,10 @@ from symprep.errors import SingularSystem, SOutsideDomain
 from symprep.linalg import mat_vec, same_span, vdot
 from symprep.matrixrep import build_rep
 from symprep.numeric import (
-    coisotropy_test,
     inv_moment_eval,
-    jacobian_rank_and_orbit,
     local_frame,
     moment_eval,
+    orbit_estimates,
     seeded_samples,
     verify_commute,
 )
@@ -182,8 +181,8 @@ def test_criterion_5_cotangent_adjoint():
     rep = analyze(spec)
     assert (rep.rk_s, rep.c_s, rep.mf) == (1, 1, False)
     model = build_rep(spec)
-    assert coisotropy_test(model, 8, seed=0) is False
-    est_rk, _, est_c = jacobian_rank_and_orbit(model, 8, seed=0)
+    est_rk, _, est_c, coiso = orbit_estimates(model, 8, seed=0)
+    assert coiso is False
     assert (est_rk, est_c) == (1, 1)
     _report("criterion 5 (adjoint cotangent)", True)
 
@@ -195,8 +194,7 @@ def test_criterion_6_combinatorial_numeric_agreement():
     names = []
     for name, (spec, (rk, c, mf)) in catalog().items():
         model = build_rep(spec)
-        est_rk, _, est_c = jacobian_rank_and_orbit(model, 6, seed=1)
-        coiso = coisotropy_test(model, 6, seed=1)
+        est_rk, _, est_c, coiso = orbit_estimates(model, 6, seed=1)
         assert (est_rk, est_c) == (rk, c), name
         assert coiso == mf, name
         trace, td = run_reduction(spec)

@@ -189,6 +189,38 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", g2]) == EXIT_NOT_SUPPORTED
 
 
+def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "make_parser", no_parser)
+    spec = json.dumps(SL2_TWO)
+    assert main(["analyze", spec]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rk_s"] == 1
+    assert main(["verify", spec, "--samples", "5"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["numeric_verification"]["passed"]
+
+
+def test_consecutive_main_calls_print_what_separate_calls_print(capsys):
+    """No flag or subcommand of one call leaks into the next: each call
+    through main prints what a call through a freshly built parser prints."""
+    spec = json.dumps(SL3_STD_DUAL)
+    argvs = [["verify", spec, "--seed", "3", "--text"], ["analyze", spec]]
+    separate = []
+    for argv in argvs:
+        args = cli.make_parser().parse_args(argv)
+        out, err = io.StringIO(), io.StringIO()
+        separate.append((args.func(args, out=out, err=err), out.getvalue(), err.getvalue()))
+    consecutive = []
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        consecutive.append((code, captured.out, captured.err))
+    assert consecutive == separate
+    assert "numeric verification : passed=True seed=3" in consecutive[0][1]
+    assert "numeric_verification" not in json.loads(consecutive[1][1])
+
+
 def test_verify_on_the_trivial_group_passes(capsys):
     """The trivial group on C^2: no Lie basis matrices to stack, and every
     numeric check still runs and passes, with c_s 1 both ways."""

@@ -16,18 +16,14 @@ from symprep.classify import terminal_decomposition
 from symprep.matrixrep import build_rep
 from symprep.numeric import (
     _numeric_rank,
-    coisotropy_test,
-    coordinate_fn,
-    inv_moment_component_fn,
+    gradient_bracket,
     inv_moment_eval,
     jacobian_inv_moment,
-    jacobian_rank_and_orbit,
     local_frame,
-    moment_component_fn,
     moment_coords,
     moment_eval,
+    orbit_estimates,
     phi_solve_q_embed,
-    poisson_bracket,
     seeded_samples,
     verify_commute,
 )
@@ -141,7 +137,7 @@ def test_one_kernel_call_per_jacobian(monkeypatch):
         assert jacobian_inv_moment(rep, vs[:count]).shape == (count, 3, n)  # c2, c4, c6
         assert calls == [(len(range(count)[part]) * n, n) for part in chunks]
         calls.clear()
-        jacobian_rank_and_orbit(rep, count, 0)
+        orbit_estimates(rep, count, 0)
         assert calls == [(len(range(count)[part]) * n, n) for part in chunks]
     assert len(chunks) > 1
 
@@ -207,8 +203,55 @@ def test_stacked_ranks_and_coisotropy_match_the_per_sample_oracle(name):
     rep = build_rep(_kernel_models()[name])
     for seed in (0, 3):
         want = jacobian_rank_and_orbit_oracle(rep, 5, seed)
-        assert jacobian_rank_and_orbit(rep, 5, seed) == want
-        assert coisotropy_test(rep, 5, seed) == coisotropy_test_oracle(rep, 5, seed)
+        want += (coisotropy_test_oracle(rep, 5, seed),)
+        assert orbit_estimates(rep, 5, seed) == want
+
+
+@pytest.mark.parametrize("zeros", [[0], [0, 2, 4], [4, 5]])
+def test_orbit_estimates_take_every_sample_of_every_chunk(monkeypatch, zeros):
+    """The ranks are maximized, and coisotropy required, over every sample of
+    every chunk: zero samples, whose orbit is a point and whose perp is the
+    whole module, lead the first chunk, every chunk or fill the last one."""
+    rep = build_rep(catalog()["sl2_cubic"][0])
+
+    def drawing(rng, dim, count):
+        vs = seeded_samples(rng, dim, count)
+        vs[zeros] = 0.0
+        return vs
+
+    monkeypatch.setattr(numeric, "seeded_samples", drawing)
+    monkeypatch.setattr(numeric, "STACK_BUDGET", 2 * numeric._jacobian_row(rep))
+    assert orbit_estimates(rep, 6, 0) == (1, 3, 0, False)
+
+
+@pytest.mark.parametrize("samples", [20, 1000])
+def test_verify_suite_draws_the_orbit_samples_once(monkeypatch, samples):
+    """The orbit pass draws its samples once and forms the orbit directions
+    of each chunk once, for the orbit dimension and the coisotropy test
+    alike."""
+    draws, tangents = [], []
+    seeded, directions = numeric.seeded_samples, numeric.orbit_directions
+
+    def drawing(rng, dim, count):
+        draws.append(seeded(rng, dim, count))
+        return draws[-1]
+
+    def recording(rep, v):
+        if any(np.shares_memory(v, d) for d in draws):
+            tangents.append(len(v))
+        return directions(rep, v)
+
+    # verify binds its own seeded_samples, so only the orbit pass draws
+    # through numeric's
+    monkeypatch.setattr(numeric, "seeded_samples", drawing)
+    monkeypatch.setattr(numeric, "orbit_directions", recording)
+    spec = verify_ladder()["C3_std_x2"]
+    rep = build_rep(spec)
+    assert verify.verify_suite(spec, samples=samples).passed
+    count = max(5, samples // 2)
+    chunks = numeric._chunks(count, numeric._jacobian_row(rep))
+    assert len(draws) == 1
+    assert tangents == [len(range(count)[part]) for part in chunks]
 
 
 def _sampled(frame, samples, seed):
@@ -290,15 +333,15 @@ def test_inv_moment_examples():
 
 
 def test_jacobian_rank_and_orbit_examples():
-    assert jacobian_rank_and_orbit(_rep(C2, [((1, 0), 1)]), 6, 0) == (0, 4, 0)
-    assert jacobian_rank_and_orbit(_rep(A1, [((1,), 2)]), 6, 0) == (1, 3, 0)
-    assert jacobian_rank_and_orbit(_rep(A1, [((2,), 2)]), 6, 0) == (1, 3, 1)
+    assert orbit_estimates(_rep(C2, [((1, 0), 1)]), 6, 0)[:3] == (0, 4, 0)
+    assert orbit_estimates(_rep(A1, [((1,), 2)]), 6, 0)[:3] == (1, 3, 0)
+    assert orbit_estimates(_rep(A1, [((2,), 2)]), 6, 0)[:3] == (1, 3, 1)
 
 
 def test_coisotropy_examples():
-    assert coisotropy_test(_rep(A1, [((3,), 1)]), 6, 0)
-    assert not coisotropy_test(_rep(A1, [((2,), 2)]), 6, 0)
-    assert coisotropy_test(_rep(C2, [((1, 0), 1)]), 6, 0)
+    assert orbit_estimates(_rep(A1, [((3,), 1)]), 6, 0)[3]
+    assert not orbit_estimates(_rep(A1, [((2,), 2)]), 6, 0)[3]
+    assert orbit_estimates(_rep(C2, [((1, 0), 1)]), 6, 0)[3]
 
 
 def test_phi_solve_examples():
@@ -397,45 +440,49 @@ def test_verify_commute_rejects_terminal():
         verify_commute(local_frame(rep, (1, 0)), np.zeros(rep.dim))
 
 
+def _moment_gradient(rep, label, v):
+    """The gradient -J X v at v of the moment coordinate of the Lie basis
+    element X with the given label."""
+    return -rep.j @ (rep.lie_matrix(label) @ v)
+
+
 def test_poisson_darboux_and_antisymmetry():
     rep = _rep(A1, [((1,), 2)])
     rng = np.random.default_rng(3)
     v = rng.standard_normal(rep.dim)
-    x1, y1 = coordinate_fn(0), coordinate_fn(2)
-    assert abs(poisson_bracket(rep, x1, y1, v) - 1.0) <= 1e-12
-    assert abs(poisson_bracket(rep, x1, x1, v)) <= 1e-12
-    f = moment_component_fn(rep, ("h", 0))
-    assert abs(poisson_bracket(rep, f, f, v)) <= 1e-12
-    assert abs(
-        poisson_bracket(rep, f, x1, v) + poisson_bracket(rep, x1, f, v)
-    ) <= 1e-12
+    x1, y1 = np.eye(rep.dim)[0], np.eye(rep.dim)[2]  # coordinate gradients
+    assert abs(gradient_bracket(rep, x1, y1) - 1.0) <= 1e-12
+    assert abs(gradient_bracket(rep, x1, x1)) <= 1e-12
+    f = _moment_gradient(rep, ("h", 0), v)
+    assert abs(gradient_bracket(rep, f, f)) <= 1e-12
+    assert abs(gradient_bracket(rep, f, x1) + gradient_bracket(rep, x1, f)) <= 1e-12
 
 
 def test_poisson_moment_is_homomorphism():
     rep = _rep(A1, [((1,), 2)])
     rng = np.random.default_rng(5)
     v = rng.standard_normal(rep.dim)
-    me = moment_component_fn(rep, ("e", (1,)))
-    mf = moment_component_fn(rep, ("f", (1,)))
-    mh = moment_component_fn(rep, ("h", 0))
-    assert abs(poisson_bracket(rep, me, mf, v) - mh.value(v)) <= 1e-12
+    me = _moment_gradient(rep, ("e", (1,)), v)
+    mf = _moment_gradient(rep, ("f", (1,)), v)
+    mh = moment_coords(rep, v)[rep.lie_index[("h", 0)]]
+    assert abs(gradient_bracket(rep, me, mf) - mh) <= 1e-12
 
 
 def test_poisson_pullbacks_commute():
+    """Row i of the Jacobian of the invariant moment map is the gradient of
+    invariant coordinate i."""
     for name in ("sl2_two_standards", "sl2_adjoint_pair", "sl3_std_dual"):
         spec, _ = catalog()[name]
         rep = build_rep(spec)
         rng = np.random.default_rng(7)
-        fns = [
-            inv_moment_component_fn(rep, i)
-            for i in range(len(inv_moment_eval(rep, np.zeros(rep.dim))))
-        ]
         for _ in range(3):
             v = rng.standard_normal(rep.dim)
             v /= np.linalg.norm(v)
-            for i in range(len(fns)):
-                for j in range(i + 1, len(fns)):
-                    assert abs(poisson_bracket(rep, fns[i], fns[j], v)) <= 1e-8
+            grads = jacobian_inv_moment(rep, v)
+            brackets = gradient_bracket(rep, grads, grads)
+            for i in range(len(grads)):
+                for j in range(i + 1, len(grads)):
+                    assert abs(brackets[i, j]) <= 1e-8
 
 
 def test_equivariance_spot():
