@@ -12,8 +12,8 @@ Spec files are JSON documents:
 Highest weights are given in fundamental-weight coordinates per declared
 factor followed by the central charges.  Unknown keys are rejected with
 field-addressed messages.  Exit codes: 0 success, 1 failed numeric check,
-2 parse/validation failure, 3 budget exceeded, 4 not supported by the
-matrix-model catalog, 5 a defect (inconsistency or unexpected exception).
+2 parse/validation failure, 3 budget exceeded, 4 no matrix model, 5 a defect
+(inconsistency, an unrealizable reduction stage or an unexpected exception).
 """
 
 import argparse
@@ -30,7 +30,9 @@ from .errors import (
     BudgetExceeded,
     InternalConsistencyError,
     NotSupported,
+    NumericalDegeneracy,
     SpecFormatError,
+    StageNotRealizable,
     SymprepError,
     ValidationError,
     WeylCapExceeded,
@@ -304,7 +306,9 @@ def _exit_code_for(exc):
         return EXIT_BUDGET
     if isinstance(exc, NotSupported):
         return EXIT_NOT_SUPPORTED
-    if isinstance(exc, InternalConsistencyError):
+    if isinstance(exc, NumericalDegeneracy):
+        return EXIT_CHECK_FAILED
+    if isinstance(exc, (InternalConsistencyError, StageNotRealizable)):
         return EXIT_DEFECT
     return EXIT_VALIDATION
 

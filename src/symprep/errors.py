@@ -65,7 +65,7 @@ class SpecFormatError(SymprepError):
 
 
 class NotSupported(SymprepError):
-    """Requested matrix model is outside the constructible catalog."""
+    """Requested construction does not apply (a torus section of a model with roots)."""
 
 
 class NoNonTerminalWeight(SymprepError):
@@ -89,7 +89,7 @@ class DomainError(SymprepError):
 
 
 class StageNotRealizable(SymprepError):
-    """A reduction stage has no explicit matrix realization in the catalog."""
+    """A reduction stage finds no hyperbolic pair on its model: a defect."""
 
 
 class NumericalDegeneracy(SymprepError):

@@ -1,29 +1,30 @@
-"""Explicit Chevalley-basis matrix models for a catalog of classical modules.
+"""Explicit Chevalley-basis matrix models of symplectic modules.
 
-Supported blocks: torus characters, any irreducible of a rank-1 factor, the
-defining module (or its dual) of a type-A factor, the defining module of a
-type-C factor, external tensors of those across product factors, duals, direct
-sums, and the canonical pairing form on U + U*.  Construction is exact over
-the rationals; float mirrors are attached for the numeric verification layer.
+Every irreducible of a simple factor is built from the factor's Cartan
+matrix alone (`_irreducible_block`); only the defining module of a type-C
+factor keeps a closed form.  A model is assembled from torus characters,
+external tensors of factor blocks across product factors, direct sums, and
+the canonical pairing form on U + U*.  Construction is exact over the
+rationals; float mirrors are attached for the numeric verification layer.
 
 Root vectors beyond the simple ones are produced by bracket recipes whose
-scalars are calibrated once per factor in a faithful defining module, so the
-same abstract Lie algebra element acts consistently in every block.
+scalars are calibrated once per factor in a faithful reference module, the
+fundamental module of least dimension, so the same abstract Lie algebra
+element acts consistently in every block.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    InternalConsistencyError,
-    NotSupported,
-)
+from .errors import BudgetExceeded, InternalConsistencyError
 from .linalg import (
     blockdiag,
+    canon,
     comm,
     cvec,
     diagonal,
@@ -40,15 +41,10 @@ from .linalg import (
     transpose,
     vdot,
 )
-from .rootdata import positive_roots
+from .reps import freudenthal_multiplicities, weyl_dim
+from .rootdata import build_root_datum, cartan_matrix, positive_roots
 
 DEFAULT_DIM_CAP = 64
-
-
-def _unit(n, i, j, val=1):
-    m = [[0] * n for _ in range(n)]
-    m[i][j] = val
-    return tuple(tuple(r) for r in m)
 
 
 @dataclass(frozen=True)
@@ -63,47 +59,6 @@ class FactorBlock:
     form: tuple = None  # invariant bilinear form of a self-dual block
 
 
-def _trivial_block(rank):
-    z = ((0,),)
-    return FactorBlock(
-        1, (z,) * rank, (z,) * rank, (z,) * rank, (((0,) * rank),), ((1,),)
-    )
-
-
-def _sl2_block(m):
-    n = m + 1
-    e = [[0] * n for _ in range(n)]
-    f = [[0] * n for _ in range(n)]
-    h = [[0] * n for _ in range(n)]
-    for j in range(n):
-        h[j][j] = m - 2 * j
-        if j + 1 < n:
-            f[j + 1][j] = 1
-            e[j][j + 1] = (j + 1) * (m - j)
-    mk = lambda a: tuple(tuple(r) for r in a)
-    weights = tuple(((m - 2 * j,)) for j in range(n))
-    form = tuple(
-        tuple((-1) ** a if b == m - a else 0 for b in range(n)) for a in range(n)
-    )
-    return FactorBlock(n, (mk(e),), (mk(f),), (mk(h),), weights, form)
-
-
-def _sln_standard_block(n):
-    e = tuple(_unit(n, i, i + 1) for i in range(n - 1))
-    f = tuple(_unit(n, i + 1, i) for i in range(n - 1))
-    h = []
-    for i in range(n - 1):
-        m = [[0] * n for _ in range(n)]
-        m[i][i] = 1
-        m[i + 1][i + 1] = -1
-        h.append(tuple(tuple(r) for r in m))
-    weights = tuple(
-        tuple((1 if j == i else (-1 if j == i + 1 else 0)) for i in range(n - 1))
-        for j in range(n)
-    )
-    return FactorBlock(n, e, f, tuple(h), weights)
-
-
 def _hyperbolic_form(n):
     """The form [[0, I], [-I, 0]] of size 2n."""
     return tuple(
@@ -112,114 +67,152 @@ def _hyperbolic_form(n):
     )
 
 
+def _matrix(dim, columns):
+    """The dim x dim matrix with the given columns {column: {row: entry}}."""
+    m = [[0] * dim for _ in range(dim)]
+    for b, col in columns.items():
+        for a, x in col.items():
+            m[a][b] = x
+    return tuple(map(tuple, m))
+
+
 def _spn_standard_block(n):
+    """The defining module of sp_2n on e_1..e_n, e_-1..e_-n (weights eps_j,
+    then -eps_j) with the hyperbolic form; each f_i is the transpose of e_i."""
     dim = 2 * n
-    e, f, h = [], [], []
-    for i in range(n - 1):
-        em = [[0] * dim for _ in range(dim)]
-        em[i][i + 1] = 1
-        em[n + i + 1][n + i] = -1
-        fm = [[0] * dim for _ in range(dim)]
-        fm[i + 1][i] = 1
-        fm[n + i][n + i + 1] = -1
-        hm = [[0] * dim for _ in range(dim)]
-        hm[i][i] = 1
-        hm[i + 1][i + 1] = -1
-        hm[n + i][n + i] = -1
-        hm[n + i + 1][n + i + 1] = 1
-        e.append(tuple(map(tuple, em)))
-        f.append(tuple(map(tuple, fm)))
-        h.append(tuple(map(tuple, hm)))
-    em = [[0] * dim for _ in range(dim)]
-    em[n - 1][2 * n - 1] = 1
-    fm = [[0] * dim for _ in range(dim)]
-    fm[2 * n - 1][n - 1] = 1
-    hm = [[0] * dim for _ in range(dim)]
-    hm[n - 1][n - 1] = 1
-    hm[2 * n - 1][2 * n - 1] = -1
-    e.append(tuple(map(tuple, em)))
-    f.append(tuple(map(tuple, fm)))
-    h.append(tuple(map(tuple, hm)))
-
-    def eps(j):  # local coordinates of epsilon_j in the C_n weight basis
-        return tuple(
-            (1 if j == i else (-1 if j == i + 1 else 0)) for i in range(n - 1)
-        ) + ((1 if j == n - 1 else 0),)
-
-    weights = tuple(eps(j) for j in range(n)) + tuple(
-        tuple(-x for x in eps(j)) for j in range(n)
-    )
+    e = [_matrix(dim, {i + 1: {i: 1}, n + i: {n + i + 1: -1}}) for i in range(n - 1)]
+    e.append(_matrix(dim, {dim - 1: {n - 1: 1}}))
+    eps = [
+        tuple(int(j == i) - int(j == i + 1) for i in range(n - 1)) + (int(j == n - 1),)
+        for j in range(n)
+    ]
+    weights = tuple(eps) + tuple(tuple(-x for x in w) for w in eps)
+    h = tuple(diagonal(tuple(w[i] for w in weights)) for i in range(n))
     return FactorBlock(
-        dim, tuple(e), tuple(f), tuple(h), weights, _hyperbolic_form(n)
+        dim, tuple(e), tuple(map(transpose, e)), h, weights, _hyperbolic_form(n)
     )
 
 
-def _dual_block(b):
-    neg_t = lambda m: mat_scale(-1, transpose(m))
+@lru_cache(maxsize=None)
+def _irreducible_block(letter, rank, weight):
+    """The irreducible module of highest weight `weight` of the simple factor
+    letter+rank from its Cartan matrix alone: the Verma module's irreducible
+    quotient (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, sections 20-21; de Graaf, J. Pure Appl. Algebra 164, 2001).
+
+    Weight spaces are built going down from the top.  A vector x below it is
+    held by its e-image (e_j x)_j, injective on an irreducible module: a
+    vector every e_j kills would span a proper submodule.  V_mu is spanned by
+    the f_i w, w in V_(mu + alpha_i), whose e-images
+    e_j f_i w = f_i e_j w + delta_ij <mu + alpha_i, alpha_i^vee> w come from
+    the spaces above; one elimination picks the first independent ones as the
+    basis, and gives the coordinates of every f_i w, the columns of f_i.  The
+    dimension must be weyl_dim, each weight space's the Freudenthal
+    multiplicity.  A self-dual module gets its invariant form, pairing V_mu
+    with V_(-mu) only, from B(f_i w, y) = -B(w, f_i y), with row 0 a single 1.
+    """
+    alpha = cartan_matrix(letter, rank)  # simple roots over the fundamental weights
+    space = {weight: range(1)}  # the basis indices of each weight, in build order
+    weights, origin = [weight], [None]  # per basis vector x = f_i w: (i, w)
+    e = [{} for _ in range(rank)]  # matrices as columns {x: {y: entry}}
+    f = [{} for _ in range(rank)]
+    level = [weight]
+    while level:
+        below = dict.fromkeys(tuple(map(sub, nu, a)) for nu in level for a in alpha)
+        level = []
+        for mu in below:
+            cands, rows = [], []  # f_i w and its e-image {y: entry} over all e_j
+            for i, a in enumerate(alpha):
+                for w in space.get(tuple(map(add, mu, a)), ()):
+                    row = {w: weights[w][i]}
+                    for j in range(rank):
+                        for c, x in e[j].get(w, {}).items():
+                            for y, v in f[i].get(c, {}).items():
+                                row[y] = row.get(y, 0) + x * v
+                    cands.append((i, w))
+                    rows.append(row)
+            cols = sorted({y for r in rows for y, x in r.items() if x})
+            if not cols:  # mu is not a weight
+                continue
+            red, piv = rref(transpose([[r.get(y, 0) for y in cols] for r in rows]))
+            base = len(weights)
+            space[mu] = range(base, base + len(piv))
+            level.append(mu)
+            for x, p in enumerate(piv, base):
+                weights.append(mu)
+                origin.append(cands[p])
+                for y, v in rows[p].items():
+                    if v:
+                        j = alpha.index(tuple(map(sub, weights[y], mu)))
+                        e[j].setdefault(x, {})[y] = canon(v)
+            for (i, w), coords in zip(cands, transpose(red[: len(piv)])):
+                f[i][w] = {base + r: x for r, x in enumerate(coords) if x}
+    datum = _single_factor_datum(letter, rank)
+    dim = len(weights)
+    if dim != weyl_dim(datum, weight):
+        raise InternalConsistencyError(f"{letter}{rank} module {weight}: dim {dim}")
+    if {mu: len(r) for mu, r in space.items()} != freudenthal_multiplicities(
+        datum, weight
+    ):
+        raise InternalConsistencyError(
+            f"{letter}{rank} module {weight}: weights disagree with Freudenthal"
+        )
+    form = None
+    neg = lambda mu: tuple(-x for x in mu)
+    if weights[-1] == neg(weight):
+        pairing = {0: {dim - 1: 1}}  # rows B(x, .), over V_(-mu) for x in V_mu
+        for x in range(1, dim):
+            i, w = origin[x]  # B(f_i w, y) = -B(w, f_i y)
+            pairing[x] = {
+                y: canon(-sum(v * pairing[w].get(z, 0) for z, v in f[i][y].items()))
+                for y in space[neg(weights[x])]
+            }
+        form = transpose(_matrix(dim, pairing))
     return FactorBlock(
-        b.dim,
-        tuple(neg_t(m) for m in b.e),
-        tuple(neg_t(m) for m in b.f),
-        tuple(neg_t(m) for m in b.h),
-        tuple(tuple(-x for x in w) for w in b.weights),
+        dim,
+        tuple(_matrix(dim, m) for m in e),
+        tuple(_matrix(dim, m) for m in f),
+        tuple(diagonal(tuple(w[i] for w in weights)) for i in range(rank)),
+        tuple(weights),
+        form,
     )
 
 
-def _factor_block(letter, rank, local_weight):
-    lw = tuple(local_weight)
-    if all(x == 0 for x in lw):
-        return _trivial_block(rank)
-    if letter == "A" and rank == 1:
-        return _sl2_block(int(lw[0]))
-    if letter == "A":
-        n = rank + 1
-        if lw == (1,) + (0,) * (rank - 1):
-            return _sln_standard_block(n)
-        if lw == (0,) * (rank - 1) + (1,):
-            return _dual_block(_sln_standard_block(n))
-        raise NotSupported(
-            f"no matrix model for weight {lw} of type A{rank}; only the "
-            "defining module and its dual are in the catalog"
-        )
-    if letter == "C":
-        if lw == (1,) + (0,) * (rank - 1):
-            return _spn_standard_block(rank)
-        raise NotSupported(
-            f"no matrix model for weight {lw} of type C{rank}; only the "
-            "defining module is in the catalog"
-        )
-    raise NotSupported(f"no matrix models for factors of type {letter}{rank}")
+@lru_cache(maxsize=None)
+def reference_weight(letter, rank):
+    """(dimension, weight) of the factor's fundamental module of least
+    dimension, the first one on ties: the module its reference frame and its
+    root-vector recipes live in."""
+    datum = _single_factor_datum(letter, rank)
+    return min(((weyl_dim(datum, w), w) for w in identity(rank)), key=lambda p: p[0])
+
+
+def _factor_block(letter, rank, weight):
+    """The block of the factor's irreducible of the given local weight: the
+    closed form for the defining module of C_n, whose hyperbolic form the
+    sp_standard checks read, and the generic construction otherwise."""
+    weight = tuple(weight)
+    if letter == "C" and weight == identity(rank)[0]:
+        return _spn_standard_block(rank)
+    return _irreducible_block(letter, rank, weight)
 
 
 def _reference_block(letter, rank):
-    if letter == "A":
-        return _sl2_block(1) if rank == 1 else _sln_standard_block(rank + 1)
-    if letter == "C":
-        return _spn_standard_block(rank)
-    raise NotSupported(f"no reference module for type {letter}{rank}")
+    return _factor_block(letter, rank, reference_weight(letter, rank)[1])
 
 
+@lru_cache(maxsize=None)
 def _single_factor_datum(letter, rank):
-    from .rootdata import build_root_datum
-
     return build_root_datum([(letter, rank)])
 
 
 def _first_nonzero_ratio(a, b):
     """c with a = c * b for exactly proportional matrices, else None."""
-    c = None
-    for ra, rb in zip(a, b):
-        for xa, xb in zip(ra, rb):
-            if xb == 0:
-                if xa != 0:
-                    return None
-                continue
-            r = Fraction(xa) / xb
-            if c is None:
-                c = r
-            elif c != r:
-                return None
-    return c
+    pairs = [(xa, xb) for ra, rb in zip(a, b) for xa, xb in zip(ra, rb) if xa or xb]
+    if not pairs or any(xb == 0 for _, xb in pairs):
+        return None
+    c = Fraction(pairs[0][0]) / pairs[0][1]
+    return c if all(xa == c * xb for xa, xb in pairs) else None
 
 
 def simple_coords(rank, i):
@@ -227,62 +220,37 @@ def simple_coords(rank, i):
     return tuple(1 if j == i else 0 for j in range(rank))
 
 
-def _root_recipes(letter, rank):
+@lru_cache(maxsize=None)
+def root_recipes(letter, rank):
     """Bracket recipes (gamma -> (simple index, lower root, scalar)) for all
-    non-simple positive roots, calibrated in the defining module."""
-    datum = _single_factor_datum(letter, rank)
+    non-simple positive roots, calibrated in the reference module."""
     ref = _reference_block(letter, rank)
-    pos = positive_roots(datum)
-    by_coords = {r.coords: r for r in pos}
-    x = {}
-    y = {}
-    # the coroot acts on a weight vector by the weight's pairing with it
-    hmat = {
-        r.coords: diagonal(tuple(vdot(w, r.coroot_coords) for w in ref.weights))
-        for r in pos
-    }
+    x = {simple_coords(rank, i): m for i, m in enumerate(ref.e)}
+    y = {simple_coords(rank, i): m for i, m in enumerate(ref.f)}
     recipes = {}
-    for i in range(rank):
-        x[simple_coords(rank, i)] = ref.e[i]
-        y[simple_coords(rank, i)] = ref.f[i]
-    for r in sorted(pos, key=lambda r: r.height):
+    for r in positive_roots(_single_factor_datum(letter, rank)):  # by height
         if r.height == 1:
             continue
-        found = None
+        # the coroot acts on a weight vector by the weight's pairing with it
+        hmat = diagonal(tuple(vdot(w, r.coroot_coords) for w in ref.weights))
         for i in range(rank):
-            lower = tuple(
-                r.coords[j] - (1 if j == i else 0) for j in range(rank)
-            )
-            if any(v < 0 for v in lower) or lower not in by_coords:
-                continue
-            if by_coords[lower].coords not in x:
+            lower = tuple(v - (j == i) for j, v in enumerate(r.coords))
+            if lower not in x:
                 continue
             a = comm(x[simple_coords(rank, i)], x[lower])
             b = comm(y[simple_coords(rank, i)], y[lower])
-            bracket = comm(a, b)
-            c = _first_nonzero_ratio(bracket, hmat[r.coords])
+            c = _first_nonzero_ratio(comm(a, b), hmat)
             if c is None or c == 0:
                 continue
             x[r.coords] = mat_scale(Fraction(1, 1) / c, a)
             y[r.coords] = b
-            found = (i, lower, c)
+            recipes[r.coords] = (i, lower, c)
             break
-        if found is None:
+        else:
             raise InternalConsistencyError(
                 f"no bracket recipe found for root {r.coords} of {letter}{rank}"
             )
-        recipes[r.coords] = found
     return recipes
-
-
-_RECIPE_CACHE = {}
-
-
-def root_recipes(letter, rank):
-    key = (letter, rank)
-    if key not in _RECIPE_CACHE:
-        _RECIPE_CACHE[key] = _root_recipes(letter, rank)
-    return _RECIPE_CACHE[key]
 
 
 def factor_lie(datum, fi, block):
@@ -467,10 +435,17 @@ def build_rep(spec):
     """Assemble the matrix model of a validated spec, block by block."""
     datum = spec.datum
     if spec.dim > DEFAULT_DIM_CAP:
-        raise BudgetExceeded(f"total dimension {spec.dim} exceeds cap {DEFAULT_DIM_CAP}")
+        raise BudgetExceeded(
+            f"matrix model: total dimension {spec.dim} exceeds cap {DEFAULT_DIM_CAP}"
+        )
+    # each factor's root vectors are calibrated in its reference module
     for letter, frank in datum.factors:
-        if letter not in ("A", "C"):
-            raise NotSupported(f"type {letter}{frank} factors have no matrix models")
+        size = reference_weight(letter, frank)[0]
+        if size > DEFAULT_DIM_CAP:
+            raise BudgetExceeded(
+                f"matrix model: reference module of factor {letter}{frank} has "
+                f"dimension {size}, exceeds cap {DEFAULT_DIM_CAP}"
+            )
     parts = []   # (gens, labels, jblock, kind, weight)
     for item in spec.pairing_plan:
         gens, labels, factor_blocks = _summand_matrices(datum, item.weight)

@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     InternalConsistencyError,
     NoReductionAvailable,
-    NotSupported,
     NumericalDegeneracy,
     SingularSystem,
     SOutsideDomain,
@@ -24,7 +23,7 @@ from .errors import (
 from .linalg import cvec, mat_vec, nullspace, vdot
 from .matrixrep import _reference_block, factor_lie, hyperbolic_pair
 from .reduction import delta_u_roots
-from .rootdata import positive_roots
+from .rootdata import build_root_datum, positive_roots, weyl_degrees
 
 RANK_TOL = 1e-8
 IDENTITY_TOL = 1e-10
@@ -119,8 +118,9 @@ def charpoly_coeffs(a):
 
 
 class _FactorFrame:
-    """Reference defining module of one simple factor with an exact trace-form
-    Gram matrix over its Chevalley basis elements, and the positions of those
+    """The reference module of one simple factor (`matrixrep._reference_block`,
+    its fundamental module of least dimension) with an exact trace-form Gram
+    matrix over its Chevalley basis elements, and the positions of those
     elements in rep.lie."""
 
     def __init__(self, rep, fi):
@@ -134,16 +134,26 @@ class _FactorFrame:
         gram = np.einsum("fab,gba->fg", self.mats, self.mats)
         self.gram_inv = np.linalg.inv(gram)
         self.gram_t_inv = np.linalg.inv(gram[:frank, :frank])
+        self.degrees = weyl_degrees(build_root_datum([(letter, frank)]))
 
     def matrix_of(self, u, count=None):
         """sum_f u[..., f] mats[f] over the first count basis elements."""
         return np.tensordot(u, self.mats[:count], axes=1)
 
     def invariant_coords_of(self, mat):
-        coeffs = charpoly_coeffs(mat)
+        """Basic invariants at a reference-module matrix or stack: charpoly
+        c_2..c_n (A), its even coefficients (B, C, D), else the power traces
+        tr X^d at the Weyl degrees d; a large module's charpoly is
+        numerically too wide for the rank cut."""
         if self.letter == "A":
-            return coeffs[..., 1:]
-        return coeffs[..., 1::2]
+            return charpoly_coeffs(mat)[..., 1:]
+        if self.letter in "BCD":
+            return charpoly_coeffs(mat)[..., 1::2]
+        return np.stack(
+            [np.trace(np.linalg.matrix_power(mat, d), axis1=-2, axis2=-1)
+             for d in self.degrees],
+            axis=-1,
+        )
 
 
 def _frames(rep):
@@ -178,12 +188,9 @@ def moment_eval(rep, v):
 
 
 def inv_moment_eval(rep, v):
-    """Invariant moment map: per-factor characteristic coefficients of the
-    moment value followed by the central linear coordinates, along the last
-    axis of one vector or of a stack of them."""
-    for letter, frank in rep.datum.factors:
-        if letter not in ("A", "C"):
-            raise NotSupported(f"no invariant coordinates for type {letter}{frank}")
+    """Invariant moment map: per-factor invariant coordinates of the moment
+    value (`_FactorFrame.invariant_coords_of`) followed by the central linear
+    coordinates, along the last axis of one vector or of a stack of them."""
     coords = moment_coords(rep, v)
     values = [
         frame.invariant_coords_of(mat)
@@ -279,7 +286,8 @@ def orbit_estimates(rep, samples=8, seed=0):
     rest = rep.dim - orbit - rk
     if rest < 0 or rest % 2:
         raise NumericalDegeneracy(
-            f"dim V - orbit - rank = {rest} is not an even nonneg integer"
+            f"numeric check rank_complexity_match failed: dim V - orbit - rank "
+            f"= {rest} is not an even nonneg integer"
         )
     return rk, orbit, rest // 2, coisotropic
 

@@ -55,11 +55,12 @@ def weyl_dim(datum, lam):
     lam = cvec(lam)
     if not datum.is_dominant(lam):
         raise NotDominant(lam, f"{lam} is not dominant")
-    num = Fraction(1)
+    num = den = 1  # one division at the end
     for r in positive_roots(datum):
         coheight = sum(r.coroot_coords)  # <rho, beta^vee>
-        top = vdot(lam, r.coroot_vec) + coheight
-        num *= Fraction(top, coheight)
+        num *= vdot(lam, r.coroot_vec) + coheight
+        den *= coheight
+    num = Fraction(num, den)
     if num.denominator != 1:
         raise InternalConsistencyError(
             f"Weyl dimension of {lam} is {num}, not an integer"

@@ -9,6 +9,7 @@ share the same ambient lattice; their simple coroots are stored as explicit
 functionals so that pairings remain plain dot products.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -282,6 +283,15 @@ def positive_roots(datum):
     ]
     out.sort(key=lambda r: (r.height, r.coords))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def weyl_degrees(datum):
+    """The degrees of the Weyl group of a simple datum, ascending: one plus
+    the exponents, the partition dual to the numbers of positive roots of
+    each height (Kostant, Amer. J. Math. 81, 1959)."""
+    counts = Counter(r.height for r in positive_roots(datum)).values()
+    return tuple(1 + sum(c >= j for c in counts) for j in range(datum.rank, 0, -1))
 
 
 @lru_cache(maxsize=None)

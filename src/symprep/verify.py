@@ -78,7 +78,7 @@ def _flag(checks, name, ok, detail=""):
 
 
 def verify_suite(spec, seed=0, samples=20, analysis=None):
-    """Run the full numeric battery for a catalog module."""
+    """Run the full numeric battery on the matrix model of a spec."""
     check_samples(samples)
     rep = build_rep(spec)
     analysis = analysis or analyze(spec)

@@ -43,6 +43,7 @@ from symprep.linalg import (
     vdot,
 )
 from symprep.matrixrep import (
+    FactorBlock,
     _reference_block,
     factor_lie,
     hyperbolic_partner,
@@ -361,33 +362,47 @@ def tuple_invariant_dims(spec, max_degree):
 
 def invariant_symplectic_form_oracle(dim, gens):
     """Solve X^T J + J X = 0 over skew J for every generator X; the solution
-    line must be unique and is normalized so its first nonzero entry is one."""
-    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    line must be unique and is normalized so its first nonzero entry is one.
+    A diagonal generator's equations read (x_a + x_b) J_ab = 0, so the
+    unknowns are the entries J_ab, a < b, on which every diagonal generator
+    has x_a + x_b = 0; each other generator gives the equations
+    sum_k X_ka J_kb + J_ak X_kb = 0, a < b, over its nonzero entries X_ka."""
+    diagonal = [
+        g for g in gens.values()
+        if all(x == 0 for a, row in enumerate(g) for b, x in enumerate(row) if a != b)
+    ]
+    pairs = [
+        (a, b) for a in range(dim) for b in range(a + 1, dim)
+        if all(g[a][a] + g[b][b] == 0 for g in diagonal)
+    ]
     idx = {p: i for i, p in enumerate(pairs)}
+
+    def entry(p, q):
+        """(unknown index, sign) of J_pq, or None when J_pq is zero."""
+        if (p, q) in idx:
+            return idx[p, q], 1
+        if (q, p) in idx:
+            return idx[q, p], -1
+        return None
+
     rows = []
     for g in gens.values():
-        # equation matrix for X^T J + J X = 0 entrywise
-        gt = transpose(g)
-        for a in range(dim):
-            for b in range(a, dim):
-                row = [Fraction(0)] * len(pairs)
-
-                def add(p, q, coef):
-                    if p == q or coef == 0:
-                        return
-                    if p < q:
-                        row[idx[(p, q)]] += coef
-                    else:
-                        row[idx[(q, p)]] -= coef
-
-                for k in range(dim):
-                    add(k, b, gt[a][k])   # (X^T J)_{ab}
-                    add(a, k, g[k][b])    # (J X)_{ab}
-                if any(row):
-                    rows.append(cvec(row))
-    space = nullspace_oracle(rows, len(pairs)) if rows else [
-        cvec([1 if i == 0 else 0 for i in range(len(pairs))])
-    ]
+        if any(g is d for d in diagonal):
+            continue
+        eqs = {}
+        for k, row in enumerate(g):
+            for a, x in enumerate(row):
+                if x == 0:
+                    continue
+                for b in range(dim):
+                    # X_ka J_kb enters (a, b); J_bk X_ka enters (b, a)
+                    for (p, q), (r, c) in (((a, b), (k, b)), ((b, a), (b, k))):
+                        hit = entry(r, c)
+                        if p < q and hit is not None:
+                            eq = eqs.setdefault((p, q), [Fraction(0)] * len(pairs))
+                            eq[hit[0]] += hit[1] * x
+        rows += [cvec(eq) for eq in eqs.values() if any(eq)]
+    space = nullspace_oracle(rows, len(pairs))
     if len(space) != 1:
         raise AssertionError(f"invariant form space has dimension {len(space)}")
     sol = space[0]
@@ -398,6 +413,49 @@ def invariant_symplectic_form_oracle(dim, gens):
         j[a][b] = sol[i]
         j[b][a] = canon(-sol[i])
     return tuple(tuple(r) for r in j)
+
+
+def _unit(n, i, j, val=1):
+    m = [[0] * n for _ in range(n)]
+    m[i][j] = val
+    return tuple(tuple(r) for r in m)
+
+
+def sl2_block_oracle(m):
+    """The closed form of S^m of sl2: f v_j = v_(j+1),
+    e v_(j+1) = (j+1)(m-j) v_j, with its form (-1)^a at (a, m-a)."""
+    n = m + 1
+    e = [[0] * n for _ in range(n)]
+    f = [[0] * n for _ in range(n)]
+    h = [[0] * n for _ in range(n)]
+    for j in range(n):
+        h[j][j] = m - 2 * j
+        if j + 1 < n:
+            f[j + 1][j] = 1
+            e[j][j + 1] = (j + 1) * (m - j)
+    mk = lambda a: tuple(tuple(r) for r in a)
+    weights = tuple(((m - 2 * j,)) for j in range(n))
+    form = tuple(
+        tuple((-1) ** a if b == m - a else 0 for b in range(n)) for a in range(n)
+    )
+    return FactorBlock(n, (mk(e),), (mk(f),), (mk(h),), weights, form)
+
+
+def sln_standard_block_oracle(n):
+    """The closed form of the defining module of sl_n: unit e_i and f_i."""
+    e = tuple(_unit(n, i, i + 1) for i in range(n - 1))
+    f = tuple(_unit(n, i + 1, i) for i in range(n - 1))
+    h = []
+    for i in range(n - 1):
+        m = [[0] * n for _ in range(n)]
+        m[i][i] = 1
+        m[i + 1][i + 1] = -1
+        h.append(tuple(tuple(r) for r in m))
+    weights = tuple(
+        tuple((1 if j == i else (-1 if j == i + 1 else 0)) for i in range(n - 1))
+        for j in range(n)
+    )
+    return FactorBlock(n, e, f, tuple(h), weights)
 
 
 def assembled_lie_oracle(rep):
@@ -499,9 +557,21 @@ def _charpoly_oracle(a):
     return out
 
 
+# Degrees of the basic invariants of the exceptional Weyl groups (Bourbaki,
+# Lie Groups and Lie Algebras, ch. VI, planches).
+EXCEPTIONAL_DEGREES = {
+    ("G", 2): (2, 6),
+    ("F", 4): (2, 6, 8, 12),
+    ("E", 6): (2, 5, 6, 8, 9, 12),
+    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+}
+
+
 def inv_moment_eval_oracle(rep, v):
     """The invariant moment map of one vector: each factor's matrix summed
-    one reference matrix at a time, its charpoly by Faddeev-LeVerrier."""
+    one reference matrix at a time, its charpoly by Faddeev-LeVerrier for
+    types A to D, its power traces at the tabulated degrees otherwise."""
     coords = moment_coords_oracle(rep, v)
     values = []
     for fi, (letter, frank) in enumerate(rep.datum.factors):
@@ -511,8 +581,14 @@ def inv_moment_eval_oracle(rep, v):
         rhs = np.array([coords[rep.lie_index[lab]] for lab, _ in lie])
         u = np.linalg.inv(gram) @ rhs
         mat = sum(ui * m.astype(rhs.dtype) for ui, m in zip(u, mats))
-        coeffs = _charpoly_oracle(mat)
-        values.extend(coeffs[1:] if letter == "A" else coeffs[1::2])
+        if letter in "ABCD":
+            coeffs = _charpoly_oracle(mat)
+            values.extend(coeffs[1:] if letter == "A" else coeffs[1::2])
+        else:
+            values.extend(
+                np.trace(np.linalg.matrix_power(mat, d))
+                for d in EXCEPTIONAL_DEGREES[letter, frank]
+            )
     for l in range(rep.datum.central_rank):
         values.append(coords[rep.lie_index[("z", l)]])
     return np.array(values)

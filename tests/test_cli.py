@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from symprep import cli, reps, verify
+from symprep import cli, numeric, reps, sections, verify
 from symprep.cli import (
     EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
     EXIT_DEFECT,
     EXIT_NOT_SUPPORTED,
     EXIT_OK,
@@ -186,7 +187,68 @@ def test_verify_exit_codes(tmp_path, capsys):
         "group": {"simple": [["G", 2]], "central_torus_rank": 0},
         "rep": [{"hw": [1, 0], "mult": 2}],
     })
-    assert main(["verify", g2]) == EXIT_NOT_SUPPORTED
+    assert main(["verify", g2]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert all(c["passed"] for c in report["numeric_verification"]["checks"])
+
+
+def _spec_doc(simple, summands):
+    return {
+        "group": {"simple": simple, "central_torus_rank": 0},
+        "rep": [{"hw": hw, "mult": mult} for hw, mult in summands],
+    }
+
+
+# Modules that only the generic irreducible construction models,
+# with their (rk_s, c_s, mf).
+GENERIC_MODELS = {
+    "Sp6_wedge3": (_spec_doc([["C", 3]], [([0, 0, 1], 1)]), (1, 0, True)),
+    "SL6_wedge3": (_spec_doc([["A", 5]], [([0, 0, 1, 0, 0], 1)]), (1, 0, True)),
+    "A5_wedge2_dual": (
+        _spec_doc([["A", 5]], [([0, 1, 0, 0, 0], 1), ([0, 0, 0, 1, 0], 1)]),
+        (2, 1, False),
+    ),
+    "A3_mixed_rk3": (
+        _spec_doc([["A", 3]], [([2, 0, 0], 1), ([0, 0, 2], 1), ([1, 0, 0], 1),
+                               ([0, 0, 1], 1)]),
+        (3, 5, False),
+    ),
+    "D4_vec_x2": (_spec_doc([["D", 4]], [([1, 0, 0, 0], 2)]), (1, 1, False)),
+    "B4_vec_x2": (_spec_doc([["B", 4]], [([1, 0, 0, 0], 2)]), (1, 1, False)),
+    "G2_adj_x2": (_spec_doc([["G", 2]], [([0, 1], 2)]), (2, 6, False)),
+    "D6_halfspin": (_spec_doc([["D", 6]], [([0, 0, 0, 0, 0, 1], 1)]), (1, 0, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_MODELS))
+def test_verify_passes_on_generic_models(name, capsys):
+    doc, expected = GENERIC_MODELS[name]
+    assert main(["verify", json.dumps(doc), "--seed", "0"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["rk_s"], report["c_s"], report["mf"]) == expected
+    checks = report["numeric_verification"]["checks"]
+    assert len(checks) == 15
+    assert [c["name"] for c in checks if not c["passed"]] == []
+
+
+def test_numerical_degeneracy_exits_1_naming_the_check(monkeypatch, capsys):
+    """A rank cut that leaves dim V - orbit - rank odd or negative is a
+    failed numeric check, not a validation failure."""
+    monkeypatch.setattr(numeric, "_numeric_rank", lambda mats: len(mats[0]) + 1)
+    assert main(["verify", json.dumps(SL2_TWO)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: numeric check rank_complexity_match failed: dim V - orbit - rank = "
+    )
+
+
+def test_unrealizable_stage_exits_5(monkeypatch, capsys):
+    """Every reduction stage has a model, so a stage without its pair
+    (v0, v0^-) is a defect."""
+    monkeypatch.setattr(sections, "hyperbolic_pair", lambda *args: (None, None))
+    assert main(["verify", json.dumps(SL2_TWO)]) == EXIT_DEFECT
+    assert capsys.readouterr().err == "error: no highest weight vector of weight (1,)\n"
 
 
 def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):

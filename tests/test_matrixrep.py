@@ -1,13 +1,25 @@
 
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symprep.errors import BudgetExceeded, InternalConsistencyError, NotSupported
-from symprep.linalg import comm, cvec, mat_scale, mat_vec
+from symprep.errors import BudgetExceeded, InternalConsistencyError
+from symprep.linalg import (
+    comm,
+    cvec,
+    identity,
+    mat_scale,
+    mat_vec,
+    rank,
+    sparse_mul,
+    sparse_rows,
+)
 from symprep.matrixrep import (
     _check_rep,
+    _factor_block,
     _invariant_symplectic_form,
     _summand_matrices,
     build_rep,
@@ -16,14 +28,21 @@ from symprep.matrixrep import (
     simple_coords,
     weight_kernel,
 )
-from symprep.reps import total_weight_multiset, validate_symplectic_spec
-from symprep.rootdata import build_root_datum, positive_roots
+from symprep.reps import (
+    freudenthal_multiplicities,
+    total_weight_multiset,
+    validate_symplectic_spec,
+    weyl_dim,
+)
+from symprep.rootdata import build_root_datum, cartan_matrix, positive_roots
 
 from corpus import A1, A2, C2, catalog, verify_ladder
 from oracles import (
     assembled_lie_oracle,
     invariant_symplectic_form_oracle,
     rref_hyperbolic_pair_oracle,
+    sl2_block_oracle,
+    sln_standard_block_oracle,
 )
 
 
@@ -124,20 +143,153 @@ def test_even_symplectic_multiplicity_presented_as_pair():
     assert sorted(b[0] for b in rep.blocks) == ["symplectic", "symplectic_pair"]
 
 
-def test_not_supported_outside_catalog():
+def test_models_beyond_the_closed_forms_build():
+    """G2's 7 twice and S^2 + its dual on sl3, which had no model before the
+    generic construction: each builds (build_rep runs _check_rep) with the
+    combinatorial weights and highest-weight structure."""
     g2 = build_root_datum([("G", 2)])
-    spec = validate_symplectic_spec(g2, [((1, 0), 2)])
-    with pytest.raises(NotSupported):
-        build_rep(spec)
-    spec = validate_symplectic_spec(A2, [((2, 0), 1), ((0, 2), 1)])
-    with pytest.raises(NotSupported):
-        build_rep(spec)
+    for spec, dim in (
+        (validate_symplectic_spec(g2, [((1, 0), 2)]), 14),
+        (validate_symplectic_spec(A2, [((2, 0), 1), ((0, 2), 1)]), 12),
+    ):
+        rep = build_rep(spec)
+        assert rep.dim == dim
+        got = {}
+        for w in rep.weight_labels:
+            got[w] = got.get(w, 0) + 1
+        assert got == spec.weight_multiset()
+        find_hw_vectors(rep)
 
 
 def test_dimension_cap():
     spec = validate_symplectic_spec(A1, [((1,), 40)])
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         build_rep(spec)
+    assert str(info.value) == "matrix model: total dimension 80 exceeds cap 64"
+
+
+def test_reference_module_is_budgeted_before_any_block_is_built():
+    """E8 x A1 with a trivial E8 weight is a 2-dim module, but E8's root
+    vectors would be calibrated in its 248-dim reference module."""
+    e8a1 = build_root_datum([("E", 8), ("A", 1)])
+    spec = validate_symplectic_spec(e8a1, [((0,) * 8 + (1,), 1)])
+    assert spec.dim == 2
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        build_rep(spec)
+    assert time.monotonic() - t0 < 1.0
+    assert str(info.value) == (
+        "matrix model: reference module of factor E8 has dimension 248, "
+        "exceeds cap 64"
+    )
+
+
+def test_generic_blocks_equal_the_closed_forms_of_type_a():
+    """S^m of sl2 and the defining module of sl_n come out in the f-word
+    basis entry for entry as their closed forms, forms included (sl_n,
+    n >= 3, is not self-dual; n = 2 is S^1)."""
+    for m in range(9):
+        got, want = _factor_block("A", 1, (m,)), sl2_block_oracle(m)
+        assert got == want and repr(got) == repr(want), m
+    for n in range(3, 7):
+        got = _factor_block("A", n - 1, identity(n - 1)[0])
+        want = sln_standard_block_oracle(n)
+        assert got == want and repr(got) == repr(want), n
+
+
+def _small_modules(cap=64):
+    """(letter, rank) -> the nonzero dominant weights with weyl_dim <= cap,
+    for every simple type of rank <= 4; weyl_dim grows in each coordinate,
+    so the search stops at the first weight over the cap."""
+    out = {}
+    for letter, rank in [("A", n) for n in range(1, 5)] + [
+        ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4),
+        ("F", 4), ("G", 2),
+    ]:
+        datum = build_root_datum([(letter, rank)])
+        seen, frontier = {(0,) * rank}, [(0,) * rank]
+        while frontier:
+            w = frontier.pop()
+            for i in range(rank):
+                up = w[:i] + (w[i] + 1,) + w[i + 1:]
+                if up not in seen and weyl_dim(datum, up) <= cap:
+                    seen.add(up)
+                    frontier.append(up)
+        out[letter, rank] = sorted(seen - {(0,) * rank})
+    return out
+
+
+SMALL_MODULES = _small_modules()
+
+
+def _entries(mat):
+    """A dense matrix as {(i, k): value} over its nonzero entries."""
+    return {(i, k): x for i, row in enumerate(sparse_rows(mat)) for k, x in row}
+
+
+def _product(a, b, n):
+    """A B of n x n matrices given by _entries, over nonzero entries."""
+    def rows(m):
+        out = [[] for _ in range(n)]
+        for (i, k), x in m.items():
+            out[i].append((k, x))
+        return out
+
+    return sparse_mul(rows(a), rows(b))
+
+
+def _bracket(a, b, n):
+    out = _product(a, b, n)
+    for key, x in _product(b, a, n).items():
+        out[key] = out.get(key, 0) - x
+    return {key: x for key, x in out.items() if x}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(SMALL_MODULES)).flatmap(
+        lambda t: st.sampled_from(SMALL_MODULES[t]).map(lambda w: t + (w,))
+    )
+)
+def test_generic_block_relations(module):
+    """The Chevalley relations [e_i, f_j] = delta_ij h_i and
+    [h_i, e_j] = <alpha_j, alpha_i^vee> e_j, both Serre relations
+    ad(x_i)^(1 - a_ij) x_j = 0 for x = e, f with a_ij = <alpha_j, alpha_i^vee>,
+    the weight multiset of Freudenthal, and on a self-dual block an
+    invariant, nondegenerate, symmetric or skew form."""
+    letter, rank_, weight = module
+    block = _factor_block(letter, rank_, weight)
+    n = block.dim
+    cartan = cartan_matrix(letter, rank_)  # cartan[j][i] = <alpha_j, alpha_i^vee>
+    e = [_entries(m) for m in block.e]
+    f = [_entries(m) for m in block.f]
+    h = [_entries(m) for m in block.h]
+    for i in range(rank_):
+        for j in range(rank_):
+            assert _bracket(e[i], f[j], n) == (h[i] if i == j else {}), (i, j)
+            want = {key: cartan[j][i] * x for key, x in e[j].items() if cartan[j][i]}
+            assert _bracket(h[i], e[j], n) == want, (i, j)
+            if i != j:
+                for x in (e, f):
+                    y = x[j]
+                    for _ in range(1 - cartan[j][i]):
+                        y = _bracket(x[i], y, n)
+                    assert y == {}, (i, j)
+    got = {}
+    for w in block.weights:
+        got[w] = got.get(w, 0) + 1
+    datum = build_root_datum([(letter, rank_)])
+    assert got == freudenthal_multiplicities(datum, weight)
+    if cvec(tuple(-x for x in weight)) not in got:
+        assert block.form is None
+        return
+    b = _entries(block.form)
+    bt = {(k, i): x for (i, k), x in b.items()}
+    assert bt in (b, {key: -x for key, x in b.items()})
+    for x in e + f + h:
+        xt = {(k, i): v for (i, k), v in x.items()}
+        assert _product(xt, b, n) == {key: -v for key, v in _product(b, x, n).items()}
+    assert rank(block.form) == n
 
 
 def test_external_tensor_product_weights():
@@ -177,6 +329,12 @@ def test_closed_form_invariant_form_matches_the_nullspace_solve():
     )
     assert lone == [(1, 0, 0, 0, 0)]
     cases += [(c3_a1_t1, w) for w in lone]
+    # lone symplectic summands of the generic construction
+    cases += [
+        (build_root_datum([("C", 3)]), (0, 0, 1)),
+        (build_root_datum([("A", 5)]), (0, 0, 1, 0, 0)),
+        (build_root_datum([("D", 6)]), (0, 0, 0, 0, 0, 1)),
+    ]
     for datum, weight in cases:
         gens, labels, blocks = _summand_matrices(datum, weight)
         closed = _invariant_symplectic_form(blocks)

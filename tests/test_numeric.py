@@ -7,7 +7,6 @@ from symprep.errors import (
     DimensionMismatch,
     InternalConsistencyError,
     NoReductionAvailable,
-    NotSupported,
     SingularSystem,
     SOutsideDomain,
 )
@@ -22,6 +21,7 @@ from symprep.numeric import (
     local_frame,
     moment_coords,
     moment_eval,
+    orbit_directions,
     orbit_estimates,
     phi_solve_q_embed,
     seeded_samples,
@@ -78,13 +78,26 @@ def test_moment_dimension_mismatch():
         jacobian_inv_moment(rep, np.zeros(5))
 
 
-def test_inv_moment_rejects_types_other_than_a_and_c():
-    rep = _rep(C2, [((1, 0), 1)])
-    other = replace(rep, datum=build_root_datum([("B", 2)]))
-    for v in (np.zeros(rep.dim), np.zeros((3, rep.dim))):
-        assert moment_coords(other, v).shape[-1] == len(rep.lie)
-        with pytest.raises(NotSupported):
-            inv_moment_eval(other, v)
+@pytest.mark.parametrize("factors, summands", [
+    ([("B", 3)], [((1, 0, 0), 2)]),
+    ([("D", 4)], [((1, 0, 0, 0), 2)]),
+    ([("G", 2)], [((1, 0), 2)]),
+], ids=["B3", "D4", "G2"])
+def test_inv_moment_is_invariant_on_every_type(factors, summands):
+    """B, D and G factors get one invariant coordinate per simple root, equal
+    to the oracle's (even charpoly coefficients, or power traces at the
+    tabulated degrees), and constant along orbits: the Jacobian kills each
+    tangent vector X v."""
+    datum = build_root_datum(factors)
+    rep = _rep(datum, summands)
+    vs = seeded_samples(np.random.default_rng(5), rep.dim, 3)
+    invs = inv_moment_eval(rep, vs)
+    assert invs.shape == (3, datum.rank)
+    for k, v in enumerate(vs):
+        assert _close(invs[k], inv_moment_eval_oracle(rep, v))
+    jac = jacobian_inv_moment(rep, vs)
+    flow = jac @ np.swapaxes(orbit_directions(rep, vs), 1, 2)
+    assert np.max(np.abs(flow)) <= 1e-12 * np.max(np.abs(jac))
 
 
 def _kernel_models():

@@ -23,11 +23,13 @@ from symprep.rootdata import (
     positive_roots,
     rho_strict,
     subspace_normalizer,
+    weyl_degrees,
     weyl_orbit,
 )
 
 from corpus import ANALYZE_LADDER, catalog
 from oracles import (
+    EXCEPTIONAL_DEGREES,
     reflection_matrix,
     span_coords_oracle,
     subspace_normalizer_oracle,
@@ -345,3 +347,29 @@ def test_gamma_missing_an_element_trips_the_closure_check(monkeypatch, dropped):
     )
     with pytest.raises(InternalConsistencyError, match="not closed under products"):
         subspace_normalizer(a2, A2_PLANE)
+
+
+def _classical_degrees(letter, n):
+    if letter == "A":
+        return tuple(range(2, n + 2))
+    if letter in "BC":
+        return tuple(range(2, 2 * n + 1, 2))
+    return tuple(sorted(tuple(range(2, 2 * n - 1, 2)) + (n,)))
+
+
+@pytest.mark.parametrize("letter, n", [
+    ("A", 1), ("A", 4), ("A", 7), ("B", 2), ("B", 5), ("C", 3), ("C", 6),
+    ("D", 4), ("D", 5), ("D", 8), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8),
+])
+def test_weyl_degrees_from_root_heights(letter, n):
+    """The degrees read off the root heights are the tabulated ones; their
+    product is |W| and sum(d - 1) the number of positive roots."""
+    datum = build_root_datum([(letter, n)])
+    degrees = weyl_degrees(datum)
+    want = EXCEPTIONAL_DEGREES.get((letter, n)) or _classical_degrees(letter, n)
+    assert degrees == want
+    prod = 1
+    for d in degrees:
+        prod *= d
+    assert prod == datum.weyl_order()
+    assert sum(d - 1 for d in degrees) == len(positive_roots(datum))
