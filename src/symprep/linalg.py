@@ -1,8 +1,15 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: dense vectors and small dense
+matrices, and the sparse matrices of the matrix models.
 
-Vectors are tuples, matrices are tuples of row tuples.  Entries are ints or
-Fractions; every routine keeps arithmetic exact.  Sizes here are tiny (a few
-dozen at most), so the quadratic/cubic loops below are deliberate.
+Vectors are tuples, dense matrices are tuples of row tuples.  Entries are
+ints or Fractions; every routine keeps arithmetic exact.  Dense sizes here
+are tiny (a few dozen at most), so the quadratic/cubic loops below are
+deliberate.  A model matrix is held by its nonzero entries only, as sparse
+rows (see the section below): a root vector of a 56-dim module has at most
+a few dozen nonzero entries of 3136, so its products, brackets, Kronecker
+products and block sums (`sparse_mul`, `sparse_comm`, `sparse_kron`,
+`sparse_blockdiag`) form only products of nonzero entries, and
+`sparse_rank` row-reduces each block of linked rows and columns on its own.
 
 Most data are integers, so `canon`, `vdot`, `mat_vec`, `mat_mul` and
 `lincomb` compute in plain ints: a sum of products has type int exactly when
@@ -18,7 +25,7 @@ rows themselves.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 
@@ -52,6 +59,17 @@ def vdot(a, b):
 
 def is_zero_vec(a):
     return all(x == 0 for x in a)
+
+
+def int_scaled(v):
+    """(q, den): the int vector q = den v, den the lcm of v's denominators."""
+    den = lcm(*(x.denominator for x in v if type(x) is not int))
+    return [int(x * den) for x in v], den
+
+
+def unscaled(q, den):
+    """The canonical vector q / den of an int (or rational) vector q."""
+    return tuple(_over(x, den) if type(x) is int else canon(x / den) for x in q)
 
 
 def diagonal(entries):
@@ -107,14 +125,62 @@ def mat_mul(a, b):
     return tuple(out)
 
 
+def mat_sub(a, b):
+    return tuple(vsub(x, y) for x, y in zip(a, b))
+
+
+# -- sparse matrices ---------------------------------------------------------
+#
+# An exact model matrix is held by its nonzero entries as sparse rows: one
+# row per matrix row, each the tuple of its (column, entry) pairs with
+# nonzero canonical entries in increasing column order.  Model matrices are
+# square, so a matrix's size is its number of rows.
+
+
+def _sparse_row(acc):
+    """The sparse row of a dict {column: value}."""
+    return tuple((j, canon(x)) for j, x in sorted(acc.items()) if x)
+
+
 def sparse_rows(a):
-    """Each row of a as the tuple of its nonzero entries (column, value)."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
+    """Each row of a dense matrix as the tuple of its nonzero entries
+    (column, value)."""
+    return tuple(tuple((j, canon(x)) for j, x in enumerate(row) if x) for row in a)
+
+
+def dense(m, ncols):
+    """The dense matrix, ncols wide, of a matrix given by sparse rows."""
+    out = []
+    for row in m:
+        r = [0] * ncols
+        for j, x in row:
+            r[j] = x
+        out.append(tuple(r))
+    return tuple(out)
+
+
+def sparse_diagonal(entries):
+    return tuple(((i, canon(x)),) if x else () for i, x in enumerate(entries))
+
+
+def sparse_transpose(m):
+    out = [[] for _ in m]
+    for i, row in enumerate(m):
+        for j, x in row:
+            out[j].append((i, x))
+    return tuple(map(tuple, out))
+
+
+def sparse_scale(c, m):
+    c = canon(c)
+    if not c:
+        return tuple(() for _ in m)
+    return tuple(tuple((j, canon(c * x)) for j, x in row) for row in m)
 
 
 def sparse_mul(a_rows, b_rows):
     """The nonzero entries {(i, k): value} of A B, for A and B given by their
-    sparse_rows: only products of nonzero entries are formed."""
+    sparse rows: only products of nonzero entries are formed."""
     out = {}
     for i, row in enumerate(a_rows):
         for j, x in row:
@@ -123,40 +189,69 @@ def sparse_mul(a_rows, b_rows):
     return {key: v for key, v in out.items() if v}
 
 
-def mat_sub(a, b):
-    return tuple(vsub(x, y) for x, y in zip(a, b))
-
-
-def mat_scale(c, a):
-    return tuple(vscale(c, row) for row in a)
-
-
-def comm(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def kron(a, b):
-    if not a or not b:
-        return ()
-    bm, bn = len(b), len(b[0])
+def sparse_comm(a, b):
+    """A B - B A, over nonzero entries only."""
     out = []
-    for arow in a:
-        for i in range(bm):
-            out.append(tuple(canon(x * b[i][j]) for x in arow for j in range(bn)))
+    for arow, brow in zip(a, b):
+        acc = {}
+        for j, x in arow:
+            for k, y in b[j]:
+                acc[k] = acc.get(k, 0) + x * y
+        for j, x in brow:
+            for k, y in a[j]:
+                acc[k] = acc.get(k, 0) - x * y
+        out.append(_sparse_row(acc) if acc else ())
     return tuple(out)
 
 
-def blockdiag(blocks):
-    blocks = [b for b in blocks if b]
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
+def sparse_kron(a, b):
+    """The Kronecker product A (x) B: row (i, k) holds A_ij B_kl at column
+    (j, l), indices in row-major order."""
+    nb = len(b)
+    return tuple(
+        tuple((j * nb + l, canon(x * y)) for j, x in arow for l, y in brow)
+        for arow in a
+        for brow in b
+    )
+
+
+def sparse_blockdiag(blocks):
+    """The block sum of square matrices."""
+    out = []
     off = 0
     for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = canon(x)
+        out.extend(tuple((off + j, canon(x)) for j, x in row) for row in b)
         off += len(b)
-    return tuple(tuple(r) for r in out)
+    return tuple(out)
+
+
+def sparse_rank(m):
+    """The rank of a matrix: the sum of the ranks of the blocks its nonzero
+    entries fall into, rows and columns being linked by an entry, each block
+    row-reduced on its own rows and columns."""
+    root = {}
+
+    def find(c):
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        return c
+
+    for row in m:
+        for j, _ in row:
+            root.setdefault(j, j)
+        for j, _ in row[1:]:
+            a, b = find(row[0][0]), find(j)
+            if a != b:
+                root[b] = a
+    blocks = {}
+    for row in m:
+        if row:
+            blocks.setdefault(find(row[0][0]), []).append(dict(row))
+    total = 0
+    for rows in blocks.values():
+        cols = sorted({j for r in rows for j in r})
+        total += rank([[r.get(j, 0) for j in cols] for r in rows])
+    return total
 
 
 def _int_rows(rows):
@@ -257,7 +352,9 @@ def span_solver(basis_rows):
     """The one exact coordinate solver: returns a function of v giving
     coefficients c with sum c_i basis_i = v (zero on the non-pivot basis
     rows), or None when v lies off the span.  A x = b is b over the columns
-    of A: span_solver(transpose(A))(b).
+    of A: span_solver(transpose(A))(b).  Its attribute `all` solves a list
+    of vectors at once: [solve(v) for v in vs], from one int product of T
+    with the vs, each scaled to ints by its own common denominator.
 
     Elimination on [M | I], with M the basis rows as columns, gives int rows
     [R | T] whose pivot rows divided by their pivots d_i are rref([M | I]);
@@ -265,16 +362,17 @@ def span_solver(basis_rows):
     coefficients are (T v)_i / d_i on the pivot rows, and v is in the span
     exactly when the other rows of T v vanish.  The basis is row-reduced
     once, for any number of v."""
-    if not basis_rows:
-        return lambda v: () if is_zero_vec(v) else None
     k = len(basis_rows)
-    cols = transpose(basis_rows)
-    m, pivots = _echelon([row + e for row, e in zip(cols, identity(len(cols)))])
-    pivots = [p for p in pivots if p < k]
-    dens = [row[p] for row, p in zip(m, pivots)]
-    t = tuple(tuple(row[k:]) for row in m)
+    if k:
+        cols = transpose(basis_rows)
+        m, pivots = _echelon([row + e for row, e in zip(cols, identity(len(cols)))])
+        pivots = [p for p in pivots if p < k]
+        dens = [row[p] for row, p in zip(m, pivots)]
+        t = tuple(tuple(row[k:]) for row in m)
 
     def solve(v):
+        if not k:
+            return () if is_zero_vec(v) else None
         y = mat_vec(t, v)
         if not is_zero_vec(y[len(pivots):]):
             return None
@@ -283,6 +381,23 @@ def span_solver(basis_rows):
             x[p] = _over(yi, d) if type(yi) is int else canon(yi / d)
         return tuple(x)
 
+    def solve_all(vs):
+        if not k:
+            return [solve(v) for v in vs]
+        scaled = [int_scaled(v) for v in vs]
+        out = []
+        products = mat_mul(t, transpose([q for q, _ in scaled]))
+        for y, (_, s) in zip(transpose(products), scaled):
+            if any(y[len(pivots):]):
+                out.append(None)
+                continue
+            x = [0] * k
+            for p, yi, d in zip(pivots, y, dens):
+                x[p] = _over(yi, d * s)
+            out.append(tuple(x))
+        return out
+
+    solve.all = solve_all
     return solve
 
 

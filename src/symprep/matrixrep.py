@@ -11,6 +11,16 @@ Root vectors beyond the simple ones are produced by bracket recipes whose
 scalars are calibrated once per factor in a faithful reference module, the
 fundamental module of least dimension, so the same abstract Lie algebra
 element acts consistently in every block.
+
+Every exact matrix (factor blocks, replayed root vectors, the assembled Lie
+basis and J) is held by its nonzero entries as sparse rows (see `linalg`),
+and no dense copy of a model is built: brackets, Kronecker products, block
+sums and the structural checks run over entries, and the float stacks
+`rep.lie` and `rep.j` are filled from them.  A model is weight graded (the
+Lie basis element of a root alpha maps V_mu into V_(mu + alpha), and
+`_check_rep` holds every matrix to that), so `weight_kernel`,
+`MatrixRep.act_exact` and `MatrixRep.omega_row` read only the rows of the
+weight they need.  `MatrixRep.lie_matrix_exact` is a dense view for tests.
 """
 
 import itertools
@@ -23,21 +33,21 @@ import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError
 from .linalg import (
-    blockdiag,
     canon,
-    comm,
     cvec,
-    diagonal,
+    dense,
     identity,
-    kron,
     lincomb,
-    mat_scale,
-    mat_vec,
     nullspace,
-    rank,
     rref,
+    sparse_blockdiag,
+    sparse_comm,
+    sparse_diagonal,
+    sparse_kron,
     sparse_mul,
-    sparse_rows,
+    sparse_rank,
+    sparse_scale,
+    sparse_transpose,
     transpose,
     vdot,
 )
@@ -49,7 +59,8 @@ DEFAULT_DIM_CAP = 64
 
 @dataclass(frozen=True)
 class FactorBlock:
-    """Matrices of one simple factor's module in its local numbering."""
+    """Matrices of one simple factor's module in its local numbering, as
+    sparse rows (see `linalg`)."""
 
     dim: int
     e: tuple       # per local simple root
@@ -61,19 +72,17 @@ class FactorBlock:
 
 def _hyperbolic_form(n):
     """The form [[0, I], [-I, 0]] of size 2n."""
-    return tuple(
-        tuple(1 if b == a + n else (-1 if a == b + n else 0) for b in range(2 * n))
-        for a in range(2 * n)
-    )
+    return tuple(((a + n, 1),) for a in range(n)) + tuple(((a, -1),) for a in range(n))
 
 
 def _matrix(dim, columns):
-    """The dim x dim matrix with the given columns {column: {row: entry}}."""
-    m = [[0] * dim for _ in range(dim)]
+    """The dim x dim matrix, as sparse rows, with the given columns
+    {column: {row: entry}}."""
+    rows = [{} for _ in range(dim)]
     for b, col in columns.items():
         for a, x in col.items():
-            m[a][b] = x
-    return tuple(map(tuple, m))
+            rows[a][b] = x
+    return tuple(tuple((b, x) for b, x in sorted(r.items()) if x) for r in rows)
 
 
 def _spn_standard_block(n):
@@ -87,9 +96,9 @@ def _spn_standard_block(n):
         for j in range(n)
     ]
     weights = tuple(eps) + tuple(tuple(-x for x in w) for w in eps)
-    h = tuple(diagonal(tuple(w[i] for w in weights)) for i in range(n))
+    h = tuple(sparse_diagonal(tuple(w[i] for w in weights)) for i in range(n))
     return FactorBlock(
-        dim, tuple(e), tuple(map(transpose, e)), h, weights, _hyperbolic_form(n)
+        dim, tuple(e), tuple(map(sparse_transpose, e)), h, weights, _hyperbolic_form(n)
     )
 
 
@@ -167,12 +176,12 @@ def _irreducible_block(letter, rank, weight):
                 y: canon(-sum(v * pairing[w].get(z, 0) for z, v in f[i][y].items()))
                 for y in space[neg(weights[x])]
             }
-        form = transpose(_matrix(dim, pairing))
+        form = sparse_transpose(_matrix(dim, pairing))
     return FactorBlock(
         dim,
         tuple(_matrix(dim, m) for m in e),
         tuple(_matrix(dim, m) for m in f),
-        tuple(diagonal(tuple(w[i] for w in weights)) for i in range(rank)),
+        tuple(sparse_diagonal(tuple(w[i] for w in weights)) for i in range(rank)),
         tuple(weights),
         form,
     )
@@ -206,13 +215,20 @@ def _single_factor_datum(letter, rank):
     return build_root_datum([(letter, rank)])
 
 
-def _first_nonzero_ratio(a, b):
-    """c with a = c * b for exactly proportional matrices, else None."""
-    pairs = [(xa, xb) for ra, rb in zip(a, b) for xa, xb in zip(ra, rb) if xa or xb]
-    if not pairs or any(xb == 0 for _, xb in pairs):
+def _diagonal_ratio(m, diag):
+    """c with m = c * diag(diag) exactly, for m given by sparse rows and a
+    diagonal not all zero; None when m is not such a multiple."""
+    pairs = []
+    for i, (row, d) in enumerate(zip(m, diag)):
+        if any(j != i for j, _ in row):
+            return None
+        x = row[0][1] if row else 0
+        if x or d:
+            pairs.append((x, d))
+    if not pairs or any(d == 0 for _, d in pairs):
         return None
     c = Fraction(pairs[0][0]) / pairs[0][1]
-    return c if all(xa == c * xb for xa, xb in pairs) else None
+    return c if all(x == c * d for x, d in pairs) else None
 
 
 def simple_coords(rank, i):
@@ -232,17 +248,17 @@ def root_recipes(letter, rank):
         if r.height == 1:
             continue
         # the coroot acts on a weight vector by the weight's pairing with it
-        hmat = diagonal(tuple(vdot(w, r.coroot_coords) for w in ref.weights))
+        hdiag = [vdot(w, r.coroot_coords) for w in ref.weights]
         for i in range(rank):
             lower = tuple(v - (j == i) for j, v in enumerate(r.coords))
             if lower not in x:
                 continue
-            a = comm(x[simple_coords(rank, i)], x[lower])
-            b = comm(y[simple_coords(rank, i)], y[lower])
-            c = _first_nonzero_ratio(comm(a, b), hmat)
+            a = sparse_comm(x[simple_coords(rank, i)], x[lower])
+            b = sparse_comm(y[simple_coords(rank, i)], y[lower])
+            c = _diagonal_ratio(sparse_comm(a, b), hdiag)
             if c is None or c == 0:
                 continue
-            x[r.coords] = mat_scale(Fraction(1, 1) / c, a)
+            x[r.coords] = sparse_scale(Fraction(1, 1) / c, a)
             y[r.coords] = b
             recipes[r.coords] = (i, lower, c)
             break
@@ -267,8 +283,8 @@ def factor_lie(datum, fi, block):
     for coords in sorted(recipes, key=sum):
         i, lower, c = recipes[coords]
         simple = simple_coords(frank, i)
-        x[coords] = mat_scale(Fraction(1, 1) / c, comm(x[simple], x[lower]))
-        y[coords] = comm(y[simple], y[lower])
+        x[coords] = sparse_scale(Fraction(1, 1) / c, sparse_comm(x[simple], x[lower]))
+        y[coords] = sparse_comm(y[simple], y[lower])
     out = [(("h", gi), block.h[loc]) for loc, gi in enumerate(idxs)]
     for r in positive_roots(_single_factor_datum(letter, frank)):
         g = [0] * datum.rank
@@ -278,9 +294,28 @@ def factor_lie(datum, fi, block):
     return out
 
 
+def float_stack(mats, n):
+    """The (len(mats), n, n) float array of square matrices given by sparse
+    rows."""
+    index, values = [], []
+    for k, m in enumerate(mats):
+        for i, row in enumerate(m):
+            for j, x in row:
+                index.append((k, i, j))
+                values.append(float(x))
+    out = np.zeros((len(mats), n, n))
+    if index:
+        out[tuple(np.array(index).T)] = values
+    return out
+
+
 @dataclass(frozen=True)
 class MatrixRep:
-    """A concrete symplectic module: exact matrices plus float mirrors."""
+    """A concrete symplectic module: exact matrices, held as sparse rows (see
+    `linalg`), plus float mirrors.  The model is weight graded: basis vector
+    a has weight weight_labels[a], and the Lie basis element of a root alpha
+    maps the weight space V_mu into V_(mu + alpha), so an exact reader takes
+    only the rows of the weight it needs."""
 
     spec: object
     datum: object
@@ -292,28 +327,28 @@ class MatrixRep:
     blocks: tuple        # (kind, weight, start, size) per plan block copy
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "j", np.array(self.j_exact, dtype=float)
-        )
-        object.__setattr__(self, "j_rows", sparse_rows(self.j_exact))
+        object.__setattr__(self, "j", float_stack([self.j_exact], self.dim)[0])
         # (L, n, n); L is 0 for the trivial group
-        object.__setattr__(
-            self,
-            "lie",
-            np.array(self.lie_exact, dtype=float).reshape(
-                len(self.lie_exact), self.dim, self.dim
-            ),
-        )
+        object.__setattr__(self, "lie", float_stack(self.lie_exact, self.dim))
         object.__setattr__(
             self,
             "lie_index",
             {lab: i for i, lab in enumerate(self.lie_labels)},
         )
-        object.__setattr__(
-            self,
-            "_root_lookup",
-            {r.vec: r.coords for r in positive_roots(self.datum)},
-        )
+        weight_index = {}
+        for a, w in enumerate(self.weight_labels):
+            weight_index.setdefault(w, []).append(a)
+        object.__setattr__(self, "weight_index", weight_index)
+        # the weight shift of each Lie basis element
+        zero = (0,) * self.datum.ambient_dim
+        shift = {lab: zero for lab in self.lie_labels}
+        lookup = {}
+        for r in positive_roots(self.datum):
+            shift["e", r.coords] = r.vec
+            shift["f", r.coords] = tuple(-x for x in r.vec)
+            lookup[r.vec] = r.coords
+        object.__setattr__(self, "weight_shift", shift)
+        object.__setattr__(self, "_root_lookup", lookup)
 
     def root_coords(self, vec):
         """Simple-root coordinates in the model's datum of a positive root
@@ -342,14 +377,33 @@ class MatrixRep:
         return w
 
     def omega_row(self, u):
-        """The functional omega(u, .) as a row vector.  Exact."""
-        return mat_vec(transpose(self.j_exact), u)
+        """The functional omega(u, .) as a row vector, from the rows of J
+        where u is nonzero.  Exact."""
+        out = [0] * self.dim
+        for a, ua in enumerate(u):
+            if ua:
+                for b, x in self.j_exact[a]:
+                    out[b] += ua * x
+        return tuple(map(canon, out))
+
+    def act_exact(self, label, v):
+        """X v for the Lie basis element X of the label and a nonzero weight
+        homogeneous v: X v lies in one weight space, and only the rows of X
+        of that weight are read.  Exact."""
+        mu = tuple(map(add, self.weight_of(v), self.weight_shift[label]))
+        m = self.lie_exact[self.lie_index[label]]
+        out = [0] * self.dim
+        for i in self.weight_index.get(cvec(mu), ()):
+            out[i] = canon(sum(x * v[j] for j, x in m[i]))
+        return tuple(out)
 
     def lie_matrix(self, label):
         return self.lie[self.lie_index[label]]
 
     def lie_matrix_exact(self, label):
-        return self.lie_exact[self.lie_index[label]]
+        """A dense view of the exact matrix of the label, built on each call:
+        for tests and oracles, not for the library's own paths."""
+        return dense(self.lie_exact[self.lie_index[label]], self.dim)
 
     def coweight_action(self, functional):
         """Diagonal action of a torus element given as a coweight functional."""
@@ -359,7 +413,11 @@ class MatrixRep:
         return float(np.asarray(u) @ self.j @ np.asarray(v))
 
     def omega_exact(self, u, v):
-        return vdot(u, mat_vec(self.j_exact, v))
+        s = 0
+        for a, ua in enumerate(u):
+            if ua:
+                s += ua * sum(x * v[b] for b, x in self.j_exact[a])
+        return canon(s)
 
 
 def _summand_matrices(datum, weight):
@@ -380,8 +438,8 @@ def _summand_matrices(datum, weight):
         # I_{d0} x ... x mat x ... x I_{dn}
         out = None
         for k, d in enumerate(dims):
-            piece = mat if k == fpos else identity(d)
-            out = piece if out is None else kron(out, piece)
+            piece = mat if k == fpos else sparse_diagonal((1,) * d)
+            out = piece if out is None else sparse_kron(out, piece)
         return out
 
     gens = {}
@@ -392,7 +450,7 @@ def _summand_matrices(datum, weight):
     base = sum(n for _, n in datum.factors)
     for l in range(datum.ambient_dim - base):
         charge = weight[base + l]
-        gens[("z", l)] = mat_scale(charge, identity(total))
+        gens[("z", l)] = sparse_diagonal((charge,) * total)
     # weight labels: local weights reassembled into ambient coordinates
     labels = []
     for combo in itertools.product(*(range(d) for d in dims)):
@@ -411,7 +469,8 @@ def _dual_pair(gens, labels, kind, weight):
     """The block U + U* of a summand with its canonical pairing form."""
     n = len(labels)
     merged = {
-        k: blockdiag([m, mat_scale(-1, transpose(m))]) for k, m in gens.items()
+        k: sparse_blockdiag([m, sparse_scale(-1, sparse_transpose(m))])
+        for k, m in gens.items()
     }
     mlabels = labels + tuple(cvec(tuple(-x for x in w)) for w in labels)
     return merged, mlabels, _hyperbolic_form(n), kind, weight
@@ -421,13 +480,13 @@ def _invariant_symplectic_form(blocks):
     """The invariant form of a lone symplectic summand: the Kronecker product,
     in tensor order, of its factor blocks' closed-form forms.  Row 0 of each
     factor form is a single +1, so the first nonzero entry of J is one."""
-    j = ((1,),)
+    j = (((0, 1),),)
     for b in blocks:
         if b.form is None:
             raise InternalConsistencyError(
                 "symplectic summand has a factor block without an invariant form"
             )
-        j = kron(j, b.form)
+        j = sparse_kron(j, b.form)
     return j
 
 
@@ -468,11 +527,8 @@ def build_rep(spec):
         + [("z", l) for l in range(datum.central_rank)]
         + [(side, r.coords) for r in positive_roots(datum) for side in "ef"]
     )
-    lie_mats = [
-        blockdiag([p[0][lab] for p in parts]) if parts else ()
-        for lab in lie_labels
-    ]
-    jfull = blockdiag([p[2] for p in parts])
+    lie_mats = [sparse_blockdiag([p[0][lab] for p in parts]) for lab in lie_labels]
+    jfull = sparse_blockdiag([p[2] for p in parts])
     labels_full = tuple(l for p in parts for l in p[1])
     blocks = []
     off = 0
@@ -495,31 +551,36 @@ def build_rep(spec):
 
 
 def _check_rep(rep):
-    """Exact structural invariants of a freshly built model."""
+    """Exact structural invariants of a freshly built model, over the
+    nonzero entries of its matrices."""
     datum = rep.datum
     j = rep.j_exact
-    if transpose(j) != mat_scale(-1, j):
+    if sparse_transpose(j) != sparse_scale(-1, j):
         raise InternalConsistencyError("J is not skew")
-    if rank(j) != rep.dim:
+    if sparse_rank(j) != rep.dim:
         raise InternalConsistencyError("J is degenerate")
-    # products run over nonzero entries only: the model is block diagonal
-    # and its Lie basis matrices are mostly zero
-    rows = {}
+    labels = rep.weight_labels
     for lab, mat in zip(rep.lie_labels, rep.lie_exact):
-        rows[lab] = sparse_rows(mat)
         # infinitesimal invariance X^T J = -J X
-        xtj = sparse_mul(sparse_rows(transpose(mat)), rep.j_rows)
-        if xtj != {key: -x for key, x in sparse_mul(rep.j_rows, rows[lab]).items()}:
+        xtj = sparse_mul(sparse_transpose(mat), j)
+        if xtj != {key: -x for key, x in sparse_mul(j, mat).items()}:
             raise InternalConsistencyError(f"form not invariant under {lab}")
-        if lab[0] == "h" and mat != diagonal(
+        if lab[0] == "h" and mat != sparse_diagonal(
             rep.coweight_action(datum.simple_coroots[lab[1]])
         ):
             raise InternalConsistencyError(
                 f"Cartan matrix {lab} disagrees with weight labels"
             )
+        # the weight grading the exact readers rely on
+        shift = rep.weight_shift[lab]
+        for i, row in enumerate(mat):
+            for k, _ in row:
+                if labels[i] != tuple(map(add, labels[k], shift)):
+                    raise InternalConsistencyError(f"{lab} breaks the weight grading")
     # [e_alpha, f_alpha] = alpha^vee on each weight space
     for r in positive_roots(datum):
-        e, f = rows["e", r.coords], rows["f", r.coords]
+        e = rep.lie_exact[rep.lie_index["e", r.coords]]
+        f = rep.lie_exact[rep.lie_index["f", r.coords]]
         br = sparse_mul(e, f)
         for key, x in sparse_mul(f, e).items():
             br[key] = br.get(key, 0) - x
@@ -540,6 +601,15 @@ def _check_rep(rep):
         )
 
 
+def _cut(rep, group, values):
+    """The combinations of the columns of group that every functional kills,
+    values holding one row of functional values on the columns per
+    functional: a raw nullspace basis, or group itself when all vanish."""
+    if all(not any(r) for r in values):
+        return list(group)
+    return [lincomb(c, group, rep.dim) for c in nullspace(values, len(group))]
+
+
 def cut_columns(rep, cols, rows):
     """Intersect the span of weight-homogeneous columns with the joint kernel
     of the functionals rows, weight space by weight space: a raw nullspace
@@ -552,35 +622,39 @@ def cut_columns(rep, cols, rows):
     out = []
     for w in sorted(by_weight):
         group = by_weight[w]
-        cmat = [[vdot(row, col) for col in group] for row in rows]
-        if all(all(x == 0 for x in r) for r in cmat):
-            out.extend(group)
-            continue
-        for coeffs in nullspace(cmat, len(group)):
-            out.append(lincomb(coeffs, group, rep.dim))
+        values = [[vdot(row, col) for col in group] for row in rows]
+        out.extend(_cut(rep, group, values))
     return out
 
 
 def weight_kernel(rep, weight, side="e", columns=None, simple_roots=None):
     """The vectors of the given weight inside the span of the columns that
     every `side` matrix ("e" raising, "f" lowering) of the given simple roots
-    kills: cut_columns on the weight's columns, with the nonzero rows of
-    those matrices as the functionals.
+    kills, as cut_columns gives them with the nonzero rows of those matrices
+    as the functionals.  A matrix of the root alpha maps the weight's columns
+    into the weight space of weight + alpha (weight - alpha for "f"), so only
+    its rows there are read; every other row vanishes on the columns.
 
     Columns must be weight homogeneous; by default they are the standard basis
-    of the whole model, and the roots are the model's own simple roots."""
+    vectors of the weight, and the roots are the model's own simple roots."""
     weight = cvec(weight)
     if columns is None:
-        columns = identity(rep.dim)
+        columns = [
+            tuple(int(a == i) for a in range(rep.dim))
+            for i in rep.weight_index.get(weight, ())
+        ]
     if simple_roots is None:
         simple_roots = rep.datum.simple_roots
-    rows = [
-        row
-        for root in simple_roots
-        for row in rep.lie_matrix_exact((side, rep.root_coords(root)))
-        if any(row)
-    ]
-    return cut_columns(rep, [c for c in columns if rep.weight_of(c) == weight], rows)
+    group = [c for c in columns if rep.weight_of(c) == weight]
+    values = []
+    for root in simple_roots:
+        label = (side, rep.root_coords(root))
+        m = rep.lie_exact[rep.lie_index[label]]
+        target = cvec(map(add, weight, rep.weight_shift[label]))
+        for i in rep.weight_index.get(target, ()):
+            if m[i]:
+                values.append([sum(x * col[j] for j, x in m[i]) for col in group])
+    return _cut(rep, group, values)
 
 
 def hyperbolic_partner(rep, v0, candidates):

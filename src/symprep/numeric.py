@@ -20,8 +20,8 @@ from .errors import (
     SingularSystem,
     SOutsideDomain,
 )
-from .linalg import cvec, mat_vec, nullspace, vdot
-from .matrixrep import _reference_block, factor_lie, hyperbolic_pair
+from .linalg import cvec, nullspace, vdot
+from .matrixrep import _reference_block, factor_lie, float_stack, hyperbolic_pair
 from .reduction import delta_u_roots
 from .rootdata import build_root_datum, positive_roots, weyl_degrees
 
@@ -128,9 +128,10 @@ class _FactorFrame:
         letter, frank = datum.factors[fi]
         self.letter, self.frank = letter, frank
         self.idxs = datum.standard_order[fi]
-        lie = factor_lie(datum, fi, _reference_block(letter, frank))
+        ref = _reference_block(letter, frank)
+        lie = factor_lie(datum, fi, ref)
         self.pos = np.array([rep.lie_index[label] for label, _ in lie])
-        self.mats = np.array([m for _, m in lie], dtype=float)
+        self.mats = float_stack([m for _, m in lie], ref.dim)
         gram = np.einsum("fab,gba->fg", self.mats, self.mats)
         self.gram_inv = np.linalg.inv(gram)
         self.gram_t_inv = np.linalg.inv(gram[:frank, :frank])
@@ -150,10 +151,44 @@ class _FactorFrame:
         if self.letter in "BCD":
             return charpoly_coeffs(mat)[..., 1::2]
         return np.stack(
-            [np.trace(np.linalg.matrix_power(mat, d), axis1=-2, axis2=-1)
-             for d in self.degrees],
+            [np.trace(p, axis1=-2, axis2=-1) for p in _powers(mat, self.degrees)],
             axis=-1,
         )
+
+
+def _powers(mat, degrees):
+    """X^d for each degree d, formed as numpy's matrix_power forms it, so
+    each is the same to the bit: by the bits of d from the lowest, the
+    squares X^(2^k) and the partial products being shared between degrees."""
+    squares = [mat]
+    partial = {}
+    out = []
+    for d in degrees:
+        if d == 1:
+            out.append(mat)
+            continue
+        if d <= 3:  # matrix_power's short cuts: X @ X and (X @ X) @ X
+            out.append(_square(squares, 1) if d == 2 else _square(squares, 1) @ mat)
+            continue
+        result, bits, k = None, (), 0
+        while d:
+            d, bit = divmod(d, 2)
+            if bit:
+                bits += (k,)
+                if bits not in partial:
+                    z = _square(squares, k)
+                    partial[bits] = z if result is None else result @ z
+                result = partial[bits]
+            k += 1
+        out.append(result)
+    return out
+
+
+def _square(squares, k):
+    """X^(2^k), the list of squares extended as needed."""
+    while len(squares) <= k:
+        squares.append(squares[-1] @ squares[-1])
+    return squares[k]
 
 
 def _frames(rep):
@@ -359,8 +394,8 @@ def slice_functionals(rep, roots, v0, v0m):
     rows = []
     for r in roots:
         coords = rep.root_coords(r.vec)
-        rows.append(rep.omega_row(mat_vec(rep.lie_matrix_exact(("f", coords)), v0)))
-        rows.append(rep.omega_row(mat_vec(rep.lie_matrix_exact(("e", coords)), v0m)))
+        rows.append(rep.omega_row(rep.act_exact(("f", coords), v0)))
+        rows.append(rep.omega_row(rep.act_exact(("e", coords), v0m)))
     return rows
 
 

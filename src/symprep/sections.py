@@ -28,11 +28,13 @@ from .linalg import (
     cvec,
     echelon_basis,
     identity,
+    int_scaled,
     is_zero_vec,
     lincomb,
     same_span,
     span_solver,
     transpose,
+    unscaled,
     vdot,
 )
 from .matrixrep import cut_columns, hyperbolic_pair, hyperbolic_partner, weight_kernel
@@ -41,33 +43,80 @@ from .reduction import run_reduction
 from .rootdata import positive_roots
 
 
+def _combine(point, terms):
+    """q/den + sum c v as (q', den') for a scaled point (q, den) and terms
+    (c, (entries, e)), each v = u/e given by the (index, u_index) pairs of
+    the int vector u where it is nonzero: one common denominator den', and
+    only int arithmetic on the entries."""
+    q, den = point
+    new, parts = den, []
+    for c, (entries, e) in terms:
+        if c:
+            num, cden = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+            new = lcm(new, cden * e)
+            parts.append((num, cden * e, entries))
+    k = new // den
+    out = [x * k for x in q] if k != 1 else list(q)
+    for num, d, entries in parts:
+        f = num * (new // d)
+        for a, u in entries:
+            out[a] += f * u
+    return out, new
+
+
+def _entries(v):
+    """A rational vector v as (entries, e) for _combine."""
+    q, e = int_scaled(v)
+    return [(a, x) for a, x in enumerate(q) if x], e
+
+
+def _weight_moments(rep, points, weights=None):
+    """1/2 sum_a p_a (Jp)_a w_a for every point p, given scaled as (q, den)
+    with p = q / den, over the weights w_a of the basis vectors (the weight
+    labels by default; a layer passes their pairings with its central
+    functional): with the weight labels, the pairing of the result with a
+    coweight functional xi is the moment 1/2 omega(xi p, p) of the torus
+    element xi.  Exact, in one int pass over the nonzero entries of J for
+    all points; each coordinate is one Fraction of the integer sum of
+    q_a (Jq)_a w_a over 2 den^2."""
+    if weights is None:
+        weights = rep.weight_labels
+    width = len(weights[0]) if weights else rep.datum.ambient_dim
+    accs = [[0] * width for _ in points]
+    for a, (row, w) in enumerate(zip(rep.j_exact, weights)):
+        nz = [(i, wi) for i, wi in enumerate(w) if wi]
+        if not row or not nz:
+            continue
+        for (q, _), acc in zip(points, accs):
+            qa = q[a]
+            if qa:
+                c = qa * sum(x * q[b] for b, x in row)
+                for i, wi in nz:
+                    acc[i] += c * wi
+    return [unscaled(acc, 2 * den * den) for acc, (_, den) in zip(accs, points)]
+
+
 def _weight_moment(rep, p):
-    """1/2 sum_a p_a (Jp)_a w_a over the weight labels w_a, as an ambient
-    vector: its pairing with a coweight functional xi is the moment
-    1/2 omega(xi p, p) of the torus element xi.  Exact, in ints: p is scaled
-    to q = den p by the lcm den of its denominators, only the nonzero
-    entries of J are multiplied, and each coordinate is one Fraction of the
-    integer sum of q_a (Jq)_a w_a over 2 den^2."""
-    den = lcm(*(x.denominator for x in p if type(x) is not int))
-    q = [int(x * den) for x in p]
-    acc = [0] * rep.datum.ambient_dim
-    for qa, row, w in zip(q, rep.j_rows, rep.weight_labels):
-        if qa:
-            c = qa * sum(x * q[b] for b, x in row)
-            for i, wi in enumerate(w):
-                acc[i] += c * wi
-    return tuple(canon(Fraction(x, 2 * den * den)) for x in acc)
+    """The ambient vector 1/2 sum_a p_a (Jp)_a w_a of one point (see
+    _weight_moments).  Exact."""
+    return _weight_moments(rep, [int_scaled(p)])[0]
 
 
-def torus_moment_exact(rep, p):
-    """The t*-valued moment of p as an ambient vector.  Exact.
+def _torus_moments(rep, points):
+    """The t*-valued moments of points given scaled as (q, den), as ambient
+    vectors.  Exact.
 
     Requires the model's datum to be freshly built, so that the j-th ambient
     coordinate is the pairing against the j-th simple coroot."""
     for i, c in enumerate(rep.datum.simple_coroots):
         if any(x != (1 if k == i else 0) for k, x in enumerate(c)):
             raise InternalConsistencyError("torus moment needs a fresh datum")
-    return _weight_moment(rep, p)
+    return _weight_moments(rep, points)
+
+
+def torus_moment_exact(rep, p):
+    """The t*-valued moment of p as an ambient vector (see _torus_moments)."""
+    return _torus_moments(rep, [int_scaled(p)])[0]
 
 
 @dataclass(frozen=True)
@@ -125,7 +174,11 @@ def _plan_solver(chis, killed, plan):
 def _apply_plan(plan, solve, a):
     """Coordinates (x_i, y_i) with sum x_i y_i chi_i = a modulo span(killed),
     from one solve with the solver of _plan_solver."""
-    sol = solve(cvec(a))
+    return _plan_coords(plan, solve(cvec(a)))
+
+
+def _plan_coords(plan, sol):
+    """The coordinates of _apply_plan from the solution of its solve."""
     if sol is None:
         raise DomainError("target outside the span of the section characters")
     coords = {}
@@ -274,26 +327,46 @@ class SectionMap:
     def apply(self, a):
         """Exact section value with t-moment equal to a; raises DomainError
         when a is outside the span of a*."""
-        a = cvec(a)
-        n = self.rep.dim
-        pairs = self.terminal_pairs
-        coords = _apply_plan(self.terminal_plan, self.terminal_solver, a)
-        coeffs, vecs = [], []
-        for i, pair in enumerate(pairs):
-            coeffs += coords[i]
-            vecs += [pair.x_vec, pair.y_vec]
-        p = lincomb(coeffs, vecs, n)
+        return self.points([a])[0]
+
+    def points(self, targets):
+        """The exact section values of a list of targets, as apply gives
+        them one by one.  Each point is carried as (q, den), an int vector
+        over its own common denominator: the terminal coordinates of every
+        target come from one product with the terminal solver, each layer's
+        x for every point from one int weight-moment pass, and one final
+        pass checks m_t(p) = a for each target."""
+        rep = self.rep
+        targets = [cvec(a) for a in targets]
+        count = len(self.terminal_pairs)
+        vecs = [
+            _entries(v)
+            for pair in self.terminal_pairs
+            for v in (pair.x_vec, pair.y_vec)
+        ]
+        pts = []
+        for sol in self.terminal_solver.all(targets):
+            coords = _plan_coords(self.terminal_plan, sol)
+            coeffs = [c for i in range(count) for c in coords[i]]
+            pts.append(_combine(([0] * rep.dim, 1), zip(coeffs, vecs)))
         for layer in reversed(self.layers):
-            t = vdot(a, layer.xi_c)
-            fv = vdot(_weight_moment(self.rep, p), layer.xi_c)
-            x = canon(Fraction(fv) - Fraction(t))  # y = 1
-            p = lincomb([1, x, 1], [p, layer.v0, layer.v0m], n)
-        m = torus_moment_exact(self.rep, p)
-        if m != a:
-            raise InternalConsistencyError(
-                f"section misses its target: m_t = {m}, wanted {a}"
-            )
-        return p
+            # the moments pair with the int functional e xi_c
+            xi, e = int_scaled(layer.xi_c)
+            pairing = [(vdot(w, xi),) for w in rep.weight_labels]
+            v0, v0m = _entries(layer.v0), _entries(layer.v0m)
+            moments = _weight_moments(rep, pts, pairing)
+            # y = 1: the pair contributes -x to the chi-part
+            xs = [
+                canon(Fraction(fv) / e - vdot(a, layer.xi_c))
+                for a, (fv,) in zip(targets, moments)
+            ]
+            pts = [_combine(p, [(x, v0), (1, v0m)]) for p, x in zip(pts, xs)]
+        for a, m in zip(targets, _torus_moments(rep, pts)):
+            if m != a:
+                raise InternalConsistencyError(
+                    f"section misses its target: m_t = {m}, wanted {a}"
+                )
+        return [unscaled(q, den) for q, den in pts]
 
 
 def build_section(rep, reduction, component_hint="x"):
@@ -380,7 +453,7 @@ def verify_section(rep, section, samples=20, seed=0):
         else:
             targets.append(zero)
     # every sample point and then the zero point, as one stack in chunks
-    points = np.array([section.apply(a) for a in targets + [zero]], dtype=float)
+    points = np.array(section.points(targets + [zero]), dtype=float)
     iv = np.concatenate([
         inv_moment_eval(rep, points[part])
         for part in _chunks(len(points), len(rep.lie) * rep.dim)
@@ -419,17 +492,18 @@ def rho_psg(datum, spec):
     pos = positive_roots(datum)
 
     def ok(rho):
+        # every test compares pairings, so they run on an int multiple
+        rho = int_scaled(rho)[0]
         if any(vdot(r.vec, rho) <= 0 for r in pos):
             return False
-        for t in terminal_hw:
-            for nt in nonterminal_hw:
-                if not vdot(t, rho) < vdot(nt, rho):
-                    return False
-        for i in range(len(weights)):
-            for j in range(i + 1, len(weights)):
-                if vdot(weights[i], rho) == vdot(weights[j], rho):
-                    return False
-        return True
+        # each weight's pairing once; the weights are distinct, and every
+        # highest weight is one of them
+        pairing = {w: vdot(w, rho) for w in weights}
+        if len(set(pairing.values())) < len(weights):
+            return False
+        return all(
+            pairing[t] < pairing[nt] for t in terminal_hw for nt in nonterminal_hw
+        )
 
     for p in _PRIMES:
         cand = cvec(

@@ -87,3 +87,34 @@ def verify_ladder():
         "A1_S7": spec(A1, [((7,), 1)]),
         "GL3_sd_x2": spec(gl3, [((1, 0, 1), 2), ((0, 1, -1), 2)]),
     }
+
+
+# Modules that only the generic irreducible construction models:
+# name -> (factors, summands, (rk_s, c_s, mf)).
+GENERIC_MODELS = {
+    "Sp6_wedge3": ([("C", 3)], [((0, 0, 1), 1)], (1, 0, True)),
+    "SL6_wedge3": ([("A", 5)], [((0, 0, 1, 0, 0), 1)], (1, 0, True)),
+    "A5_wedge2_dual": (
+        [("A", 5)], [((0, 1, 0, 0, 0), 1), ((0, 0, 0, 1, 0), 1)], (2, 1, False)
+    ),
+    "A3_mixed_rk3": (
+        [("A", 3)],
+        [((2, 0, 0), 1), ((0, 0, 2), 1), ((1, 0, 0), 1), ((0, 0, 1), 1)],
+        (3, 5, False),
+    ),
+    "D4_vec_x2": ([("D", 4)], [((1, 0, 0, 0), 2)], (1, 1, False)),
+    "B4_vec_x2": ([("B", 4)], [((1, 0, 0, 0), 2)], (1, 1, False)),
+    "G2_adj_x2": ([("G", 2)], [((0, 1), 2)], (2, 6, False)),
+    "D6_halfspin": ([("D", 6)], [((0, 0, 0, 0, 0, 1), 1)], (1, 0, True)),
+    "E6_27_dual": (
+        [("E", 6)], [((1, 0, 0, 0, 0, 0), 1), ((0, 0, 0, 0, 0, 1), 1)], (2, 1, False)
+    ),
+}
+
+
+def generic_models():
+    """name -> spec of GENERIC_MODELS."""
+    return {
+        name: spec(build_root_datum(factors), summands)
+        for name, (factors, summands, _) in GENERIC_MODELS.items()
+    }

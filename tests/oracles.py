@@ -31,16 +31,17 @@ from symprep.errors import (
 )
 from symprep.linalg import (
     canon,
-    comm,
     cvec,
+    dense,
     group_closure,
     is_zero_vec,
     lincomb,
     mat_mul,
-    mat_scale,
+    mat_sub,
     mat_vec,
     transpose,
     vdot,
+    vscale,
 )
 from symprep.matrixrep import (
     FactorBlock,
@@ -50,8 +51,41 @@ from symprep.matrixrep import (
     root_recipes,
     weight_kernel,
 )
+from symprep.classify import WeightStatus, weight_status
 from symprep.numeric import DOMAIN_TOL, RANK_TOL, factor_matrix_forms, seeded_samples
 from symprep.rootdata import positive_roots, rho_strict
+from symprep.sections import _apply_plan
+
+
+def dense_comm(a, b):
+    """A B - B A of dense matrices."""
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def dense_kron(a, b):
+    """The Kronecker product of dense matrices, every entry formed."""
+    if not a or not b:
+        return ()
+    bm, bn = len(b), len(b[0])
+    out = []
+    for arow in a:
+        for i in range(bm):
+            out.append(tuple(canon(x * b[i][j]) for x in arow for j in range(bn)))
+    return tuple(out)
+
+
+def dense_blockdiag(blocks):
+    """The block sum of dense square matrices, every entry formed."""
+    blocks = [b for b in blocks if b]
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                out[off + i][off + j] = canon(x)
+        off += len(b)
+    return tuple(tuple(r) for r in out)
 
 
 def rref_oracle(rows):
@@ -459,9 +493,10 @@ def sln_standard_block_oracle(n):
 
 
 def assembled_lie_oracle(rep):
-    """(labels, matrices) of a model's Lie action with every non-simple root
-    vector replayed by the bracket recipes on the assembled model's simple
-    root vectors, instead of on each factor block."""
+    """(labels, dense matrices) of a model's Lie action with every non-simple
+    root vector replayed by the bracket recipes, as dense brackets, on the
+    assembled model's simple root vectors, instead of on each factor
+    block."""
     datum = rep.datum
     x, y = {}, {}
     for fi, (letter, frank) in enumerate(datum.factors):
@@ -481,8 +516,9 @@ def assembled_lie_oracle(rep):
         recipes = root_recipes(letter, frank)
         for coords in sorted(recipes, key=sum):
             i, lower, c = recipes[coords]
-            lx[coords] = mat_scale(Fraction(1, 1) / c, comm(lx[simple(i)], lx[lower]))
-            ly[coords] = comm(ly[simple(i)], ly[lower])
+            bracket = dense_comm(lx[simple(i)], lx[lower])
+            lx[coords] = tuple(vscale(Fraction(1, 1) / c, row) for row in bracket)
+            ly[coords] = dense_comm(ly[simple(i)], ly[lower])
         x.update({glob(c): m for c, m in lx.items()})
         y.update({glob(c): m for c, m in ly.items()})
     labels = [("h", i) for i in range(datum.rank)]
@@ -576,7 +612,7 @@ def inv_moment_eval_oracle(rep, v):
     values = []
     for fi, (letter, frank) in enumerate(rep.datum.factors):
         lie = factor_lie(rep.datum, fi, _reference_block(letter, frank))
-        mats = [np.array(m, dtype=float) for _, m in lie]
+        mats = [np.array(dense(m, len(m)), dtype=float) for _, m in lie]
         gram = np.array([[float(np.trace(a @ b)) for b in mats] for a in mats])
         rhs = np.array([coords[rep.lie_index[lab]] for lab, _ in lie])
         u = np.linalg.inv(gram) @ rhs
@@ -607,9 +643,80 @@ def jacobian_oracle(rep, v):
 
 def weight_moment_oracle(rep, p):
     """1/2 sum_a p_a (Jp)_a w_a over Fractions, with a dense J p."""
-    jp = mat_vec(rep.j_exact, p)
+    jp = mat_vec(dense(rep.j_exact, rep.dim), p)
     coeffs = [Fraction(x) * y / 2 for x, y in zip(p, jp)]
     return lincomb(coeffs, rep.weight_labels, rep.datum.ambient_dim)
+
+
+def section_apply_oracle(section, a):
+    """A section's value at one target as one exact pass: its terminal
+    coordinates from one solve, the point built from them, then layer by
+    layer x from the weight moment over Fractions (weight_moment_oracle),
+    and the target checked against the moment of the result."""
+    a = cvec(a)
+    rep = section.rep
+    coords = _apply_plan(section.terminal_plan, section.terminal_solver, a)
+    coeffs, vecs = [], []
+    for i, pair in enumerate(section.terminal_pairs):
+        coeffs += coords[i]
+        vecs += [pair.x_vec, pair.y_vec]
+    p = lincomb(coeffs, vecs, rep.dim)
+    for layer in reversed(section.layers):
+        t = vdot(a, layer.xi_c)
+        fv = vdot(weight_moment_oracle(rep, p), layer.xi_c)
+        x = canon(Fraction(fv) - Fraction(t))  # y = 1
+        p = lincomb([1, x, 1], [p, layer.v0, layer.v0m], rep.dim)
+    m = weight_moment_oracle(rep, p)
+    if m != a:
+        raise InternalConsistencyError(
+            f"section misses its target: m_t = {m}, wanted {a}"
+        )
+    return p
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+           61, 67, 71, 73, 79, 83, 89, 97]
+
+
+def rho_psg_oracle(datum, spec):
+    """The separating one-parameter subgroup by the same candidate search,
+    each candidate tested pair by pair: two fresh pairings per pair of
+    weights and per pair of terminal and non-terminal highest weights."""
+    if datum.rank:
+        base = span_coords_oracle(transpose(datum.simple_roots), (1,) * datum.rank)
+    else:
+        base = cvec((0,) * datum.ambient_dim)
+    dim = datum.ambient_dim
+    statuses = {w: weight_status(spec, w) for w, _ in spec.summands}
+    terminal_hw = [w for w, s in statuses.items() if s is not WeightStatus.NON_TERMINAL]
+    nonterminal_hw = [w for w, s in statuses.items() if s is WeightStatus.NON_TERMINAL]
+    weights = sorted(spec.weight_multiset())
+    pos = positive_roots(datum)
+
+    def ok(rho):
+        if any(vdot(r.vec, rho) <= 0 for r in pos):
+            return False
+        for t in terminal_hw:
+            for nt in nonterminal_hw:
+                if not vdot(t, rho) < vdot(nt, rho):
+                    return False
+        for i in range(len(weights)):
+            for j in range(i + 1, len(weights)):
+                if vdot(weights[i], rho) == vdot(weights[j], rho):
+                    return False
+        return True
+
+    for p in _PRIMES:
+        cand = cvec(tuple(Fraction(base[k]) + Fraction(k + 1, p) for k in range(dim)))
+        if ok(cand):
+            return cand
+    for p in _PRIMES:
+        cand = cvec(
+            tuple(Fraction(base[k]) + Fraction(1, p ** (k + 1)) for k in range(dim))
+        )
+        if ok(cand):
+            return cand
+    raise InternalConsistencyError("no separating one-parameter subgroup found")
 
 
 def apply_plan_oracle(chis, killed, plan, a):

@@ -27,6 +27,7 @@ from symprep.errors import (
 )
 from symprep.reduction import analyze
 
+import corpus
 from corpus import catalog
 
 
@@ -202,21 +203,8 @@ def _spec_doc(simple, summands):
 # Modules that only the generic irreducible construction models,
 # with their (rk_s, c_s, mf).
 GENERIC_MODELS = {
-    "Sp6_wedge3": (_spec_doc([["C", 3]], [([0, 0, 1], 1)]), (1, 0, True)),
-    "SL6_wedge3": (_spec_doc([["A", 5]], [([0, 0, 1, 0, 0], 1)]), (1, 0, True)),
-    "A5_wedge2_dual": (
-        _spec_doc([["A", 5]], [([0, 1, 0, 0, 0], 1), ([0, 0, 0, 1, 0], 1)]),
-        (2, 1, False),
-    ),
-    "A3_mixed_rk3": (
-        _spec_doc([["A", 3]], [([2, 0, 0], 1), ([0, 0, 2], 1), ([1, 0, 0], 1),
-                               ([0, 0, 1], 1)]),
-        (3, 5, False),
-    ),
-    "D4_vec_x2": (_spec_doc([["D", 4]], [([1, 0, 0, 0], 2)]), (1, 1, False)),
-    "B4_vec_x2": (_spec_doc([["B", 4]], [([1, 0, 0, 0], 2)]), (1, 1, False)),
-    "G2_adj_x2": (_spec_doc([["G", 2]], [([0, 1], 2)]), (2, 6, False)),
-    "D6_halfspin": (_spec_doc([["D", 6]], [([0, 0, 0, 0, 0, 1], 1)]), (1, 0, True)),
+    name: (_spec_doc(factors, summands), expected)
+    for name, (factors, summands, expected) in corpus.GENERIC_MODELS.items()
 }
 
 

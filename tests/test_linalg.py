@@ -3,33 +3,50 @@ reference: same value and same type (int exactly when the result is
 integral) on int-only and on mixed int/Fraction inputs.  The fraction-free
 elimination behind `rref`, `rank`, `nullspace` and `echelon_basis` against
 Gauss-Jordan over Fractions, and the one exact coordinate solver,
-`span_solver`, against an rref of [M | v] per vector."""
+`span_solver`, against an rref of [M | v] per vector.  The sparse matrix
+algebra of the models against dense references that form every entry."""
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symprep import linalg
 from symprep.linalg import (
     canon,
     cvec,
+    dense,
     echelon_basis,
     identity,
     lincomb,
     mat_mul,
-    mat_scale,
     mat_vec,
     nullspace,
     rank,
     rref,
+    sparse_blockdiag,
+    sparse_comm,
+    sparse_kron,
+    sparse_mul,
+    sparse_rank,
+    sparse_rows,
+    sparse_scale,
+    sparse_transpose,
     span_solver,
+    transpose,
     vdot,
     vscale,
 )
 
-from oracles import nullspace_oracle, rref_oracle, span_coords_oracle
+from oracles import (
+    dense_blockdiag,
+    dense_comm,
+    dense_kron,
+    nullspace_oracle,
+    rref_oracle,
+    span_coords_oracle,
+)
 
 INTS = st.integers(-10 ** 20, 10 ** 20)
 ENTRIES = {
@@ -111,13 +128,13 @@ def test_lincomb_matches_fraction_reference(kind, data):
 
 @pytest.mark.parametrize("kind", sorted(ENTRIES))
 @given(data=st.data())
-def test_vscale_and_mat_scale_match_fraction_reference(kind, data):
+def test_vscale_and_sparse_scale_match_fraction_reference(kind, data):
     m, n = data.draw(SIZES), data.draw(SIZES)
     c = data.draw(st.one_of(ENTRIES[kind], st.sampled_from([0, 1, -1, Fraction(1, 1)])))
     a = _matrix(data, ENTRIES[kind], m, n)
     want = tuple(tuple(ref_canon(Fraction(c) * Fraction(x)) for x in row) for row in a)
     assert_same(vscale(c, a[0]), want[0])
-    assert_same(mat_scale(c, a), want)
+    assert_same(dense(sparse_scale(c, sparse_rows(a)), n), want)
 
 
 def test_length_mismatch_still_raises():
@@ -253,3 +270,60 @@ def test_int_elimination_makes_only_the_nonintegral_output_fractions(problem):
         made.clear()
         nullspace(rows, n)
         assert len(made) == sum(type(x) is Fraction for v in want_null for x in v)
+
+
+@given(problem=st.one_of(span_problems(SMALL), span_problems(SMALL_ENTRIES)))
+@example(problem=([], (0, 0), (1, 0)))
+def test_span_solver_all_equals_one_solve_per_vector(problem):
+    """The batched solve of a list of vectors equals one solve per vector by
+    repr, off the span too."""
+    basis, inside, anywhere = problem
+    solve = span_solver(basis)
+    vs = [inside, anywhere, cvec(Fraction(x) / 3 for x in inside), (0,) * len(inside)]
+    assert repr(solve.all(vs)) == repr([solve(v) for v in vs])
+    assert solve.all([]) == []
+
+
+@st.composite
+def square_matrix(draw, n):
+    """An n x n matrix of small ints, non-canonical Fractions and fractions,
+    with some rows and some columns zero."""
+    zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0)))) if n else set()
+    zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0)))) if n else set()
+    return tuple(
+        tuple(
+            0 if i in zero_rows or j in zero_cols else draw(SMALL_ENTRIES)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_sparse_algebra_matches_the_dense_references(data):
+    """The sparse commutator, Kronecker product and block sum equal the dense
+    references entry for entry and by repr, through the dense view; the
+    sparse rows of each hold exactly the nonzero entries of the dense result.
+    Transpose, product and rank agree with the dense ones."""
+    n = data.draw(st.integers(0, 5), label="n")
+    a, b = data.draw(square_matrix(n)), data.draw(square_matrix(n))
+    sa, sb = sparse_rows(a), sparse_rows(b)
+    cases = [(sparse_comm(sa, sb), dense_comm(a, b), n)]
+    p = data.draw(st.integers(0, 3), label="p")
+    c = data.draw(square_matrix(p))
+    cases.append((sparse_kron(sa, sparse_rows(c)), dense_kron(a, c), n * p))
+    blocks = data.draw(st.lists(st.integers(0, 4).flatmap(square_matrix), max_size=3))
+    cases.append((
+        sparse_blockdiag([sparse_rows(m) for m in blocks]),
+        dense_blockdiag(blocks),
+        sum(len(m) for m in blocks),
+    ))
+    for got, want, size in cases:
+        assert repr(dense(got, size)) == repr(want)
+        assert repr(got) == repr(sparse_rows(want))
+    assert sparse_transpose(sa) == sparse_rows(transpose(a))
+    assert sparse_mul(sa, sb) == {
+        (i, k): x for i, row in enumerate(mat_mul(a, b)) for k, x in enumerate(row) if x
+    }
+    assert sparse_rank(sa) == rank(a)

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from symprep.errors import BudgetExceeded, InternalConsistencyError
 from symprep.linalg import (
-    comm,
     cvec,
+    dense,
     identity,
-    mat_scale,
     mat_vec,
     rank,
     sparse_mul,
@@ -39,6 +38,7 @@ from symprep.rootdata import build_root_datum, cartan_matrix, positive_roots
 from corpus import A1, A2, C2, catalog, verify_ladder
 from oracles import (
     assembled_lie_oracle,
+    dense_comm,
     invariant_symplectic_form_oracle,
     rref_hyperbolic_pair_oracle,
     sl2_block_oracle,
@@ -49,13 +49,13 @@ from oracles import (
 def test_sp2_standard_model():
     rep = build_rep(validate_symplectic_spec(A1, [((1,), 1)]))
     assert rep.dim == 2
-    assert rep.j_exact == ((0, 1), (-1, 0))
+    assert dense(rep.j_exact, rep.dim) == ((0, 1), (-1, 0))
 
 
 def test_sl2_cubic_has_invariant_form():
     rep = build_rep(validate_symplectic_spec(A1, [((3,), 1)]))
     assert rep.dim == 4
-    j = np.array(rep.j_exact, dtype=float)
+    j = rep.j
     assert np.linalg.matrix_rank(j) == 4
     for m in rep.lie:
         assert np.max(np.abs(m.T @ j + j @ m)) == 0.0
@@ -65,9 +65,10 @@ def test_std_plus_dual_canonical_pairing():
     rep = build_rep(validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)]))
     assert rep.dim == 6
     # cotangent block form
+    j = dense(rep.j_exact, rep.dim)
     for a in range(3):
-        assert rep.j_exact[a][3 + a] == 1
-        assert rep.j_exact[3 + a][a] == -1
+        assert j[a][3 + a] == 1
+        assert j[3 + a][a] == -1
 
 
 def test_weight_multisets_match_combinatorics_across_catalog():
@@ -88,7 +89,7 @@ def test_bracket_relations_on_all_roots():
         for r in positive_roots(spec.datum):
             e = rep.lie_matrix_exact(("e", r.coords))
             f = rep.lie_matrix_exact(("f", r.coords))
-            br = comm(e, f)
+            br = dense_comm(e, f)
             diag = rep.coweight_action(r.coroot_vec)
             for a in range(rep.dim):
                 for b in range(rep.dim):
@@ -189,12 +190,23 @@ def test_generic_blocks_equal_the_closed_forms_of_type_a():
     basis entry for entry as their closed forms, forms included (sl_n,
     n >= 3, is not self-dual; n = 2 is S^1)."""
     for m in range(9):
-        got, want = _factor_block("A", 1, (m,)), sl2_block_oracle(m)
+        got, want = _factor_block("A", 1, (m,)), _sparse_block(sl2_block_oracle(m))
         assert got == want and repr(got) == repr(want), m
     for n in range(3, 7):
         got = _factor_block("A", n - 1, identity(n - 1)[0])
-        want = sln_standard_block_oracle(n)
+        want = _sparse_block(sln_standard_block_oracle(n))
         assert got == want and repr(got) == repr(want), n
+
+
+def _sparse_block(block):
+    """A FactorBlock of dense matrices with its matrices as sparse rows."""
+    def sparse(mats):
+        return tuple(map(sparse_rows, mats))
+
+    form = None if block.form is None else sparse_rows(block.form)
+    return replace(
+        block, e=sparse(block.e), f=sparse(block.f), h=sparse(block.h), form=form
+    )
 
 
 def _small_modules(cap=64):
@@ -223,8 +235,8 @@ SMALL_MODULES = _small_modules()
 
 
 def _entries(mat):
-    """A dense matrix as {(i, k): value} over its nonzero entries."""
-    return {(i, k): x for i, row in enumerate(sparse_rows(mat)) for k, x in row}
+    """A matrix given by sparse rows as {(i, k): value}."""
+    return {(i, k): x for i, row in enumerate(mat) for k, x in row}
 
 
 def _product(a, b, n):
@@ -289,7 +301,7 @@ def test_generic_block_relations(module):
     for x in e + f + h:
         xt = {(k, i): v for (i, k), v in x.items()}
         assert _product(xt, b, n) == {key: -v for key, v in _product(b, x, n).items()}
-    assert rank(block.form) == n
+    assert rank(dense(block.form, n)) == n
 
 
 def test_external_tensor_product_weights():
@@ -337,8 +349,11 @@ def test_closed_form_invariant_form_matches_the_nullspace_solve():
     ]
     for datum, weight in cases:
         gens, labels, blocks = _summand_matrices(datum, weight)
-        closed = _invariant_symplectic_form(blocks)
-        solved = invariant_symplectic_form_oracle(len(labels), gens)
+        n = len(labels)
+        closed = dense(_invariant_symplectic_form(blocks), n)
+        solved = invariant_symplectic_form_oracle(
+            n, {k: dense(m, n) for k, m in gens.items()}
+        )
         assert closed == solved, (datum.type_string(), weight)
         assert repr(closed) == repr(solved), (datum.type_string(), weight)
 
@@ -360,17 +375,22 @@ def test_check_rep_catches_each_broken_invariant():
     rep = build_rep(validate_symplectic_spec(C2, [((1, 0), 1)]))
     _check_rep(rep)
     n = rep.dim
-    j = rep.j_exact
+    j = dense(rep.j_exact, n)
     e1 = ("e", simple_coords(2, 0))
     labels = list(rep.weight_labels)
     a = 0
     b = next(k for k, w in enumerate(labels) if w[0] != labels[a][0])
     labels[a], labels[b] = labels[b], labels[a]
     cases = [
-        (replace(rep, j_exact=_set(j, 0, 1, j[0][1] + 1)), "J is not skew"),
-        (replace(rep, j_exact=((0,) * n,) * n), "J is degenerate"),
         (
-            _replace_lie(rep, e1, _set(rep.lie_matrix_exact(e1), 0, 0, 1)),
+            replace(rep, j_exact=sparse_rows(_set(j, 0, 1, j[0][1] + 1))),
+            "J is not skew",
+        ),
+        (replace(rep, j_exact=sparse_rows(((0,) * n,) * n)), "J is degenerate"),
+        (
+            _replace_lie(
+                rep, e1, sparse_rows(_set(rep.lie_matrix_exact(e1), 0, 0, 1))
+            ),
             f"form not invariant under {e1}",
         ),
         (
@@ -378,7 +398,11 @@ def test_check_rep_catches_each_broken_invariant():
             "Cartan matrix ('h', 0) disagrees with weight labels",
         ),
         (
-            _replace_lie(rep, e1, mat_scale(2, rep.lie_matrix_exact(e1))),
+            _replace_lie(
+                rep, e1, sparse_rows(tuple(
+                    tuple(2 * x for x in row) for row in rep.lie_matrix_exact(e1)
+                ))
+            ),
             f"[e,f] != coroot action for root {e1[1]}",
         ),
     ]
@@ -386,6 +410,25 @@ def test_check_rep_catches_each_broken_invariant():
         with pytest.raises(InternalConsistencyError) as info:
             _check_rep(broken)
         assert str(info.value) == message
+
+
+def test_check_rep_catches_a_broken_weight_grading():
+    """e_alpha + h_1 keeps J invariant but no longer maps V_mu into
+    V_(mu + alpha); the exact readers rely on that grading, so _check_rep
+    refuses it."""
+    rep = build_rep(validate_symplectic_spec(C2, [((1, 0), 1)]))
+    e1 = ("e", simple_coords(2, 0))
+    broken = sparse_rows(
+        tuple(
+            tuple(x + y for x, y in zip(row_e, row_h))
+            for row_e, row_h in zip(
+                rep.lie_matrix_exact(e1), rep.lie_matrix_exact(("h", 0))
+            )
+        )
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        _check_rep(_replace_lie(rep, e1, broken))
+    assert str(info.value) == f"{e1} breaks the weight grading"
 
 
 def _oracle_models():
@@ -409,7 +452,7 @@ def test_per_block_lie_action_and_hyperbolic_pair_match_the_oracles(name):
     rep = build_rep(_oracle_models()[name])
     labels, mats = assembled_lie_oracle(rep)
     assert rep.lie_labels == labels
-    assert repr(rep.lie_exact) == repr(mats)
+    assert repr(tuple(map(rep.lie_matrix_exact, labels))) == repr(mats)
     for chi, _ in rep.spec.summands:
         got = hyperbolic_pair(rep, chi)
         assert None not in got, chi

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symprep import linalg
-from symprep.errors import DomainError
+from symprep.errors import DomainError, InternalConsistencyError
 from symprep.linalg import cvec, lincomb, same_span
 from symprep.matrixrep import build_rep
 from symprep.numeric import inv_moment_eval
 from symprep.reduction import run_reduction
 from symprep.reps import validate_symplectic_spec
+from symprep.rootdata import build_root_datum
 from symprep.sections import (
     _apply_plan,
     _plan_pairs,
@@ -25,8 +27,23 @@ from symprep.sections import (
     verify_section,
 )
 
-from corpus import A1, A2, C2, T1, T2, catalog, verify_ladder
-from oracles import apply_plan_oracle, weight_moment_oracle
+from corpus import (
+    A1,
+    A2,
+    C2,
+    T1,
+    T2,
+    ANALYZE_LADDER,
+    catalog,
+    generic_models,
+    verify_ladder,
+)
+from oracles import (
+    apply_plan_oracle,
+    rho_psg_oracle,
+    section_apply_oracle,
+    weight_moment_oracle,
+)
 
 
 def _rep(datum, summands):
@@ -302,3 +319,81 @@ def test_one_terminal_solve_equals_the_peeled_solves(problem):
                 _apply_plan(plan, solve, a)
             continue
         assert repr(_apply_plan(plan, solve, a)) == repr(want)
+
+
+def _model_specs():
+    """The 22 verify-models specs (the catalog and the verify ladder) and
+    the generic-model specs."""
+    specs = {name: sp for name, (sp, _) in catalog().items()}
+    specs.update(verify_ladder())
+    specs.update(generic_models())
+    return specs
+
+
+MODEL_SPECS = _model_specs()
+
+
+def _targets(basis, n):
+    """Zero and combinations of the a* basis with denominators 1, 2 and 3."""
+    targets = [cvec((0,) * n)]
+    if basis:
+        k = len(basis)
+        for coeffs in (
+            [Fraction(1, 2)] * k,
+            [Fraction(-2, 3)] * k,
+            [Fraction(i + 1, 2 + i % 2) for i in range(k)],
+            [3 - 2 * i for i in range(k)],
+        ):
+            targets.append(lincomb(coeffs, basis, n))
+    return targets
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_SPECS))
+def test_batched_section_points_equal_the_per_target_oracle(name):
+    """In both charts, the points of one batched pass equal, by repr, one
+    exact pass per target (section_apply_oracle), and apply is the batch of
+    one."""
+    spec = MODEL_SPECS[name]
+    rep = build_rep(spec)
+    reduction = run_reduction(spec)
+    for chart in ("x", "y"):
+        sec = build_section(rep, reduction, chart)
+        targets = _targets(sec.a_star_basis, rep.datum.ambient_dim)
+        want = [section_apply_oracle(sec, a) for a in targets]
+        assert repr(sec.points(targets)) == repr(want), chart
+        assert repr([sec.apply(a) for a in targets]) == repr(want), chart
+
+
+@pytest.mark.parametrize("name", ["A2_sd_x2", "sl2_two_standards"])
+def test_a_tampered_section_layer_misses_its_target(name):
+    """A layer whose v0^- is doubled no longer pairs to one with v0, so the
+    batched pass and the oracle both refuse the point they build."""
+    spec = MODEL_SPECS[name]
+    rep = build_rep(spec)
+    sec = build_section(rep, run_reduction(spec))
+    assert sec.layers
+    layer = replace(sec.layers[0], v0m=cvec(2 * x for x in sec.layers[0].v0m))
+    tampered = replace(sec, layers=(layer,) + sec.layers[1:])
+    a = _targets(sec.a_star_basis, rep.datum.ambient_dim)[1]
+    with pytest.raises(InternalConsistencyError) as info:
+        tampered.points([a])
+    assert str(info.value).startswith("section misses its target: m_t = ")
+    with pytest.raises(InternalConsistencyError) as want:
+        section_apply_oracle(tampered, a)
+    assert str(info.value) == str(want.value)
+
+
+def _rho_specs():
+    """The catalog, both ladders and the generic-model specs."""
+    specs = dict(MODEL_SPECS)
+    for name, (factors, summands) in ANALYZE_LADDER.items():
+        specs[name] = validate_symplectic_spec(build_root_datum(factors), summands)
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(_rho_specs()))
+def test_rho_psg_equals_the_pairwise_search(name):
+    """One pairing per weight and candidate, on ints, finds the rho of the
+    pairwise search over Fractions."""
+    spec = _rho_specs()[name]
+    assert repr(rho_psg(spec.datum, spec)) == repr(rho_psg_oracle(spec.datum, spec))
