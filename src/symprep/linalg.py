@@ -352,9 +352,7 @@ def span_solver(basis_rows):
     """The one exact coordinate solver: returns a function of v giving
     coefficients c with sum c_i basis_i = v (zero on the non-pivot basis
     rows), or None when v lies off the span.  A x = b is b over the columns
-    of A: span_solver(transpose(A))(b).  Its attribute `all` solves a list
-    of vectors at once: [solve(v) for v in vs], from one int product of T
-    with the vs, each scaled to ints by its own common denominator.
+    of A: span_solver(transpose(A))(b).
 
     Elimination on [M | I], with M the basis rows as columns, gives int rows
     [R | T] whose pivot rows divided by their pivots d_i are rref([M | I]);
@@ -362,17 +360,16 @@ def span_solver(basis_rows):
     coefficients are (T v)_i / d_i on the pivot rows, and v is in the span
     exactly when the other rows of T v vanish.  The basis is row-reduced
     once, for any number of v."""
+    if not basis_rows:
+        return lambda v: () if is_zero_vec(v) else None
     k = len(basis_rows)
-    if k:
-        cols = transpose(basis_rows)
-        m, pivots = _echelon([row + e for row, e in zip(cols, identity(len(cols)))])
-        pivots = [p for p in pivots if p < k]
-        dens = [row[p] for row, p in zip(m, pivots)]
-        t = tuple(tuple(row[k:]) for row in m)
+    cols = transpose(basis_rows)
+    m, pivots = _echelon([row + e for row, e in zip(cols, identity(len(cols)))])
+    pivots = [p for p in pivots if p < k]
+    dens = [row[p] for row, p in zip(m, pivots)]
+    t = tuple(tuple(row[k:]) for row in m)
 
     def solve(v):
-        if not k:
-            return () if is_zero_vec(v) else None
         y = mat_vec(t, v)
         if not is_zero_vec(y[len(pivots):]):
             return None
@@ -381,23 +378,6 @@ def span_solver(basis_rows):
             x[p] = _over(yi, d) if type(yi) is int else canon(yi / d)
         return tuple(x)
 
-    def solve_all(vs):
-        if not k:
-            return [solve(v) for v in vs]
-        scaled = [int_scaled(v) for v in vs]
-        out = []
-        products = mat_mul(t, transpose([q for q, _ in scaled]))
-        for y, (_, s) in zip(transpose(products), scaled):
-            if any(y[len(pivots):]):
-                out.append(None)
-                continue
-            x = [0] * k
-            for p, yi, d in zip(pivots, y, dens):
-                x[p] = _over(yi, d * s)
-            out.append(tuple(x))
-        return out
-
-    solve.all = solve_all
     return solve
 
 

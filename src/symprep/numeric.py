@@ -151,44 +151,10 @@ class _FactorFrame:
         if self.letter in "BCD":
             return charpoly_coeffs(mat)[..., 1::2]
         return np.stack(
-            [np.trace(p, axis1=-2, axis2=-1) for p in _powers(mat, self.degrees)],
+            [np.trace(np.linalg.matrix_power(mat, d), axis1=-2, axis2=-1)
+             for d in self.degrees],
             axis=-1,
         )
-
-
-def _powers(mat, degrees):
-    """X^d for each degree d, formed as numpy's matrix_power forms it, so
-    each is the same to the bit: by the bits of d from the lowest, the
-    squares X^(2^k) and the partial products being shared between degrees."""
-    squares = [mat]
-    partial = {}
-    out = []
-    for d in degrees:
-        if d == 1:
-            out.append(mat)
-            continue
-        if d <= 3:  # matrix_power's short cuts: X @ X and (X @ X) @ X
-            out.append(_square(squares, 1) if d == 2 else _square(squares, 1) @ mat)
-            continue
-        result, bits, k = None, (), 0
-        while d:
-            d, bit = divmod(d, 2)
-            if bit:
-                bits += (k,)
-                if bits not in partial:
-                    z = _square(squares, k)
-                    partial[bits] = z if result is None else result @ z
-                result = partial[bits]
-            k += 1
-        out.append(result)
-    return out
-
-
-def _square(squares, k):
-    """X^(2^k), the list of squares extended as needed."""
-    while len(squares) <= k:
-        squares.append(squares[-1] @ squares[-1])
-    return squares[k]
 
 
 def _frames(rep):

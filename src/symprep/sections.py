@@ -115,7 +115,9 @@ def _torus_moments(rep, points):
 
 
 def torus_moment_exact(rep, p):
-    """The t*-valued moment of p as an ambient vector (see _torus_moments)."""
+    """The t*-valued moment of one point p as an ambient vector (see
+    _torus_moments).  Public: the exact check m_t(sigma(a)) = a on a
+    section's values."""
     return _torus_moments(rep, [int_scaled(p)])[0]
 
 
@@ -161,7 +163,7 @@ def _plan_pairs(chis, killed, chart):
 
 
 def _plan_solver(chis, killed, plan):
-    """The one solver _apply_plan reads every coordinate from: the critical
+    """The one solver _plan_coords reads every coordinate from: the critical
     characters, then the basis characters (both in plan order, which puts
     the critical ones first), then the killed ones.  A critical character
     lies off the span of all the other rows, so its coefficient is the same
@@ -171,14 +173,9 @@ def _plan_solver(chis, killed, plan):
     return span_solver(rows + [cvec(k) for k in killed])
 
 
-def _apply_plan(plan, solve, a):
-    """Coordinates (x_i, y_i) with sum x_i y_i chi_i = a modulo span(killed),
-    from one solve with the solver of _plan_solver."""
-    return _plan_coords(plan, solve(cvec(a)))
-
-
 def _plan_coords(plan, sol):
-    """The coordinates of _apply_plan from the solution of its solve."""
+    """Coordinates (x_i, y_i) with sum x_i y_i chi_i = a modulo span(killed),
+    from the solution sol of a with the solver of _plan_solver."""
     if sol is None:
         raise DomainError("target outside the span of the section characters")
     coords = {}
@@ -332,10 +329,9 @@ class SectionMap:
     def points(self, targets):
         """The exact section values of a list of targets, as apply gives
         them one by one.  Each point is carried as (q, den), an int vector
-        over its own common denominator: the terminal coordinates of every
-        target come from one product with the terminal solver, each layer's
-        x for every point from one int weight-moment pass, and one final
-        pass checks m_t(p) = a for each target."""
+        over its own common denominator: each layer's x for every point
+        comes from one int weight-moment pass, and one final pass checks
+        m_t(p) = a for each target."""
         rep = self.rep
         targets = [cvec(a) for a in targets]
         count = len(self.terminal_pairs)
@@ -345,8 +341,8 @@ class SectionMap:
             for v in (pair.x_vec, pair.y_vec)
         ]
         pts = []
-        for sol in self.terminal_solver.all(targets):
-            coords = _plan_coords(self.terminal_plan, sol)
+        for a in targets:
+            coords = _plan_coords(self.terminal_plan, self.terminal_solver(a))
             coeffs = [c for i in range(count) for c in coords[i]]
             pts.append(_combine(([0] * rep.dim, 1), zip(coeffs, vecs)))
         for layer in reversed(self.layers):

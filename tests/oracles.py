@@ -54,7 +54,7 @@ from symprep.matrixrep import (
 from symprep.classify import WeightStatus, weight_status
 from symprep.numeric import DOMAIN_TOL, RANK_TOL, factor_matrix_forms, seeded_samples
 from symprep.rootdata import positive_roots, rho_strict
-from symprep.sections import _apply_plan
+from symprep.sections import _plan_coords
 
 
 def dense_comm(a, b):
@@ -655,7 +655,7 @@ def section_apply_oracle(section, a):
     and the target checked against the moment of the result."""
     a = cvec(a)
     rep = section.rep
-    coords = _apply_plan(section.terminal_plan, section.terminal_solver, a)
+    coords = _plan_coords(section.terminal_plan, section.terminal_solver(a))
     coeffs, vecs = [], []
     for i, pair in enumerate(section.terminal_pairs):
         coeffs += coords[i]

@@ -272,18 +272,6 @@ def test_int_elimination_makes_only_the_nonintegral_output_fractions(problem):
         assert len(made) == sum(type(x) is Fraction for v in want_null for x in v)
 
 
-@given(problem=st.one_of(span_problems(SMALL), span_problems(SMALL_ENTRIES)))
-@example(problem=([], (0, 0), (1, 0)))
-def test_span_solver_all_equals_one_solve_per_vector(problem):
-    """The batched solve of a list of vectors equals one solve per vector by
-    repr, off the span too."""
-    basis, inside, anywhere = problem
-    solve = span_solver(basis)
-    vs = [inside, anywhere, cvec(Fraction(x) / 3 for x in inside), (0,) * len(inside)]
-    assert repr(solve.all(vs)) == repr([solve(v) for v in vs])
-    assert solve.all([]) == []
-
-
 @st.composite
 def square_matrix(draw, n):
     """An n x n matrix of small ints, non-canonical Fractions and fractions,
