@@ -2,6 +2,9 @@
 reductive groups: exact root data and weight combinatorics, the iterated
 local-structure reduction (rank, complexity, little Weyl group, isotropy),
 explicit matrix models, and numeric verification of the structure theory.
+
+The package root exports the exact layers; the float layer (`numeric`,
+`sections`, `verify`) loads numpy and is imported from its own modules.
 """
 
 __version__ = "0.1.0"
@@ -42,14 +45,3 @@ from .reduction import (
     run_reduction,
 )
 from .matrixrep import MatrixRep, build_rep, find_hw_vectors
-from .numeric import (
-    gradient_bracket,
-    inv_moment_eval,
-    local_frame,
-    moment_eval,
-    orbit_estimates,
-    phi_solve_q_embed,
-    verify_commute,
-)
-from .sections import build_section, char_reduction_phi, rho_psg, torus_section
-from .verify import verify_suite

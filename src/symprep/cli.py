@@ -40,7 +40,6 @@ from .errors import (
 from .reduction import DEFAULT_HILBERT_DEGREE, analyze, reduce_to_gamma
 from .reps import DEFAULT_SYM_DEGREE_BUDGET, invariant_dims, validate_symplectic_spec
 from .rootdata import DEFAULT_WEYL_CAP, build_root_datum, check_declared_weyl_cap
-from .verify import check_samples, verify_suite
 
 SCHEMA_VERSION = 1
 
@@ -350,6 +349,12 @@ def cmd_analyze(args, out, err):
 
 @_command
 def cmd_verify(args, out, err):
+    # numpy reads these when it is first imported, here; the models' matrices
+    # are small, so more BLAS threads only contend.  A value already set wins.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    from .verify import check_samples, verify_suite
+
     spec, options, echo = parse_spec(args.spec)
     for key in ("seed", "samples"):
         if getattr(args, key) is not None:

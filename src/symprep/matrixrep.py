@@ -29,8 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-import numpy as np
-
 from .errors import BudgetExceeded, InternalConsistencyError
 from .linalg import (
     canon,
@@ -297,6 +295,7 @@ def factor_lie(datum, fi, block):
 def float_stack(mats, n):
     """The (len(mats), n, n) float array of square matrices given by sparse
     rows."""
+    import numpy as np
     index, values = [], []
     for k, m in enumerate(mats):
         for i, row in enumerate(m):
@@ -410,6 +409,7 @@ class MatrixRep:
         return tuple(vdot(w, functional) for w in self.weight_labels)
 
     def omega(self, u, v):
+        import numpy as np
         return float(np.asarray(u) @ self.j @ np.asarray(v))
 
     def omega_exact(self, u, v):

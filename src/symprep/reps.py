@@ -348,10 +348,13 @@ def invariant_dims(
     datum = spec.datum
     dim_v = spec.dim
     if dim_v > dim_budget:
-        raise BudgetExceeded(f"dim V = {dim_v} exceeds budget {dim_budget}")
+        raise BudgetExceeded(
+            f"symmetric powers: dim V = {dim_v} exceeds budget {dim_budget}"
+        )
     if max_degree > DEFAULT_SYM_DEGREE_BUDGET:
         raise BudgetExceeded(
-            f"degree {max_degree} exceeds cap {DEFAULT_SYM_DEGREE_BUDGET}"
+            f"symmetric powers: degree {max_degree} exceeds cap "
+            f"{DEFAULT_SYM_DEGREE_BUDGET}"
         )
     check_weyl_cap(datum, weyl_cap)
     rho = rho_strict(datum)

@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -481,6 +484,158 @@ def test_hilbert_degree_at_the_cap_is_used_as_asked(tmp_path, capsys):
     assert report["options"]["hilbert_degree"] == 10
     assert main(["hilbert", path, "--degree", "10"]) == EXIT_OK
     assert len(json.loads(capsys.readouterr().out)["invariant_dims"]) == 11
+
+
+def test_symmetric_power_budget_errors_name_the_stage(tmp_path, capsys):
+    """Each budget of the symmetric powers names its stage, the measured
+    size and the cap."""
+    torus9 = _write(tmp_path, "torus9.json", TORUS9)
+    assert main(["hilbert", torus9, "--degree", "2"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "error: symmetric powers: dim V = 18 exceeds budget 16\n"
+    )
+    cubic = _write(tmp_path, "cubic.json", CUBIC)
+    assert main(["hilbert", cubic, "--degree", "11"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "error: symmetric powers: degree 11 exceeds cap 10\n"
+    )
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FLOAT_LAYER = ("numpy", "symprep.numeric", "symprep.sections", "symprep.verify")
+
+
+def _fresh_process(script, *args, env=None):
+    """Run script with args in a new interpreter that imports symprep from
+    this checkout, the BLAS thread variables unset unless env sets them;
+    return its stdout parsed as JSON."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(base, PYTHONPATH=src, **(env or {})),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+_IMPORT_SPLIT_PROBE = """
+import contextlib, io, json, sys
+
+spec, batch, *float_layer = sys.argv[1:]
+steps = []
+
+def step(name, run=lambda: 0):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run()
+    steps.append([name, code, [m for m in float_layer if m in sys.modules]])
+
+import symprep
+step("import symprep")
+from symprep import analyze, build_root_datum, validate_symplectic_spec, MatrixRep, build_rep
+step("public names")
+from symprep.cli import main
+step("import symprep.cli")
+for argv in (
+    ["analyze", spec],
+    ["analyze", spec, "--text", "--trace"],
+    ["gamma", spec],
+    ["hilbert", spec, "--degree", "6"],
+    ["batch", batch],
+):
+    step(" ".join(argv[:1] + argv[2:]), lambda: main(argv))
+step("verify", lambda: main(["verify", spec]))
+print(json.dumps(steps))
+"""
+
+
+def test_exact_commands_never_load_the_float_layer(tmp_path):
+    """numpy and the float layer load on the first `verify`, never with the
+    package, the CLI or an exact command."""
+    spec = _write(tmp_path, "sl3.json", SL3_STD_DUAL)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    _write(batch, "sp4.json", SP4)
+    _write(batch, "cubic.json", CUBIC)
+    *exact, last = _fresh_process(_IMPORT_SPLIT_PROBE, spec, str(batch), *FLOAT_LAYER)
+    assert [name for name, _, _ in exact] == [
+        "import symprep", "public names", "import symprep.cli", "analyze",
+        "analyze --text --trace", "gamma", "hilbert --degree 6", "batch",
+    ]
+    for name, code, loaded in exact:
+        assert (code, loaded) == (EXIT_OK, []), name
+    assert last == ["verify", EXIT_OK, list(FLOAT_LAYER)]
+
+
+_CACHE_OWNERS_PROBE = """
+import contextlib, io, json, sys
+
+def cache_owners():
+    owners = {}
+    for name, module in list(sys.modules.items()):
+        if name == "symprep" or name.startswith("symprep."):
+            for attr, value in vars(module).items():
+                if callable(getattr(value, "cache_clear", None)) or (
+                    isinstance(value, dict) and attr.upper().endswith("_CACHE")
+                ):
+                    owners.setdefault(id(value), f"{name}.{attr}")
+    return owners
+
+import symprep.cli
+at_import = cache_owners()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [symprep.cli.main([command, sys.argv[1]]) for command in ("analyze", "verify")]
+later = cache_owners()
+print(json.dumps({
+    "codes": codes,
+    "at_import": sorted(at_import.values()),
+    "late": sorted(later[k] for k in later.keys() - at_import.keys()),
+}))
+"""
+
+
+def test_every_cache_is_reachable_right_after_import(tmp_path):
+    """A caller that empties every cache it finds after `import symprep.cli`
+    (as the benchmark's cold runs do) must find all of them: no cache may
+    belong to a module that loads later.  Caches are compared by their
+    owning object, which stays the same, not by a bound `cache_clear`."""
+    got = _fresh_process(_CACHE_OWNERS_PROBE, _write(tmp_path, "sl3.json", SL3_STD_DUAL))
+    assert got["codes"] == [EXIT_OK, EXIT_OK]
+    assert got["late"] == []
+    for owner in ("_irreducible_block", "reference_weight", "_single_factor_datum",
+                  "root_recipes"):
+        assert f"symprep.matrixrep.{owner}" in got["at_import"], owner
+
+
+_BLAS_THREADS_PROBE = """
+import contextlib, io, json, os, sys
+from symprep.cli import main
+
+spec, *names = sys.argv[1:]
+at_numpy_import = []
+
+def record(event, args):
+    if event == "import" and args[0] == "numpy" and not at_numpy_import:
+        at_numpy_import.extend(os.environ.get(name) for name in names)
+
+sys.addaudithook(record)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", spec])
+print(json.dumps([code] + at_numpy_import))
+"""
+
+
+@pytest.mark.parametrize("preset, want", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+])
+def test_verify_defaults_blas_to_one_thread(tmp_path, preset, want):
+    """`verify` sets each BLAS thread variable to 1 before numpy loads
+    (numpy reads them then), unless it is already set."""
+    path = _write(tmp_path, "sl3.json", SL3_STD_DUAL)
+    got = _fresh_process(_BLAS_THREADS_PROBE, path, *BLAS_THREAD_VARS, env=preset)
+    assert got == [EXIT_OK] + want
 
 
 @pytest.mark.parametrize("argv, options, env, field", [

@@ -18,3 +18,43 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _loaded_at_import(path):
+    """Dotted names the import statements of a module load when it is
+    imported: every import outside function bodies (class bodies and
+    top-level if/try blocks run at import too); `from m import a` counts
+    as m and m.a, since a may be a submodule."""
+    names = set()
+    stack = list(ast.parse(path.read_text(), filename=str(path)).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = "symprep" + (f".{node.module}" if node.module else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_only_the_float_layer_imports_numpy_at_module_level():
+    """`import symprep.cli` loads the exact layers only.  numpy and the float
+    layer (`numeric`, `sections`, `verify`) load on the first `verify`, whose
+    command imports them; no other module may import them at module level."""
+    float_layer = {"symprep.numeric", "symprep.sections", "symprep.verify"}
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}: {name}"
+        for path in paths
+        if f"symprep.{path.stem}" not in float_layer
+        for name in sorted(_loaded_at_import(path))
+        if name.split(".")[0] == "numpy"
+        or ".".join(name.split(".")[:2]) in float_layer
+    ]
+    assert found == []
