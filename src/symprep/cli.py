@@ -108,7 +108,9 @@ def parse_spec(source):
         text = source
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an int literal past Python's
+        # digit limit; RecursionError, arrays or objects nested too deep
         raise SpecFormatError(f"not valid JSON: {exc}")
     problems = []
     if not isinstance(doc, dict):

@@ -8,8 +8,8 @@ deliberate.  A model matrix is held by its nonzero entries only, as sparse
 rows (see the section below): a root vector of a 56-dim module has at most
 a few dozen nonzero entries of 3136, so its products, brackets, Kronecker
 products and block sums (`sparse_mul`, `sparse_comm`, `sparse_kron`,
-`sparse_blockdiag`) form only products of nonzero entries, and
-`sparse_rank` row-reduces each block of linked rows and columns on its own.
+`sparse_blockdiag`) form only products of nonzero entries, and `dense` is a
+dense view of one.
 
 Most data are integers, so `canon`, `vdot`, `mat_vec`, `mat_mul` and
 `lincomb` compute in plain ints: a sum of products has type int exactly when
@@ -178,15 +178,16 @@ def sparse_scale(c, m):
     return tuple(tuple((j, canon(c * x)) for j, x in row) for row in m)
 
 
-def sparse_mul(a_rows, b_rows):
-    """The nonzero entries {(i, k): value} of A B, for A and B given by their
-    sparse rows: only products of nonzero entries are formed."""
-    out = {}
-    for i, row in enumerate(a_rows):
-        for j, x in row:
-            for k, y in b_rows[j]:
-                out[i, k] = out.get((i, k), 0) + x * y
-    return {key: v for key, v in out.items() if v}
+def sparse_mul(a, b):
+    """A B, over nonzero entries only."""
+    out = []
+    for arow in a:
+        acc = {}
+        for j, x in arow:
+            for k, y in b[j]:
+                acc[k] = acc.get(k, 0) + x * y
+        out.append(_sparse_row(acc) if acc else ())
+    return tuple(out)
 
 
 def sparse_comm(a, b):
@@ -223,35 +224,6 @@ def sparse_blockdiag(blocks):
         out.extend(tuple((off + j, canon(x)) for j, x in row) for row in b)
         off += len(b)
     return tuple(out)
-
-
-def sparse_rank(m):
-    """The rank of a matrix: the sum of the ranks of the blocks its nonzero
-    entries fall into, rows and columns being linked by an entry, each block
-    row-reduced on its own rows and columns."""
-    root = {}
-
-    def find(c):
-        while root[c] != c:
-            root[c] = c = root[root[c]]
-        return c
-
-    for row in m:
-        for j, _ in row:
-            root.setdefault(j, j)
-        for j, _ in row[1:]:
-            a, b = find(row[0][0]), find(j)
-            if a != b:
-                root[b] = a
-    blocks = {}
-    for row in m:
-        if row:
-            blocks.setdefault(find(row[0][0]), []).append(dict(row))
-    total = 0
-    for rows in blocks.values():
-        cols = sorted({j for r in rows for j in r})
-        total += rank([[r.get(j, 0) for j in cols] for r in rows])
-    return total
 
 
 def _int_rows(rows):

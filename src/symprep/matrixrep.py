@@ -1,11 +1,10 @@
 """Explicit Chevalley-basis matrix models of symplectic modules.
 
 Every irreducible of a simple factor is built from the factor's Cartan
-matrix alone (`_irreducible_block`); only the defining module of a type-C
-factor keeps a closed form.  A model is assembled from torus characters,
-external tensors of factor blocks across product factors, direct sums, and
-the canonical pairing form on U + U*.  Construction is exact over the
-rationals; float mirrors are attached for the numeric verification layer.
+matrix alone (`_irreducible_block`).  A model is assembled from torus
+characters, external tensors of factor blocks across product factors, direct
+sums, and the canonical pairing form on U + U*.  Construction is exact over
+the rationals; float mirrors are attached for the numeric verification layer.
 
 Root vectors beyond the simple ones are produced by bracket recipes whose
 scalars are calibrated once per factor in a faithful reference module, the
@@ -14,13 +13,14 @@ element acts consistently in every block.
 
 Every exact matrix (factor blocks, replayed root vectors, the assembled Lie
 basis and J) is held by its nonzero entries as sparse rows (see `linalg`),
-and no dense copy of a model is built: brackets, Kronecker products, block
-sums and the structural checks run over entries, and the float stacks
-`rep.lie` and `rep.j` are filled from them.  A model is weight graded (the
-Lie basis element of a root alpha maps V_mu into V_(mu + alpha), and
-`_check_rep` holds every matrix to that), so `weight_kernel`,
-`MatrixRep.act_exact` and `MatrixRep.omega_row` read only the rows of the
-weight they need.  `MatrixRep.lie_matrix_exact` is a dense view for tests.
+and no dense copy of a model is kept: products, brackets, Kronecker
+products, block sums and the structural checks run over entries (only J's
+rank is taken on a dense view), and the float stacks `rep.lie` and `rep.j`
+are filled from them.  A model is weight graded (the Lie basis element of a
+root alpha maps V_mu into V_(mu + alpha), and `_check_rep` holds every
+matrix to that), so `weight_kernel`, `MatrixRep.act_exact` and
+`MatrixRep.omega_row` read only the rows of the weight they need.
+`MatrixRep.lie_matrix_exact` is a dense view for tests.
 """
 
 import itertools
@@ -37,13 +37,13 @@ from .linalg import (
     identity,
     lincomb,
     nullspace,
+    rank,
     rref,
     sparse_blockdiag,
     sparse_comm,
     sparse_diagonal,
     sparse_kron,
     sparse_mul,
-    sparse_rank,
     sparse_scale,
     sparse_transpose,
     transpose,
@@ -81,23 +81,6 @@ def _matrix(dim, columns):
         for a, x in col.items():
             rows[a][b] = x
     return tuple(tuple((b, x) for b, x in sorted(r.items()) if x) for r in rows)
-
-
-def _spn_standard_block(n):
-    """The defining module of sp_2n on e_1..e_n, e_-1..e_-n (weights eps_j,
-    then -eps_j) with the hyperbolic form; each f_i is the transpose of e_i."""
-    dim = 2 * n
-    e = [_matrix(dim, {i + 1: {i: 1}, n + i: {n + i + 1: -1}}) for i in range(n - 1)]
-    e.append(_matrix(dim, {dim - 1: {n - 1: 1}}))
-    eps = [
-        tuple(int(j == i) - int(j == i + 1) for i in range(n - 1)) + (int(j == n - 1),)
-        for j in range(n)
-    ]
-    weights = tuple(eps) + tuple(tuple(-x for x in w) for w in eps)
-    h = tuple(sparse_diagonal(tuple(w[i] for w in weights)) for i in range(n))
-    return FactorBlock(
-        dim, tuple(e), tuple(map(sparse_transpose, e)), h, weights, _hyperbolic_form(n)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -194,18 +177,8 @@ def reference_weight(letter, rank):
     return min(((weyl_dim(datum, w), w) for w in identity(rank)), key=lambda p: p[0])
 
 
-def _factor_block(letter, rank, weight):
-    """The block of the factor's irreducible of the given local weight: the
-    closed form for the defining module of C_n, whose hyperbolic form the
-    sp_standard checks read, and the generic construction otherwise."""
-    weight = tuple(weight)
-    if letter == "C" and weight == identity(rank)[0]:
-        return _spn_standard_block(rank)
-    return _irreducible_block(letter, rank, weight)
-
-
 def _reference_block(letter, rank):
-    return _factor_block(letter, rank, reference_weight(letter, rank)[1])
+    return _irreducible_block(letter, rank, reference_weight(letter, rank)[1])
 
 
 @lru_cache(maxsize=None)
@@ -428,7 +401,7 @@ def _summand_matrices(datum, weight):
     for fi, (letter, frank) in enumerate(datum.factors):
         idxs = datum.standard_order[fi]
         local = tuple(vdot(weight, datum.simple_coroots[i]) for i in idxs)
-        blocks.append((fi, idxs, _factor_block(letter, frank, local)))
+        blocks.append((fi, idxs, _irreducible_block(letter, frank, local)))
     dims = [b.dim for _, _, b in blocks]
     total = 1
     for d in dims:
@@ -478,7 +451,7 @@ def _dual_pair(gens, labels, kind, weight):
 
 def _invariant_symplectic_form(blocks):
     """The invariant form of a lone symplectic summand: the Kronecker product,
-    in tensor order, of its factor blocks' closed-form forms.  Row 0 of each
+    in tensor order, of its factor blocks' invariant forms.  Row 0 of each
     factor form is a single +1, so the first nonzero entry of J is one."""
     j = (((0, 1),),)
     for b in blocks:
@@ -557,13 +530,12 @@ def _check_rep(rep):
     j = rep.j_exact
     if sparse_transpose(j) != sparse_scale(-1, j):
         raise InternalConsistencyError("J is not skew")
-    if sparse_rank(j) != rep.dim:
+    if rank(dense(j, rep.dim)) != rep.dim:
         raise InternalConsistencyError("J is degenerate")
     labels = rep.weight_labels
     for lab, mat in zip(rep.lie_labels, rep.lie_exact):
         # infinitesimal invariance X^T J = -J X
-        xtj = sparse_mul(sparse_transpose(mat), j)
-        if xtj != {key: -x for key, x in sparse_mul(j, mat).items()}:
+        if sparse_mul(sparse_transpose(mat), j) != sparse_scale(-1, sparse_mul(j, mat)):
             raise InternalConsistencyError(f"form not invariant under {lab}")
         if lab[0] == "h" and mat != sparse_diagonal(
             rep.coweight_action(datum.simple_coroots[lab[1]])
@@ -581,13 +553,7 @@ def _check_rep(rep):
     for r in positive_roots(datum):
         e = rep.lie_exact[rep.lie_index["e", r.coords]]
         f = rep.lie_exact[rep.lie_index["f", r.coords]]
-        br = sparse_mul(e, f)
-        for key, x in sparse_mul(f, e).items():
-            br[key] = br.get(key, 0) - x
-        action = rep.coweight_action(r.coroot_vec)
-        if {key: x for key, x in br.items() if x} != {
-            (i, i): x for i, x in enumerate(action) if x
-        }:
+        if sparse_comm(e, f) != sparse_diagonal(rep.coweight_action(r.coroot_vec)):
             raise InternalConsistencyError(
                 f"[e,f] != coroot action for root {r.coords}"
             )

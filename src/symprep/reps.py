@@ -69,11 +69,12 @@ def weyl_dim(datum, lam):
 
 
 @lru_cache(maxsize=None)
-def _freudenthal_cached(datum, lam, dim_cap):
+def _freudenthal_cached(datum, lam):
     dim = weyl_dim(datum, lam)
-    if dim > dim_cap:
+    if dim > DEFAULT_DIM_CAP:
         raise BudgetExceeded(
-            f"irrep dimension {dim} exceeds cap {dim_cap} for weight {lam}"
+            f"irrep dimension {dim} exceeds cap {DEFAULT_DIM_CAP} "
+            f"for weight {lam}"
         )
     k = datum.rank
     if k == 0:
@@ -132,9 +133,9 @@ def _freudenthal_cached(datum, lam, dim_cap):
     return tuple(sorted(full.items()))
 
 
-def freudenthal_multiplicities(datum, lam, dim_cap=DEFAULT_DIM_CAP):
+def freudenthal_multiplicities(datum, lam):
     """Exact weight multiset of the irreducible module with highest weight lam."""
-    return dict(_freudenthal_cached(datum, cvec(lam), dim_cap))
+    return dict(_freudenthal_cached(datum, cvec(lam)))
 
 
 class DualityClass(enum.Enum):
@@ -334,12 +335,7 @@ def symmetric_power_multisets(multiset, max_degree):
     return [{_int_unkey(k, radix, n): c for k, c in hd.items()} for hd in h]
 
 
-def invariant_dims(
-    spec,
-    max_degree,
-    dim_budget=DEFAULT_SYM_DIM_BUDGET,
-    weyl_cap=DEFAULT_WEYL_CAP,
-):
+def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
     """dim (S^d V)^G for d = 0..max_degree, via the Weyl alternation
     sum_w (-1)^l(w) m_{S^d V}(w rho - rho) on symmetric-power multisets; rho
     is regular, so its orbit has one point w rho per w, reached in l(w) steps.
@@ -347,9 +343,10 @@ def invariant_dims(
     skipped: keying it could alias a weight inside the box."""
     datum = spec.datum
     dim_v = spec.dim
-    if dim_v > dim_budget:
+    if dim_v > DEFAULT_SYM_DIM_BUDGET:
         raise BudgetExceeded(
-            f"symmetric powers: dim V = {dim_v} exceeds budget {dim_budget}"
+            f"symmetric powers: dim V = {dim_v} exceeds budget "
+            f"{DEFAULT_SYM_DIM_BUDGET}"
         )
     if max_degree > DEFAULT_SYM_DEGREE_BUDGET:
         raise BudgetExceeded(

@@ -81,13 +81,14 @@ def test_criterion_1_freudenthal_against_weyl_character_oracle():
 
 
 def test_criterion_2_symplectic_standard_closed_form():
-    """Criterion 2: the defining modules of Sp2, Sp4, Sp6 have moment values
-    -1/2 v v^T J, rank one, nilpotent, with zero invariant image; the
+    """Criterion 2: the defining modules of Sp2, Sp4, Sp6, Sp8 have moment
+    values -1/2 v v^T J, rank one, nilpotent, with zero invariant image; the
     reduction reports rank 0, complexity 0."""
     cases = [
         validate_symplectic_spec(A1, [((1,), 1)]),
         validate_symplectic_spec(C2, [((1, 0), 1)]),
         validate_symplectic_spec(C3, [((1, 0, 0), 1)]),
+        validate_symplectic_spec(build_root_datum([("C", 4)]), [((1, 0, 0, 0), 1)]),
     ]
     worst = {"closed": 0.0, "sv": 0.0, "nil": 0.0, "inv": 0.0}
     for spec in cases:

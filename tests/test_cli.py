@@ -429,6 +429,34 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys):
     assert "folder.json: exit 2" in capsys.readouterr().out
 
 
+def test_json_past_the_parser_limits_exits_2(tmp_path, capsys):
+    """An int literal past Python's 4300-digit limit, in hw or in mult, and
+    arrays nested 100000 deep are not valid JSON to the parser: every command
+    exits 2 with a `not valid JSON` line, and batch reports each as exit 2.
+    The documents are written by hand, since json.dumps refuses such an int."""
+    digits = "1" * 5000
+    docs = {
+        "deep.json": "[" * 100000 + "]" * 100000,
+        "hw.json": '{"group": {"simple": [["A", 1]]}, "rep": [{"hw": [%s]}]}' % digits,
+        "mult.json": (
+            '{"group": {"simple": [["A", 1]]}, "rep": [{"hw": [1], "mult": %s}]}'
+            % digits
+        ),
+    }
+    for name, text in docs.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for argv in (["analyze"], ["verify"], ["hilbert", "--degree", "2"], ["gamma"]):
+            code = main([argv[0], str(path)] + argv[1:])
+            captured = capsys.readouterr()
+            assert code == EXIT_VALIDATION and captured.out == "", (name, argv)
+            assert captured.err.startswith("error: not valid JSON: "), (name, argv)
+    assert main(["batch", str(tmp_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == "".join(
+        f"{tmp_path / name}: exit 2\n" for name in sorted(docs)
+    )
+
+
 @pytest.mark.parametrize("argv, options, field", [
     (["analyze"], {"hilbert_degree": -4}, "options.hilbert_degree"),
     (["hilbert", "--degree", "-3"], {}, "--degree"),

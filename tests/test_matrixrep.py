@@ -18,7 +18,7 @@ from symprep.linalg import (
 )
 from symprep.matrixrep import (
     _check_rep,
-    _factor_block,
+    _irreducible_block,
     _invariant_symplectic_form,
     _summand_matrices,
     build_rep,
@@ -190,10 +190,11 @@ def test_generic_blocks_equal_the_closed_forms_of_type_a():
     basis entry for entry as their closed forms, forms included (sl_n,
     n >= 3, is not self-dual; n = 2 is S^1)."""
     for m in range(9):
-        got, want = _factor_block("A", 1, (m,)), _sparse_block(sl2_block_oracle(m))
+        got = _irreducible_block("A", 1, (m,))
+        want = _sparse_block(sl2_block_oracle(m))
         assert got == want and repr(got) == repr(want), m
     for n in range(3, 7):
-        got = _factor_block("A", n - 1, identity(n - 1)[0])
+        got = _irreducible_block("A", n - 1, identity(n - 1)[0])
         want = _sparse_block(sln_standard_block_oracle(n))
         assert got == want and repr(got) == repr(want), n
 
@@ -247,7 +248,7 @@ def _product(a, b, n):
             out[i].append((k, x))
         return out
 
-    return sparse_mul(rows(a), rows(b))
+    return _entries(sparse_mul(rows(a), rows(b)))
 
 
 def _bracket(a, b, n):
@@ -270,7 +271,7 @@ def test_generic_block_relations(module):
     the weight multiset of Freudenthal, and on a self-dual block an
     invariant, nondegenerate, symmetric or skew form."""
     letter, rank_, weight = module
-    block = _factor_block(letter, rank_, weight)
+    block = _irreducible_block(letter, rank_, weight)
     n = block.dim
     cartan = cartan_matrix(letter, rank_)  # cartan[j][i] = <alpha_j, alpha_i^vee>
     e = [_entries(m) for m in block.e]

@@ -123,7 +123,7 @@ def test_freudenthal_weyl_invariance():
 
 def test_dimension_cap():
     with pytest.raises(BudgetExceeded):
-        freudenthal_multiplicities(A1, (6000,), dim_cap=5000)
+        freudenthal_multiplicities(A1, (6000,))
 
 
 def test_duality_examples():
@@ -257,7 +257,7 @@ def test_invariant_dims_skip_targets_outside_the_box():
 def test_invariant_dims_budget():
     spec = validate_symplectic_spec(A1, [((1,), 10)])
     with pytest.raises(BudgetExceeded):
-        invariant_dims(spec, 4, dim_budget=16)
+        invariant_dims(spec, 4)
 
 
 def _sympow_oracle_specs():

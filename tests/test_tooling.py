@@ -1,6 +1,10 @@
 """Checks on the source tree itself."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symprep"
@@ -58,3 +62,52 @@ def test_only_the_float_layer_imports_numpy_at_module_level():
         or ".".join(name.split(".")[:2]) in float_layer
     ]
     assert found == []
+
+
+README = SRC.parent.parent / "README.md"
+
+# backticked names in README's module table that are not Python attributes:
+# notation (Gamma, e, f, dim) and the model's float mirrors (rep.lie, rep.j)
+README_NOTATION = {"Gamma", "e", "f", "dim", "rep.lie", "rep.j"}
+
+
+def _has(obj, dotted):
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def _resolves(module, name):
+    """Whether a dotted name is an attribute chain of the module, of a class
+    in it, or of another symprep module (`matrixrep.hyperbolic_pair`)."""
+    owners = [module] + [c for _, c in inspect.getmembers(module, inspect.isclass)]
+    if any(_has(owner, name) for owner in owners):
+        return True
+    head, _, rest = name.partition(".")
+    if not rest or importlib.util.find_spec(f"symprep.{head}") is None:
+        return False
+    return _has(importlib.import_module(f"symprep.{head}"), rest)
+
+
+def test_readme_module_table_names_resolve():
+    """Every backticked Python name in README's module table is an attribute
+    of its row's module (or of a class there), so a deleted helper does not
+    stay in the docs."""
+    rows = [
+        line.split("|")[1:3]
+        for line in README.read_text().splitlines()
+        if line.startswith("| `symprep.")
+    ]
+    assert rows
+    missing = []
+    for cell, text in rows:
+        modname = cell.strip().strip("`")
+        module = importlib.import_module(modname)
+        for name in re.findall(r"`([^`]+)`", text):
+            if not re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", name):
+                continue
+            if name not in README_NOTATION and not _resolves(module, name):
+                missing.append(f"{modname}: {name}")
+    assert missing == []
