@@ -233,7 +233,7 @@ def build_report(echo, options, analysis, trace=False, numeric=None):
         "c_s": analysis.c_s,
         "mf": analysis.mf,
         "a_star_basis": _jsonify(analysis.a_star_basis),
-        "A_rank": analysis.a_rank,
+        "A_rank": analysis.rk_s,
         "levi_L": analysis.levi.type_string(),
         "sp_factors": list(analysis.sp_factor_sizes),
         "gamma": {

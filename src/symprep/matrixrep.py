@@ -6,10 +6,10 @@ characters, external tensors of factor blocks across product factors, direct
 sums, and the canonical pairing form on U + U*.  Construction is exact over
 the rationals; float mirrors are attached for the numeric verification layer.
 
-Root vectors beyond the simple ones are produced by bracket recipes whose
-scalars are calibrated once per factor in a faithful reference module, the
-fundamental module of least dimension, so the same abstract Lie algebra
-element acts consistently in every block.
+Root vectors beyond the simple ones are brackets of the simple ones, each
+divided by a scalar that Chevalley's structure constants give from the root
+system alone (`root_recipes`), so the same abstract Lie algebra element acts
+the same way in every block.
 
 Every exact matrix (factor blocks, replayed root vectors, the assembled Lie
 basis and J) is held by its nonzero entries as sparse rows (see `linalg`),
@@ -171,8 +171,8 @@ def _irreducible_block(letter, rank, weight):
 @lru_cache(maxsize=None)
 def reference_weight(letter, rank):
     """(dimension, weight) of the factor's fundamental module of least
-    dimension, the first one on ties: the module its reference frame and its
-    root-vector recipes live in."""
+    dimension, the first one on ties: the module `verify`'s reference frame
+    of the factor lives in (`numeric._FactorFrame`)."""
     datum = _single_factor_datum(letter, rank)
     return min(((weyl_dim(datum, w), w) for w in identity(rank)), key=lambda p: p[0])
 
@@ -186,57 +186,38 @@ def _single_factor_datum(letter, rank):
     return build_root_datum([(letter, rank)])
 
 
-def _diagonal_ratio(m, diag):
-    """c with m = c * diag(diag) exactly, for m given by sparse rows and a
-    diagonal not all zero; None when m is not such a multiple."""
-    pairs = []
-    for i, (row, d) in enumerate(zip(m, diag)):
-        if any(j != i for j, _ in row):
-            return None
-        x = row[0][1] if row else 0
-        if x or d:
-            pairs.append((x, d))
-    if not pairs or any(d == 0 for _, d in pairs):
-        return None
-    c = Fraction(pairs[0][0]) / pairs[0][1]
-    return c if all(x == c * d for x, d in pairs) else None
-
-
 def simple_coords(rank, i):
     """Simple-root coordinates of the i-th simple root."""
     return tuple(1 if j == i else 0 for j in range(rank))
 
 
+def _less(coords, i, k=1):
+    """The simple-root coordinates of the root minus k alpha_i."""
+    return tuple(v - k * (j == i) for j, v in enumerate(coords))
+
+
 @lru_cache(maxsize=None)
 def root_recipes(letter, rank):
-    """Bracket recipes (gamma -> (simple index, lower root, scalar)) for all
-    non-simple positive roots, calibrated in the reference module."""
-    ref = _reference_block(letter, rank)
-    x = {simple_coords(rank, i): m for i, m in enumerate(ref.e)}
-    y = {simple_coords(rank, i): m for i, m in enumerate(ref.f)}
+    """Bracket recipes gamma -> (i, beta, c) for the non-simple positive roots
+    of the factor, in positive_roots order: e_gamma = [e_i, e_beta] / c and
+    f_gamma = [f_i, f_beta], for the first simple root alpha_i such that
+    beta = gamma - alpha_i is a root.  Chevalley's structure constants give
+    c = -(p + 1)^2, with p the largest integer such that beta - p alpha_i is a
+    root (Chevalley, Tohoku Math. J. 7, 1955; Humphreys, Introduction to Lie
+    Algebras and Representation Theory, section 25.2); `_check_rep` holds
+    every model to [e_gamma, f_gamma] = gamma^vee."""
+    roots = [r.coords for r in positive_roots(_single_factor_datum(letter, rank))]
+    known = set(roots)
     recipes = {}
-    for r in positive_roots(_single_factor_datum(letter, rank)):  # by height
-        if r.height == 1:
+    for gamma in roots:
+        if sum(gamma) == 1:
             continue
-        # the coroot acts on a weight vector by the weight's pairing with it
-        hdiag = [vdot(w, r.coroot_coords) for w in ref.weights]
-        for i in range(rank):
-            lower = tuple(v - (j == i) for j, v in enumerate(r.coords))
-            if lower not in x:
-                continue
-            a = sparse_comm(x[simple_coords(rank, i)], x[lower])
-            b = sparse_comm(y[simple_coords(rank, i)], y[lower])
-            c = _diagonal_ratio(sparse_comm(a, b), hdiag)
-            if c is None or c == 0:
-                continue
-            x[r.coords] = sparse_scale(Fraction(1, 1) / c, a)
-            y[r.coords] = b
-            recipes[r.coords] = (i, lower, c)
-            break
-        else:
-            raise InternalConsistencyError(
-                f"no bracket recipe found for root {r.coords} of {letter}{rank}"
-            )
+        i = next(i for i in range(rank) if _less(gamma, i) in known)
+        beta = _less(gamma, i)
+        p = 0
+        while _less(beta, i, p + 1) in known:
+            p += 1
+        recipes[gamma] = (i, beta, -(p + 1) ** 2)
     return recipes
 
 
@@ -245,16 +226,14 @@ def factor_lie(datum, fi, block):
     per simple root, then ("e", coords) and ("f", coords) per positive root of
     the factor in positive_roots order, with coordinates in the datum's simple
     roots.  Root vectors beyond the simple ones are replayed from the block's
-    simple ones by the calibrated bracket recipes."""
+    simple ones by the bracket recipes of `root_recipes`."""
     letter, frank = datum.factors[fi]
     idxs = datum.standard_order[fi]
     x = {simple_coords(frank, i): m for i, m in enumerate(block.e)}
     y = {simple_coords(frank, i): m for i, m in enumerate(block.f)}
-    recipes = root_recipes(letter, frank)
-    for coords in sorted(recipes, key=sum):
-        i, lower, c = recipes[coords]
+    for coords, (i, lower, c) in root_recipes(letter, frank).items():
         simple = simple_coords(frank, i)
-        x[coords] = sparse_scale(Fraction(1, 1) / c, sparse_comm(x[simple], x[lower]))
+        x[coords] = sparse_scale(Fraction(1, c), sparse_comm(x[simple], x[lower]))
         y[coords] = sparse_comm(y[simple], y[lower])
     out = [(("h", gi), block.h[loc]) for loc, gi in enumerate(idxs)]
     for r in positive_roots(_single_factor_datum(letter, frank)):
@@ -470,7 +449,8 @@ def build_rep(spec):
         raise BudgetExceeded(
             f"matrix model: total dimension {spec.dim} exceeds cap {DEFAULT_DIM_CAP}"
         )
-    # each factor's root vectors are calibrated in its reference module
+    # `verify` takes each factor's invariant coordinates in its reference
+    # module, so a model is built only for factors whose module fits the cap
     for letter, frank in datum.factors:
         size = reference_weight(letter, frank)[0]
         if size > DEFAULT_DIM_CAP:

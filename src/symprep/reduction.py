@@ -51,13 +51,11 @@ class ReductionStep:
     delta_u: tuple          # positive roots with <chi, alpha^vee> > 0
     levi: object            # RootDatum of M
     s_weights: tuple        # frozen weight multiset of S
-    s_summands: tuple       # decomposition of S under M
     s_spec: object          # validated SympRepSpec for (S, M)
 
 
 @dataclass(frozen=True)
 class TerminalData:
-    terminal_spec: object
     terminal_group: object
     character_pairs: tuple
     sp_factor_sizes: tuple
@@ -120,7 +118,6 @@ def reduce_step(spec, chi):
         delta_u=delta_u,
         levi=levi,
         s_weights=tuple(sorted(s_weights.items())),
-        s_summands=tuple(s_summands),
         s_spec=s_spec,
     )
     return step, s_spec
@@ -152,7 +149,6 @@ def run_reduction(spec, first_choice=None):
     if c < 0:
         raise InternalConsistencyError("negative complexity")
     td = TerminalData(
-        terminal_spec=current,
         terminal_group=current.datum,
         character_pairs=pairs,
         sp_factor_sizes=verdict.sp_factor_sizes,
@@ -266,9 +262,7 @@ class LittleWeylResult:
     status: str            # 'exact' | 'unknown' | 'ambiguous'
     order: int = None
     degrees: tuple = None
-    matrices: tuple = None
     candidates: tuple = None   # orders of reflection subgroups considered
-    matched_degree: int = None
 
 
 def determine_little_weyl(
@@ -309,13 +303,10 @@ def determine_little_weyl(
             if _degree_series([2 * d for d in degrees[sub]], degree) == hilb
         ]
         if len(matches) == 1:
-            mats = sorted(matches[0])
             return LittleWeylResult(
                 status="exact",
-                order=len(mats),
+                order=len(matches[0]),
                 degrees=degrees[matches[0]],
-                matrices=tuple(mats),
-                matched_degree=degree,
             )
         if not matches:
             raise InternalConsistencyError(
@@ -325,7 +316,6 @@ def determine_little_weyl(
             return LittleWeylResult(
                 status="ambiguous",
                 candidates=tuple(sorted(len(m) for m in matches)),
-                matched_degree=degree,
             )
         degree += 2
 
@@ -334,7 +324,6 @@ def determine_little_weyl(
 class IsotropyShape:
     dim_h: int
     sp_parts: tuple
-    a_rank: int
     reductive_constraint: str
 
 
@@ -347,7 +336,6 @@ def isotropy_shape(td, levi):
     return IsotropyShape(
         dim_h=dim_h,
         sp_parts=tuple(f"Sp_{2 * m - 1}" for m in td.sp_factor_sizes),
-        a_rank=td.a_rank,
         reductive_constraint="(L,L) <= H <= L with L/H = A",
     )
 
@@ -359,7 +347,6 @@ class AnalysisReport:
     c_s: int
     mf: bool
     a_star_basis: tuple
-    a_rank: int
     sp_factor_sizes: tuple
     levi: object
     gamma: object
@@ -403,7 +390,6 @@ def analyze(
         c_s=td.c,
         mf=mf,
         a_star_basis=td.a_star_basis,
-        a_rank=td.a_rank,
         sp_factor_sizes=td.sp_factor_sizes,
         levi=levi,
         gamma=gamma,

@@ -164,7 +164,6 @@ class PairingItem:
 
     kind: str        # 'symplectic' | 'dual_pair' | 'orthogonal_double'
     weight: tuple
-    partner: tuple
     count: int
 
 
@@ -212,18 +211,18 @@ def validate_symplectic_spec(datum, raw_summands):
             continue
         cls = duality_class(datum, w)
         if cls is DualityClass.SYMPLECTIC:
-            plan.append(PairingItem("symplectic", w, w, merged[w]))
+            plan.append(PairingItem("symplectic", w, merged[w]))
             seen.add(w)
         elif cls is DualityClass.ORTHOGONAL:
             if merged[w] % 2:
                 raise OddOrthogonalMultiplicity(w)
-            plan.append(PairingItem("orthogonal_double", w, w, merged[w] // 2))
+            plan.append(PairingItem("orthogonal_double", w, merged[w] // 2))
             seen.add(w)
         else:
             dual = dual_weight(datum, w)
             if merged.get(dual, 0) != merged[w]:
                 raise NotSelfDual(w)
-            plan.append(PairingItem("dual_pair", w, dual, merged[w]))
+            plan.append(PairingItem("dual_pair", w, merged[w]))
             seen.add(w)
             seen.add(dual)
     summands = tuple((w, merged[w]) for w in order)

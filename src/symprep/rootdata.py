@@ -127,7 +127,6 @@ class RootDatum:
     ambient_dim: int
     simple_roots: tuple
     simple_coroots: tuple
-    factor_of_simple: tuple
     standard_order: tuple = None  # per factor: simple indices in Bourbaki order
 
     def __post_init__(self):
@@ -187,9 +186,9 @@ def build_root_datum(factors, central_rank=0):
         norm.extend(normalize_factor(letter, n))
     total = sum(n for _, n in norm)
     dim = total + central_rank
-    roots, coroots, owner = [], [], []
+    roots, coroots = [], []
     off = 0
-    for fi, (letter, n) in enumerate(norm):
+    for letter, n in norm:
         m = cartan_matrix(letter, n)
         for i in range(n):
             row = [0] * dim
@@ -199,7 +198,6 @@ def build_root_datum(factors, central_rank=0):
             e = [0] * dim
             e[off + i] = 1
             coroots.append(tuple(e))
-            owner.append(fi)
         off += n
     return RootDatum(
         factors=tuple(norm),
@@ -207,7 +205,6 @@ def build_root_datum(factors, central_rank=0):
         ambient_dim=dim,
         simple_roots=tuple(roots),
         simple_coroots=tuple(coroots),
-        factor_of_simple=tuple(owner),
     )
 
 
@@ -452,17 +449,12 @@ def datum_from_root_list(parent, roots, coroots):
         letter, n, perm = _match_component(sub)
         factors.append((letter, n))
         order.append(tuple(comp[perm[a]] for a in range(n)))
-    owner = [0] * k
-    for fi, comp in enumerate(comps):
-        for i in comp:
-            owner[i] = fi
     return RootDatum(
         factors=tuple(factors),
         central_rank=parent.ambient_dim - k,
         ambient_dim=parent.ambient_dim,
         simple_roots=tuple(cvec(r) for r in roots),
         simple_coroots=tuple(cvec(c) for c in coroots),
-        factor_of_simple=tuple(owner),
         standard_order=tuple(order),
     )
 

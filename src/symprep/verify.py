@@ -45,7 +45,6 @@ class VerifyReport:
     checks: list
     seed: int
     samples: int
-    analysis: object
 
     def failing(self):
         return [c for c in self.checks if not c.passed]
@@ -176,7 +175,7 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
     _check(checks, "moment_pullback_commutes", res, 1e-8)
 
     passed = all(c.passed for c in checks)
-    return VerifyReport(passed, checks, seed, samples, analysis)
+    return VerifyReport(passed, checks, seed, samples)
 
 
 def _commute_samples(frame, rng, samples):

@@ -6,8 +6,9 @@ Kostant partition function, invariant dimensions from explicit monomial
 enumeration, symmetric powers from Newton's identity over Fractions or
 the division-free recursion over tuple-keyed weights, Molien series from
 power traces instead of fixed-space counts, group elements from matrix
-closure with determinant signs, and invariant symplectic forms from a
-nullspace solve.  The float moment maps are evaluated one vector and one Lie
+closure with determinant signs, invariant symplectic forms from a
+nullspace solve, and root-vector scalars by brackets in a reference module
+instead of Chevalley's structure constants.  The float moment maps are evaluated one vector and one Lie
 basis matrix at a time; the Jacobian ranks, the coisotropy test, the
 q-embedding and the commuting square one sample at a time with per-entry
 loops; the weight moment over Fractions, and the section's
@@ -39,6 +40,8 @@ from symprep.linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
+    sparse_comm,
+    sparse_scale,
     transpose,
     vdot,
     vscale,
@@ -47,8 +50,10 @@ from symprep.matrixrep import (
     FactorBlock,
     _reference_block,
     factor_lie,
+    _single_factor_datum,
     hyperbolic_partner,
     root_recipes,
+    simple_coords,
     weight_kernel,
 )
 from symprep.classify import WeightStatus, weight_status
@@ -490,6 +495,58 @@ def sln_standard_block_oracle(n):
         for j in range(n)
     )
     return FactorBlock(n, e, f, tuple(h), weights)
+
+
+def _diagonal_ratio(m, diag):
+    """c with m = c * diag(diag) exactly, for m given by sparse rows and a
+    diagonal not all zero; None when m is not such a multiple."""
+    pairs = []
+    for i, (row, d) in enumerate(zip(m, diag)):
+        if any(j != i for j, _ in row):
+            return None
+        x = row[0][1] if row else 0
+        if x or d:
+            pairs.append((x, d))
+    if not pairs or any(d == 0 for _, d in pairs):
+        return None
+    c = Fraction(pairs[0][0]) / pairs[0][1]
+    return c if all(x == c * d for x, d in pairs) else None
+
+
+def root_recipes_oracle(letter, rank):
+    """Root-vector recipes gamma -> (i, beta, c) calibrated by brackets in the
+    factor's reference module instead of read off the root system: for each
+    non-simple positive root by height, the first simple root alpha_i with
+    beta = gamma - alpha_i a root whose brackets x = [e_i, e_beta] and
+    y = [f_i, f_beta] give [x, y] = c gamma^vee for some nonzero c on the
+    module; then e_gamma = x / c and f_gamma = y."""
+    ref = _reference_block(letter, rank)
+    x = {simple_coords(rank, i): m for i, m in enumerate(ref.e)}
+    y = {simple_coords(rank, i): m for i, m in enumerate(ref.f)}
+    recipes = {}
+    for r in positive_roots(_single_factor_datum(letter, rank)):
+        if r.height == 1:
+            continue
+        # the coroot acts on a weight vector by the weight's pairing with it
+        hdiag = [vdot(w, r.coroot_coords) for w in ref.weights]
+        for i in range(rank):
+            lower = tuple(v - (j == i) for j, v in enumerate(r.coords))
+            if lower not in x:
+                continue
+            a = sparse_comm(x[simple_coords(rank, i)], x[lower])
+            b = sparse_comm(y[simple_coords(rank, i)], y[lower])
+            c = _diagonal_ratio(sparse_comm(a, b), hdiag)
+            if c is None or c == 0:
+                continue
+            x[r.coords] = sparse_scale(Fraction(1, 1) / c, a)
+            y[r.coords] = b
+            recipes[r.coords] = (i, lower, c)
+            break
+        else:
+            raise InternalConsistencyError(
+                f"no bracket recipe found for root {r.coords} of {letter}{rank}"
+            )
+    return recipes
 
 
 def assembled_lie_oracle(rep):

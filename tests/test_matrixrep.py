@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symprep import matrixrep
 from symprep.errors import BudgetExceeded, InternalConsistencyError
 from symprep.linalg import (
     cvec,
@@ -24,6 +25,7 @@ from symprep.matrixrep import (
     build_rep,
     find_hw_vectors,
     hyperbolic_pair,
+    root_recipes,
     simple_coords,
     weight_kernel,
 )
@@ -40,6 +42,7 @@ from oracles import (
     assembled_lie_oracle,
     dense_comm,
     invariant_symplectic_form_oracle,
+    root_recipes_oracle,
     rref_hyperbolic_pair_oracle,
     sl2_block_oracle,
     sln_standard_block_oracle,
@@ -170,8 +173,8 @@ def test_dimension_cap():
 
 
 def test_reference_module_is_budgeted_before_any_block_is_built():
-    """E8 x A1 with a trivial E8 weight is a 2-dim module, but E8's root
-    vectors would be calibrated in its 248-dim reference module."""
+    """E8 x A1 with a trivial E8 weight is a 2-dim module, but `verify`
+    would take E8's invariant coordinates in its 248-dim reference module."""
     e8a1 = build_root_datum([("E", 8), ("A", 1)])
     spec = validate_symplectic_spec(e8a1, [((0,) * 8 + (1,), 1)])
     assert spec.dim == 2
@@ -183,6 +186,44 @@ def test_reference_module_is_budgeted_before_any_block_is_built():
         "matrix model: reference module of factor E8 has dimension 248, "
         "exceeds cap 64"
     )
+
+
+RECIPE_TYPES = (
+    [("A", n) for n in range(1, 8)]
+    + [("B", n) for n in range(2, 7)]
+    + [("C", n) for n in range(2, 7)]
+    + [("D", n) for n in range(4, 8)]
+    + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+)
+
+
+@pytest.mark.parametrize("letter,rank", RECIPE_TYPES)
+def test_root_recipes_equal_the_calibrated_recipes(letter, rank):
+    """Chevalley's c = -(p + 1)^2 is the scalar that brackets in the
+    reference module calibrate, root by root and in the same order."""
+    got = root_recipes(letter, rank)
+    assert list(got.items()) == list(root_recipes_oracle(letter, rank).items())
+
+
+@pytest.mark.parametrize("factors,summands", [
+    ([("C", 2)], [((1, 0), 1)]),
+    ([("G", 2)], [((0, 1), 2)]),
+])
+def test_a_wrong_recipe_constant_fails_the_build(factors, summands, monkeypatch):
+    """Doubling the scalar of any one recipe halves that root's e_gamma, and
+    build_rep refuses the model at that root's [e, f] check."""
+    spec = validate_symplectic_spec(build_root_datum(factors), summands)
+    letter, rank = factors[0]
+    recipes = root_recipes(letter, rank)
+    assert recipes
+    for gamma, (i, beta, c) in recipes.items():
+        broken = {**recipes, gamma: (i, beta, 2 * c)}
+        monkeypatch.setattr(matrixrep, "root_recipes", lambda *_: broken)
+        with pytest.raises(InternalConsistencyError) as info:
+            build_rep(spec)
+        assert str(info.value) == f"[e,f] != coroot action for root {gamma}"
+    monkeypatch.undo()
+    build_rep(spec)
 
 
 def test_generic_blocks_equal_the_closed_forms_of_type_a():

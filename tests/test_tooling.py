@@ -111,3 +111,54 @@ def test_readme_module_table_names_resolve():
             if name not in README_NOTATION and not _resolves(module, name):
                 missing.append(f"{modname}: {name}")
     assert missing == []
+
+
+ROOT = SRC.parent.parent
+
+# dataclasses whose fields are read as a whole, through `dataclasses.asdict`
+READ_AS_A_WHOLE = {"CheckResult"}
+
+
+def _is_dataclass_def(node):
+    """Whether the node defines a class decorated `@dataclass` or
+    `@dataclass(...)`."""
+    calls = [d.func if isinstance(d, ast.Call) else d
+             for d in getattr(node, "decorator_list", ())]
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d, "id", None) == "dataclass" for d in calls
+    )
+
+
+def test_every_dataclass_field_is_read():
+    """A record field that no code reads is dead weight that every
+    constructor still fills.  Each field of a `symprep` dataclass must be
+    read somewhere in the package, the tests or the benchmark, as an
+    attribute (`x.field`) or by name (a string naming it, as for `getattr`).
+    A dict display's key writes rather than reads, so it does not count: the
+    report key "matrices" is not a read of a `matrices` field."""
+    trees = [
+        ast.parse(path.read_text(), filename=str(path))
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert trees
+    read = set()
+    for tree in trees:
+        nodes = list(ast.walk(tree))
+        keys = {id(k) for node in nodes if isinstance(node, ast.Dict) for k in node.keys}
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in keys):
+                read.add(node.value)
+    fields = [
+        f"{path.stem}.{node.name}.{item.target.id}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_dataclass_def(node) and node.name not in READ_AS_A_WHOLE
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    assert fields
+    assert [f for f in fields if f.rsplit(".", 1)[1] not in read] == []
