@@ -8,6 +8,8 @@ rank decisions use singular-value thresholds at unit input scale.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .reduction import delta_u_roots
 from .rootdata import build_root_datum, positive_roots, weyl_degrees
 
 RANK_TOL = 1e-8
-IDENTITY_TOL = 1e-10
 DOMAIN_TOL = 1e-6
 # Entries of the largest array one stacked call may build: a stack of k
 # points costs k * row entries, where row is that array's size per point
@@ -117,6 +118,20 @@ def charpoly_coeffs(a):
     return np.stack(out, axis=-1)
 
 
+def _power_traces(mat, degrees):
+    """tr X^d at each degree d, for a matrix or a stack, with X^d formed bit
+    for bit as `np.linalg.matrix_power` forms it: the product of the squares
+    X^(2^k) over d's bits, low bits first, and X^3 as X^2 X.  The squares
+    are shared by all the degrees."""
+    squares = [mat]
+    while len(squares) < max(degrees).bit_length():
+        squares.append(squares[-1] @ squares[-1])
+    bits = [(1, 0) if d == 3 else [k for k in range(d.bit_length()) if d >> k & 1]
+            for d in degrees]
+    return np.stack([np.trace(reduce(matmul, [squares[k] for k in b]), axis1=-2, axis2=-1)
+                     for b in bits], axis=-1)
+
+
 class _FactorFrame:
     """The reference module of one simple factor (`matrixrep._reference_block`,
     its fundamental module of least dimension) with an exact trace-form Gram
@@ -150,11 +165,7 @@ class _FactorFrame:
             return charpoly_coeffs(mat)[..., 1:]
         if self.letter in "BCD":
             return charpoly_coeffs(mat)[..., 1::2]
-        return np.stack(
-            [np.trace(np.linalg.matrix_power(mat, d), axis1=-2, axis2=-1)
-             for d in self.degrees],
-            axis=-1,
-        )
+        return _power_traces(mat, self.degrees)
 
 
 def _frames(rep):

@@ -9,6 +9,8 @@ shape.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 from .classify import WeightStatus, terminal_decomposition, weight_status
 from .errors import (
@@ -20,8 +22,10 @@ from .errors import (
 from .linalg import (
     cvec,
     echelon_basis,
-    fixed_codim,
-    group_closure,
+    identity,
+    mat_sub,
+    mat_vec,
+    transpose,
     vdot,
     vsub,
 )
@@ -34,12 +38,14 @@ from .reps import (
 )
 from .rootdata import (
     DEFAULT_WEYL_CAP,
+    build_root_datum,
     centralizer_datum,
     check_weyl_cap,
     generic_orbit,
     levi_subdatum,
     positive_roots,
     subspace_normalizer,
+    weyl_degrees,
 )
 
 DEFAULT_HILBERT_DEGREE = 8
@@ -185,53 +191,129 @@ def compute_gamma(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP):
 
 # -- little Weyl group via Hilbert/Molien matching ---------------------------
 
-def reflection_subgroups(gamma):
-    """All subgroups generated by subsets of the reflections of Gamma.
+def _reflection_table(gamma):
+    """Gamma's reflections indexed by their roots, and how they conjugate.
 
-    Grown from the trivial group: each new subgroup is the closure of one
-    already found, with its generators plus one reflection outside it."""
-    k = len(gamma.a_star_basis)
-    refl = [gamma.gamma_matrices[i] for i in gamma.reflection_indices]
-    subs = {group_closure([], k): ()}
-    queue = list(subs.items())
-    for sub, gens in queue:  # the queue grows as subgroups are found
-        for r in refl:
-            if r not in sub:
-                bigger = group_closure(gens + (r,), k)
-                if bigger not in subs:
-                    subs[bigger] = gens + (r,)
-                    queue.append((bigger, gens + (r,)))
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+    A reflection's root spans the image of r - 1 (its first nonzero column),
+    and `echelon_basis` makes it primitive with a positive first nonzero
+    entry, so the positive roots are those of the lexicographic order.
+    r_a r_b r_a is the reflection of the root r_a(beta_b): conj[a][b] is its
+    index, bit b of neg[a] is set when r_a(beta_b) is negative, and bit b of
+    joined[a] when b = a or r_a and r_b do not commute."""
+    mats = [gamma.gamma_matrices[i] for i in gamma.reflection_indices]
+    roots = [echelon_basis([next(c for c in transpose(mat_sub(r, identity(len(r)))) if any(c))])[0]
+             for r in mats]
+    index = {root: b for b, root in enumerate(roots)}
+    conj, neg, joined = [], [], []
+    for a, r in enumerate(mats):
+        images = [mat_vec(r, beta) for beta in roots]
+        row = [index.get(echelon_basis([v])[0]) for v in images]
+        if None in row:
+            raise InternalConsistencyError(
+                "little Weyl candidates: a reflection of Gamma moves a root off its roots"
+            )
+        conj.append(row)
+        neg.append(sum(1 << b for b, v in enumerate(images) if next(x for x in v if x) < 0))
+        joined.append(sum(1 << b for b, c in enumerate(row) if c != b or b == a))
+    return conj, neg, joined
 
 
-def _degrees_from_codims(codims, k):
-    """The degrees d_1 <= ... <= d_k of a reflection group on a k-dim space,
-    from the codimension rank(g - 1) of each element's fixed space.
-
-    sum_g t^rank(g - 1) = prod_i (1 + (d_i - 1) t) (Shephard-Todd, Canad. J.
-    Math. 6, 1954, Thm 5.3): the count polynomial is divided exactly by
-    (1 + m t) for m = 1, 2, ..., each exact division gives a degree m + 1,
-    and the degrees left over are 1."""
-    poly = [0] * (max(codims, default=0) + 1)
-    for c in codims:
-        poly[c] += 1
-    degrees = []
-    m = 1
-    # every factor's m divides the leading coefficient
-    while len(poly) > 1 and m <= poly[-1]:
-        quot = [poly[0]]
-        for p in poly[1:-1]:
-            quot.append(p - m * quot[-1])
-        if poly[-1] == m * quot[-1]:
-            poly = quot
-            degrees.append(m + 1)
-        else:
-            m += 1
-    if poly != [1]:
+@lru_cache(maxsize=None)
+def _component_degrees(n, count, simply_laced):
+    """The degrees of the irreducible finite crystallographic reflection
+    group of rank n with count reflections, simply laced or not; B and C
+    have the same degrees, so B stands for both."""
+    if simply_laced:
+        named = {(n, n * (n + 1) // 2): "A", (6, 36): "E", (7, 63): "E", (8, 120): "E"}
+        if n >= 4:
+            named[n, n * (n - 1)] = "D"
+    else:
+        named = {(n, n * n): "B", (4, 24): "F", (2, 6): "G"}
+    if (n, count) not in named:
         raise InternalConsistencyError(
-            "fixed-space count does not split into factors (1 + m t)"
+            f"little Weyl candidates: a Coxeter component of rank {n} with "
+            f"{count} reflections names no finite crystallographic type"
         )
-    return (1,) * (k - len(degrees)) + tuple(degrees)
+    return weyl_degrees(build_root_datum([(named[n, count], n)]))
+
+
+def _closure(conj, mask, by, todo):
+    """mask with the reflections of todo and all their conjugates by the
+    group that the reflections by generate; mask's own conjugates are the
+    caller's to put in todo."""
+    for x in todo:  # grows as reflections are found
+        if not mask >> x & 1:
+            mask |= 1 << x
+            todo += [conj[g][x] for g in by]
+    return mask
+
+
+def _order_and_degrees(conj, neg, joined, mask, gamma):
+    """(order, degrees) of the reflection subgroup whose reflections are
+    mask.  Its simple roots are those whose reflection keeps every other
+    positive root of it positive; two are joined in the Coxeter graph when
+    their reflections do not commute, a component's reflections are those
+    joined to one of its simple roots, and it is simply laced when every
+    joined pair braids in length 3 (r_a r_b r_a = r_b r_a r_b).  Each
+    component's type gives its degrees, held to sum(d - 1) = number of
+    reflections (Shephard-Todd); the order must divide |Gamma|."""
+    members = [a for a in range(len(conj)) if mask >> a & 1]
+    simple = [a for a in members if neg[a] & mask == 1 << a]
+    degrees, seen = [], 0
+    for a in simple:
+        if seen >> a & 1:
+            continue
+        comp, reach = [a], 0
+        for x in comp:  # grows as the component is walked
+            reach |= joined[x]
+            comp += [b for b in simple if joined[x] >> b & 1 and b not in comp]
+        seen |= reach
+        laced = all(conj[x][y] == conj[y][x] for x in comp for y in comp
+                    if joined[x] >> y & 1)
+        degrees += _component_degrees(len(comp), (mask & reach).bit_count(), laced)
+    order = prod(degrees)
+    if sum(degrees) - len(degrees) != len(members) or gamma.gamma_order % order:
+        raise InternalConsistencyError(
+            f"little Weyl candidates: degrees {sorted(degrees)} for {len(members)} "
+            f"reflections in Gamma of order {gamma.gamma_order}"
+        )
+    return order, (1,) * (len(gamma.a_star_basis) - len(degrees)) + tuple(sorted(degrees))
+
+
+def reflection_subgroups(gamma):
+    """The (order, degrees) of every reflection subgroup of Gamma, one pair
+    per subgroup, sorted.
+
+    A reflection subgroup is fixed by its reflections, and a set of
+    reflections is a subgroup's exactly when it is closed under r s r
+    (Deodhar, Comm. Algebra 17, 1989; Dyer, J. Algebra 135, 1990).  The sets
+    are grown from the empty one, each new set the closure of one already
+    found with one reflection outside it (one per orbit of the found set's
+    group), over a table of conjugations, so no matrix is multiplied; a
+    set's Coxeter type gives its order and degrees."""
+    k, count = len(gamma.a_star_basis), len(gamma.reflection_indices)
+    if count < 2:  # nothing to conjugate: the trivial group, and A1 if one
+        return [(1, (1,) * k)] + [(2, (1,) * (k - 1) + (2,))] * count
+    conj, neg, joined = _reflection_table(gamma)
+    if any(row[a] != a or any(row[c] != b for b, c in enumerate(row))
+           for a, row in enumerate(conj)):
+        raise InternalConsistencyError(
+            "little Weyl candidates: conjugation by a reflection of Gamma is "
+            "not an involution of its reflections"
+        )
+    found, queue = {0}, [(0, ())]
+    for mask, gens in queue:  # the queue grows as subgroups are found
+        done = mask
+        for r in range(len(conj)):
+            if not done >> r & 1:
+                # r's conjugates by the set's group give the same closure
+                done = _closure(conj, done, gens, [r])
+                inside = [conj[r][s] for s in range(len(conj)) if mask >> s & 1]
+                bigger = _closure(conj, mask, gens + (r,), [r] + inside)
+                if bigger not in found:
+                    found.add(bigger)
+                    queue.append((bigger, gens + (r,)))
+    return sorted(_order_and_degrees(conj, neg, joined, m, gamma) for m in found)
 
 
 def _degree_series(degrees, max_degree):
@@ -242,19 +324,6 @@ def _degree_series(degrees, max_degree):
         for n in range(d, max_degree + 1):
             out[n] += out[n - d]
     return out
-
-
-def reflection_degrees(mats):
-    """Fundamental invariant degrees of a finite reflection group."""
-    k = len(mats[0]) if mats else 0
-    return _degrees_from_codims([fixed_codim(g) for g in mats], k)
-
-
-def molien_series(mats, max_degree):
-    """Molien series of a finite reflection group, exact, as coefficients
-    0..max_degree: its invariants are a polynomial ring (Chevalley, Amer. J.
-    Math. 77, 1955), so the series is prod_i 1/(1 - t^(d_i))."""
-    return _degree_series(reflection_degrees(mats), max_degree)
 
 
 @dataclass(frozen=True)
@@ -275,23 +344,20 @@ def determine_little_weyl(
     """Identify W_V among reflection subgroups of Gamma by matching the
     invariant Hilbert series against Molien series in squared degrees.
 
-    Only valid when the module is multiplicity free; otherwise the result is
-    Unknown with the candidate subgroups listed.  A module above the
-    symmetric-power dimension budget gets status "budget", also with the
-    candidates listed, before any symmetric power is formed.  An odd
-    hilbert_degree is rounded down; one above the symmetric-power degree
-    budget makes invariant_dims raise BudgetExceeded."""
+    A candidate is a subgroup's (order, degrees) from `reflection_subgroups`,
+    and its Molien series is prod_i 1/(1 - t^(d_i)) (Chevalley, Amer. J.
+    Math. 77, 1955).  Only valid when the module is multiplicity free;
+    otherwise the result is Unknown with the candidates' orders listed.  A
+    module above the symmetric-power dimension budget gets status "budget",
+    also with the candidates listed, before any symmetric power is formed.
+    An odd hilbert_degree is rounded down; one above the symmetric-power
+    degree budget makes invariant_dims raise BudgetExceeded."""
     subs = reflection_subgroups(gamma)
-    candidates = tuple(sorted(len(s) for s in subs))
+    candidates = tuple(order for order, _ in subs)
     if not mf:
         return LittleWeylResult(status="unknown", candidates=candidates)
     if spec.dim > DEFAULT_SYM_DIM_BUDGET:
         return LittleWeylResult(status="budget", candidates=candidates)
-    codim = dict(zip(gamma.gamma_matrices, gamma.fixed_codims))
-    k = len(gamma.a_star_basis)
-    degrees = {
-        sub: _degrees_from_codims([codim[g] for g in sub], k) for sub in subs
-    }
     degree = hilbert_degree
     if degree % 2:
         degree -= 1
@@ -299,15 +365,12 @@ def determine_little_weyl(
         hilb = invariant_dims(spec, degree, weyl_cap=weyl_cap)
         # the Molien series in squared degrees: prod_i 1/(1 - t^(2 d_i))
         matches = [
-            sub for sub in subs
-            if _degree_series([2 * d for d in degrees[sub]], degree) == hilb
+            (order, degrees) for order, degrees in subs
+            if _degree_series([2 * d for d in degrees], degree) == hilb
         ]
         if len(matches) == 1:
-            return LittleWeylResult(
-                status="exact",
-                order=len(matches[0]),
-                degrees=degrees[matches[0]],
-            )
+            order, degrees = matches[0]
+            return LittleWeylResult(status="exact", order=order, degrees=degrees)
         if not matches:
             raise InternalConsistencyError(
                 "no reflection subgroup of Gamma matches the Hilbert series"
@@ -315,7 +378,7 @@ def determine_little_weyl(
         if degree + 2 > DEFAULT_SYM_DEGREE_BUDGET:
             return LittleWeylResult(
                 status="ambiguous",
-                candidates=tuple(sorted(len(m) for m in matches)),
+                candidates=tuple(order for order, _ in matches),
             )
         degree += 2
 

@@ -355,17 +355,9 @@ def _weyl_orbit_cached(datum, x):
 
 def weyl_orbit(datum, x):
     """The W-orbit of x as (point, word) pairs in breadth-first order, x
-    first with the empty word; `apply_word(datum, word, x)` is the point, and
-    no shorter word reaches it."""
+    first with the empty word; the word's simple reflections applied to x,
+    first letter first, give the point, and no shorter word reaches it."""
     return _weyl_orbit_cached(datum, cvec(x))
-
-
-def apply_word(datum, word, w):
-    """Apply the simple reflections of word to w, first letter first."""
-    cur = cvec(w)
-    for j in word:
-        cur = datum.reflect(j, cur)
-    return cur
 
 
 def check_weyl_cap(datum, cap):
@@ -545,14 +537,24 @@ class SubspaceGroupData:
 
 def _gamma_matrices(datum, basis, orbit):
     """The action on a*-coordinates of each orbit word mapping a* into
-    itself, sorted.  An orbit point outside a* has no such word."""
+    itself, sorted.  An orbit point outside a* has no such word.  A word's
+    images of the basis are its breadth-first parent's (the word less its
+    last letter) moved by one reflection, formed for the points in a* and
+    their ancestors only."""
     k = len(basis)
     solve = span_solver(basis)
+    images = {(): tuple(basis)}
+
+    def image(word):
+        if word not in images:
+            images[word] = tuple(datum.reflect(word[-1], b) for b in image(word[:-1]))
+        return images[word]
+
     gamma = set()
     for y, word in orbit:
         if solve(y) is None:
             continue
-        coeffs = [solve(apply_word(datum, word, b)) for b in basis]
+        coeffs = [solve(b) for b in image(word)]
         if None not in coeffs:
             # columns are the coordinates of the images of the basis vectors
             gamma.add(tuple(tuple(coeffs[j][i] for j in range(k)) for i in range(k)))

@@ -5,8 +5,9 @@ recursion, and word-based Weyl enumeration: multiplicities come from the
 Kostant partition function, invariant dimensions from explicit monomial
 enumeration, symmetric powers from Newton's identity over Fractions or
 the division-free recursion over tuple-keyed weights, Molien series from
-power traces instead of fixed-space counts, group elements from matrix
-closure with determinant signs, invariant symplectic forms from a
+power traces, reflection subgroups as matrix closures with their degrees
+from fixed-space counts instead of a conjugation table and Coxeter types,
+group elements from matrix closure with determinant signs, invariant symplectic forms from a
 nullspace solve, and root-vector scalars by brackets in a reference module
 instead of Chevalley's structure constants.  The float moment maps are evaluated one vector and one Lie
 basis matrix at a time; the Jacobian ranks, the coisotropy test, the
@@ -610,6 +611,67 @@ def reflection_subgroups_oracle(gamma):
         for combo in combinations(refl, size):
             subs.add(group_closure(combo, k))
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def reflection_subgroups_grown_oracle(gamma):
+    """All subgroups generated by subsets of Gamma's reflections, as groups
+    of matrices, grown from the trivial group: each new subgroup is the
+    closure of one already found, with its generators plus one reflection
+    outside it."""
+    k = len(gamma.a_star_basis)
+    refl = [gamma.gamma_matrices[i] for i in gamma.reflection_indices]
+    subs = {group_closure([], k): ()}
+    queue = list(subs.items())
+    for sub, gens in queue:  # the queue grows as subgroups are found
+        for r in refl:
+            if r not in sub:
+                bigger = group_closure(gens + (r,), k)
+                if bigger not in subs:
+                    subs[bigger] = gens + (r,)
+                    queue.append((bigger, gens + (r,)))
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def degrees_from_codims_oracle(codims, k):
+    """The degrees d_1 <= ... <= d_k of a reflection group on a k-dim space,
+    from the codimension rank(g - 1) of each element's fixed space.
+
+    sum_g t^rank(g - 1) = prod_i (1 + (d_i - 1) t) (Shephard-Todd, Canad. J.
+    Math. 6, 1954, Thm 5.3): the count polynomial is divided exactly by
+    (1 + m t) for m = 1, 2, ..., each exact division gives a degree m + 1,
+    and the degrees left over are 1."""
+    poly = [0] * (max(codims, default=0) + 1)
+    for c in codims:
+        poly[c] += 1
+    degrees = []
+    m = 1
+    # every factor's m divides the leading coefficient
+    while len(poly) > 1 and m <= poly[-1]:
+        quot = [poly[0]]
+        for p in poly[1:-1]:
+            quot.append(p - m * quot[-1])
+        if poly[-1] == m * quot[-1]:
+            poly = quot
+            degrees.append(m + 1)
+        else:
+            m += 1
+    if poly != [1]:
+        raise InternalConsistencyError(
+            "fixed-space count does not split into factors (1 + m t)"
+        )
+    return (1,) * (k - len(degrees)) + tuple(degrees)
+
+
+def little_weyl_candidates_oracle(gamma, subgroups=reflection_subgroups_grown_oracle):
+    """(order, degrees) of each of Gamma's reflection subgroups, sorted: the
+    subgroups as closed matrix groups, their degrees from their elements'
+    fixed-space codimensions."""
+    codim = dict(zip(gamma.gamma_matrices, gamma.fixed_codims))
+    k = len(gamma.a_star_basis)
+    return sorted(
+        (len(sub), degrees_from_codims_oracle([codim[g] for g in sub], k))
+        for sub in subgroups(gamma)
+    )
 
 
 def molien_series_oracle(mats, max_degree):

@@ -395,6 +395,33 @@ def test_gamma_command_agrees_with_full_analysis(tmp_path, capsys):
         assert capsys.readouterr().out == want, name
 
 
+# Adjoint pairs: a* is all of t*, so Gamma = W, and the module is not
+# multiplicity free, so W_V is unknown and every reflection subgroup of W is
+# listed: (group, highest weight, candidates, |W|).
+ADJOINT_PAIRS = {
+    "D4": ([["D", 4]], [0, 1, 0, 0], 75, 192),
+    "B4": ([["B", 4]], [0, 1, 0, 0], 218, 384),
+    "A5": ([["A", 5]], [1, 0, 0, 0, 1], 203, 720),
+    "F4": ([["F", 4]], [1, 0, 0, 0], 637, 1152),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_PAIRS))
+def test_adjoint_pairs_list_every_reflection_subgroup_of_w(tmp_path, capsys, name):
+    simple, hw, count, order = ADJOINT_PAIRS[name]
+    doc = {"group": {"simple": simple, "central_torus_rank": 0},
+           "rep": [{"hw": hw, "mult": 2}]}
+    assert main(["analyze", _write(tmp_path, "adj.json", doc)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["rk_s"], report["mf"]) == (len(hw), False)
+    assert report["gamma"]["order"] == order
+    little = report["little_weyl"]
+    assert little["status"] == "unknown"
+    assert len(little["candidates"]) == count
+    assert little["candidates"] == sorted(little["candidates"])
+    assert (little["candidates"][0], little["candidates"][-1]) == (1, order)
+
+
 def test_batch_command(tmp_path, capsys):
     _write(tmp_path, "a.json", SP4)
     _write(tmp_path, "b.json", CUBIC)

@@ -28,7 +28,7 @@ from symprep.numeric import (
     verify_commute,
 )
 from symprep.reps import validate_symplectic_spec
-from symprep.rootdata import build_root_datum
+from symprep.rootdata import build_root_datum, weyl_degrees
 
 from corpus import A1, A2, C2, T1, catalog, generic_models, verify_ladder
 from oracles import (
@@ -38,7 +38,6 @@ from oracles import (
     jacobian_oracle,
     jacobian_rank_and_orbit_oracle,
     moment_coords_oracle,
-    phi_solve_q_embed_oracle,
     verify_commute_oracle,
 )
 
@@ -54,6 +53,26 @@ def test_moment_closed_form_sp2():
     expected = -0.5 * np.outer(v, v) @ rep.j
     assert np.max(np.abs(mv.factor_matrices[0] - expected)) <= 1e-15
     assert np.linalg.matrix_rank(mv.factor_matrices[0]) == 1
+
+
+@pytest.mark.parametrize("factor", [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)],
+                         ids=lambda f: "%s%d" % f)
+def test_power_traces_are_bit_identical_to_matrix_power(factor):
+    """The power traces at the Weyl degrees, formed from shared squares,
+    equal np.linalg.matrix_power's bit for bit, on one matrix and on a
+    stack; degrees 1 and 3, which matrix_power short-cuts, too."""
+    degrees = weyl_degrees(build_root_datum([factor]))
+    rng = np.random.default_rng(sum(degrees))
+    for shape in [(7, 7), (5, 7, 7), (3, 27, 27)]:
+        x = rng.standard_normal(shape) / np.sqrt(shape[-1])
+        for degs in (degrees, (1, 3) + degrees):
+            want = np.stack(
+                [np.trace(np.linalg.matrix_power(x, d), axis1=-2, axis2=-1) for d in degs],
+                axis=-1,
+            )
+            got = numeric._power_traces(x, degs)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (factor, shape)
 
 
 def test_moment_torus_example():

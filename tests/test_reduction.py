@@ -1,25 +1,36 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from symprep import reduction
+from symprep.cli import parse_spec
 from symprep.errors import InternalConsistencyError, NoNonTerminalWeight, WeylCapExceeded
-from symprep.linalg import mat_vec, same_span
+from symprep.linalg import fixed_codim, mat_vec, same_span
 from symprep.reduction import (
     analyze,
     centralizer_levi,
     choose_nonterminal_weight,
     compute_gamma,
-    molien_series,
     reduce_step,
     reduce_to_gamma,
-    reflection_degrees,
     reflection_subgroups,
     run_reduction,
 )
 from symprep.reps import validate_symplectic_spec
-from symprep.rootdata import build_root_datum, levi_subdatum, positive_roots
+from symprep.rootdata import (
+    SubspaceGroupData,
+    build_root_datum,
+    levi_subdatum,
+    positive_roots,
+)
 
-from corpus import A1, A2, C2, T1, ANALYZE_LADDER, catalog
+from corpus import (
+    A1, A2, C2, T1, ANALYZE_LADDER, catalog, generic_models, verify_ladder,
+)
 from oracles import (
+    little_weyl_candidates_oracle,
     molien_series_oracle,
     reflection_subgroups_oracle,
     weyl_matrices_bruteforce,
@@ -131,14 +142,26 @@ def test_compute_gamma_examples():
     assert g.gamma_order == 1
 
 
+def _group_data(mats):
+    """Gamma data of a finite group given by its matrices on a*."""
+    k = len(mats[0])
+    return SubspaceGroupData(
+        a_star_basis=tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
+        normalizer_order=len(mats),
+        centralizer_order=1,
+        gamma_matrices=tuple(sorted(mats)),
+        fixed_codims=tuple(fixed_codim(g) for g in sorted(mats)),
+    )
+
+
 def test_molien_series_of_sign_group():
     flip = ((-1,),)
     ident = ((1,),)
-    series = molien_series([ident, flip], 6)
-    assert series == [1, 0, 1, 0, 1, 0, 1]
-    assert reflection_degrees([ident, flip]) == (2,)
-    assert molien_series([ident], 4) == [1, 1, 1, 1, 1]
-    assert reflection_degrees([ident]) == (1,)
+    subs = reflection_subgroups(_group_data([ident, flip]))
+    assert subs == [(1, (1,)), (2, (2,))]
+    assert reduction._degree_series((2,), 6) == [1, 0, 1, 0, 1, 0, 1]
+    assert reduction._degree_series((2,), 6) == molien_series_oracle([ident, flip], 6)
+    assert reduction._degree_series((1,), 4) == [1, 1, 1, 1, 1]
 
 
 # The degrees of the irreducible Weyl groups (Humphreys, Reflection Groups
@@ -151,20 +174,33 @@ WEYL_DEGREES = {
 }
 
 
+def _weyl_group_gamma(factor):
+    """Gamma = W: the normalizer of all of t*."""
+    datum = build_root_datum([factor])
+    n = datum.ambient_dim
+    return datum, compute_gamma(datum, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+
+
 @pytest.mark.parametrize("factor", list(WEYL_DEGREES), ids=lambda f: "%s%d" % f)
 def test_weyl_group_degrees_match_the_table(factor):
-    mats = weyl_matrices_bruteforce(build_root_datum([factor]))
-    assert reflection_degrees(mats) == WEYL_DEGREES[factor]
-    assert molien_series(mats, 10) == molien_series_oracle(mats, 10)
+    """The largest reflection subgroup of Gamma = W is W, with the tabulated
+    degrees, and its series prod 1/(1 - t^d) is the Molien series by power
+    traces."""
+    datum, gamma = _weyl_group_gamma(factor)
+    order, degrees = reflection_subgroups(gamma)[-1]
+    assert (order, degrees) == (datum.weyl_order(), WEYL_DEGREES[factor])
+    mats = weyl_matrices_bruteforce(datum)
+    assert reduction._degree_series(degrees, 10) == molien_series_oracle(mats, 10)
 
 
 def test_a_rotation_group_has_no_reflection_degrees():
-    """The rotations of W(A2) fix only 0: their count 1 + 2 t^2 has no
-    factor 1 + m t."""
+    """The rotations of W(A2) fix only 0: the group has no reflection, so
+    its one reflection subgroup is the trivial one, of degrees (1, 1)."""
     r = ((0, -1), (1, -1))
     mats = [((1, 0), (0, 1)), r, ((-1, 1), (-1, 0))]
-    with pytest.raises(InternalConsistencyError, match="does not split"):
-        reflection_degrees(mats)
+    gamma = _group_data(mats)
+    assert gamma.reflection_indices == ()
+    assert reflection_subgroups(gamma) == [(1, (1, 1))]
 
 
 def _gammas_of_catalog_and_ladder():
@@ -178,21 +214,130 @@ def _gammas_of_catalog_and_ladder():
 
 
 def test_reflection_subgroup_series_match_the_power_trace_oracle():
-    """The series determine_little_weyl matches, read off the fixed-space
-    codimensions Gamma carries, equal the Molien series by power traces, on
-    all 100 reflection subgroups of the catalog's, the ladder's and C3xT1's
-    Gammas."""
+    """The series determine_little_weyl matches, read off each subgroup's
+    Coxeter type, equal the Molien series by power traces of the closures
+    of all subsets of reflections, as multisets, on all 100 reflection
+    subgroups of the catalog's, the ladder's and C3xT1's Gammas."""
     seen = 0
     for name, gamma in _gammas_of_catalog_and_ladder():
-        k = len(gamma.a_star_basis)
-        codim = dict(zip(gamma.gamma_matrices, gamma.fixed_codims))
-        for sub in reflection_subgroups(gamma):
-            degrees = reduction._degrees_from_codims([codim[g] for g in sub], k)
-            want = molien_series_oracle(sorted(sub), 10)
-            assert reduction._degree_series(degrees, 10) == want, (name, len(sub))
-            assert molien_series(sorted(sub), 10) == want, (name, len(sub))
-            seen += 1
+        subs = reflection_subgroups(gamma)
+        got = Counter(
+            (order, tuple(reduction._degree_series(degrees, 10)))
+            for order, degrees in subs
+        )
+        want = Counter(
+            (len(sub), tuple(molien_series_oracle(sorted(sub), 10)))
+            for sub in reflection_subgroups_oracle(gamma)
+        )
+        assert got == want, name
+        seen += len(subs)
     assert seen == 100
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
+     ("D", 4), ("G", 2)],
+    ids=lambda f: "%s%d" % f,
+)
+def test_reflection_subgroups_of_a_weyl_group_match_the_grown_closures(factor):
+    """On Gamma = W, each subgroup's (order, degrees) from its Coxeter type
+    equals, as a multiset, the grown matrix closures' order and Shephard-Todd
+    degrees from the fixed-space codimensions."""
+    gamma = _weyl_group_gamma(factor)[1]
+    assert reflection_subgroups(gamma) == little_weyl_candidates_oracle(gamma)
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def _corpus_gammas():
+    """The distinct Gammas of the benchmark's analyze specs (the catalog,
+    the analyze ladder and the batch pool), the verify ladder, the generic
+    models and C3xT1."""
+    specs = [parse_spec(text)[0] for text in json.loads(REFERENCE.read_text())["analyze"]]
+    specs += list(verify_ladder().values()) + list(generic_models().values())
+    factors, central, summands = C3T1
+    specs.append(validate_symplectic_spec(
+        build_root_datum(factors, central_rank=central), summands))
+    gammas = {}
+    for spec in specs:
+        gamma = reduce_to_gamma(spec)[2]
+        gammas[spec.datum, gamma.a_star_basis] = gamma
+    return list(gammas.values())
+
+
+def test_reflection_subgroups_match_the_grown_closures_on_every_corpus_gamma():
+    gammas = _corpus_gammas()
+    assert len(gammas) > 20
+    for gamma in gammas:
+        assert reflection_subgroups(gamma) == little_weyl_candidates_oracle(gamma)
+
+
+def _with_tampered_tables(monkeypatch, mutate):
+    table = reduction._reflection_table
+
+    def tampered(gamma):
+        conj, neg, joined = table(gamma)
+        mutate(conj, neg, joined)
+        return conj, neg, joined
+
+    monkeypatch.setattr(reduction, "_reflection_table", tampered)
+
+
+@pytest.mark.parametrize("factor", [("B", 3), ("G", 2), ("A", 3)], ids=lambda f: "%s%d" % f)
+def test_a_tampered_conjugation_table_trips_the_candidate_checks(monkeypatch, factor):
+    """Every change of one entry conj[a][b] to another reflection raises
+    InternalConsistencyError naming the stage."""
+    gamma = _weyl_group_gamma(factor)[1]
+    conj = reduction._reflection_table(gamma)[0]
+    n = len(conj)
+    cases = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+             if c != conj[a][b]]
+    for a, b, c in cases:
+        def mutate(conj, neg, joined, a=a, b=b, c=c):
+            conj[a][b] = c
+        with monkeypatch.context() as m:
+            _with_tampered_tables(m, mutate)
+            with pytest.raises(InternalConsistencyError, match="little Weyl candidates"):
+                reflection_subgroups(gamma)
+
+
+@pytest.mark.parametrize("table", [1, 2], ids=["sign", "commutation"])
+def test_a_tampered_sign_or_commutation_bit_never_passes_silently(monkeypatch, table):
+    """On Gamma = W(B3), flipping one off-diagonal bit of the sign masks
+    (which fix the simple roots) or of the commutation masks (which count
+    each Coxeter component's reflections) either leaves every (order,
+    degrees) as it was or raises InternalConsistencyError naming the stage;
+    some flips raise."""
+    gamma = _weyl_group_gamma(("B", 3))[1]
+    good = reflection_subgroups(gamma)
+    n = len(reduction._reflection_table(gamma)[0])
+    raised = 0
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+
+            def mutate(*tables, a=a, b=b):
+                tables[table][a] ^= 1 << b
+
+            with monkeypatch.context() as m:
+                _with_tampered_tables(m, mutate)
+                try:
+                    assert reflection_subgroups(gamma) == good, (a, b)
+                except InternalConsistencyError as exc:
+                    assert "little Weyl candidates" in str(exc)
+                    raised += 1
+    assert raised
+
+
+@pytest.mark.parametrize("n, count, laced", [
+    (3, 7, True), (2, 5, False), (6, 30, False), (3, 6, False), (4, 16, True),
+])
+def test_a_reflection_count_naming_no_type_raises(n, count, laced):
+    with pytest.raises(InternalConsistencyError, match="little Weyl candidates.*names no finite"):
+        reduction._component_degrees(n, count, laced)
 
 
 def test_little_weyl_examples():
@@ -292,26 +437,30 @@ def test_centralizer_levi_rejects_a_levi_of_the_other_root_length():
     "name", ["C3xT1", "F4_26_x2", "A3_mixed_rk3", "G2_adj_x2"]
 )
 def test_reflection_subgroups_grow_to_the_powerset_closures(name, monkeypatch):
-    """Growing subgroups one reflection at a time finds exactly the closures
-    of all subsets, in the same order, with at most one closure per
-    (subgroup, reflection)."""
+    """Growing conjugation-closed reflection sets one reflection at a time
+    finds exactly the closures of all subsets, by (order, degrees).  Each
+    set found takes one orbit walk and one closure per orbit of its group
+    on the reflections outside it: fewer pairs of calls than (set,
+    reflection outside it) pairs, a set's reflection count being
+    sum(d - 1)."""
     if name == "C3xT1":
         factors, central, summands = C3T1
     else:
         (factors, summands), central = ANALYZE_LADDER[name], 0
     datum = build_root_datum(factors, central_rank=central)
     gamma = reduce_to_gamma(validate_symplectic_spec(datum, summands))[2]
-    closure, calls = reduction.group_closure, [0]
+    closure, calls = reduction._closure, [0]
 
-    def counting_closure(gens, dim):
+    def counting_closure(*args):
         calls[0] += 1
-        return closure(gens, dim)
+        return closure(*args)
 
-    monkeypatch.setattr(reduction, "group_closure", counting_closure)
+    monkeypatch.setattr(reduction, "_closure", counting_closure)
     subs = reflection_subgroups(gamma)
-    assert subs == reflection_subgroups_oracle(gamma)
+    assert subs == little_weyl_candidates_oracle(gamma, reflection_subgroups_oracle)
     nrefl = len(gamma.reflection_indices)
-    assert calls[0] <= len(subs) * nrefl
+    outside = sum(nrefl - sum(d - 1 for d in degrees) for _, degrees in subs)
+    assert calls[0] % 2 == 0 and calls[0] // 2 < outside
     if name == "C3xT1":
         assert (len(gamma.gamma_matrices), nrefl, len(subs)) == (48, 9, 38)
 
