@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, le, mul
 
 from .errors import (
     BudgetExceeded,
@@ -362,12 +362,18 @@ def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
     radix, bound, sym = _sym_powers_cached(
         _freeze(spec.weight_multiset()), max_degree
     )
+    # _int_key is sum_a v_a radix^a, so t = y - rho keys as the same form on
+    # y less its value on rho: an int, or on a fractional rho (a Levi's) an
+    # integral Fraction, which finds the same entry of h[d].  t lies in the
+    # box exactly when y lies in the box moved by rho.
+    powers = [radix ** a for a in range(len(rho))]
+    shift = sum(map(mul, rho, powers))
+    lo = [x - bound for x in rho]
+    hi = [x + bound for x in rho]
     plus, minus = [], []
     for y, word in orbit:
-        t = vsub(y, rho)
-        key = _int_key(t, radix)
-        if all(-bound <= x <= bound for x in t):
-            (minus if len(word) % 2 else plus).append(key)
+        if all(map(le, lo, y)) and all(map(le, y, hi)):
+            (minus if len(word) % 2 else plus).append(sum(map(mul, y, powers)) - shift)
     out = []
     for hd in sym:
         val = sum(hd.get(k, 0) for k in plus) - sum(hd.get(k, 0) for k in minus)

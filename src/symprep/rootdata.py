@@ -7,6 +7,17 @@ satisfies <w, alpha_i^vee> = w[i] for the i-th declared simple coroot, and
 central coordinates pair to zero with every coroot.  Levi and subsystem data
 share the same ambient lattice; their simple coroots are stored as explicit
 functionals so that pairings remain plain dot products.
+
+Weyl walks run in Dynkin labels l = (<y, alpha_j^vee>)_j (Stembridge,
+Computational aspects of root systems, Coxeter groups, and Weyl characters,
+MSJ Mem. 11, 2001): the simple reflection s_i maps l to l - l_i C[i], with C
+the Cartan pairing, and fixes y when l_i = 0.  Within one orbit the labels
+decide the point, since two points differ by an element of the root span
+and C is nonsingular; so `weyl_orbit` keys its walk on labels and forms a
+point once, from its parent, and `dominant_representative` carries the
+labels along.  Both walks and the positive-root closure stay in ints on
+integral data; a fractional point (a generic point of a*, rho_strict of a
+Levi) makes canonical only the coordinates a step changes.
 """
 
 from collections import Counter
@@ -15,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, permutations
 from math import factorial
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -142,9 +154,8 @@ class RootDatum:
         return len(self.simple_roots)
 
     def cartan_pairing(self):
-        return tuple(
-            tuple(vdot(a, c) for c in self.simple_coroots) for a in self.simple_roots
-        )
+        """C[i][j] = <alpha_i, alpha_j^vee>, formed once per datum."""
+        return _cartan_pairing(self)
 
     def pairing(self, w, i):
         if len(w) != self.ambient_dim:
@@ -155,10 +166,6 @@ class RootDatum:
 
     def is_dominant(self, w):
         return all(self.pairing(w, i) >= 0 for i in range(self.rank))
-
-    def reflect(self, i, w):
-        p = self.pairing(w, i)
-        return cvec(x - p * a for x, a in zip(w, self.simple_roots[i]))
 
     def type_string(self):
         parts = [f"{l}{n}" for l, n in self.factors]
@@ -175,6 +182,47 @@ class RootDatum:
 
     def dim_group(self):
         return self.ambient_dim + 2 * len(positive_roots(self))
+
+
+@lru_cache(maxsize=None)
+def _cartan_pairing(datum):
+    return tuple(
+        tuple(vdot(a, c) for c in datum.simple_coroots) for a in datum.simple_roots
+    )
+
+
+@lru_cache(maxsize=None)
+def _reflection_data(datum):
+    """Per simple reflection s_i: the nonzero entries (index, value) of
+    alpha_i in ambient coordinates and of C[i] in label coordinates.  s_i
+    subtracts l_i = <y, alpha_i^vee> times the first from a point y and
+    times the second from y's labels."""
+    def support(v):
+        return tuple((a, x) for a, x in enumerate(v) if x)
+
+    return tuple(
+        (support(r), support(row))
+        for r, row in zip(datum.simple_roots, datum.cartan_pairing())
+    )
+
+
+def _labels(datum, w):
+    """w's Dynkin labels (<w, alpha_j^vee>)_j, with the length check."""
+    return tuple(datum.pairing(w, j) for j in range(datum.rank))
+
+
+def _minus(v, c, support):
+    """v - c u for the sparse vector u given by its support (index, value),
+    changing only those entries; with an int c on a canonical v the result
+    is canonical without `canon`."""
+    out = list(v)
+    if type(c) is int:
+        for a, x in support:
+            out[a] -= c * x
+    else:
+        for a, x in support:
+            out[a] = canon(out[a] - c * x)
+    return tuple(out)
 
 
 def build_root_datum(factors, central_rank=0):
@@ -244,11 +292,17 @@ def _length_data(datum):
 
 @lru_cache(maxsize=None)
 def positive_roots(datum):
-    """All positive roots, by reflection closure of the simple system."""
+    """All positive roots, by reflection closure of the simple system, in
+    int coordinates over the simple roots and coroots: s_j moves beta by
+    <beta, alpha_j^vee> alpha_j and beta^vee by <alpha_j, beta^vee>
+    alpha_j^vee, and a zero pairing fixes both.  s_j keeps every positive
+    root but alpha_j positive, and each positive root beyond the simple ones
+    is s_j of a lower one, so the closure never leaves the positive roots."""
     k = datum.rank
     if k == 0:
         return ()
     m = datum.cartan_pairing()
+    cols = tuple(zip(*m))
     lengths = _length_data(datum)
     seen = {}
     frontier = []
@@ -261,22 +315,22 @@ def positive_roots(datum):
         for b in frontier:
             c, d = seen[b]
             for j in range(k):
-                pair_b = canon(sum(b[t] * m[t][j] for t in range(k)))
-                pair_c = canon(sum(c[t] * m[j][t] for t in range(k)))
-                b2 = tuple(
-                    canon(b[t] - (pair_b if t == j else 0)) for t in range(k)
-                )
+                pair_b = sum(map(mul, b, cols[j]))
+                if not pair_b or pair_b > b[j]:  # s_j fixes b, or b = alpha_j
+                    continue
+                b2 = list(b)
+                b2[j] -= pair_b
+                b2 = tuple(b2)
                 if b2 not in seen:
-                    c2 = tuple(
-                        canon(c[t] - (pair_c if t == j else 0)) for t in range(k)
-                    )
-                    seen[b2] = (c2, d)
+                    c2 = list(c)
+                    c2[j] -= sum(map(mul, c, m[j]))
+                    seen[b2] = (tuple(c2), d)
                     nxt.append(b2)
         frontier = nxt
     roots_t, coroots_t = transpose(datum.simple_roots), transpose(datum.simple_coroots)
     out = [
         Root(b, mat_vec(roots_t, b), c, mat_vec(coroots_t, c), d)
-        for b, (c, d) in seen.items() if all(x >= 0 for x in b)
+        for b, (c, d) in seen.items()
     ]
     out.sort(key=lambda r: (r.height, r.coords))
     return tuple(out)
@@ -293,12 +347,12 @@ def weyl_degrees(datum):
 
 @lru_cache(maxsize=None)
 def rho_vee(datum):
-    """Half-sum of positive coroots, as a functional on the ambient lattice."""
-    acc = [Fraction(0)] * datum.ambient_dim
+    """Half-sum of positive coroots, as a functional on the ambient lattice:
+    the coroots summed in ints, halved once."""
+    acc = [0] * datum.ambient_dim
     for r in positive_roots(datum):
-        for a in range(datum.ambient_dim):
-            acc[a] += Fraction(r.coroot_vec[a], 2)
-    return cvec(acc)
+        acc = list(map(add, acc, r.coroot_vec))
+    return cvec(Fraction(x, 2) for x in acc)
 
 
 def height(datum, w):
@@ -318,16 +372,20 @@ def rho_strict(datum):
 
 
 def dominant_representative(datum, w):
-    """Dominant W-orbit representative plus the word moving w to it."""
+    """Dominant W-orbit representative plus the word moving w to it: reflect
+    in the first simple root with a negative label until none is left.  The
+    labels are carried along, not paired afresh."""
     cur = cvec(w)
+    labels = _labels(datum, cur)
+    refl = _reflection_data(datum)
     word = []
     while True:
-        j = next(
-            (i for i in range(datum.rank) if datum.pairing(cur, i) < 0), None
-        )
+        j = next((i for i, l in enumerate(labels) if l < 0), None)
         if j is None:
             return cur, tuple(word)
-        cur = datum.reflect(j, cur)
+        lj = labels[j]
+        root, row = refl[j]
+        cur, labels = _minus(cur, lj, root), _minus(labels, lj, row)
         word.append(j)
 
 
@@ -338,25 +396,29 @@ def dual_weight(datum, w):
 
 @lru_cache(maxsize=None)
 def _weyl_orbit_cached(datum, x):
-    orbit = {x: ()}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            word = orbit[v]
-            for i in range(datum.rank):
-                u = datum.reflect(i, v)
-                if u not in orbit:
-                    orbit[u] = word + (i,)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(orbit.items())
+    refl = _reflection_data(datum)
+    start = _labels(datum, x)
+    seen, labels, orbit = {start}, [start], [(x, ())]
+    for n, (y, word) in enumerate(orbit):  # the walk grows as points are found
+        l = labels[n]
+        for i, li in enumerate(l):
+            if not li:  # s_i fixes y
+                continue
+            root, row = refl[i]
+            u = _minus(l, li, row)
+            if u not in seen:
+                seen.add(u)
+                labels.append(u)
+                orbit.append((_minus(y, li, root), word + (i,)))
+    return tuple(orbit)
 
 
 def weyl_orbit(datum, x):
     """The W-orbit of x as (point, word) pairs in breadth-first order, x
     first with the empty word; the word's simple reflections applied to x,
-    first letter first, give the point, and no shorter word reaches it."""
+    first letter first, give the point, and no shorter word reaches it.
+    The walk is keyed on Dynkin labels (see the module docstring): a point
+    is formed once, from its parent, when its labels are new."""
     return _weyl_orbit_cached(datum, cvec(x))
 
 
@@ -523,16 +585,21 @@ class SubspaceGroupData:
     normalizer_order: int
     centralizer_order: int
     gamma_matrices: tuple          # faithful action on a*-coordinates
-    fixed_codims: tuple            # rank(g - 1) for each of gamma_matrices
+    reflection_indices: tuple      # indices into gamma_matrices of the reflections
 
     @property
     def gamma_order(self):
         return len(self.gamma_matrices)
 
-    @property
-    def reflection_indices(self):
-        """Indices into gamma_matrices of the reflections: codimension 1."""
-        return tuple(i for i, c in enumerate(self.fixed_codims) if c == 1)
+
+def _reflection_indices(mats, k):
+    """Indices of the reflections among the matrices of a finite group on
+    k-space: rank(g - I) = 1.  A reflection of finite order has eigenvalues
+    1 (k - 1 times) and -1, so trace k - 2; only those matrices are ranked."""
+    return tuple(
+        i for i, g in enumerate(mats)
+        if sum(g[a][a] for a in range(k)) == k - 2 and fixed_codim(g) == 1
+    )
 
 
 def _gamma_matrices(datum, basis, orbit):
@@ -543,11 +610,15 @@ def _gamma_matrices(datum, basis, orbit):
     their ancestors only."""
     k = len(basis)
     solve = span_solver(basis)
+    refl = _reflection_data(datum)
     images = {(): tuple(basis)}
 
     def image(word):
         if word not in images:
-            images[word] = tuple(datum.reflect(word[-1], b) for b in image(word[:-1]))
+            i = word[-1]
+            images[word] = tuple(
+                _minus(b, datum.pairing(b, i), refl[i][0]) for b in image(word[:-1])
+            )
         return images[word]
 
     gamma = set()
@@ -591,5 +662,5 @@ def subspace_normalizer(datum, a_star_basis, cap=DEFAULT_WEYL_CAP):
         normalizer_order=len(mats) * levi.weyl_order(),
         centralizer_order=levi.weyl_order(),
         gamma_matrices=tuple(mats),
-        fixed_codims=tuple(fixed_codim(g) for g in mats),
+        reflection_indices=_reflection_indices(mats, len(basis)),
     )

@@ -14,6 +14,9 @@ basis matrix at a time; the Jacobian ranks, the coisotropy test, the
 q-embedding and the commuting square one sample at a time with per-entry
 loops; the weight moment over Fractions, and the section's
 terminal coordinates by a fresh span solve per target and peeled character.
+Weyl orbits, dominant representatives and positive roots are walked in
+ambient coordinates, one `reflect` (a pairing and a `canon` per coordinate)
+per edge, independent of the library's walk in Dynkin labels.
 Row reduction here is `rref_oracle`, Gauss-Jordan over Fractions, and
 `nullspace_oracle` on top of it, independent of the library's fraction-free
 elimination; every span solve is `span_coords_oracle`, an rref_oracle of
@@ -35,6 +38,7 @@ from symprep.linalg import (
     canon,
     cvec,
     dense,
+    fixed_codim,
     group_closure,
     is_zero_vec,
     lincomb,
@@ -59,7 +63,7 @@ from symprep.matrixrep import (
 )
 from symprep.classify import WeightStatus, weight_status
 from symprep.numeric import DOMAIN_TOL, RANK_TOL, factor_matrix_forms, seeded_samples
-from symprep.rootdata import positive_roots, rho_strict
+from symprep.rootdata import _length_data, positive_roots, rho_strict
 from symprep.sections import _plan_coords
 
 
@@ -182,6 +186,76 @@ def reflection_matrix(datum, i):
     return tuple(
         tuple(canon((1 if a == b else 0) - al[a] * co[b]) for b in range(n))
         for a in range(n)
+    )
+
+
+def reflect(datum, i, w):
+    """s_i w = w - <w, alpha_i^vee> alpha_i, every coordinate made canonical."""
+    p = datum.pairing(w, i)
+    return cvec(x - p * a for x, a in zip(w, datum.simple_roots[i]))
+
+
+def weyl_orbit_oracle(datum, x):
+    """The W-orbit of x as (point, word) pairs, breadth first, simple
+    reflections in index order: one `reflect` per edge."""
+    x = cvec(x)
+    orbit = {x: ()}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            word = orbit[v]
+            for i in range(datum.rank):
+                u = reflect(datum, i, v)
+                if u not in orbit:
+                    orbit[u] = word + (i,)
+                    nxt.append(u)
+        frontier = nxt
+    return tuple(orbit.items())
+
+
+def dominant_representative_oracle(datum, w):
+    """(dominant point, word): reflect in the first simple root pairing
+    negatively with the current point, paired afresh each step."""
+    cur = cvec(w)
+    word = []
+    while True:
+        j = next((i for i in range(datum.rank) if datum.pairing(cur, i) < 0), None)
+        if j is None:
+            return cur, tuple(word)
+        cur = reflect(datum, j, cur)
+        word.append(j)
+
+
+def positive_roots_oracle(datum):
+    """(coords, coroot_coords, half_length) of each positive root, sorted by
+    height and coords: the reflection closure of the simple system over
+    Fractions, every reflection applied, zero pairings included."""
+    k = datum.rank
+    m = datum.cartan_pairing()
+    lengths = _length_data(datum)
+    seen = {}
+    frontier = []
+    for i in range(k):
+        e = tuple(1 if j == i else 0 for j in range(k))
+        seen[e] = (e, lengths[i])
+        frontier.append(e)
+    while frontier:
+        nxt = []
+        for b in frontier:
+            c, d = seen[b]
+            for j in range(k):
+                pair_b = canon(sum(Fraction(b[t]) * m[t][j] for t in range(k)))
+                pair_c = canon(sum(Fraction(c[t]) * m[j][t] for t in range(k)))
+                b2 = tuple(canon(b[t] - (pair_b if t == j else 0)) for t in range(k))
+                if b2 not in seen:
+                    c2 = tuple(canon(c[t] - (pair_c if t == j else 0)) for t in range(k))
+                    seen[b2] = (c2, d)
+                    nxt.append(b2)
+        frontier = nxt
+    return sorted(
+        ((b, c, d) for b, (c, d) in seen.items() if all(x >= 0 for x in b)),
+        key=lambda r: (sum(r[0]), r[0]),
     )
 
 
@@ -666,10 +740,9 @@ def little_weyl_candidates_oracle(gamma, subgroups=reflection_subgroups_grown_or
     """(order, degrees) of each of Gamma's reflection subgroups, sorted: the
     subgroups as closed matrix groups, their degrees from their elements'
     fixed-space codimensions."""
-    codim = dict(zip(gamma.gamma_matrices, gamma.fixed_codims))
     k = len(gamma.a_star_basis)
     return sorted(
-        (len(sub), degrees_from_codims_oracle([codim[g] for g in sub], k))
+        (len(sub), degrees_from_codims_oracle([fixed_codim(g) for g in sub], k))
         for sub in subgroups(gamma)
     )
 

@@ -145,12 +145,13 @@ def test_compute_gamma_examples():
 def _group_data(mats):
     """Gamma data of a finite group given by its matrices on a*."""
     k = len(mats[0])
+    mats = sorted(mats)
     return SubspaceGroupData(
         a_star_basis=tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
         normalizer_order=len(mats),
         centralizer_order=1,
-        gamma_matrices=tuple(sorted(mats)),
-        fixed_codims=tuple(fixed_codim(g) for g in sorted(mats)),
+        gamma_matrices=tuple(mats),
+        reflection_indices=tuple(i for i, g in enumerate(mats) if fixed_codim(g) == 1),
     )
 
 

@@ -27,7 +27,13 @@ from symprep.reps import (
     weyl_dim,
 )
 from symprep.linalg import mat_vec
-from symprep.rootdata import build_root_datum, levi_subdatum, positive_roots
+from symprep.rootdata import (
+    build_root_datum,
+    centralizer_datum,
+    levi_subdatum,
+    positive_roots,
+    rho_strict,
+)
 
 from corpus import A1, A2, A3, C2, C3, T1, T2, catalog
 from oracles import (
@@ -281,6 +287,14 @@ def _invariant_dims_oracle_specs():
     )
     specs["D4_vec_x2"] = validate_symplectic_spec(
         build_root_datum([("D", 4)]), [((1, 0, 0, 0), 2)]
+    )
+    # a Levi of B2 whose coroot is (2, 1): its rho_strict is (1/2, 0), so
+    # the orbit points are fractional and only their offsets from rho are
+    # integral
+    levi = centralizer_datum(build_root_datum([("B", 2)]), [(-1, 2)])
+    assert rho_strict(levi) == (Fraction(1, 2), 0)
+    specs["B2_levi_half_rho"] = validate_symplectic_spec(
+        levi, [((1, 0), 2), ((1, -1), 1), ((0, 1), 1)]
     )
     return specs
 

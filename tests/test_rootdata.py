@@ -1,4 +1,7 @@
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from symprep import rootdata
@@ -14,6 +17,7 @@ from symprep.reps import validate_symplectic_spec
 from symprep.rootdata import (
     build_root_datum,
     cartan_matrix,
+    centralizer_datum,
     check_weyl_cap,
     dominant_representative,
     dual_weight,
@@ -29,10 +33,13 @@ from symprep.rootdata import (
 from corpus import ANALYZE_LADDER, catalog
 from oracles import (
     EXCEPTIONAL_DEGREES,
+    dominant_representative_oracle,
+    positive_roots_oracle,
     reflection_matrix,
     span_coords_oracle,
     subspace_normalizer_oracle,
     weyl_matrices_bruteforce,
+    weyl_orbit_oracle,
 )
 
 CLASSICAL_POSITIVE_COUNTS = {
@@ -372,3 +379,93 @@ def test_weyl_degrees_from_root_heights(letter, n):
         prod *= d
     assert prod == datum.weyl_order()
     assert sum(d - 1 for d in degrees) == len(positive_roots(datum))
+
+
+# -- the label walk against the ambient-coordinate walk ---------------------
+
+SMALL_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4),
+]
+
+
+def _random_dominant(rng, datum):
+    return tuple(rng.randint(0, 3) for _ in range(datum.ambient_dim))
+
+
+def _assert_walks_match(datum, point):
+    """weyl_orbit gives the oracle's (point, word) sequence, and the
+    dominant representative of every orbit point and of its negative is
+    the oracle's, word included."""
+    orbit = weyl_orbit(datum, point)
+    assert orbit == weyl_orbit_oracle(datum, point)
+    for y, _ in orbit[:200]:
+        assert dominant_representative(datum, y) == dominant_representative_oracle(datum, y)
+        neg = tuple(-x for x in y)
+        assert dominant_representative(datum, neg) == dominant_representative_oracle(datum, neg)
+
+
+def _assert_roots_match(datum):
+    assert [
+        (r.coords, r.coroot_coords, r.half_length) for r in positive_roots(datum)
+    ] == positive_roots_oracle(datum)
+
+
+@pytest.mark.parametrize("letter, n", SMALL_TYPES)
+def test_label_walk_matches_reflect_walk(letter, n):
+    datum = build_root_datum([(letter, n)])
+    rng = random.Random(n * 131 + ord(letter))
+    _assert_roots_match(datum)
+    _assert_walks_match(datum, rho_strict(datum))
+    _assert_walks_match(datum, _random_dominant(rng, datum))
+
+
+def test_label_walk_matches_reflect_walk_on_e6_rho():
+    datum = build_root_datum([("E", 6)])
+    _assert_roots_match(datum)
+    assert weyl_orbit(datum, rho_strict(datum)) == weyl_orbit_oracle(datum, rho_strict(datum))
+
+
+@pytest.mark.parametrize("factors, central, basis", [
+    ([("A", 3)], 0, [(1, 0, 1)]),
+    ([("B", 2)], 0, [(-1, 2)]),
+    ([("B", 3)], 0, [(0, 0, 1)]),
+    ([("B", 3)], 0, [(-2, -1, 2)]),
+    ([("C", 3)], 1, [(1, 0, 0, 2)]),
+    ([("D", 4)], 0, [(1, 0, 0, 0), (0, 0, 1, 1)]),
+    ([("F", 4)], 0, [(0, 0, 0, 1)]),
+    ([("G", 2), ("A", 1)], 0, [(1, 0, Fraction(1, 2))]),
+])
+def test_label_walk_matches_reflect_walk_on_levi_data(factors, central, basis):
+    """Levi data from centralizer_datum: their simple roots and coroots are
+    arbitrary roots of the parent, and rho_strict may be fractional (on the
+    B2 and B3 lines, whose Levi coroot pairs as 2 with a coordinate)."""
+    levi = centralizer_datum(build_root_datum(factors, central), basis)
+    rng = random.Random(len(levi.simple_roots))
+    _assert_roots_match(levi)
+    _assert_walks_match(levi, rho_strict(levi))
+    _assert_walks_match(levi, tuple(rng.randint(-2, 2) for _ in range(levi.ambient_dim)))
+
+
+@pytest.mark.parametrize("factors, basis", [
+    ([("A", 2)], [(Fraction(1, 2), Fraction(1, 3))]),
+    ([("B", 3)], [(Fraction(1, 3), 0, 0), (0, Fraction(-2, 5), 1)]),
+    ([("C", 2), ("A", 1)], [(Fraction(1, 2), 1, Fraction(3, 7))]),
+    ([("D", 4)], [(Fraction(1, 2), 0, 0, 0), (0, 0, Fraction(1, 3), Fraction(1, 3))]),
+])
+def test_label_walk_matches_reflect_walk_on_fractional_generic_points(factors, basis):
+    """Generic points of a* with fractional coordinates: labels and points
+    are Fractions, and only the points the walk creates are made canonical."""
+    datum = build_root_datum(factors)
+    point = rootdata._generic_point(datum, basis)
+    assert any(type(x) is Fraction for x in point)
+    _assert_walks_match(datum, point)
+    for y, _ in weyl_orbit(datum, point):
+        assert all(type(x) is int or x.denominator != 1 for x in y)
+
+
+def test_label_walk_on_a_torus():
+    torus = build_root_datum([], 2)
+    assert positive_roots(torus) == ()
+    _assert_walks_match(torus, (1, -3))
+    assert weyl_orbit(torus, (Fraction(1, 2), 4)) == ((((Fraction(1, 2), 4)), ()),)

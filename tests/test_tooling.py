@@ -162,3 +162,35 @@ def test_every_dataclass_field_is_read():
     ]
     assert fields
     assert [f for f in fields if f.rsplit(".", 1)[1] not in read] == []
+
+
+def test_weyl_orbit_walks_in_int_labels(monkeypatch):
+    """A cold `weyl_orbit(A5, rho)` pairs and canonicalizes a fixed number
+    of times per pair of simple roots (the Cartan matrix, once per datum)
+    and per simple root (the start's labels), none per edge: a walk that
+    pairs a coroot and makes each coordinate canonical on every edge
+    (|W| rank = 3600 edges) fails here."""
+    from collections import Counter
+
+    from symprep import linalg, rootdata
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("canon", "vdot"):
+        wrapped = counted(name, getattr(linalg, name))
+        monkeypatch.setattr(linalg, name, wrapped)
+        monkeypatch.setattr(rootdata, name, wrapped)
+    datum = rootdata.build_root_datum([("A", 5)])
+    rho = rootdata.rho_strict(datum)
+    for fn in (rootdata._weyl_orbit_cached, rootdata._cartan_pairing, rootdata._reflection_data):
+        fn.cache_clear()
+    calls.clear()
+    orbit = rootdata.weyl_orbit(datum, rho)
+    assert len(orbit) == datum.weyl_order() == 720
+    assert calls["vdot"] + calls["canon"] <= 2 * datum.rank ** 2
