@@ -365,7 +365,9 @@ def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
     # _int_key is sum_a v_a radix^a, so t = y - rho keys as the same form on
     # y less its value on rho: an int, or on a fractional rho (a Levi's) an
     # integral Fraction, which finds the same entry of h[d].  t lies in the
-    # box exactly when y lies in the box moved by rho.
+    # box exactly when y lies in the box moved by rho.  An int key comes from
+    # int coordinates only; any other key has its offset checked coordinate
+    # by coordinate, since an off-lattice t would miss every entry silently.
     powers = [radix ** a for a in range(len(rho))]
     shift = sum(map(mul, rho, powers))
     lo = [x - bound for x in rho]
@@ -373,7 +375,15 @@ def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
     plus, minus = [], []
     for y, word in orbit:
         if all(map(le, lo, y)) and all(map(le, y, hi)):
-            (minus if len(word) % 2 else plus).append(sum(map(mul, y, powers)) - shift)
+            key = sum(map(mul, y, powers)) - shift
+            if type(key) is not int and any(
+                (a - b).denominator != 1 for a, b in zip(y, rho)
+            ):
+                raise InternalConsistencyError(
+                    f"orbit point {y} lies off rho = {rho} by a non-integer "
+                    "coordinate"
+                )
+            (minus if len(word) % 2 else plus).append(key)
     out = []
     for hd in sym:
         val = sum(hd.get(k, 0) for k in plus) - sum(hd.get(k, 0) for k in minus)

@@ -206,11 +206,6 @@ def _reflection_data(datum):
     )
 
 
-def _labels(datum, w):
-    """w's Dynkin labels (<w, alpha_j^vee>)_j, with the length check."""
-    return tuple(datum.pairing(w, j) for j in range(datum.rank))
-
-
 def _minus(v, c, support):
     """v - c u for the sparse vector u given by its support (index, value),
     changing only those entries; with an int c on a canonical v the result
@@ -376,7 +371,7 @@ def dominant_representative(datum, w):
     in the first simple root with a negative label until none is left.  The
     labels are carried along, not paired afresh."""
     cur = cvec(w)
-    labels = _labels(datum, cur)
+    labels = tuple(datum.pairing(cur, j) for j in range(datum.rank))
     refl = _reflection_data(datum)
     word = []
     while True:
@@ -397,7 +392,7 @@ def dual_weight(datum, w):
 @lru_cache(maxsize=None)
 def _weyl_orbit_cached(datum, x):
     refl = _reflection_data(datum)
-    start = _labels(datum, x)
+    start = tuple(datum.pairing(x, j) for j in range(datum.rank))
     seen, labels, orbit = {start}, [start], [(x, ())]
     for n, (y, word) in enumerate(orbit):  # the walk grows as points are found
         l = labels[n]

@@ -260,6 +260,34 @@ def test_invariant_dims_skip_targets_outside_the_box():
     assert invariant_dims(spec, 1) == [1, 0]
 
 
+@pytest.mark.parametrize("name", ["A1_std_x2", "B2_levi_half_rho"])
+def test_invariant_dims_rejects_an_off_lattice_orbit_point(monkeypatch, name):
+    """An orbit point whose offset from rho is not integral would key to a
+    Fraction that misses every entry of h[d]: on an int rho (A1) and on a
+    Levi's fractional rho alike it must raise, not drop out of the sum."""
+    if name == "A1_std_x2":
+        spec = validate_symplectic_spec(A1, [((1,), 2)])
+    else:
+        spec = _invariant_dims_oracle_specs()[name]
+    # Freudenthal's cached weights walk the same orbits: fill them first,
+    # and move a point of the rho orbit only
+    spec.weight_multiset()
+    rho = rho_strict(spec.datum)
+    orbit_of = reps.weyl_orbit
+
+    def off_lattice_orbit(datum, x):
+        orbit = list(orbit_of(datum, x))
+        if x != rho:
+            return tuple(orbit)
+        moved = (x[0] + Fraction(1, 2),) + tuple(x[1:])
+        orbit[-1] = (moved, orbit[-1][1])
+        return tuple(orbit)
+
+    monkeypatch.setattr(reps, "weyl_orbit", off_lattice_orbit)
+    with pytest.raises(InternalConsistencyError, match="non-integer coordinate"):
+        invariant_dims(spec, 4)
+
+
 def test_invariant_dims_budget():
     spec = validate_symplectic_spec(A1, [((1,), 10)])
     with pytest.raises(BudgetExceeded):
