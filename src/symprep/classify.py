@@ -9,6 +9,7 @@ whole group.
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InternalConsistencyError, SymprepError
 from .linalg import cvec, span_solver, vdot, vsub
@@ -34,6 +35,12 @@ def _symplectic_node(letter, rank):
     return None
 
 
+@lru_cache(maxsize=None)
+def _root_span_solver(datum):
+    """Coordinates over the simple roots, one elimination per datum."""
+    return span_solver(datum.simple_roots)
+
+
 def is_singular_weight(datum, chi):
     """(flag, factor index): chi is the defining weight of a C-type factor and
     vanishes on every other factor and on the central torus."""
@@ -50,7 +57,7 @@ def is_singular_weight(datum, chi):
             p == (1 if i == target_index else 0) for i, p in enumerate(pairings)
         ):
             # trivial on the central torus <=> chi lies in the span of the roots
-            if span_solver(datum.simple_roots)(chi) is None:
+            if _root_span_solver(datum)(chi) is None:
                 return False, None
             return True, fi
     return False, None

@@ -38,10 +38,10 @@ from .reps import (
 )
 from .rootdata import (
     DEFAULT_WEYL_CAP,
+    _subspace_data,
     build_root_datum,
     centralizer_datum,
     check_weyl_cap,
-    generic_orbit,
     levi_subdatum,
     positive_roots,
     subspace_normalizer,
@@ -169,19 +169,27 @@ def centralizer_levi(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP,
                      expect=None):
     """Levi whose roots pair to zero with every vector of a*; optionally
     asserted W_G-conjugate to an expected subdatum: some point of the orbit
-    of a generic point of a* vanishes on exactly expect's positive roots."""
-    levi = centralizer_datum(datum, a_star_basis)
-    if expect is not None:
-        check_weyl_cap(datum, weyl_cap)
-        theirs = {r.vec for r in positive_roots(expect)}
-        pos = positive_roots(datum)
-        if not any(
-            {r.vec for r in pos if vdot(y, r.coroot_vec) == 0} == theirs
-            for y, _ in generic_orbit(datum, a_star_basis, levi)
-        ):
-            raise InternalConsistencyError(
-                "centralizer Levi is not conjugate to the terminal group"
-            )
+    of a generic point of a* vanishes on exactly expect's positive roots.
+    The cap is checked on every call with expect; the check itself runs
+    once per (datum, a*, expect)."""
+    if expect is None:
+        return centralizer_datum(datum, a_star_basis)
+    check_weyl_cap(datum, weyl_cap)
+    return _conjugate_levi(datum, tuple(echelon_basis(list(a_star_basis))), expect)
+
+
+@lru_cache(maxsize=None)
+def _conjugate_levi(datum, basis, expect):
+    levi, orbit = _subspace_data(datum, basis)
+    theirs = {r.vec for r in positive_roots(expect)}
+    pos = positive_roots(datum)
+    if not any(
+        {r.vec for r in pos if vdot(y, r.coroot_vec) == 0} == theirs
+        for y, _ in orbit
+    ):
+        raise InternalConsistencyError(
+            "centralizer Levi is not conjugate to the terminal group"
+        )
     return levi
 
 

@@ -26,17 +26,16 @@ from .errors import (
     NotSelfDual,
     OddOrthogonalMultiplicity,
 )
-from .linalg import canon, cvec, vdot, vsub
+from .linalg import cvec, vdot, vsub
 from .rootdata import (
     DEFAULT_WEYL_CAP,
     _length_data,
+    _two_rho_vee,
     check_weyl_cap,
     dominant_representative,
     dual_weight,
-    height,
     positive_roots,
     rho_strict,
-    rho_vee,
     weyl_orbit,
 )
 
@@ -46,8 +45,9 @@ DEFAULT_SYM_DEGREE_BUDGET = 10
 
 
 def weight_key(datum, w):
-    """Sort key: rho^vee-height first, then lexicographic on coordinates."""
-    return (height(datum, w), tuple(w))
+    """Sort key: <w, 2 rho^vee>, twice the rho^vee-height, first, then
+    lexicographic on coordinates."""
+    return (sum(map(mul, w, _two_rho_vee(datum))), tuple(w))
 
 
 def weyl_dim(datum, lam):
@@ -151,8 +151,7 @@ def duality_class(datum, lam):
         raise NotDominant(lam, f"{lam} is not dominant")
     if dual_weight(datum, lam) != lam:
         return DualityClass.COMPLEX
-    two_rho_vee = tuple(canon(2 * x) for x in rho_vee(datum))
-    ind = vdot(lam, two_rho_vee)
+    ind = vdot(lam, _two_rho_vee(datum))
     if Fraction(ind).denominator != 1:
         raise InternalConsistencyError(f"<{lam}, 2 rho^vee> = {ind} is not an integer")
     return DualityClass.SYMPLECTIC if int(ind) % 2 else DualityClass.ORTHOGONAL

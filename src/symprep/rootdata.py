@@ -341,13 +341,19 @@ def weyl_degrees(datum):
 
 
 @lru_cache(maxsize=None)
-def rho_vee(datum):
-    """Half-sum of positive coroots, as a functional on the ambient lattice:
-    the coroots summed in ints, halved once."""
+def _two_rho_vee(datum):
+    """Sum of the positive coroots, 2 rho^vee, as an int functional on the
+    ambient lattice."""
     acc = [0] * datum.ambient_dim
     for r in positive_roots(datum):
         acc = list(map(add, acc, r.coroot_vec))
-    return cvec(Fraction(x, 2) for x in acc)
+    return tuple(acc)
+
+
+@lru_cache(maxsize=None)
+def rho_vee(datum):
+    """Half-sum of positive coroots, as a functional on the ambient lattice."""
+    return cvec(Fraction(x, 2) for x in _two_rho_vee(datum))
 
 
 def height(datum, w):
@@ -639,23 +645,37 @@ def _is_group(mats, k):
     return group == frozenset(mats)
 
 
+@lru_cache(maxsize=None)
+def _subspace_data(datum, basis):
+    """(centralizer Levi, generic orbit) of the span of the echelon basis
+    `basis`, formed once per (datum, basis) and shared by Gamma and the
+    Levi's conjugacy check."""
+    levi = centralizer_datum(datum, basis)
+    return levi, generic_orbit(datum, basis, levi)
+
+
+@lru_cache(maxsize=None)
+def _subspace_normalizer(datum, basis):
+    levi, orbit = _subspace_data(datum, basis)
+    mats = _gamma_matrices(datum, basis, orbit)
+    if not _is_group(mats, len(basis)):
+        raise InternalConsistencyError("Gamma matrices are not closed under products")
+    return SubspaceGroupData(
+        a_star_basis=basis,
+        normalizer_order=len(mats) * levi.weyl_order(),
+        centralizer_order=levi.weyl_order(),
+        gamma_matrices=tuple(mats),
+        reflection_indices=_reflection_indices(mats, len(basis)),
+    )
+
+
 def subspace_normalizer(datum, a_star_basis, cap=DEFAULT_WEYL_CAP):
     """Gamma = N(a*)/C(a*) acting on a*, with |N| and |C| = |W(L)|.
 
     With x generic in a*, n -> n x maps N onto the orbit points in a* whose
     words normalize a*, with fibres the cosets of C (Howlett, J. LMS 21,
     1980); so each such point gives one element of Gamma.  The matrices must
-    be closed under products."""
+    be closed under products.  The cap is checked on every call; Gamma is
+    formed once per (datum, echelon basis of a*)."""
     check_weyl_cap(datum, cap)
-    basis = echelon_basis(list(a_star_basis))
-    levi = centralizer_datum(datum, basis)
-    mats = _gamma_matrices(datum, basis, generic_orbit(datum, basis, levi))
-    if not _is_group(mats, len(basis)):
-        raise InternalConsistencyError("Gamma matrices are not closed under products")
-    return SubspaceGroupData(
-        a_star_basis=tuple(basis),
-        normalizer_order=len(mats) * levi.weyl_order(),
-        centralizer_order=levi.weyl_order(),
-        gamma_matrices=tuple(mats),
-        reflection_indices=_reflection_indices(mats, len(basis)),
-    )
+    return _subspace_normalizer(datum, tuple(echelon_basis(list(a_star_basis))))

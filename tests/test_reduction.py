@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from symprep import reduction
+from symprep import reduction, rootdata
 from symprep.cli import parse_spec
 from symprep.errors import InternalConsistencyError, NoNonTerminalWeight, WeylCapExceeded
 from symprep.linalg import fixed_codim, mat_vec, same_span
@@ -424,14 +424,58 @@ def test_permanence_under_first_choice():
         assert conj
 
 
-def test_centralizer_levi_rejects_a_levi_of_the_other_root_length():
+def test_centralizer_levi_rejects_a_levi_of_the_other_root_length(empty_gamma_caches):
     """In C2, a* = span(omega_2) is centralized by the short-root A1, which
-    is not W-conjugate to the long-root A1."""
+    is not W-conjugate to the long-root A1.  The verdict is cached per
+    expected group: a cached success for the short one does not pass the
+    long one."""
     short, long_ = levi_subdatum(C2, [0]), levi_subdatum(C2, [1])
     levi = centralizer_levi(C2, [(0, 1)], expect=short)
     assert {r.vec for r in positive_roots(levi)} == {r.vec for r in positive_roots(short)}
-    with pytest.raises(InternalConsistencyError, match="not conjugate"):
-        centralizer_levi(C2, [(0, 1)], expect=long_)
+    assert centralizer_levi(C2, [(0, 1)], expect=short) == levi
+    assert reduction._conjugate_levi.cache_info()[:2] == (1, 1)  # (hits, misses)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="not conjugate"):
+            centralizer_levi(C2, [(0, 1)], expect=long_)
+
+
+def _catalog_and_ladder():
+    return [spec for spec, _ in catalog().values()] + [
+        validate_symplectic_spec(build_root_datum(factors), summands)
+        for factors, summands in ANALYZE_LADDER.values()
+    ]
+
+
+def test_warm_analysis_equals_cold_on_catalog_and_ladder(empty_gamma_caches):
+    """An analysis whose Gamma and Levi come from the per-(datum, a*)
+    caches, filled by its own earlier run or by another module with the
+    same group and a*, equals one that forms them afresh."""
+    specs = _catalog_and_ladder()
+    cold = []
+    for spec in specs:
+        empty_gamma_caches()
+        cold.append(repr(analyze(spec)))
+    empty_gamma_caches()
+    for _ in range(2):
+        assert [repr(analyze(spec)) for spec in specs] == cold
+    hits = rootdata._subspace_normalizer.cache_info().hits
+    assert hits >= len(specs)
+
+
+def test_warm_gamma_still_checks_the_weyl_cap(empty_gamma_caches):
+    """A (datum, a*) whose Gamma and Levi are cached still raises
+    WeylCapExceeded under a lower cap, before any lookup."""
+    spec = validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)])
+    _, td, _, _ = reduce_to_gamma(spec)
+    basis = td.a_star_basis
+    for call in (
+        lambda: compute_gamma(A2, basis, weyl_cap=5),
+        lambda: centralizer_levi(A2, basis, weyl_cap=5, expect=td.terminal_group),
+        lambda: reduce_to_gamma(spec, weyl_cap=5),
+    ):
+        with pytest.raises(WeylCapExceeded):
+            call()
+    assert compute_gamma(A2, basis, weyl_cap=6) == reduce_to_gamma(spec)[2]
 
 
 @pytest.mark.parametrize(

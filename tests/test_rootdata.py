@@ -334,23 +334,25 @@ def test_subspace_normalizer_matches_oracle_on_the_ladder(name):
 A2_PLANE = [(1, 0), (0, 1)]
 
 
-def test_non_generic_start_point_trips_the_orbit_size_check(monkeypatch):
+def test_non_generic_start_point_trips_the_orbit_size_check(monkeypatch, empty_gamma_caches):
     a2 = build_root_datum([("A", 2)])
     assert subspace_normalizer(a2, A2_PLANE).gamma_order == 6
     # (1, 0) lies on the alpha_2 hyperplane: its orbit has 3 points, not 6
     monkeypatch.setattr(rootdata, "_generic_point", lambda datum, basis: basis[0])
+    empty_gamma_caches()
     with pytest.raises(InternalConsistencyError, match="generic orbit has 3 points"):
         subspace_normalizer(a2, A2_PLANE)
 
 
 @pytest.mark.parametrize("dropped", range(6))
-def test_gamma_missing_an_element_trips_the_closure_check(monkeypatch, dropped):
+def test_gamma_missing_an_element_trips_the_closure_check(monkeypatch, empty_gamma_caches, dropped):
     a2 = build_root_datum([("A", 2)])
     full = rootdata._gamma_matrices
     monkeypatch.setattr(
         rootdata, "_gamma_matrices",
         lambda *args: [g for i, g in enumerate(full(*args)) if i != dropped],
     )
+    empty_gamma_caches()
     with pytest.raises(InternalConsistencyError, match="not closed under products"):
         subspace_normalizer(a2, A2_PLANE)
 

@@ -194,3 +194,31 @@ def test_weyl_orbit_walks_in_int_labels(monkeypatch):
     orbit = rootdata.weyl_orbit(datum, rho)
     assert len(orbit) == datum.weyl_order() == 720
     assert calls["vdot"] + calls["canon"] <= 2 * datum.rank ** 2
+
+
+FUNCTOOLS_CACHES = {"lru_cache", "cache"}
+
+
+def test_every_lru_cache_decorates_a_module_level_function():
+    """The benchmark's cold runs empty each cache they find as a module
+    attribute with `cache_clear`.  A cache on a method or a nested function,
+    or one made by calling `lru_cache` outside a module-level decorator, is
+    out of their reach and would keep a cold run warm; so every use of
+    `functools.lru_cache` (or `cache`) must decorate a module-level
+    function."""
+    reachable, stray = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    allowed.update({id(d), id(getattr(d, "func", d))})
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in FUNCTOOLS_CACHES:
+                where = f"{path.name}:{node.lineno}"
+                (reachable if id(node) in allowed else stray).append(where)
+    assert reachable
+    assert stray == []
