@@ -12,8 +12,8 @@ Spec files are JSON documents:
 Highest weights are given in fundamental-weight coordinates per declared
 factor followed by the central charges.  Unknown keys are rejected with
 field-addressed messages.  Exit codes: 0 success, 1 failed numeric check,
-2 parse/validation failure, 3 budget exceeded, 4 no matrix model, 5 a defect
-(inconsistency, an unrealizable reduction stage or an unexpected exception).
+2 parse/validation failure, 3 budget exceeded, 5 a defect (inconsistency,
+an unrealizable reduction stage or an unexpected exception).
 """
 
 import argparse
@@ -29,7 +29,6 @@ from . import __version__
 from .errors import (
     BudgetExceeded,
     InternalConsistencyError,
-    NotSupported,
     NumericalDegeneracy,
     SpecFormatError,
     StageNotRealizable,
@@ -47,7 +46,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-EXIT_NOT_SUPPORTED = 4
 EXIT_DEFECT = 5
 
 # smallest accepted value per option; None leaves it unbounded
@@ -305,8 +303,6 @@ def report_to_text(report):
 def _exit_code_for(exc):
     if isinstance(exc, (WeylCapExceeded, BudgetExceeded)):
         return EXIT_BUDGET
-    if isinstance(exc, NotSupported):
-        return EXIT_NOT_SUPPORTED
     if isinstance(exc, NumericalDegeneracy):
         return EXIT_CHECK_FAILED
     if isinstance(exc, (InternalConsistencyError, StageNotRealizable)):

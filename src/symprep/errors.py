@@ -64,10 +64,6 @@ class SpecFormatError(SymprepError):
         super().__init__("; ".join(self.problems))
 
 
-class NotSupported(SymprepError):
-    """Requested construction does not apply (a torus section of a model with roots)."""
-
-
 class NoNonTerminalWeight(SymprepError):
     """Reduction step requested on an already terminal representation."""
 

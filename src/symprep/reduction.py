@@ -18,6 +18,7 @@ from .errors import (
     NoNonTerminalWeight,
     NotACharacter,
     SymprepError,
+    ValidationError,
 )
 from .linalg import (
     cvec,
@@ -115,10 +116,11 @@ def reduce_step(spec, chi):
         if s_weights.get(cvec(tuple(-x for x in w)), 0) != m:
             raise InternalConsistencyError("S weights not stable under negation")
     try:
-        s_summands = decompose_weights(levi, s_weights)
+        s_spec = validate_symplectic_spec(levi, decompose_weights(levi, s_weights))
     except NotACharacter as exc:
         raise InternalConsistencyError(f"S is not an M-character: {exc}") from exc
-    s_spec = validate_symplectic_spec(levi, s_summands)
+    except ValidationError as exc:
+        raise InternalConsistencyError(f"S is not a symplectic M-module: {exc}") from exc
     step = ReductionStep(
         chosen_chi=chi,
         delta_u=delta_u,

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DomainError,
     InternalConsistencyError,
-    NotSupported,
     StageNotRealizable,
 )
 from .classify import WeightStatus, weight_status
@@ -40,7 +39,7 @@ from .linalg import (
 from .matrixrep import cut_columns, hyperbolic_pair, hyperbolic_partner, weight_kernel
 from .numeric import _chunks, chevalley_target, inv_moment_eval, slice_functionals
 from .reduction import run_reduction
-from .rootdata import positive_roots
+from .rootdata import positive_roots, rho_vee
 
 
 def _combine(point, terms):
@@ -96,12 +95,6 @@ def _weight_moments(rep, points, weights=None):
     return [unscaled(acc, 2 * den * den) for acc, (_, den) in zip(accs, points)]
 
 
-def _weight_moment(rep, p):
-    """The ambient vector 1/2 sum_a p_a (Jp)_a w_a of one point (see
-    _weight_moments).  Exact."""
-    return _weight_moments(rep, [int_scaled(p)])[0]
-
-
 def _torus_moments(rep, points):
     """The t*-valued moments of points given scaled as (q, den), as ambient
     vectors.  Exact.
@@ -132,30 +125,27 @@ class CharPair:
 
 def _plan_pairs(chis, killed, chart):
     """Order the pairs the way the inductive construction walks them:
-    critical characters first (each in the chart "x" or "y"), then a greedy
-    basis of the rest, then dependent pairs."""
+    critical characters first (each in the chart "x" or "y"), then the rest
+    in index order, each a greedy basis pair or a dependent one.  A
+    character is critical when it is nonzero and off the span of all the
+    other rows.  Peeling one off changes no other character's status (one
+    that needed it would put it in the span of the rest), so one pass in
+    index order finds them all."""
     if chart not in ("x", "y"):
         raise DomainError(f"chart hint must be 'x' or 'y', got {chart!r}")
-    remaining = list(range(len(chis)))
     killed_rows = [cvec(k) for k in killed]
-    plan = []
-    while True:
-        crit = None
-        for i in remaining:
-            if is_zero_vec(chis[i]):
-                continue
-            others = [chis[j] for j in remaining if j != i] + killed_rows
-            if span_solver(others)(chis[i]) is None:
-                crit = i
-                break
-        if crit is None:
-            break
-        plan.append((crit, f"critical-{chart}"))
-        remaining.remove(crit)
+    critical = [
+        i for i, chi in enumerate(chis)
+        if not is_zero_vec(chi)
+        and span_solver([*chis[:i], *chis[i + 1:], *killed_rows])(chi) is None
+    ]
+    plan = [(i, f"critical-{chart}") for i in critical]
     span_rows = list(killed_rows)
-    for i in remaining:
-        if not is_zero_vec(chis[i]) and span_solver(span_rows)(chis[i]) is None:
-            span_rows.append(chis[i])
+    for i, chi in enumerate(chis):
+        if i in critical:
+            continue
+        if not is_zero_vec(chi) and span_solver(span_rows)(chi) is None:
+            span_rows.append(chi)
             plan.append((i, "basis"))
         else:
             plan.append((i, "dependent"))
@@ -164,11 +154,11 @@ def _plan_pairs(chis, killed, chart):
 
 def _plan_solver(chis, killed, plan):
     """The one solver _plan_coords reads every coordinate from: the critical
-    characters, then the basis characters (both in plan order, which puts
-    the critical ones first), then the killed ones.  A critical character
-    lies off the span of all the other rows, so its coefficient is the same
-    in every solution, and the pivots among the rows after it are those of
-    the basis and killed rows alone."""
+    characters, then the basis characters (both in plan order), then the
+    killed ones.  The critical and basis characters are linearly independent
+    modulo the span of the killed ones, so each of their coefficients is the
+    same in every solution; the critical-first order is not what makes it
+    unique."""
     rows = [chis[i] for i, mode in plan if mode != "dependent"]
     return span_solver(rows + [cvec(k) for k in killed])
 
@@ -247,13 +237,9 @@ def _zero_weight_pairs(rep, cols):
 
 
 def torus_section(rep, component_hint="x"):
-    """Exact section of the torus moment map with m(sigma(a)) = a on the span
-    of the characters; component_hint selects the chart at critical weights."""
-    if rep.datum.rank != 0:
-        raise NotSupported(
-            f"torus section requires a torus module; datum is "
-            f"{rep.datum.type_string()}"
-        )
+    """Exact section with m_t(sigma(a)) = a on a* along the model's own
+    reduction chain, for any model (on a torus module a* is the span of the
+    characters); component_hint selects the chart at critical weights."""
     return build_section(rep, run_reduction(rep.spec), component_hint)
 
 
@@ -296,7 +282,7 @@ def char_reduction_phi(rep, v0_char, t, y, v):
         x = t
     else:
         xi_c = central_element_for(rep.datum, chi)
-        fv = vdot(_weight_moment(rep, v), xi_c)
+        fv = vdot(_weight_moments(rep, [int_scaled(v)])[0], xi_c)
         # omega(v0m, v0) = 1 makes the pair contribute -x*y to the chi-part;
         # the character component of the image is t*y
         x = canon((Fraction(fv) - Fraction(t) * Fraction(y)) / Fraction(y))
@@ -470,16 +456,13 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
            61, 67, 71, 73, 79, 83, 89, 97]
 
 
-def rho_psg(datum, spec):
+def rho_psg(spec):
     """Rational coweight with positive pairing against every positive root,
     separating terminal from non-terminal highest weights and separating all
-    weights of the module pairwise.  Deterministic perturbation search."""
-    if datum.rank:
-        base = span_solver(transpose(datum.simple_roots))((1,) * datum.rank)
-        if base is None:
-            raise InternalConsistencyError("independent simple roots expected")
-    else:
-        base = cvec((0,) * datum.ambient_dim)
+    weights of the module pairwise.  Deterministic perturbation search from
+    rho^vee, which pairs to one with every simple root."""
+    datum = spec.datum
+    base = rho_vee(datum)
     dim = datum.ambient_dim
     statuses = {w: weight_status(spec, w) for w, _ in spec.summands}
     terminal_hw = [w for w, s in statuses.items() if s is not WeightStatus.NON_TERMINAL]

@@ -159,7 +159,7 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
 
     # separating one-parameter subgroup exists and verifies exactly
     try:
-        rho_psg(spec.datum, spec)
+        rho_psg(spec)
         _flag(checks, "separating_psg", True)
     except SymprepError as exc:
         _flag(checks, "separating_psg", False, str(exc))

@@ -942,6 +942,38 @@ def apply_plan_oracle(chis, killed, plan, a):
     return coords
 
 
+def plan_pairs_oracle(chis, killed, chart):
+    """A section's terminal plan by rescanning: after each critical
+    character is found and peeled, every remaining character is tested
+    again against the rest, with fresh span_coords_oracle solves."""
+    if chart not in ("x", "y"):
+        raise DomainError(f"chart hint must be 'x' or 'y', got {chart!r}")
+    remaining = list(range(len(chis)))
+    killed_rows = [cvec(k) for k in killed]
+    plan = []
+    while True:
+        crit = None
+        for i in remaining:
+            if is_zero_vec(chis[i]):
+                continue
+            others = [chis[j] for j in remaining if j != i] + killed_rows
+            if span_coords_oracle(others, chis[i]) is None:
+                crit = i
+                break
+        if crit is None:
+            break
+        plan.append((crit, f"critical-{chart}"))
+        remaining.remove(crit)
+    span_rows = list(killed_rows)
+    for i in remaining:
+        if not is_zero_vec(chis[i]) and span_coords_oracle(span_rows, chis[i]) is None:
+            span_rows.append(chis[i])
+            plan.append((i, "basis"))
+        else:
+            plan.append((i, "dependent"))
+    return plan
+
+
 def _rank_cut_oracle(sv):
     return int(np.sum(sv > RANK_TOL * max(1.0, sv[0] if sv.size else 1.0)))
 

@@ -11,12 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from symprep import cli, numeric, reps, sections, verify
+from symprep import cli, numeric, reduction, reps, sections, verify
 from symprep.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_DEFECT,
-    EXIT_NOT_SUPPORTED,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
@@ -767,6 +766,28 @@ def test_internal_consistency_error_in_the_q_embedding_exits_5(
     assert captured.err == "error: system matrix not triangular at (1,0)\n"
 
 
+def test_a_carved_s_module_that_is_not_symplectic_exits_5(tmp_path, capsys, monkeypatch):
+    """S whose decomposition drops a dual summand fails the symplectic
+    checks over the Levi: a defect of the carving, not a user's invalid
+    weight, so `analyze` raises InternalConsistencyError and the CLI exits
+    5, not 2."""
+    real = reduction.decompose_weights
+
+    def dropped(levi, weights):
+        return real(levi, weights)[:1]
+
+    monkeypatch.setattr(reduction, "decompose_weights", dropped)
+    spec = catalog()["sl3_std_dual"][0]
+    with pytest.raises(InternalConsistencyError) as info:
+        analyze(spec)
+    assert str(info.value).startswith("S is not a symplectic M-module: NotSelfDual(")
+    path = _write(tmp_path, "sl3.json", SL3_STD_DUAL)
+    assert main(["analyze", path]) == EXIT_DEFECT == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {info.value}\n"
+
+
 def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
     """An exception that is not a SymprepError is a defect: one `error:
     internal` line and exit 5, and `batch` goes on to the next file."""
@@ -889,7 +910,7 @@ def test_any_small_spec_exits_with_a_documented_code(doc):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET, EXIT_NOT_SUPPORTED), (
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET), (
             argv[0], code, err.getvalue()
         )
 
@@ -980,6 +1001,6 @@ def test_any_json_document_exits_with_a_documented_code(doc):
                 code = main(argv)
             except SystemExit as exc:  # argparse reads a text like "-1" as a flag
                 code = exc.code
-        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET, EXIT_NOT_SUPPORTED), (
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET), (
             argv[0], code, err.getvalue()
         )

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from symprep import linalg
+from symprep import linalg, sections
 from symprep.errors import DomainError, InternalConsistencyError
-from symprep.linalg import cvec, lincomb, same_span
+from symprep.linalg import cvec, int_scaled, lincomb, same_span
 from symprep.matrixrep import build_rep
 from symprep.numeric import inv_moment_eval
 from symprep.reduction import run_reduction
@@ -17,7 +17,7 @@ from symprep.sections import (
     _plan_coords,
     _plan_pairs,
     _plan_solver,
-    _weight_moment,
+    _weight_moments,
     build_section,
     central_element_for,
     char_reduction_phi,
@@ -40,6 +40,7 @@ from corpus import (
 )
 from oracles import (
     apply_plan_oracle,
+    plan_pairs_oracle,
     rho_psg_oracle,
     section_apply_oracle,
     weight_moment_oracle,
@@ -94,6 +95,19 @@ def test_torus_section_exactness_on_samples():
         a = cvec((Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))),
                   Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))))
         assert torus_moment_exact(rep, sec.apply(a)) == a
+
+
+@pytest.mark.parametrize("name", ["sl2_cubic", "sp4_x_sl2", "gl2_std_dual"])
+def test_torus_section_serves_models_with_roots(name):
+    """torus_section takes any model: on one with roots it is the section
+    along the model's own reduction, point for point, in both charts."""
+    spec = catalog()[name][0]
+    rep = build_rep(spec)
+    for chart in ("x", "y"):
+        want = build_section(rep, run_reduction(spec), chart)
+        targets = _targets(want.a_star_basis, rep.datum.ambient_dim)
+        got = torus_section(rep, chart).points(targets)
+        assert repr(got) == repr(want.points(targets)), chart
 
 
 def test_char_reduction_phi_zero_character():
@@ -187,10 +201,10 @@ def test_section_zero_fiber_witness():
 
 
 def test_rho_psg_examples():
-    rho = rho_psg(A1, validate_symplectic_spec(A1, [((1,), 2)]))
+    rho = rho_psg(validate_symplectic_spec(A1, [((1,), 2)]))
     assert rho == (1,)
     spec = validate_symplectic_spec(C2, [((1, 0), 1)])
-    rho = rho_psg(C2, spec)
+    rho = rho_psg(spec)
     from symprep.rootdata import positive_roots
     from symprep.linalg import vdot
 
@@ -205,7 +219,7 @@ def test_rho_psg_separates_terminal_from_nonterminal():
     spec = validate_symplectic_spec(
         C2, [((1, 0), 1), ((0, 1), 2)]
     )  # singular + non-terminal
-    rho = rho_psg(C2, spec)
+    rho = rho_psg(spec)
     from symprep.linalg import vdot
 
     assert vdot((1, 0), rho) < vdot((0, 1), rho)
@@ -213,7 +227,7 @@ def test_rho_psg_separates_terminal_from_nonterminal():
 
 def test_rho_psg_separates_equal_height_weights():
     spec = validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)])
-    rho = rho_psg(A2, spec)
+    rho = rho_psg(spec)
     from symprep.linalg import vdot
 
     assert vdot((1, 0), rho) != vdot((0, 1), rho)
@@ -238,7 +252,8 @@ def test_weight_moment_equals_the_fraction_formula(name):
     sparse[0], sparse[-1] = Fraction(2 ** 61 - 1, 3 ** 30), Fraction(-5, 7)
     vectors.append(cvec(sparse))
     for p in vectors:
-        assert repr(_weight_moment(rep, p)) == repr(weight_moment_oracle(rep, p))
+        got = _weight_moments(rep, [int_scaled(p)])[0]
+        assert repr(got) == repr(weight_moment_oracle(rep, p))
 
 
 def _section_models():
@@ -321,6 +336,75 @@ def test_one_terminal_solve_equals_the_peeled_solves(problem):
         assert repr(_plan_coords(plan, solve(cvec(a)))) == repr(want)
 
 
+@st.composite
+def planned_characters(draw):
+    """Int characters of one length whose members are zero, repeats or
+    integer combinations of earlier ones, or fresh vectors and multiples of
+    unit vectors (often critical), with killed rows, a chart and three
+    targets in the span of all the rows."""
+    n = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    chis = []
+    kinds = ["zero", "repeat", "dependent", "fresh", "unit"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=7)):
+        if kind == "zero":
+            chis.append((0,) * n)
+        elif kind == "unit":
+            k, c = draw(st.integers(0, n - 1)), draw(st.sampled_from([1, -1, 2]))
+            chis.append(tuple(c if j == k else 0 for j in range(n)))
+        elif kind == "fresh" or not chis:
+            chis.append(draw(vector))
+        elif kind == "repeat":
+            chis.append(draw(st.sampled_from(chis)))
+        else:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(chis),
+                                   max_size=len(chis)))
+            chis.append(tuple(sum(c * v[j] for c, v in zip(coeffs, chis))
+                              for j in range(n)))
+    killed = draw(st.lists(vector, max_size=2))
+    rows = chis + killed
+    fractions = st.lists(st.fractions(-3, 3, max_denominator=3),
+                         min_size=len(rows), max_size=len(rows))
+    targets = [lincomb(draw(fractions), rows, n) for _ in range(3)]
+    return chis, killed, draw(st.sampled_from("xy")), targets
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(planned_characters())
+@example(problem=([(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 0), (1, 1, 0), (0, 0, 2)],
+                  [(1, 0, 0)], "y", [(1, 2, 3), (0, 0, 0), (2, -1, 1)]))
+def test_one_pass_plan_equals_the_rescanning_plan(problem):
+    """One pass over the characters finds the critical ones of the
+    rescanning reference, in the same order, and the same plan; the one
+    solve then gives the peeled solves' coordinates on in-span targets."""
+    chis, killed, chart, targets = problem
+    plan = _plan_pairs(chis, killed, chart)
+    assert plan == plan_pairs_oracle(chis, killed, chart)
+    solve = _plan_solver(chis, killed, plan)
+    for a in targets:
+        want = apply_plan_oracle(chis, killed, plan, a)
+        assert repr(_plan_coords(plan, solve(cvec(a)))) == repr(want)
+
+
+def test_plan_builds_at_most_two_solvers_per_character(monkeypatch):
+    """Twelve characters, five of them critical: the one pass builds one
+    span solver per nonzero character for the critical test and one per
+    non-critical character for the basis (the rescan built 32 here)."""
+    real, built = sections.span_solver, []
+
+    def counted(rows):
+        built.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(sections, "span_solver", counted)
+    units = [tuple(int(j == k) for j in range(8)) for k in range(8)]
+    chis = units + [(0,) * 8, units[0], units[1], units[2]]
+    plan = _plan_pairs(chis, [], "x")
+    assert plan == plan_pairs_oracle(chis, [], "x")
+    assert [mode for _, mode in plan].count("critical-x") == 5
+    assert len(built) <= 2 * len(chis)
+
+
 def _model_specs():
     """The 22 verify-models specs (the catalog and the verify ladder) and
     the generic-model specs."""
@@ -396,4 +480,4 @@ def test_rho_psg_equals_the_pairwise_search(name):
     """One pairing per weight and candidate, on ints, finds the rho of the
     pairwise search over Fractions."""
     spec = _rho_specs()[name]
-    assert repr(rho_psg(spec.datum, spec)) == repr(rho_psg_oracle(spec.datum, spec))
+    assert repr(rho_psg(spec)) == repr(rho_psg_oracle(spec.datum, spec))

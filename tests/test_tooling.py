@@ -222,3 +222,47 @@ def test_every_lru_cache_decorates_a_module_level_function():
                 (reachable if id(node) in allowed else stray).append(where)
     assert reachable
     assert stray == []
+
+
+def test_every_error_class_is_raised_somewhere():
+    """Each exception class of `errors.py` is raised or constructed by name
+    somewhere else in the package, or is the base of one that is: a class
+    nothing raises any more, with the exit code that maps it, does not stay
+    behind."""
+    from symprep import errors
+
+    classes = [
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+    ]
+    assert classes
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            target = (node.exc if isinstance(node, ast.Raise)
+                      else node.func if isinstance(node, ast.Call) else None)
+            if isinstance(target, ast.Name):
+                named.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                named.add(target.attr)
+    raised = [cls for cls in classes if cls.__name__ in named]
+    assert [
+        cls.__name__ for cls in classes
+        if not any(issubclass(r, cls) for r in raised)
+    ] == []
+
+
+def test_readme_exit_codes_are_the_cli_constants():
+    """README's "Exit codes:" paragraph names, as backticked integers,
+    exactly the values of the `cli.EXIT_*` constants."""
+    from symprep import cli
+
+    paragraph = next(
+        p for p in README.read_text().split("\n\n") if p.startswith("Exit codes:")
+    )
+    named = {int(x) for x in re.findall(r"`(\d+)`", paragraph)}
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert codes
+    assert named == codes
