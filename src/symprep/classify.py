@@ -35,16 +35,14 @@ def _symplectic_node(letter, rank):
     return None
 
 
-@lru_cache(maxsize=None)
-def _root_span_solver(datum):
-    """Coordinates over the simple roots, one elimination per datum."""
-    return span_solver(datum.simple_roots)
-
-
 def is_singular_weight(datum, chi):
     """(flag, factor index): chi is the defining weight of a C-type factor and
     vanishes on every other factor and on the central torus."""
-    chi = cvec(chi)
+    return _is_singular_cached(datum, cvec(chi))
+
+
+@lru_cache(maxsize=None)
+def _is_singular_cached(datum, chi):
     if not datum.is_dominant(chi):
         raise SymprepError(f"{chi} is not dominant")
     pairings = [vdot(chi, c) for c in datum.simple_coroots]
@@ -57,7 +55,7 @@ def is_singular_weight(datum, chi):
             p == (1 if i == target_index else 0) for i, p in enumerate(pairings)
         ):
             # trivial on the central torus <=> chi lies in the span of the roots
-            if _root_span_solver(datum)(chi) is None:
+            if span_solver(datum.simple_roots)(chi) is None:
                 return False, None
             return True, fi
     return False, None

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 from .errors import (
@@ -265,8 +266,37 @@ def build_report(echo, options, analysis, trace=False, numeric=None):
     return report
 
 
+def _json_append(x, out, pad):
+    """Append the pieces of x as `json.dumps(x, sort_keys=True, indent=2)`
+    writes it at indent pad, tuples as lists; keys must be str."""
+    if isinstance(x, str):
+        out.append(_json_str(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif not isinstance(x, (dict, list, tuple)):
+        out.append(json.dumps(x))  # a float, NaN and infinities too; else TypeError
+    elif not x:
+        out.append("{}" if isinstance(x, dict) else "[]")
+    else:
+        inner, keyed = pad + "  ", isinstance(x, dict)
+        sep = ("{\n" if keyed else "[\n") + inner
+        for item in sorted(x) if keyed else x:
+            out.append(sep)
+            if keyed:
+                out += (_json_str(item), ": ")
+                item = x[item]
+            _json_append(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + ("}" if keyed else "]"))
+
+
 def report_to_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The bytes of `json.dumps(report, sort_keys=True, indent=2) + "\\n"`."""
+    out = []
+    _json_append(report, out, "")
+    return "".join(out) + "\n"
 
 
 def report_to_text(report):

@@ -39,6 +39,7 @@ from .reps import (
 )
 from .rootdata import (
     DEFAULT_WEYL_CAP,
+    _echelon_key,
     _subspace_data,
     build_root_datum,
     centralizer_datum,
@@ -177,7 +178,7 @@ def centralizer_levi(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP,
     if expect is None:
         return centralizer_datum(datum, a_star_basis)
     check_weyl_cap(datum, weyl_cap)
-    return _conjugate_levi(datum, tuple(echelon_basis(list(a_star_basis))), expect)
+    return _conjugate_levi(datum, _echelon_key(tuple(map(tuple, a_star_basis))), expect)
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +197,7 @@ def _conjugate_levi(datum, basis, expect):
 
 
 def compute_gamma(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP):
-    return subspace_normalizer(datum, list(a_star_basis), weyl_cap)
+    return subspace_normalizer(datum, a_star_basis, weyl_cap)
 
 
 # -- little Weyl group via Hilbert/Molien matching ---------------------------
@@ -326,6 +327,18 @@ def reflection_subgroups(gamma):
     return sorted(_order_and_degrees(conj, neg, joined, m, gamma) for m in found)
 
 
+# (datum, echelon a*) -> (Gamma, its reflection_subgroups): hashing Gamma costs
+# more than a hit saves, and a Gamma other than the one held is redone
+_CANDIDATES_CACHE = {}
+
+
+def _little_weyl_candidates(datum, gamma):
+    key = (datum, gamma.a_star_basis)
+    if _CANDIDATES_CACHE.get(key, (None,))[0] is not gamma:
+        _CANDIDATES_CACHE[key] = gamma, tuple(reflection_subgroups(gamma))
+    return _CANDIDATES_CACHE[key][1]
+
+
 def _degree_series(degrees, max_degree):
     """prod_i 1/(1 - t^(d_i)) as coefficients 0..max_degree: the number of
     ways to make each degree from the d_i (coin change)."""
@@ -362,7 +375,7 @@ def determine_little_weyl(
     also with the candidates listed, before any symmetric power is formed.
     An odd hilbert_degree is rounded down; one above the symmetric-power
     degree budget makes invariant_dims raise BudgetExceeded."""
-    subs = reflection_subgroups(gamma)
+    subs = _little_weyl_candidates(spec.datum, gamma)
     candidates = tuple(order for order, _ in subs)
     if not mf:
         return LittleWeylResult(status="unknown", candidates=candidates)

@@ -51,8 +51,12 @@ def weight_key(datum, w):
 
 
 def weyl_dim(datum, lam):
-    """Weyl dimension formula; exact integer."""
-    lam = cvec(lam)
+    """Weyl dimension formula; exact integer, formed once per (datum, lam)."""
+    return _weyl_dim_cached(datum, cvec(lam))
+
+
+@lru_cache(maxsize=None)
+def _weyl_dim_cached(datum, lam):
     if not datum.is_dominant(lam):
         raise NotDominant(lam, f"{lam} is not dominant")
     num = den = 1  # one division at the end
@@ -146,7 +150,11 @@ class DualityClass(enum.Enum):
 
 def duality_class(datum, lam):
     """Frobenius-Schur type of the irreducible module with highest weight lam."""
-    lam = cvec(lam)
+    return _duality_class_cached(datum, cvec(lam))
+
+
+@lru_cache(maxsize=None)
+def _duality_class_cached(datum, lam):
     if not datum.is_dominant(lam):
         raise NotDominant(lam, f"{lam} is not dominant")
     if dual_weight(datum, lam) != lam:

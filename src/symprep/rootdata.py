@@ -516,7 +516,11 @@ def datum_from_root_list(parent, roots, coroots):
 
 def levi_subdatum(datum, simple_subset):
     """Standard Levi on a subset of simple roots; shares the ambient lattice."""
-    subset = sorted(set(simple_subset))
+    return _levi_subdatum(datum, tuple(sorted(set(simple_subset))))
+
+
+@lru_cache(maxsize=None)
+def _levi_subdatum(datum, subset):
     for i in subset:
         if not 0 <= i < datum.rank:
             raise IndexError(f"simple root index {i} out of range")
@@ -678,4 +682,10 @@ def subspace_normalizer(datum, a_star_basis, cap=DEFAULT_WEYL_CAP):
     be closed under products.  The cap is checked on every call; Gamma is
     formed once per (datum, echelon basis of a*)."""
     check_weyl_cap(datum, cap)
-    return _subspace_normalizer(datum, tuple(echelon_basis(list(a_star_basis))))
+    return _subspace_normalizer(datum, _echelon_key(tuple(map(tuple, a_star_basis))))
+
+
+@lru_cache(maxsize=None)
+def _echelon_key(rows):
+    """The echelon basis of a tuple of rows: the per-(datum, a*) caches' key."""
+    return tuple(echelon_basis(list(rows)))

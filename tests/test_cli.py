@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -365,18 +366,18 @@ def test_little_weyl_past_the_dim_budget_reports_budget(tmp_path, capsys):
     assert "dim V = 18 exceeds budget 16" in capsys.readouterr().err
 
 
+def _catalog_doc(spec):
+    datum = spec.datum
+    return {
+        "group": {"simple": [list(f) for f in datum.factors],
+                  "central_torus_rank": datum.ambient_dim - sum(n for _, n in datum.factors)},
+        "rep": [{"hw": list(w), "mult": m} for w, m in spec.summands],
+    }
+
+
 def test_gamma_command_agrees_with_full_analysis(tmp_path, capsys):
     for name, (spec, _) in catalog().items():
-        datum = spec.datum
-        doc = {
-            "group": {
-                "simple": [list(f) for f in datum.factors],
-                "central_torus_rank": datum.ambient_dim
-                - sum(n for _, n in datum.factors),
-            },
-            "rep": [{"hw": list(w), "mult": m} for w, m in spec.summands],
-        }
-        path = _write(tmp_path, f"{name}.json", doc)
+        path = _write(tmp_path, f"{name}.json", _catalog_doc(spec))
         assert main(["gamma", path]) == EXIT_OK, name
         _, _, echo = parse_spec(path)
         analysis = analyze(spec)
@@ -657,9 +658,63 @@ def test_every_cache_is_reachable_right_after_import(tmp_path):
     got = _fresh_process(_CACHE_OWNERS_PROBE, _write(tmp_path, "sl3.json", SL3_STD_DUAL))
     assert got["codes"] == [EXIT_OK, EXIT_OK]
     assert got["late"] == []
-    for owner in ("_irreducible_block", "reference_weight", "_single_factor_datum",
-                  "root_recipes"):
-        assert f"symprep.matrixrep.{owner}" in got["at_import"], owner
+    for owner in ("matrixrep._irreducible_block", "matrixrep.reference_weight",
+                  "matrixrep._single_factor_datum", "matrixrep.root_recipes",
+                  "reps._weyl_dim_cached", "reps._duality_class_cached",
+                  "rootdata._levi_subdatum", "rootdata._echelon_key",
+                  "classify._is_singular_cached", "reduction._CANDIDATES_CACHE"):
+        assert f"symprep.{owner}" in got["at_import"], owner
+
+
+_BATCH_POOL_PROBE = """
+import contextlib, importlib.util, io, json, sys
+
+loader = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(loader)
+loader.loader.exec_module(workloads)
+import symprep.cli
+
+def empty_every_cache():
+    for name, module in list(sys.modules.items()):
+        if name == "symprep" or name.startswith("symprep."):
+            for attr, value in vars(module).items():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+                elif isinstance(value, dict) and attr.upper().endswith("_CACHE"):
+                    value.clear()
+
+def analyze(text):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = symprep.cli.main(["analyze", text])
+    return [code, out.getvalue()]
+
+texts = [json.dumps(doc) for docs in workloads.batch_pool().values() for doc in docs]
+cold = []
+for text in texts:
+    empty_every_cache()
+    cold.append(analyze(text))
+warm = [analyze(text) for text in texts]
+empty_every_cache()
+again = [analyze(text) for text in texts]
+print(json.dumps({
+    "specs": len(texts),
+    "codes": sorted({code for code, _ in cold}),
+    "warm_differs": [t for t, a, b in zip(texts, cold, warm) if a != b],
+    "again_differs": [t for t, a, b in zip(texts, cold, again) if a != b],
+}))
+"""
+
+
+def test_batch_pool_reports_match_cold_warm_and_refilled():
+    """In one process, each spec of the benchmark's batch pool analyzed
+    with every cache emptied, then with the caches full, then once more
+    after emptying them once: the three reports agree byte for byte, so no
+    per-process cache changes a report."""
+    workloads = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    got = _fresh_process(_BATCH_POOL_PROBE, str(workloads))
+    assert got["specs"] >= 190 and got["codes"] == [EXIT_OK]
+    assert got["warm_differs"] == [] and got["again_differs"] == []
 
 
 _BLAS_THREADS_PROBE = """
@@ -1004,3 +1059,70 @@ def test_any_json_document_exits_with_a_documented_code(doc):
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET), (
             argv[0], code, err.getvalue()
         )
+
+
+# Leaves the report encoder must write as `json` does: strings with
+# non-ASCII, escaped and control characters (a lone surrogate too), big
+# ints, booleans, None, and floats with the signed zeros, a huge value, NaN
+# and both infinities; tuples stand for lists.
+ENCODER_STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "é", " ", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "\ud800", "😀"]),
+)
+ENCODER_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 400, 10 ** 400),
+    st.floats(), st.sampled_from([0.0, -0.0, 1e300, -1e-300, float("nan"),
+                                  float("inf"), float("-inf")]),
+    ENCODER_STRINGS,
+)
+ENCODER_VALUES = st.recursive(
+    ENCODER_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(ENCODER_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+def _json_dumps_report(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ENCODER_VALUES)
+@example({"b": {}, "a": [[], (), {"": None}], "é": [-0.0, float("nan")]})
+def test_report_to_json_writes_the_bytes_of_json_dumps(value):
+    assert cli.report_to_json(value) == _json_dumps_report(value)
+
+
+@pytest.mark.parametrize("value", [{"a": {1}}, [b"x"], {"a": Fraction(1, 2)}, {1: 2}])
+def test_report_to_json_refuses_what_it_cannot_write_exactly(value):
+    """An unserializable value, or a key that is not a str (which `json`
+    would convert), raises TypeError."""
+    with pytest.raises(TypeError):
+        cli.report_to_json(value)
+
+
+def test_cli_reports_are_the_bytes_of_json_dumps(monkeypatch):
+    """Every report `analyze`, `verify`, `hilbert` and `gamma` write on the
+    catalog, as json.dumps(..., sort_keys=True, indent=2) would write it."""
+    encode, seen = cli.report_to_json, []
+
+    def recording(report):
+        seen.append((report, encode(report)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "report_to_json", recording)
+    for name, (spec, _) in catalog().items():
+        text = json.dumps(_catalog_doc(spec))
+        for argv in (["analyze", text], ["analyze", text, "--trace"], ["gamma", text],
+                     ["hilbert", text, "--degree", "6"],
+                     ["verify", text, "--seed", "0", "--trace"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == EXIT_OK, (name, argv[0])
+            report, written = seen.pop()
+            assert out.getvalue() == written == _json_dumps_report(report), (name, argv[0])
+    assert not seen

@@ -7,13 +7,16 @@ from math import comb
 import pytest
 
 from symprep import reduction, reps
+from symprep.classify import is_singular_weight
 from symprep.reduction import analyze
 from symprep.errors import (
     BudgetExceeded,
     InternalConsistencyError,
     NotACharacter,
+    NotDominant,
     NotSelfDual,
     OddOrthogonalMultiplicity,
+    SymprepError,
 )
 from symprep.reps import (
     DualityClass,
@@ -370,6 +373,22 @@ def test_integrality_cross_checks_raise_a_defect():
         duality_class(A1, half)
     with pytest.raises(InternalConsistencyError, match="non-integer coordinate"):
         symmetric_power_multisets({half: 1, (-half[0],): 1}, 2)
+
+
+def test_cached_weight_facts_raise_on_every_call():
+    """weyl_dim, duality_class and is_singular_weight are kept per (datum,
+    weight) and levi_subdatum per (datum, subset), but a raise is never
+    kept: the same bad input raises on a second call too."""
+    for _ in range(2):
+        with pytest.raises(NotDominant):
+            weyl_dim(A2, (1, -1))
+        with pytest.raises(NotDominant):
+            duality_class(A2, [-1, 0])
+        with pytest.raises(SymprepError, match="not dominant"):
+            is_singular_weight(A2, (0, -1))
+        with pytest.raises(IndexError):
+            levi_subdatum(A2, [0, 2])
+    assert weyl_dim(A2, [1, 1]) == weyl_dim(A2, (Fraction(1), 1)) == 8
 
 
 def test_decompose_weights_evaluates_weight_key_once_per_weight(monkeypatch):
