@@ -237,7 +237,7 @@ def build_report(echo, options, analysis, trace=False, numeric=None):
         "sp_factors": list(analysis.sp_factor_sizes),
         "gamma": {
             "order": analysis.gamma.gamma_order,
-            "reflection_count": len(analysis.gamma.reflection_indices),
+            "reflection_count": len(analysis.gamma.reflections),
         },
         "little_weyl": {
             "status": lw.status,
@@ -438,10 +438,10 @@ def cmd_gamma(args, out, err):
         "input": echo,
         "a_star_basis": _jsonify(td.a_star_basis),
         "gamma_order": gamma.gamma_order,
-        "reflection_count": len(gamma.reflection_indices),
+        "reflection_count": len(gamma.reflections),
         "normalizer_order": gamma.normalizer_order,
         "centralizer_order": gamma.centralizer_order,
-        "matrices": _jsonify(gamma.gamma_matrices),
+        "reflections": _jsonify(gamma.reflections),
     }))
     return EXIT_OK
 

@@ -11,8 +11,8 @@ products and block sums (`sparse_mul`, `sparse_comm`, `sparse_kron`,
 `sparse_blockdiag`) form only products of nonzero entries, and `dense` is a
 dense view of one.
 
-Most data are integers, so `canon`, `vdot`, `mat_vec`, `mat_mul` and
-`lincomb` compute in plain ints: a sum of products has type int exactly when
+Most data are integers, so `canon`, `vdot`, `mat_vec` and `lincomb`
+compute in plain ints: a sum of products has type int exactly when
 every product did, and only a sum that came out a Fraction goes through
 `canon`.
 
@@ -109,20 +109,6 @@ def lincomb(coeffs, vecs, n):
                 if x:
                     out[k] += c * x
     return cvec(out)
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    if a and bt and len(a[0]) != len(b):
-        raise ValueError(f"length mismatch {len(a[0])} vs {len(b)}")
-    out = []
-    for row in a:
-        entries = []
-        for col in bt:
-            s = sum(map(mul, row, col))
-            entries.append(s if type(s) is int else canon(s))
-        out.append(tuple(entries))
-    return tuple(out)
 
 
 def mat_sub(a, b):
@@ -361,28 +347,6 @@ def echelon_basis(rows):
         tuple(row) if row[p] > 0 else tuple(-x for x in row)
         for row, p in zip(m, pivots)
     ]
-
-
-def fixed_codim(g):
-    """rank(g - I): the codimension of the space g fixes; 1 for a reflection."""
-    return rank(mat_sub(g, identity(len(g))))
-
-
-def group_closure(gens, dim):
-    """The matrix group generated by gens, identity included."""
-    ident = identity(dim)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = mat_mul(m, g)
-                if p not in elems:
-                    elems.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return frozenset(elems)
 
 
 def same_span(rows_a, rows_b):

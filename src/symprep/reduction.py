@@ -39,11 +39,12 @@ from .reps import (
 )
 from .rootdata import (
     DEFAULT_WEYL_CAP,
+    _centralizer,
     _echelon_key,
-    _subspace_data,
     build_root_datum,
     centralizer_datum,
     check_weyl_cap,
+    generic_orbit,
     levi_subdatum,
     positive_roots,
     subspace_normalizer,
@@ -183,7 +184,8 @@ def centralizer_levi(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP,
 
 @lru_cache(maxsize=None)
 def _conjugate_levi(datum, basis, expect):
-    levi, orbit = _subspace_data(datum, basis)
+    levi = _centralizer(datum, basis)
+    orbit = generic_orbit(datum, basis, levi)
     theirs = {r.vec for r in positive_roots(expect)}
     pos = positive_roots(datum)
     if not any(
@@ -211,7 +213,7 @@ def _reflection_table(gamma):
     r_a r_b r_a is the reflection of the root r_a(beta_b): conj[a][b] is its
     index, bit b of neg[a] is set when r_a(beta_b) is negative, and bit b of
     joined[a] when b = a or r_a and r_b do not commute."""
-    mats = [gamma.gamma_matrices[i] for i in gamma.reflection_indices]
+    mats = gamma.reflections
     roots = [echelon_basis([next(c for c in transpose(mat_sub(r, identity(len(r)))) if any(c))])[0]
              for r in mats]
     index = {root: b for b, root in enumerate(roots)}
@@ -302,7 +304,7 @@ def reflection_subgroups(gamma):
     found with one reflection outside it (one per orbit of the found set's
     group), over a table of conjugations, so no matrix is multiplied; a
     set's Coxeter type gives its order and degrees."""
-    k, count = len(gamma.a_star_basis), len(gamma.reflection_indices)
+    k, count = len(gamma.a_star_basis), len(gamma.reflections)
     if count < 2:  # nothing to conjugate: the trivial group, and A1 if one
         return [(1, (1,) * k)] + [(2, (1,) * (k - 1) + (2,))] * count
     conj, neg, joined = _reflection_table(gamma)
@@ -467,7 +469,7 @@ def analyze(
     lw = determine_little_weyl(
         spec, gamma, mf, hilbert_degree, weyl_cap
     )
-    if lw.status == "exact" and len(gamma.gamma_matrices) % lw.order != 0:
+    if lw.status == "exact" and gamma.gamma_order % lw.order != 0:
         raise InternalConsistencyError("|W_V| does not divide |Gamma|")
     iso = isotropy_shape(td, levi)
     return AnalysisReport(

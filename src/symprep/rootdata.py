@@ -38,8 +38,6 @@ from .linalg import (
     canon,
     cvec,
     echelon_basis,
-    fixed_codim,
-    group_closure,
     lincomb,
     mat_vec,
     span_solver,
@@ -191,17 +189,19 @@ def _cartan_pairing(datum):
     )
 
 
+def _support(v):
+    """The nonzero entries (index, value) of v."""
+    return tuple((a, x) for a, x in enumerate(v) if x)
+
+
 @lru_cache(maxsize=None)
 def _reflection_data(datum):
     """Per simple reflection s_i: the nonzero entries (index, value) of
     alpha_i in ambient coordinates and of C[i] in label coordinates.  s_i
     subtracts l_i = <y, alpha_i^vee> times the first from a point y and
     times the second from y's labels."""
-    def support(v):
-        return tuple((a, x) for a, x in enumerate(v) if x)
-
     return tuple(
-        (support(r), support(row))
+        (_support(r), _support(row))
         for r, row in zip(datum.simple_roots, datum.cartan_pairing())
     )
 
@@ -589,98 +589,105 @@ class SubspaceGroupData:
     a_star_basis: tuple
     normalizer_order: int
     centralizer_order: int
-    gamma_matrices: tuple          # faithful action on a*-coordinates
-    reflection_indices: tuple      # indices into gamma_matrices of the reflections
+    gamma_order: int
+    reflections: tuple             # Gamma's reflections on a*-coordinates, sorted
 
     @property
-    def gamma_order(self):
-        return len(self.gamma_matrices)
+    def reflection_indices(self):
+        """Indices into `reflections`; perfbench/tracing.py counts them."""
+        return range(len(self.reflections))
 
 
-def _reflection_indices(mats, k):
-    """Indices of the reflections among the matrices of a finite group on
-    k-space: rank(g - I) = 1.  A reflection of finite order has eigenvalues
-    1 (k - 1 times) and -1, so trace k - 2; only those matrices are ranked."""
-    return tuple(
-        i for i, g in enumerate(mats)
-        if sum(g[a][a] for a in range(k)) == k - 2 and fixed_codim(g) == 1
-    )
+def _reflect(vs, reflection):
+    """The images of the vectors vs under s_beta, given as the supports of
+    beta and beta^vee, or None when s_beta fixes all of them."""
+    root, coroot = reflection
+    ls = [sum(v[a] * x for a, x in coroot) for v in vs]
+    if not any(ls):
+        return None
+    return tuple(_minus(v, l, root) if l else v for v, l in zip(vs, ls))
 
 
-def _gamma_matrices(datum, basis, orbit):
-    """The action on a*-coordinates of each orbit word mapping a* into
-    itself, sorted.  An orbit point outside a* has no such word.  A word's
-    images of the basis are its breadth-first parent's (the word less its
-    last letter) moved by one reflection, formed for the points in a* and
-    their ancestors only."""
-    k = len(basis)
-    solve = span_solver(basis)
-    refl = _reflection_data(datum)
-    images = {(): tuple(basis)}
-
-    def image(word):
-        if word not in images:
-            i = word[-1]
-            images[word] = tuple(
-                _minus(b, datum.pairing(b, i), refl[i][0]) for b in image(word[:-1])
-            )
-        return images[word]
-
-    gamma = set()
-    for y, word in orbit:
-        if solve(y) is None:
-            continue
-        coeffs = [solve(b) for b in image(word)]
-        if None not in coeffs:
-            # columns are the coordinates of the images of the basis vectors
-            gamma.add(tuple(tuple(coeffs[j][i] for j in range(k)) for i in range(k)))
-    return sorted(gamma)
-
-
-def _is_group(mats, k):
-    """Whether mats is closed under products: the group generated by each
-    matrix that the ones before it do not generate must be mats.  Each such
-    generator at least doubles the group, so there are at most log2 |mats|."""
-    gens, group = [], group_closure([], k)
-    for g in mats:
-        if g not in group:
-            gens.append(g)
-            group = group_closure(gens, k)
-    return group == frozenset(mats)
+def _orbit(start, reflections, key):
+    """The orbit of the tuple of vectors start under the group the
+    reflections generate, start first, one tuple of images per point;
+    key(images) tells the points apart."""
+    seen, orbit = {key(start)}, [start]
+    for vs in orbit:  # the walk grows as points are found
+        for r in reflections:
+            u = _reflect(vs, r)
+            if u is not None and (ku := key(u)) not in seen:
+                seen.add(ku)
+                orbit.append(u)
+    return orbit
 
 
 @lru_cache(maxsize=None)
-def _subspace_data(datum, basis):
-    """(centralizer Levi, generic orbit) of the span of the echelon basis
-    `basis`, formed once per (datum, basis) and shared by Gamma and the
-    Levi's conjugacy check."""
-    levi = centralizer_datum(datum, basis)
-    return levi, generic_orbit(datum, basis, levi)
+def _centralizer(datum, basis):
+    """The centralizer Levi of the span of the echelon basis `basis`, formed
+    once per (datum, basis) and shared by Gamma and the Levi's conjugacy
+    check: a cold `analyze` forms it once rather than twice."""
+    return centralizer_datum(datum, basis)
 
 
 @lru_cache(maxsize=None)
 def _subspace_normalizer(datum, basis):
-    levi, orbit = _subspace_data(datum, basis)
-    mats = _gamma_matrices(datum, basis, orbit)
-    if not _is_group(mats, len(basis)):
-        raise InternalConsistencyError("Gamma matrices are not closed under products")
+    k = len(basis)
+    levi = _centralizer(datum, basis)
+    simple = [(_support(r), _support(c)) for r, c in zip(datum.simple_roots, datum.simple_coroots)]
+    size = len(_orbit(basis, simple, _echelon_key))
+    order, c_order = datum.weyl_order(), levi.weyl_order()
+    if order % size:
+        raise InternalConsistencyError(f"a* has {size} W-conjugates, not dividing |W| = {order}")
+    n_order = order // size
+    if n_order % c_order:
+        raise InternalConsistencyError(f"|W(L)| = {c_order} does not divide |N| = {n_order}")
+    lines = {}
+    for r in positive_roots(datum):
+        restricted = tuple(vdot(b, r.coroot_vec) for b in basis)
+        if any(restricted):
+            lines.setdefault(echelon_basis([restricted])[0], []).append(r)
+    solve = span_solver(basis)
+    reflections = []
+    for roots in lines.values():
+        # the line's roots' reflections move the basis as W(L_H) does
+        gens = [(_support(r.vec), _support(r.coroot_vec)) for r in roots]
+        coeffs = [[solve(v) for v in vs] for vs in _orbit(basis, gens, tuple)[1:]]
+        # column j of an element's matrix holds the coordinates of the image of b_j
+        found = [tuple(zip(*c)) for c in coeffs if None not in c]
+        if len(found) > 1 or any(sum(g[a][a] for a in range(k)) != k - 2 for g in found):
+            raise InternalConsistencyError(
+                f"Gamma's elements {found} fixing one mirror are not one reflection"
+            )
+        reflections += found
     return SubspaceGroupData(
         a_star_basis=basis,
-        normalizer_order=len(mats) * levi.weyl_order(),
-        centralizer_order=levi.weyl_order(),
-        gamma_matrices=tuple(mats),
-        reflection_indices=_reflection_indices(mats, len(basis)),
+        normalizer_order=n_order,
+        centralizer_order=c_order,
+        gamma_order=n_order // c_order,
+        reflections=tuple(sorted(reflections)),
     )
 
 
 def subspace_normalizer(datum, a_star_basis, cap=DEFAULT_WEYL_CAP):
-    """Gamma = N(a*)/C(a*) acting on a*, with |N| and |C| = |W(L)|.
+    """Gamma = N(a*)/C(a*) acting on a*: its order, |N|, |C| = |W(L)| and its
+    reflections, never its elements.
 
-    With x generic in a*, n -> n x maps N onto the orbit points in a* whose
-    words normalize a*, with fibres the cosets of C (Howlett, J. LMS 21,
-    1980); so each such point gives one element of Gamma.  The matrices must
-    be closed under products.  The cap is checked on every call; Gamma is
-    formed once per (datum, echelon basis of a*)."""
+    |N| = |W| / |W a*| by orbit-stabilizer, the orbit of the subspace a*
+    walked by simple reflections and keyed by echelon basis; then |Gamma| =
+    |N| / |W(L)|, as C is W(L) (Steinberg, Trans. AMS 112, 1964) and n -> n x
+    for x generic in a* has the cosets of C as fibres (Howlett, J. LMS 21,
+    1980).  A reflection of Gamma with mirror H lifts to an element fixing H
+    pointwise, so to W(L_H), L_H the Levi of the roots vanishing on H
+    (Steinberg); H is the kernel on a* of the restricted coroot
+    (<b_j, beta^vee>)_j of a root off L, one mirror per line of them.  Per
+    mirror, the orbit of the a*-basis under W(L_H) has stabilizer W(L), so
+    its points in a* are the image of N_{W(L_H)}(a*) in Gamma: the identity
+    and at most one reflection, of trace k - 2.  W(L) fixes the basis and
+    permutes the roots of the mirror's line (their restricted coroots are
+    W(L)-invariant), so the reflections of those roots walk the same orbit.
+    The cap is checked on every call; Gamma is formed once per (datum, echelon basis
+    of a*)."""
     check_weyl_cap(datum, cap)
     return _subspace_normalizer(datum, _echelon_key(tuple(map(tuple, a_star_basis))))
 

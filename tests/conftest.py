@@ -17,7 +17,7 @@ def empty_gamma_caches():
     from symprep import reduction, rootdata
 
     def empty():
-        for cache in (rootdata._subspace_data, rootdata._subspace_normalizer,
+        for cache in (rootdata._centralizer, rootdata._subspace_normalizer,
                       reduction._conjugate_levi):
             cache.cache_clear()
 

@@ -7,7 +7,9 @@ enumeration, symmetric powers from Newton's identity over Fractions or
 the division-free recursion over tuple-keyed weights, Molien series from
 power traces, reflection subgroups as matrix closures with their degrees
 from fixed-space counts instead of a conjugation table and Coxeter types,
-group elements from matrix closure with determinant signs, invariant symplectic forms from a
+group elements from matrix closure with determinant signs, Gamma from every
+element (one matrix per generic-orbit word normalizing a*, checked closed
+under products) instead of its order and mirrors, invariant symplectic forms from a
 nullspace solve, and root-vector scalars by brackets in a reference module
 instead of Chevalley's structure constants.  The float moment maps are evaluated one vector and one Lie
 basis matrix at a time; the Jacobian ranks, the coisotropy test, the
@@ -25,6 +27,7 @@ elimination; every span solve is `span_coords_oracle`, an rref_oracle of
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import mul
 
 import numpy as np
 
@@ -38,11 +41,10 @@ from symprep.linalg import (
     canon,
     cvec,
     dense,
-    fixed_codim,
-    group_closure,
+    echelon_basis,
+    identity,
     is_zero_vec,
     lincomb,
-    mat_mul,
     mat_sub,
     mat_vec,
     sparse_comm,
@@ -63,8 +65,51 @@ from symprep.matrixrep import (
 )
 from symprep.classify import WeightStatus, weight_status
 from symprep.numeric import DOMAIN_TOL, RANK_TOL, factor_matrix_forms, seeded_samples
-from symprep.rootdata import _length_data, positive_roots, rho_strict
+from symprep.rootdata import (
+    _length_data,
+    centralizer_datum,
+    generic_orbit,
+    positive_roots,
+    rho_strict,
+)
 from symprep.sections import _plan_coords
+
+
+def mat_mul(a, b):
+    """A B of dense matrices, in plain ints when every entry is an int."""
+    bt = transpose(b)
+    if a and bt and len(a[0]) != len(b):
+        raise ValueError(f"length mismatch {len(a[0])} vs {len(b)}")
+    out = []
+    for row in a:
+        entries = []
+        for col in bt:
+            s = sum(map(mul, row, col))
+            entries.append(s if type(s) is int else canon(s))
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def fixed_codim(g):
+    """rank(g - I): the codimension of the space g fixes; 1 for a reflection."""
+    return len(rref_oracle(mat_sub(g, identity(len(g))))[1])
+
+
+def group_closure(gens, dim):
+    """The matrix group generated by gens, identity included."""
+    ident = identity(dim)
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = mat_mul(m, g)
+                if p not in elems:
+                    elems.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return frozenset(elems)
 
 
 def dense_comm(a, b):
@@ -426,6 +471,58 @@ def subspace_normalizer_oracle(datum, basis):
     return n_count, c_count, len(gamma), refl
 
 
+def gamma_matrices_oracle(datum, basis):
+    """Every element of Gamma as its matrix on a*-coordinates, sorted: the
+    action of each word of the generic orbit that maps a* into itself.  A
+    word's images of the basis are its breadth-first parent's moved by one
+    `reflect`, formed for the points in a* and their ancestors only."""
+    basis = echelon_basis(list(basis))
+    k = len(basis)
+    images = {(): tuple(basis)}
+
+    def image(word):
+        if word not in images:
+            images[word] = tuple(reflect(datum, word[-1], b) for b in image(word[:-1]))
+        return images[word]
+
+    gamma = set()
+    for y, word in generic_orbit(datum, basis, centralizer_datum(datum, basis)):
+        if span_coords_oracle(basis, y) is None:
+            continue
+        coeffs = [span_coords_oracle(basis, b) for b in image(word)]
+        if None not in coeffs:
+            # columns are the coordinates of the images of the basis vectors
+            gamma.add(tuple(tuple(coeffs[j][i] for j in range(k)) for i in range(k)))
+    return sorted(gamma)
+
+
+def is_group_oracle(mats, k):
+    """Whether mats is closed under products: the group generated by each
+    matrix that the ones before it do not generate must be mats."""
+    gens, group = [], group_closure([], k)
+    for g in mats:
+        if g not in group:
+            gens.append(g)
+            group = group_closure(gens, k)
+    return group == frozenset(mats)
+
+
+def gamma_by_elements_oracle(datum, basis):
+    """(|N|, |C|, |Gamma|, Gamma's reflections sorted) from every element of
+    Gamma, checked closed under products; a reflection has trace k - 2 and
+    fixes a hyperplane."""
+    mats = gamma_matrices_oracle(datum, basis)
+    k = len(mats[0])
+    if not is_group_oracle(mats, k):
+        raise InternalConsistencyError("Gamma matrices are not closed under products")
+    c_order = centralizer_datum(datum, echelon_basis(list(basis))).weyl_order()
+    reflections = tuple(
+        g for g in mats
+        if sum(g[a][a] for a in range(k)) == k - 2 and fixed_codim(g) == 1
+    )
+    return len(mats) * c_order, c_order, len(mats), reflections
+
+
 def newton_symmetric_powers(multiset, max_degree):
     """Weight multisets of S^d V for d = 0..max_degree by Newton's identity
     h_d = (1/d) sum_k p_k h_(d-k), where p_k has the weights scaled by k;
@@ -679,7 +776,7 @@ def reflection_subgroups_oracle(gamma):
     """The closure of every subset of Gamma's reflections, sorted by order
     and then by matrices."""
     k = len(gamma.a_star_basis)
-    refl = [gamma.gamma_matrices[i] for i in gamma.reflection_indices]
+    refl = gamma.reflections
     subs = {group_closure([], k)}
     for size in range(1, len(refl) + 1):
         for combo in combinations(refl, size):
@@ -693,7 +790,7 @@ def reflection_subgroups_grown_oracle(gamma):
     closure of one already found, with its generators plus one reflection
     outside it."""
     k = len(gamma.a_star_basis)
-    refl = [gamma.gamma_matrices[i] for i in gamma.reflection_indices]
+    refl = gamma.reflections
     subs = {group_closure([], k): ()}
     queue = list(subs.items())
     for sub, gens in queue:  # the queue grows as subgroups are found

@@ -362,7 +362,7 @@ def test_criterion_11_gamma_against_bruteforce():
             gamma.normalizer_order,
             gamma.centralizer_order,
             gamma.gamma_order,
-            len(gamma.reflection_indices),
+            len(gamma.reflections),
         ), name
     _report("criterion 11 (Gamma brute force)", True)
 

@@ -387,10 +387,10 @@ def test_gamma_command_agrees_with_full_analysis(tmp_path, capsys):
             "input": echo,
             "a_star_basis": [list(b) for b in analysis.a_star_basis],
             "gamma_order": gamma.gamma_order,
-            "reflection_count": len(gamma.reflection_indices),
+            "reflection_count": len(gamma.reflections),
             "normalizer_order": gamma.normalizer_order,
             "centralizer_order": gamma.centralizer_order,
-            "matrices": [[list(r) for r in m] for m in gamma.gamma_matrices],
+            "reflections": [[list(r) for r in m] for m in gamma.reflections],
         }, sort_keys=True, indent=2) + "\n"
         assert capsys.readouterr().out == want, name
 
@@ -420,6 +420,28 @@ def test_adjoint_pairs_list_every_reflection_subgroup_of_w(tmp_path, capsys, nam
     assert len(little["candidates"]) == count
     assert little["candidates"] == sorted(little["candidates"])
     assert (little["candidates"][0], little["candidates"][-1]) == (1, order)
+
+
+E6_27_DUAL_X2 = {
+    "group": {"simple": [["E", 6]], "central_torus_rank": 0},
+    "rep": [{"hw": [1, 0, 0, 0, 0, 0], "mult": 2}, {"hw": [0, 0, 0, 0, 0, 1], "mult": 2}],
+}
+
+
+def test_e6_27_dual_x2_has_gamma_w_and_5079_candidates(tmp_path, capsys):
+    """E6 on (27 + 27*) x 2: a* is t*, so Gamma = W(E6), of order 51840 with
+    36 reflections, |N| = 51840 and |C| = 1; `analyze` reports the same
+    Gamma and lists its 5079 reflection subgroups as candidates."""
+    path = _write(tmp_path, "e6.json", E6_27_DUAL_X2)
+    assert main(["gamma", path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["gamma_order"], report["reflection_count"], report["normalizer_order"],
+            report["centralizer_order"]) == (51840, 36, 51840, 1)
+    assert len(report["reflections"]) == 36
+    assert main(["analyze", path]) == EXIT_OK
+    full = json.loads(capsys.readouterr().out)
+    assert full["gamma"] == {"order": 51840, "reflection_count": 36}
+    assert len(full["little_weyl"]["candidates"]) == 5079
 
 
 def test_batch_command(tmp_path, capsys):

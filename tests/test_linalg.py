@@ -1,5 +1,5 @@
-"""The int fast paths of the exact primitives against a pure-Fraction
-reference: same value and same type (int exactly when the result is
+"""The int fast paths of the exact primitives, and of the oracles' dense
+`mat_mul`, against a pure-Fraction reference: same value and same type (int exactly when the result is
 integral) on int-only and on mixed int/Fraction inputs.  The fraction-free
 elimination behind `rref`, `rank`, `nullspace` and `echelon_basis` against
 Gauss-Jordan over Fractions, and the one exact coordinate solver,
@@ -20,7 +20,6 @@ from symprep.linalg import (
     echelon_basis,
     identity,
     lincomb,
-    mat_mul,
     mat_vec,
     nullspace,
     rank,
@@ -42,6 +41,7 @@ from oracles import (
     dense_blockdiag,
     dense_comm,
     dense_kron,
+    mat_mul,
     nullspace_oracle,
     rref_oracle,
     span_coords_oracle,

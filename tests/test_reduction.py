@@ -7,7 +7,7 @@ import pytest
 from symprep import reduction, rootdata
 from symprep.cli import parse_spec
 from symprep.errors import InternalConsistencyError, NoNonTerminalWeight, WeylCapExceeded
-from symprep.linalg import fixed_codim, mat_vec, same_span
+from symprep.linalg import mat_vec, same_span
 from symprep.reduction import (
     analyze,
     centralizer_levi,
@@ -30,6 +30,7 @@ from corpus import (
     A1, A2, C2, T1, ANALYZE_LADDER, catalog, generic_models, verify_ladder,
 )
 from oracles import (
+    fixed_codim,
     little_weyl_candidates_oracle,
     molien_series_oracle,
     reflection_subgroups_oracle,
@@ -134,7 +135,7 @@ def test_centralizer_levi_consistent_across_catalog():
 def test_compute_gamma_examples():
     _, td = run_reduction(validate_symplectic_spec(A1, [((1,), 2)]))
     g = compute_gamma(A1, td.a_star_basis)
-    assert g.gamma_order == 2 and len(g.reflection_indices) == 1
+    assert g.gamma_order == 2 and len(g.reflections) == 1
     _, td = run_reduction(validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)]))
     g = compute_gamma(A2, td.a_star_basis)
     assert g.gamma_order == 1
@@ -145,13 +146,12 @@ def test_compute_gamma_examples():
 def _group_data(mats):
     """Gamma data of a finite group given by its matrices on a*."""
     k = len(mats[0])
-    mats = sorted(mats)
     return SubspaceGroupData(
         a_star_basis=tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
         normalizer_order=len(mats),
         centralizer_order=1,
-        gamma_matrices=tuple(mats),
-        reflection_indices=tuple(i for i, g in enumerate(mats) if fixed_codim(g) == 1),
+        gamma_order=len(mats),
+        reflections=tuple(sorted(g for g in mats if fixed_codim(g) == 1)),
     )
 
 
@@ -200,7 +200,7 @@ def test_a_rotation_group_has_no_reflection_degrees():
     r = ((0, -1), (1, -1))
     mats = [((1, 0), (0, 1)), r, ((-1, 1), (-1, 0))]
     gamma = _group_data(mats)
-    assert gamma.reflection_indices == ()
+    assert gamma.reflections == ()
     assert reflection_subgroups(gamma) == [(1, (1, 1))]
 
 
@@ -503,11 +503,11 @@ def test_reflection_subgroups_grow_to_the_powerset_closures(name, monkeypatch):
     monkeypatch.setattr(reduction, "_closure", counting_closure)
     subs = reflection_subgroups(gamma)
     assert subs == little_weyl_candidates_oracle(gamma, reflection_subgroups_oracle)
-    nrefl = len(gamma.reflection_indices)
+    nrefl = len(gamma.reflections)
     outside = sum(nrefl - sum(d - 1 for d in degrees) for _, degrees in subs)
     assert calls[0] % 2 == 0 and calls[0] // 2 < outside
     if name == "C3xT1":
-        assert (len(gamma.gamma_matrices), nrefl, len(subs)) == (48, 9, 38)
+        assert (gamma.gamma_order, nrefl, len(subs)) == (48, 9, 38)
 
 
 def test_run_reduction_row_reduces_distinct_character_pairs(monkeypatch):

@@ -1,18 +1,22 @@
 
+import json
 import random
 from fractions import Fraction
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import pytest
 
 from symprep import rootdata
 from symprep.errors import InternalConsistencyError, InvalidCartanType, WeylCapExceeded
+from symprep.cli import parse_spec
 from symprep.linalg import (
     echelon_basis,
     identity,
-    mat_mul,
     mat_vec,
+    vscale,
 )
-from symprep.reduction import run_reduction
+from symprep.reduction import centralizer_levi, run_reduction
 from symprep.reps import validate_symplectic_spec
 from symprep.rootdata import (
     build_root_datum,
@@ -30,10 +34,13 @@ from symprep.rootdata import (
     weyl_orbit,
 )
 
-from corpus import ANALYZE_LADDER, catalog
+from corpus import ANALYZE_LADDER, GENERIC_MODELS, catalog
 from oracles import (
     EXCEPTIONAL_DEGREES,
     dominant_representative_oracle,
+    fixed_codim,
+    gamma_by_elements_oracle,
+    mat_mul,
     positive_roots_oracle,
     reflection_matrix,
     span_coords_oracle,
@@ -237,7 +244,7 @@ def test_subspace_normalizer_examples():
     a1 = build_root_datum([("A", 1)])
     sg = subspace_normalizer(a1, [(1,)])
     assert sg.gamma_order == 2
-    assert len(sg.reflection_indices) == 1
+    assert sg.reflections == (((-1,),),)
     a2 = build_root_datum([("A", 2)])
     sg = subspace_normalizer(a2, [(1, 0)])
     assert sg.gamma_order == 1
@@ -261,7 +268,7 @@ def test_coset_identity_and_oracle_agreement():
             sg.normalizer_order,
             sg.centralizer_order,
             sg.gamma_order,
-            len(sg.reflection_indices),
+            len(sg.reflections),
         )
 
 
@@ -283,8 +290,9 @@ def test_weyl_matrices_hold_only_ints(factors, central):
 
 
 def _normalizer_by_in_span(datum, basis):
-    """(|N|, |C|, Gamma matrices) with one span_coords_oracle solve per Weyl
-    matrix and basis vector."""
+    """(|N|, |C|, |Gamma|, Gamma's reflections sorted) with one
+    span_coords_oracle solve per Weyl matrix and basis vector; a reflection
+    fixes a hyperplane."""
     basis = echelon_basis(list(basis))
     k = len(basis)
     n_count, c_count, gamma = 0, 0, set()
@@ -296,7 +304,7 @@ def _normalizer_by_in_span(datum, basis):
         n_count += 1
         c_count += images == basis
         gamma.add(tuple(tuple(c[i] for c in coeffs) for i in range(k)))
-    return n_count, c_count, sorted(gamma)
+    return n_count, c_count, len(gamma), tuple(sorted(g for g in gamma if fixed_codim(g) == 1))
 
 
 @pytest.mark.parametrize("name", sorted(catalog()))
@@ -308,10 +316,8 @@ def test_subspace_normalizer_matches_in_span_reference(name):
                  [tuple(1 for _ in range(n))]] + [[e] for e in unit]
     for basis in subspaces:
         sg = subspace_normalizer(datum, basis)
-        n_count, c_count, mats = _normalizer_by_in_span(datum, basis)
-        assert sg.normalizer_order == n_count
-        assert sg.centralizer_order == c_count
-        assert repr(sg.gamma_matrices) == repr(tuple(mats))
+        got = (sg.normalizer_order, sg.centralizer_order, sg.gamma_order, sg.reflections)
+        assert repr(got) == repr(_normalizer_by_in_span(datum, basis))
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_LADDER))
@@ -327,7 +333,7 @@ def test_subspace_normalizer_matches_oracle_on_the_ladder(name):
             sg.normalizer_order,
             sg.centralizer_order,
             sg.gamma_order,
-            len(sg.reflection_indices),
+            len(sg.reflections),
         )
 
 
@@ -336,25 +342,116 @@ A2_PLANE = [(1, 0), (0, 1)]
 
 def test_non_generic_start_point_trips_the_orbit_size_check(monkeypatch, empty_gamma_caches):
     a2 = build_root_datum([("A", 2)])
-    assert subspace_normalizer(a2, A2_PLANE).gamma_order == 6
+    torus = levi_subdatum(a2, [])
+    assert centralizer_levi(a2, A2_PLANE, expect=torus) == torus
     # (1, 0) lies on the alpha_2 hyperplane: its orbit has 3 points, not 6
     monkeypatch.setattr(rootdata, "_generic_point", lambda datum, basis: basis[0])
     empty_gamma_caches()
     with pytest.raises(InternalConsistencyError, match="generic orbit has 3 points"):
-        subspace_normalizer(a2, A2_PLANE)
+        centralizer_levi(a2, A2_PLANE, expect=torus)
 
 
-@pytest.mark.parametrize("dropped", range(6))
-def test_gamma_missing_an_element_trips_the_closure_check(monkeypatch, empty_gamma_caches, dropped):
+A2_LINE = [(1, 0)]
+
+
+def _patch_walks(monkeypatch, subspaces=None, tuples=None):
+    """Replace what `_orbit` returns for the walk of a* (keyed by span) or
+    for a mirror's walk of the a*-basis (keyed by the tuple itself)."""
+    full = rootdata._orbit
+
+    def walk(start, reflections, key):
+        orbit = full(start, reflections, key)
+        change = subspaces if key is rootdata._echelon_key else tuples
+        return change(start, orbit) if change else orbit
+
+    monkeypatch.setattr(rootdata, "_orbit", walk)
+
+
+def test_an_a_star_orbit_not_dividing_w_trips_its_check(monkeypatch, empty_gamma_caches):
+    """The line of omega_1 in A2 has 3 W-conjugates; a fourth does not divide 6."""
     a2 = build_root_datum([("A", 2)])
-    full = rootdata._gamma_matrices
-    monkeypatch.setattr(
-        rootdata, "_gamma_matrices",
-        lambda *args: [g for i, g in enumerate(full(*args)) if i != dropped],
-    )
+    assert subspace_normalizer(a2, A2_LINE).normalizer_order == 2
+    _patch_walks(monkeypatch, subspaces=lambda start, orbit: orbit + [start])
     empty_gamma_caches()
-    with pytest.raises(InternalConsistencyError, match="not closed under products"):
+    with pytest.raises(InternalConsistencyError, match="4 W-conjugates"):
+        subspace_normalizer(a2, A2_LINE)
+
+
+def test_a_centralizer_not_dividing_the_normalizer_trips_its_check(monkeypatch, empty_gamma_caches):
+    """Twice the 3 conjugates of the line of omega_1 give |N| = 1, which
+    |W(L)| = |W(A1)| = 2 does not divide."""
+    a2 = build_root_datum([("A", 2)])
+    _patch_walks(monkeypatch, subspaces=lambda start, orbit: orbit * 2)
+    empty_gamma_caches()
+    with pytest.raises(InternalConsistencyError, match=r"\|W\(L\)\| = 2 does not divide \|N\| = 1"):
+        subspace_normalizer(a2, A2_LINE)
+
+
+def test_a_mirror_with_two_elements_trips_its_check(monkeypatch, empty_gamma_caches):
+    """On a* = t* of A2 each mirror's walk has 2 points: the basis and its
+    reflection.  A second copy of the reflection is a second element of
+    Gamma fixing the mirror."""
+    a2 = build_root_datum([("A", 2)])
+    assert len(subspace_normalizer(a2, A2_PLANE).reflections) == 3
+    _patch_walks(monkeypatch, tuples=lambda start, orbit: orbit + orbit[-1:])
+    empty_gamma_caches()
+    with pytest.raises(InternalConsistencyError, match="not one reflection"):
         subspace_normalizer(a2, A2_PLANE)
+
+
+def test_a_mirror_element_of_wrong_trace_trips_its_check(monkeypatch, empty_gamma_caches):
+    """-1 on a* = t* of A2 has trace -2, not k - 2 = 0: no reflection."""
+    a2 = build_root_datum([("A", 2)])
+    _patch_walks(monkeypatch, tuples=lambda start, orbit: [
+        start, tuple(vscale(-1, b) for b in start)])
+    empty_gamma_caches()
+    with pytest.raises(InternalConsistencyError, match="not one reflection"):
+        subspace_normalizer(a2, A2_PLANE)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _workloads():
+    loader = spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+def _gamma_reference_specs():
+    """name -> spec text: the catalog, both ladders of the benchmark, the
+    generic models, per batch-pool group its spec with the most summands,
+    the adjoint pairs of A5, B4, D4 and F4 (Gamma = W) and G2 on 7 x 2."""
+    w = _workloads()
+    docs = {name: doc for name, (doc, _) in w.CATALOG.items()}
+    docs.update(w.ANALYZE_LADDER)
+    docs.update(w.VERIFY_LADDER)
+    for name, (factors, summands, _) in GENERIC_MODELS.items():
+        docs[name] = w.spec_doc(factors, 0, summands)
+    for group, pool in w.batch_pool().items():
+        docs[f"pool_{group}"] = max(pool, key=lambda d: (len(d["rep"]), w.canonical(d)))
+    for name, factor, hw in [("A5_adj_x2", ("A", 5), [1, 0, 0, 0, 1]),
+                             ("B4_adj_x2", ("B", 4), [0, 1, 0, 0]),
+                             ("D4_adj_x2", ("D", 4), [0, 1, 0, 0]),
+                             ("F4_adj_x2", ("F", 4), [1, 0, 0, 0]),
+                             ("G2_7_x2", ("G", 2), [1, 0])]:
+        docs[name] = w.spec_doc([factor], 0, [(hw, 2)])
+    return {name: json.dumps(doc) for name, doc in docs.items()}
+
+
+GAMMA_REFERENCE_SPECS = _gamma_reference_specs()
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_REFERENCE_SPECS))
+def test_gamma_matches_the_element_reference(name, empty_gamma_caches):
+    """|N|, |C|, |Gamma| and the sorted reflections from the a*-orbit and
+    the mirrors equal those read off every element of Gamma."""
+    spec = parse_spec(GAMMA_REFERENCE_SPECS[name])[0]
+    basis = run_reduction(spec)[1].a_star_basis
+    sg = subspace_normalizer(spec.datum, basis)
+    got = (sg.normalizer_order, sg.centralizer_order, sg.gamma_order, sg.reflections)
+    assert repr(got) == repr(gamma_by_elements_oracle(spec.datum, basis))
 
 
 def _classical_degrees(letter, n):

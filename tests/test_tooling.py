@@ -196,6 +196,22 @@ def test_weyl_orbit_walks_in_int_labels(monkeypatch):
     assert calls["vdot"] + calls["canon"] <= 2 * datum.rank ** 2
 
 
+def test_benchmark_tracer_counts_gamma_reflections():
+    """The benchmark's tracer counts Gamma's reflections off a
+    `compute_gamma` result, through its `reflection_indices`."""
+    from symprep.reduction import compute_gamma
+    from symprep.rootdata import build_root_datum
+
+    loader = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracing)
+    datum = build_root_datum([("A", 2)])
+    args = (datum, [(1, 0), (0, 1)])
+    counts = tracing.Counts()
+    counts.hook("reduction.compute_gamma")(args, {}, compute_gamma(*args))
+    assert counts.n["gamma_reflections"] == 3
+
+
 FUNCTOOLS_CACHES = {"lru_cache", "cache"}
 
 
