@@ -41,14 +41,15 @@ from .rootdata import (
     DEFAULT_WEYL_CAP,
     _centralizer,
     _echelon_key,
+    _generic_point,
     build_root_datum,
     centralizer_datum,
     check_weyl_cap,
-    generic_orbit,
     levi_subdatum,
     positive_roots,
     subspace_normalizer,
     weyl_degrees,
+    weyl_walk,
 )
 
 DEFAULT_HILBERT_DEGREE = 8
@@ -184,18 +185,32 @@ def centralizer_levi(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP,
 
 @lru_cache(maxsize=None)
 def _conjugate_levi(datum, basis, expect):
+    """The generic point x of a* is certified directly: its vanishing
+    positive roots are the Levi's, so its stabilizer is W(L) (Steinberg,
+    Trans. AMS 112, 1964).  The walk over its orbit stops at the first
+    point that vanishes on exactly expect's roots.  Only when x is not
+    generic or no point matches is the whole orbit walked: a non-generic x
+    has a larger stabilizer, so its orbit is shorter than |W|/|W(L)|."""
     levi = _centralizer(datum, basis)
-    orbit = generic_orbit(datum, basis, levi)
-    theirs = {r.vec for r in positive_roots(expect)}
     pos = positive_roots(datum)
-    if not any(
-        {r.vec for r in pos if vdot(y, r.coroot_vec) == 0} == theirs
-        for y, _ in orbit
-    ):
+
+    def vanishing(y):
+        return {r.vec for r in pos if vdot(y, r.coroot_vec) == 0}
+
+    x = _generic_point(datum, basis)
+    generic = vanishing(x) == {r.vec for r in positive_roots(levi)}
+    theirs = {r.vec for r in positive_roots(expect)}
+    if generic and any(vanishing(y) == theirs for y, _ in weyl_walk(datum, x)):
+        return levi
+    size = sum(1 for _ in weyl_walk(datum, x))
+    if size * levi.weyl_order() != datum.weyl_order():
         raise InternalConsistencyError(
-            "centralizer Levi is not conjugate to the terminal group"
+            f"generic orbit has {size} points, expected "
+            f"|W|/|W(L)| = {datum.weyl_order()}/{levi.weyl_order()}"
         )
-    return levi
+    raise InternalConsistencyError(
+        "centralizer Levi is not conjugate to the terminal group"
+    )
 
 
 def compute_gamma(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP):

@@ -2,13 +2,23 @@
 
 Weight multiplicities come from Freudenthal's recursion over the dominant
 weights, which a walk down from the highest weight by positive roots finds,
-duality types from the parity of <lambda, 2 rho^vee>, and invariant
-dimensions from symmetric power multisets combined with the Weyl alternation
-over wrho - rho, read off the W-orbit of rho (Humphreys, Introduction to Lie
-Algebras and Representation Theory, section 24).  The symmetric-power
-recursion keys each weight by one Python int in a balanced radix
-(`_int_key`), so multiplying by x^mu adds an int; ints need no overflow
-guard.  All arithmetic is exact.
+and duality types from the parity of <lambda, 2 rho^vee>.  Invariant
+dimensions come from the Weyl alternation sum_w (-1)^l(w) m_{S^d V}(w rho -
+rho) (Humphreys, Introduction to Lie Algebras and Representation Theory,
+section 24), formed only where it is read.  Every target t = w rho - rho
+has height <t, 2 rho^vee> <= 0, and one of depth -<t, 2 rho^vee> beyond
+D = d max_nu <-nu, 2 rho^vee> is no weight of S^d V.  So:
+- the symmetric-power recursion keys each weight by one Python int in a
+  balanced radix with the height as its top digit, takes the weights of V
+  in ascending height, and drops a state lifted above height 0 once only
+  positive heights are left, with one int compare; its mass stays exact,
+  kept states plus each dropped state's count times its extensions making
+  C(dim V + d - 1, d);
+- the targets come from a walk down from rho in Dynkin labels cut at depth
+  D, with no words, held to the truncated Weyl denominator identity
+  sum (-1)^l(w) q^depth = prod_(alpha > 0) (1 - q^(2 ht alpha)) mod q^(D+1).
+Multiplying by x^mu adds an int, and ints need no overflow guard.  All
+arithmetic is exact.
 """
 
 import enum
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add, le, mul
+from operator import add, mul
 
 from .errors import (
     BudgetExceeded,
@@ -30,6 +40,8 @@ from .linalg import cvec, vdot, vsub
 from .rootdata import (
     DEFAULT_WEYL_CAP,
     _length_data,
+    _minus,
+    _reflection_data,
     _two_rho_vee,
     check_weyl_cap,
     dominant_representative,
@@ -292,61 +304,127 @@ def _int_key(v, radix):
     return key
 
 
-def _int_unkey(key, radix, n):
-    """The weight of length n whose _int_key is key."""
-    bound = radix // 2
-    out = []
-    for _ in range(n):
-        x = (key + bound) % radix - bound
-        out.append(x)
-        key = (key - x) // radix
-    return tuple(out)
+def _sym_power_states(steps, max_degree, half):
+    """The coefficients of prod_mu (1 - t x^mu)^(-1) over the weight slots,
+    one key step per slot in ascending order: multiplying by 1/(1 - t x^mu)
+    is h_d += x^mu h_(d-1) for d rising.  Every kept state has height <= 0
+    (key <= `half`), so a step lifts one above `half` only when its own
+    height is positive, as is every later step's: that state can never
+    come back down to a target and is dropped.  Returns h, h[d] mapping the
+    key of each kept state of degree d to its count, and the dropped mass
+    as (slots left, degree, count) triples."""
+    h = [{0: 1}] + [{} for _ in range(max_degree)]
+    dropped = []
+    for left, step in zip(range(len(steps), 0, -1), steps):
+        for d in range(1, max_degree + 1):
+            hd, lost = h[d], 0
+            for k, c in h[d - 1].items():
+                k += step
+                if k > half:
+                    lost += c
+                else:
+                    hd[k] = hd.get(k, 0) + c
+            if lost:
+                dropped.append((left, d, lost))
+    return h, dropped
 
 
 @lru_cache(maxsize=None)
-def _sym_powers_cached(frozen, max_degree):
-    """(radix, bound, h): h[d] maps the _int_key of each weight of S^d V to
-    its multiplicity, d = 0..max_degree.  Every such weight lies in the box
-    |v_a| <= bound = max_degree * max |mu_a|, where the key is injective, and
-    multiplying by x^mu adds the key of mu.  h is built as the coefficients
-    of prod_mu (1 - t x^mu)^(-m_mu), one factor at a time: multiplying by
-    1/(1 - t x^mu) is h_d += x^mu h_(d-1) for d rising.  The mass of h_d is
-    checked against C(dim V + d - 1, d)."""
+def _sym_powers_cached(datum, frozen, max_degree):
+    """(bound, depth, h): h[d] maps the key of each weight of S^d V of
+    height <= 0 to its multiplicity, d = 0..max_degree.  Every weight of
+    S^d V lies in the box |v_a| <= bound = max_degree * max |mu_a| and at
+    height >= -depth, depth = max_degree * max <-mu, 2 rho^vee>.  A weight
+    v keys as _int_key(v) + <v, 2 rho^vee> R^n, R = 2 bound + 1 and n the
+    ambient dimension: the height is the top digit, so height <= 0 is key <=
+    (R^n - 1) / 2, and the key stays additive and injective on the box.
+    The mass is exact: the kept states plus each dropped state's count
+    times C(r + e - 1, e), r the slots left and e the degrees still to
+    come, make C(dim V + d - 1, d)."""
+    two = _two_rho_vee(datum)
+    heights = [sum(map(mul, mu, two)) for mu, _ in frozen]
     bound = max_degree * max((abs(x) for mu, _ in frozen for x in mu), default=0)
+    depth = max_degree * max([0] + [-x for x in heights])
     radix = 2 * bound + 1
-    h = [{0: 1}] + [{} for _ in range(max_degree)]
-    for mu, m in frozen:
-        step = _int_key(mu, radix)
-        for _ in range(m):
-            for d in range(1, max_degree + 1):
-                hd = h[d]
-                for k, c in h[d - 1].items():
-                    k += step
-                    hd[k] = hd.get(k, 0) + c
-    dim_v = sum(m for _, m in frozen)
+    top = radix ** datum.ambient_dim
+    steps = sorted(
+        _int_key(mu, radix) + x * top
+        for (mu, m), x in zip(frozen, heights) for _ in range(m)
+    )
+    h, dropped = _sym_power_states(steps, max_degree, top // 2)
+    dim_v = len(steps)
     for d, hd in enumerate(h):
+        kept = sum(hd.values())
+        lost = sum(c * comb(r + d - e - 1, d - e) for r, e, c in dropped if e <= d)
         mass = comb(dim_v + d - 1, d) if dim_v else int(d == 0)
-        if sum(hd.values()) != mass:
+        if kept + lost != mass:
             raise InternalConsistencyError(
-                f"S^{d} V has mass {sum(hd.values())}, expected {mass}"
+                f"S^{d} V has mass {kept} kept + {lost} dropped, expected {mass}"
             )
-    return radix, bound, tuple(h)
+    return bound, depth, tuple(h)
 
 
-def symmetric_power_multisets(multiset, max_degree):
-    """Weight multisets of S^d V for d = 0..max_degree, keyed by weight."""
-    frozen = _freeze(multiset)
-    n = len(frozen[0][0]) if frozen else 0
-    radix, _, h = _sym_powers_cached(frozen, max_degree)
-    return [{_int_unkey(k, radix, n): c for k, c in hd.items()} for hd in h]
+def _rho_walk(datum, depth):
+    """(t, its depth <-t, 2 rho^vee>, (-1)^l(w)) for each t = w rho - rho of
+    depth at most `depth`: a walk down from rho in Dynkin labels, one
+    length at a time, that applies s_i only when l_i > 0 and so deepens t
+    by l_i <alpha_i, 2 rho^vee>.  Every w rho other than rho has a negative
+    label, so each point is reached from rho through shallower points, and
+    the cut at `depth` loses none that lies above it.  The labels decide
+    the point (see `rootdata`)."""
+    refl = _reflection_data(datum)
+    two = _two_rho_vee(datum)
+    deepen = [sum(map(mul, r, two)) for r in datum.simple_roots]
+    level = {(1,) * datum.rank: ((0,) * datum.ambient_dim, 0)}
+    out, sign = [], 1
+    while level:
+        below = {}
+        for l, (t, dep) in level.items():
+            out.append((t, dep, sign))
+            for i, li in enumerate(l):
+                if li > 0 and dep + li * deepen[i] <= depth:
+                    root, row = refl[i]
+                    u = _minus(l, li, row)
+                    if u not in below:
+                        below[u] = (_minus(t, li, root), dep + li * deepen[i])
+        level, sign = below, -sign
+    return out
+
+
+@lru_cache(maxsize=None)
+def _targets(datum, bound, depth):
+    """(plus, minus): the keys (as in `_sym_powers_cached`) of the targets
+    t = w rho - rho of depth at most `depth` with (-1)^l(w) = +1 and -1.  A
+    target outside the box |t_a| <= bound has multiplicity 0 and is
+    skipped: keying it could alias a weight inside the box.  The walk is
+    held to the Weyl denominator identity sum_w (-1)^l(w) e^(w rho - rho) =
+    prod_(alpha > 0) (1 - e^(-alpha)) at e^(-alpha) = q^(2 ht alpha), up to
+    q^depth."""
+    radix = 2 * bound + 1
+    top = radix ** datum.ambient_dim
+    series = [0] * (depth + 1)
+    plus, minus = [], []
+    for t, dep, sign in _rho_walk(datum, depth):
+        series[dep] += sign
+        if -bound <= min(t, default=0) and max(t, default=0) <= bound:
+            (plus if sign > 0 else minus).append(_int_key(t, radix) - dep * top)
+    product = [1] + [0] * depth
+    for r in positive_roots(datum):
+        e = 2 * r.height
+        for j in range(depth, e - 1, -1):
+            product[j] -= product[j - e]
+    if series != product:
+        raise InternalConsistencyError(
+            f"the rho walk gives sum (-1)^l(w) q^depth = {series}, but the "
+            f"Weyl denominator identity gives {product} up to q^{depth}"
+        )
+    return tuple(plus), tuple(minus)
 
 
 def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
     """dim (S^d V)^G for d = 0..max_degree, via the Weyl alternation
-    sum_w (-1)^l(w) m_{S^d V}(w rho - rho) on symmetric-power multisets; rho
-    is regular, so its orbit has one point w rho per w, reached in l(w) steps.
-    A target outside the box of the S^d weights has multiplicity 0 and is
-    skipped: keying it could alias a weight inside the box."""
+    sum_w (-1)^l(w) m_{S^d V}(w rho - rho) over the targets of `_targets`,
+    read off the states of height <= 0 that `_sym_powers_cached` keeps."""
     datum = spec.datum
     dim_v = spec.dim
     if dim_v > DEFAULT_SYM_DIM_BUDGET:
@@ -360,37 +438,10 @@ def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
             f"{DEFAULT_SYM_DEGREE_BUDGET}"
         )
     check_weyl_cap(datum, weyl_cap)
-    rho = rho_strict(datum)
-    orbit = weyl_orbit(datum, rho)
-    if len(orbit) != datum.weyl_order():
-        raise InternalConsistencyError(
-            f"orbit of rho has {len(orbit)} points, expected |W| = {datum.weyl_order()}"
-        )
-    radix, bound, sym = _sym_powers_cached(
-        _freeze(spec.weight_multiset()), max_degree
+    bound, depth, sym = _sym_powers_cached(
+        datum, _freeze(spec.weight_multiset()), max_degree
     )
-    # _int_key is sum_a v_a radix^a, so t = y - rho keys as the same form on
-    # y less its value on rho: an int, or on a fractional rho (a Levi's) an
-    # integral Fraction, which finds the same entry of h[d].  t lies in the
-    # box exactly when y lies in the box moved by rho.  An int key comes from
-    # int coordinates only; any other key has its offset checked coordinate
-    # by coordinate, since an off-lattice t would miss every entry silently.
-    powers = [radix ** a for a in range(len(rho))]
-    shift = sum(map(mul, rho, powers))
-    lo = [x - bound for x in rho]
-    hi = [x + bound for x in rho]
-    plus, minus = [], []
-    for y, word in orbit:
-        if all(map(le, lo, y)) and all(map(le, y, hi)):
-            key = sum(map(mul, y, powers)) - shift
-            if type(key) is not int and any(
-                (a - b).denominator != 1 for a, b in zip(y, rho)
-            ):
-                raise InternalConsistencyError(
-                    f"orbit point {y} lies off rho = {rho} by a non-integer "
-                    "coordinate"
-                )
-            (minus if len(word) % 2 else plus).append(key)
+    plus, minus = _targets(datum, bound, depth)
     out = []
     for hd in sym:
         val = sum(hd.get(k, 0) for k in plus) - sum(hd.get(k, 0) for k in minus)

@@ -395,13 +395,15 @@ def dual_weight(datum, w):
     return dominant_representative(datum, vscale(-1, w))[0]
 
 
-@lru_cache(maxsize=None)
-def _weyl_orbit_cached(datum, x):
+def weyl_walk(datum, x):
+    """The points of `weyl_orbit(datum, x)` with their words, in the same
+    order, yielded as they are found: a reader that stops early walks no
+    further."""
     refl = _reflection_data(datum)
     start = tuple(datum.pairing(x, j) for j in range(datum.rank))
-    seen, labels, orbit = {start}, [start], [(x, ())]
-    for n, (y, word) in enumerate(orbit):  # the walk grows as points are found
-        l = labels[n]
+    seen, queue = {start}, [(start, x, ())]
+    yield x, ()
+    for l, y, word in queue:  # the walk grows as points are found
         for i, li in enumerate(l):
             if not li:  # s_i fixes y
                 continue
@@ -409,9 +411,14 @@ def _weyl_orbit_cached(datum, x):
             u = _minus(l, li, row)
             if u not in seen:
                 seen.add(u)
-                labels.append(u)
-                orbit.append((_minus(y, li, root), word + (i,)))
-    return tuple(orbit)
+                point = _minus(y, li, root), word + (i,)
+                queue.append((u,) + point)
+                yield point
+
+
+@lru_cache(maxsize=None)
+def _weyl_orbit_cached(datum, x):
+    return tuple(weyl_walk(datum, x))
 
 
 def weyl_orbit(datum, x):
@@ -567,21 +574,6 @@ def _generic_point(datum, basis):
         c = [t ** i for i in range(len(basis))]
         if all(vdot(c, row) for row in rows):
             return lincomb(c, basis, datum.ambient_dim)
-
-
-def generic_orbit(datum, basis, levi):
-    """The W-orbit, with words, of a generic point of span(basis), where levi
-    is `centralizer_datum(datum, basis)`.  The point's stabilizer is W(levi),
-    being generated by the reflections fixing it (Steinberg, Trans. AMS 112,
-    1964), so the orbit has |W|/|W(levi)| points; that count is checked,
-    which also certifies that the point is generic."""
-    orbit = weyl_orbit(datum, _generic_point(datum, basis))
-    if len(orbit) * levi.weyl_order() != datum.weyl_order():
-        raise InternalConsistencyError(
-            f"generic orbit has {len(orbit)} points, expected "
-            f"|W|/|W(L)| = {datum.weyl_order()}/{levi.weyl_order()}"
-        )
-    return orbit
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ basis matrix at a time; the Jacobian ranks, the coisotropy test, the
 q-embedding and the commuting square one sample at a time with per-entry
 loops; the weight moment over Fractions, and the section's
 terminal coordinates by a fresh span solve per target and peeled character.
+Symmetric powers in int keys are formed over the whole key box, with no
+height cut (`symmetric_power_multisets`), and a generic point's orbit is
+walked whole and counted (`generic_orbit`).
 Weyl orbits, dominant representatives and positive roots are walked in
 ambient coordinates, one `reflect` (a pairing and a `canon` per coordinate)
 per edge, independent of the library's walk in Dynkin labels.
@@ -27,6 +30,7 @@ elimination; every span solve is `span_coords_oracle`, an rref_oracle of
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from operator import mul
 
 import numpy as np
@@ -65,12 +69,14 @@ from symprep.matrixrep import (
 )
 from symprep.classify import WeightStatus, weight_status
 from symprep.numeric import DOMAIN_TOL, RANK_TOL, factor_matrix_forms, seeded_samples
+from symprep.reps import _int_key
 from symprep.rootdata import (
+    _generic_point,
     _length_data,
     centralizer_datum,
-    generic_orbit,
     positive_roots,
     rho_strict,
+    weyl_orbit,
 )
 from symprep.sections import _plan_coords
 
@@ -521,6 +527,59 @@ def gamma_by_elements_oracle(datum, basis):
         if sum(g[a][a] for a in range(k)) == k - 2 and fixed_codim(g) == 1
     )
     return len(mats) * c_order, c_order, len(mats), reflections
+
+
+def generic_orbit(datum, basis, levi):
+    """The W-orbit, with words, of a generic point of span(basis), where levi
+    is `centralizer_datum(datum, basis)`.  The point's stabilizer is W(levi)
+    (Steinberg, Trans. AMS 112, 1964), so the orbit has |W|/|W(levi)|
+    points; that count is checked, which also certifies that the point is
+    generic."""
+    orbit = weyl_orbit(datum, _generic_point(datum, basis))
+    if len(orbit) * levi.weyl_order() != datum.weyl_order():
+        raise InternalConsistencyError(
+            f"generic orbit has {len(orbit)} points, expected "
+            f"|W|/|W(L)| = {datum.weyl_order()}/{levi.weyl_order()}"
+        )
+    return orbit
+
+
+def _int_unkey(key, radix, n):
+    """The weight of length n whose `_int_key` is key."""
+    bound = radix // 2
+    out = []
+    for _ in range(n):
+        x = (key + bound) % radix - bound
+        out.append(x)
+        key = (key - x) // radix
+    return tuple(out)
+
+
+def symmetric_power_multisets(multiset, max_degree):
+    """Weight multisets of S^d V for d = 0..max_degree, keyed by weight: the
+    coefficients of prod_mu (1 - t x^mu)^(-m_mu) over the whole key box
+    |v_a| <= max_degree * max |mu_a|, one factor at a time (multiplying by
+    1/(1 - t x^mu) is h_d += x^mu h_(d-1) for d rising), each weight keyed
+    by `_int_key`, with the mass of h_d checked against C(dim V + d - 1, d)."""
+    frozen = sorted((cvec(w), m) for w, m in multiset.items() if m)
+    n = len(frozen[0][0]) if frozen else 0
+    bound = max_degree * max((abs(x) for mu, _ in frozen for x in mu), default=0)
+    radix = 2 * bound + 1
+    h = [{0: 1}] + [{} for _ in range(max_degree)]
+    for mu, m in frozen:
+        step = _int_key(mu, radix)
+        for _ in range(m):
+            for d in range(1, max_degree + 1):
+                for k, c in h[d - 1].items():
+                    h[d][k + step] = h[d].get(k + step, 0) + c
+    dim_v = sum(m for _, m in frozen)
+    for d, hd in enumerate(h):
+        mass = comb(dim_v + d - 1, d) if dim_v else int(d == 0)
+        if sum(hd.values()) != mass:
+            raise InternalConsistencyError(
+                f"S^{d} V has mass {sum(hd.values())}, expected {mass}"
+            )
+    return [{_int_unkey(k, radix, n): c for k, c in hd.items()} for hd in h]
 
 
 def newton_symmetric_powers(multiset, max_degree):

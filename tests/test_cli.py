@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from symprep import cli, numeric, reduction, reps, sections, verify
+from symprep import cli, numeric, reduction, sections, verify
 from symprep.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -810,15 +810,19 @@ def test_samples_at_the_cap_are_used_as_asked(tmp_path, capsys):
     assert report["numeric_verification"]["samples"] == 1000
 
 
-def test_internal_consistency_error_exits_5(tmp_path, capsys, monkeypatch):
-    def broken(frozen, max_degree):
-        raise InternalConsistencyError("symmetric powers disagree")
-
-    monkeypatch.setattr(reps, "_sym_powers_cached", broken)
+def test_internal_consistency_error_exits_5(tmp_path, capsys, mutate_invariant_dims):
+    """A rho walk that loses a point or flips a sign, or a symmetric-power
+    recursion that loses a state, is a defect: `analyze` and `hilbert`
+    exit 5 with the cross-check's message."""
     path = _write(tmp_path, "cubic.json", CUBIC)
-    for argv in (["analyze", path], ["hilbert", path, "--degree", "4"]):
-        assert main(argv) == EXIT_DEFECT == 5
-        assert capsys.readouterr().err == "error: symmetric powers disagree\n"
+    for mutation, message in (("lose_point", "Weyl denominator identity"),
+                              ("flip_sign", "Weyl denominator identity"),
+                              ("lose_state", "S^1 V has mass")):
+        mutate_invariant_dims(mutation)
+        for argv in (["analyze", path], ["hilbert", path, "--degree", "4"]):
+            assert main(argv) == EXIT_DEFECT == 5
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
 
 
 def test_internal_consistency_error_in_the_q_embedding_exits_5(

@@ -2,7 +2,6 @@
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
 
 import pytest
 
@@ -24,7 +23,6 @@ from symprep.reps import (
     duality_class,
     freudenthal_multiplicities,
     invariant_dims,
-    symmetric_power_multisets,
     total_weight_multiset,
     validate_symplectic_spec,
     weyl_dim,
@@ -43,6 +41,7 @@ from oracles import (
     invariant_dims_oracle,
     kostant_weight_multiset,
     newton_symmetric_powers,
+    symmetric_power_multisets,
     tuple_invariant_dims,
     weyl_matrices_bruteforce,
 )
@@ -257,38 +256,12 @@ def test_invariant_dims_torus_with_large_weights():
 def test_invariant_dims_skip_targets_outside_the_box():
     """gl2_std_dual at degree 1: the S^1 weights fill the box |v_a| <= 1, so
     the key radix is 3.  The target s rho - rho = (-2, 0) lies outside the
-    box; keyed anyway, it would alias the weight (1, -1) (-2 = 1 - 3) and the
-    alternation would give dimension -1."""
+    box and is skipped: a coordinate outside the box carries into the next
+    digit of its key, which could then alias a weight inside the box
+    (keyed without the height digit, (-2, 0) was the key of (1, -1), as
+    -2 = 1 - 3, and the alternation gave dimension -1)."""
     spec = catalog()["gl2_std_dual"][0]
     assert invariant_dims(spec, 1) == [1, 0]
-
-
-@pytest.mark.parametrize("name", ["A1_std_x2", "B2_levi_half_rho"])
-def test_invariant_dims_rejects_an_off_lattice_orbit_point(monkeypatch, name):
-    """An orbit point whose offset from rho is not integral would key to a
-    Fraction that misses every entry of h[d]: on an int rho (A1) and on a
-    Levi's fractional rho alike it must raise, not drop out of the sum."""
-    if name == "A1_std_x2":
-        spec = validate_symplectic_spec(A1, [((1,), 2)])
-    else:
-        spec = _invariant_dims_oracle_specs()[name]
-    # Freudenthal's cached weights walk the same orbits: fill them first,
-    # and move a point of the rho orbit only
-    spec.weight_multiset()
-    rho = rho_strict(spec.datum)
-    orbit_of = reps.weyl_orbit
-
-    def off_lattice_orbit(datum, x):
-        orbit = list(orbit_of(datum, x))
-        if x != rho:
-            return tuple(orbit)
-        moved = (x[0] + Fraction(1, 2),) + tuple(x[1:])
-        orbit[-1] = (moved, orbit[-1][1])
-        return tuple(orbit)
-
-    monkeypatch.setattr(reps, "weyl_orbit", off_lattice_orbit)
-    with pytest.raises(InternalConsistencyError, match="non-integer coordinate"):
-        invariant_dims(spec, 4)
 
 
 def test_invariant_dims_budget():
@@ -319,46 +292,123 @@ def _invariant_dims_oracle_specs():
     specs["D4_vec_x2"] = validate_symplectic_spec(
         build_root_datum([("D", 4)]), [((1, 0, 0, 0), 2)]
     )
-    # a Levi of B2 whose coroot is (2, 1): its rho_strict is (1/2, 0), so
-    # the orbit points are fractional and only their offsets from rho are
-    # integral
+    # a Levi of B2 whose coroot is (2, 1): its rho_strict is (1/2, 0), while
+    # the walk forms each target w rho - rho from the simple roots
     levi = centralizer_datum(build_root_datum([("B", 2)]), [(-1, 2)])
     assert rho_strict(levi) == (Fraction(1, 2), 0)
     specs["B2_levi_half_rho"] = validate_symplectic_spec(
         levi, [((1, 0), 2), ((1, -1), 1), ((0, 1), 1)]
     )
+    # zero-weight slots (the 7-dim modules of G2 and B3) and, on GL3, slots
+    # of every sign of height over a central torus
+    specs["G2_7_x2"] = validate_symplectic_spec(build_root_datum([("G", 2)]), [((1, 0), 2)])
+    specs["B3_7_x2"] = validate_symplectic_spec(build_root_datum([("B", 3)]), [((1, 0, 0), 2)])
+    specs["GL3_std_dual_x2"] = validate_symplectic_spec(
+        build_root_datum([("A", 2)], central_rank=1), [((1, 0, 1), 2), ((0, 1, -1), 2)]
+    )
+    specs["A6_std_dual"] = validate_symplectic_spec(
+        build_root_datum([("A", 6)]), [((1, 0, 0, 0, 0, 0), 1), ((0, 0, 0, 0, 0, 1), 1)]
+    )
     return specs
+
+
+# |W(A6)| = 5040 brute-force matrices and dim V = 14: degrees <= 6 only
+ORACLE_DEGREE = {"A6_std_dual": 6}
 
 
 @pytest.mark.parametrize("name", sorted(_invariant_dims_oracle_specs()))
 def test_invariant_dims_match_oracles_at_every_degree(name):
-    """Each max_degree D sets its own key box |v_a| <= D max|mu_a|; every D
-    from 1 to 10 must agree with the tuple-keyed recursion.  Monomial
-    enumeration visits C(dim V + d, d) monomials up to degree d, so it runs
-    to degree 10 up to dim 8, 8 up to dim 12 and 6 beyond."""
+    """Each max_degree D sets its own key box |v_a| <= D max|mu_a| and walk
+    depth; every D from 1 to 10 (6 on A6) must agree with the tuple-keyed
+    recursion.  Monomial enumeration visits C(dim V + d, d) monomials up to
+    degree d, so it runs to degree 10 up to dim 8, 8 up to dim 12 and 6
+    beyond."""
     spec = _invariant_dims_oracle_specs()[name]
-    expected = tuple_invariant_dims(spec, 10)
-    for d in range(1, 11):
+    top = ORACLE_DEGREE.get(name, 10)
+    expected = tuple_invariant_dims(spec, top)
+    for d in range(1, top + 1):
         assert invariant_dims(spec, d) == expected[: d + 1]
-    d = 10 if spec.dim <= 8 else 8 if spec.dim <= 12 else 6
+    d = min(top, 10 if spec.dim <= 8 else 8 if spec.dim <= 12 else 6)
     weights = [w for w, m in spec.weight_multiset().items() for _ in range(m)]
     assert invariant_dims_oracle(spec.datum, weights, d) == expected[: d + 1]
 
 
+def test_oracle_specs_have_zero_weight_and_mixed_height_slots():
+    specs = _invariant_dims_oracle_specs()
+    for name in ("G2_7_x2", "B3_7_x2"):
+        assert specs[name].dim == 14
+        assert specs[name].weight_multiset()[(0,) * specs[name].datum.ambient_dim] == 2
+    gl3 = specs["GL3_std_dual_x2"]
+    heights = {reps.weight_key(gl3.datum, w)[0] for w in gl3.weight_multiset()}
+    assert min(heights) < 0 < max(heights)
+
+
 @pytest.mark.parametrize("name", sorted(_sympow_oracle_specs()))
 def test_symmetric_powers_match_newton_oracle(name):
-    multiset = _sympow_oracle_specs()[name].weight_multiset()
+    """The full-box reference recursion agrees with Newton's identity, and
+    the library keeps exactly its weights of height <= 0, keyed with the
+    2 rho^vee-height as the top digit, at a walk depth of max_degree times
+    the deepest weight of V."""
+    spec = _sympow_oracle_specs()[name]
+    multiset = spec.weight_multiset()
     sym = symmetric_power_multisets(multiset, 8)
     assert sym == newton_symmetric_powers(multiset, 8)
     assert all(type(c) is int for hd in sym for c in hd.values())
     assert all(type(x) is int for hd in sym for w in hd for x in w)
+    datum = spec.datum
+    bound, depth, cut = reps._sym_powers_cached(datum, reps._freeze(multiset), 8)
+    radix = 2 * bound + 1
+
+    def height(w):
+        return reps.weight_key(datum, w)[0]
+
+    def key(w):
+        return reps._int_key(w, radix) + height(w) * radix ** datum.ambient_dim
+
+    assert list(cut) == [{key(w): c for w, c in hd.items() if height(w) <= 0} for hd in sym]
+    assert depth == 8 * max(-height(w) for w in multiset)
 
 
-def test_symmetric_power_mass_is_cross_checked(monkeypatch):
-    reps._sym_powers_cached.cache_clear()
-    monkeypatch.setattr(reps, "comb", lambda n, k: comb(n, k) + (k == 3))
-    with pytest.raises(InternalConsistencyError, match=r"S\^3 V has mass 4, expected 5"):
-        symmetric_power_multisets({(1,): 1, (-1,): 1}, 3)
+def test_symmetric_power_mass_is_cross_checked(mutate_invariant_dims):
+    """A recursion that loses one state's count fails the exact mass check.
+    On A1 std x 2 (steps -1, -1, +1, +1) S^1 V keeps the weight -1 twice
+    and drops +1 twice, each with C(r - 1, 0) = 1 extension of degree 1."""
+    spec = validate_symplectic_spec(A1, [((1,), 2)])
+    assert invariant_dims(spec, 3) == [1, 0, 1, 0]
+    mutate_invariant_dims("lose_state")
+    with pytest.raises(InternalConsistencyError,
+                       match=r"S\^1 V has mass 0 kept \+ 2 dropped, expected 4"):
+        invariant_dims(spec, 3)
+
+
+@pytest.mark.parametrize("mutation", ["lose_point", "flip_sign"])
+@pytest.mark.parametrize("name", ["torus_pair", "sl2_two_standards", "B2_levi_half_rho",
+                                  "G2_7_x2", "A5_std_dual"])
+def test_rho_walk_is_held_to_the_denominator_identity(mutate_invariant_dims, mutation, name):
+    """A walk that loses a point or flips a sign breaks sum (-1)^l(w)
+    q^depth = prod (1 - q^(2 ht alpha)) up to q^depth."""
+    spec = _invariant_dims_oracle_specs()[name]
+    mutate_invariant_dims(mutation)
+    with pytest.raises(InternalConsistencyError, match="Weyl denominator identity"):
+        invariant_dims(spec, 4)
+
+
+@pytest.mark.parametrize("wrong, message", [
+    ("swapped", "negative invariant dimension"),
+    ("doubled", "degree-0 invariants must be 1-dim"),
+])
+def test_the_alternation_is_cross_checked(monkeypatch, wrong, message):
+    """Targets that reach the read with their signs swapped, or with the
+    identity counted twice, raise at degree 0."""
+    targets = reps._targets
+
+    def wrong_targets(datum, bound, depth):
+        plus, minus = targets(datum, bound, depth)
+        return (minus, plus) if wrong == "swapped" else (plus + plus[:1], minus)
+
+    monkeypatch.setattr(reps, "_targets", wrong_targets)
+    with pytest.raises(InternalConsistencyError, match=message):
+        invariant_dims(catalog()["sl3_std_dual"][0], 2)
 
 
 def test_integrality_cross_checks_raise_a_defect():
@@ -372,7 +422,7 @@ def test_integrality_cross_checks_raise_a_defect():
     with pytest.raises(InternalConsistencyError, match="not an integer"):
         duality_class(A1, half)
     with pytest.raises(InternalConsistencyError, match="non-integer coordinate"):
-        symmetric_power_multisets({half: 1, (-half[0],): 1}, 2)
+        reps._sym_powers_cached(A1, ((half, 1), ((-half[0],), 1)), 2)
 
 
 def test_cached_weight_facts_raise_on_every_call():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symprep import rootdata
+from symprep import reduction, rootdata
 from symprep.errors import InternalConsistencyError, InvalidCartanType, WeylCapExceeded
 from symprep.cli import parse_spec
 from symprep.linalg import (
@@ -345,7 +345,7 @@ def test_non_generic_start_point_trips_the_orbit_size_check(monkeypatch, empty_g
     torus = levi_subdatum(a2, [])
     assert centralizer_levi(a2, A2_PLANE, expect=torus) == torus
     # (1, 0) lies on the alpha_2 hyperplane: its orbit has 3 points, not 6
-    monkeypatch.setattr(rootdata, "_generic_point", lambda datum, basis: basis[0])
+    monkeypatch.setattr(reduction, "_generic_point", lambda datum, basis: basis[0])
     empty_gamma_caches()
     with pytest.raises(InternalConsistencyError, match="generic orbit has 3 points"):
         centralizer_levi(a2, A2_PLANE, expect=torus)

@@ -196,6 +196,33 @@ def test_weyl_orbit_walks_in_int_labels(monkeypatch):
     assert calls["vdot"] + calls["canon"] <= 2 * datum.rank ** 2
 
 
+def test_invariant_dims_never_walks_a_whole_weyl_orbit(monkeypatch):
+    """A cold `invariant_dims(A5 std+dual, 8)` walks down from rho only to
+    depth 8 * 5 = 40 (A5's deepest weight of V pairs to -5 with 2 rho^vee),
+    463 of the 720 points, and never calls `weyl_orbit`: a return to the
+    full-orbit alternation fails here."""
+    from symprep import reps, rootdata
+
+    datum = rootdata.build_root_datum([("A", 5)])
+    spec = reps.validate_symplectic_spec(
+        datum, [((1, 0, 0, 0, 0), 1), ((0, 0, 0, 0, 1), 1)]
+    )
+    spec.weight_multiset()  # Freudenthal walks weight orbits: fill it first
+    reps._sym_powers_cached.cache_clear()
+    reps._targets.cache_clear()
+
+    def refused(*args):
+        raise AssertionError("invariant_dims walked a whole Weyl orbit")
+
+    for module in (rootdata, reps):
+        monkeypatch.setattr(module, "weyl_orbit", refused)
+    monkeypatch.setattr(rootdata, "_weyl_orbit_cached", refused)
+    monkeypatch.setattr(rootdata, "weyl_walk", refused)
+    assert reps.invariant_dims(spec, 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+    assert reps._sym_powers_cached(datum, reps._freeze(spec.weight_multiset()), 8)[1] == 40
+    assert len(reps._rho_walk(datum, 40)) == 463 < datum.weyl_order()
+
+
 def test_benchmark_tracer_counts_gamma_reflections():
     """The benchmark's tracer counts Gamma's reflections off a
     `compute_gamma` result, through its `reflection_indices`."""
