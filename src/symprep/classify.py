@@ -108,7 +108,7 @@ def terminal_decomposition(spec):
     for w in sorted(chars, key=lambda w: weight_key(datum, w), reverse=True):
         if w in seen:
             continue
-        neg = cvec(tuple(-x for x in w))
+        neg = tuple(-x for x in w)
         if neg == w:  # the zero character; validated multiplicity is even
             if chars[w] % 2:
                 raise InternalConsistencyError("odd zero-character multiplicity")

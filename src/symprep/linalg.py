@@ -38,7 +38,13 @@ def canon(x):
 
 
 def cvec(xs):
-    return tuple(canon(x) for x in xs)
+    """xs as a tuple of canonical entries; a tuple whose entries are all of
+    type int (not bool) is returned as it is."""
+    t = tuple(xs)
+    for x in t:
+        if type(x) is not int:
+            return tuple(map(canon, t))
+    return t
 
 
 def vsub(a, b):

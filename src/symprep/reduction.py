@@ -103,7 +103,7 @@ def reduce_step(spec, chi):
     v_weights = spec.weight_multiset()
     s_weights = dict(v_weights)
     for r in delta_u:
-        for removed in (cvec(vsub(chi, r.vec)), cvec(vsub(r.vec, chi))):
+        for removed in (vsub(chi, r.vec), vsub(r.vec, chi)):
             newm = s_weights.get(removed, 0) - 1
             if newm < 0:
                 raise InternalConsistencyError(
@@ -116,7 +116,7 @@ def reduce_step(spec, chi):
     if sum(s_weights.values()) != sum(v_weights.values()) - 2 * len(delta_u):
         raise InternalConsistencyError("dim S != dim V - 2|Delta_u|")
     for w, m in s_weights.items():
-        if s_weights.get(cvec(tuple(-x for x in w)), 0) != m:
+        if s_weights.get(tuple(-x for x in w), 0) != m:
             raise InternalConsistencyError("S weights not stable under negation")
     try:
         s_spec = validate_symplectic_spec(levi, decompose_weights(levi, s_weights))

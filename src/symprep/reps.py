@@ -22,7 +22,7 @@ arithmetic is exact.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -192,16 +192,18 @@ class SympRepSpec:
     summands: tuple      # ((weight, mult), ...) sorted by descending weight_key
     pairing_plan: tuple  # (PairingItem, ...)
 
-    @property
-    def dim(self):
-        return sum(m * weyl_dim(self.datum, w) for w, m in self.summands)
+    dim: int = field(init=False, repr=False, compare=False)  # sum m dim V(w)
+    _multiplicities: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_multiplicities", dict(self.summands))
+        object.__setattr__(self, "dim", sum(
+            m * weyl_dim(self.datum, w) for w, m in self.summands))
 
     def multiplicity(self, w):
-        w = cvec(w)
-        for wt, m in self.summands:
-            if wt == w:
-                return m
-        return 0
+        """The multiplicity of the summand with highest weight w (a tuple),
+        0 when there is none."""
+        return self._multiplicities.get(w, 0)
 
     def weight_multiset(self):
         return total_weight_multiset(self.datum, self.summands)
@@ -288,7 +290,8 @@ def decompose_weights(datum, multiset):
 # -- symmetric powers and invariant dimensions -------------------------------
 
 def _freeze(multiset):
-    return tuple(sorted((cvec(w), m) for w, m in multiset.items() if m))
+    """A multiset with canonical keys as a sorted tuple, for a cache key."""
+    return tuple(sorted((w, m) for w, m in multiset.items() if m))
 
 
 def _int_key(v, radix):

@@ -64,6 +64,7 @@ def _check_cartan_type(letter, n):
         raise InvalidCartanType(f"invalid Cartan type {letter}{n}")
 
 
+@lru_cache(maxsize=None)
 def cartan_matrix(letter, n):
     """Cartan matrix M[i][j] = <alpha_i, alpha_j^vee> in Bourbaki numbering."""
     _check_cartan_type(letter, n)
@@ -130,6 +131,11 @@ class RootDatum:
 
     simple_roots[i] is the weight-coordinate vector of alpha_i and
     simple_coroots[i] the functional computing <., alpha_i^vee>.
+
+    Equality is by fields.  The hash is that of the field tuple, formed
+    once; `build_root_datum` and `datum_from_root_list` return one object
+    per field tuple (`_DATUM_CACHE`), so a per-datum cache finds its key by
+    identity.
     """
 
     factors: tuple
@@ -137,15 +143,15 @@ class RootDatum:
     ambient_dim: int
     simple_roots: tuple
     simple_coroots: tuple
-    standard_order: tuple = None  # per factor: simple indices in Bourbaki order
+    standard_order: tuple  # per factor: simple indices in Bourbaki order
 
     def __post_init__(self):
-        if self.standard_order is None:
-            order, off = [], 0
-            for _, n in self.factors:
-                order.append(tuple(range(off, off + n)))
-                off += n
-            object.__setattr__(self, "standard_order", tuple(order))
+        object.__setattr__(self, "_hash", hash((
+            self.factors, self.central_rank, self.ambient_dim,
+            self.simple_roots, self.simple_coroots, self.standard_order)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self):
@@ -180,6 +186,17 @@ class RootDatum:
 
     def dim_group(self):
         return self.ambient_dim + 2 * len(positive_roots(self))
+
+
+_DATUM_CACHE = {}  # field tuple -> the one RootDatum with those fields
+
+
+def _interned(*fields):
+    """The RootDatum with these fields, in declared order, formed once."""
+    datum = _DATUM_CACHE.get(fields)
+    if datum is None:
+        datum = _DATUM_CACHE[fields] = RootDatum(*fields)
+    return datum
 
 
 @lru_cache(maxsize=None)
@@ -227,28 +244,17 @@ def build_root_datum(factors, central_rank=0):
     norm = []
     for letter, n in factors:
         norm.extend(normalize_factor(letter, n))
+    norm = tuple(norm)
     total = sum(n for _, n in norm)
     dim = total + central_rank
-    roots, coroots = [], []
-    off = 0
+    roots, order, off = [], [], 0
     for letter, n in norm:
-        m = cartan_matrix(letter, n)
-        for i in range(n):
-            row = [0] * dim
-            for j in range(n):
-                row[off + j] = m[i][j]
-            roots.append(tuple(row))
-            e = [0] * dim
-            e[off + i] = 1
-            coroots.append(tuple(e))
+        pad = dim - off - n
+        roots += [(0,) * off + row + (0,) * pad for row in cartan_matrix(letter, n)]
+        order.append(tuple(range(off, off + n)))
         off += n
-    return RootDatum(
-        factors=tuple(norm),
-        central_rank=central_rank,
-        ambient_dim=dim,
-        simple_roots=tuple(roots),
-        simple_coroots=tuple(coroots),
-    )
+    coroots = tuple((0,) * i + (1,) + (0,) * (dim - i - 1) for i in range(total))
+    return _interned(norm, central_rank, dim, tuple(roots), coroots, tuple(order))
 
 
 @dataclass(frozen=True)
@@ -511,13 +517,13 @@ def datum_from_root_list(parent, roots, coroots):
         letter, n, perm = _match_component(sub)
         factors.append((letter, n))
         order.append(tuple(comp[perm[a]] for a in range(n)))
-    return RootDatum(
-        factors=tuple(factors),
-        central_rank=parent.ambient_dim - k,
-        ambient_dim=parent.ambient_dim,
-        simple_roots=tuple(cvec(r) for r in roots),
-        simple_coroots=tuple(cvec(c) for c in coroots),
-        standard_order=tuple(order),
+    return _interned(
+        tuple(factors),
+        parent.ambient_dim - k,
+        parent.ambient_dim,
+        tuple(cvec(r) for r in roots),
+        tuple(cvec(c) for c in coroots),
+        tuple(order),
     )
 
 

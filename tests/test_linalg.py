@@ -90,6 +90,25 @@ def test_canon_matches_fraction_reference(kind, data):
 
 @pytest.mark.parametrize("kind", sorted(ENTRIES))
 @given(data=st.data())
+def test_cvec_matches_fraction_reference(kind, data):
+    (v,) = _matrix(data, ENTRIES[kind], 1, data.draw(SIZES))
+    assert_same(cvec(list(v)), tuple(map(ref_canon, v)))
+
+
+def test_cvec_contract():
+    """A list becomes a tuple, an integral Fraction its int, and a bool an
+    int: the int path keeps only entries of type int, not bool.  An all-int
+    tuple comes back as it is."""
+    assert_same(cvec([1, -2]), (1, -2))
+    assert_same(cvec((Fraction(4, 2), Fraction(1, 2))), (2, Fraction(1, 2)))
+    assert_same(cvec((True, False, 3)), (1, 0, 3))
+    assert_same(cvec(x for x in (0, 5)), (0, 5))
+    ints = (3, 0, -7)
+    assert cvec(ints) is ints
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@given(data=st.data())
 def test_vdot_matches_fraction_reference(kind, data):
     n = data.draw(SIZES)
     (a,), (b,) = (_matrix(data, ENTRIES[kind], 1, n) for _ in range(2))

@@ -162,6 +162,20 @@ def test_validate_accepts_and_rejects():
     validate_symplectic_spec(A2, [((1, 0), 2), ((0, 1), 2)])
 
 
+def test_spec_dim_and_multiplicities_are_formed_once(monkeypatch):
+    """A spec sums its Weyl dimensions once, when it is made, and reads a
+    multiplicity from a table: neither read calls `weyl_dim` or `cvec`."""
+    spec = validate_symplectic_spec(A2, [((1, 0), 2), ((0, 1), 2), ((1, 1), 2)])
+
+    def unreachable(*args):
+        raise AssertionError("formed again")
+
+    for name in ("weyl_dim", "cvec"):
+        monkeypatch.setattr(reps, name, unreachable)
+    assert spec.dim == 2 * (3 + 3 + 8)
+    assert [spec.multiplicity(w) for w in [(1, 1), (0, 1), (2, 0)]] == [2, 2, 0]
+
+
 def test_module_self_duality_after_validation():
     spec = validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)])
     ws = spec.weight_multiset()

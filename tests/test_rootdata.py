@@ -1,4 +1,5 @@
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -178,6 +179,45 @@ def test_low_rank_normalizations():
     assert build_root_datum([("D", 3)]).factors == (("A", 3),)
     assert build_root_datum([("C", 1)]).factors == (("A", 1),)
     assert build_root_datum([("B", 1)]).factors == (("A", 1),)
+
+
+def test_equal_declarations_give_one_datum_object():
+    """build_root_datum returns one object per group, through the aliases
+    that normalize_factor merges, so a per-datum cache finds it by
+    identity; a Levi on every simple root is its parent."""
+    a1 = build_root_datum([("A", 1)])
+    assert build_root_datum([("a", 1)]) is a1
+    assert build_root_datum([("C", 1)]) is a1
+    assert build_root_datum([("B", 1)]) is a1
+    assert build_root_datum([("D", 3)]) is build_root_datum([("A", 3)])
+    assert build_root_datum([("D", 2)]) is build_root_datum([("A", 1), ("A", 1)])
+    a2 = build_root_datum([("A", 2)])
+    assert build_root_datum([("A", 2)], central_rank=1) is not a2
+    assert levi_subdatum(a2, [0, 1]) is a2
+
+
+def test_a_rebuilt_levi_is_the_interned_object():
+    c3t1 = build_root_datum([("C", 3)], central_rank=1)
+    levi = levi_subdatum(c3t1, [1, 2])
+    rootdata._levi_subdatum.cache_clear()
+    assert levi_subdatum(c3t1, [1, 2]) is levi
+
+
+def test_datum_equality_and_hash_are_by_fields(monkeypatch):
+    """A copy, or a datum built after the intern table was emptied, is
+    another object: it equals the first, has its hash (that of the field
+    tuple) and finds the first's entries in a per-datum cache."""
+    d = build_root_datum([("G", 2)], central_rank=1)
+    fields = tuple(getattr(d, f.name) for f in dataclasses.fields(d))
+    copy = dataclasses.replace(d)
+    monkeypatch.setattr(rootdata, "_DATUM_CACHE", {})
+    fresh = build_root_datum([("G", 2)], central_rank=1)
+    for other in (copy, fresh):
+        assert other is not d
+        assert other == d
+        assert hash(other) == hash(d) == hash(fields)
+        assert positive_roots(other) is positive_roots(d)
+    assert build_root_datum([("G", 2)], central_rank=1) is fresh
 
 
 def test_lattice_ops_examples():

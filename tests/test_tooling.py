@@ -267,6 +267,27 @@ def test_every_lru_cache_decorates_a_module_level_function():
     assert stray == []
 
 
+def test_every_module_level_empty_dict_is_named_cache():
+    """The benchmark's cold runs and the tests' cache probes empty a
+    module-level dict only when its name ends in `_CACHE`.  A module-level table that
+    fills as the program runs (it starts as an empty dict display, like the
+    intern table of root data) under any other name would keep a cold run
+    warm, so every such name must end in `_CACHE`."""
+    tables, stray = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            value = getattr(node, "value", None)
+            if not (isinstance(value, ast.Dict) and not value.keys):
+                continue
+            for target in targets:
+                name = f"{path.stem}.{getattr(target, 'id', ast.unparse(target))}"
+                (tables if name.endswith("_CACHE") else stray).append(name)
+    assert "rootdata._DATUM_CACHE" in tables
+    assert stray == []
+
+
 def test_every_error_class_is_raised_somewhere():
     """Each exception class of `errors.py` is raised or constructed by name
     somewhere else in the package, or is the base of one that is: a class
