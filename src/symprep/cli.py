@@ -36,6 +36,7 @@ from .errors import (
     SymprepError,
     ValidationError,
     WeylCapExceeded,
+    decimal,
 )
 from .reduction import DEFAULT_HILBERT_DEGREE, analyze, reduce_to_gamma
 from .reps import DEFAULT_SYM_DEGREE_BUDGET, invariant_dims, validate_symplectic_spec
@@ -274,7 +275,7 @@ def _json_append(x, out, pad):
     elif x is None or x is True or x is False:
         out.append("null" if x is None else "true" if x else "false")
     elif isinstance(x, int):
-        out.append(int.__repr__(x))
+        out.append(decimal(x))
     elif not isinstance(x, (dict, list, tuple)):
         out.append(json.dumps(x))  # a float, NaN and infinities too; else TypeError
     elif not x:
@@ -302,7 +303,7 @@ def report_to_json(report):
 def report_to_text(report):
     lines = [
         f"symplectic rank      : {report['rk_s']}",
-        f"symplectic complexity: {report['c_s']}",
+        f"symplectic complexity: {decimal(report['c_s'])}",
         f"multiplicity free    : {report['mf']}",
         f"a* basis             : {report['a_star_basis']}",
         f"Levi L               : {report['levi_L']}",

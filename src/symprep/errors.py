@@ -1,4 +1,21 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and `decimal`, which
+writes the counts their messages and the reports name."""
+
+
+def decimal(n):
+    """The int n in decimal, as str(n) writes it, also past the interpreter's
+    int-to-str digit limit (4300 digits by default), where str(n) raises
+    ValueError: a longer n is split at a power of ten near the middle of its
+    digits and the halves are written in turn."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits, and 10^k <= n
+    high, low = divmod(n, 10 ** k)
+    return decimal(high) + decimal(low).zfill(k)
 
 
 class SymprepError(Exception):
@@ -18,7 +35,8 @@ class WeylCapExceeded(SymprepError):
 
     def __init__(self, order, cap):
         super().__init__(
-            f"group too large: |W| = {order} exceeds the enumeration cap {cap}"
+            f"group too large: |W| = {decimal(order)} exceeds the enumeration "
+            f"cap {decimal(cap)}"
         )
         self.order = order
         self.cap = cap

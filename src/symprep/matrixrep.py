@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .errors import BudgetExceeded, InternalConsistencyError
+from .errors import BudgetExceeded, InternalConsistencyError, decimal
 from .linalg import (
     canon,
     cvec,
@@ -447,7 +447,7 @@ def build_rep(spec):
     datum = spec.datum
     if spec.dim > DEFAULT_DIM_CAP:
         raise BudgetExceeded(
-            f"matrix model: total dimension {spec.dim} exceeds cap {DEFAULT_DIM_CAP}"
+            f"matrix model: total dimension {decimal(spec.dim)} exceeds cap {DEFAULT_DIM_CAP}"
         )
     # `verify` takes each factor's invariant coordinates in its reference
     # module, so a model is built only for factors whose module fits the cap

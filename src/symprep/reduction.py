@@ -200,7 +200,7 @@ def _conjugate_levi(datum, basis, expect):
     x = _generic_point(datum, basis)
     generic = vanishing(x) == {r.vec for r in positive_roots(levi)}
     theirs = {r.vec for r in positive_roots(expect)}
-    if generic and any(vanishing(y) == theirs for y, _ in weyl_walk(datum, x)):
+    if generic and any(vanishing(y) == theirs for y in weyl_walk(datum, x)):
         return levi
     size = sum(1 for _ in weyl_walk(datum, x))
     if size * levi.weyl_order() != datum.weyl_order():

@@ -2,7 +2,9 @@
 
 Weight multiplicities come from Freudenthal's recursion over the dominant
 weights, which a walk down from the highest weight by positive roots finds,
-and duality types from the parity of <lambda, 2 rho^vee>.  Invariant
+into one table that takes each dominant weight's W-orbit once its
+multiplicity is known; duality types come from the parity of <lambda, 2
+rho^vee>.  Invariant
 dimensions come from the Weyl alternation sum_w (-1)^l(w) m_{S^d V}(w rho -
 rho) (Humphreys, Introduction to Lie Algebras and Representation Theory,
 section 24), formed only where it is read.  Every target t = w rho - rho
@@ -35,6 +37,7 @@ from .errors import (
     NotDominant,
     NotSelfDual,
     OddOrthogonalMultiplicity,
+    decimal,
 )
 from .linalg import cvec, vdot, vsub
 from .rootdata import (
@@ -44,11 +47,9 @@ from .rootdata import (
     _reflection_data,
     _two_rho_vee,
     check_weyl_cap,
-    dominant_representative,
     dual_weight,
     positive_roots,
-    rho_strict,
-    weyl_orbit,
+    weyl_walk,
 )
 
 DEFAULT_DIM_CAP = 5000
@@ -89,14 +90,13 @@ def _freudenthal_cached(datum, lam):
     dim = weyl_dim(datum, lam)
     if dim > DEFAULT_DIM_CAP:
         raise BudgetExceeded(
-            f"irrep dimension {dim} exceeds cap {DEFAULT_DIM_CAP} "
+            f"irrep dimension {decimal(dim)} exceeds cap {DEFAULT_DIM_CAP} "
             f"for weight {lam}"
         )
     k = datum.rank
     if k == 0:
         return ((lam, 1),)
     pos = positive_roots(datum)
-    rho = rho_strict(datum)
     # The dominant weights of V(lam) are the dominant mu <= lam, and each
     # such mu < lam has a positive root beta with mu + beta dominant and
     # <= lam (Stembridge 1998), so subtracting positive roots from the
@@ -110,24 +110,26 @@ def _freudenthal_cached(datum, lam):
             if nu not in dominants and datum.is_dominant(nu):
                 dominants[nu] = tuple(map(add, dominants[mu], r.coords))
                 walk.append(nu)
-    mult = {lam: 1}
+    # weight -> multiplicity, each orbit added once its value is known
+    mult = dict.fromkeys(weyl_walk(datum, lam), 1)
     lengths = _length_data(datum)
+    lam_labels = [datum.pairing(lam, i) for i in range(k)]
     # lam alone has offset height 0, so it sorts first
     for mu, n in sorted(dominants.items(), key=lambda kv: sum(kv[1]))[1:]:
-        # every mu + j beta with j >= 1 is higher than mu, so its dominant
-        # representative is already counted; strings are unbroken, so the
-        # first one that is not a weight ends the string
+        # every mu + j beta with j >= 1 is higher than mu, as is its dominant
+        # representative, whose orbit is in the table already; strings are
+        # unbroken, so the first one that is not a weight ends the string
         num = Fraction(0)
         for r in pos:
             nu = mu
             while True:
                 nu = cvec(map(add, nu, r.vec))
-                m_nu = mult.get(dominant_representative(datum, nu)[0], 0)
+                m_nu = mult.get(nu, 0)
                 if not m_nu:
                     break
                 num += m_nu * r.half_length * vdot(nu, r.coroot_vec)
-        y = cvec(a + b + 2 * c for a, b, c in zip(lam, mu, rho))  # lam+mu+2rho
-        den = sum(Fraction(n[i]) * lengths[i] * vdot(y, datum.simple_coroots[i])
+        # <lam + mu + 2 rho, alpha_i^vee> = <lam + mu, alpha_i^vee> + 2
+        den = sum(Fraction(n[i]) * lengths[i] * (lam_labels[i] + datum.pairing(mu, i) + 2)
                   for i in range(k))
         if den == 0:
             raise InternalConsistencyError("vanishing Freudenthal denominator")
@@ -136,17 +138,13 @@ def _freudenthal_cached(datum, lam):
             raise InternalConsistencyError(
                 f"Freudenthal produced non-positive-integer multiplicity {m}"
             )
-        mult[mu] = int(m)
-    full = {}
-    for mu, m in mult.items():
-        for v, _ in weyl_orbit(datum, mu):
-            full[v] = m
-    total = sum(full.values())
+        mult.update(dict.fromkeys(weyl_walk(datum, mu), int(m)))
+    total = sum(mult.values())
     if total != dim:
         raise InternalConsistencyError(
             f"weight multiset mass {total} != Weyl dimension {dim}"
         )
-    return tuple(sorted(full.items()))
+    return tuple(sorted(mult.items()))
 
 
 def freudenthal_multiplicities(datum, lam):
@@ -162,19 +160,21 @@ class DualityClass(enum.Enum):
 
 def duality_class(datum, lam):
     """Frobenius-Schur type of the irreducible module with highest weight lam."""
-    return _duality_class_cached(datum, cvec(lam))
+    return _duality_cached(datum, cvec(lam))[0]
 
 
 @lru_cache(maxsize=None)
-def _duality_class_cached(datum, lam):
+def _duality_cached(datum, lam):
+    """(duality class, dual weight) of lam, both formed once per (datum, lam)."""
     if not datum.is_dominant(lam):
         raise NotDominant(lam, f"{lam} is not dominant")
-    if dual_weight(datum, lam) != lam:
-        return DualityClass.COMPLEX
+    dual = dual_weight(datum, lam)
+    if dual != lam:
+        return DualityClass.COMPLEX, dual
     ind = vdot(lam, _two_rho_vee(datum))
     if Fraction(ind).denominator != 1:
         raise InternalConsistencyError(f"<{lam}, 2 rho^vee> = {ind} is not an integer")
-    return DualityClass.SYMPLECTIC if int(ind) % 2 else DualityClass.ORTHOGONAL
+    return (DualityClass.SYMPLECTIC if int(ind) % 2 else DualityClass.ORTHOGONAL), dual
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def validate_symplectic_spec(datum, raw_summands):
     for w in order:
         if w in seen:
             continue
-        cls = duality_class(datum, w)
+        cls, dual = _duality_cached(datum, w)
         if cls is DualityClass.SYMPLECTIC:
             plan.append(PairingItem("symplectic", w, merged[w]))
             seen.add(w)
@@ -240,7 +240,6 @@ def validate_symplectic_spec(datum, raw_summands):
             plan.append(PairingItem("orthogonal_double", w, merged[w] // 2))
             seen.add(w)
         else:
-            dual = dual_weight(datum, w)
             if merged.get(dual, 0) != merged[w]:
                 raise NotSelfDual(w)
             plan.append(PairingItem("dual_pair", w, merged[w]))
@@ -432,7 +431,7 @@ def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
     dim_v = spec.dim
     if dim_v > DEFAULT_SYM_DIM_BUDGET:
         raise BudgetExceeded(
-            f"symmetric powers: dim V = {dim_v} exceeds budget "
+            f"symmetric powers: dim V = {decimal(dim_v)} exceeds budget "
             f"{DEFAULT_SYM_DIM_BUDGET}"
         )
     if max_degree > DEFAULT_SYM_DEGREE_BUDGET:

@@ -13,11 +13,11 @@ Computational aspects of root systems, Coxeter groups, and Weyl characters,
 MSJ Mem. 11, 2001): the simple reflection s_i maps l to l - l_i C[i], with C
 the Cartan pairing, and fixes y when l_i = 0.  Within one orbit the labels
 decide the point, since two points differ by an element of the root span
-and C is nonsingular; so `weyl_orbit` keys its walk on labels and forms a
+and C is nonsingular; so `weyl_walk` keys its walk on labels and forms a
 point once, from its parent, and `dominant_representative` carries the
-labels along.  Both walks and the positive-root closure stay in ints on
-integral data; a fractional point (a generic point of a*, rho_strict of a
-Levi) makes canonical only the coordinates a step changes.
+labels along; neither forms a word.  Both walks and the positive-root
+closure stay in ints on integral data; a fractional point (a generic point
+of a*) makes canonical only the coordinates a step changes.
 """
 
 from collections import Counter
@@ -362,54 +362,37 @@ def rho_vee(datum):
     return cvec(Fraction(x, 2) for x in _two_rho_vee(datum))
 
 
-def height(datum, w):
-    """<w, rho^vee>; strictly monotone along dominance order."""
-    return vdot(w, rho_vee(datum))
-
-
-@lru_cache(maxsize=None)
-def rho_strict(datum):
-    """Some vector pairing to 1 with every simple coroot."""
-    if datum.rank == 0:
-        return (0,) * datum.ambient_dim
-    sol = span_solver(transpose(datum.simple_coroots))((1,) * datum.rank)
-    if sol is None:
-        raise InternalConsistencyError("simple coroots are dependent")
-    return sol
-
-
 def dominant_representative(datum, w):
-    """Dominant W-orbit representative plus the word moving w to it: reflect
-    in the first simple root with a negative label until none is left.  The
-    labels are carried along, not paired afresh."""
+    """The dominant point of the W-orbit of w: reflect in the first simple
+    root with a negative label until none is left.  The labels are carried
+    along, not paired afresh."""
     cur = cvec(w)
     labels = tuple(datum.pairing(cur, j) for j in range(datum.rank))
     refl = _reflection_data(datum)
-    word = []
     while True:
         j = next((i for i, l in enumerate(labels) if l < 0), None)
         if j is None:
-            return cur, tuple(word)
+            return cur
         lj = labels[j]
         root, row = refl[j]
         cur, labels = _minus(cur, lj, root), _minus(labels, lj, row)
-        word.append(j)
 
 
 def dual_weight(datum, w):
     """Highest weight of the dual module, -w0 w, for dominant w."""
-    return dominant_representative(datum, vscale(-1, w))[0]
+    return dominant_representative(datum, vscale(-1, w))
 
 
 def weyl_walk(datum, x):
-    """The points of `weyl_orbit(datum, x)` with their words, in the same
-    order, yielded as they are found: a reader that stops early walks no
-    further."""
+    """The W-orbit of x, breadth first from x, yielded as the points are
+    found: a reader that stops early walks no further.  Keyed on Dynkin
+    labels (see the module docstring), a point is formed once, from its
+    parent, when its labels are new."""
     refl = _reflection_data(datum)
     start = tuple(datum.pairing(x, j) for j in range(datum.rank))
-    seen, queue = {start}, [(start, x, ())]
-    yield x, ()
-    for l, y, word in queue:  # the walk grows as points are found
+    seen, queue = {start}, [(start, x)]
+    yield x
+    for l, y in queue:  # the walk grows as points are found
         for i, li in enumerate(l):
             if not li:  # s_i fixes y
                 continue
@@ -417,23 +400,9 @@ def weyl_walk(datum, x):
             u = _minus(l, li, row)
             if u not in seen:
                 seen.add(u)
-                point = _minus(y, li, root), word + (i,)
-                queue.append((u,) + point)
+                point = _minus(y, li, root)
+                queue.append((u, point))
                 yield point
-
-
-@lru_cache(maxsize=None)
-def _weyl_orbit_cached(datum, x):
-    return tuple(weyl_walk(datum, x))
-
-
-def weyl_orbit(datum, x):
-    """The W-orbit of x as (point, word) pairs in breadth-first order, x
-    first with the empty word; the word's simple reflections applied to x,
-    first letter first, give the point, and no shorter word reaches it.
-    The walk is keyed on Dynkin labels (see the module docstring): a point
-    is formed once, from its parent, when its labels are new."""
-    return _weyl_orbit_cached(datum, cvec(x))
 
 
 def check_weyl_cap(datum, cap):

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's Freudenthal recursion, symmetric-power
-recursion, and word-based Weyl enumeration: multiplicities come from the
+recursion, and Weyl walks in Dynkin labels: multiplicities come from the
 Kostant partition function, invariant dimensions from explicit monomial
 enumeration, symmetric powers from Newton's identity over Fractions or
 the division-free recursion over tuple-keyed weights, Molien series from
@@ -75,8 +75,6 @@ from symprep.rootdata import (
     _length_data,
     centralizer_datum,
     positive_roots,
-    rho_strict,
-    weyl_orbit,
 )
 from symprep.sections import _plan_coords
 
@@ -265,17 +263,25 @@ def weyl_orbit_oracle(datum, x):
     return tuple(orbit.items())
 
 
+def rho_oracle(datum):
+    """Half the sum of the positive roots, over Fractions: it pairs to 1 with
+    every simple coroot (Humphreys, section 10.2), also on a Levi, where it
+    may be fractional."""
+    acc = [Fraction(0)] * datum.ambient_dim
+    for r in positive_roots(datum):
+        acc = [a + x for a, x in zip(acc, r.vec)]
+    return cvec(a / 2 for a in acc)
+
+
 def dominant_representative_oracle(datum, w):
-    """(dominant point, word): reflect in the first simple root pairing
-    negatively with the current point, paired afresh each step."""
+    """The dominant point of w's W-orbit: reflect in the first simple root
+    pairing negatively with the current point, paired afresh each step."""
     cur = cvec(w)
-    word = []
     while True:
         j = next((i for i in range(datum.rank) if datum.pairing(cur, i) < 0), None)
         if j is None:
-            return cur, tuple(word)
+            return cur
         cur = reflect(datum, j, cur)
-        word.append(j)
 
 
 def positive_roots_oracle(datum):
@@ -376,7 +382,7 @@ def kostant_weight_multiset(datum, lam):
     lam = cvec(lam)
     if datum.rank == 0:
         return {lam: 1}
-    rho = rho_strict(datum)
+    rho = rho_oracle(datum)
     pcount = kostant_partition_counter(datum)
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     hbound = int(2 * vdot(lam, _rho_vee_func(datum)))
@@ -427,7 +433,7 @@ def invariant_dims_oracle(datum, weights, max_degree, weyl_cap=10 ** 5):
     if len(ws) > weyl_cap:
         raise RuntimeError("oracle Weyl group too large")
     signs = [1 if det_exact(w) > 0 else -1 for w in ws]
-    rho = rho_strict(datum)
+    rho = rho_oracle(datum)
     targets = [
         (cvec(tuple(a - b for a, b in zip(mat_vec(w, rho), rho))), s)
         for w, s in zip(ws, signs)
@@ -535,7 +541,7 @@ def generic_orbit(datum, basis, levi):
     (Steinberg, Trans. AMS 112, 1964), so the orbit has |W|/|W(levi)|
     points; that count is checked, which also certifies that the point is
     generic."""
-    orbit = weyl_orbit(datum, _generic_point(datum, basis))
+    orbit = weyl_orbit_oracle(datum, _generic_point(datum, basis))
     if len(orbit) * levi.weyl_order() != datum.weyl_order():
         raise InternalConsistencyError(
             f"generic orbit has {len(orbit)} points, expected "
@@ -621,7 +627,7 @@ def tuple_invariant_dims(spec, max_degree):
     targets w rho - rho, w from matrix closure with determinant signs, read
     off tuple-keyed symmetric powers (no box, so no key can alias)."""
     datum = spec.datum
-    rho = rho_strict(datum)
+    rho = rho_oracle(datum)
     targets = [
         (cvec(a - b for a, b in zip(mat_vec(w, rho), rho)), 1 if det_exact(w) > 0 else -1)
         for w in weyl_matrices_bruteforce(datum)

@@ -27,6 +27,7 @@ from symprep.errors import (
     InternalConsistencyError,
     SpecFormatError,
     ValidationError,
+    decimal,
 )
 from symprep.reduction import analyze
 
@@ -149,6 +150,72 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert main(["analyze", huge]) == EXIT_BUDGET
     err = capsys.readouterr().err
     assert "group too large" in err
+
+
+# counts past the interpreter's 4300-digit int-to-str limit: |W(A1700)| =
+# 1701!, 4731 digits; c_s of a rank-12 torus on the 24 characters +-e_i, each
+# 9 * 10^4298 times, is 108 * 10^4298 - 12, 4301 digits; and the irrep of A2
+# with highest weight (10^4298, 10^4298) has dimension (10^4298 + 1)^3
+HUGE_WEYL = {
+    "group": {"simple": [["A", 1700]], "central_torus_rank": 0},
+    "rep": [{"hw": [1] + [0] * 1699, "mult": 1}],
+}
+HUGE_TORUS = {
+    "group": {"simple": [], "central_torus_rank": 12},
+    "rep": [{"hw": [s if j == i else 0 for j in range(12)], "mult": 9 * 10 ** 4298}
+            for i in range(12) for s in (1, -1)],
+}
+HUGE_IRREP = {
+    "group": {"simple": [["A", 2]], "central_torus_rank": 0},
+    "rep": [{"hw": [10 ** 4298, 10 ** 4298], "mult": 2}],
+}
+HUGE_TORUS_C_S = "107" + "9" * 4296 + "88"
+
+
+@pytest.mark.parametrize("doc, cap", [
+    (HUGE_WEYL, "exceeds the enumeration cap 1000000"),
+    (HUGE_IRREP, "exceeds cap 5000"),
+])
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["analyze", "--text"], ["gamma"], ["hilbert", "--degree", "2"],
+    ["verify"],
+])
+def test_counts_past_the_int_str_limit_exit_3_naming_the_cap(tmp_path, capsys, doc, cap, argv):
+    """A group order or a dimension past the interpreter's int-to-str digit
+    limit is written in full in the budget message, not an internal
+    ValueError; `hilbert` meets the dim V budget before the irrep's."""
+    path = _write(tmp_path, "huge.json", doc)
+    assert main([argv[0], path] + argv[1:]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if doc is HUGE_IRREP and argv[0] == "hilbert":
+        cap = "exceeds budget 16"
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f" {cap}" in captured.err and "internal" not in captured.err
+
+
+def test_c_s_past_the_int_str_limit_is_written_exactly(tmp_path, capsys):
+    """`analyze` writes a 4301-digit c_s in full, in json and as text, as it
+    writes a c_s of 10^30; `hilbert` and `verify` exit 3 naming their caps."""
+    path = _write(tmp_path, "torus.json", HUGE_TORUS)
+    assert main(["analyze", path]) == EXIT_OK
+    assert f'\n  "c_s": {HUGE_TORUS_C_S},\n' in capsys.readouterr().out
+    assert main(["analyze", path, "--text"]) == EXIT_OK
+    assert f"\nsymplectic complexity: {HUGE_TORUS_C_S}\n" in capsys.readouterr().out
+    assert main(["hilbert", path, "--degree", "2"]) == EXIT_BUDGET
+    assert capsys.readouterr().err.endswith(" exceeds budget 16\n")
+    assert main(["verify", path]) == EXIT_BUDGET
+    assert capsys.readouterr().err.endswith(" exceeds cap 64\n")
+
+
+@pytest.mark.parametrize("n, text", [
+    (0, "0"), (-7, "-7"), (10 ** 30, "1" + "0" * 30),
+    (10 ** 9000 + 12345, "1" + "0" * 8995 + "12345"),
+    (-(2 * 10 ** 4400) - 1, "-2" + "0" * 4399 + "1"),
+], ids=["zero", "negative", "31 digits", "9001 digits", "4401 digits negative"])
+def test_decimal_writes_ints_past_the_digit_limit(n, text):
+    assert decimal(n) == text
+    assert cli.report_to_json({"n": n}) == f'{{\n  "n": {text}\n}}\n'
 
 
 def test_analyze_report_is_deterministic(tmp_path):
@@ -682,7 +749,7 @@ def test_every_cache_is_reachable_right_after_import(tmp_path):
     assert got["late"] == []
     for owner in ("matrixrep._irreducible_block", "matrixrep.reference_weight",
                   "matrixrep._single_factor_datum", "matrixrep.root_recipes",
-                  "reps._weyl_dim_cached", "reps._duality_class_cached",
+                  "reps._weyl_dim_cached", "reps._duality_cached",
                   "rootdata._levi_subdatum", "rootdata._echelon_key",
                   "classify._is_singular_cached", "reduction._CANDIDATES_CACHE",
                   "rootdata._DATUM_CACHE", "rootdata.cartan_matrix"):

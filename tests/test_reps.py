@@ -33,7 +33,6 @@ from symprep.rootdata import (
     centralizer_datum,
     levi_subdatum,
     positive_roots,
-    rho_strict,
 )
 
 from corpus import A1, A2, A3, C2, C3, T1, T2, catalog
@@ -78,6 +77,12 @@ F4 = build_root_datum([("F", 4)])
 A2xT1 = build_root_datum([("A", 2)], central_rank=1)
 # decompose_weights calls Freudenthal on Levis like this C2 inside C3 x T1
 C3xT1_LEVI = levi_subdatum(build_root_datum([("C", 3)], central_rank=1), [1, 2])
+# Levis whose half-sum rho is fractional, where Freudenthal's denominator
+# still reads <lam + mu + 2 rho, alpha_i^vee> = <lam + mu, alpha_i^vee> + 2:
+# the A1 of A2 on node 2, half-sum (-1/2, 1), and the A1 of B2 with coroot
+# (2, 1), half-sum (1/2, 0)
+A2_LEVI_NODE_2 = levi_subdatum(A2, [1])
+B2_LEVI_HALF_RHO = centralizer_datum(build_root_datum([("B", 2)]), [(-1, 2)])
 
 
 @pytest.mark.parametrize("datum,lam", [
@@ -99,6 +104,12 @@ C3xT1_LEVI = levi_subdatum(build_root_datum([("C", 3)], central_rank=1), [1, 2])
     (F4, (0, 0, 0, 1)),
     (C3xT1_LEVI, (2, 1, 1, 0)),
     (A2xT1, (1, 1, 2)),
+    (A2_LEVI_NODE_2, (0, 1)),
+    (A2_LEVI_NODE_2, (1, 3)),
+    (A2_LEVI_NODE_2, (-1, 4)),
+    (B2_LEVI_HALF_RHO, (1, 0)),
+    (B2_LEVI_HALF_RHO, (1, -1)),
+    (B2_LEVI_HALF_RHO, (2, 1)),
 ])
 def test_freudenthal_matches_kostant_oracle(datum, lam):
     assert freudenthal_multiplicities(datum, lam) == kostant_weight_multiset(
@@ -306,12 +317,10 @@ def _invariant_dims_oracle_specs():
     specs["D4_vec_x2"] = validate_symplectic_spec(
         build_root_datum([("D", 4)]), [((1, 0, 0, 0), 2)]
     )
-    # a Levi of B2 whose coroot is (2, 1): its rho_strict is (1/2, 0), while
-    # the walk forms each target w rho - rho from the simple roots
-    levi = centralizer_datum(build_root_datum([("B", 2)]), [(-1, 2)])
-    assert rho_strict(levi) == (Fraction(1, 2), 0)
+    # a Levi of B2 whose coroot is (2, 1): its half-sum rho is fractional,
+    # while the walk forms each target w rho - rho from the simple roots
     specs["B2_levi_half_rho"] = validate_symplectic_spec(
-        levi, [((1, 0), 2), ((1, -1), 1), ((0, 1), 1)]
+        B2_LEVI_HALF_RHO, [((1, 0), 2), ((1, -1), 1), ((0, 1), 1)]
     )
     # zero-weight slots (the 7-dim modules of G2 and B3) and, on GL3, slots
     # of every sign of height over a central torus

@@ -15,6 +15,7 @@ from symprep.linalg import (
     echelon_basis,
     identity,
     mat_vec,
+    vdot,
     vscale,
 )
 from symprep.reduction import centralizer_levi, run_reduction
@@ -26,13 +27,12 @@ from symprep.rootdata import (
     check_weyl_cap,
     dominant_representative,
     dual_weight,
-    height,
     levi_subdatum,
     positive_roots,
-    rho_strict,
+    rho_vee,
     subspace_normalizer,
     weyl_degrees,
-    weyl_orbit,
+    weyl_walk,
 )
 
 from corpus import ANALYZE_LADDER, GENERIC_MODELS, catalog
@@ -43,7 +43,7 @@ from oracles import (
     gamma_by_elements_oracle,
     mat_mul,
     positive_roots_oracle,
-    reflection_matrix,
+    rho_oracle,
     span_coords_oracle,
     subspace_normalizer_oracle,
     weyl_matrices_bruteforce,
@@ -70,15 +70,13 @@ def test_sl2_basic():
 def test_c2_roots_and_weyl():
     d = build_root_datum([("C", 2)])
     assert len(positive_roots(d)) == 4
-    w = weyl_orbit(d, rho_strict(d))
+    w = list(weyl_walk(d, rho_oracle(d)))
     assert len(w) == 8
-    assert w[0] == (rho_strict(d), ())
-    assert max(len(word) for _, word in w) == 4
+    assert w[0] == rho_oracle(d)
     a1 = build_root_datum([("A", 1)])
-    assert len(weyl_orbit(a1, rho_strict(a1))) == 2
+    assert len(list(weyl_walk(a1, rho_oracle(a1)))) == 2
     a2 = build_root_datum([("A", 2)])
-    assert len(weyl_orbit(a2, rho_strict(a2))) == 6
-    assert max(len(word) for _, word in weyl_orbit(a2, rho_strict(a2))) == 3
+    assert len(list(weyl_walk(a2, rho_oracle(a2)))) == 6
 
 
 def test_product_with_center():
@@ -102,23 +100,14 @@ def test_positive_root_counts(letter, rank):
     ([("B", 3)], 48), ([("D", 4)], 192), ([("F", 4)], 1152),
 ])
 def test_weyl_enumeration_matches_closure(factors, order):
-    """The orbit of a regular point enumerates W: the matrices its words
-    build are exactly the closure, and each carries rho to its point.  The
-    longest word is a reduced word for w0, one letter per positive root."""
+    """The orbit of a regular point enumerates W: its points are exactly
+    the images of rho under the matrices of the closure, one per element."""
     d = build_root_datum(factors)
-    rho = rho_strict(d)
-    orbit = weyl_orbit(d, rho)
-    assert len(orbit) == order == d.weyl_order()
-    assert max(len(word) for _, word in orbit) == len(positive_roots(d))
-    mats = set()
-    for point, word in orbit:
-        m = identity(d.ambient_dim)
-        for j in word:
-            m = mat_mul(reflection_matrix(d, j), m)
-        assert mat_vec(m, rho) == point
-        mats.add(m)
-    assert len(mats) == order
-    assert mats == set(weyl_matrices_bruteforce(d))
+    rho = rho_oracle(d)
+    orbit = list(weyl_walk(d, rho))
+    mats = weyl_matrices_bruteforce(d)
+    assert len(orbit) == len(set(orbit)) == len(mats) == order == d.weyl_order()
+    assert set(orbit) == {mat_vec(m, rho) for m in mats}
 
 
 def test_weyl_cap_error_names_cap():
@@ -225,9 +214,7 @@ def test_lattice_ops_examples():
     assert a1.pairing((1,), 0) == 1
     assert a1.is_dominant((1,))
     a2 = build_root_datum([("A", 2)])
-    dom, word = dominant_representative(a2, (-1, 0))
-    assert dom == (0, 1)
-    assert word
+    assert dominant_representative(a2, (-1, 0)) == (0, 1)
     c2 = build_root_datum([("C", 2)])
     assert c2.pairing((0, 1), 0) == 0
     assert c2.pairing((0, 1), 1) == 1
@@ -248,16 +235,16 @@ def test_w0_properties():
 def test_dominant_representative_orbit_invariance():
     d = build_root_datum([("C", 2)])
     lam = (1, 2)
-    target = dominant_representative(d, lam)[0]
+    target = dominant_representative(d, lam)
     for w in weyl_matrices_bruteforce(d):
-        assert dominant_representative(d, mat_vec(w, lam))[0] == target
+        assert dominant_representative(d, mat_vec(w, lam)) == target
 
 
 def test_heights_are_positive_on_positive_roots():
     for factors in [[("A", 2)], [("C", 3)], [("G", 2)]]:
         d = build_root_datum(factors)
         for r in positive_roots(d):
-            assert height(d, r.vec) > 0
+            assert vdot(r.vec, rho_vee(d)) > 0
 
 
 def test_levi_subdatum_examples():
@@ -325,7 +312,7 @@ def test_dual_weight_examples():
 ])
 def test_weyl_matrices_hold_only_ints(factors, central):
     d = build_root_datum(factors, central)
-    for point, _ in weyl_orbit(d, rho_strict(d)):
+    for point in weyl_walk(d, rho_oracle(d)):
         assert all(type(x) is int for x in point)
 
 
@@ -533,12 +520,12 @@ def _random_dominant(rng, datum):
 
 
 def _assert_walks_match(datum, point):
-    """weyl_orbit gives the oracle's (point, word) sequence, and the
+    """weyl_walk gives the oracle's points in the oracle's order, and the
     dominant representative of every orbit point and of its negative is
-    the oracle's, word included."""
-    orbit = weyl_orbit(datum, point)
-    assert orbit == weyl_orbit_oracle(datum, point)
-    for y, _ in orbit[:200]:
+    the oracle's."""
+    orbit = list(weyl_walk(datum, point))
+    assert orbit == [y for y, _ in weyl_orbit_oracle(datum, point)]
+    for y in orbit[:200]:
         assert dominant_representative(datum, y) == dominant_representative_oracle(datum, y)
         neg = tuple(-x for x in y)
         assert dominant_representative(datum, neg) == dominant_representative_oracle(datum, neg)
@@ -555,14 +542,15 @@ def test_label_walk_matches_reflect_walk(letter, n):
     datum = build_root_datum([(letter, n)])
     rng = random.Random(n * 131 + ord(letter))
     _assert_roots_match(datum)
-    _assert_walks_match(datum, rho_strict(datum))
+    _assert_walks_match(datum, rho_oracle(datum))
     _assert_walks_match(datum, _random_dominant(rng, datum))
 
 
 def test_label_walk_matches_reflect_walk_on_e6_rho():
     datum = build_root_datum([("E", 6)])
     _assert_roots_match(datum)
-    assert weyl_orbit(datum, rho_strict(datum)) == weyl_orbit_oracle(datum, rho_strict(datum))
+    rho = rho_oracle(datum)
+    assert list(weyl_walk(datum, rho)) == [y for y, _ in weyl_orbit_oracle(datum, rho)]
 
 
 @pytest.mark.parametrize("factors, central, basis", [
@@ -577,12 +565,13 @@ def test_label_walk_matches_reflect_walk_on_e6_rho():
 ])
 def test_label_walk_matches_reflect_walk_on_levi_data(factors, central, basis):
     """Levi data from centralizer_datum: their simple roots and coroots are
-    arbitrary roots of the parent, and rho_strict may be fractional (on the
-    B2 and B3 lines, whose Levi coroot pairs as 2 with a coordinate)."""
+    arbitrary roots of the parent, and half the sum of their positive roots
+    may be fractional (on the B2 line, whose Levi coroot pairs as 2 with a
+    coordinate, and on the second B3 line and the G2 x A1 line)."""
     levi = centralizer_datum(build_root_datum(factors, central), basis)
     rng = random.Random(len(levi.simple_roots))
     _assert_roots_match(levi)
-    _assert_walks_match(levi, rho_strict(levi))
+    _assert_walks_match(levi, rho_oracle(levi))
     _assert_walks_match(levi, tuple(rng.randint(-2, 2) for _ in range(levi.ambient_dim)))
 
 
@@ -599,7 +588,7 @@ def test_label_walk_matches_reflect_walk_on_fractional_generic_points(factors, b
     point = rootdata._generic_point(datum, basis)
     assert any(type(x) is Fraction for x in point)
     _assert_walks_match(datum, point)
-    for y, _ in weyl_orbit(datum, point):
+    for y in weyl_walk(datum, point):
         assert all(type(x) is int or x.denominator != 1 for x in y)
 
 
@@ -607,4 +596,4 @@ def test_label_walk_on_a_torus():
     torus = build_root_datum([], 2)
     assert positive_roots(torus) == ()
     _assert_walks_match(torus, (1, -3))
-    assert weyl_orbit(torus, (Fraction(1, 2), 4)) == ((((Fraction(1, 2), 4)), ()),)
+    assert list(weyl_walk(torus, (Fraction(1, 2), 4))) == [(Fraction(1, 2), 4)]

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symprep"
@@ -165,13 +166,11 @@ def test_every_dataclass_field_is_read():
 
 
 def test_weyl_orbit_walks_in_int_labels(monkeypatch):
-    """A cold `weyl_orbit(A5, rho)` pairs and canonicalizes a fixed number
+    """A cold `weyl_walk(A5, rho)` pairs and canonicalizes a fixed number
     of times per pair of simple roots (the Cartan matrix, once per datum)
     and per simple root (the start's labels), none per edge: a walk that
     pairs a coroot and makes each coordinate canonical on every edge
     (|W| rank = 3600 edges) fails here."""
-    from collections import Counter
-
     from symprep import linalg, rootdata
 
     calls = Counter()
@@ -187,11 +186,11 @@ def test_weyl_orbit_walks_in_int_labels(monkeypatch):
         monkeypatch.setattr(linalg, name, wrapped)
         monkeypatch.setattr(rootdata, name, wrapped)
     datum = rootdata.build_root_datum([("A", 5)])
-    rho = rootdata.rho_strict(datum)
-    for fn in (rootdata._weyl_orbit_cached, rootdata._cartan_pairing, rootdata._reflection_data):
+    rho = (1,) * 5  # in fundamental-weight coordinates
+    for fn in (rootdata._cartan_pairing, rootdata._reflection_data):
         fn.cache_clear()
     calls.clear()
-    orbit = rootdata.weyl_orbit(datum, rho)
+    orbit = set(rootdata.weyl_walk(datum, rho))
     assert len(orbit) == datum.weyl_order() == 720
     assert calls["vdot"] + calls["canon"] <= 2 * datum.rank ** 2
 
@@ -199,7 +198,7 @@ def test_weyl_orbit_walks_in_int_labels(monkeypatch):
 def test_invariant_dims_never_walks_a_whole_weyl_orbit(monkeypatch):
     """A cold `invariant_dims(A5 std+dual, 8)` walks down from rho only to
     depth 8 * 5 = 40 (A5's deepest weight of V pairs to -5 with 2 rho^vee),
-    463 of the 720 points, and never calls `weyl_orbit`: a return to the
+    463 of the 720 points, and never calls `weyl_walk`: a return to the
     full-orbit alternation fails here."""
     from symprep import reps, rootdata
 
@@ -215,12 +214,60 @@ def test_invariant_dims_never_walks_a_whole_weyl_orbit(monkeypatch):
         raise AssertionError("invariant_dims walked a whole Weyl orbit")
 
     for module in (rootdata, reps):
-        monkeypatch.setattr(module, "weyl_orbit", refused)
-    monkeypatch.setattr(rootdata, "_weyl_orbit_cached", refused)
-    monkeypatch.setattr(rootdata, "weyl_walk", refused)
+        monkeypatch.setattr(module, "weyl_walk", refused)
     assert reps.invariant_dims(spec, 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
     assert reps._sym_powers_cached(datum, reps._freeze(spec.weight_multiset()), 8)[1] == 40
     assert len(reps._rho_walk(datum, 40)) == 463 < datum.weyl_order()
+
+
+def test_freudenthal_walks_each_dominant_orbit_once(monkeypatch):
+    """A cold `freudenthal_multiplicities` on F4 [0,0,0,1] and E6
+    [1,0,0,0,0,0] reads its strings off the one table it fills, orbit by
+    orbit: it calls `weyl_walk` once per dominant weight and
+    `dominant_representative` never."""
+    from symprep import reps, rootdata
+
+    starts = []
+
+    def counted(datum, x):
+        starts.append(x)
+        return rootdata.weyl_walk(datum, x)
+
+    def refused(*args):
+        raise AssertionError("Freudenthal called dominant_representative")
+
+    monkeypatch.setattr(reps, "weyl_walk", counted)
+    for module in (rootdata, reps):
+        monkeypatch.setattr(module, "dominant_representative", refused, raising=False)
+    for factor, lam in ((("F", 4), (0, 0, 0, 1)), (("E", 6), (1, 0, 0, 0, 0, 0))):
+        datum = rootdata.build_root_datum([factor])
+        reps._freudenthal_cached.cache_clear()
+        starts.clear()
+        mult = reps.freudenthal_multiplicities(datum, lam)
+        dominant = [w for w in mult if datum.is_dominant(w)]
+        assert sorted(starts) == sorted(dominant)
+        assert sum(mult.values()) == reps.weyl_dim(datum, lam)
+
+
+def test_validation_forms_each_dual_weight_once(monkeypatch):
+    """A cold validation of A3 [1,0,0] + [0,0,1] forms the dual of [1,0,0]
+    once, for its duality class, and reads it again for the pairing plan:
+    one `dominant_representative` walk, not two."""
+    from symprep import reps, rootdata
+
+    calls = []
+    walk = rootdata.dominant_representative
+
+    def counted(datum, w):
+        calls.append(w)
+        return walk(datum, w)
+
+    monkeypatch.setattr(rootdata, "dominant_representative", counted)
+    reps._duality_cached.cache_clear()
+    datum = rootdata.build_root_datum([("A", 3)])
+    spec = reps.validate_symplectic_spec(datum, [((1, 0, 0), 1), ((0, 0, 1), 1)])
+    assert [item.kind for item in spec.pairing_plan] == ["dual_pair"]
+    assert calls == [(-1, 0, 0)]
 
 
 def test_benchmark_tracer_counts_gamma_reflections():
@@ -330,3 +377,63 @@ def test_readme_exit_codes_are_the_cli_constants():
     codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
     assert codes
     assert named == codes
+
+
+def _reads(tree):
+    """The identifiers a module reads, with repeats: loaded names,
+    attribute names, and the identifiers inside string constants that are
+    not docstrings (`monkeypatch.setattr(reps, "weyl_walk", ...)`, the
+    benchmark's "reps.freudenthal_multiplicities")."""
+    docstrings = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+
+
+def test_no_import_is_left_unread():
+    """No module of the package but `__init__` imports a name it never
+    reads: a deletion that leaves its import behind fails here."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = set(_reads(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno}: {name}")
+    assert unread == []
+
+
+def test_every_function_is_read_outside_its_definition():
+    """Each function the package defines is read by name somewhere in the
+    package, the tests or the benchmark, outside its own body (dunder
+    methods aside): a helper whose last reader was deleted fails here."""
+    trees = [
+        ast.parse(path.read_text(), filename=str(path))
+        for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+    ]
+    reads = Counter(name for tree in trees for name in _reads(tree))
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = list(_reads(node)).count(node.name)
+            if reads[node.name] <= own:
+                unread.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert unread == []
