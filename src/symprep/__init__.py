@@ -29,14 +29,12 @@ from .reps import (
 from .classify import (
     WeightStatus,
     is_singular_weight,
-    lemma2chi_conditions,
     terminal_decomposition,
     weight_status,
 )
 from .reduction import (
     AnalysisReport,
     analyze,
-    choose_nonterminal_weight,
     compute_gamma,
     centralizer_levi,
     determine_little_weyl,

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, SymprepError
-from .linalg import cvec, span_solver, vdot, vsub
+from .linalg import cvec, span_solver, vdot
 from .reps import weight_key
-from .rootdata import positive_roots
 
 
 class WeightStatus(enum.Enum):
@@ -132,65 +131,3 @@ def terminal_decomposition(spec):
             f"terminal blocks account for {blocks} of {dim} dims"
         )
     return TerminalVerdict(True, None, tuple(pairs), tuple(sorted(sizes)))
-
-
-@dataclass(frozen=True)
-class TwoChiReport:
-    chi: tuple
-    symplectic_type: bool       # hypothesis: the irreducible carries a
-    double_is_root: bool        # symplectic form.  2 chi in Delta+
-    double_is_2a_minus_b: bool  # 2 chi = 2 alpha - beta
-    double_is_a_plus_b: bool    # 2 chi = alpha + beta
-    chi_is_root: bool
-    singular: bool
-
-    @property
-    def any_condition(self):
-        return (
-            self.double_is_root
-            or self.double_is_2a_minus_b
-            or self.double_is_a_plus_b
-        )
-
-
-def lemma2chi_conditions(datum, chi):
-    """Arithmetic sufficient conditions for singularity of the highest weight
-    of an irreducible symplectic module, by brute force over pairs of positive
-    roots.  The implications only hold under the symplectic-type hypothesis;
-    both are asserted here."""
-    from .reps import DualityClass, duality_class
-
-    chi = cvec(chi)
-    if not datum.is_dominant(chi):
-        raise SymprepError(f"{chi} is not dominant")
-    two_chi = cvec(tuple(2 * x for x in chi))
-    pos = [r.vec for r in positive_roots(datum)]
-    posset = set(pos)
-    cond1 = two_chi in posset
-    cond2 = any(
-        cvec(vsub(tuple(2 * x for x in a), b)) == two_chi for a in pos for b in pos
-    )
-    cond3 = any(
-        cvec(tuple(x + y for x, y in zip(a, b))) == two_chi for a in pos for b in pos
-    )
-    singular, _ = is_singular_weight(datum, chi)
-    rep = TwoChiReport(
-        chi=chi,
-        symplectic_type=duality_class(datum, chi) is DualityClass.SYMPLECTIC,
-        double_is_root=cond1,
-        double_is_2a_minus_b=cond2,
-        double_is_a_plus_b=cond3,
-        chi_is_root=chi in posset,
-        singular=singular,
-    )
-    if rep.symplectic_type and rep.any_condition and not singular:
-        raise InternalConsistencyError(
-            f"arithmetic singularity condition fired for non-singular {chi}"
-        )
-    if rep.symplectic_type and rep.chi_is_root:
-        raise InternalConsistencyError(
-            f"symplectic highest weight {chi} lies in Delta+"
-        )
-    if singular and rep.chi_is_root:
-        raise InternalConsistencyError(f"singular weight {chi} lies in Delta+")
-    return rep

@@ -82,24 +82,12 @@ class SpecFormatError(SymprepError):
         super().__init__("; ".join(self.problems))
 
 
-class NoNonTerminalWeight(SymprepError):
-    """Reduction step requested on an already terminal representation."""
-
-
 class NoReductionAvailable(SymprepError):
     """Local-structure verification requested on a terminal representation."""
 
 
-class SOutsideDomain(SymprepError):
-    """Sample pairs to zero against the chosen highest weight vector."""
-
-
-class SingularSystem(SymprepError):
-    """Triangular solve hit a vanishing diagonal entry."""
-
-
 class DomainError(SymprepError):
-    """Argument outside the domain of a partial map (e.g. y = 0)."""
+    """Argument outside the domain of a partial map (a section target off a*)."""
 
 
 class StageNotRealizable(SymprepError):

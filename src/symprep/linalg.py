@@ -134,12 +134,6 @@ def _sparse_row(acc):
     return tuple((j, canon(x)) for j, x in sorted(acc.items()) if x)
 
 
-def sparse_rows(a):
-    """Each row of a dense matrix as the tuple of its nonzero entries
-    (column, value)."""
-    return tuple(tuple((j, canon(x)) for j, x in enumerate(row) if x) for row in a)
-
-
 def dense(m, ncols):
     """The dense matrix, ncols wide, of a matrix given by sparse rows."""
     out = []

@@ -20,7 +20,6 @@ are filled from them.  A model is weight graded (the Lie basis element of a
 root alpha maps V_mu into V_(mu + alpha), and `_check_rep` holds every
 matrix to that), so `weight_kernel`, `MatrixRep.act_exact` and
 `MatrixRep.omega_row` read only the rows of the weight they need.
-`MatrixRep.lie_matrix_exact` is a dense view for tests.
 """
 
 import itertools
@@ -351,18 +350,9 @@ class MatrixRep:
     def lie_matrix(self, label):
         return self.lie[self.lie_index[label]]
 
-    def lie_matrix_exact(self, label):
-        """A dense view of the exact matrix of the label, built on each call:
-        for tests and oracles, not for the library's own paths."""
-        return dense(self.lie_exact[self.lie_index[label]], self.dim)
-
     def coweight_action(self, functional):
         """Diagonal action of a torus element given as a coweight functional."""
         return tuple(vdot(w, functional) for w in self.weight_labels)
-
-    def omega(self, u, v):
-        import numpy as np
-        return float(np.asarray(u) @ self.j @ np.asarray(v))
 
     def omega_exact(self, u, v):
         s = 0

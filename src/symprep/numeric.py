@@ -19,8 +19,6 @@ from .errors import (
     InternalConsistencyError,
     NoReductionAvailable,
     NumericalDegeneracy,
-    SingularSystem,
-    SOutsideDomain,
 )
 from .linalg import cvec, nullspace, vdot
 from .matrixrep import _reference_block, factor_lie, float_stack, hyperbolic_pair
@@ -68,15 +66,6 @@ def _join(parts):
             *(_join([getattr(p, f.name) for p in parts]) for f in fields(first))
         )
     return np.concatenate(parts)
-
-
-def _unstack(stacked):
-    """The first row of a stacked result; dataclasses field by field."""
-    if is_dataclass(stacked):
-        return type(stacked)(
-            *(_unstack(getattr(stacked, f.name)) for f in fields(stacked))
-        )
-    return stacked[0]
 
 
 def _check_length(rep, v):
@@ -254,8 +243,6 @@ def jacobian_inv_moment(rep, v):
     of vectors."""
     v = np.asarray(v, dtype=float)
     _check_length(rep, v)
-    if v.ndim == 1:
-        return jacobian_inv_moment(rep, v[None])[0]
     h = 1e-100
     n = rep.dim
     parts = []
@@ -378,32 +365,14 @@ def slice_functionals(rep, roots, v0, v0m):
 
 @dataclass
 class QEmbedding:
-    """q(s) = s + xi_-(s) v0 with its system matrix and membership residuals.
-    For a stack of s every field is stacked over the rows inside the domain,
-    and kept marks those rows among the input."""
+    """q(s) = s + xi_-(s) v0 with its membership residuals, stacked over the
+    rows of a stack of s inside the domain; kept marks those rows among the
+    input."""
 
     q: np.ndarray
-    xi_minus: np.ndarray
-    system_matrix: np.ndarray
     residual_sigma: float
     residual_perp: float
     kept: np.ndarray
-
-
-def _by_rows(step, frame, s):
-    """step(frame, rows) -> (stacked result, domain errors of the dropped
-    rows) applied to s: a stack (k, n) chunk by chunk, the results joined; one
-    vector (n,) as a stack of one, its result unstacked or its domain error
-    raised."""
-    s = np.asarray(s, dtype=float)
-    _check_length(frame.rep, s)
-    if s.ndim == 1:
-        out, errors = step(frame, s[None])
-        if errors:
-            raise errors[0]
-        return _unstack(out)
-    row = 2 * len(frame.rep.lie) * frame.rep.dim
-    return _join([step(frame, s[part])[0] for part in _chunks(len(s), row)])
 
 
 def _omega_e(frame, x):
@@ -413,9 +382,11 @@ def _omega_e(frame, x):
 
 
 def _q_embed(frame, s):
-    """The q-embedding of the rows of s inside the domain, and a domain
-    error per row outside it; InternalConsistencyError when the system
-    matrix of a row inside |omega(s, v0)| >= DOMAIN_TOL is not triangular."""
+    """The q-embedding of the rows of the stack s inside the domain: the
+    rows with |omega(s, v0)| >= DOMAIN_TOL whose system matrix for xi_- in
+    p_u^- (triangular in root-height order) has no vanishing diagonal entry.
+    InternalConsistencyError when the system matrix of a row with
+    |omega(s, v0)| >= DOMAIN_TOL is not triangular."""
     rep, du = frame.rep, frame.delta_u
     inside = np.abs((s @ rep.j) @ frame.v0f) >= DOMAIN_TOL
     # a[i, a, b] = omega(e_a f_b v0, s_i)
@@ -429,33 +400,13 @@ def _q_embed(frame, s):
     if off.any():
         _, ai, bi = np.argwhere(off)[0]
         raise InternalConsistencyError(f"system matrix not triangular at ({ai},{bi})")
-    vanishing = np.abs(np.diagonal(a, axis1=1, axis2=2)) < DOMAIN_TOL
-    kept = inside & ~vanishing.any(axis=1)
-    errors = [
-        SingularSystem(
-            f"triangular diagonal vanishes at {du[np.argmax(vanishing[i])].coords}"
-        )
-        if inside[i]
-        else SOutsideDomain("omega(s, v0) is below the domain tolerance")
-        for i in np.flatnonzero(~kept)
-    ]
+    kept = inside & ~(np.abs(np.diagonal(a, axis1=1, axis2=2)) < DOMAIN_TOL).any(axis=1)
     rhs = -0.5 * _omega_e(frame, s[kept])
     coeff = np.linalg.solve(a[kept], rhs[..., None])[..., 0]
     q = s[kept] + coeff @ frame.fv0
     res_sigma = np.max(np.abs(_omega_e(frame, q)), axis=1, initial=0.0)
     res_perp = np.max(np.abs(q @ (frame.fv0 @ rep.j).T), axis=1, initial=0.0)
-    return QEmbedding(q, coeff, a[kept], res_sigma, res_perp, kept), errors
-
-
-def phi_solve_q_embed(frame, s):
-    """Solve the square linear system for xi_- in p_u^- and return
-    q(s) = s + xi_-(s) v0 together with its membership residuals, for one
-    vector s or a stack of them (see QEmbedding).
-
-    The system matrix is asserted to be triangular in root-height order with
-    nonvanishing diagonal: one vector outside the domain raises
-    SOutsideDomain or SingularSystem, and a stack drops such rows."""
-    return _by_rows(_q_embed, frame, s)
+    return QEmbedding(q, res_sigma, res_perp, kept)
 
 
 @dataclass
@@ -466,7 +417,7 @@ class CommuteReport:
 
 
 def _commute(frame, s):
-    emb, errors = _q_embed(frame, s)
+    emb = _q_embed(frame, s)
     levi = list(frame.levi_index)
     k = len(emb.q)
     coords = moment_coords(frame.rep, np.concatenate([emb.q, s[emb.kept]]))
@@ -482,16 +433,20 @@ def _commute(frame, s):
         res_char = np.maximum(
             res_char, np.max(np.abs(coeffs[:k] - coeffs[k:]), axis=1, initial=0.0)
         )
-    return CommuteReport(res_levi, res_char, emb), errors
+    return CommuteReport(res_levi, res_char, emb)
 
 
 def verify_commute(frame, s):
-    """Check the two commutation statements for the embedding q: restriction
-    of the moment value to the Levi equals the moment value inside S, and the
-    characteristic polynomials agree with those of the Levi projection.  One
-    vector s or a stack, with the domain rules of phi_solve_q_embed; each
-    chunk of a stack is one moment_coords call on its q and s rows."""
-    return _by_rows(_commute, frame, s)
+    """Check the two commutation statements for the embedding q at each row
+    of the stack s (k, n): restriction of the moment value to the Levi
+    equals the moment value inside S, and the characteristic polynomials
+    agree with those of the Levi projection.  The rows outside the domain
+    of q are dropped (see _q_embed); each chunk of the stack is one batched
+    solve and one moment_coords call on its q and s rows."""
+    s = np.asarray(s, dtype=float)
+    _check_length(frame.rep, s)
+    row = 2 * len(frame.rep.lie) * frame.rep.dim
+    return _join([_commute(frame, s[part]) for part in _chunks(len(s), row)])
 
 
 # -- Poisson brackets ---------------------------------------------------------

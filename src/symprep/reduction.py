@@ -15,7 +15,6 @@ from math import prod
 from .classify import WeightStatus, terminal_decomposition, weight_status
 from .errors import (
     InternalConsistencyError,
-    NoNonTerminalWeight,
     NotACharacter,
     SymprepError,
     ValidationError,
@@ -43,7 +42,6 @@ from .rootdata import (
     _echelon_key,
     _generic_point,
     build_root_datum,
-    centralizer_datum,
     check_weyl_cap,
     levi_subdatum,
     positive_roots,
@@ -60,7 +58,6 @@ class ReductionStep:
     chosen_chi: tuple
     delta_u: tuple          # positive roots with <chi, alpha^vee> > 0
     levi: object            # RootDatum of M
-    s_weights: tuple        # frozen weight multiset of S
     s_spec: object          # validated SympRepSpec for (S, M)
 
 
@@ -72,15 +69,6 @@ class TerminalData:
     a_star_basis: tuple
     a_rank: int
     c: int
-
-
-def choose_nonterminal_weight(spec):
-    """Deterministic choice: the witness of terminal_decomposition, maximal
-    rho^vee-height with a lexicographic tie-break."""
-    verdict = terminal_decomposition(spec)
-    if verdict.terminal:
-        raise NoNonTerminalWeight("module is terminal")
-    return verdict.witness
 
 
 def delta_u_roots(datum, chi):
@@ -128,7 +116,6 @@ def reduce_step(spec, chi):
         chosen_chi=chi,
         delta_u=delta_u,
         levi=levi,
-        s_weights=tuple(sorted(s_weights.items())),
         s_spec=s_spec,
     )
     return step, s_spec
@@ -170,15 +157,12 @@ def run_reduction(spec, first_choice=None):
     return trace, td
 
 
-def centralizer_levi(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP,
-                     expect=None):
-    """Levi whose roots pair to zero with every vector of a*; optionally
-    asserted W_G-conjugate to an expected subdatum: some point of the orbit
-    of a generic point of a* vanishes on exactly expect's positive roots.
-    The cap is checked on every call with expect; the check itself runs
-    once per (datum, a*, expect)."""
-    if expect is None:
-        return centralizer_datum(datum, a_star_basis)
+def centralizer_levi(datum, a_star_basis, weyl_cap=DEFAULT_WEYL_CAP, *, expect):
+    """Levi whose roots pair to zero with every vector of a*, asserted
+    W_G-conjugate to an expected subdatum: some point of the orbit of a
+    generic point of a* vanishes on exactly expect's positive roots.  The
+    cap is checked on every call; the check itself runs once per
+    (datum, a*, expect)."""
     check_weyl_cap(datum, weyl_cap)
     return _conjugate_levi(datum, _echelon_key(tuple(map(tuple, a_star_basis))), expect)
 

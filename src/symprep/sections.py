@@ -1,5 +1,5 @@
-"""Moment-map sections over a*: exact torus sections, the affine one-line
-reduction Phi, and the recursive section through the local-structure chain.
+"""Moment-map sections over a*, built along the local-structure chain, and
+the separating one-parameter subgroup `rho_psg`.
 
 The construction mirrors the reduction trace: at the terminal stage the
 character pairs are put into symplectically normalized coordinate pairs and
@@ -36,9 +36,8 @@ from .linalg import (
     unscaled,
     vdot,
 )
-from .matrixrep import cut_columns, hyperbolic_pair, hyperbolic_partner, weight_kernel
+from .matrixrep import cut_columns, hyperbolic_pair
 from .numeric import _chunks, chevalley_target, inv_moment_eval, slice_functionals
-from .reduction import run_reduction
 from .rootdata import positive_roots, rho_vee
 
 
@@ -107,13 +106,6 @@ def _torus_moments(rep, points):
     return _weight_moments(rep, points)
 
 
-def torus_moment_exact(rep, p):
-    """The t*-valued moment of one point p as an ambient vector (see
-    _torus_moments).  Public: the exact check m_t(sigma(a)) = a on a
-    section's values."""
-    return _torus_moments(rep, [int_scaled(p)])[0]
-
-
 @dataclass(frozen=True)
 class CharPair:
     """A hyperbolic pair of character lines with omega(x, y) = 1."""
@@ -123,57 +115,37 @@ class CharPair:
     chi: tuple
 
 
-def _plan_pairs(chis, killed, chart):
-    """Order the pairs the way the inductive construction walks them:
-    critical characters first (each in the chart "x" or "y"), then the rest
-    in index order, each a greedy basis pair or a dependent one.  A
-    character is critical when it is nonzero and off the span of all the
-    other rows.  Peeling one off changes no other character's status (one
-    that needed it would put it in the span of the rest), so one pass in
-    index order finds them all."""
-    if chart not in ("x", "y"):
-        raise DomainError(f"chart hint must be 'x' or 'y', got {chart!r}")
-    killed_rows = [cvec(k) for k in killed]
-    critical = [
-        i for i, chi in enumerate(chis)
-        if not is_zero_vec(chi)
-        and span_solver([*chis[:i], *chis[i + 1:], *killed_rows])(chi) is None
-    ]
-    plan = [(i, f"critical-{chart}") for i in critical]
-    span_rows = list(killed_rows)
+def _plan_pairs(chis, killed):
+    """The indices of the characters that carry a terminal coordinate: a
+    greedy basis in index order of the characters modulo the killed rows,
+    which come first."""
+    span_rows = [cvec(k) for k in killed]
+    plan = []
     for i, chi in enumerate(chis):
-        if i in critical:
-            continue
         if not is_zero_vec(chi) and span_solver(span_rows)(chi) is None:
             span_rows.append(chi)
-            plan.append((i, "basis"))
-        else:
-            plan.append((i, "dependent"))
+            plan.append(i)
     return plan
 
 
 def _plan_solver(chis, killed, plan):
-    """The one solver _plan_coords reads every coordinate from: the critical
-    characters, then the basis characters (both in plan order), then the
-    killed ones.  The critical and basis characters are linearly independent
-    modulo the span of the killed ones, so each of their coefficients is the
-    same in every solution; the critical-first order is not what makes it
-    unique."""
-    rows = [chis[i] for i, mode in plan if mode != "dependent"]
-    return span_solver(rows + [cvec(k) for k in killed])
+    """The one solver _plan_coords reads every coordinate from: the basis
+    characters of the plan, then the killed ones.  The basis characters are
+    linearly independent modulo the span of the killed ones, so each of
+    their coefficients is the same in every solution."""
+    return span_solver([chis[i] for i in plan] + [cvec(k) for k in killed])
 
 
-def _plan_coords(plan, sol):
-    """Coordinates (x_i, y_i) with sum x_i y_i chi_i = a modulo span(killed),
-    from the solution sol of a with the solver of _plan_solver."""
+def _plan_coords(count, plan, sol):
+    """Coordinates (x_i, y_i) of the count characters with
+    sum x_i y_i chi_i = a modulo span(killed), from the solution sol of a
+    with the solver of _plan_solver: (1, t) on a basis character, (0, 0) on
+    the others."""
     if sol is None:
         raise DomainError("target outside the span of the section characters")
-    coords = {}
-    for (i, mode), t in zip([p for p in plan if p[1] != "dependent"], sol):
-        coords[i] = (t, 1) if mode == "critical-y" else (1, t)
-    for i, mode in plan:
-        if mode == "dependent":
-            coords[i] = (0, 0)
+    coords = [(0, 0)] * count
+    for i, t in zip(plan, sol):
+        coords[i] = (1, t)
     return coords
 
 
@@ -236,13 +208,6 @@ def _zero_weight_pairs(rep, cols):
     return pairs
 
 
-def torus_section(rep, component_hint="x"):
-    """Exact section with m_t(sigma(a)) = a on a* along the model's own
-    reduction chain, for any model (on a torus module a* is the span of the
-    characters); component_hint selects the chart at critical weights."""
-    return build_section(rep, run_reduction(rep.spec), component_hint)
-
-
 def central_element_for(datum, chi, killed=()):
     """Coweight functional vanishing on the datum's roots and on previously
     peeled characters, pairing to one with chi."""
@@ -257,43 +222,10 @@ def central_element_for(datum, chi, killed=()):
     return sol
 
 
-def char_reduction_phi(rep, v0_char, t, y, v):
-    """Affine change of chart along a one-dimensional submodule: returns
-    Phi(v, t, y) with the character component of the moment value equal to
-    t*y and the complementary component equal to that of v.
-
-    v must be exactly omega-orthogonal to the v0/v0^- pair; y must be nonzero."""
-    y = canon(y)
-    t = canon(t)
-    if y == 0:
-        raise DomainError("y must be nonzero")
-    v0 = cvec(v0_char)
-    chi = rep.weight_of(v0)
-    neg = tuple(-x for x in chi)
-    v0m = hyperbolic_partner(rep, v0, weight_kernel(rep, neg, "f"))
-    if v0m is None:
-        raise InternalConsistencyError(
-            f"no lowest weight vector of weight {neg} pairs with v0"
-        )
-    v = cvec(v)
-    if rep.omega_exact(v, v0) != 0 or rep.omega_exact(v, v0m) != 0:
-        raise DomainError("v must lie in the omega-complement of the pair")
-    if is_zero_vec(chi):
-        x = t
-    else:
-        xi_c = central_element_for(rep.datum, chi)
-        fv = vdot(_weight_moments(rep, [int_scaled(v)])[0], xi_c)
-        # omega(v0m, v0) = 1 makes the pair contribute -x*y to the chi-part;
-        # the character component of the image is t*y
-        x = canon((Fraction(fv) - Fraction(t) * Fraction(y)) / Fraction(y))
-    return lincomb([1, x, y], [v, v0, v0m], rep.dim), cvec(v0m)
-
-
 @dataclass
 class SectionLayer:
     v0: tuple
     v0m: tuple
-    chi: tuple
     xi_c: tuple
 
 
@@ -304,17 +236,12 @@ class SectionMap:
     terminal_pairs: tuple
     terminal_plan: tuple
     terminal_solver: object  # _plan_solver of the terminal plan
-    killed: tuple          # chi per layer, outermost first
     a_star_basis: tuple
 
-    def apply(self, a):
-        """Exact section value with t-moment equal to a; raises DomainError
-        when a is outside the span of a*."""
-        return self.points([a])[0]
-
     def points(self, targets):
-        """The exact section values of a list of targets, as apply gives
-        them one by one.  Each point is carried as (q, den), an int vector
+        """The exact section values of a list of targets, each with
+        t-moment equal to its target; DomainError for a target outside the
+        span of a*.  Each point is carried as (q, den), an int vector
         over its own common denominator: each layer's x for every point
         comes from one int weight-moment pass, and one final pass checks
         m_t(p) = a for each target."""
@@ -328,8 +255,8 @@ class SectionMap:
         ]
         pts = []
         for a in targets:
-            coords = _plan_coords(self.terminal_plan, self.terminal_solver(a))
-            coeffs = [c for i in range(count) for c in coords[i]]
+            coords = _plan_coords(count, self.terminal_plan, self.terminal_solver(a))
+            coeffs = [c for xy in coords for c in xy]
             pts.append(_combine(([0] * rep.dim, 1), zip(coeffs, vecs)))
         for layer in reversed(self.layers):
             # the moments pair with the int functional e xi_c
@@ -351,7 +278,7 @@ class SectionMap:
         return [unscaled(q, den) for q, den in pts]
 
 
-def build_section(rep, reduction, component_hint="x"):
+def build_section(rep, reduction):
     """Section of the invariant moment map along the reduction chain of the
     model's module.  Exact; validated against the combinatorial a*.
 
@@ -379,7 +306,7 @@ def build_section(rep, reduction, component_hint="x"):
                 )
         sbar_rows = [rep.omega_row(v0), rep.omega_row(v0m)]
         cols = cut_columns(rep, s_cols, sbar_rows)
-        layers.append(SectionLayer(v0=v0, v0m=v0m, chi=chi, xi_c=xi_c))
+        layers.append(SectionLayer(v0=v0, v0m=v0m, xi_c=xi_c))
         killed.append(chi)
         current = step.s_spec
     # terminal stage: keep the character columns, zero the symplectic blocks
@@ -391,7 +318,7 @@ def build_section(rep, reduction, component_hint="x"):
             char_cols.append(col)
     pairs = _character_pairs_from_columns(rep, char_cols)
     chis = [p.chi for p in pairs]
-    plan = _plan_pairs(chis, killed, component_hint)
+    plan = _plan_pairs(chis, killed)
     span_rows = [p.chi for p in pairs if not is_zero_vec(p.chi)] + killed
     basis = echelon_basis(span_rows)
     if not same_span(list(basis), list(td.a_star_basis)):
@@ -404,7 +331,6 @@ def build_section(rep, reduction, component_hint="x"):
         terminal_pairs=tuple(pairs),
         terminal_plan=tuple(plan),
         terminal_solver=_plan_solver(chis, killed, plan),
-        killed=tuple(killed),
         a_star_basis=tuple(basis),
     )
 

@@ -15,7 +15,8 @@ instead of Chevalley's structure constants.  The float moment maps are evaluated
 basis matrix at a time; the Jacobian ranks, the coisotropy test, the
 q-embedding and the commuting square one sample at a time with per-entry
 loops; the weight moment over Fractions, and the section's
-terminal coordinates by a fresh span solve per target and peeled character.
+terminal coordinates on the critical-first plan, by a fresh span solve per
+target and peeled character.
 Symmetric powers in int keys are formed over the whole key box, with no
 height cut (`symmetric_power_multisets`), and a generic point's orbit is
 walked whole and counted (`generic_orbit`).
@@ -26,8 +27,13 @@ Row reduction here is `rref_oracle`, Gauss-Jordan over Fractions, and
 `nullspace_oracle` on top of it, independent of the library's fraction-free
 elimination; every span solve is `span_coords_oracle`, an rref_oracle of
 [M | v] per vector, independent of the library's `span_solver`.
+Helpers that only the tests read live here too: `sparse_rows`, the dense
+view `lie_matrix_exact`, the float `omega` of a model, and
+`lemma2chi_conditions`, the arithmetic sufficient conditions for a singular
+highest weight.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -35,12 +41,7 @@ from operator import mul
 
 import numpy as np
 
-from symprep.errors import (
-    DomainError,
-    InternalConsistencyError,
-    SingularSystem,
-    SOutsideDomain,
-)
+from symprep.errors import DomainError, InternalConsistencyError, SymprepError
 from symprep.linalg import (
     canon,
     cvec,
@@ -56,6 +57,7 @@ from symprep.linalg import (
     transpose,
     vdot,
     vscale,
+    vsub,
 )
 from symprep.matrixrep import (
     FactorBlock,
@@ -67,9 +69,9 @@ from symprep.matrixrep import (
     simple_coords,
     weight_kernel,
 )
-from symprep.classify import WeightStatus, weight_status
+from symprep.classify import WeightStatus, is_singular_weight, weight_status
 from symprep.numeric import DOMAIN_TOL, RANK_TOL, factor_matrix_forms, seeded_samples
-from symprep.reps import _int_key
+from symprep.reps import DualityClass, _int_key, duality_class
 from symprep.rootdata import (
     _generic_point,
     _length_data,
@@ -77,6 +79,22 @@ from symprep.rootdata import (
     positive_roots,
 )
 from symprep.sections import _plan_coords
+
+
+def sparse_rows(a):
+    """Each row of a dense matrix as the tuple of its nonzero entries
+    (column, value)."""
+    return tuple(tuple((j, canon(x)) for j, x in enumerate(row) if x) for row in a)
+
+
+def lie_matrix_exact(rep, label):
+    """A dense view of the exact matrix of a model's Lie basis element."""
+    return dense(rep.lie_exact[rep.lie_index[label]], rep.dim)
+
+
+def omega(rep, u, v):
+    """omega(u, v) = u J v in floats."""
+    return float(np.asarray(u) @ rep.j @ np.asarray(v))
 
 
 def mat_mul(a, b):
@@ -805,8 +823,8 @@ def assembled_lie_oracle(rep):
         def simple(i):
             return tuple(1 if j == i else 0 for j in range(frank))
 
-        lx = {simple(i): rep.lie_matrix_exact(("e", glob(simple(i)))) for i in range(frank)}
-        ly = {simple(i): rep.lie_matrix_exact(("f", glob(simple(i)))) for i in range(frank)}
+        lx = {simple(i): lie_matrix_exact(rep, ("e", glob(simple(i)))) for i in range(frank)}
+        ly = {simple(i): lie_matrix_exact(rep, ("f", glob(simple(i)))) for i in range(frank)}
         recipes = root_recipes(letter, frank)
         for coords in sorted(recipes, key=sum):
             i, lower, c = recipes[coords]
@@ -817,7 +835,7 @@ def assembled_lie_oracle(rep):
         y.update({glob(c): m for c, m in ly.items()})
     labels = [("h", i) for i in range(datum.rank)]
     labels += [("z", l) for l in range(datum.central_rank)]
-    mats = [rep.lie_matrix_exact(lab) for lab in labels]
+    mats = [lie_matrix_exact(rep, lab) for lab in labels]
     for r in positive_roots(datum):
         labels += [("e", r.coords), ("f", r.coords)]
         mats += [x[r.coords], y[r.coords]]
@@ -1002,17 +1020,21 @@ def weight_moment_oracle(rep, p):
     return lincomb(coeffs, rep.weight_labels, rep.datum.ambient_dim)
 
 
-def section_apply_oracle(section, a):
+def section_apply_oracle(section, a, coords=None):
     """A section's value at one target as one exact pass: its terminal
-    coordinates from one solve, the point built from them, then layer by
-    layer x from the weight moment over Fractions (weight_moment_oracle),
-    and the target checked against the moment of the result."""
+    coordinates (the section's own plan and solver unless given), the point
+    built from them, then layer by layer x from the weight moment over
+    Fractions (weight_moment_oracle), and the target checked against the
+    moment of the result."""
     a = cvec(a)
     rep = section.rep
-    coords = _plan_coords(section.terminal_plan, section.terminal_solver(a))
+    if coords is None:
+        coords = _plan_coords(
+            len(section.terminal_pairs), section.terminal_plan, section.terminal_solver(a)
+        )
     coeffs, vecs = [], []
-    for i, pair in enumerate(section.terminal_pairs):
-        coeffs += coords[i]
+    for xy, pair in zip(coords, section.terminal_pairs):
+        coeffs += xy
         vecs += [pair.x_vec, pair.y_vec]
     p = lincomb(coeffs, vecs, rep.dim)
     for layer in reversed(section.layers):
@@ -1026,6 +1048,19 @@ def section_apply_oracle(section, a):
             f"section misses its target: m_t = {m}, wanted {a}"
         )
     return p
+
+
+def critical_first_points_oracle(section, killed, targets):
+    """A section's values at the targets with the terminal coordinates of
+    the critical-first plan (plan_pairs_oracle, apply_plan_oracle) instead
+    of the section's own; killed are the characters of the reduction
+    steps, outermost first."""
+    chis = [pair.chi for pair in section.terminal_pairs]
+    plan = plan_pairs_oracle(chis, killed)
+    return [
+        section_apply_oracle(section, a, apply_plan_oracle(chis, killed, plan, a))
+        for a in targets
+    ]
 
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -1075,20 +1110,22 @@ def rho_psg_oracle(datum, spec):
 
 def apply_plan_oracle(chis, killed, plan, a):
     """A section's terminal coordinates (x_i, y_i) for the target a, with
-    every coefficient found by a fresh span_coords_oracle solve."""
+    every coefficient found by a fresh span_coords_oracle solve: each
+    critical character of the plan peeled off with (1, t), then (1, t) on
+    the basis characters and (0, 0) on the dependent ones."""
     killed_rows = [cvec(k) for k in killed]
     a_rem = cvec(a)
     coords = {}
     peeled = []
     for i, mode in plan:
-        if not mode.startswith("critical"):
+        if mode != "critical":
             continue
         rest = [chis[j] for j, _ in plan if j != i and j not in peeled]
         sol = span_coords_oracle([chis[i]] + rest + killed_rows, a_rem)
         if sol is None:
             raise DomainError("target outside the span of the section characters")
         t = sol[0]
-        coords[i] = (t, 1) if mode == "critical-y" else (1, t)
+        coords[i] = (1, t)
         a_rem = cvec(tuple(x - t * c for x, c in zip(a_rem, chis[i])))
         peeled.append(i)
     basis_idx = [i for i, mode in plan if mode == "basis"]
@@ -1101,15 +1138,16 @@ def apply_plan_oracle(chis, killed, plan, a):
     for i, mode in plan:
         if mode == "dependent":
             coords[i] = (0, 0)
-    return coords
+    return [coords[i] for i in range(len(chis))]
 
 
-def plan_pairs_oracle(chis, killed, chart):
-    """A section's terminal plan by rescanning: after each critical
-    character is found and peeled, every remaining character is tested
-    again against the rest, with fresh span_coords_oracle solves."""
-    if chart not in ("x", "y"):
-        raise DomainError(f"chart hint must be 'x' or 'y', got {chart!r}")
+def plan_pairs_oracle(chis, killed):
+    """A section's terminal plan, critical characters first, by rescanning:
+    a character is critical when it is nonzero and off the span of all the
+    other remaining rows, and after each one is found and peeled, every
+    remaining character is tested again against the rest, with fresh
+    span_coords_oracle solves; the rest in index order, each a greedy basis
+    pair or a dependent one."""
     remaining = list(range(len(chis)))
     killed_rows = [cvec(k) for k in killed]
     plan = []
@@ -1124,7 +1162,7 @@ def plan_pairs_oracle(chis, killed, chart):
                 break
         if crit is None:
             break
-        plan.append((crit, f"critical-{chart}"))
+        plan.append((crit, "critical"))
         remaining.remove(crit)
     span_rows = list(killed_rows)
     for i in remaining:
@@ -1176,19 +1214,27 @@ def coisotropy_test_oracle(rep, samples, seed):
     return True
 
 
+class SOutsideDomain(Exception):
+    """A sample pairs to zero against the chosen highest weight vector."""
+
+
+class SingularSystem(Exception):
+    """The triangular solve hits a vanishing diagonal entry."""
+
+
 def phi_solve_q_embed_oracle(frame, s):
     """The q-embedding of one vector: the system matrix one omega at a time,
     its triangularity and diagonal checked entry by entry, one solve."""
     rep, du, emats, fv0 = frame.rep, frame.delta_u, frame.emats, frame.fv0
-    if abs(rep.omega(s, frame.v0f)) < DOMAIN_TOL:
+    if abs(omega(rep, s, frame.v0f)) < DOMAIN_TOL:
         raise SOutsideDomain("omega(s, v0) is below the domain tolerance")
     k = len(du)
     a = np.zeros((k, k))
     rhs = np.zeros(k)
     for ai in range(k):
         for bi in range(k):
-            a[ai, bi] = rep.omega(emats[ai] @ fv0[bi], s)
-        rhs[ai] = -0.5 * rep.omega(emats[ai] @ s, s)
+            a[ai, bi] = omega(rep, emats[ai] @ fv0[bi], s)
+        rhs[ai] = -0.5 * omega(rep, emats[ai] @ s, s)
     scale = max(1.0, float(np.max(np.abs(a))))
     for ai in range(k):
         for bi in range(k):
@@ -1203,9 +1249,9 @@ def phi_solve_q_embed_oracle(frame, s):
             raise SingularSystem(f"triangular diagonal vanishes at {du[ai].coords}")
     coeff = np.linalg.solve(a, rhs)
     q = s + sum(c * fv for c, fv in zip(coeff, fv0))
-    res_sigma = max((abs(rep.omega(em @ q, q)) for em in emats), default=0.0)
-    res_perp = max((abs(rep.omega(fv, q)) for fv in fv0), default=0.0)
-    return q, coeff, a, res_sigma, res_perp
+    res_sigma = max((abs(omega(rep, em @ q, q)) for em in emats), default=0.0)
+    res_perp = max((abs(omega(rep, fv, q)) for fv in fv0), default=0.0)
+    return q, res_sigma, res_perp
 
 
 def verify_commute_oracle(frame, s):
@@ -1227,6 +1273,18 @@ def verify_commute_oracle(frame, s):
     return emb, res_levi, res_char
 
 
+def commute_refusals_oracle(frame, pts):
+    """The indices of the rows of the stack pts that verify_commute_oracle
+    refuses as outside the domain or singular."""
+    out = []
+    for i, s in enumerate(pts):
+        try:
+            verify_commute_oracle(frame, s)
+        except (SOutsideDomain, SingularSystem):
+            out.append(i)
+    return out
+
+
 def commute_samples_oracle(frame, rng, samples):
     """The sequential sampling loop over the slice: one draw and one
     verify_commute_oracle per attempt, at most 20 * samples attempts.
@@ -1244,3 +1302,63 @@ def commute_samples_oracle(frame, rng, samples):
         accepted.append(attempts - 1)
         qs.append(emb[0])
     return accepted, qs
+
+
+@dataclass(frozen=True)
+class TwoChiReport:
+    chi: tuple
+    symplectic_type: bool       # hypothesis: the irreducible carries a
+    double_is_root: bool        # symplectic form.  2 chi in Delta+
+    double_is_2a_minus_b: bool  # 2 chi = 2 alpha - beta
+    double_is_a_plus_b: bool    # 2 chi = alpha + beta
+    chi_is_root: bool
+    singular: bool
+
+    @property
+    def any_condition(self):
+        return (
+            self.double_is_root
+            or self.double_is_2a_minus_b
+            or self.double_is_a_plus_b
+        )
+
+
+def lemma2chi_conditions(datum, chi):
+    """Arithmetic sufficient conditions for singularity of the highest weight
+    of an irreducible symplectic module, by brute force over pairs of positive
+    roots.  The implications only hold under the symplectic-type hypothesis;
+    both are asserted here."""
+    chi = cvec(chi)
+    if not datum.is_dominant(chi):
+        raise SymprepError(f"{chi} is not dominant")
+    two_chi = cvec(tuple(2 * x for x in chi))
+    pos = [r.vec for r in positive_roots(datum)]
+    posset = set(pos)
+    cond1 = two_chi in posset
+    cond2 = any(
+        cvec(vsub(tuple(2 * x for x in a), b)) == two_chi for a in pos for b in pos
+    )
+    cond3 = any(
+        cvec(tuple(x + y for x, y in zip(a, b))) == two_chi for a in pos for b in pos
+    )
+    singular, _ = is_singular_weight(datum, chi)
+    rep = TwoChiReport(
+        chi=chi,
+        symplectic_type=duality_class(datum, chi) is DualityClass.SYMPLECTIC,
+        double_is_root=cond1,
+        double_is_2a_minus_b=cond2,
+        double_is_a_plus_b=cond3,
+        chi_is_root=chi in posset,
+        singular=singular,
+    )
+    if rep.symplectic_type and rep.any_condition and not singular:
+        raise InternalConsistencyError(
+            f"arithmetic singularity condition fired for non-singular {chi}"
+        )
+    if rep.symplectic_type and rep.chi_is_root:
+        raise InternalConsistencyError(
+            f"symplectic highest weight {chi} lies in Delta+"
+        )
+    if singular and rep.chi_is_root:
+        raise InternalConsistencyError(f"singular weight {chi} lies in Delta+")
+    return rep

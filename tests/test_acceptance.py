@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from symprep.classify import WeightStatus, weight_status
-from symprep.errors import SingularSystem, SOutsideDomain
 from symprep.linalg import mat_vec, same_span, vdot
 from symprep.matrixrep import build_rep
 from symprep.numeric import (
@@ -31,19 +30,18 @@ from symprep.reps import (
     validate_symplectic_spec,
 )
 from symprep.rootdata import build_root_datum, rho_vee
-from symprep.sections import (
-    build_section,
-    torus_moment_exact,
-    torus_section,
-    verify_section,
-)
+from symprep.sections import build_section, verify_section
 from symprep.verify import verify_suite
 
 from corpus import A1, A2, A3, C2, C3, T1, T2, catalog, nonterminal_catalog
 from oracles import (
+    commute_refusals_oracle,
+    critical_first_points_oracle,
     invariant_dims_oracle,
     kostant_weight_multiset,
+    plan_pairs_oracle,
     subspace_normalizer_oracle,
+    weight_moment_oracle,
     weyl_matrices_bruteforce,
 )
 
@@ -219,34 +217,26 @@ def test_criterion_7_local_structure_verification():
         chi = terminal_decomposition(spec).witness
         frame = local_frame(rep, chi)
         bmat = np.array([[float(x) for x in b] for b in frame.s_basis]).T
-        rng = np.random.default_rng(42)
-        done = 0
-        attempts = 0
-        worst = 0.0
-        while done < 20 and attempts < 400:
-            attempts += 1
-            s = bmat @ rng.standard_normal(bmat.shape[1])
-            try:
-                out = verify_commute(frame, s)
-            except (SOutsideDomain, SingularSystem):
-                continue
-            worst = max(
-                worst,
-                out.embedding.residual_sigma,
-                out.embedding.residual_perp,
-                out.residual_levi,
-                out.residual_charpoly,
-            )
-            done += 1
-        assert done == 20, (name, done)
+        pts = np.random.default_rng(42).standard_normal((20, bmat.shape[1])) @ bmat.T
+        out = verify_commute(frame, pts)
+        kept = out.embedding.kept
+        assert commute_refusals_oracle(frame, pts) == list(np.flatnonzero(~kept)), name
+        assert kept.all(), (name, int(kept.sum()))
+        worst = max(
+            np.max(out.embedding.residual_sigma),
+            np.max(out.embedding.residual_perp),
+            np.max(out.residual_levi),
+            np.max(out.residual_charpoly),
+        )
         assert worst <= 1e-9, (name, worst)
     _report("criterion 7 (local structure)", True, "residuals <= 1e-9")
 
 
 def test_criterion_8_sections():
     """Criterion 8: torus sections are exact on 20 samples including a
-    critical-weight case; the recursive section has residual <= 1e-8 on 20
-    samples per catalog module and meets the zero fiber at a = 0."""
+    critical-weight case, where they equal the critical-first plan's points;
+    the recursive section has residual <= 1e-8 on 20 samples per catalog
+    module and meets the zero fiber at a = 0."""
     # exact torus sections, with a critical weight in the rank-2 case
     from fractions import Fraction
 
@@ -260,8 +250,10 @@ def test_criterion_8_sections():
     ]
     rng = np.random.default_rng(9)
     for rep in torus_cases:
-        sec = torus_section(rep)
-        assert any(mode.startswith("critical") for _, mode in sec.terminal_plan)
+        sec = build_section(rep, run_reduction(rep.spec))
+        chis = [pair.chi for pair in sec.terminal_pairs]
+        assert any(mode == "critical" for _, mode in plan_pairs_oracle(chis, []))
+        targets = []
         for _ in range(20):
             coeffs = [
                 Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5)))
@@ -271,10 +263,12 @@ def test_criterion_8_sections():
                 sum(c * Fraction(b[k]) for c, b in zip(coeffs, sec.a_star_basis))
                 for k in range(rep.datum.ambient_dim)
             )
-            p = sec.apply(a)
-            assert torus_moment_exact(rep, p) == tuple(a)
-        p0 = sec.apply((0,) * rep.datum.ambient_dim)
-        assert torus_moment_exact(rep, p0) == (0,) * rep.datum.ambient_dim
+            targets.append(a)
+        targets.append((0,) * rep.datum.ambient_dim)
+        points = sec.points(targets)
+        for a, p in zip(targets, points):
+            assert weight_moment_oracle(rep, p) == a
+        assert repr(points) == repr(critical_first_points_oracle(sec, [], targets))
     # recursive sections across the catalog
     for name, (spec, _) in catalog().items():
         rep = build_rep(spec)

@@ -5,7 +5,6 @@ import pytest
 from symprep.classify import (
     WeightStatus,
     is_singular_weight,
-    lemma2chi_conditions,
     terminal_decomposition,
     weight_status,
 )
@@ -13,6 +12,7 @@ from symprep.reps import validate_symplectic_spec
 from symprep.rootdata import build_root_datum
 
 from corpus import A1, A2, C2, T1, catalog
+from oracles import lemma2chi_conditions
 
 
 def test_singular_weight_examples():

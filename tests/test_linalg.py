@@ -28,7 +28,6 @@ from symprep.linalg import (
     sparse_comm,
     sparse_kron,
     sparse_mul,
-    sparse_rows,
     sparse_scale,
     sparse_transpose,
     span_solver,
@@ -45,6 +44,7 @@ from oracles import (
     nullspace_oracle,
     rref_oracle,
     span_coords_oracle,
+    sparse_rows,
 )
 
 INTS = st.integers(-10 ** 20, 10 ** 20)

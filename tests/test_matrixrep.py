@@ -15,7 +15,6 @@ from symprep.linalg import (
     mat_vec,
     rank,
     sparse_mul,
-    sparse_rows,
 )
 from symprep.matrixrep import (
     _check_rep,
@@ -42,10 +41,12 @@ from oracles import (
     assembled_lie_oracle,
     dense_comm,
     invariant_symplectic_form_oracle,
+    lie_matrix_exact,
     root_recipes_oracle,
     rref_hyperbolic_pair_oracle,
     sl2_block_oracle,
     sln_standard_block_oracle,
+    sparse_rows,
 )
 
 
@@ -90,8 +91,8 @@ def test_bracket_relations_on_all_roots():
     ):
         rep = build_rep(spec)
         for r in positive_roots(spec.datum):
-            e = rep.lie_matrix_exact(("e", r.coords))
-            f = rep.lie_matrix_exact(("f", r.coords))
+            e = lie_matrix_exact(rep, ("e", r.coords))
+            f = lie_matrix_exact(rep, ("f", r.coords))
             br = dense_comm(e, f)
             diag = rep.coweight_action(r.coroot_vec)
             for a in range(rep.dim):
@@ -102,7 +103,7 @@ def test_bracket_relations_on_all_roots():
 def test_weight_labels_are_torus_eigenvalues():
     rep = build_rep(validate_symplectic_spec(C2, [((1, 0), 1)]))
     for i in range(rep.datum.rank):
-        h = rep.lie_matrix_exact(("h", i))
+        h = lie_matrix_exact(rep, ("h", i))
         for a in range(rep.dim):
             assert h[a][a] == rep.weight_labels[a][i]
 
@@ -136,7 +137,7 @@ def test_weight_kernel_both_sides_across_catalog():
                 for v in vecs:
                     assert rep.weight_of(v) == w, (name, w, side)
                     for i in range(rank):
-                        m = rep.lie_matrix_exact((side, simple_coords(rank, i)))
+                        m = lie_matrix_exact(rep, (side, simple_coords(rank, i)))
                         assert not any(mat_vec(m, v)), (name, w, side, i)
 
 
@@ -431,7 +432,7 @@ def test_check_rep_catches_each_broken_invariant():
         (replace(rep, j_exact=sparse_rows(((0,) * n,) * n)), "J is degenerate"),
         (
             _replace_lie(
-                rep, e1, sparse_rows(_set(rep.lie_matrix_exact(e1), 0, 0, 1))
+                rep, e1, sparse_rows(_set(lie_matrix_exact(rep, e1), 0, 0, 1))
             ),
             f"form not invariant under {e1}",
         ),
@@ -442,7 +443,7 @@ def test_check_rep_catches_each_broken_invariant():
         (
             _replace_lie(
                 rep, e1, sparse_rows(tuple(
-                    tuple(2 * x for x in row) for row in rep.lie_matrix_exact(e1)
+                    tuple(2 * x for x in row) for row in lie_matrix_exact(rep, e1)
                 ))
             ),
             f"[e,f] != coroot action for root {e1[1]}",
@@ -464,7 +465,7 @@ def test_check_rep_catches_a_broken_weight_grading():
         tuple(
             tuple(x + y for x, y in zip(row_e, row_h))
             for row_e, row_h in zip(
-                rep.lie_matrix_exact(e1), rep.lie_matrix_exact(("h", 0))
+                lie_matrix_exact(rep, e1), lie_matrix_exact(rep, ("h", 0))
             )
         )
     )
@@ -494,7 +495,7 @@ def test_per_block_lie_action_and_hyperbolic_pair_match_the_oracles(name):
     rep = build_rep(_oracle_models()[name])
     labels, mats = assembled_lie_oracle(rep)
     assert rep.lie_labels == labels
-    assert repr(tuple(map(rep.lie_matrix_exact, labels))) == repr(mats)
+    assert repr(tuple(lie_matrix_exact(rep, lab) for lab in labels)) == repr(mats)
     for chi, _ in rep.spec.summands:
         got = hyperbolic_pair(rep, chi)
         assert None not in got, chi

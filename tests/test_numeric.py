@@ -7,8 +7,6 @@ from symprep.errors import (
     DimensionMismatch,
     InternalConsistencyError,
     NoReductionAvailable,
-    SingularSystem,
-    SOutsideDomain,
 )
 from symprep import matrixrep, numeric, verify
 from symprep.classify import terminal_decomposition
@@ -23,7 +21,6 @@ from symprep.numeric import (
     moment_eval,
     orbit_directions,
     orbit_estimates,
-    phi_solve_q_embed,
     seeded_samples,
     verify_commute,
 )
@@ -32,12 +29,16 @@ from symprep.rootdata import build_root_datum, weyl_degrees
 
 from corpus import A1, A2, C2, T1, catalog, generic_models, verify_ladder
 from oracles import (
+    SingularSystem,
+    SOutsideDomain,
     coisotropy_test_oracle,
+    commute_refusals_oracle,
     commute_samples_oracle,
     inv_moment_eval_oracle,
     jacobian_oracle,
     jacobian_rank_and_orbit_oracle,
     moment_coords_oracle,
+    omega,
     verify_commute_oracle,
 )
 
@@ -139,12 +140,13 @@ def test_stacked_kernel_matches_the_per_vector_oracle(name):
     invs = inv_moment_eval(rep, vs)
     complex_vs = vs + 1j * np.roll(vs, 1, axis=1)
     complex_invs = inv_moment_eval(rep, complex_vs)
+    jacs = jacobian_inv_moment(rep, vs)
     for k, v in enumerate(vs):
         assert _close(coords[k], moment_coords_oracle(rep, v))
         assert _close(moment_coords(rep, v), moment_coords_oracle(rep, v))
         assert _close(invs[k], inv_moment_eval_oracle(rep, v))
         assert _close(complex_invs[k], inv_moment_eval_oracle(rep, complex_vs[k]))
-        jac, want = jacobian_inv_moment(rep, v), jacobian_oracle(rep, v)
+        jac, want = jacs[k], jacobian_oracle(rep, v)
         assert _close(jac, want)
         assert _numeric_rank(jac) == _numeric_rank(want)
 
@@ -161,7 +163,7 @@ def test_one_kernel_call_per_jacobian(monkeypatch):
     rep = build_rep(verify_ladder()["C3_std_x2"])
     n = rep.dim
     vs = seeded_samples(np.random.default_rng(1), n, 30)
-    jacobian_inv_moment(rep, vs[0])
+    jacobian_inv_moment(rep, vs[:1])
     assert calls == [(n, n)]
     for count in (6, 30):
         chunks = numeric._chunks(count, n * len(rep.lie) * n)
@@ -185,49 +187,42 @@ def _frame_models():
     return out
 
 
+def _slice_stack(frame, rng, count):
+    """count random points of the slice, as one stack."""
+    bmat = np.array([[float(x) for x in b] for b in frame.s_basis]).T
+    return rng.standard_normal((count, bmat.shape[1])) @ bmat.T
+
+
 def _slice_points(frame, rng, count):
     """count random points of the slice, a zero row, and a point whose
     pairing with v0 is cancelled to rounding level."""
-    bmat = np.array([[float(x) for x in b] for b in frame.s_basis]).T
-    pts = rng.standard_normal((count, bmat.shape[1])) @ bmat.T
+    pts = _slice_stack(frame, rng, count)
+    basis = np.array([[float(x) for x in b] for b in frame.s_basis])
     rep, v0 = frame.rep, frame.v0f
-    w = max(bmat.T, key=lambda b: abs(rep.omega(b, v0)))
-    cancelled = pts[0] - rep.omega(pts[0], v0) / rep.omega(w, v0) * w
+    w = max(basis, key=lambda b: abs(omega(rep, b, v0)))
+    cancelled = pts[0] - omega(rep, pts[0], v0) / omega(rep, w, v0) * w
     return np.concatenate([pts[:2], np.zeros((1, rep.dim)), pts[2:], cancelled[None]])
 
 
 @pytest.mark.parametrize("name", sorted(_frame_models()))
 def test_stacked_q_embedding_matches_the_per_sample_oracle(name):
+    """Each kept row of one stacked call equals the per-sample oracle, and
+    the rows the oracle refuses are exactly the rows not kept."""
     rep, chi = _frame_models()[name]
     frame = local_frame(rep, chi)
     pts = _slice_points(frame, np.random.default_rng(23), 6)
-    emb = phi_solve_q_embed(frame, pts)
     rc = verify_commute(frame, pts)
-    assert np.array_equal(rc.embedding.kept, emb.kept)
+    emb = rc.embedding
     assert not emb.kept[2] and not emb.kept[-1] and emb.kept.sum() == 6
-    row = 0
-    for i, s in enumerate(pts):
-        try:
-            want = verify_commute_oracle(frame, s)
-        except (SOutsideDomain, SingularSystem) as exc:
-            assert not emb.kept[i]
-            for call in (phi_solve_q_embed, verify_commute):
-                with pytest.raises(type(exc)):
-                    call(frame, s)
-            continue
-        assert emb.kept[i]
-        one = verify_commute(frame, s)
-        fields = ("q", "xi_minus", "system_matrix", "residual_sigma", "residual_perp")
-        stacked = [getattr(e, f)[row] for f in fields for e in (emb, rc.embedding)]
-        single = [getattr(one.embedding, f) for f in fields for _ in range(2)]
-        stacked += [rc.residual_levi[row], rc.residual_charpoly[row]]
-        single += [one.residual_levi, one.residual_charpoly]
-        oracle = [w for w in want[0] for _ in range(2)] + list(want[1:])
-        for got, got_one, w in zip(stacked, single, oracle, strict=True):
-            assert _close(np.asarray(got), np.asarray(w))
-            assert _close(np.asarray(got_one), np.asarray(w))
-        row += 1
-    assert row == len(emb.q) == len(rc.residual_levi)
+    assert commute_refusals_oracle(frame, pts) == list(np.flatnonzero(~emb.kept))
+    for row, s in enumerate(pts[emb.kept]):
+        (q, res_sigma, res_perp), res_levi, res_char = verify_commute_oracle(frame, s)
+        got = (emb.q, emb.residual_sigma, emb.residual_perp,
+               rc.residual_levi, rc.residual_charpoly)
+        want = (q, res_sigma, res_perp, res_levi, res_char)
+        for field, w in zip(got, want, strict=True):
+            assert _close(np.asarray(field[row]), np.asarray(w))
+    assert len(emb.q) == len(rc.residual_levi) == emb.kept.sum()
 
 
 @pytest.mark.parametrize("name", sorted(_kernel_models()))
@@ -382,55 +377,57 @@ def test_phi_solve_examples():
     for summands, chi in [([((1,), 2)], (1,)), ([((3,), 1)], (3,))]:
         rep = _rep(A1, summands)
         frame = local_frame(rep, chi)
-        du, basis = frame.delta_u, frame.s_basis
-        assert len(du) == 1
-        bmat = np.array([[float(x) for x in b] for b in basis]).T
-        s = bmat @ rng.standard_normal(bmat.shape[1])
-        emb = phi_solve_q_embed(frame, s)
-        assert emb.system_matrix.shape == (1, 1)
-        assert emb.residual_sigma <= 1e-12
-        assert emb.residual_perp <= 1e-12
+        assert len(frame.delta_u) == 1
+        emb = verify_commute(frame, _slice_stack(frame, rng, 3)).embedding
+        assert emb.kept.all()
+        assert np.max(emb.residual_sigma) <= 1e-12
+        assert np.max(emb.residual_perp) <= 1e-12
     # 2x2 triangular system
     rep = _rep(A2, [((1, 0), 1), ((0, 1), 1)])
     frame = local_frame(rep, (1, 0))
-    du, basis = frame.delta_u, frame.s_basis
+    du = frame.delta_u
     assert len(du) == 2
-    bmat = np.array([[float(x) for x in b] for b in basis]).T
-    s = bmat @ rng.standard_normal(bmat.shape[1])
-    emb = phi_solve_q_embed(frame, s)
+    emb = verify_commute(frame, _slice_stack(frame, rng, 3)).embedding
     heights = [r.height for r in du]
     assert heights == sorted(heights)
-    assert emb.residual_sigma <= 1e-12
+    assert emb.kept.all()
+    assert np.max(emb.residual_sigma) <= 1e-12
 
 
 def test_phi_solve_domain_guard():
+    """A slice direction pairing to zero with v0 is outside the domain: the
+    oracle refuses it and the stack drops its row."""
     rep = _rep(A1, [((1,), 2)])
     frame = local_frame(rep, (1,))
     v0, basis = frame.v0, frame.s_basis
-    # v0m has omega(s, v0) = -1... pick the S-direction pairing to zero
-    dead = next(
-        b for b in basis if rep.omega_exact(b, v0) == 0
-    )
+    dead = next(b for b in basis if rep.omega_exact(b, v0) == 0)
+    live = _slice_stack(frame, np.random.default_rng(4), 2)
+    pts = np.concatenate([[[float(x) for x in dead]], live])
     with pytest.raises(SOutsideDomain):
-        phi_solve_q_embed(frame, np.array([float(x) for x in dead]))
+        verify_commute_oracle(frame, pts[0])
+    assert verify_commute(frame, pts).embedding.kept.tolist() == [False, True, True]
+    assert commute_refusals_oracle(frame, pts) == [0]
 
 
 def test_phi_solve_singular_guard():
-    """A vanishing diagonal entry raises SingularSystem for one vector and
-    drops the row from a stack.  e_r f_r v0 is a multiple of v0, so on a
+    """A vanishing diagonal entry drops the row from a stack, and the
+    oracle refuses it as singular.  e_r f_r v0 is a multiple of v0, so on a
     real frame the diagonal vanishes only with omega(s, v0); the frame here
-    has e_a f_a v0 zeroed for the first root a."""
+    has f_a v0 zeroed for the first root a."""
     rep, chi = _frame_models()["sl3_std_dual"]
     frame = local_frame(rep, chi)
-    efv0 = frame.efv0.copy()
-    efv0[0, 0] = 0.0
-    broken = replace(frame, efv0=efv0)
+    fv0 = frame.fv0.copy()
+    fv0[0] = 0.0
+    broken = replace(frame, fv0=fv0, efv0=fv0 @ np.swapaxes(frame.emats, 1, 2))
     pts = _slice_points(frame, np.random.default_rng(2), 3)
-    assert phi_solve_q_embed(frame, pts).kept.sum() == 3
+    kept = verify_commute(frame, pts).embedding.kept
+    assert kept.sum() == 3
     assert not verify_commute(broken, pts).embedding.kept.any()
-    with pytest.raises(SingularSystem) as exc:
-        phi_solve_q_embed(broken, pts[0])
-    assert str(exc.value).endswith(str(frame.delta_u[0].coords))
+    assert commute_refusals_oracle(broken, pts) == list(range(len(pts)))
+    for s in pts[kept]:
+        with pytest.raises(SingularSystem) as exc:
+            verify_commute_oracle(broken, s)
+        assert str(exc.value).endswith(str(frame.delta_u[0].coords))
 
 
 def test_verify_commute_examples():
@@ -441,16 +438,10 @@ def test_verify_commute_examples():
     ]:
         rep = _rep(datum, summands)
         frame = local_frame(rep, chi)
-        basis = frame.s_basis
-        bmat = np.array([[float(x) for x in b] for b in basis]).T
-        for _ in range(5):
-            s = bmat @ rng.standard_normal(bmat.shape[1])
-            try:
-                out = verify_commute(frame, s)
-            except SOutsideDomain:
-                continue
-            assert out.residual_levi <= 1e-10
-            assert out.residual_charpoly <= 1e-10
+        out = verify_commute(frame, _slice_stack(frame, rng, 5))
+        assert out.embedding.kept.any()
+        assert np.max(out.residual_levi) <= 1e-10
+        assert np.max(out.residual_charpoly) <= 1e-10
 
 
 def test_local_frame_names_the_missing_lowest_weight(monkeypatch):
@@ -510,7 +501,7 @@ def test_poisson_pullbacks_commute():
         for _ in range(3):
             v = rng.standard_normal(rep.dim)
             v /= np.linalg.norm(v)
-            grads = jacobian_inv_moment(rep, v)
+            grads = jacobian_inv_moment(rep, v[None])[0]
             brackets = gradient_bracket(rep, grads, grads)
             for i in range(len(grads)):
                 for j in range(i + 1, len(grads)):
@@ -526,7 +517,7 @@ def test_equivariance_spot():
     ginv = np.linalg.inv(g)
     for i, m in enumerate(rep.lie):
         lhs = moment_coords(rep, g @ v)[i]
-        rhs = 0.5 * rep.omega((ginv @ m @ g) @ v, v)
+        rhs = 0.5 * omega(rep, (ginv @ m @ g) @ v, v)
         assert abs(lhs - rhs) <= 1e-10
 
 

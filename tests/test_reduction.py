@@ -6,12 +6,11 @@ import pytest
 
 from symprep import reduction, rootdata
 from symprep.cli import parse_spec
-from symprep.errors import InternalConsistencyError, NoNonTerminalWeight, WeylCapExceeded
+from symprep.errors import InternalConsistencyError, WeylCapExceeded
 from symprep.linalg import mat_vec, same_span
 from symprep.reduction import (
     analyze,
     centralizer_levi,
-    choose_nonterminal_weight,
     compute_gamma,
     reduce_step,
     reduce_to_gamma,
@@ -43,34 +42,33 @@ C3T1 = ([("C", 3)], 1, [((0, 1, 2, 0), 2), ((0, 2, 2, 0), 2)])
 
 
 def test_choose_nonterminal_weight():
-    assert choose_nonterminal_weight(
-        validate_symplectic_spec(A1, [((1,), 2)])
-    ) == (1,)
-    assert choose_nonterminal_weight(
-        validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)])
-    ) == (1, 0)
-    assert choose_nonterminal_weight(
-        validate_symplectic_spec(A1, [((3,), 1)])
-    ) == (3,)
-    with pytest.raises(NoNonTerminalWeight):
-        choose_nonterminal_weight(validate_symplectic_spec(C2, [((1, 0), 1)]))
+    """The reduction's first step takes the witness of the terminal
+    decomposition, and a terminal module takes no step."""
+    def first(datum, summands):
+        trace, _ = run_reduction(validate_symplectic_spec(datum, summands))
+        return trace[0].chosen_chi if trace else None
+
+    assert first(A1, [((1,), 2)]) == (1,)
+    assert first(A2, [((1, 0), 1), ((0, 1), 1)]) == (1, 0)
+    assert first(A1, [((3,), 1)]) == (3,)
+    assert first(C2, [((1, 0), 1)]) is None
 
 
 def test_reduce_step_examples():
     step, s = reduce_step(validate_symplectic_spec(A1, [((1,), 2)]), (1,))
     assert len(step.delta_u) == 1
     assert step.levi.rank == 0
-    assert dict(step.s_weights) == {(1,): 1, (-1,): 1}
+    assert dict(s.weight_multiset()) == {(1,): 1, (-1,): 1}
 
     step, s = reduce_step(
         validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)]), (1, 0)
     )
     assert len(step.delta_u) == 2
     assert step.levi.factors == (("A", 1),)
-    assert sum(dict(step.s_weights).values()) == 2
+    assert sum(s.weight_multiset().values()) == 2
 
     step, s = reduce_step(validate_symplectic_spec(A1, [((3,), 1)]), (3,))
-    assert dict(step.s_weights) == {(3,): 1, (-3,): 1}
+    assert dict(s.weight_multiset()) == {(3,): 1, (-3,): 1}
 
 
 def test_step_conservation_across_catalog():
@@ -79,7 +77,7 @@ def test_step_conservation_across_catalog():
         current = spec
         for step in trace:
             assert step.s_spec.dim == current.dim - 2 * len(step.delta_u)
-            ws = dict(step.s_weights)
+            ws = dict(step.s_spec.weight_multiset())
             assert ws == {tuple(-x for x in w): m for w, m in ws.items()}
             current = step.s_spec
 
@@ -119,7 +117,7 @@ def test_centralizer_levi_examples():
     _, td = run_reduction(validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)]))
     levi = centralizer_levi(A2, td.a_star_basis, expect=td.terminal_group)
     assert levi.factors == (("A", 1),)
-    levi = centralizer_levi(C2, [], expect=None)
+    levi = centralizer_levi(C2, [], expect=C2)
     assert levi.factors == (("C", 2),)
     _, td = run_reduction(validate_symplectic_spec(A1, [((1,), 2)]))
     levi = centralizer_levi(A1, td.a_star_basis, expect=td.terminal_group)

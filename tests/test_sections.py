@@ -10,7 +10,7 @@ from symprep.errors import DomainError, InternalConsistencyError
 from symprep.linalg import cvec, int_scaled, lincomb, same_span
 from symprep.matrixrep import build_rep
 from symprep.numeric import inv_moment_eval
-from symprep.reduction import run_reduction
+from symprep.reduction import analyze, run_reduction
 from symprep.reps import validate_symplectic_spec
 from symprep.rootdata import build_root_datum
 from symprep.sections import (
@@ -19,11 +19,7 @@ from symprep.sections import (
     _plan_solver,
     _weight_moments,
     build_section,
-    central_element_for,
-    char_reduction_phi,
     rho_psg,
-    torus_moment_exact,
-    torus_section,
     verify_section,
 )
 
@@ -40,6 +36,7 @@ from corpus import (
 )
 from oracles import (
     apply_plan_oracle,
+    critical_first_points_oracle,
     plan_pairs_oracle,
     rho_psg_oracle,
     section_apply_oracle,
@@ -51,122 +48,73 @@ def _rep(datum, summands):
     return build_rep(validate_symplectic_spec(datum, summands))
 
 
+def _section(rep):
+    return build_section(rep, run_reduction(rep.spec))
+
+
 def test_torus_section_single_pair():
     rep = _rep(T1, [((1,), 1), ((-1,), 1)])
-    sec = torus_section(rep)
-    p = sec.apply((5,))
-    assert torus_moment_exact(rep, p) == (5,)
+    [p] = _section(rep).points([(5,)])
+    assert weight_moment_oracle(rep, p) == (5,)
     assert p == (1, 5)
 
 
 def test_torus_section_two_equal_pairs_hits_zero_fiber():
     rep = _rep(T1, [((1,), 2), ((-1,), 2)])
-    sec = torus_section(rep)
-    p0 = sec.apply((0,))
-    assert torus_moment_exact(rep, p0) == (0,)
+    [p0] = _section(rep).points([(0,)])
+    assert weight_moment_oracle(rep, p0) == (0,)
     # basis chart: x = 1, y = 0 on the basis pair, rest zero
     assert any(x == 1 for x in p0) and sum(1 for x in p0 if x != 0) == 1
 
 
 def test_torus_section_critical_recursion_charts():
+    """Both characters of the rank-2 torus module are critical (each is off
+    the span of the other): the greedy plan gives them the coordinates
+    (1, t) of the critical-first plan in chart x, point for point."""
     rep = _rep(T2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
-    for hint in ("x", "y"):
-        sec = torus_section(rep, component_hint=hint)
-        for a in [(2, 3), (0, 0), (-1, 5), (Fraction(1, 2), 7)]:
-            av = cvec(a)
-            p = sec.apply(av)
-            assert torus_moment_exact(rep, p) == av
-    modes = {mode for _, mode in torus_section(rep).terminal_plan}
-    assert modes == {"critical-x"}
+    sec = _section(rep)
+    chis = [pair.chi for pair in sec.terminal_pairs]
+    assert {mode for _, mode in plan_pairs_oracle(chis, [])} == {"critical"}
+    targets = [cvec(a) for a in [(2, 3), (0, 0), (-1, 5), (Fraction(1, 2), 7)]]
+    points = sec.points(targets)
+    for a, p in zip(targets, points):
+        assert weight_moment_oracle(rep, p) == a
+    assert repr(points) == repr(critical_first_points_oracle(sec, [], targets))
 
 
 def test_torus_section_rejects_targets_off_span():
     rep = _rep(T2, [((1, 0), 1), ((-1, 0), 1)])
-    sec = torus_section(rep)
     with pytest.raises(DomainError):
-        sec.apply((0, 1))
+        _section(rep).points([(0, 1)])
 
 
 def test_torus_section_exactness_on_samples():
     rep = _rep(T2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
-    sec = torus_section(rep)
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        a = cvec((Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))),
-                  Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))))
-        assert torus_moment_exact(rep, sec.apply(a)) == a
+    targets = [
+        cvec((Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))),
+              Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))))
+        for _ in range(20)
+    ]
+    for a, p in zip(targets, _section(rep).points(targets)):
+        assert weight_moment_oracle(rep, p) == a
 
 
 @pytest.mark.parametrize("name", ["sl2_cubic", "sp4_x_sl2", "gl2_std_dual"])
 def test_torus_section_serves_models_with_roots(name):
-    """torus_section takes any model: on one with roots it is the section
-    along the model's own reduction, point for point, in both charts."""
+    """A section takes any model: on one with roots, the section along the
+    model's own reduction is, point for point, the one `verify` builds from
+    an analysis of the spec, and the t-moment of each point, by the
+    Fraction formula, is its target."""
     spec = catalog()[name][0]
     rep = build_rep(spec)
-    for chart in ("x", "y"):
-        want = build_section(rep, run_reduction(spec), chart)
-        targets = _targets(want.a_star_basis, rep.datum.ambient_dim)
-        got = torus_section(rep, chart).points(targets)
-        assert repr(got) == repr(want.points(targets)), chart
-
-
-def test_char_reduction_phi_zero_character():
-    rep = _rep(T1, [((0,), 2), ((1,), 1), ((-1,), 1)])
-    v0 = next(
-        cvec(tuple(1 if k == a else 0 for k in range(rep.dim)))
-        for a in range(rep.dim)
-        if rep.weight_labels[a] == (0,)
-    )
-    out, v0m = char_reduction_phi(rep, v0, Fraction(3), Fraction(1),
-                                  cvec((0,) * rep.dim))
-    # chi = 0: plain affine shift v + t v0 + y v0m
-    expected = cvec(tuple(3 * a + b for a, b in zip(v0, v0m)))
-    assert out == expected
-
-
-def _unit_of_weight(rep, weight):
-    a = next(i for i, w in enumerate(rep.weight_labels) if w == weight)
-    return cvec(tuple(1 if k == a else 0 for k in range(rep.dim)))
-
-
-def test_char_reduction_phi_moment_decomposition():
-    rep = _rep(T1, [((1,), 1), ((-1,), 1), ((2,), 1), ((-2,), 1)])
-    v0 = _unit_of_weight(rep, (1,))
-    xi_c = central_element_for(rep.datum, (1,))
-    rng = np.random.default_rng(1)
-    from symprep.linalg import vdot
-
-    for _ in range(10):
-        t = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
-        y = Fraction(int(rng.integers(1, 5)))
-        # vbar supported on the (2,) pair, orthogonal to the v0 pair
-        vbar = [0] * rep.dim
-        for i, w in enumerate(rep.weight_labels):
-            if w in ((2,), (-2,)):
-                vbar[i] = int(rng.integers(-3, 4))
-        vbar = cvec(vbar)
-        out, v0m = char_reduction_phi(rep, v0, t, y, vbar)
-        m = torus_moment_exact(rep, out)
-        # character component is exactly t*y
-        assert vdot(m, xi_c) == t * y
-    with pytest.raises(DomainError):
-        char_reduction_phi(rep, v0, Fraction(1), 0, cvec((0,) * rep.dim))
-
-
-def test_char_reduction_phi_at_t_equals_f():
-    rep = _rep(T1, [((1,), 1), ((-1,), 1), ((2,), 1), ((-2,), 1)])
-    v0 = _unit_of_weight(rep, (1,))
-    xi_c = central_element_for(rep.datum, (1,))
-    from symprep.linalg import vdot
-
-    vbar = [0] * rep.dim
-    for i, w in enumerate(rep.weight_labels):
-        if w in ((2,), (-2,)):
-            vbar[i] = 1
-    vbar = cvec(vbar)
-    f = vdot(torus_moment_exact(rep, vbar), xi_c)
-    out, v0m = char_reduction_phi(rep, v0, f, Fraction(1), vbar)
-    assert out == cvec(tuple(a + b for a, b in zip(vbar, v0m)))
+    analysis = analyze(spec)
+    want = build_section(rep, (analysis.trace, analysis.terminal))
+    targets = _targets(want.a_star_basis, rep.datum.ambient_dim)
+    got = _section(rep).points(targets)
+    assert repr(got) == repr(want.points(targets))
+    for a, p in zip(targets, got):
+        assert weight_moment_oracle(rep, p) == a
 
 
 def test_build_section_across_catalog():
@@ -190,9 +138,8 @@ def test_build_section_a_star_matches_reduction():
 
 def test_section_zero_fiber_witness():
     rep = _rep(A1, [((1,), 2)])
-    sec = build_section(rep, run_reduction(rep.spec))
-    p0 = sec.apply((0,))
-    assert torus_moment_exact(rep, p0) == (0,)
+    [p0] = _section(rep).points([(0,)])
+    assert weight_moment_oracle(rep, p0) == (0,)
     iv = inv_moment_eval(rep, np.array([float(x) for x in p0]))
     assert np.max(np.abs(iv)) <= 1e-10
     # the zero-fiber point is not the origin: the section stays inside the
@@ -262,16 +209,18 @@ def _section_models():
     return models
 
 
-@pytest.mark.parametrize("name", sorted(_section_models()) + ["torus_rank2-y"])
+@pytest.mark.parametrize("name", sorted(_section_models()))
 def test_section_apply_solves_no_span_per_target(name, monkeypatch):
     """The terminal coordinates of a section come from one solver factored
-    once in build_section: they equal a fresh span_coords_oracle solve per
-    target and peeled character, off the span of a* too, with no row
-    reduction left at apply time."""
-    hint = "y" if name.endswith("-y") else "x"
-    rep = build_rep(_section_models()[name.removesuffix("-y")])
-    sec = build_section(rep, run_reduction(rep.spec), hint)
+    once in build_section: they equal the critical-first plan's fresh
+    span_coords_oracle solve per target and peeled character, off the span
+    of a* too, with no row reduction left when the points are evaluated."""
+    rep = build_rep(_section_models()[name])
+    reduction = run_reduction(rep.spec)
+    sec = build_section(rep, reduction)
     chis = [q.chi for q in sec.terminal_pairs]
+    killed = [step.chosen_chi for step in reduction[0]]
+    plan = plan_pairs_oracle(chis, killed)
     rng = np.random.default_rng(29)
     n = rep.datum.ambient_dim
     targets = [cvec((0,) * n)]
@@ -282,31 +231,31 @@ def test_section_apply_solves_no_span_per_target(name, monkeypatch):
     want = []
     for a in targets:
         try:
-            want.append(apply_plan_oracle(chis, sec.killed, sec.terminal_plan, a))
+            want.append(apply_plan_oracle(chis, killed, plan, a))
         except DomainError:
             want.append(DomainError)
 
     def no_rref(*args):
-        raise AssertionError("row reduction at apply time")
+        raise AssertionError("row reduction at evaluation time")
 
     monkeypatch.setattr(linalg, "rref", no_rref)
     monkeypatch.setattr(linalg, "_echelon", no_rref)
     for a, expected in zip(targets, want):
         if expected is DomainError:
             with pytest.raises(DomainError):
-                _plan_coords(sec.terminal_plan, sec.terminal_solver(a))
+                _plan_coords(len(chis), sec.terminal_plan, sec.terminal_solver(a))
             with pytest.raises(DomainError):
-                sec.apply(a)
+                sec.points([a])
             continue
-        got = _plan_coords(sec.terminal_plan, sec.terminal_solver(a))
+        got = _plan_coords(len(chis), sec.terminal_plan, sec.terminal_solver(a))
         assert repr(got) == repr(expected)
-        assert torus_moment_exact(rep, sec.apply(a)) == a
+        assert weight_moment_oracle(rep, sec.points([a])[0]) == a
 
 
 @st.composite
 def character_plans(draw):
     """Characters and killed rows of one length, possibly zero or dependent,
-    a chart, and two targets: one in their span and one drawn freely."""
+    and two targets: one in their span and one drawn freely."""
     n = draw(st.integers(1, 3))
     vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
     chis = draw(st.lists(vector, min_size=1, max_size=5))
@@ -314,34 +263,39 @@ def character_plans(draw):
     rows = chis + killed
     coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=3),
                            min_size=len(rows), max_size=len(rows)))
-    return chis, killed, draw(st.sampled_from("xy")), [lincomb(coeffs, rows, n),
-                                                       draw(vector)]
+    return chis, killed, [lincomb(coeffs, rows, n), draw(vector)]
+
+
+def _coords(chis, killed, a):
+    """The terminal coordinates of the greedy plan for the target a."""
+    plan = _plan_pairs(chis, killed)
+    return _plan_coords(len(chis), plan, _plan_solver(chis, killed, plan)(cvec(a)))
 
 
 @given(character_plans())
 def test_one_terminal_solve_equals_the_peeled_solves(problem):
     """Critical, basis and dependent characters mixed (the models above
-    never mix critical and basis ones): the one solve gives the coordinates
-    of a fresh solve per peeled character, and the same DomainError."""
-    chis, killed, chart, targets = problem
-    plan = _plan_pairs(chis, killed, chart)
-    solve = _plan_solver(chis, killed, plan)
+    never mix critical and basis ones): the one solve of the greedy plan
+    gives the coordinates of a fresh solve per peeled character of the
+    critical-first plan, and the same DomainError."""
+    chis, killed, targets = problem
+    plan = plan_pairs_oracle(chis, killed)
     for a in targets:
         try:
             want = apply_plan_oracle(chis, killed, plan, a)
         except DomainError:
             with pytest.raises(DomainError):
-                _plan_coords(plan, solve(cvec(a)))
+                _coords(chis, killed, a)
             continue
-        assert repr(_plan_coords(plan, solve(cvec(a)))) == repr(want)
+        assert repr(_coords(chis, killed, a)) == repr(want)
 
 
 @st.composite
 def planned_characters(draw):
     """Int characters of one length whose members are zero, repeats or
     integer combinations of earlier ones, or fresh vectors and multiples of
-    unit vectors (often critical), with killed rows, a chart and three
-    targets in the span of all the rows."""
+    unit vectors (often critical), with killed rows and three targets in
+    the span of all the rows."""
     n = draw(st.integers(1, 4))
     vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
     chis = []
@@ -366,30 +320,29 @@ def planned_characters(draw):
     fractions = st.lists(st.fractions(-3, 3, max_denominator=3),
                          min_size=len(rows), max_size=len(rows))
     targets = [lincomb(draw(fractions), rows, n) for _ in range(3)]
-    return chis, killed, draw(st.sampled_from("xy")), targets
+    return chis, killed, targets
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(planned_characters())
 @example(problem=([(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 0), (1, 1, 0), (0, 0, 2)],
-                  [(1, 0, 0)], "y", [(1, 2, 3), (0, 0, 0), (2, -1, 1)]))
+                  [(1, 0, 0)], [(1, 2, 3), (0, 0, 0), (2, -1, 1)]))
 def test_one_pass_plan_equals_the_rescanning_plan(problem):
-    """One pass over the characters finds the critical ones of the
-    rescanning reference, in the same order, and the same plan; the one
-    solve then gives the peeled solves' coordinates on in-span targets."""
-    chis, killed, chart, targets = problem
-    plan = _plan_pairs(chis, killed, chart)
-    assert plan == plan_pairs_oracle(chis, killed, chart)
-    solve = _plan_solver(chis, killed, plan)
+    """The one greedy pass gives each target the coordinates of the
+    rescanning critical-first reference: (1, t) on its critical and basis
+    characters alike, (0, 0) on the dependent ones."""
+    chis, killed, targets = problem
+    plan = plan_pairs_oracle(chis, killed)
     for a in targets:
         want = apply_plan_oracle(chis, killed, plan, a)
-        assert repr(_plan_coords(plan, solve(cvec(a)))) == repr(want)
+        assert repr(_coords(chis, killed, a)) == repr(want)
 
 
 def test_plan_builds_at_most_two_solvers_per_character(monkeypatch):
-    """Twelve characters, five of them critical: the one pass builds one
-    span solver per nonzero character for the critical test and one per
-    non-critical character for the basis (the rescan built 32 here)."""
+    """Twelve characters, five of them critical: the one greedy pass builds
+    one span solver per nonzero character and no critical test (the
+    critical-first pass built one more per nonzero character, the rescan
+    32), and gives the critical-first coordinates."""
     real, built = sections.span_solver, []
 
     def counted(rows):
@@ -399,10 +352,13 @@ def test_plan_builds_at_most_two_solvers_per_character(monkeypatch):
     monkeypatch.setattr(sections, "span_solver", counted)
     units = [tuple(int(j == k) for j in range(8)) for k in range(8)]
     chis = units + [(0,) * 8, units[0], units[1], units[2]]
-    plan = _plan_pairs(chis, [], "x")
-    assert plan == plan_pairs_oracle(chis, [], "x")
-    assert [mode for _, mode in plan].count("critical-x") == 5
-    assert len(built) <= 2 * len(chis)
+    plan = _plan_pairs(chis, [])
+    assert len(built) == len(chis) - 1
+    oracle = plan_pairs_oracle(chis, [])
+    assert [mode for _, mode in oracle].count("critical") == 5
+    a = tuple(range(1, 9))
+    coords = _plan_coords(len(chis), plan, _plan_solver(chis, [], plan)(a))
+    assert repr(coords) == repr(apply_plan_oracle(chis, [], oracle, a))
 
 
 def _model_specs():
@@ -434,18 +390,30 @@ def _targets(basis, n):
 
 @pytest.mark.parametrize("name", sorted(MODEL_SPECS))
 def test_batched_section_points_equal_the_per_target_oracle(name):
-    """In both charts, the points of one batched pass equal, by repr, one
-    exact pass per target (section_apply_oracle), and apply is the batch of
-    one."""
+    """The points of one batched pass equal, by repr, one exact pass per
+    target (section_apply_oracle), and each is the batch of one."""
+    spec = MODEL_SPECS[name]
+    rep = build_rep(spec)
+    sec = build_section(rep, run_reduction(spec))
+    targets = _targets(sec.a_star_basis, rep.datum.ambient_dim)
+    want = [section_apply_oracle(sec, a) for a in targets]
+    assert repr(sec.points(targets)) == repr(want)
+    assert repr([sec.points([a])[0] for a in targets]) == repr(want)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_SPECS))
+def test_section_points_equal_the_critical_first_plan(name):
+    """On every model spec, the section's points equal, by repr, the points
+    of the critical-first plan in chart x: a critical character gets the
+    same coordinates (1, t) as a basis one."""
     spec = MODEL_SPECS[name]
     rep = build_rep(spec)
     reduction = run_reduction(spec)
-    for chart in ("x", "y"):
-        sec = build_section(rep, reduction, chart)
-        targets = _targets(sec.a_star_basis, rep.datum.ambient_dim)
-        want = [section_apply_oracle(sec, a) for a in targets]
-        assert repr(sec.points(targets)) == repr(want), chart
-        assert repr([sec.apply(a) for a in targets]) == repr(want), chart
+    sec = build_section(rep, reduction)
+    killed = [step.chosen_chi for step in reduction[0]]
+    targets = _targets(sec.a_star_basis, rep.datum.ambient_dim)
+    want = critical_first_points_oracle(sec, killed, targets)
+    assert repr(sec.points(targets)) == repr(want)
 
 
 @pytest.mark.parametrize("name", ["A2_sd_x2", "sl2_two_standards"])

@@ -133,13 +133,14 @@ def _is_dataclass_def(node):
 def test_every_dataclass_field_is_read():
     """A record field that no code reads is dead weight that every
     constructor still fills.  Each field of a `symprep` dataclass must be
-    read somewhere in the package, the tests or the benchmark, as an
-    attribute (`x.field`) or by name (a string naming it, as for `getattr`).
-    A dict display's key writes rather than reads, so it does not count: the
-    report key "matrices" is not a read of a `matrices` field."""
+    read somewhere in the package or the benchmark, as an attribute
+    (`x.field`) or by name (a string naming it, as for `getattr`); a read in
+    the tests alone does not count.  A dict display's key writes rather
+    than reads, so it does not count: the report key "matrices" is not a
+    read of a `matrices` field."""
     trees = [
         ast.parse(path.read_text(), filename=str(path))
-        for folder in ("src", "tests", "perfbench")
+        for folder in ("src", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert trees
@@ -418,11 +419,12 @@ def test_no_import_is_left_unread():
 
 def test_every_function_is_read_outside_its_definition():
     """Each function the package defines is read by name somewhere in the
-    package, the tests or the benchmark, outside its own body (dunder
-    methods aside): a helper whose last reader was deleted fails here."""
+    package or the benchmark, outside its own body (dunder methods aside):
+    a helper whose last reader was deleted, or whose only readers are
+    tests, fails here.  Code that only tests read lives in the tests."""
     trees = [
         ast.parse(path.read_text(), filename=str(path))
-        for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+        for folder in (SRC, ROOT / "perfbench")
         for path in sorted(folder.glob("*.py"))
     ]
     reads = Counter(name for tree in trees for name in _reads(tree))
