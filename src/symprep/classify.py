@@ -101,24 +101,10 @@ def terminal_decomposition(spec):
     if non_terminal:
         witness = max(non_terminal, key=lambda w: weight_key(datum, w))
         return TerminalVerdict(False, witness, (), ())
-    pairs = []
-    chars = {w: m for w, m in spec.summands if statuses[w] is WeightStatus.CHARACTER}
-    seen = set()
-    for w in sorted(chars, key=lambda w: weight_key(datum, w), reverse=True):
-        if w in seen:
-            continue
-        neg = tuple(-x for x in w)
-        if neg == w:  # the zero character; validated multiplicity is even
-            if chars[w] % 2:
-                raise InternalConsistencyError("odd zero-character multiplicity")
-            pairs.append((w, chars[w] // 2))
-            seen.add(w)
-            continue
-        if chars.get(neg, 0) != chars[w]:
-            raise InternalConsistencyError("unpaired character summand")
-        rep = max(w, neg, key=lambda v: weight_key(datum, v))
-        pairs.append((rep, chars[w]))
-        seen.update({w, neg})
+    # a character's dual is its negative, and the zero character is of
+    # orthogonal type: the plan already holds each pair once, with its count
+    pairs = [(item.weight, item.count) for item in spec.pairing_plan
+             if statuses[item.weight] is WeightStatus.CHARACTER]
     sizes = []
     for w, m in spec.summands:
         if statuses[w] is WeightStatus.SINGULAR:

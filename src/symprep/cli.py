@@ -300,29 +300,45 @@ def report_to_json(report):
     return "".join(out) + "\n"
 
 
+def _text(x):
+    """repr(x) for the ints, strs, bools, None, lists and dicts of a report,
+    with every int written by `decimal`, so no int is too long to print."""
+    if isinstance(x, bool) or not isinstance(x, (int, list, dict)):
+        return repr(x)
+    if isinstance(x, int):
+        return decimal(x)
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{_text(k)}: {_text(v)}" for k, v in x.items()) + "}"
+    return "[" + ", ".join(map(_text, x)) + "]"
+
+
 def report_to_text(report):
+    gamma, iso = report["gamma"], report["isotropy"]
     lines = [
-        f"symplectic rank      : {report['rk_s']}",
-        f"symplectic complexity: {decimal(report['c_s'])}",
+        f"symplectic rank      : {_text(report['rk_s'])}",
+        f"symplectic complexity: {_text(report['c_s'])}",
         f"multiplicity free    : {report['mf']}",
-        f"a* basis             : {report['a_star_basis']}",
+        f"a* basis             : {_text(report['a_star_basis'])}",
         f"Levi L               : {report['levi_L']}",
-        f"Sp factors           : {report['sp_factors']}",
-        f"Gamma                : order {report['gamma']['order']}, "
-        f"{report['gamma']['reflection_count']} reflections",
-        f"little Weyl group    : {report['little_weyl']}",
-        f"isotropy             : dim H = {report['isotropy']['dim_H']}, "
-        f"parts {report['isotropy']['parts']}",
+        f"Sp factors           : {_text(report['sp_factors'])}",
+        f"Gamma                : order {_text(gamma['order'])}, "
+        f"{_text(gamma['reflection_count'])} reflections",
+        f"little Weyl group    : {_text(report['little_weyl'])}",
+        f"isotropy             : dim H = {_text(iso['dim_H'])}, "
+        f"parts {_text(iso['parts'])}",
     ]
     if "trace" in report:
         for i, step in enumerate(report["trace"]):
             lines.append(
-                f"step {i}: chi={step['chi']} |Delta_u|={step['delta_u_size']} "
-                f"M={step['levi_type']} dim S={step['dim_S']}"
+                f"step {i}: chi={_text(step['chi'])} "
+                f"|Delta_u|={_text(step['delta_u_size'])} "
+                f"M={step['levi_type']} dim S={_text(step['dim_S'])}"
             )
     if "numeric_verification" in report:
         nv = report["numeric_verification"]
-        lines.append(f"numeric verification : passed={nv['passed']} seed={nv['seed']}")
+        lines.append(
+            f"numeric verification : passed={nv['passed']} seed={_text(nv['seed'])}"
+        )
         for chk in nv["checks"]:
             lines.append(
                 f"  {chk['name']}: residual {chk['residual']:.3e} "

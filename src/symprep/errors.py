@@ -82,10 +82,6 @@ class SpecFormatError(SymprepError):
         super().__init__("; ".join(self.problems))
 
 
-class NoReductionAvailable(SymprepError):
-    """Local-structure verification requested on a terminal representation."""
-
-
 class DomainError(SymprepError):
     """Argument outside the domain of a partial map (a section target off a*)."""
 

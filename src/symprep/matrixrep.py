@@ -354,13 +354,6 @@ class MatrixRep:
         """Diagonal action of a torus element given as a coweight functional."""
         return tuple(vdot(w, functional) for w in self.weight_labels)
 
-    def omega_exact(self, u, v):
-        s = 0
-        for a, ua in enumerate(u):
-            if ua:
-                s += ua * sum(x * v[b] for b, x in self.j_exact[a])
-        return canon(s)
-
 
 def _summand_matrices(datum, weight):
     """Exact matrices, keyed by Lie label, of the irreducible with the given
@@ -448,6 +441,16 @@ def build_rep(spec):
                 f"matrix model: reference module of factor {letter}{frank} has "
                 f"dimension {size}, exceeds cap {DEFAULT_DIM_CAP}"
             )
+    # the float mirrors hold every entry as a float, and the central charges
+    # are the one kind of entry with no bound
+    top = max((abs(c) for w, _ in spec.summands for c in w[datum.rank:]), default=0)
+    try:
+        float(top)
+    except OverflowError:
+        raise BudgetExceeded(
+            f"matrix model: a central charge of {len(decimal(int(top)))} digits "
+            f"exceeds the float range"
+        ) from None
     parts = []   # (gens, labels, jblock, kind, weight)
     for item in spec.pairing_plan:
         gens, labels, factor_blocks = _summand_matrices(datum, item.weight)
@@ -596,12 +599,13 @@ def weight_kernel(rep, weight, side="e", columns=None, simple_roots=None):
 def hyperbolic_partner(rep, v0, candidates):
     """The combination of the candidates pairing to one with v0 under omega,
     weighted by each candidate's pairing; None when all of them pair to zero."""
-    pairings = [Fraction(rep.omega_exact(c, v0)) for c in candidates]
+    row = rep.omega_row(v0)  # omega(c, v0) = -omega(v0, c)
+    pairings = [-Fraction(vdot(row, c)) for c in candidates]
     norm = sum(p ** 2 for p in pairings)
     if norm == 0:
         return None
     v0m = lincomb([p / norm for p in pairings], candidates, rep.dim)
-    if rep.omega_exact(v0m, v0) != 1:
+    if vdot(row, v0m) != -1:
         raise InternalConsistencyError("hyperbolic pair normalization failed")
     return v0m
 

@@ -13,16 +13,9 @@ from operator import matmul
 
 import numpy as np
 
-from .classify import WeightStatus, weight_status
-from .errors import (
-    DimensionMismatch,
-    InternalConsistencyError,
-    NoReductionAvailable,
-    NumericalDegeneracy,
-)
-from .linalg import cvec, nullspace, vdot
-from .matrixrep import _reference_block, factor_lie, float_stack, hyperbolic_pair
-from .reduction import delta_u_roots
+from .errors import DimensionMismatch, InternalConsistencyError, NumericalDegeneracy
+from .linalg import nullspace, vdot
+from .matrixrep import _reference_block, factor_lie, float_stack
 from .rootdata import build_root_datum, positive_roots, weyl_degrees
 
 RANK_TOL = 1e-8
@@ -295,15 +288,11 @@ def orbit_estimates(rep, samples=8, seed=0):
 
 @dataclass(frozen=True, eq=False)
 class LocalFrame:
-    """One local-structure step on a model, derived once: the hyperbolic pair
-    (v0, v0^-), Delta_u, the exact basis of the slice
-    S = (p_u^- v0)^perp cap (p_u v0^-)^perp, and the float data that the
-    q-embedding and the commuting square evaluate at each sample."""
+    """One local-structure step on a model: Delta_u, the exact basis of the
+    slice S = (p_u^- v0)^perp cap (p_u v0^-)^perp, and the float data that
+    the q-embedding and the commuting square evaluate at each sample."""
 
     rep: object
-    chi: tuple
-    v0: tuple
-    v0m: tuple
     delta_u: tuple
     s_basis: tuple
     v0f: np.ndarray
@@ -313,54 +302,30 @@ class LocalFrame:
     levi_index: tuple   # positions in rep.lie of the Levi's h, z, e and f
 
 
-def local_frame(rep, chi):
-    """The LocalFrame of the step at chi; NoReductionAvailable unless chi is
-    a non-terminal highest weight of the model's module."""
-    chi = cvec(chi)
-    if weight_status(rep.spec, chi) is not WeightStatus.NON_TERMINAL:
-        raise NoReductionAvailable(f"{chi} is a terminal weight; nothing to reduce")
-    v0, v0m = hyperbolic_pair(rep, chi)
-    if v0 is None:
-        raise InternalConsistencyError(f"no highest weight vector of weight {chi}")
-    if v0m is None:
-        neg = tuple(-x for x in chi)
-        raise InternalConsistencyError(
-            f"no lowest weight vector of weight {neg} pairs with v0"
-        )
-    du = delta_u_roots(rep.datum, chi)
-    v0f = np.array([float(x) for x in v0])
+def local_frame(rep, step, layer):
+    """The LocalFrame of a reduction step of the model's module, from the
+    step (chi and Delta_u) and the section layer that `sections.build_section`
+    built for it (v0 and the slice functionals)."""
+    du = step.delta_u
+    v0f = np.array([float(x) for x in layer.v0])
     levi = [("h", i) for i in range(rep.datum.rank)]
     levi += [("z", l) for l in range(rep.datum.central_rank)]
     for r in positive_roots(rep.datum):
-        if vdot(chi, r.coroot_vec) == 0:
+        if vdot(step.chosen_chi, r.coroot_vec) == 0:
             levi += [("e", r.coords), ("f", r.coords)]
     n = rep.dim
     emats = np.array([rep.lie_matrix(("e", r.coords)) for r in du]).reshape(-1, n, n)
     fv0 = np.array([rep.lie_matrix(("f", r.coords)) @ v0f for r in du]).reshape(-1, n)
     return LocalFrame(
         rep=rep,
-        chi=chi,
-        v0=v0,
-        v0m=v0m,
         delta_u=du,
-        s_basis=tuple(nullspace(slice_functionals(rep, du, v0, v0m), rep.dim)),
+        s_basis=tuple(nullspace(layer.slice_rows, rep.dim)),
         v0f=v0f,
         emats=emats,
         fv0=fv0,
         efv0=fv0 @ np.swapaxes(emats, 1, 2),
         levi_index=tuple(rep.lie_index[lab] for lab in levi),
     )
-
-
-def slice_functionals(rep, roots, v0, v0m):
-    """The rows omega(f_r v0, .) and omega(e_r v0m, .) per root r; the slice
-    S of the local-structure step is their joint kernel.  Exact."""
-    rows = []
-    for r in roots:
-        coords = rep.root_coords(r.vec)
-        rows.append(rep.omega_row(rep.act_exact(("f", coords), v0)))
-        rows.append(rep.omega_row(rep.act_exact(("e", coords), v0m)))
-    return rows
 
 
 @dataclass

@@ -64,7 +64,6 @@ class ReductionStep:
 @dataclass(frozen=True)
 class TerminalData:
     terminal_group: object
-    character_pairs: tuple
     sp_factor_sizes: tuple
     a_star_basis: tuple
     a_rank: int
@@ -121,24 +120,15 @@ def reduce_step(spec, chi):
     return step, s_spec
 
 
-def run_reduction(spec, first_choice=None):
-    """Iterate reduce_step to a terminal module; returns (trace, TerminalData).
-
-    first_choice overrides the weight selection at the first step only (used
-    by the permanence checks)."""
+def run_reduction(spec):
+    """Iterate reduce_step to a terminal module; returns (trace, TerminalData)."""
     trace = []
     current = spec
     while True:
         verdict = terminal_decomposition(current)
         if verdict.terminal:
             break
-        if first_choice is not None and not trace:
-            chi = cvec(first_choice)
-            if weight_status(current, chi) is not WeightStatus.NON_TERMINAL:
-                raise SymprepError(f"{chi} is not an admissible first choice")
-        else:
-            chi = verdict.witness
-        step, current = reduce_step(current, chi)
+        step, current = reduce_step(current, verdict.witness)
         trace.append(step)
     pairs = verdict.character_pairs
     basis = echelon_basis(sorted(w for w, _ in pairs)) if pairs else []
@@ -148,7 +138,6 @@ def run_reduction(spec, first_choice=None):
         raise InternalConsistencyError("negative complexity")
     td = TerminalData(
         terminal_group=current.datum,
-        character_pairs=pairs,
         sp_factor_sizes=verdict.sp_factor_sizes,
         a_star_basis=tuple(basis),
         a_rank=a_rank,
@@ -429,7 +418,6 @@ def isotropy_shape(td, levi):
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    spec: object
     rk_s: int
     c_s: int
     mf: bool
@@ -472,7 +460,6 @@ def analyze(
         raise InternalConsistencyError("|W_V| does not divide |Gamma|")
     iso = isotropy_shape(td, levi)
     return AnalysisReport(
-        spec=spec,
         rk_s=td.a_rank,
         c_s=td.c,
         mf=mf,

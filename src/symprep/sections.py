@@ -16,11 +16,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    StageNotRealizable,
-)
+from .errors import DomainError, InternalConsistencyError, StageNotRealizable
 from .classify import WeightStatus, weight_status
 from .linalg import (
     canon,
@@ -30,6 +26,7 @@ from .linalg import (
     int_scaled,
     is_zero_vec,
     lincomb,
+    rref,
     same_span,
     span_solver,
     transpose,
@@ -37,7 +34,7 @@ from .linalg import (
     vdot,
 )
 from .matrixrep import cut_columns, hyperbolic_pair
-from .numeric import _chunks, chevalley_target, inv_moment_eval, slice_functionals
+from .numeric import _chunks, chevalley_target, inv_moment_eval
 from .rootdata import positive_roots, rho_vee
 
 
@@ -118,14 +115,10 @@ class CharPair:
 def _plan_pairs(chis, killed):
     """The indices of the characters that carry a terminal coordinate: a
     greedy basis in index order of the characters modulo the killed rows,
-    which come first."""
-    span_rows = [cvec(k) for k in killed]
-    plan = []
-    for i, chi in enumerate(chis):
-        if not is_zero_vec(chi) and span_solver(span_rows)(chi) is None:
-            span_rows.append(chi)
-            plan.append(i)
-    return plan
+    which come first, read off the pivot columns of one elimination of the
+    matrix whose columns are the killed rows and then the characters."""
+    k = len(killed)
+    return [p - k for p in rref(transpose([*killed, *chis]))[1] if p >= k]
 
 
 def _plan_solver(chis, killed, plan):
@@ -172,7 +165,7 @@ def _character_pairs_from_columns(rep, columns):
             raise InternalConsistencyError("unmatched character columns")
         cp, cm = by_weight[w], by_weight[neg]
         k = len(cp)
-        pmat = [[rep.omega_exact(cp[a], cm[b]) for b in range(k)] for a in range(k)]
+        pmat = [[vdot(row, v) for v in cm] for row in map(rep.omega_row, cp)]
         solve = span_solver(transpose(pmat))
         for q, e in enumerate(identity(k)):
             # column q of the inverse of the pairing block
@@ -190,22 +183,34 @@ def _zero_weight_pairs(rep, cols):
     while cols:
         u = cols[0]
         rest = cols[1:]
-        partner = next(
-            (i for i, v in enumerate(rest) if rep.omega_exact(u, v) != 0), None
-        )
+        row_u = rep.omega_row(u)
+        pairings = [vdot(row_u, v) for v in rest]
+        partner = next((i for i, p in enumerate(pairings) if p != 0), None)
         if partner is None:
             raise InternalConsistencyError("isotropic zero-weight character block")
-        scale = rep.omega_exact(u, rest[partner])
+        scale = pairings[partner]
         v = cvec(tuple(canon(Fraction(x) / scale) for x in rest[partner]))
+        row_v = rep.omega_row(v)
         others = [w for i, w in enumerate(rest) if i != partner]
         projected = []
         for w in others:
-            cu = rep.omega_exact(w, u)
-            cv = rep.omega_exact(w, v)
-            projected.append(lincomb([1, cu, -cv], [w, v, u], rep.dim))
+            # w + omega(w, u) v - omega(w, v) u, with omega(w, x) = -omega(x, w)
+            cu, cv = vdot(row_u, w), vdot(row_v, w)
+            projected.append(lincomb([1, -cu, cv], [w, v, u], rep.dim))
         pairs.append(CharPair(u, v, cvec((0,) * rep.datum.ambient_dim)))
         cols = projected
     return pairs
+
+
+def slice_functionals(rep, roots, v0, v0m):
+    """The rows omega(f_r v0, .) and omega(e_r v0m, .) per root r; the slice
+    S of the local-structure step is their joint kernel.  Exact."""
+    rows = []
+    for r in roots:
+        coords = rep.root_coords(r.vec)
+        rows.append(rep.omega_row(rep.act_exact(("f", coords), v0)))
+        rows.append(rep.omega_row(rep.act_exact(("e", coords), v0m)))
+    return rows
 
 
 def central_element_for(datum, chi, killed=()):
@@ -227,6 +232,7 @@ class SectionLayer:
     v0: tuple
     v0m: tuple
     xi_c: tuple
+    slice_rows: tuple  # slice_functionals of the step; S is their joint kernel
 
 
 @dataclass
@@ -306,7 +312,7 @@ def build_section(rep, reduction):
                 )
         sbar_rows = [rep.omega_row(v0), rep.omega_row(v0m)]
         cols = cut_columns(rep, s_cols, sbar_rows)
-        layers.append(SectionLayer(v0=v0, v0m=v0m, xi_c=xi_c))
+        layers.append(SectionLayer(v0=v0, v0m=v0m, xi_c=xi_c, slice_rows=tuple(rows)))
         killed.append(chi)
         current = step.s_spec
     # terminal stage: keep the character columns, zero the symplectic blocks
@@ -339,8 +345,6 @@ def build_section(rep, reduction):
 class SectionReport:
     residual_max: float
     zero_fiber_ok: bool
-    samples: int
-    a_star_basis: tuple
 
 
 def verify_section(rep, section, samples=20, seed=0):
@@ -368,12 +372,7 @@ def verify_section(rep, section, samples=20, seed=0):
     ])
     resid = float(np.max(np.abs(iv[:-1] - chevalley_target(rep, targets)), initial=0.0))
     zero_ok = bool(np.all(np.abs(iv[-1]) <= 1e-8))
-    return SectionReport(
-        residual_max=resid,
-        zero_fiber_ok=zero_ok,
-        samples=samples,
-        a_star_basis=basis,
-    )
+    return SectionReport(residual_max=resid, zero_fiber_ok=zero_ok)
 
 
 # -- auxiliary one-parameter subgroup ----------------------------------------

@@ -68,8 +68,8 @@ def check_samples(samples, field="samples"):
         )
 
 
-def _check(checks, name, residual, tol, detail=""):
-    checks.append(CheckResult(name, float(residual), tol, float(residual) <= tol, detail))
+def _check(checks, name, residual, tol):
+    checks.append(CheckResult(name, float(residual), tol, float(residual) <= tol))
 
 
 def _flag(checks, name, ok, detail=""):
@@ -137,10 +137,14 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
         f"coisotropic={coiso}, mf={analysis.mf}",
     )
 
+    # sections: exact construction along the analysis' reduction; its first
+    # layer holds the first step's (v0, v0^-) and slice functionals
+    section = build_section(rep, (analysis.trace, analysis.terminal))
+
     # local structure solve and the commuting square, at the weight the
     # analysis reduced first
     if analysis.trace:
-        frame = local_frame(rep, analysis.trace[0].chosen_chi)
+        frame = local_frame(rep, analysis.trace[0], section.layers[0])
         rc, done = _commute_samples(frame, rng, samples)
         _flag(checks, "q_embed_samples", done == samples, f"{done}/{samples} samples")
         for name, values in (
@@ -151,8 +155,7 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
         ):
             _check(checks, name, np.max(values, initial=0.0), 1e-9)
 
-    # sections: exact construction, float residual of the invariant image
-    section = build_section(rep, (analysis.trace, analysis.terminal))
+    # sections: float residual of the invariant image
     sr = verify_section(rep, section, samples=samples, seed=seed)
     _check(checks, "section_residual", sr.residual_max, 1e-8)
     _flag(checks, "section_zero_fiber", sr.zero_fiber_ok)

@@ -27,10 +27,13 @@ Row reduction here is `rref_oracle`, Gauss-Jordan over Fractions, and
 `nullspace_oracle` on top of it, independent of the library's fraction-free
 elimination; every span solve is `span_coords_oracle`, an rref_oracle of
 [M | v] per vector, independent of the library's `span_solver`.
+The terminal character pairs are found by pairing each character summand
+with its negative (`character_pairs_oracle`), not read off the pairing plan.
 Helpers that only the tests read live here too: `sparse_rows`, the dense
-view `lie_matrix_exact`, the float `omega` of a model, and
+view `lie_matrix_exact`, the float `omega` of a model,
 `lemma2chi_conditions`, the arithmetic sufficient conditions for a singular
-highest weight.
+highest weight, and `step_and_layer` and `frame_at`, which build a
+reduction step's section layer and local frame at any non-terminal weight.
 """
 
 from dataclasses import dataclass
@@ -64,21 +67,34 @@ from symprep.matrixrep import (
     _reference_block,
     factor_lie,
     _single_factor_datum,
+    hyperbolic_pair,
     hyperbolic_partner,
     root_recipes,
     simple_coords,
     weight_kernel,
 )
 from symprep.classify import WeightStatus, is_singular_weight, weight_status
-from symprep.numeric import DOMAIN_TOL, RANK_TOL, factor_matrix_forms, seeded_samples
-from symprep.reps import DualityClass, _int_key, duality_class
+from symprep.numeric import (
+    DOMAIN_TOL,
+    RANK_TOL,
+    factor_matrix_forms,
+    local_frame,
+    seeded_samples,
+)
+from symprep.reduction import reduce_step, run_reduction
+from symprep.reps import DualityClass, _int_key, duality_class, weight_key
 from symprep.rootdata import (
     _generic_point,
     _length_data,
     centralizer_datum,
     positive_roots,
 )
-from symprep.sections import _plan_coords
+from symprep.sections import (
+    SectionLayer,
+    _plan_coords,
+    central_element_for,
+    slice_functionals,
+)
 
 
 def sparse_rows(a):
@@ -1212,6 +1228,65 @@ def coisotropy_test_oracle(rep, samples, seed):
         if np.linalg.norm(resid, ord=2) > 1e-8:
             return False
     return True
+
+
+def character_pairs_oracle(spec):
+    """The character pairs ((representative, multiplicity), ...) of a
+    validated module, by pairing each character summand with its negative
+    in descending weight_key order: the representative is the larger of the
+    two, and the zero character counts half its multiplicity.
+    InternalConsistencyError on an odd zero-character multiplicity or a
+    character whose negative has another multiplicity."""
+    datum = spec.datum
+    chars = {w: m for w, m in spec.summands
+             if weight_status(spec, w) is WeightStatus.CHARACTER}
+    pairs = []
+    seen = set()
+    for w in sorted(chars, key=lambda w: weight_key(datum, w), reverse=True):
+        if w in seen:
+            continue
+        neg = tuple(-x for x in w)
+        if neg == w:
+            if chars[w] % 2:
+                raise InternalConsistencyError("odd zero-character multiplicity")
+            pairs.append((w, chars[w] // 2))
+            seen.add(w)
+            continue
+        if chars.get(neg, 0) != chars[w]:
+            raise InternalConsistencyError("unpaired character summand")
+        pairs.append((max(w, neg, key=lambda v: weight_key(datum, v)), chars[w]))
+        seen.update({w, neg})
+    return tuple(pairs)
+
+
+def terminal_module(spec):
+    """The terminal module of a validated spec's reduction chain."""
+    trace, _ = run_reduction(spec)
+    return trace[-1].s_spec if trace else spec
+
+
+def step_and_layer(rep, chi):
+    """(ReductionStep, SectionLayer) of a first reduction step of the
+    model's module at any non-terminal highest weight chi, the layer formed
+    as `build_section` forms a first layer: (v0, v0^-) from
+    `hyperbolic_pair` and the slice functionals of Delta_u."""
+    step, _ = reduce_step(rep.spec, chi)
+    v0, v0m = hyperbolic_pair(rep, step.chosen_chi)
+    if v0 is None or v0m is None:
+        raise InternalConsistencyError(f"no hyperbolic pair at {chi}")
+    layer = SectionLayer(
+        v0=v0,
+        v0m=v0m,
+        xi_c=central_element_for(step.levi, step.chosen_chi),
+        slice_rows=tuple(slice_functionals(rep, step.delta_u, v0, v0m)),
+    )
+    return step, layer
+
+
+def frame_at(rep, chi):
+    """The LocalFrame of a first reduction step at any non-terminal highest
+    weight chi of the model's module."""
+    return local_frame(rep, *step_and_layer(rep, chi))
 
 
 class SOutsideDomain(Exception):

@@ -1,4 +1,7 @@
+import json
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +11,12 @@ from symprep.classify import (
     terminal_decomposition,
     weight_status,
 )
+from symprep.cli import parse_spec
 from symprep.reps import validate_symplectic_spec
 from symprep.rootdata import build_root_datum
 
-from corpus import A1, A2, C2, T1, catalog
-from oracles import lemma2chi_conditions
+from corpus import A1, A2, C2, T1, GENERIC_MODELS, catalog
+from oracles import character_pairs_oracle, lemma2chi_conditions, terminal_module
 
 
 def test_singular_weight_examples():
@@ -108,3 +112,34 @@ def test_singular_weights_are_exactly_the_arithmetic_hits_on_c_types():
             if is_singular_weight(datum, coords)[0]:
                 singulars.append(coords)
         assert singulars == [tuple(1 if i == 0 else 0 for i in range(datum.rank))]
+
+
+def _pairing_specs():
+    """The catalog, both ladders of the benchmark, the generic models and
+    the 192 specs of the batch pool, as validated specs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    loader = spec_from_file_location("workloads", path)
+    w = module_from_spec(loader)
+    loader.loader.exec_module(w)
+    docs = [doc for doc, _ in w.CATALOG.values()]
+    docs += [*w.ANALYZE_LADDER.values(), *w.VERIFY_LADDER.values()]
+    docs += [w.spec_doc(f, 0, s) for f, s, _ in GENERIC_MODELS.values()]
+    docs += [doc for pool in w.batch_pool().values() for doc in pool]
+    return [parse_spec(json.dumps(doc))[0] for doc in docs]
+
+
+def test_terminal_character_pairs_equal_the_re_pairing():
+    """The terminal character pairs, read off the pairing plan, are those
+    of pairing each character summand with its negative, on the terminal
+    module of every spec of the catalog, the ladders, the generic models
+    and the batch pool."""
+    specs = _pairing_specs()
+    assert len(specs) == 13 + 10 + 9 + 9 + 192
+    paired = 0
+    for spec in specs:
+        terminal = terminal_module(spec)
+        verdict = terminal_decomposition(terminal)
+        assert verdict.terminal
+        assert verdict.character_pairs == character_pairs_oracle(terminal)
+        paired += bool(verdict.character_pairs)
+    assert paired > len(specs) // 2

@@ -22,10 +22,12 @@ from symprep.cli import (
     main,
     parse_spec,
 )
+from symprep.classify import terminal_decomposition
 from symprep.errors import (
     BudgetExceeded,
     InternalConsistencyError,
     SpecFormatError,
+    SymprepError,
     ValidationError,
     decimal,
 )
@@ -33,6 +35,7 @@ from symprep.reduction import analyze
 
 import corpus
 from corpus import catalog
+from oracles import character_pairs_oracle, terminal_module
 
 
 def _write(tmp_path, name, doc):
@@ -206,6 +209,80 @@ def test_c_s_past_the_int_str_limit_is_written_exactly(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(" exceeds budget 16\n")
     assert main(["verify", path]) == EXIT_BUDGET
     assert capsys.readouterr().err.endswith(" exceeds cap 64\n")
+
+
+# a rank-2 a* in T3 whose echelon basis has entries past the int-to-str limit
+BIG_CHARACTERS = [(10 ** 2400 + 7, 3 * 10 ** 2400 + 1, 1),
+                  (10 ** 2399 + 13, 7 * 10 ** 2400 + 3, 5)]
+BIG_T3 = {
+    "group": {"simple": [], "central_torus_rank": 3},
+    "rep": [{"hw": [s * x for x in chi], "mult": 1}
+            for chi in BIG_CHARACTERS for s in (1, -1)],
+}
+
+
+def test_text_report_writes_ints_past_the_int_str_limit(tmp_path, capsys):
+    """`analyze --text` writes an a* basis with entries past the
+    interpreter's int-to-str limit in full, each int by `decimal`, as the
+    json report does."""
+    path = _write(tmp_path, "t3.json", BIG_T3)
+    spec = parse_spec(path)[0]
+    basis = analyze(spec).a_star_basis
+    assert max(abs(x) for b in basis for x in b) > 10 ** 4300
+    want = "[" + ", ".join(
+        "[" + ", ".join(map(decimal, b)) + "]" for b in basis) + "]"
+    assert main(["analyze", path, "--text", "--trace"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"\na* basis             : {want}\n" in captured.out
+
+
+TEXT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TEXT_VALUES)
+def test_text_values_are_their_repr(value):
+    """Below the digit limit, a report value in a `--text` line reads as its
+    repr, as the f-string wrote it."""
+    assert cli._text(value) == repr(value)
+
+
+# A1 x T1 with central charges +-10^310, past the largest float
+FAR_CHARGES = {
+    "group": {"simple": [["A", 1]], "central_torus_rank": 1},
+    "rep": [{"hw": [1, 10 ** 310], "mult": 1}, {"hw": [1, -10 ** 310], "mult": 1}],
+}
+
+
+def test_a_central_charge_past_the_float_range_exits_3(tmp_path, capsys, monkeypatch):
+    """`verify` refuses a model whose central charge has no finite float,
+    before any block is built, with exit 3 naming the matrix model and the
+    charge's size; `analyze`, `gamma` and `hilbert` need no model and exit
+    0."""
+    from symprep import matrixrep
+
+    path = _write(tmp_path, "far.json", FAR_CHARGES)
+    for argv in (["analyze", path], ["gamma", path], ["hilbert", path, "--degree", "4"]):
+        assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+    def unbuilt(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(matrixrep, "_summand_matrices", unbuilt)
+    assert main(["verify", path]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: matrix model: a central charge of 311 digits exceeds the float range\n"
+    )
 
 
 @pytest.mark.parametrize("n, text", [
@@ -901,10 +978,10 @@ def test_internal_consistency_error_in_the_q_embedding_exits_5(
     q_embed_samples check."""
     real = verify.local_frame
 
-    def crossed(rep, chi):
+    def crossed(rep, step, layer):
         # e_a f_b v0 read with the f index reversed puts the diagonal
         # entries of the system matrix off the diagonal
-        frame = real(rep, chi)
+        frame = real(rep, step, layer)
         return dataclasses.replace(frame, efv0=frame.efv0[:, ::-1])
 
     monkeypatch.setattr(verify, "local_frame", crossed)
@@ -1062,6 +1139,25 @@ def test_any_small_spec_exits_with_a_documented_code(doc):
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET), (
             argv[0], code, err.getvalue()
         )
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec_documents())
+def test_any_small_spec_pairs_its_characters_as_the_re_pairing(doc):
+    """On the fuzz's small specs that validate, the terminal character
+    pairs read off the pairing plan are those of pairing each character
+    summand with its negative."""
+    try:
+        terminal = terminal_module(parse_spec(json.dumps(doc))[0])
+    except SymprepError:
+        return
+    want = character_pairs_oracle(terminal)
+    assert terminal_decomposition(terminal).character_pairs == want
 
 
 # Any JSON value: small, huge and negative ints, floats (NaN and the

@@ -3,13 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from symprep.errors import (
-    DimensionMismatch,
-    InternalConsistencyError,
-    NoReductionAvailable,
-)
+from symprep.errors import DimensionMismatch
 from symprep import matrixrep, numeric, verify
 from symprep.classify import terminal_decomposition
+from symprep.linalg import vdot
 from symprep.matrixrep import build_rep
 from symprep.numeric import (
     _numeric_rank,
@@ -34,11 +31,13 @@ from oracles import (
     coisotropy_test_oracle,
     commute_refusals_oracle,
     commute_samples_oracle,
+    frame_at,
     inv_moment_eval_oracle,
     jacobian_oracle,
     jacobian_rank_and_orbit_oracle,
     moment_coords_oracle,
     omega,
+    step_and_layer,
     verify_commute_oracle,
 )
 
@@ -209,7 +208,7 @@ def test_stacked_q_embedding_matches_the_per_sample_oracle(name):
     """Each kept row of one stacked call equals the per-sample oracle, and
     the rows the oracle refuses are exactly the rows not kept."""
     rep, chi = _frame_models()[name]
-    frame = local_frame(rep, chi)
+    frame = frame_at(rep, chi)
     pts = _slice_points(frame, np.random.default_rng(23), 6)
     rc = verify_commute(frame, pts)
     emb = rc.embedding
@@ -297,18 +296,24 @@ def _sampled(frame, samples, seed):
 
 def test_stacked_sampling_keeps_the_sequential_samples():
     models = _frame_models()
-    frames = [local_frame(rep, chi) for rep, chi in models.values()]
+    frames = [frame_at(rep, chi) for rep, chi in models.values()]
+
+    def frame_and_v0_row(name):
+        rep, chi = models[name]
+        step, layer = step_and_layer(rep, chi)
+        return local_frame(rep, step, layer), rep.omega_row(layer.v0)
+
     # a frame where rejections occur: the basis directions that pair with v0
     # shrunk, so |omega(s, v0)| often falls below the domain tolerance
-    base = local_frame(*models["A2_sd_x2"])
+    base, row = frame_and_v0_row("A2_sd_x2")
     shrunk = tuple(
-        b if base.rep.omega_exact(b, base.v0) == 0 else tuple(x / 10 ** 6 for x in b)
+        b if vdot(row, b) == 0 else tuple(x / 10 ** 6 for x in b)
         for b in base.s_basis
     )
     frames.append(replace(base, s_basis=shrunk))
     # and one where every draw is rejected, up to the 20 * samples cap
-    two = local_frame(*models["sl2_two_standards"])
-    dead = tuple(b for b in two.s_basis if two.rep.omega_exact(b, two.v0) == 0)
+    two, row = frame_and_v0_row("sl2_two_standards")
+    dead = tuple(b for b in two.s_basis if vdot(row, b) == 0)
     frames.append(replace(two, s_basis=dead))
     rejected = []
     for frame in frames:
@@ -376,7 +381,7 @@ def test_phi_solve_examples():
     # 1x1 systems
     for summands, chi in [([((1,), 2)], (1,)), ([((3,), 1)], (3,))]:
         rep = _rep(A1, summands)
-        frame = local_frame(rep, chi)
+        frame = frame_at(rep, chi)
         assert len(frame.delta_u) == 1
         emb = verify_commute(frame, _slice_stack(frame, rng, 3)).embedding
         assert emb.kept.all()
@@ -384,7 +389,7 @@ def test_phi_solve_examples():
         assert np.max(emb.residual_perp) <= 1e-12
     # 2x2 triangular system
     rep = _rep(A2, [((1, 0), 1), ((0, 1), 1)])
-    frame = local_frame(rep, (1, 0))
+    frame = frame_at(rep, (1, 0))
     du = frame.delta_u
     assert len(du) == 2
     emb = verify_commute(frame, _slice_stack(frame, rng, 3)).embedding
@@ -398,9 +403,10 @@ def test_phi_solve_domain_guard():
     """A slice direction pairing to zero with v0 is outside the domain: the
     oracle refuses it and the stack drops its row."""
     rep = _rep(A1, [((1,), 2)])
-    frame = local_frame(rep, (1,))
-    v0, basis = frame.v0, frame.s_basis
-    dead = next(b for b in basis if rep.omega_exact(b, v0) == 0)
+    step, layer = step_and_layer(rep, (1,))
+    frame = local_frame(rep, step, layer)
+    row = rep.omega_row(layer.v0)
+    dead = next(b for b in frame.s_basis if vdot(row, b) == 0)
     live = _slice_stack(frame, np.random.default_rng(4), 2)
     pts = np.concatenate([[[float(x) for x in dead]], live])
     with pytest.raises(SOutsideDomain):
@@ -415,7 +421,7 @@ def test_phi_solve_singular_guard():
     real frame the diagonal vanishes only with omega(s, v0); the frame here
     has f_a v0 zeroed for the first root a."""
     rep, chi = _frame_models()["sl3_std_dual"]
-    frame = local_frame(rep, chi)
+    frame = frame_at(rep, chi)
     fv0 = frame.fv0.copy()
     fv0[0] = 0.0
     broken = replace(frame, fv0=fv0, efv0=fv0 @ np.swapaxes(frame.emats, 1, 2))
@@ -437,30 +443,11 @@ def test_verify_commute_examples():
         (A2, [((1, 0), 1), ((0, 1), 1)], (1, 0)),
     ]:
         rep = _rep(datum, summands)
-        frame = local_frame(rep, chi)
+        frame = frame_at(rep, chi)
         out = verify_commute(frame, _slice_stack(frame, rng, 5))
         assert out.embedding.kept.any()
         assert np.max(out.residual_levi) <= 1e-10
         assert np.max(out.residual_charpoly) <= 1e-10
-
-
-def test_local_frame_names_the_missing_lowest_weight(monkeypatch):
-    rep = build_rep(catalog()["sl2_cubic"][0])
-    kernel = matrixrep.weight_kernel
-
-    def no_lowest(rep, weight, side="e", *args):
-        return [] if side == "f" else kernel(rep, weight, side, *args)
-
-    monkeypatch.setattr(matrixrep, "weight_kernel", no_lowest)
-    with pytest.raises(InternalConsistencyError) as exc:
-        local_frame(rep, (3,))
-    assert "(-3,)" in str(exc.value)
-
-
-def test_verify_commute_rejects_terminal():
-    rep = _rep(C2, [((1, 0), 1)])
-    with pytest.raises(NoReductionAvailable):
-        verify_commute(local_frame(rep, (1, 0)), np.zeros(rep.dim))
 
 
 def _moment_gradient(rep, label, v):
@@ -568,6 +555,31 @@ def test_verify_suite_derives_the_local_frame_once(monkeypatch):
         counts.append((calls.count("terminal"), calls.count("frame")))
     assert counts[0] == counts[1]
     assert counts[0][1] == 1
+
+
+@pytest.mark.parametrize("name", ["torus_pair", "sl2_cubic", "A2_sd_x2", "A3_mixed_rk3"])
+def test_verify_suite_finds_each_hyperbolic_pair_once(monkeypatch, name):
+    """verify_suite finds the (v0, v0^-) of each reduction step once, in
+    build_section, and the first step's local frame reads its pair and slice
+    off the section's first layer: one `hyperbolic_pair` call per step."""
+    from symprep import sections
+    from symprep.reduction import analyze
+
+    specs = {n: sp for n, (sp, _) in catalog().items()}
+    specs.update(verify_ladder())
+    specs.update(generic_models())
+    spec = specs[name]
+    analysis = analyze(spec)
+    calls, real = [], matrixrep.hyperbolic_pair
+
+    def counted(rep, chi, *args):
+        calls.append(chi)
+        return real(rep, chi, *args)
+
+    for module in (matrixrep, sections):
+        monkeypatch.setattr(module, "hyperbolic_pair", counted)
+    assert verify.verify_suite(spec, analysis=analysis).passed
+    assert calls == [step.chosen_chi for step in analysis.trace]
 
 
 def test_sp_standard_nilpotent_residual_is_rounding_level():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symprep import linalg, sections
-from symprep.errors import DomainError, InternalConsistencyError
+from symprep import linalg, matrixrep, sections
+from symprep.errors import DomainError, InternalConsistencyError, StageNotRealizable
 from symprep.linalg import cvec, int_scaled, lincomb, same_span
 from symprep.matrixrep import build_rep
 from symprep.numeric import inv_moment_eval
@@ -339,10 +339,9 @@ def test_one_pass_plan_equals_the_rescanning_plan(problem):
 
 
 def test_plan_builds_at_most_two_solvers_per_character(monkeypatch):
-    """Twelve characters, five of them critical: the one greedy pass builds
-    one span solver per nonzero character and no critical test (the
-    critical-first pass built one more per nonzero character, the rescan
-    32), and gives the critical-first coordinates."""
+    """Twelve characters, five of them critical: the plan is read off one
+    elimination and builds no span solver, and gives the critical-first
+    coordinates."""
     real, built = sections.span_solver, []
 
     def counted(rows):
@@ -353,7 +352,7 @@ def test_plan_builds_at_most_two_solvers_per_character(monkeypatch):
     units = [tuple(int(j == k) for j in range(8)) for k in range(8)]
     chis = units + [(0,) * 8, units[0], units[1], units[2]]
     plan = _plan_pairs(chis, [])
-    assert len(built) == len(chis) - 1
+    assert built == []
     oracle = plan_pairs_oracle(chis, [])
     assert [mode for _, mode in oracle].count("critical") == 5
     a = tuple(range(1, 9))
@@ -433,6 +432,28 @@ def test_a_tampered_section_layer_misses_its_target(name):
     with pytest.raises(InternalConsistencyError) as want:
         section_apply_oracle(tampered, a)
     assert str(info.value) == str(want.value)
+
+
+def test_build_section_refuses_a_step_without_a_lowest_weight_partner(monkeypatch):
+    """A reduction step whose lowest-weight kernel is empty has no partner
+    for v0: build_section raises StageNotRealizable (a defect, exit 5), and
+    so does verify_suite, which reads the first step's pair off the
+    section."""
+    from symprep.verify import verify_suite
+
+    spec = catalog()["sl2_cubic"][0]
+    rep = build_rep(spec)
+    kernel = matrixrep.weight_kernel
+
+    def no_lowest(rep, weight, side="e", *args):
+        return [] if side == "f" else kernel(rep, weight, side, *args)
+
+    monkeypatch.setattr(matrixrep, "weight_kernel", no_lowest)
+    with pytest.raises(StageNotRealizable) as exc:
+        _section(rep)
+    assert str(exc.value) == "lowest-weight space pairs to zero with v0"
+    with pytest.raises(StageNotRealizable):
+        verify_suite(spec)
 
 
 def _rho_specs():

@@ -166,6 +166,69 @@ def test_every_dataclass_field_is_read():
     assert [f for f in fields if f.rsplit(".", 1)[1] not in read] == []
 
 
+def test_every_dataclass_field_is_read_while_the_cli_runs(monkeypatch):
+    """The run-time side of the guard above, which matches a field by its
+    name alone: every field of every `symprep` dataclass is read, on its own
+    class, while the CLI runs `analyze --trace --text`, `gamma`, `hilbert`
+    and `verify` over the catalog and both ladders of the benchmark.  A
+    read inside a method that `dataclasses` generates (`__eq__`, `__hash__`,
+    `__repr__`) does not count; `dataclasses.asdict` does, as it writes the
+    fields into a report.  Every cache is emptied first, so a field read
+    only on a cold path is read here too."""
+    import contextlib
+    import dataclasses
+    import io
+    import json
+    import pkgutil
+    import sys
+
+    import symprep
+    from symprep.cli import main
+
+    modules = [importlib.import_module(f"symprep.{m.name}")
+               for m in pkgutil.iter_modules(symprep.__path__)]
+    classes = [cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and cls.__module__ == module.__name__]
+    assert classes
+    fields, read = set(), set()
+
+    def probe(cls):
+        names = {f.name for f in dataclasses.fields(cls)}
+        prefix = f"{cls.__module__}.{cls.__name__}."
+        fields.update(prefix + name for name in names)
+
+        def getattribute(self, name):
+            if name in names and sys._getframe(1).f_code.co_filename != "<string>":
+                read.add(prefix + name)
+            return object.__getattribute__(self, name)
+        return getattribute
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__getattribute__", probe(cls))
+    for module in modules:
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+            elif isinstance(value, dict) and name.endswith("_CACHE"):
+                value.clear()
+    loader = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    w = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(w)
+    docs = [doc for doc, _ in w.CATALOG.values()]
+    docs += [*w.ANALYZE_LADDER.values(), *w.VERIFY_LADDER.values()]
+    for doc in docs:
+        text = json.dumps(doc)
+        for argv in (["analyze", text, "--trace", "--text"], ["gamma", text],
+                     ["hilbert", text, "--degree", "4"],
+                     ["verify", text, "--samples", "5"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) in (0, 3), err.getvalue()
+    assert sorted(fields - read) == []
+
+
 def test_weyl_orbit_walks_in_int_labels(monkeypatch):
     """A cold `weyl_walk(A5, rho)` pairs and canonicalizes a fixed number
     of times per pair of simple roots (the Cartan matrix, once per datum)
