@@ -284,14 +284,8 @@ def rank(rows):
     return len(_echelon(rows)[1])
 
 
-def nullspace(rows, ncols=None):
-    """Basis of {x : A x = 0} for A given row-wise."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty constraint list")
-        ncols = len(rows[0])
-    if not rows:
-        return list(identity(ncols))
+def nullspace(rows, ncols):
+    """Basis of {x : A x = 0} for A given row-wise with ncols columns."""
     m, pivots = _echelon(rows)
     pivset = set(pivots)
     basis = []

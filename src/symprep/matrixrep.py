@@ -16,16 +16,20 @@ basis and J) is held by its nonzero entries as sparse rows (see `linalg`),
 and no dense copy of a model is kept: products, brackets, Kronecker
 products, block sums and the structural checks run over entries (only J's
 rank is taken on a dense view), and the float stacks `rep.lie` and `rep.j`
-are filled from them.  A model is weight graded (the Lie basis element of a
-root alpha maps V_mu into V_(mu + alpha), and `_check_rep` holds every
-matrix to that), so `weight_kernel`, `MatrixRep.act_exact` and
-`MatrixRep.omega_row` read only the rows of the weight they need.
+are filled from them.  A root vector is labelled by its root's ambient
+vector, ("e", root) or ("f", root).  A model is weight graded (the Lie basis
+element of a label maps V_mu into V_image_weight(mu, label), and
+`_check_rep` holds every matrix to that), so `weight_kernel`,
+`MatrixRep.act_exact` and `MatrixRep.omega_row` read only the rows of the
+weight they need.
 """
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from operator import add, sub
 
 from .errors import BudgetExceeded, InternalConsistencyError, decimal
@@ -52,6 +56,7 @@ from .reps import freudenthal_multiplicities, weyl_dim
 from .rootdata import build_root_datum, cartan_matrix, positive_roots
 
 DEFAULT_DIM_CAP = 64
+CHARGE_CAP = isqrt(int(sys.float_info.max))  # largest with a finite float square
 
 
 @dataclass(frozen=True)
@@ -222,10 +227,12 @@ def root_recipes(letter, rank):
 
 def factor_lie(datum, fi, block):
     """(label, matrix) pairs of factor fi acting on one of its blocks: ("h", i)
-    per simple root, then ("e", coords) and ("f", coords) per positive root of
-    the factor in positive_roots order, with coordinates in the datum's simple
-    roots.  Root vectors beyond the simple ones are replayed from the block's
-    simple ones by the bracket recipes of `root_recipes`."""
+    per simple root, then ("e", root) and ("f", root) per positive root of the
+    factor in positive_roots order, each root named by its ambient vector.
+    The factor's roots are those whose coordinates on its simple roots sum to
+    the height; root vectors beyond the simple ones are replayed from the
+    block's simple ones by the bracket recipes of `root_recipes`, indexed by
+    those coordinates."""
     letter, frank = datum.factors[fi]
     idxs = datum.standard_order[fi]
     x = {simple_coords(frank, i): m for i, m in enumerate(block.e)}
@@ -235,11 +242,10 @@ def factor_lie(datum, fi, block):
         x[coords] = sparse_scale(Fraction(1, c), sparse_comm(x[simple], x[lower]))
         y[coords] = sparse_comm(y[simple], y[lower])
     out = [(("h", gi), block.h[loc]) for loc, gi in enumerate(idxs)]
-    for r in positive_roots(_single_factor_datum(letter, frank)):
-        g = [0] * datum.rank
-        for loc, gi in enumerate(idxs):
-            g[gi] = r.coords[loc]
-        out += [(("e", tuple(g)), x[r.coords]), (("f", tuple(g)), y[r.coords])]
+    for r in positive_roots(datum):
+        local = tuple(r.coords[gi] for gi in idxs)
+        if sum(local) == r.height:
+            out += [(("e", r.vec), x[local]), (("f", r.vec), y[local])]
     return out
 
 
@@ -259,22 +265,33 @@ def float_stack(mats, n):
     return out
 
 
+def image_weight(mu, label):
+    """The weight of the space that the Lie basis element of the label maps
+    V_mu into: mu + root for ("e", root), mu - root for ("f", root), and mu
+    for ("h", i) and ("z", l)."""
+    side, root = label
+    if side == "e":
+        return tuple(map(add, mu, root))
+    if side == "f":
+        return tuple(map(sub, mu, root))
+    return mu
+
+
 @dataclass(frozen=True)
 class MatrixRep:
     """A concrete symplectic module: exact matrices, held as sparse rows (see
     `linalg`), plus float mirrors.  The model is weight graded: basis vector
-    a has weight weight_labels[a], and the Lie basis element of a root alpha
-    maps the weight space V_mu into V_(mu + alpha), so an exact reader takes
-    only the rows of the weight it needs."""
+    a has weight weight_labels[a], and the Lie basis element of a label maps
+    the weight space V_mu into V_image_weight(mu, label), so an exact reader
+    takes only the rows of the weight it needs."""
 
     spec: object
     datum: object
     dim: int
     weight_labels: tuple
     j_exact: tuple
-    lie_labels: tuple    # ('h', i) | ('z', l) | ('e', coords) | ('f', coords)
+    lie_labels: tuple    # ('h', i) | ('z', l) | ('e', root) | ('f', root)
     lie_exact: tuple
-    blocks: tuple        # (kind, weight, start, size) per plan block copy
 
     def __post_init__(self):
         object.__setattr__(self, "j", float_stack([self.j_exact], self.dim)[0])
@@ -289,27 +306,6 @@ class MatrixRep:
         for a, w in enumerate(self.weight_labels):
             weight_index.setdefault(w, []).append(a)
         object.__setattr__(self, "weight_index", weight_index)
-        # the weight shift of each Lie basis element
-        zero = (0,) * self.datum.ambient_dim
-        shift = {lab: zero for lab in self.lie_labels}
-        lookup = {}
-        for r in positive_roots(self.datum):
-            shift["e", r.coords] = r.vec
-            shift["f", r.coords] = tuple(-x for x in r.vec)
-            lookup[r.vec] = r.coords
-        object.__setattr__(self, "weight_shift", shift)
-        object.__setattr__(self, "_root_lookup", lookup)
-
-    def root_coords(self, vec):
-        """Simple-root coordinates in the model's datum of a positive root
-        given by its ambient vector (roots of Levi subdata are roots of the
-        model's datum)."""
-        coords = self._root_lookup.get(cvec(vec))
-        if coords is None:
-            raise InternalConsistencyError(
-                f"{vec} is not a positive root of the model"
-            )
-        return coords
 
     def weight_of(self, vec):
         """The weight of a nonzero weight-homogeneous vector."""
@@ -340,10 +336,9 @@ class MatrixRep:
         """X v for the Lie basis element X of the label and a nonzero weight
         homogeneous v: X v lies in one weight space, and only the rows of X
         of that weight are read.  Exact."""
-        mu = tuple(map(add, self.weight_of(v), self.weight_shift[label]))
         m = self.lie_exact[self.lie_index[label]]
         out = [0] * self.dim
-        for i in self.weight_index.get(cvec(mu), ()):
+        for i in self.weight_index.get(image_weight(self.weight_of(v), label), ()):
             out[i] = canon(sum(x * v[j] for j, x in m[i]))
         return tuple(out)
 
@@ -400,7 +395,7 @@ def _summand_matrices(datum, weight):
     return gens, tuple(labels), tuple(b for _, _, b in blocks)
 
 
-def _dual_pair(gens, labels, kind, weight):
+def _dual_pair(gens, labels):
     """The block U + U* of a summand with its canonical pairing form."""
     n = len(labels)
     merged = {
@@ -408,7 +403,7 @@ def _dual_pair(gens, labels, kind, weight):
         for k, m in gens.items()
     }
     mlabels = labels + tuple(cvec(tuple(-x for x in w)) for w in labels)
-    return merged, mlabels, _hyperbolic_form(n), kind, weight
+    return merged, mlabels, _hyperbolic_form(n)
 
 
 def _invariant_symplectic_form(blocks):
@@ -442,55 +437,42 @@ def build_rep(spec):
                 f"dimension {size}, exceeds cap {DEFAULT_DIM_CAP}"
             )
     # the float mirrors hold every entry as a float, and the central charges
-    # are the one kind of entry with no bound
+    # are the one kind of entry with no bound; the float checks multiply two
+    # charges (the Poisson bracket of two gradients), so a charge's square
+    # must be a finite float too
     top = max((abs(c) for w, _ in spec.summands for c in w[datum.rank:]), default=0)
-    try:
-        float(top)
-    except OverflowError:
+    if top > CHARGE_CAP:
         raise BudgetExceeded(
             f"matrix model: a central charge of {len(decimal(int(top)))} digits "
-            f"exceeds the float range"
-        ) from None
-    parts = []   # (gens, labels, jblock, kind, weight)
+            f"has no finite float square"
+        )
+    parts = []   # (gens, labels, jblock)
     for item in spec.pairing_plan:
         gens, labels, factor_blocks = _summand_matrices(datum, item.weight)
-        if item.kind != "symplectic":
-            pair = _dual_pair(gens, labels, item.kind, item.weight)
-            parts.extend([pair] * item.count)
-            continue
-        # Even multiplicities are presented as U + U* so that rational
-        # isotropic highest weight vectors exist; a lone copy carries its own
-        # invariant form.
-        if item.count >= 2:
-            pair = _dual_pair(gens, labels, "symplectic_pair", item.weight)
-            parts.extend([pair] * (item.count // 2))
-        if item.count % 2:
-            j = _invariant_symplectic_form(factor_blocks)
-            parts.append((gens, labels, j, "symplectic", item.weight))
-    total = sum(len(p[1]) for p in parts)
+        # Even symplectic multiplicities are presented as U + U* so that
+        # rational isotropic highest weight vectors exist; a lone copy
+        # carries its own invariant form.
+        symplectic = item.kind == "symplectic"
+        pairs = item.count // 2 if symplectic else item.count
+        if pairs:
+            parts.extend([_dual_pair(gens, labels)] * pairs)
+        if symplectic and item.count % 2:
+            parts.append((gens, labels, _invariant_symplectic_form(factor_blocks)))
     lie_labels = (
         [("h", i) for i in range(datum.rank)]
         + [("z", l) for l in range(datum.central_rank)]
-        + [(side, r.coords) for r in positive_roots(datum) for side in "ef"]
+        + [(side, r.vec) for r in positive_roots(datum) for side in "ef"]
     )
     lie_mats = [sparse_blockdiag([p[0][lab] for p in parts]) for lab in lie_labels]
-    jfull = sparse_blockdiag([p[2] for p in parts])
     labels_full = tuple(l for p in parts for l in p[1])
-    blocks = []
-    off = 0
-    for gens, labels, _, kind, weight in parts:
-        blocks.append((kind, weight, off, len(labels)))
-        off += len(labels)
-
     rep = MatrixRep(
         spec=spec,
         datum=datum,
-        dim=total,
+        dim=len(labels_full),
         weight_labels=labels_full,
-        j_exact=jfull,
+        j_exact=sparse_blockdiag([p[2] for p in parts]),
         lie_labels=tuple(lie_labels),
         lie_exact=tuple(lie_mats),
-        blocks=tuple(blocks),
     )
     _check_rep(rep)
     return rep
@@ -517,15 +499,14 @@ def _check_rep(rep):
                 f"Cartan matrix {lab} disagrees with weight labels"
             )
         # the weight grading the exact readers rely on
-        shift = rep.weight_shift[lab]
         for i, row in enumerate(mat):
             for k, _ in row:
-                if labels[i] != tuple(map(add, labels[k], shift)):
+                if labels[i] != image_weight(labels[k], lab):
                     raise InternalConsistencyError(f"{lab} breaks the weight grading")
     # [e_alpha, f_alpha] = alpha^vee on each weight space
     for r in positive_roots(datum):
-        e = rep.lie_exact[rep.lie_index["e", r.coords]]
-        f = rep.lie_exact[rep.lie_index["f", r.coords]]
+        e = rep.lie_exact[rep.lie_index["e", r.vec]]
+        f = rep.lie_exact[rep.lie_index["f", r.vec]]
         if sparse_comm(e, f) != sparse_diagonal(rep.coweight_action(r.coroot_vec)):
             raise InternalConsistencyError(
                 f"[e,f] != coroot action for root {r.coords}"
@@ -549,48 +530,40 @@ def _cut(rep, group, values):
     return [lincomb(c, group, rep.dim) for c in nullspace(values, len(group))]
 
 
-def cut_columns(rep, cols, rows):
-    """Intersect the span of weight-homogeneous columns with the joint kernel
-    of the functionals rows, weight space by weight space: a raw nullspace
-    basis per weight, in sorted weight order."""
-    if not rows:
-        return list(cols)
-    by_weight = {}
-    for col in cols:
-        by_weight.setdefault(rep.weight_of(col), []).append(col)
-    out = []
-    for w in sorted(by_weight):
-        group = by_weight[w]
-        values = [[vdot(row, col) for col in group] for row in rows]
-        out.extend(_cut(rep, group, values))
+def unit_columns(rep):
+    """The standard basis vectors of the model graded by weight, as
+    {weight: columns}."""
+    return {
+        w: [tuple(int(a == i) for a in range(rep.dim)) for i in idx]
+        for w, idx in rep.weight_index.items()
+    }
+
+
+def cut_columns(rep, columns, rows):
+    """Intersect the span of weight-graded columns {weight: columns} with the
+    joint kernel of the functionals rows, weight space by weight space: a raw
+    nullspace basis per weight, and no entry for a weight whose part is
+    zero."""
+    out = {}
+    for w, group in columns.items():
+        part = _cut(rep, group, [[vdot(row, col) for col in group] for row in rows])
+        if part:
+            out[w] = part
     return out
 
 
-def weight_kernel(rep, weight, side="e", columns=None, simple_roots=None):
-    """The vectors of the given weight inside the span of the columns that
-    every `side` matrix ("e" raising, "f" lowering) of the given simple roots
-    kills, as cut_columns gives them with the nonzero rows of those matrices
-    as the functionals.  A matrix of the root alpha maps the weight's columns
-    into the weight space of weight + alpha (weight - alpha for "f"), so only
-    its rows there are read; every other row vanishes on the columns.
-
-    Columns must be weight homogeneous; by default they are the standard basis
-    vectors of the weight, and the roots are the model's own simple roots."""
-    weight = cvec(weight)
-    if columns is None:
-        columns = [
-            tuple(int(a == i) for a in range(rep.dim))
-            for i in rep.weight_index.get(weight, ())
-        ]
-    if simple_roots is None:
-        simple_roots = rep.datum.simple_roots
-    group = [c for c in columns if rep.weight_of(c) == weight]
+def weight_kernel(rep, weight, side, group, simple_roots):
+    """The vectors inside the span of group, columns of the given weight,
+    that every `side` matrix ("e" raising, "f" lowering) of the given simple
+    roots kills, as _cut gives them with the nonzero rows of those matrices
+    as the functionals.  A matrix maps the weight's columns into the weight
+    space of its image weight, so only its rows there are read; every other
+    row vanishes on the columns."""
     values = []
     for root in simple_roots:
-        label = (side, rep.root_coords(root))
+        label = (side, root)
         m = rep.lie_exact[rep.lie_index[label]]
-        target = cvec(map(add, weight, rep.weight_shift[label]))
-        for i in rep.weight_index.get(target, ()):
+        for i in rep.weight_index.get(image_weight(weight, label), ()):
             if m[i]:
                 values.append([sum(x * col[j] for j, x in m[i]) for col in group])
     return _cut(rep, group, values)
@@ -610,31 +583,31 @@ def hyperbolic_partner(rep, v0, candidates):
     return v0m
 
 
-def hyperbolic_pair(rep, chi, columns=None, simple_roots=None):
-    """(v0, v0m) of a reduction step at chi: v0 is the first vector of the
-    highest-weight kernel of weight chi, v0m its hyperbolic partner in the
-    lowest-weight kernel of weight -chi, both taken as in weight_kernel.
-    Either is None when missing (v0m also when v0 is)."""
-    hw = weight_kernel(rep, chi, "e", columns, simple_roots)
+def hyperbolic_pair(rep, chi, columns, simple_roots):
+    """(v0, v0m) of a reduction step at chi, from weight-graded columns
+    {weight: columns}: v0 is the first vector of the highest-weight kernel of
+    weight chi, v0m its hyperbolic partner in the lowest-weight kernel of
+    weight -chi, both taken as in weight_kernel.  Either is None when missing
+    (v0m also when v0 is)."""
+    hw = weight_kernel(rep, chi, "e", columns.get(chi, []), simple_roots)
     if not hw:
         return None, None
     neg = tuple(-x for x in chi)
-    lw = weight_kernel(rep, neg, "f", columns, simple_roots)
+    lw = weight_kernel(rep, neg, "f", columns.get(neg, []), simple_roots)
     return hw[0], hyperbolic_partner(rep, hw[0], lw)
 
 
 def find_hw_vectors(rep):
-    """(weight, rref basis of the highest-weight space) pairs sorted by
-    weight, with multiplicities matching the spec summands."""
-    table = {}
-    for w in sorted(set(rep.weight_labels)):
-        red, piv = rref(weight_kernel(rep, w))
-        if piv:
-            table[w] = tuple(red[: len(piv)])
+    """Check that the highest-weight space of each weight has the dimension
+    of the weight's multiplicity among the spec summands."""
+    roots = rep.datum.simple_roots
+    got = {}
+    for w, group in sorted(unit_columns(rep).items()):
+        k = len(weight_kernel(rep, w, "e", group, roots))
+        if k:
+            got[w] = k
     want = {cvec(w): m for w, m in rep.spec.summands}
-    got = {w: len(b) for w, b in table.items()}
     if want != got:
         raise InternalConsistencyError(
             f"highest-weight structure {got} disagrees with the spec {want}"
         )
-    return sorted(table.items())

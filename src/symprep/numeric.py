@@ -170,17 +170,6 @@ def factor_matrix_forms(rep, coords):
     ]
 
 
-@dataclass
-class MomentValue:
-    coords: np.ndarray
-    factor_matrices: list
-
-
-def moment_eval(rep, v):
-    coords = moment_coords(rep, v)
-    return MomentValue(coords, factor_matrix_forms(rep, coords))
-
-
 def inv_moment_eval(rep, v):
     """Invariant moment map: per-factor invariant coordinates of the moment
     value (`_FactorFrame.invariant_coords_of`) followed by the central linear
@@ -304,18 +293,16 @@ class LocalFrame:
 
 def local_frame(rep, step, layer):
     """The LocalFrame of a reduction step of the model's module, from the
-    step (chi and Delta_u) and the section layer that `sections.build_section`
-    built for it (v0 and the slice functionals)."""
+    step (Delta_u and the Levi M) and the section layer that
+    `sections.build_section` built for it (v0 and the slice functionals)."""
     du = step.delta_u
     v0f = np.array([float(x) for x in layer.v0])
     levi = [("h", i) for i in range(rep.datum.rank)]
     levi += [("z", l) for l in range(rep.datum.central_rank)]
-    for r in positive_roots(rep.datum):
-        if vdot(step.chosen_chi, r.coroot_vec) == 0:
-            levi += [("e", r.coords), ("f", r.coords)]
+    levi += [(side, r.vec) for r in positive_roots(step.levi) for side in "ef"]
     n = rep.dim
-    emats = np.array([rep.lie_matrix(("e", r.coords)) for r in du]).reshape(-1, n, n)
-    fv0 = np.array([rep.lie_matrix(("f", r.coords)) @ v0f for r in du]).reshape(-1, n)
+    emats = np.array([rep.lie_matrix(("e", r.vec)) for r in du]).reshape(-1, n, n)
+    fv0 = np.array([rep.lie_matrix(("f", r.vec)) @ v0f for r in du]).reshape(-1, n)
     return LocalFrame(
         rep=rep,
         delta_u=du,

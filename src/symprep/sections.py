@@ -33,7 +33,7 @@ from .linalg import (
     unscaled,
     vdot,
 )
-from .matrixrep import cut_columns, hyperbolic_pair
+from .matrixrep import cut_columns, hyperbolic_pair, unit_columns
 from .numeric import _chunks, chevalley_target, inv_moment_eval
 from .rootdata import positive_roots, rho_vee
 
@@ -143,27 +143,24 @@ def _plan_coords(count, plan, sol):
 
 
 def _character_pairs_from_columns(rep, columns):
-    """Hyperbolic pair structure on a span of character columns, exactly.
+    """Hyperbolic pair structure on a span of columns {weight: columns}, exactly.
 
     Nonzero weights are matched with their negatives through the inverse of
     the pairing matrix; zero-weight columns go through a symplectic
     Gram-Schmidt."""
-    by_weight = {}
-    for col in columns:
-        by_weight.setdefault(rep.weight_of(col), []).append(col)
     pairs = []
     seen = set()
-    for w in sorted(by_weight, reverse=True):
+    for w in sorted(columns, reverse=True):
         if w in seen:
             continue
         neg = cvec(tuple(-x for x in w))
         if neg == w:
-            pairs.extend(_zero_weight_pairs(rep, by_weight[w]))
+            pairs.extend(_zero_weight_pairs(rep, columns[w]))
             seen.add(w)
             continue
-        if neg not in by_weight or len(by_weight[neg]) != len(by_weight[w]):
+        if neg not in columns or len(columns[neg]) != len(columns[w]):
             raise InternalConsistencyError("unmatched character columns")
-        cp, cm = by_weight[w], by_weight[neg]
+        cp, cm = columns[w], columns[neg]
         k = len(cp)
         pmat = [[vdot(row, v) for v in cm] for row in map(rep.omega_row, cp)]
         solve = span_solver(transpose(pmat))
@@ -207,9 +204,8 @@ def slice_functionals(rep, roots, v0, v0m):
     S of the local-structure step is their joint kernel.  Exact."""
     rows = []
     for r in roots:
-        coords = rep.root_coords(r.vec)
-        rows.append(rep.omega_row(rep.act_exact(("f", coords), v0)))
-        rows.append(rep.omega_row(rep.act_exact(("e", coords), v0m)))
+        rows.append(rep.omega_row(rep.act_exact(("f", r.vec), v0)))
+        rows.append(rep.omega_row(rep.act_exact(("e", r.vec), v0m)))
     return rows
 
 
@@ -291,7 +287,7 @@ def build_section(rep, reduction):
     reduction is the (trace, TerminalData) pair of run_reduction(rep.spec),
     for example (analysis.trace, analysis.terminal) of an analysis."""
     trace, td = reduction
-    cols = list(identity(rep.dim))
+    cols = unit_columns(rep)
     killed = []
     layers = []
     current = rep.spec
@@ -316,12 +312,11 @@ def build_section(rep, reduction):
         killed.append(chi)
         current = step.s_spec
     # terminal stage: keep the character columns, zero the symplectic blocks
-    term_datum = td.terminal_group
-    char_cols = []
-    for col in cols:
-        w = rep.weight_of(col)
-        if all(vdot(w, c) == 0 for c in term_datum.simple_coroots):
-            char_cols.append(col)
+    coroots = td.terminal_group.simple_coroots
+    char_cols = {
+        w: group for w, group in cols.items()
+        if all(vdot(w, c) == 0 for c in coroots)
+    }
     pairs = _character_pairs_from_columns(rep, char_cols)
     chis = [p.chi for p in pairs]
     plan = _plan_pairs(chis, killed)

@@ -16,12 +16,12 @@ from .numeric import (
     _frames,
     _jacobian_row,
     _join,
+    factor_matrix_forms,
     gradient_bracket,
     inv_moment_eval,
     jacobian_inv_moment,
     local_frame,
     moment_coords,
-    moment_eval,
     orbit_estimates,
     seeded_samples,
     verify_commute,
@@ -93,12 +93,12 @@ def verify_suite(spec, seed=0, samples=20, analysis=None):
     vs = seeded_samples(rng, rep.dim, max(3, samples // 4))
     res = 0.0
     for part in _chunks(len(vs), len(rep.lie) * rep.dim):
-        mv = moment_eval(rep, vs[part])
+        coords = moment_coords(rep, vs[part])
         half = _half_omega(rep, lie, vs[part])
-        res = max(res, np.max(np.abs(mv.coords - half), initial=0.0))
-        for frame, mats in zip(_frames(rep), mv.factor_matrices):
+        res = max(res, np.max(np.abs(coords - half), initial=0.0))
+        for frame, mats in zip(_frames(rep), factor_matrix_forms(rep, coords)):
             back = np.einsum("kab,fba->kf", mats, frame.mats)  # trace(mat @ ref)
-            res = max(res, np.max(np.abs(back - mv.coords[:, frame.pos])))
+            res = max(res, np.max(np.abs(back - coords[:, frame.pos])))
     _check(checks, "moment_identity", res, 1e-12)
 
     # equivariance along nilpotent one-parameter flows
@@ -231,13 +231,11 @@ def _equivariance_residual(rep, rng):
 
 
 def _sp_closed_form_residual(rep, rng):
-    """For a lone type-C defining block: m(v) = -1/2 v v^T J, nilpotent of
-    rank one, invariant image zero.  Returns the four residual maxima, or
-    None when not applicable."""
-    if len(rep.blocks) != 1:
-        return None
-    kind, weight, start, size = rep.blocks[0]
-    if kind != "symplectic":
+    """For a lone type-C defining block (a pairing plan of one symplectic
+    item of count 1): m(v) = -1/2 v v^T J, nilpotent of rank one, invariant
+    image zero.  Returns the four residual maxima, or None otherwise."""
+    plan = rep.spec.pairing_plan
+    if len(plan) != 1 or plan[0].kind != "symplectic" or plan[0].count != 1:
         return None
     datum = rep.datum
     if len(datum.factors) != 1 or datum.factors[0][0] not in ("A", "C"):
@@ -247,7 +245,7 @@ def _sp_closed_form_residual(rep, rng):
     if rep.dim != expected_dim:
         return None
     vs = seeded_samples(rng, rep.dim, 20)
-    mats = moment_eval(rep, vs).factor_matrices[0]
+    mats = factor_matrix_forms(rep, moment_coords(rep, vs))[0]
     closed = -0.5 * (vs[:, :, None] * vs[:, None, :]) @ rep.j
     closed_res = np.max(np.abs(mats - closed))
     rank_res = np.max(np.linalg.svd(mats, compute_uv=False)[:, 1:], initial=0.0)

@@ -71,6 +71,7 @@ from symprep.matrixrep import (
     hyperbolic_partner,
     root_recipes,
     simple_coords,
+    unit_columns,
     weight_kernel,
 )
 from symprep.classify import WeightStatus, is_singular_weight, weight_status
@@ -824,7 +825,8 @@ def assembled_lie_oracle(rep):
     """(labels, dense matrices) of a model's Lie action with every non-simple
     root vector replayed by the bracket recipes, as dense brackets, on the
     assembled model's simple root vectors, instead of on each factor
-    block."""
+    block; root vectors are keyed by the root's coordinates over all the
+    datum's simple roots and labelled by its ambient vector."""
     datum = rep.datum
     x, y = {}, {}
     for fi, (letter, frank) in enumerate(datum.factors):
@@ -839,8 +841,9 @@ def assembled_lie_oracle(rep):
         def simple(i):
             return tuple(1 if j == i else 0 for j in range(frank))
 
-        lx = {simple(i): lie_matrix_exact(rep, ("e", glob(simple(i)))) for i in range(frank)}
-        ly = {simple(i): lie_matrix_exact(rep, ("f", glob(simple(i)))) for i in range(frank)}
+        roots = [datum.simple_roots[gi] for gi in idxs]
+        lx = {simple(i): lie_matrix_exact(rep, ("e", a)) for i, a in enumerate(roots)}
+        ly = {simple(i): lie_matrix_exact(rep, ("f", a)) for i, a in enumerate(roots)}
         recipes = root_recipes(letter, frank)
         for coords in sorted(recipes, key=sum):
             i, lower, c = recipes[coords]
@@ -853,7 +856,7 @@ def assembled_lie_oracle(rep):
     labels += [("z", l) for l in range(datum.central_rank)]
     mats = [lie_matrix_exact(rep, lab) for lab in labels]
     for r in positive_roots(datum):
-        labels += [("e", r.coords), ("f", r.coords)]
+        labels += [("e", r.vec), ("f", r.vec)]
         mats += [x[r.coords], y[r.coords]]
     return tuple(labels), tuple(mats)
 
@@ -862,12 +865,13 @@ def rref_hyperbolic_pair_oracle(rep, chi):
     """(v0, v0m) from the rref bases of the whole model's highest-weight
     space of weight chi and lowest-weight space of weight -chi; None where
     a vector is missing."""
-    red, piv = rref_oracle(weight_kernel(rep, chi))
+    units, roots = unit_columns(rep), rep.datum.simple_roots
+    red, piv = rref_oracle(weight_kernel(rep, chi, "e", units.get(chi, []), roots))
     if not piv:
         return None, None
     v0 = red[0]
     neg = tuple(-x for x in chi)
-    red, piv = rref_oracle(weight_kernel(rep, neg, "f"))
+    red, piv = rref_oracle(weight_kernel(rep, neg, "f", units.get(neg, []), roots))
     return v0, hyperbolic_partner(rep, v0, red[: len(piv)])
 
 
@@ -1271,7 +1275,9 @@ def step_and_layer(rep, chi):
     as `build_section` forms a first layer: (v0, v0^-) from
     `hyperbolic_pair` and the slice functionals of Delta_u."""
     step, _ = reduce_step(rep.spec, chi)
-    v0, v0m = hyperbolic_pair(rep, step.chosen_chi)
+    v0, v0m = hyperbolic_pair(
+        rep, step.chosen_chi, unit_columns(rep), rep.datum.simple_roots
+    )
     if v0 is None or v0m is None:
         raise InternalConsistencyError(f"no hyperbolic pair at {chi}")
     layer = SectionLayer(

@@ -16,8 +16,9 @@ from symprep.classify import WeightStatus, weight_status
 from symprep.linalg import mat_vec, same_span, vdot
 from symprep.matrixrep import build_rep
 from symprep.numeric import (
+    factor_matrix_forms,
     inv_moment_eval,
-    moment_eval,
+    moment_coords,
     orbit_estimates,
     seeded_samples,
     verify_commute,
@@ -93,8 +94,7 @@ def test_criterion_2_symplectic_standard_closed_form():
         rep = build_rep(spec)
         rng = np.random.default_rng(0)
         for v in seeded_samples(rng, rep.dim, 100):
-            mv = moment_eval(rep, v)
-            mat = mv.factor_matrices[0]
+            mat = factor_matrix_forms(rep, moment_coords(rep, v))[0]
             worst["closed"] = max(
                 worst["closed"],
                 float(np.max(np.abs(mat + 0.5 * np.outer(v, v) @ rep.j))),

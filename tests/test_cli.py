@@ -281,8 +281,68 @@ def test_a_central_charge_past_the_float_range_exits_3(tmp_path, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: matrix model: a central charge of 311 digits exceeds the float range\n"
+        "error: matrix model: a central charge of 311 digits has no finite float square\n"
     )
+
+
+def _charged(simple, central, hws):
+    return {
+        "group": {"simple": simple, "central_torus_rank": central},
+        "rep": [{"hw": hw, "mult": 1} for hw in hws],
+    }
+
+
+CHARGED_MODELS = {
+    "T1": lambda c: _charged([], 1, [[c], [-c]]),
+    "A1xT1": lambda c: _charged([["A", 1]], 1, [[1, c], [1, -c]]),
+    "A2xT1": lambda c: _charged([["A", 2]], 1, [[1, 0, c], [0, 1, -c]]),
+    "T2": lambda c: _charged([], 2, [[c, 1], [-c, -1]]),
+}
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"the report holds {name}, which JSON does not allow")
+
+
+@pytest.mark.parametrize("name", sorted(CHARGED_MODELS))
+def test_a_central_charge_whose_square_is_a_finite_float_gives_finite_residuals(
+    tmp_path, capsys, name
+):
+    """The float checks multiply two charges (the Poisson bracket of two
+    gradients), so at the largest charge whose square is a finite float
+    every residual of `verify`'s report is finite: the report is RFC 8259
+    JSON with no Infinity or NaN.  The checks fail there (exit 1), as the
+    absolute tolerances are not scale free."""
+    from symprep.matrixrep import CHARGE_CAP
+
+    path = _write(tmp_path, "cap.json", CHARGED_MODELS[name](CHARGE_CAP))
+    assert main(["verify", path]) == EXIT_CHECK_FAILED
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert report["numeric_verification"]["passed"] is False
+
+
+@pytest.mark.parametrize("name", sorted(CHARGED_MODELS))
+def test_a_central_charge_whose_square_has_no_finite_float_exits_3(
+    tmp_path, capsys, monkeypatch, name
+):
+    """One above the largest charge whose square is a finite float, and at
+    2 * 10^154, `verify` exits 3 before any block is built: past that bound
+    the float checks would write Infinity into the report."""
+    from symprep import matrixrep
+
+    def unbuilt(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(matrixrep, "_summand_matrices", unbuilt)
+    for charge in (matrixrep.CHARGE_CAP + 1, 2 * 10 ** 154, -(matrixrep.CHARGE_CAP + 1)):
+        path = _write(tmp_path, "over.json", CHARGED_MODELS[name](charge))
+        assert main(["verify", path]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: matrix model: a central charge of 155 digits has no finite "
+            "float square\n"
+        )
 
 
 @pytest.mark.parametrize("n, text", [

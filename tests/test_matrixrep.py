@@ -24,8 +24,10 @@ from symprep.matrixrep import (
     build_rep,
     find_hw_vectors,
     hyperbolic_pair,
+    image_weight,
     root_recipes,
     simple_coords,
+    unit_columns,
     weight_kernel,
 )
 from symprep.reps import (
@@ -91,8 +93,8 @@ def test_bracket_relations_on_all_roots():
     ):
         rep = build_rep(spec)
         for r in positive_roots(spec.datum):
-            e = lie_matrix_exact(rep, ("e", r.coords))
-            f = lie_matrix_exact(rep, ("f", r.coords))
+            e = lie_matrix_exact(rep, ("e", r.vec))
+            f = lie_matrix_exact(rep, ("f", r.vec))
             br = dense_comm(e, f)
             diag = rep.coweight_action(r.coroot_vec)
             for a in range(rep.dim):
@@ -108,16 +110,39 @@ def test_weight_labels_are_torus_eigenvalues():
             assert h[a][a] == rep.weight_labels[a][i]
 
 
+def _hw_dims(rep):
+    """The dimension of each nonzero highest-weight space of the model."""
+    roots = rep.datum.simple_roots
+    dims = {
+        w: len(weight_kernel(rep, w, "e", group, roots))
+        for w, group in unit_columns(rep).items()
+    }
+    return {w: k for w, k in dims.items() if k}
+
+
 def test_hw_vectors_examples():
-    rep = build_rep(validate_symplectic_spec(A1, [((1,), 2)]))
-    table = dict(find_hw_vectors(rep))
-    assert len(table[(1,)]) == 2
-    rep = build_rep(validate_symplectic_spec(A1, [((3,), 1)]))
-    table = dict(find_hw_vectors(rep))
-    assert len(table[(3,)]) == 1
+    for summands, want in (
+        ([((1,), 2)], {(1,): 2}),
+        ([((3,), 1)], {(3,): 1}),
+    ):
+        rep = build_rep(validate_symplectic_spec(A1, summands))
+        assert _hw_dims(rep) == want
+        find_hw_vectors(rep)
     rep = build_rep(validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)]))
-    table = dict(find_hw_vectors(rep))
-    assert set(table) == {(1, 0), (0, 1)}
+    assert _hw_dims(rep) == {(1, 0): 1, (0, 1): 1}
+    find_hw_vectors(rep)
+
+
+def test_find_hw_vectors_refuses_a_spec_it_disagrees_with():
+    """find_hw_vectors holds the kernel dimensions to the spec: the model of
+    two standard sl2 modules disagrees with a spec of one."""
+    rep = build_rep(validate_symplectic_spec(A1, [((1,), 2)]))
+    one = validate_symplectic_spec(A1, [((1,), 1)])
+    with pytest.raises(InternalConsistencyError) as info:
+        find_hw_vectors(replace(rep, spec=one))
+    assert str(info.value) == (
+        "highest-weight structure {(1,): 2} disagrees with the spec {(1,): 1}"
+    )
 
 
 def test_weight_kernel_both_sides_across_catalog():
@@ -126,26 +151,57 @@ def test_weight_kernel_both_sides_across_catalog():
     and is killed by every simple e (resp. f)."""
     for name, (spec, _) in catalog().items():
         rep = build_rep(spec)
-        rank = rep.datum.rank
+        roots = rep.datum.simple_roots
         mult = {}
         for w, m in spec.summands:
             mult[cvec(w)] = mult.get(cvec(w), 0) + m
-        for w in set(rep.weight_labels):
+        for w, group in unit_columns(rep).items():
             for side, top in (("e", w), ("f", cvec(tuple(-x for x in w)))):
-                vecs = weight_kernel(rep, w, side)
+                vecs = weight_kernel(rep, w, side, group, roots)
                 assert len(vecs) == mult.get(top, 0), (name, w, side)
                 for v in vecs:
                     assert rep.weight_of(v) == w, (name, w, side)
-                    for i in range(rank):
-                        m = lie_matrix_exact(rep, (side, simple_coords(rank, i)))
-                        assert not any(mat_vec(m, v)), (name, w, side, i)
+                    for root in roots:
+                        m = lie_matrix_exact(rep, (side, root))
+                        assert not any(mat_vec(m, v)), (name, w, side, root)
+
+
+def test_weight_kernel_reads_a_levis_simple_roots():
+    """With a Levi's simple roots, weight_kernel keeps the vectors that only
+    those raising matrices kill: on sl3's defining module plus its dual, the
+    Levi of alpha_2 sees the defining module's middle weight as a highest
+    weight, the whole group does not."""
+    rep = build_rep(validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)]))
+    units = unit_columns(rep)
+    w = (-1, 1)  # omega_2 - omega_1, the middle weight of the defining module
+    assert weight_kernel(rep, w, "e", units[w], rep.datum.simple_roots) == []
+    levi = [rep.datum.simple_roots[1]]
+    assert len(weight_kernel(rep, w, "e", units[w], levi)) == 1
+
+
+def test_image_weight_shifts_by_the_labels_root():
+    """A root vector is named by its root: e maps V_mu into V_(mu + alpha),
+    f into V_(mu - alpha), and h and z keep the weight (`_check_rep` holds
+    every model to it)."""
+    mu = (1, 0)
+    assert image_weight(mu, ("e", (2, -1))) == (3, -1)
+    assert image_weight(mu, ("f", (2, -1))) == (-1, 1)
+    assert image_weight(mu, ("h", 0)) == mu and image_weight(mu, ("z", 0)) == mu
 
 
 def test_even_symplectic_multiplicity_presented_as_pair():
+    """Two copies of sl2's standard module are one U + U*, J the hyperbolic
+    form [[0, I], [-I, 0]]; three are that pair plus a lone copy carrying
+    its own invariant form."""
+    hyperbolic = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
     rep = build_rep(validate_symplectic_spec(A1, [((1,), 2)]))
-    assert [b[0] for b in rep.blocks] == ["symplectic_pair"]
+    assert dense(rep.j_exact, rep.dim) == hyperbolic
+    assert rep.weight_labels == ((1,), (-1,), (-1,), (1,))
     rep = build_rep(validate_symplectic_spec(A1, [((1,), 3)]))
-    assert sorted(b[0] for b in rep.blocks) == ["symplectic", "symplectic_pair"]
+    lone = ((0, 0, 0, 0, 0, 1), (0, 0, 0, 0, -1, 0))
+    assert dense(rep.j_exact, rep.dim) == (
+        tuple(row + (0, 0) for row in hyperbolic) + lone
+    )
 
 
 def test_models_beyond_the_closed_forms_build():
@@ -419,7 +475,7 @@ def test_check_rep_catches_each_broken_invariant():
     _check_rep(rep)
     n = rep.dim
     j = dense(rep.j_exact, n)
-    e1 = ("e", simple_coords(2, 0))
+    e1 = ("e", C2.simple_roots[0])
     labels = list(rep.weight_labels)
     a = 0
     b = next(k for k, w in enumerate(labels) if w[0] != labels[a][0])
@@ -446,7 +502,7 @@ def test_check_rep_catches_each_broken_invariant():
                     tuple(2 * x for x in row) for row in lie_matrix_exact(rep, e1)
                 ))
             ),
-            f"[e,f] != coroot action for root {e1[1]}",
+            f"[e,f] != coroot action for root {simple_coords(2, 0)}",
         ),
     ]
     for broken, message in cases:
@@ -460,7 +516,7 @@ def test_check_rep_catches_a_broken_weight_grading():
     V_(mu + alpha); the exact readers rely on that grading, so _check_rep
     refuses it."""
     rep = build_rep(validate_symplectic_spec(C2, [((1, 0), 1)]))
-    e1 = ("e", simple_coords(2, 0))
+    e1 = ("e", C2.simple_roots[0])
     broken = sparse_rows(
         tuple(
             tuple(x + y for x, y in zip(row_e, row_h))
@@ -497,6 +553,6 @@ def test_per_block_lie_action_and_hyperbolic_pair_match_the_oracles(name):
     assert rep.lie_labels == labels
     assert repr(tuple(lie_matrix_exact(rep, lab) for lab in labels)) == repr(mats)
     for chi, _ in rep.spec.summands:
-        got = hyperbolic_pair(rep, chi)
+        got = hyperbolic_pair(rep, chi, unit_columns(rep), rep.datum.simple_roots)
         assert None not in got, chi
         assert repr(got) == repr(rref_hyperbolic_pair_oracle(rep, chi)), chi

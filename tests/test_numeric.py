@@ -10,19 +10,19 @@ from symprep.linalg import vdot
 from symprep.matrixrep import build_rep
 from symprep.numeric import (
     _numeric_rank,
+    factor_matrix_forms,
     gradient_bracket,
     inv_moment_eval,
     jacobian_inv_moment,
     local_frame,
     moment_coords,
-    moment_eval,
     orbit_directions,
     orbit_estimates,
     seeded_samples,
     verify_commute,
 )
 from symprep.reps import validate_symplectic_spec
-from symprep.rootdata import build_root_datum, weyl_degrees
+from symprep.rootdata import build_root_datum, positive_roots, weyl_degrees
 
 from corpus import A1, A2, C2, T1, catalog, generic_models, verify_ladder
 from oracles import (
@@ -49,10 +49,10 @@ def _rep(datum, summands):
 def test_moment_closed_form_sp2():
     rep = _rep(A1, [((1,), 1)])
     v = np.array([1.0, 0.0])
-    mv = moment_eval(rep, v)
+    mat = factor_matrix_forms(rep, moment_coords(rep, v))[0]
     expected = -0.5 * np.outer(v, v) @ rep.j
-    assert np.max(np.abs(mv.factor_matrices[0] - expected)) <= 1e-15
-    assert np.linalg.matrix_rank(mv.factor_matrices[0]) == 1
+    assert np.max(np.abs(mat - expected)) <= 1e-15
+    assert np.linalg.matrix_rank(mat) == 1
 
 
 @pytest.mark.parametrize("factor", [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)],
@@ -222,6 +222,21 @@ def test_stacked_q_embedding_matches_the_per_sample_oracle(name):
         for field, w in zip(got, want, strict=True):
             assert _close(np.asarray(field[row]), np.asarray(w))
     assert len(emb.q) == len(rc.residual_levi) == emb.kept.sum()
+
+
+@pytest.mark.parametrize("name", sorted(_frame_models()))
+def test_local_frame_levi_is_the_centralizer_of_chi(name):
+    """The frame's Levi, read off the step's Levi datum, holds the model's
+    h and z and the root vectors of exactly the roots with
+    <chi, alpha^vee> = 0."""
+    rep, chi = _frame_models()[name]
+    labels = [("h", i) for i in range(rep.datum.rank)]
+    labels += [("z", l) for l in range(rep.datum.central_rank)]
+    for r in positive_roots(rep.datum):
+        if vdot(chi, r.coroot_vec) == 0:
+            labels += [("e", r.vec), ("f", r.vec)]
+    frame = frame_at(rep, chi)
+    assert sorted(frame.levi_index) == sorted(rep.lie_index[lab] for lab in labels)
 
 
 @pytest.mark.parametrize("name", sorted(_kernel_models()))
@@ -472,8 +487,8 @@ def test_poisson_moment_is_homomorphism():
     rep = _rep(A1, [((1,), 2)])
     rng = np.random.default_rng(5)
     v = rng.standard_normal(rep.dim)
-    me = _moment_gradient(rep, ("e", (1,)), v)
-    mf = _moment_gradient(rep, ("f", (1,)), v)
+    me = _moment_gradient(rep, ("e", (2,)), v)  # alpha = 2 omega
+    mf = _moment_gradient(rep, ("f", (2,)), v)
     mh = moment_coords(rep, v)[rep.lie_index[("h", 0)]]
     assert abs(gradient_bracket(rep, me, mf) - mh) <= 1e-12
 
@@ -497,7 +512,7 @@ def test_poisson_pullbacks_commute():
 
 def test_equivariance_spot():
     rep = _rep(A2, [((1, 0), 1), ((0, 1), 1)])
-    x = rep.lie_matrix(("e", (1, 0)))
+    x = rep.lie_matrix(("e", (2, -1)))  # alpha_1
     g = np.eye(rep.dim) + 0.3 * x + 0.045 * x @ x  # exp for this nilpotent
     rng = np.random.default_rng(2)
     v = rng.standard_normal(rep.dim)
@@ -510,7 +525,7 @@ def test_equivariance_spot():
 
 def test_inv_moment_conjugation_invariance():
     rep = _rep(A2, [((1, 0), 1), ((0, 1), 1)])
-    x = rep.lie_matrix(("e", (1, 1)))
+    x = rep.lie_matrix(("e", (1, 1)))  # alpha_1 + alpha_2
     g = np.eye(rep.dim) + 0.4 * x + 0.08 * x @ x
     rng = np.random.default_rng(8)
     for _ in range(3):

@@ -534,3 +534,47 @@ def test_run_reduction_row_reduces_distinct_character_pairs(monkeypatch):
     assert len(pairs) == 179
     assert (sum(m for _, m in pairs), td.a_rank) == (3042, 3)
     assert td.c == 3042 - 3
+
+
+# P14's A1xA1xT1 spec: mf with rk_s 3, and two reflection subgroups of Gamma
+# of order 2 whose Molien series agree up to the symmetric-power degree
+# budget, so the match over subgroups cannot tell them apart.
+AMBIGUOUS = (
+    [("A", 1), ("A", 1)], 1,
+    [((0, 2, -1), 1), ((1, 0, 1), 1), ((0, 2, 1), 1), ((1, 0, -1), 1)],
+)
+
+
+def test_two_subgroups_with_one_series_leave_w_v_ambiguous(tmp_path, monkeypatch, capsys):
+    """`analyze` raises the degree from 8 to the budget 10 and still finds
+    two matching subgroups, so W_V is `ambiguous` with candidates [2, 2];
+    Gamma has order 4 and 2 reflections, and the Hilbert series to degree
+    10 is 1, 2, 4, 6, 9, 12 in even degrees.  Reading W_V's degrees off the
+    Hilbert series (ROADMAP item 1) is expected to make this verdict
+    `exact` (P14), and this test then changes with it."""
+    from symprep.cli import main
+
+    factors, central, summands = AMBIGUOUS
+    spec = validate_symplectic_spec(build_root_datum(factors, central), summands)
+    degrees, real = [], reduction.invariant_dims
+
+    def spy(spec, degree, **kwargs):
+        degrees.append(degree)
+        return real(spec, degree, **kwargs)
+
+    monkeypatch.setattr(reduction, "invariant_dims", spy)
+    report = analyze(spec)
+    assert degrees == [8, 10]
+    assert (report.rk_s, report.c_s, report.mf) == (3, 0, True)
+    assert report.little_weyl.status == "ambiguous"
+    assert report.little_weyl.candidates == (2, 2)
+    assert (report.gamma.gamma_order, len(report.gamma.reflections)) == (4, 2)
+    doc = {
+        "group": {"simple": [list(f) for f in factors], "central_torus_rank": central},
+        "rep": [{"hw": list(hw), "mult": m} for hw, m in summands],
+    }
+    path = tmp_path / "ambiguous.json"
+    path.write_text(json.dumps(doc))
+    assert main(["hilbert", str(path), "--degree", "10"]) == 0
+    dims = json.loads(capsys.readouterr().out)["invariant_dims"]
+    assert dims == [1, 0, 2, 0, 4, 0, 6, 0, 9, 0, 12]
