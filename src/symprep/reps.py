@@ -11,11 +11,14 @@ section 24), formed only where it is read.  Every target t = w rho - rho
 has height <t, 2 rho^vee> <= 0, and one of depth -<t, 2 rho^vee> beyond
 D = d max_nu <-nu, 2 rho^vee> is no weight of S^d V.  So:
 - the symmetric-power recursion keys each weight by one Python int in a
-  balanced radix with the height as its top digit, takes the weights of V
-  in ascending height, and drops a state lifted above height 0 once only
-  positive heights are left, with one int compare; its mass stays exact,
-  kept states plus each dropped state's count times its extensions making
-  C(dim V + d - 1, d);
+  balanced radix with the height as its top digit and takes the weights of
+  V in ascending height.  Below degree d - 1 it drops a state lifted above
+  height 0 once only positive heights are left, with one int compare; at
+  the top degree d it keeps only target keys, and at d - 1 only states
+  that are a target or become one by one more weight from the slot they
+  are formed in or a later one, with one lookup.  Its mass stays exact at every degree, kept
+  states plus each dropped state's count times its extensions making
+  C(dim V + e - 1, e) at degree e;
 - the targets come from a walk down from rho in Dynkin labels cut at depth
   D, with no words, held to the truncated Weyl denominator identity
   sum (-1)^l(w) q^depth = prod_(alpha > 0) (1 - q^(2 ht alpha)) mod q^(D+1).
@@ -306,43 +309,62 @@ def _int_key(v, radix):
     return key
 
 
-def _sym_power_states(steps, max_degree, half):
+def _sym_power_states(steps, max_degree, half, reach):
     """The coefficients of prod_mu (1 - t x^mu)^(-1) over the weight slots,
     one key step per slot in ascending order: multiplying by 1/(1 - t x^mu)
-    is h_d += x^mu h_(d-1) for d rising.  Every kept state has height <= 0
-    (key <= `half`), so a step lifts one above `half` only when its own
-    height is positive, as is every later step's: that state can never
-    come back down to a target and is dropped.  Returns h, h[d] mapping the
-    key of each kept state of degree d to its count, and the dropped mass
-    as (slots left, degree, count) triples."""
+    is h_d += x^mu h_(d-1) for d rising.  Below degree D - 1 (D =
+    max_degree) every kept state has height <= 0 (key <= `half`), so a step
+    lifts one above `half` only when its own height is positive, as is
+    every later step's: that state can never come back down to a target
+    and is dropped.  The top two degrees are read only at the targets: a
+    degree-D state is kept only if its key is a target, and a degree-(D -
+    1) state formed in slot i, read only at its own key k and at k + s_j
+    for j >= i, only if reach[k] >= i, `reach` mapping each target to
+    len(steps) and each other key k with a target k + s_j to the last
+    such slot j.  Returns h, h[d] mapping the key of each kept state of
+    degree d to its count, and the mass of every state dropped, by either
+    cut, as (slots left, degree, count) triples."""
+    n = len(steps)
     h = [{0: 1}] + [{} for _ in range(max_degree)]
     dropped = []
-    for left, step in zip(range(len(steps), 0, -1), steps):
+    for i, step in enumerate(steps):
         for d in range(1, max_degree + 1):
             hd, lost = h[d], 0
-            for k, c in h[d - 1].items():
-                k += step
-                if k > half:
-                    lost += c
-                else:
-                    hd[k] = hd.get(k, 0) + c
+            if d < max_degree - 1:
+                for k, c in h[d - 1].items():
+                    k += step
+                    if k > half:
+                        lost += c
+                    else:
+                        hd[k] = hd.get(k, 0) + c
+            else:
+                floor = n if d == max_degree else i
+                for k, c in h[d - 1].items():
+                    k += step
+                    if reach.get(k, -1) < floor:
+                        lost += c
+                    else:
+                        hd[k] = hd.get(k, 0) + c
             if lost:
-                dropped.append((left, d, lost))
+                dropped.append((n - i, d, lost))
     return h, dropped
 
 
 @lru_cache(maxsize=None)
 def _sym_powers_cached(datum, frozen, max_degree):
-    """(bound, depth, h): h[d] maps the key of each weight of S^d V of
-    height <= 0 to its multiplicity, d = 0..max_degree.  Every weight of
-    S^d V lies in the box |v_a| <= bound = max_degree * max |mu_a| and at
-    height >= -depth, depth = max_degree * max <-mu, 2 rho^vee>.  A weight
-    v keys as _int_key(v) + <v, 2 rho^vee> R^n, R = 2 bound + 1 and n the
-    ambient dimension: the height is the top digit, so height <= 0 is key <=
-    (R^n - 1) / 2, and the key stays additive and injective on the box.
-    The mass is exact: the kept states plus each dropped state's count
-    times C(r + e - 1, e), r the slots left and e the degrees still to
-    come, make C(dim V + d - 1, d)."""
+    """(bound, depth, h): h[d] maps the key of each weight of S^d V that the
+    alternation can still read to its multiplicity, d = 0..max_degree: the
+    weights of height <= 0 below degree D - 1, at D - 1 those that are a
+    target or become one by one more weight from the slot they are formed
+    in or a later one, and the targets at D = max_degree.  Every weight of S^d V lies in the box
+    |v_a| <= bound = max_degree * max |mu_a| and at height >= -depth,
+    depth = max_degree * max <-mu, 2 rho^vee>.  A weight v keys as
+    _int_key(v) + <v, 2 rho^vee> R^n, R = 2 bound + 1 and n the ambient
+    dimension: the height is the top digit, so height <= 0 is key <= (R^n -
+    1) / 2, and the key stays additive and injective on the box.  The mass
+    is exact at every degree, D - 1 and D included: the kept states plus
+    each dropped state's count times C(r + e - 1, e), r the slots left and
+    e the degrees still to come, make C(dim V + d - 1, d)."""
     two = _two_rho_vee(datum)
     heights = [sum(map(mul, mu, two)) for mu, _ in frozen]
     bound = max_degree * max((abs(x) for mu, _ in frozen for x in mu), default=0)
@@ -353,7 +375,12 @@ def _sym_powers_cached(datum, frozen, max_degree):
         _int_key(mu, radix) + x * top
         for (mu, m), x in zip(frozen, heights) for _ in range(m)
     )
-    h, dropped = _sym_power_states(steps, max_degree, top // 2)
+    plus, minus = _targets(datum, bound, depth)
+    targets = plus + minus
+    # slots ascend, so each key keeps the last slot that takes it to a target
+    reach = {t - s: j for j, s in enumerate(steps) for t in targets}
+    reach.update(dict.fromkeys(targets, len(steps)))
+    h, dropped = _sym_power_states(steps, max_degree, top // 2, reach)
     dim_v = len(steps)
     for d, hd in enumerate(h):
         kept = sum(hd.values())
@@ -426,7 +453,8 @@ def _targets(datum, bound, depth):
 def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
     """dim (S^d V)^G for d = 0..max_degree, via the Weyl alternation
     sum_w (-1)^l(w) m_{S^d V}(w rho - rho) over the targets of `_targets`,
-    read off the states of height <= 0 that `_sym_powers_cached` keeps."""
+    read off the states that `_sym_powers_cached` keeps: every target of
+    every degree is among them with its full multiplicity."""
     datum = spec.datum
     dim_v = spec.dim
     if dim_v > DEFAULT_SYM_DIM_BUDGET:

@@ -32,9 +32,13 @@ def mutate_invariant_dims(monkeypatch):
     emptied so the mutated path runs:
     - "lose_point": the rho walk drops its last point;
     - "flip_sign": the rho walk flips the sign of its last point;
-    - "lose_state": the symmetric-power recursion loses one degree-1 state.
-    Each must trip its cross-check: the first two the Weyl denominator
-    identity, the third the mass of S^1 V."""
+    - "lose_state": the symmetric-power recursion loses one degree-1 state;
+    - "lose_top_state": it loses one kept target key at the top degree D;
+    - "overcut": it drops the first kept degree-(D - 1) state that is no
+      target but reaches one, booking it as dropped.
+    Each of the first four must trip its cross-check: the first two the
+    Weyl denominator identity, the next two the mass of S^1 V and S^D V.
+    The mass cannot see "overcut"; only an oracle can."""
     from symprep import reps
 
     walk, states = reps._rho_walk, reps._sym_power_states
@@ -47,18 +51,31 @@ def mutate_invariant_dims(monkeypatch):
         t, dep, sign = out.pop()
         return out + [(t, dep, -sign)]
 
-    def lose_state(steps, max_degree, half):
-        h, dropped = states(steps, max_degree, half)
+    def lose_state(steps, max_degree, half, reach):
+        h, dropped = states(steps, max_degree, half, reach)
         del h[1][next(iter(h[1]))]
         return h, dropped
+
+    def lose_top_state(steps, max_degree, half, reach):
+        h, dropped = states(steps, max_degree, half, reach)
+        del h[max_degree][next(iter(h[max_degree]))]
+        return h, dropped
+
+    def overcut(steps, max_degree, half, reach):
+        h, _ = states(steps, max_degree, half, reach)
+        key = next(k for k in h[max_degree - 1] if reach[k] < len(steps))
+        return states(steps, max_degree, half,
+                      {k: j for k, j in reach.items() if k != key})
+
+    mutants = {"lose_point": lose_point, "flip_sign": flip_sign,
+               "lose_state": lose_state, "lose_top_state": lose_top_state,
+               "overcut": overcut}
 
     def install(name):
         monkeypatch.setattr(reps, "_rho_walk", walk)
         monkeypatch.setattr(reps, "_sym_power_states", states)
-        target = "_sym_power_states" if name == "lose_state" else "_rho_walk"
-        mutant = {"lose_point": lose_point, "flip_sign": flip_sign,
-                  "lose_state": lose_state}[name]
-        monkeypatch.setattr(reps, target, mutant)
+        target = "_rho_walk" if name in ("lose_point", "flip_sign") else "_sym_power_states"
+        monkeypatch.setattr(reps, target, mutants[name])
         reps._sym_powers_cached.cache_clear()
         reps._targets.cache_clear()
 

@@ -464,15 +464,7 @@ def _offsets(k, bound):
 def invariant_dims_oracle(datum, weights, max_degree, weyl_cap=10 ** 5):
     """dim (S^d V)^G by monomial enumeration: histogram the weights of all
     degree-d monomials, then apply the alternating trivial-multiplicity sum."""
-    ws = weyl_matrices_bruteforce(datum)
-    if len(ws) > weyl_cap:
-        raise RuntimeError("oracle Weyl group too large")
-    signs = [1 if det_exact(w) > 0 else -1 for w in ws]
-    rho = rho_oracle(datum)
-    targets = [
-        (cvec(tuple(a - b for a, b in zip(mat_vec(w, rho), rho))), s)
-        for w, s in zip(ws, signs)
-    ]
+    targets = alternation_targets(datum, weyl_cap)
     dims = []
     for d in range(max_degree + 1):
         hist = {}
@@ -641,32 +633,54 @@ def newton_symmetric_powers(multiset, max_degree):
     return h
 
 
+def _tuple_recursion(slots, max_degree):
+    """Yield h before the first weight slot of `slots` and after each, h[d]
+    the weight multiset of S^d of the slots passed so far: multiplying by
+    1/(1 - t x^mu) is h_d += x^mu h_(d-1) for d rising, over tuple-keyed
+    weights."""
+    zero = (0,) * (len(slots[0]) if slots else 0)
+    h = [{zero: 1}] + [{} for _ in range(max_degree)]
+    yield h
+    for mu in slots:
+        for d in range(1, max_degree + 1):
+            for v, c in h[d - 1].items():
+                key = tuple(a + b for a, b in zip(v, mu))
+                h[d][key] = h[d].get(key, 0) + c
+        yield h
+
+
 def tuple_symmetric_powers(multiset, max_degree):
     """Weight multisets of S^d V for d = 0..max_degree by the division-free
-    recursion over tuple-keyed weights: multiplying by 1/(1 - t x^mu) is
-    h_d += x^mu h_(d-1) for d rising, one factor per weight copy."""
+    recursion over tuple-keyed weights, one factor per weight copy."""
     weights = sorted((cvec(w), m) for w, m in multiset.items() if m)
-    zero = (0,) * (len(weights[0][0]) if weights else 0)
-    h = [{zero: 1}] + [{} for _ in range(max_degree)]
-    for mu, m in weights:
-        for _ in range(m):
-            for d in range(1, max_degree + 1):
-                for v, c in h[d - 1].items():
-                    key = tuple(a + b for a, b in zip(v, mu))
-                    h[d][key] = h[d].get(key, 0) + c
+    *_, h = _tuple_recursion([mu for mu, m in weights for _ in range(m)], max_degree)
     return h
+
+
+def slot_prefix_symmetric_powers(slots, degree):
+    """For each j, the weight multiset of S^degree of slots[0..j]: the
+    degree-`degree` monomials whose last slot is at most j."""
+    return [dict(h[degree]) for h in _tuple_recursion(slots, degree)][1:]
+
+
+def alternation_targets(datum, weyl_cap=10 ** 5):
+    """(w rho - rho, (-1)^l(w)) for every w of the Weyl group, from matrix
+    closure with determinant signs."""
+    ws = weyl_matrices_bruteforce(datum)
+    if len(ws) > weyl_cap:
+        raise RuntimeError("oracle Weyl group too large")
+    rho = rho_oracle(datum)
+    return [
+        (cvec(a - b for a, b in zip(mat_vec(w, rho), rho)), 1 if det_exact(w) > 0 else -1)
+        for w in ws
+    ]
 
 
 def tuple_invariant_dims(spec, max_degree):
     """dim (S^d V)^G for d = 0..max_degree: the Weyl alternation over the
-    targets w rho - rho, w from matrix closure with determinant signs, read
-    off tuple-keyed symmetric powers (no box, so no key can alias)."""
-    datum = spec.datum
-    rho = rho_oracle(datum)
-    targets = [
-        (cvec(a - b for a, b in zip(mat_vec(w, rho), rho)), 1 if det_exact(w) > 0 else -1)
-        for w in weyl_matrices_bruteforce(datum)
-    ]
+    targets w rho - rho of `alternation_targets`, read off tuple-keyed
+    symmetric powers (no box, so no key can alias)."""
+    targets = alternation_targets(spec.datum)
     sym = tuple_symmetric_powers(spec.weight_multiset(), max_degree)
     return [sum(s * hd.get(t, 0) for t, s in targets) for hd in sym]
 

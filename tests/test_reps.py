@@ -2,6 +2,7 @@
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 import pytest
 
@@ -37,9 +38,11 @@ from symprep.rootdata import (
 
 from corpus import A1, A2, A3, C2, C3, T1, T2, catalog
 from oracles import (
+    alternation_targets,
     invariant_dims_oracle,
     kostant_weight_multiset,
     newton_symmetric_powers,
+    slot_prefix_symmetric_powers,
     symmetric_power_multisets,
     tuple_invariant_dims,
     weyl_matrices_bruteforce,
@@ -369,17 +372,21 @@ def test_oracle_specs_have_zero_weight_and_mixed_height_slots():
 @pytest.mark.parametrize("name", sorted(_sympow_oracle_specs()))
 def test_symmetric_powers_match_newton_oracle(name):
     """The full-box reference recursion agrees with Newton's identity, and
-    the library keeps exactly its weights of height <= 0, keyed with the
-    2 rho^vee-height as the top digit, at a walk depth of max_degree times
-    the deepest weight of V."""
+    the library keeps exactly: below degree D - 1 its weights of height <=
+    0; at D - 1 each target, and each weight w with a target w + s_j for a
+    slot j, counted over the monomials whose last slot is at most the last
+    such j; at D the targets.  Keys carry the 2 rho^vee-height as the top
+    digit, slots are in ascending key, and the walk depth is D times the
+    deepest weight of V."""
     spec = _sympow_oracle_specs()[name]
     multiset = spec.weight_multiset()
-    sym = symmetric_power_multisets(multiset, 8)
-    assert sym == newton_symmetric_powers(multiset, 8)
+    top = 8
+    sym = symmetric_power_multisets(multiset, top)
+    assert sym == newton_symmetric_powers(multiset, top)
     assert all(type(c) is int for hd in sym for c in hd.values())
     assert all(type(x) is int for hd in sym for w in hd for x in w)
     datum = spec.datum
-    bound, depth, cut = reps._sym_powers_cached(datum, reps._freeze(multiset), 8)
+    bound, depth, cut = reps._sym_powers_cached(datum, reps._freeze(multiset), top)
     radix = 2 * bound + 1
 
     def height(w):
@@ -388,20 +395,50 @@ def test_symmetric_powers_match_newton_oracle(name):
     def key(w):
         return reps._int_key(w, radix) + height(w) * radix ** datum.ambient_dim
 
-    assert list(cut) == [{key(w): c for w, c in hd.items() if height(w) <= 0} for hd in sym]
-    assert depth == 8 * max(-height(w) for w in multiset)
+    targets = {t for t, _ in alternation_targets(datum)}
+    slots = sorted((w for w, m in multiset.items() for _ in range(m)), key=key)
+    prefix = slot_prefix_symmetric_powers(slots, top - 1)
+    below = {}
+    for w, c in sym[top - 1].items():
+        if w not in targets:
+            ends = [j for j, s in enumerate(slots) if tuple(map(add, w, s)) in targets]
+            c = prefix[ends[-1]].get(w, 0) if ends else 0
+        if c:
+            below[key(w)] = c
+    expected = [{key(w): c for w, c in hd.items() if height(w) <= 0} for hd in sym[: top - 1]]
+    expected += [below, {key(t): sym[top][t] for t in targets if t in sym[top]}]
+    assert list(cut) == expected
+    assert depth == top * max(-height(w) for w in multiset)
 
 
 def test_symmetric_power_mass_is_cross_checked(mutate_invariant_dims):
     """A recursion that loses one state's count fails the exact mass check.
     On A1 std x 2 (steps -1, -1, +1, +1) S^1 V keeps the weight -1 twice
-    and drops +1 twice, each with C(r - 1, 0) = 1 extension of degree 1."""
+    and drops +1 twice, each with C(r - 1, 0) = 1 extension of degree 1;
+    S^4 V keeps only its targets 0 (9 times) and -2 (8 times)."""
     spec = validate_symplectic_spec(A1, [((1,), 2)])
     assert invariant_dims(spec, 3) == [1, 0, 1, 0]
     mutate_invariant_dims("lose_state")
     with pytest.raises(InternalConsistencyError,
                        match=r"S\^1 V has mass 0 kept \+ 2 dropped, expected 4"):
         invariant_dims(spec, 3)
+    mutate_invariant_dims("lose_top_state")
+    with pytest.raises(InternalConsistencyError,
+                       match=r"S\^4 V has mass 9 kept \+ 18 dropped, expected 35"):
+        invariant_dims(spec, 4)
+
+
+@pytest.mark.parametrize("name", ["sl2_two_standards", "G2_7_x2", "GL3_std_dual_x2"])
+def test_an_overcut_is_caught_by_the_oracle(mutate_invariant_dims, name):
+    """A recursion that drops a degree-(D - 1) state still reaching a target,
+    and books it as dropped, keeps every mass exact, so no cross-check of
+    the library fires; only the top degree is wrong, against the oracle."""
+    spec = _invariant_dims_oracle_specs()[name]
+    expected = tuple_invariant_dims(spec, 4)
+    assert invariant_dims(spec, 4) == expected
+    mutate_invariant_dims("overcut")
+    got = invariant_dims(spec, 4)
+    assert got[:4] == expected[:4] and got[4] != expected[4]
 
 
 @pytest.mark.parametrize("mutation", ["lose_point", "flip_sign"])

@@ -284,6 +284,25 @@ def test_invariant_dims_never_walks_a_whole_weyl_orbit(monkeypatch):
     assert len(reps._rho_walk(datum, 40)) == 463 < datum.weyl_order()
 
 
+def test_invariant_dims_keeps_only_states_that_reach_a_target():
+    """A cold `invariant_dims(A5 std+dual, 8)` keeps at most 4522 states
+    over all degrees of S^d V, against 16050 for every state of height <=
+    0: the top degree keeps only target keys and the one below only states
+    that are, or can still become, one.  A return to the uncut recursion
+    fails here."""
+    from symprep import reps, rootdata
+
+    datum = rootdata.build_root_datum([("A", 5)])
+    spec = reps.validate_symplectic_spec(
+        datum, [((1, 0, 0, 0, 0), 1), ((0, 0, 0, 0, 1), 1)]
+    )
+    reps._sym_powers_cached.cache_clear()
+    reps._targets.cache_clear()
+    assert reps.invariant_dims(spec, 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+    h = reps._sym_powers_cached(datum, reps._freeze(spec.weight_multiset()), 8)[2]
+    assert sum(map(len, h)) <= 4522
+
+
 def test_freudenthal_walks_each_dominant_orbit_once(monkeypatch):
     """A cold `freudenthal_multiplicities` on F4 [0,0,0,1] and E6
     [1,0,0,0,0,0] reads its strings off the one table it fills, orbit by
