@@ -13,7 +13,6 @@ from functools import lru_cache
 
 from .errors import InternalConsistencyError, SymprepError
 from .linalg import cvec, span_solver, vdot
-from .reps import weight_key
 
 
 class WeightStatus(enum.Enum):
@@ -37,14 +36,18 @@ def _symplectic_node(letter, rank):
 def is_singular_weight(datum, chi):
     """(flag, factor index): chi is the defining weight of a C-type factor and
     vanishes on every other factor and on the central torus."""
-    return _is_singular_cached(datum, cvec(chi))
+    return _is_singular_cached(datum, cvec(chi))[1:]
 
 
 @lru_cache(maxsize=None)
 def _is_singular_cached(datum, chi):
+    """(character, singular, factor index) of a dominant chi: chi pairs to
+    zero with every simple coroot, and `is_singular_weight`'s pair."""
     if not datum.is_dominant(chi):
         raise SymprepError(f"{chi} is not dominant")
     pairings = [vdot(chi, c) for c in datum.simple_coroots]
+    if not any(pairings):
+        return True, False, None
     for fi, (letter, rank) in enumerate(datum.factors):
         node = _symplectic_node(letter, rank)
         if node is None:
@@ -55,9 +58,9 @@ def _is_singular_cached(datum, chi):
         ):
             # trivial on the central torus <=> chi lies in the span of the roots
             if span_solver(datum.simple_roots)(chi) is None:
-                return False, None
-            return True, fi
-    return False, None
+                return False, False, None
+            return False, True, fi
+    return False, False, None
 
 
 def singular_sp_halfdim(datum, factor_index):
@@ -76,11 +79,10 @@ def weight_status(spec, chi):
     mult = spec.multiplicity(chi)
     if mult == 0:
         raise SymprepError(f"{chi} is not a summand of the module")
-    datum = spec.datum
-    if all(vdot(chi, c) == 0 for c in datum.simple_coroots):
+    character, singular, _ = _is_singular_cached(spec.datum, chi)
+    if character:
         return WeightStatus.CHARACTER
-    flag, _ = is_singular_weight(datum, chi)
-    if flag and mult == 1:
+    if singular and mult == 1:
         return WeightStatus.SINGULAR
     return WeightStatus.NON_TERMINAL
 
@@ -97,9 +99,9 @@ def terminal_decomposition(spec):
     """Decide terminality and extract the character pairs and Sp-block sizes."""
     datum = spec.datum
     statuses = {w: weight_status(spec, w) for w, _ in spec.summands}
-    non_terminal = [w for w, s in statuses.items() if s is WeightStatus.NON_TERMINAL]
-    if non_terminal:
-        witness = max(non_terminal, key=lambda w: weight_key(datum, w))
+    # the summands descend by weight_key, so the first non-terminal one is the max
+    witness = next((w for w, s in statuses.items() if s is WeightStatus.NON_TERMINAL), None)
+    if witness is not None:
         return TerminalVerdict(False, witness, (), ())
     # a character's dual is its negative, and the zero character is of
     # orthogonal type: the plan already holds each pair once, with its count

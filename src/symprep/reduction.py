@@ -76,30 +76,36 @@ def delta_u_roots(datum, chi):
     return tuple(r for r in positive_roots(datum) if vdot(chi, r.coroot_vec) > 0)
 
 
+@lru_cache(maxsize=None)
+def _step_frame(datum, chi):
+    """(Delta_u, the Levi M, the weights chi - alpha and alpha - chi for
+    each alpha in Delta_u) of a step at chi, formed once per (datum, chi)."""
+    delta_u = delta_u_roots(datum, chi)
+    levi = levi_subdatum(
+        datum, [i for i in range(datum.rank) if vdot(chi, datum.simple_coroots[i]) == 0]
+    )
+    carved = tuple(w for r in delta_u for w in (vsub(chi, r.vec), vsub(r.vec, chi)))
+    return delta_u, levi, carved
+
+
 def reduce_step(spec, chi):
     """One local-structure step (V, G) -> (S, M) for the chosen weight."""
-    datum = spec.datum
     chi = cvec(chi)
     if weight_status(spec, chi) is not WeightStatus.NON_TERMINAL:
         raise SymprepError(f"{chi} is not a non-terminal weight of the module")
-    delta_u = delta_u_roots(datum, chi)
-    levi_idx = [
-        i for i in range(datum.rank) if vdot(chi, datum.simple_coroots[i]) == 0
-    ]
-    levi = levi_subdatum(datum, levi_idx)
+    delta_u, levi, carved = _step_frame(spec.datum, chi)
     v_weights = spec.weight_multiset()
     s_weights = dict(v_weights)
-    for r in delta_u:
-        for removed in (vsub(chi, r.vec), vsub(r.vec, chi)):
-            newm = s_weights.get(removed, 0) - 1
-            if newm < 0:
-                raise InternalConsistencyError(
-                    f"weight {removed} missing while carving out S"
-                )
-            if newm:
-                s_weights[removed] = newm
-            else:
-                del s_weights[removed]
+    for removed in carved:
+        newm = s_weights.get(removed, 0) - 1
+        if newm < 0:
+            raise InternalConsistencyError(
+                f"weight {removed} missing while carving out S"
+            )
+        if newm:
+            s_weights[removed] = newm
+        else:
+            del s_weights[removed]
     if sum(s_weights.values()) != sum(v_weights.values()) - 2 * len(delta_u):
         raise InternalConsistencyError("dim S != dim V - 2|Delta_u|")
     for w, m in s_weights.items():

@@ -180,6 +180,13 @@ def _duality_cached(datum, lam):
     return (DualityClass.SYMPLECTIC if int(ind) % 2 else DualityClass.ORTHOGONAL), dual
 
 
+@lru_cache(maxsize=None)
+def _weight_facts(datum, w):
+    """(weight_key, dominance) of any weight w, formed once per (datum, w):
+    what validation and `decompose_weights` read of a weight."""
+    return weight_key(datum, w), datum.is_dominant(w)
+
+
 @dataclass(frozen=True)
 class PairingItem:
     """How one block of the module carries the symplectic form."""
@@ -224,10 +231,10 @@ def validate_symplectic_spec(datum, raw_summands):
         w = cvec(w)
         if m <= 0:
             raise NotDominant(w, f"multiplicity of {w} must be positive")
-        if not datum.is_dominant(w):
+        if not _weight_facts(datum, w)[1]:
             raise NotDominant(w, f"highest weight {w} is not dominant")
         merged[w] = merged.get(w, 0) + m
-    order = sorted(merged, key=lambda w: weight_key(datum, w), reverse=True)
+    order = sorted(merged, key=lambda w: _weight_facts(datum, w)[0], reverse=True)
     plan = []
     seen = set()
     for w in order:
@@ -255,7 +262,7 @@ def validate_symplectic_spec(datum, raw_summands):
 def total_weight_multiset(datum, summands):
     total = {}
     for w, m in summands:
-        for v, c in freudenthal_multiplicities(datum, w).items():
+        for v, c in _freudenthal_cached(datum, cvec(w)):
             total[v] = total.get(v, 0) + m * c
     return total
 
@@ -266,18 +273,18 @@ def decompose_weights(datum, multiset):
     rem = {cvec(w): m for w, m in multiset.items() if m}
     # extraction only lowers multiplicities (a weight outside rem would go
     # negative and raise), so the first weight left in this order is the max
-    order = sorted(rem, key=lambda w: weight_key(datum, w), reverse=True)
+    order = sorted(rem, key=lambda w: _weight_facts(datum, w)[0], reverse=True)
     out = []
     for top in order:
         m = rem.get(top)
         if not m:
             continue
-        if m < 0 or not datum.is_dominant(top):
+        if m < 0 or not _weight_facts(datum, top)[1]:
             raise NotACharacter(
                 f"maximal weight {top} has multiplicity {m} and is "
                 f"{'not ' if not datum.is_dominant(top) else ''}dominant"
             )
-        for v, c in freudenthal_multiplicities(datum, top).items():
+        for v, c in _freudenthal_cached(datum, top):
             new = rem.get(v, 0) - m * c
             if new < 0:
                 raise NotACharacter(f"multiplicity of {v} drops below zero")
@@ -290,11 +297,6 @@ def decompose_weights(datum, multiset):
 
 
 # -- symmetric powers and invariant dimensions -------------------------------
-
-def _freeze(multiset):
-    """A multiset with canonical keys as a sorted tuple, for a cache key."""
-    return tuple(sorted((w, m) for w, m in multiset.items() if m))
-
 
 def _int_key(v, radix):
     """sum_a v_a radix^a: one int per weight, additive in v, and injective on
@@ -351,12 +353,14 @@ def _sym_power_states(steps, max_degree, half, reach):
 
 
 @lru_cache(maxsize=None)
-def _sym_powers_cached(datum, frozen, max_degree):
-    """(bound, depth, h): h[d] maps the key of each weight of S^d V that the
-    alternation can still read to its multiplicity, d = 0..max_degree: the
-    weights of height <= 0 below degree D - 1, at D - 1 those that are a
-    target or become one by one more weight from the slot they are formed
-    in or a later one, and the targets at D = max_degree.  Every weight of S^d V lies in the box
+def _sym_powers_cached(datum, summands, max_degree):
+    """(bound, depth, h) of the module with these validated summands, whose
+    weight multiset is formed here, on a miss only.  h[d] maps the key of
+    each weight of S^d V that the alternation can still read to its
+    multiplicity, d = 0..max_degree: the weights of height <= 0 below
+    degree D - 1, at D - 1 those that are a target or become one by one
+    more weight from the slot they are formed in or a later one, and the
+    targets at D = max_degree.  Every weight of S^d V lies in the box
     |v_a| <= bound = max_degree * max |mu_a| and at height >= -depth,
     depth = max_degree * max <-mu, 2 rho^vee>.  A weight v keys as
     _int_key(v) + <v, 2 rho^vee> R^n, R = 2 bound + 1 and n the ambient
@@ -365,15 +369,16 @@ def _sym_powers_cached(datum, frozen, max_degree):
     is exact at every degree, D - 1 and D included: the kept states plus
     each dropped state's count times C(r + e - 1, e), r the slots left and
     e the degrees still to come, make C(dim V + d - 1, d)."""
+    weights = total_weight_multiset(datum, summands).items()
     two = _two_rho_vee(datum)
-    heights = [sum(map(mul, mu, two)) for mu, _ in frozen]
-    bound = max_degree * max((abs(x) for mu, _ in frozen for x in mu), default=0)
+    heights = [sum(map(mul, mu, two)) for mu, _ in weights]
+    bound = max_degree * max((abs(x) for mu, _ in weights for x in mu), default=0)
     depth = max_degree * max([0] + [-x for x in heights])
     radix = 2 * bound + 1
     top = radix ** datum.ambient_dim
     steps = sorted(
         _int_key(mu, radix) + x * top
-        for (mu, m), x in zip(frozen, heights) for _ in range(m)
+        for (mu, m), x in zip(weights, heights) for _ in range(m)
     )
     plus, minus = _targets(datum, bound, depth)
     targets = plus + minus
@@ -468,9 +473,7 @@ def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
             f"{DEFAULT_SYM_DEGREE_BUDGET}"
         )
     check_weyl_cap(datum, weyl_cap)
-    bound, depth, sym = _sym_powers_cached(
-        datum, _freeze(spec.weight_multiset()), max_degree
-    )
+    bound, depth, sym = _sym_powers_cached(datum, spec.summands, max_degree)
     plus, minus = _targets(datum, bound, depth)
     out = []
     for hd in sym:

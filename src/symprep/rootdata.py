@@ -132,9 +132,12 @@ class RootDatum:
     simple_roots[i] is the weight-coordinate vector of alpha_i and
     simple_coroots[i] the functional computing <., alpha_i^vee>.
 
-    Equality is by fields.  The hash is that of the field tuple, formed
-    once; `build_root_datum` and `datum_from_root_list` return one object
-    per field tuple (`_DATUM_CACHE`), so a per-datum cache finds its key by
+    Equality is by fields.  The hash is that of the field tuple's repr,
+    formed once: the fields are canonical, so equal fields have equal
+    reprs, while the tuple's own hash takes -1 and -2 alike and so would
+    join Levis such as those with simple roots (-1, 2) and (-2, 2).
+    `build_root_datum` and `datum_from_root_list` return one object per
+    field tuple (`_DATUM_CACHE`), so a per-datum cache finds its key by
     identity.
     """
 
@@ -146,9 +149,9 @@ class RootDatum:
     standard_order: tuple  # per factor: simple indices in Bourbaki order
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((
+        object.__setattr__(self, "_hash", hash(repr((
             self.factors, self.central_rank, self.ambient_dim,
-            self.simple_roots, self.simple_coroots, self.standard_order)))
+            self.simple_roots, self.simple_coroots, self.standard_order))))
 
     def __hash__(self):
         return self._hash

@@ -386,7 +386,7 @@ def test_symmetric_powers_match_newton_oracle(name):
     assert all(type(c) is int for hd in sym for c in hd.values())
     assert all(type(x) is int for hd in sym for w in hd for x in w)
     datum = spec.datum
-    bound, depth, cut = reps._sym_powers_cached(datum, reps._freeze(multiset), top)
+    bound, depth, cut = reps._sym_powers_cached(datum, spec.summands, top)
     radix = 2 * bound + 1
 
     def height(w):
@@ -475,27 +475,43 @@ def test_integrality_cross_checks_raise_a_defect():
     """A weight off the lattice reaches the integrality cross-checks of the
     Weyl dimension, the Frobenius-Schur index and the int keys of symmetric
     powers (where it would miss every key silently), which must raise
-    InternalConsistencyError (an assert would vanish under python -O)."""
+    InternalConsistencyError (an assert would vanish under python -O).  On
+    a torus no Weyl dimension sees it, so the summands +-1/2 validate and
+    reach the int keys."""
     half = (Fraction(1, 2),)
     with pytest.raises(InternalConsistencyError, match="not an integer"):
         weyl_dim(A1, half)
     with pytest.raises(InternalConsistencyError, match="not an integer"):
         duality_class(A1, half)
+    spec = validate_symplectic_spec(T1, [(half, 1), ((-half[0],), 1)])
     with pytest.raises(InternalConsistencyError, match="non-integer coordinate"):
-        reps._sym_powers_cached(A1, ((half, 1), ((-half[0],), 1)), 2)
+        reps._sym_powers_cached(T1, spec.summands, 2)
 
 
 def test_cached_weight_facts_raise_on_every_call():
-    """weyl_dim, duality_class and is_singular_weight are kept per (datum,
-    weight) and levi_subdatum per (datum, subset), but a raise is never
-    kept: the same bad input raises on a second call too."""
+    """weyl_dim, duality_class, a weight's sort key and dominance, and
+    is_singular_weight with the character test are kept per (datum,
+    weight), levi_subdatum per (datum, subset) and a reduction step's frame
+    per (datum, chi), but a raise is never kept: the same bad input raises
+    on a second call too, after the facts it reads were kept."""
+    sp4 = validate_symplectic_spec(C2, [((1, 0), 1)])
+    sl3 = validate_symplectic_spec(A2, [((1, 0), 1), ((0, 1), 1)])
+    reduction.reduce_step(sl3, (1, 0))  # keeps the frame at (A2, (1, 0))
     for _ in range(2):
         with pytest.raises(NotDominant):
             weyl_dim(A2, (1, -1))
         with pytest.raises(NotDominant):
             duality_class(A2, [-1, 0])
+        with pytest.raises(NotDominant, match="highest weight"):
+            validate_symplectic_spec(A2, [((1, 0), 1), ((1, -1), 1)])
+        with pytest.raises(NotACharacter, match="is not dominant"):
+            decompose_weights(A2, {(-1, 0): 1})
         with pytest.raises(SymprepError, match="not dominant"):
             is_singular_weight(A2, (0, -1))
+        with pytest.raises(SymprepError, match="not a non-terminal weight"):
+            reduction.reduce_step(sp4, (1, 0))
+        with pytest.raises(SymprepError, match="not a summand"):
+            reduction.reduce_step(sl3, (1, 1))
         with pytest.raises(IndexError):
             levi_subdatum(A2, [0, 2])
     assert weyl_dim(A2, [1, 1]) == weyl_dim(A2, (Fraction(1), 1)) == 8

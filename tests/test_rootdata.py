@@ -1,5 +1,7 @@
 
+import contextlib
 import dataclasses
+import io
 import json
 import random
 from fractions import Fraction
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from symprep import reduction, rootdata
+from symprep import cli, reduction, rootdata
 from symprep.errors import InternalConsistencyError, InvalidCartanType, WeylCapExceeded
 from symprep.cli import parse_spec
 from symprep.linalg import (
@@ -195,7 +197,7 @@ def test_a_rebuilt_levi_is_the_interned_object():
 def test_datum_equality_and_hash_are_by_fields(monkeypatch):
     """A copy, or a datum built after the intern table was emptied, is
     another object: it equals the first, has its hash (that of the field
-    tuple) and finds the first's entries in a per-datum cache."""
+    tuple's repr) and finds the first's entries in a per-datum cache."""
     d = build_root_datum([("G", 2)], central_rank=1)
     fields = tuple(getattr(d, f.name) for f in dataclasses.fields(d))
     copy = dataclasses.replace(d)
@@ -204,9 +206,47 @@ def test_datum_equality_and_hash_are_by_fields(monkeypatch):
     for other in (copy, fresh):
         assert other is not d
         assert other == d
-        assert hash(other) == hash(d) == hash(fields)
+        assert hash(other) == hash(d) == hash(repr(fields))
         assert positive_roots(other) is positive_roots(d)
     assert build_root_datum([("G", 2)], central_rank=1) is fresh
+
+
+def test_data_apart_only_by_minus_one_and_minus_two_hash_apart():
+    """The A1 Levis on the second node of A2 and of C2 differ only in their
+    simple root, (-1, 2) against (-2, 2).  CPython hashes -1 and -2 alike,
+    so their field tuples share a hash; the data must not."""
+    levis = [levi_subdatum(build_root_datum([(letter, 2)]), [1]) for letter in "AC"]
+    fields = [tuple(getattr(d, f.name) for f in dataclasses.fields(d)) for d in levis]
+    assert [f[3] for f in fields] == [((-1, 2),), ((-2, 2),)]
+    assert fields[0][:3] + fields[0][4:] == fields[1][:3] + fields[1][4:]
+    assert hash(fields[0]) == hash(fields[1])
+    assert hash(levis[0]) != hash(levis[1])
+
+
+def test_warm_batch_passes_compare_no_unequal_data(monkeypatch):
+    """Three warm `analyze` passes over the seed-7 batch of the benchmark
+    find each per-datum cache entry by hash and identity: no lookup meets
+    two unequal data, so `RootDatum.__eq__` never answers False."""
+    texts = [json.dumps(doc) for _, doc in _workloads().batch_specs(7)]
+
+    def analyze_all():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return {cli.main(["analyze", text]) for text in texts}
+
+    assert analyze_all() == {cli.EXIT_OK}
+    unequal = []
+    eq = rootdata.RootDatum.__eq__
+
+    def counted(self, other):
+        result = eq(self, other)
+        if result is False:
+            unequal.append((self, other))
+        return result
+
+    monkeypatch.setattr(rootdata.RootDatum, "__eq__", counted)
+    for _ in range(3):
+        assert analyze_all() == {cli.EXIT_OK}
+    assert unequal == []
 
 
 def test_lattice_ops_examples():

@@ -8,6 +8,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "symprep"
 
 
@@ -280,7 +282,7 @@ def test_invariant_dims_never_walks_a_whole_weyl_orbit(monkeypatch):
     for module in (rootdata, reps):
         monkeypatch.setattr(module, "weyl_walk", refused)
     assert reps.invariant_dims(spec, 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
-    assert reps._sym_powers_cached(datum, reps._freeze(spec.weight_multiset()), 8)[1] == 40
+    assert reps._sym_powers_cached(datum, spec.summands, 8)[1] == 40
     assert len(reps._rho_walk(datum, 40)) == 463 < datum.weyl_order()
 
 
@@ -299,7 +301,7 @@ def test_invariant_dims_keeps_only_states_that_reach_a_target():
     reps._sym_powers_cached.cache_clear()
     reps._targets.cache_clear()
     assert reps.invariant_dims(spec, 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
-    h = reps._sym_powers_cached(datum, reps._freeze(spec.weight_multiset()), 8)[2]
+    h = reps._sym_powers_cached(datum, spec.summands, 8)[2]
     assert sum(map(len, h)) <= 4522
 
 
@@ -351,6 +353,70 @@ def test_validation_forms_each_dual_weight_once(monkeypatch):
     spec = reps.validate_symplectic_spec(datum, [((1, 0, 0), 1), ((0, 0, 1), 1)])
     assert [item.kind for item in spec.pairing_plan] == ["dual_pair"]
     assert calls == [(-1, 0, 0)]
+
+
+def test_a_warm_analyze_forms_no_group_fact_again(monkeypatch):
+    """After A2 (std + dual) x 2 is analyzed from empty caches, A2 std +
+    dual shares its summands and its reduction step at [1, 0], and its
+    S-module's summands are among the first one's: it forms no Delta_u, no
+    sort key and no character test at all.  Its S^d series is then read by
+    its summands, with no weight multiset formed again."""
+    from symprep import classify, reduction, reps, rootdata
+
+    formed = []
+
+    def spy(module, name, kind):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            formed.append((kind,) + args)
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(reduction, "delta_u_roots", "delta_u")
+    spy(reps, "weight_key", "key")
+    spy(classify, "vdot", "character")
+    for module in (rootdata, reps, classify, reduction):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    datum = rootdata.build_root_datum([("A", 2)])
+    first = reps.validate_symplectic_spec(datum, [((1, 0), 2), ((0, 1), 2)])
+    steps = reduction.analyze(first).trace
+    assert {f[0] for f in formed} == {"delta_u", "key", "character"}
+    formed.clear()
+    second = reps.validate_symplectic_spec(datum, [((1, 0), 1), ((0, 1), 1)])
+    again = reduction.analyze(second).trace
+    assert (again[0].chosen_chi, again[0].levi) == (steps[0].chosen_chi, steps[0].levi)
+    assert formed == []
+    dims = reps.invariant_dims(second, 8)
+    monkeypatch.setattr(reps, "total_weight_multiset", None)  # a call fails
+    assert reps.invariant_dims(second, 8) == dims
+
+
+def test_a_missing_carved_weight_raises_through_the_kept_frame(monkeypatch):
+    """A module whose weights lack one of chi - alpha, alpha - chi raises
+    on every call of its step, after the step's frame at (datum, chi) is
+    kept."""
+    from symprep import reduction, reps, rootdata
+    from symprep.errors import InternalConsistencyError
+
+    datum = rootdata.build_root_datum([("A", 2)])
+    spec = reps.validate_symplectic_spec(datum, [((1, 0), 1), ((0, 1), 1)])
+    step, _ = reduction.reduce_step(spec, (1, 0))
+    lost = tuple(x - y for x, y in zip((1, 0), step.delta_u[0].vec))  # chi - alpha
+    whole = reps.total_weight_multiset
+
+    def short(datum, summands):
+        weights = whole(datum, summands)
+        del weights[lost]
+        return weights
+
+    monkeypatch.setattr(reps, "total_weight_multiset", short)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError,
+                           match=rf"weight {re.escape(str(lost))} missing while carving out S"):
+            reduction.reduce_step(spec, (1, 0))
 
 
 def test_benchmark_tracer_counts_gamma_reflections():
