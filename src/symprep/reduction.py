@@ -41,6 +41,7 @@ from .rootdata import (
     _centralizer,
     _echelon_key,
     _generic_point,
+    _subspace_normalizer,
     build_root_datum,
     check_weyl_cap,
     levi_subdatum,
@@ -298,9 +299,6 @@ def reflection_subgroups(gamma):
     found with one reflection outside it (one per orbit of the found set's
     group), over a table of conjugations, so no matrix is multiplied; a
     set's Coxeter type gives its order and degrees."""
-    k, count = len(gamma.a_star_basis), len(gamma.reflections)
-    if count < 2:  # nothing to conjugate: the trivial group, and A1 if one
-        return [(1, (1,) * k)] + [(2, (1,) * (k - 1) + (2,))] * count
     conj, neg, joined = _reflection_table(gamma)
     if any(row[a] != a or any(row[c] != b for b, c in enumerate(row))
            for a, row in enumerate(conj)):
@@ -323,16 +321,11 @@ def reflection_subgroups(gamma):
     return sorted(_order_and_degrees(conj, neg, joined, m, gamma) for m in found)
 
 
-# (datum, echelon a*) -> (Gamma, its reflection_subgroups): hashing Gamma costs
-# more than a hit saves, and a Gamma other than the one held is redone
-_CANDIDATES_CACHE = {}
-
-
-def _little_weyl_candidates(datum, gamma):
-    key = (datum, gamma.a_star_basis)
-    if _CANDIDATES_CACHE.get(key, (None,))[0] is not gamma:
-        _CANDIDATES_CACHE[key] = gamma, tuple(reflection_subgroups(gamma))
-    return _CANDIDATES_CACHE[key][1]
+@lru_cache(maxsize=None)
+def _little_weyl_candidates(datum, basis):
+    """`reflection_subgroups` of Gamma, formed once per (datum, echelon
+    basis of a*), reading Gamma from rootdata's cache under the same key."""
+    return tuple(reflection_subgroups(_subspace_normalizer(datum, basis)))
 
 
 def _degree_series(degrees, max_degree):
@@ -371,7 +364,7 @@ def determine_little_weyl(
     also with the candidates listed, before any symmetric power is formed.
     An odd hilbert_degree is rounded down; one above the symmetric-power
     degree budget makes invariant_dims raise BudgetExceeded."""
-    subs = _little_weyl_candidates(spec.datum, gamma)
+    subs = _little_weyl_candidates(spec.datum, gamma.a_star_basis)
     candidates = tuple(order for order, _ in subs)
     if not mf:
         return LittleWeylResult(status="unknown", candidates=candidates)

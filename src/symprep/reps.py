@@ -4,12 +4,13 @@ Weight multiplicities come from Freudenthal's recursion over the dominant
 weights, which a walk down from the highest weight by positive roots finds,
 into one table that takes each dominant weight's W-orbit once its
 multiplicity is known; duality types come from the parity of <lambda, 2
-rho^vee>.  Invariant
-dimensions come from the Weyl alternation sum_w (-1)^l(w) m_{S^d V}(w rho -
-rho) (Humphreys, Introduction to Lie Algebras and Representation Theory,
-section 24), formed only where it is read.  Every target t = w rho - rho
-has height <t, 2 rho^vee> <= 0, and one of depth -<t, 2 rho^vee> beyond
-D = d max_nu <-nu, 2 rho^vee> is no weight of S^d V.  So:
+rho^vee>.  Invariant dimensions come from the Weyl alternation sum_w
+(-1)^l(w) m_{S^d V}(w rho - rho) (Humphreys, Introduction to Lie Algebras
+and Representation Theory, section 24), formed only where it is read.
+Only the answer is kept, per (datum, summands, degree); the states of S^d
+V live for the one pass that forms it.  Every target t = w rho - rho has
+height <t, 2 rho^vee> <= 0, and one of depth -<t, 2 rho^vee> beyond D = d
+max_nu <-nu, 2 rho^vee> is no weight of S^d V.  So:
 - the symmetric-power recursion keys each weight by one Python int in a
   balanced radix with the height as its top digit and takes the weights of
   V in ascending height.  Below degree d - 1 it drops a state lifted above
@@ -353,22 +354,20 @@ def _sym_power_states(steps, max_degree, half, reach):
 
 
 @lru_cache(maxsize=None)
-def _sym_powers_cached(datum, summands, max_degree):
-    """(bound, depth, h) of the module with these validated summands, whose
-    weight multiset is formed here, on a miss only.  h[d] maps the key of
-    each weight of S^d V that the alternation can still read to its
-    multiplicity, d = 0..max_degree: the weights of height <= 0 below
-    degree D - 1, at D - 1 those that are a target or become one by one
-    more weight from the slot they are formed in or a later one, and the
-    targets at D = max_degree.  Every weight of S^d V lies in the box
-    |v_a| <= bound = max_degree * max |mu_a| and at height >= -depth,
-    depth = max_degree * max <-mu, 2 rho^vee>.  A weight v keys as
-    _int_key(v) + <v, 2 rho^vee> R^n, R = 2 bound + 1 and n the ambient
-    dimension: the height is the top digit, so height <= 0 is key <= (R^n -
-    1) / 2, and the key stays additive and injective on the box.  The mass
-    is exact at every degree, D - 1 and D included: the kept states plus
-    each dropped state's count times C(r + e - 1, e), r the slots left and
-    e the degrees still to come, make C(dim V + d - 1, d)."""
+def _invariant_dims_cached(datum, summands, max_degree):
+    """dim (S^d V)^G for d = 0..max_degree, as a tuple, for the module with
+    these validated summands, in one pass that forms its weight multiset
+    and the states of S^d V that the alternation can still read (see
+    `_sym_power_states`) and drops the states when it returns.  Every
+    weight of S^d V lies in the box |v_a| <= bound = max_degree * max |mu_a|
+    and at height >= -depth, depth = max_degree * max <-mu, 2 rho^vee>.  A
+    weight v keys as _int_key(v) + <v, 2 rho^vee> R^n, R = 2 bound + 1 and
+    n the ambient dimension: the height is the top digit, so height <= 0 is
+    key <= (R^n - 1) / 2, and the key stays additive and injective on the
+    box.  The pass holds the mass exact at every degree (the kept states
+    plus each dropped state's count times C(r + e - 1, e), r the slots left
+    and e the degrees still to come, make C(dim V + d - 1, d)), each
+    dimension nonnegative and degree 0 at 1."""
     weights = total_weight_multiset(datum, summands).items()
     two = _two_rho_vee(datum)
     heights = [sum(map(mul, mu, two)) for mu, _ in weights]
@@ -380,13 +379,13 @@ def _sym_powers_cached(datum, summands, max_degree):
         _int_key(mu, radix) + x * top
         for (mu, m), x in zip(weights, heights) for _ in range(m)
     )
-    plus, minus = _targets(datum, bound, depth)
-    targets = plus + minus
+    signs = _targets(datum, bound, depth)
     # slots ascend, so each key keeps the last slot that takes it to a target
-    reach = {t - s: j for j, s in enumerate(steps) for t in targets}
-    reach.update(dict.fromkeys(targets, len(steps)))
+    reach = {t - s: j for j, s in enumerate(steps) for t in signs}
+    reach.update(dict.fromkeys(signs, len(steps)))
     h, dropped = _sym_power_states(steps, max_degree, top // 2, reach)
     dim_v = len(steps)
+    dims = []
     for d, hd in enumerate(h):
         kept = sum(hd.values())
         lost = sum(c * comb(r + d - e - 1, d - e) for r, e, c in dropped if e <= d)
@@ -395,7 +394,13 @@ def _sym_powers_cached(datum, summands, max_degree):
             raise InternalConsistencyError(
                 f"S^{d} V has mass {kept} kept + {lost} dropped, expected {mass}"
             )
-    return bound, depth, tuple(h)
+        val = sum(hd.get(k, 0) * sign for k, sign in signs.items())
+        if val < 0:
+            raise InternalConsistencyError("negative invariant dimension")
+        dims.append(val)
+    if dims[0] != 1:
+        raise InternalConsistencyError("degree-0 invariants must be 1-dim")
+    return tuple(dims)
 
 
 def _rho_walk(datum, depth):
@@ -427,21 +432,20 @@ def _rho_walk(datum, depth):
 
 @lru_cache(maxsize=None)
 def _targets(datum, bound, depth):
-    """(plus, minus): the keys (as in `_sym_powers_cached`) of the targets
-    t = w rho - rho of depth at most `depth` with (-1)^l(w) = +1 and -1.  A
-    target outside the box |t_a| <= bound has multiplicity 0 and is
-    skipped: keying it could alias a weight inside the box.  The walk is
-    held to the Weyl denominator identity sum_w (-1)^l(w) e^(w rho - rho) =
-    prod_(alpha > 0) (1 - e^(-alpha)) at e^(-alpha) = q^(2 ht alpha), up to
-    q^depth."""
+    """{key: (-1)^l(w)}: the key (as in `_invariant_dims_cached`) and sign
+    of each target t = w rho - rho of depth at most `depth`.  A target
+    outside the box |t_a| <= bound has multiplicity 0 and is skipped:
+    keying it could alias a weight inside the box.  The walk is held to the
+    Weyl denominator identity sum_w (-1)^l(w) e^(w rho - rho) = prod_(alpha
+    > 0) (1 - e^(-alpha)) at e^(-alpha) = q^(2 ht alpha), up to q^depth."""
     radix = 2 * bound + 1
     top = radix ** datum.ambient_dim
     series = [0] * (depth + 1)
-    plus, minus = [], []
+    signs = {}
     for t, dep, sign in _rho_walk(datum, depth):
         series[dep] += sign
         if -bound <= min(t, default=0) and max(t, default=0) <= bound:
-            (plus if sign > 0 else minus).append(_int_key(t, radix) - dep * top)
+            signs[_int_key(t, radix) - dep * top] = sign
     product = [1] + [0] * depth
     for r in positive_roots(datum):
         e = 2 * r.height
@@ -452,19 +456,17 @@ def _targets(datum, bound, depth):
             f"the rho walk gives sum (-1)^l(w) q^depth = {series}, but the "
             f"Weyl denominator identity gives {product} up to q^{depth}"
         )
-    return tuple(plus), tuple(minus)
+    return signs
 
 
 def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
-    """dim (S^d V)^G for d = 0..max_degree, via the Weyl alternation
-    sum_w (-1)^l(w) m_{S^d V}(w rho - rho) over the targets of `_targets`,
-    read off the states that `_sym_powers_cached` keeps: every target of
-    every degree is among them with its full multiplicity."""
+    """dim (S^d V)^G for d = 0..max_degree, via the Weyl alternation over
+    the targets of `_targets`, formed once per (datum, summands, degree);
+    the budgets and the Weyl cap are checked on every call."""
     datum = spec.datum
-    dim_v = spec.dim
-    if dim_v > DEFAULT_SYM_DIM_BUDGET:
+    if spec.dim > DEFAULT_SYM_DIM_BUDGET:
         raise BudgetExceeded(
-            f"symmetric powers: dim V = {decimal(dim_v)} exceeds budget "
+            f"symmetric powers: dim V = {decimal(spec.dim)} exceeds budget "
             f"{DEFAULT_SYM_DIM_BUDGET}"
         )
     if max_degree > DEFAULT_SYM_DEGREE_BUDGET:
@@ -473,14 +475,4 @@ def invariant_dims(spec, max_degree, weyl_cap=DEFAULT_WEYL_CAP):
             f"{DEFAULT_SYM_DEGREE_BUDGET}"
         )
     check_weyl_cap(datum, weyl_cap)
-    bound, depth, sym = _sym_powers_cached(datum, spec.summands, max_degree)
-    plus, minus = _targets(datum, bound, depth)
-    out = []
-    for hd in sym:
-        val = sum(hd.get(k, 0) for k in plus) - sum(hd.get(k, 0) for k in minus)
-        if val < 0:
-            raise InternalConsistencyError("negative invariant dimension")
-        out.append(val)
-    if out[0] != 1:
-        raise InternalConsistencyError("degree-0 invariants must be 1-dim")
-    return out
+    return list(_invariant_dims_cached(datum, spec.summands, max_degree))

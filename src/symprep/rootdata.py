@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, permutations
-from math import factorial
+from math import factorial, prod
 from operator import add, mul
 
 from .errors import (
@@ -138,7 +138,7 @@ class RootDatum:
     join Levis such as those with simple roots (-1, 2) and (-2, 2).
     `build_root_datum` and `datum_from_root_list` return one object per
     field tuple (`_DATUM_CACHE`), so a per-datum cache finds its key by
-    identity.
+    identity.  |W| is formed once too, beside the hash.
     """
 
     factors: tuple
@@ -152,6 +152,8 @@ class RootDatum:
         object.__setattr__(self, "_hash", hash(repr((
             self.factors, self.central_rank, self.ambient_dim,
             self.simple_roots, self.simple_coroots, self.standard_order))))
+        object.__setattr__(self, "_weyl_order", prod(
+            _weyl_order_of_factor(l, n) for l, n in self.factors))
 
     def __hash__(self):
         return self._hash
@@ -182,10 +184,7 @@ class RootDatum:
         return "x".join(parts)
 
     def weyl_order(self):
-        out = 1
-        for l, n in self.factors:
-            out *= _weyl_order_of_factor(l, n)
-        return out
+        return self._weyl_order
 
     def dim_group(self):
         return self.ambient_dim + 2 * len(positive_roots(self))

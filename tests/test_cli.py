@@ -889,7 +889,7 @@ def test_every_cache_is_reachable_right_after_import(tmp_path):
                   "reps._weyl_dim_cached", "reps._duality_cached",
                   "rootdata._levi_subdatum", "rootdata._echelon_key",
                   "reps._weight_facts", "reduction._step_frame",
-                  "classify._is_singular_cached", "reduction._CANDIDATES_CACHE",
+                  "classify._is_singular_cached", "reduction._little_weyl_candidates",
                   "rootdata._DATUM_CACHE", "rootdata.cartan_matrix"):
         assert f"symprep.{owner}" in got["at_import"], owner
 

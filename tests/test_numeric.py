@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from symprep.errors import DimensionMismatch
+from symprep.errors import DimensionMismatch, NumericalDegeneracy
 from symprep import matrixrep, numeric, verify
 from symprep.classify import terminal_decomposition
 from symprep.linalg import vdot
@@ -627,3 +627,34 @@ def test_g2_adjoint_pair_passes_every_check_at_seed_13():
     the sample rule is mended."""
     spec = generic_models()["G2_adj_x2"]
     assert [c.name for c in verify.verify_suite(spec, seed=13).failing()] == []
+
+
+_ROOT_PARTS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the exact moment of a section point keeps root parts, so "
+    "section_residual misses its target",
+)
+
+
+@pytest.mark.parametrize("factor, hw, seed", [
+    pytest.param(("A", 3), (1, 0, 1), 0, id="A3_adj_x2-seed0", marks=_ROOT_PARTS),
+    pytest.param(("A", 4), (1, 0, 0, 1), 0, id="A4_adj_x2-seed0", marks=_ROOT_PARTS),
+    pytest.param(("D", 4), (0, 1, 0, 0), 1, id="D4_adj_x2-seed1", marks=_ROOT_PARTS),
+    pytest.param(("D", 4), (0, 1, 0, 0), 0, id="D4_adj_x2-seed0", marks=pytest.mark.xfail(
+        strict=True, raises=NumericalDegeneracy,
+        reason="the float rank cut reads the generic orbit one dimension short")),
+    pytest.param(("B", 2), (1, 1), 8, id="B2_11_x2-seed8", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="commute_invariant_image holds an absolute 1e-9 bound")),
+])
+def test_valid_modules_pass_every_check(factor, hw, seed):
+    """Valid modules within the CLI's caps on which `verify` exits 1:
+    section_residual reads 24.2 on A3 adjoint x2 at seed 0, 184 on A4
+    adjoint x2 at seed 0 and 46.1 on D4 adjoint x2 at seed 1, where the
+    section point's exact moment keeps root parts; D4 adjoint x2 at seed 0
+    raises NumericalDegeneracy, "dim V - orbit - rank = 25"; B2 [1,1] x2
+    at seed 8 reads 3.2e-8 on commute_invariant_image against 1e-9 (1.19e-9
+    at seed 0, too near the bound to pin).  Each case passes, and its
+    strict xfail fails, once its check or the section is mended."""
+    spec = validate_symplectic_spec(build_root_datum([factor]), [(hw, 2)])
+    assert [c.name for c in verify.verify_suite(spec, seed=seed).failing()] == []

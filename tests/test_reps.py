@@ -370,7 +370,7 @@ def test_oracle_specs_have_zero_weight_and_mixed_height_slots():
 
 
 @pytest.mark.parametrize("name", sorted(_sympow_oracle_specs()))
-def test_symmetric_powers_match_newton_oracle(name):
+def test_symmetric_powers_match_newton_oracle(sym_power_pass, name):
     """The full-box reference recursion agrees with Newton's identity, and
     the library keeps exactly: below degree D - 1 its weights of height <=
     0; at D - 1 each target, and each weight w with a target w + s_j for a
@@ -386,7 +386,8 @@ def test_symmetric_powers_match_newton_oracle(name):
     assert all(type(c) is int for hd in sym for c in hd.values())
     assert all(type(x) is int for hd in sym for w in hd for x in w)
     datum = spec.datum
-    bound, depth, cut = reps._sym_powers_cached(datum, spec.summands, top)
+    invariant_dims(spec, top)
+    bound, depth, cut = (sym_power_pass[k] for k in ("bound", "depth", "h"))
     radix = 2 * bound + 1
 
     def height(w):
@@ -453,20 +454,14 @@ def test_rho_walk_is_held_to_the_denominator_identity(mutate_invariant_dims, mut
         invariant_dims(spec, 4)
 
 
-@pytest.mark.parametrize("wrong, message", [
+@pytest.mark.parametrize("mutation, message", [
     ("swapped", "negative invariant dimension"),
     ("doubled", "degree-0 invariants must be 1-dim"),
 ])
-def test_the_alternation_is_cross_checked(monkeypatch, wrong, message):
+def test_the_alternation_is_cross_checked(mutate_invariant_dims, mutation, message):
     """Targets that reach the read with their signs swapped, or with the
     identity counted twice, raise at degree 0."""
-    targets = reps._targets
-
-    def wrong_targets(datum, bound, depth):
-        plus, minus = targets(datum, bound, depth)
-        return (minus, plus) if wrong == "swapped" else (plus + plus[:1], minus)
-
-    monkeypatch.setattr(reps, "_targets", wrong_targets)
+    mutate_invariant_dims(mutation)
     with pytest.raises(InternalConsistencyError, match=message):
         invariant_dims(catalog()["sl3_std_dual"][0], 2)
 
@@ -485,7 +480,7 @@ def test_integrality_cross_checks_raise_a_defect():
         duality_class(A1, half)
     spec = validate_symplectic_spec(T1, [(half, 1), ((-half[0],), 1)])
     with pytest.raises(InternalConsistencyError, match="non-integer coordinate"):
-        reps._sym_powers_cached(T1, spec.summands, 2)
+        reps._invariant_dims_cached(T1, spec.summands, 2)
 
 
 def test_cached_weight_facts_raise_on_every_call():

@@ -261,6 +261,15 @@ def test_weyl_orbit_walks_in_int_labels(monkeypatch):
     assert calls["vdot"] + calls["canon"] <= 2 * datum.rank ** 2
 
 
+def _a5_std_dual():
+    from symprep import reps, rootdata
+
+    datum = rootdata.build_root_datum([("A", 5)])
+    return reps.validate_symplectic_spec(
+        datum, [((1, 0, 0, 0, 0), 1), ((0, 0, 0, 0, 1), 1)]
+    )
+
+
 def test_invariant_dims_never_walks_a_whole_weyl_orbit(monkeypatch):
     """A cold `invariant_dims(A5 std+dual, 8)` walks down from rho only to
     depth 8 * 5 = 40 (A5's deepest weight of V pairs to -5 with 2 rho^vee),
@@ -268,41 +277,126 @@ def test_invariant_dims_never_walks_a_whole_weyl_orbit(monkeypatch):
     full-orbit alternation fails here."""
     from symprep import reps, rootdata
 
-    datum = rootdata.build_root_datum([("A", 5)])
-    spec = reps.validate_symplectic_spec(
-        datum, [((1, 0, 0, 0, 0), 1), ((0, 0, 0, 0, 1), 1)]
-    )
+    spec = _a5_std_dual()
     spec.weight_multiset()  # Freudenthal walks weight orbits: fill it first
-    reps._sym_powers_cached.cache_clear()
+    reps._invariant_dims_cached.cache_clear()
     reps._targets.cache_clear()
+    walk, walks = reps._rho_walk, []
 
     def refused(*args):
         raise AssertionError("invariant_dims walked a whole Weyl orbit")
 
+    def counted(datum, depth):
+        out = walk(datum, depth)
+        walks.append((depth, len(out)))
+        return out
+
     for module in (rootdata, reps):
         monkeypatch.setattr(module, "weyl_walk", refused)
+    monkeypatch.setattr(reps, "_rho_walk", counted)
     assert reps.invariant_dims(spec, 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
-    assert reps._sym_powers_cached(datum, spec.summands, 8)[1] == 40
-    assert len(reps._rho_walk(datum, 40)) == 463 < datum.weyl_order()
+    assert walks == [(40, 463)] and 463 < spec.datum.weyl_order()
 
 
-def test_invariant_dims_keeps_only_states_that_reach_a_target():
+def test_invariant_dims_keeps_only_states_that_reach_a_target(sym_power_pass):
     """A cold `invariant_dims(A5 std+dual, 8)` keeps at most 4522 states
     over all degrees of S^d V, against 16050 for every state of height <=
     0: the top degree keeps only target keys and the one below only states
     that are, or can still become, one.  A return to the uncut recursion
     fails here."""
-    from symprep import reps, rootdata
+    from symprep import reps
 
-    datum = rootdata.build_root_datum([("A", 5)])
-    spec = reps.validate_symplectic_spec(
-        datum, [((1, 0, 0, 0, 0), 1), ((0, 0, 0, 0, 1), 1)]
-    )
-    reps._sym_powers_cached.cache_clear()
-    reps._targets.cache_clear()
+    assert reps.invariant_dims(_a5_std_dual(), 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+    assert sum(map(len, sym_power_pass["h"])) <= 4522
+
+
+def test_a_warm_invariant_dims_forms_no_state_and_no_target(monkeypatch):
+    """The answer is what is kept: a second `invariant_dims` on the same
+    spec and degree reads it, and calls none of the symmetric-power
+    recursion, the target table or the rho walk."""
+    from symprep import reps
+
+    spec = _a5_std_dual()
+    dims = reps.invariant_dims(spec, 8)
+
+    def refused(*args):
+        raise AssertionError("a warm invariant_dims formed its answer again")
+
+    for name in ("_sym_power_states", "_targets", "_rho_walk"):
+        monkeypatch.setattr(reps, name, refused)
+    assert reps.invariant_dims(spec, 8) == dims
+
+
+def test_no_state_of_a_symmetric_power_outlives_its_pass(monkeypatch):
+    """The states the recursion keeps are dropped when the pass returns,
+    so no cache holds them; what is kept is a tuple of ints."""
+    import gc
+    import weakref
+
+    from symprep import reps
+
+    class States(dict):
+        pass
+
+    states, alive = reps._sym_power_states, []
+
+    def watched(*args):
+        h, dropped = states(*args)
+        h = [States(hd) for hd in h]
+        alive.extend(map(weakref.ref, h))
+        return h, dropped
+
+    monkeypatch.setattr(reps, "_sym_power_states", watched)
+    reps._invariant_dims_cached.cache_clear()
+    spec = _a5_std_dual()
     assert reps.invariant_dims(spec, 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
-    h = reps._sym_powers_cached(datum, spec.summands, 8)[2]
-    assert sum(map(len, h)) <= 4522
+    gc.collect()
+    assert len(alive) == 9 and all(ref() is None for ref in alive)
+    kept = reps._invariant_dims_cached(spec.datum, spec.summands, 8)
+    assert type(kept) is tuple and all(type(x) is int for x in kept)
+
+
+@pytest.mark.parametrize("mutation, message", [
+    ("lose_state", r"S\^1 V has mass"),
+    ("lose_top_state", r"S\^4 V has mass"),
+    ("swapped", "negative invariant dimension"),
+    ("doubled", "degree-0 invariants must be 1-dim"),
+    ("lose_point", "Weyl denominator identity"),
+])
+def test_every_check_of_the_pass_runs_whenever_it_forms_an_answer(
+        mutate_invariant_dims, mutation, message):
+    """Once an answer is kept, a pass that forms it again (here under a
+    mutation, with the caches emptied) still runs each check, and a raise
+    is never kept: the same call raises again."""
+    from symprep import reps, rootdata
+    from symprep.errors import InternalConsistencyError
+
+    spec = reps.validate_symplectic_spec(rootdata.build_root_datum([("A", 1)]), [((1,), 2)])
+    assert reps.invariant_dims(spec, 4) == [1, 0, 1, 0, 1]
+    mutate_invariant_dims(mutation)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match=message):
+            reps.invariant_dims(spec, 4)
+
+
+def test_invariant_dims_checks_its_caps_on_every_call():
+    """The dim budget, the degree cap and the Weyl cap hold before the kept
+    answer is read: with the answer kept for the same (datum, summands,
+    degree), each still raises."""
+    from symprep import reps
+    from symprep.errors import BudgetExceeded, WeylCapExceeded
+
+    spec = _a5_std_dual()
+    reps.invariant_dims(spec, 8)
+    with pytest.raises(WeylCapExceeded):
+        reps.invariant_dims(spec, 8, weyl_cap=719)
+    reps._invariant_dims_cached(spec.datum, spec.summands, 11)
+    with pytest.raises(BudgetExceeded, match="degree 11 exceeds cap 10"):
+        reps.invariant_dims(spec, 11)
+    big = reps.validate_symplectic_spec(spec.datum, [((1, 0, 0, 0, 0), 2), ((0, 0, 0, 0, 1), 2)])
+    reps._invariant_dims_cached(big.datum, big.summands, 2)
+    with pytest.raises(BudgetExceeded, match="dim V = 24 exceeds budget 16"):
+        reps.invariant_dims(big, 2)
 
 
 def test_freudenthal_walks_each_dominant_orbit_once(monkeypatch):
@@ -482,6 +576,34 @@ def test_every_module_level_empty_dict_is_named_cache():
                 (tables if name.endswith("_CACHE") else stray).append(name)
     assert "rootdata._DATUM_CACHE" in tables
     assert stray == []
+
+
+def test_every_cache_is_an_lru_cache_but_the_intern_table():
+    """Every module-level cache of the package is a `functools.lru_cache`,
+    so the benchmark's cold runs empty each the same way, by `cache_clear`;
+    the one exception is `rootdata._DATUM_CACHE`, the intern table of root
+    data.  No hand-rolled cache, such as one that checks the identity of
+    what it was built from, comes back."""
+    import functools
+    import pkgutil
+
+    import symprep
+    from symprep import rootdata
+
+    lru = type(functools.lru_cache(maxsize=None)(len))
+    caches, stray = set(), []
+    for info in pkgutil.iter_modules(symprep.__path__):
+        module = importlib.import_module(f"symprep.{info.name}")
+        for name, value in vars(module).items():
+            if not (callable(getattr(value, "cache_clear", None))
+                    or isinstance(value, dict) and name.upper().endswith("_CACHE")):
+                continue
+            if isinstance(value, lru) or value is rootdata._DATUM_CACHE:
+                caches.add(f"{info.name}.{name}")
+            else:
+                stray.append(f"{info.name}.{name}")
+    assert stray == []
+    assert {"reduction._little_weyl_candidates", "rootdata._DATUM_CACHE"} <= caches
 
 
 def test_every_error_class_is_raised_somewhere():
